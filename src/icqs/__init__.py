@@ -1,9 +1,10 @@
 """Solver toolkit for integer convex quadratic simultaneous games.
 
-Pipeline: build or load an instance (`game`, `instgen`), classify its
-interaction matrices (`game.classify`), run certified best-response
-iteration (`dynamics.run_br`), restrict to the cycle and solve the finite
-game (`finite`), then measure deviation gains against the a-priori bounds
+Pipeline: build or load an instance (`game`, `instgen`), prepare it once
+per solve (`game.prepare`: the classification of its interaction matrices
+and every player's factored Q_i), run certified best-response iteration
+(`dynamics.run_br`), restrict to the cycle and solve the finite game
+(`finite`), then measure deviation gains against the a-priori bounds
 (`finite.verify_delta`, `bounds`).
 """
 
@@ -27,6 +28,7 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
     OracleBudgetExceeded,
+    ProximityViolation,
     RejectionBudgetExceeded,
     ToleranceNotReached,
 )
@@ -46,15 +48,29 @@ from .game import (
     AdequacyReport,
     IcqsInstance,
     PlayerProblem,
+    Prepared,
     best_response,
     classify,
     interaction_matrix,
     load_instance,
     make_instance,
     objective,
+    prepare,
     save_instance,
 )
 from .instgen import NegativeSpec, PricingSpec, RandomSpec, builtin, gen_negative, gen_pricing, gen_random
-from .iqp import ProxBound, Quadratic, brute_force_min, continuous_min, flatness_constant, integer_min, prox_bound
+from .iqp import (
+    PROVEN_RULE,
+    Factor,
+    FlatnessRule,
+    ProxBound,
+    Quadratic,
+    brute_force_min,
+    continuous_min,
+    factorize,
+    flatness_constant,
+    integer_min,
+    prox_bound,
+)
 
 __version__ = "0.1.0"

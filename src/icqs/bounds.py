@@ -23,7 +23,9 @@ variants: ``"flatness"`` is the plain flatness-constant formula that the
 reported numbers quote, and ``"exact"`` upgrades scaled-identity matrices to
 their true worst case sqrt(n)/2 (the flatness value understates 1-D blocks,
 where measured diameters can legitimately exceed the flatness-based L
-bound; such violations are flagged, not hidden).
+bound; such violations are flagged, not hidden).  Both come from the solve's
+`game.Prepared` value, under its flatness rule; the L bounds and a-priori
+deltas are computed at most once per variant and kept in it.
 """
 
 from __future__ import annotations
@@ -33,27 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, game, iqp
+from . import dynamics, game
 
 _FIXED_POINT_ITERS = 100_000
 _FIXED_POINT_TOL = 1e-13
 _DIVERGED = 1e15
-
-PROX_VARIANTS = ("flatness", "exact")
-
-
-def _player_prox(inst: game.IcqsInstance, i: int, prox_variant: str) -> float:
-    if prox_variant not in PROX_VARIANTS:
-        raise ValueError(f"unknown prox variant {prox_variant!r}")
-    p = inst.players[i]
-    q = iqp.Quadratic(p.Q, p.d)
-    if prox_variant == "exact":
-        return iqp.guarantee_prox(q)
-    return iqp.prox_bound(q).prox_value
-
-
-def _lambda1(inst: game.IcqsInstance, i: int) -> float:
-    return float(iqp.prox_bound(iqp.Quadratic(inst.players[i].Q, inst.players[i].d)).lambda_max)
 
 
 def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
@@ -72,18 +58,22 @@ def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
 
 
 def delta_a_posteriori(
-    inst: game.IcqsInstance, i: int, L_i: float, prox_variant: str = "flatness"
+    inst: game.IcqsInstance,
+    i: int,
+    L_i: float,
+    prox_variant: str = "flatness",
+    prep: game.Prepared | None = None,
 ) -> float:
     """lambda_1(Q_i) * (prox_i + L_i)^2 for a measured cycle diameter L_i."""
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
-    prox = _player_prox(inst, i, prox_variant)
-    return _lambda1(inst, i) * (prox + L_i) ** 2
+    player = prep.players[i] if prep is not None else game.prepare_player(inst, i)
+    return player.factor.lambda_max * (player.prox(prox_variant) + L_i) ** 2
 
 
 def l_bound_theoretical(
     inst: game.IcqsInstance,
-    report: game.AdequacyReport | None = None,
+    prep: game.Prepared | None = None,
     prox_variant: str = "flatness",
 ) -> list[float] | None:
     """A-priori per-player cycle diameter bounds; None unless positively adequate.
@@ -93,15 +83,15 @@ def l_bound_theoretical(
     fixed point (possible for k >= 3 with sigmas near one; the closure is a
     conservative over-approximation there).
     """
-    if report is None:
-        report = game.classify(inst)
-    if report.classification is not game.Adequacy.POSITIVE:
+    if prep is None:
+        prep = game.prepare(inst)
+    if prep.report.classification is not game.Adequacy.POSITIVE:
         return None
     if inst.k == 2:
         # the coupled pair of inequalities solves in closed form
-        return two_player_l_bound_closed_form(inst, report, prox_variant)
-    sigma = np.array(report.sigma_max)
-    prox = np.array([_player_prox(inst, i, prox_variant) for i in range(inst.k)])
+        return two_player_l_bound_closed_form(inst, prep, prox_variant)
+    sigma = np.array(prep.report.sigma_max)
+    prox = np.array([p.prox(prox_variant) for p in prep.players])
     return _l_fixed_point(sigma, prox)
 
 
@@ -123,17 +113,17 @@ def _l_fixed_point(sigma: np.ndarray, prox: np.ndarray) -> list[float]:
 
 def two_player_l_bound_closed_form(
     inst: game.IcqsInstance,
-    report: game.AdequacyReport | None = None,
+    prep: game.Prepared | None = None,
     prox_variant: str = "flatness",
 ) -> list[float] | None:
     """The displayed two-player bounds; cross-checks the fixed-point closure."""
-    if report is None:
-        report = game.classify(inst)
-    if report.classification is not game.Adequacy.POSITIVE or inst.k != 2:
+    if prep is None:
+        prep = game.prepare(inst)
+    if prep.report.classification is not game.Adequacy.POSITIVE or inst.k != 2:
         return None
-    sx, sy = report.sigma_max
-    px = _player_prox(inst, 0, prox_variant)
-    py = _player_prox(inst, 1, prox_variant)
+    sx, sy = prep.report.sigma_max
+    px = prep.players[0].prox(prox_variant)
+    py = prep.players[1].prox(prox_variant)
     denom = 1.0 - sx * sy
     return [
         (2.0 * py * sx + 2.0 * px) / denom,
@@ -141,22 +131,37 @@ def two_player_l_bound_closed_form(
     ]
 
 
+def _a_priori(
+    prep: game.Prepared, prox_variant: str
+) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
+    """(L bounds, a-priori deltas), both None unless positively adequate;
+    computed once per prepared instance and variant."""
+    hit = prep.a_priori.get(prox_variant)
+    if hit is None:
+        l_bounds = l_bound_theoretical(prep.inst, prep, prox_variant)
+        if l_bounds is None:
+            hit = (None, None)
+        else:
+            # the a-priori delta is the a-posteriori one at the bounded diameter
+            deltas = tuple(
+                delta_a_posteriori(prep.inst, i, L, prox_variant, prep)
+                for i, L in enumerate(l_bounds)
+            )
+            hit = (tuple(l_bounds), deltas)
+        prep.a_priori[prox_variant] = hit
+    return hit
+
+
 def delta_a_priori(
     inst: game.IcqsInstance,
-    report: game.AdequacyReport | None = None,
+    prep: game.Prepared | None = None,
     prox_variant: str = "flatness",
 ) -> list[float] | None:
     """Per-player a-priori deviation bounds; None unless positively adequate."""
-    if report is None:
-        report = game.classify(inst)
-    l_bounds = l_bound_theoretical(inst, report=report, prox_variant=prox_variant)
-    if l_bounds is None:
-        return None
-    out = []
-    for i in range(inst.k):
-        prox = _player_prox(inst, i, prox_variant)
-        out.append(_lambda1(inst, i) * (prox + l_bounds[i]) ** 2)
-    return out
+    if prep is None:
+        prep = game.prepare(inst)
+    deltas = _a_priori(prep, prox_variant)[1]
+    return None if deltas is None else list(deltas)
 
 
 @dataclass(frozen=True)
@@ -187,38 +192,36 @@ class GuaranteePack:
 def guarantee_pack(
     inst: game.IcqsInstance,
     cycle: dynamics.CycleSets,
-    report: game.AdequacyReport | None = None,
+    prep: game.Prepared | None = None,
 ) -> GuaranteePack:
     """Assemble measured diameters and every bound variant for one run."""
-    if report is None:
-        report = game.classify(inst)
+    if prep is None:
+        prep = game.prepare(inst)
     k = inst.k
     l_measured = tuple(cycle_diameter(cycle, i) for i in range(k))
-    lbf = l_bound_theoretical(inst, report=report, prox_variant="flatness")
-    lbe = l_bound_theoretical(inst, report=report, prox_variant="exact")
+    lbf, dpf = _a_priori(prep, "flatness")
+    lbe, dpe = _a_priori(prep, "exact")
     violated = tuple(
         lbf is not None and l_measured[i] > lbf[i] * (1.0 + 1e-9) + 1e-12
         for i in range(k)
     )
-    dpf = delta_a_priori(inst, report=report, prox_variant="flatness")
-    dpe = delta_a_priori(inst, report=report, prox_variant="exact")
     return GuaranteePack(
-        classification=report.classification,
-        rho=report.rho,
-        lambda1=tuple(_lambda1(inst, i) for i in range(k)),
-        sigma1=report.sigma_max,
-        prox_flatness=tuple(_player_prox(inst, i, "flatness") for i in range(k)),
-        prox_exact=tuple(_player_prox(inst, i, "exact") for i in range(k)),
+        classification=prep.report.classification,
+        rho=prep.report.rho,
+        lambda1=tuple(p.factor.lambda_max for p in prep.players),
+        sigma1=prep.report.sigma_max,
+        prox_flatness=tuple(p.prox_flatness for p in prep.players),
+        prox_exact=tuple(p.prox_exact for p in prep.players),
         l_measured=l_measured,
-        l_bound_flatness=None if lbf is None else tuple(lbf),
-        l_bound_exact=None if lbe is None else tuple(lbe),
+        l_bound_flatness=lbf,
+        l_bound_exact=lbe,
         delta_posteriori_flatness=tuple(
-            delta_a_posteriori(inst, i, l_measured[i], "flatness") for i in range(k)
+            delta_a_posteriori(inst, i, l_measured[i], "flatness", prep) for i in range(k)
         ),
         delta_posteriori_exact=tuple(
-            delta_a_posteriori(inst, i, l_measured[i], "exact") for i in range(k)
+            delta_a_posteriori(inst, i, l_measured[i], "exact", prep) for i in range(k)
         ),
-        delta_priori_flatness=None if dpf is None else tuple(dpf),
-        delta_priori_exact=None if dpe is None else tuple(dpe),
+        delta_priori_flatness=dpf,
+        delta_priori_exact=dpe,
         flatness_l_violated=violated,
     )

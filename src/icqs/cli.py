@@ -57,15 +57,19 @@ def solve_pipeline(
     start=None,
     max_iters: int = dynamics.DEFAULT_MAX_ITERS,
     mode: str = dynamics.INTEGER,
+    rule: iqp.FlatnessRule = iqp.PROVEN_RULE,
 ) -> dict:
     """Classify, iterate, restrict, solve the finite game, verify deltas.
 
     Returns a plain-dict report mirroring the instance file format; the
-    equilibrium stage is skipped for divergent or capped runs.
+    equilibrium stage is skipped for divergent or capped runs.  ``rule`` is
+    the flatness rule the reported proximity bounds are stated under; the
+    instance is prepared once under it and every stage shares that value.
     """
     t0 = time.perf_counter()
-    report = game.classify(inst)
-    trace = dynamics.run_br(inst, start=start, max_iters=max_iters, mode=mode)
+    prep = game.prepare(inst, rule)
+    report = prep.report
+    trace = dynamics.run_br(inst, start=start, max_iters=max_iters, mode=mode, prep=prep)
     result: dict = {
         "classification": report.classification.value,
         "rho": report.rho,
@@ -73,18 +77,19 @@ def solve_pipeline(
         "sigma_min": list(report.sigma_min),
         "outcome": trace.outcome,
         "iterations": trace.iterations,
-        "termination_radius": dynamics.termination_radius(inst, report),
-        "divergence_radius": dynamics.divergence_radius(inst, report),
+        "termination_radius": dynamics.termination_radius(inst, prep),
+        "divergence_radius": dynamics.divergence_radius(inst, prep),
         "mode": mode,
     }
     equilibrium = None
     if trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT):
         sets = dynamics.cycle_sets(trace)
         if mode == dynamics.INTEGER:
-            fg = finite.restrict(inst, sets)
+            fg = finite.restrict(inst, sets, prep)
             profile, achieved_eps = finite.solve_equilibrium(fg)
-            delta = finite.verify_delta(inst, fg, profile)
-            pack = bounds.guarantee_pack(inst, sets, report)
+            delta = finite.verify_delta(inst, fg, profile, prep)
+            pack = bounds.guarantee_pack(inst, sets, prep)
+            delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack)
             equilibrium = {
                 "strategies": [
                     [np.asarray(s).tolist() for s in player] for player in fg.strategies
@@ -108,7 +113,8 @@ def solve_pipeline(
                     "exact": _maybe_list(pack.delta_priori_exact),
                 },
                 "flatness_l_violated": list(pack.flatness_l_violated),
-                "delta_bounded": _delta_bounded(delta, pack),
+                "delta_bounded": delta_bounded,
+                "delta_bounded_reason": delta_bounded_reason,
             }
         else:
             fixed = [np.asarray(x).tolist() for x in trace.profiles[-1]]
@@ -125,12 +131,23 @@ def _maybe_list(values):
     return [None if math.isinf(v) else v for v in values]
 
 
-def _delta_bounded(delta: finite.DeltaReport, pack: bounds.GuaranteePack) -> bool | None:
-    # gains within the a-priori bound (exact-prox variant); None when no bound
+def _delta_bounded(
+    delta: finite.DeltaReport, pack: bounds.GuaranteePack
+) -> tuple[bool | None, str]:
+    """Whether the gains are within the finite a-priori bounds (exact-prox
+    variant), and why; None when no player has a finite bound."""
     if pack.delta_priori_exact is None:
-        return None
-    return bool(
-        all(g <= b + 1e-9 for g, b in zip(delta.gains, pack.delta_priori_exact))
+        return None, f"no a-priori bound: the instance is {pack.classification.value}"
+    checked = [
+        (g, b) for g, b in zip(delta.gains, pack.delta_priori_exact) if math.isfinite(b)
+    ]
+    if not checked:
+        return None, "no finite a-priori bound: the L-bound closure is infinite"
+    ok = all(g <= b + 1e-9 for g, b in checked)
+    verdict = "within" if ok else "exceed"
+    return ok, (
+        f"gains {verdict} the finite a-priori bounds of "
+        f"{len(checked)} of {len(delta.gains)} players"
     )
 
 
@@ -173,24 +190,21 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _apply_flatness_flags(args) -> None:
-    if getattr(args, "flatness_coeff", None) is not None or getattr(
-        args, "flatness_exponent", None
-    ) is not None:
-        iqp.set_flatness_rule(
-            args.flatness_coeff if args.flatness_coeff is not None else iqp.FLATNESS_COEFF,
-            args.flatness_exponent
-            if args.flatness_exponent is not None
-            else iqp.FLATNESS_EXPONENT,
-        )
+def _flatness_rule(args) -> iqp.FlatnessRule:
+    try:
+        return iqp.FlatnessRule(coeff=args.flatness_coeff, exponent=args.flatness_exponent)
+    except ValueError as exc:
+        raise SystemExit(_fail(str(exc), EXIT_PARSE))
 
 
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
-    _apply_flatness_flags(args)
+    rule = _flatness_rule(args)
     start = _parse_start(args.start, inst) if args.start else None
     try:
-        result = solve_pipeline(inst, start=start, max_iters=args.max_iters, mode=args.mode)
+        result = solve_pipeline(
+            inst, start=start, max_iters=args.max_iters, mode=args.mode, rule=rule
+        )
     except IcqsError as exc:
         return _fail(str(exc), EXIT_SOLVER)
     trace = result.pop("trace")
@@ -209,10 +223,9 @@ def cmd_solve(args) -> int:
     if "deviation_gains" in eq:
         print(f"max deviation gain: {max(eq['deviation_gains']):.6g}")
         if eq["delta_bounded"] is False:
-            print("WARNING: gains exceed the a-priori delta bound")
+            print(f"WARNING: {eq['delta_bounded_reason']}")
         elif eq["delta_bounded"] is None:
-            print("NOT delta-bounded: no a-priori bound applies "
-                  "(instance is not positively adequate)")
+            print(f"NOT delta-bounded: {eq['delta_bounded_reason']}")
     print(f"report: {report_path}")
     print(f"trace: {trace_path}")
     return EXIT_OK
@@ -253,7 +266,7 @@ def cmd_bench(args) -> int:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read bench spec {args.spec}: {exc}", EXIT_PARSE)
-    _apply_flatness_flags(args)
+    rule = _flatness_rule(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -268,7 +281,7 @@ def cmd_bench(args) -> int:
     for index, (job_id, entry) in enumerate(jobs):
         try:
             name, inst = _gen_from_entry(entry, index)
-            result = solve_pipeline(inst, max_iters=args.max_iters)
+            result = solve_pipeline(inst, max_iters=args.max_iters, rule=rule)
             result.pop("trace")
             records.append(record_from_result(f"{job_id}-{name}", inst, result))
         except IcqsError as exc:
@@ -420,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[dynamics.INTEGER, dynamics.CONTINUOUS],
                    default=dynamics.INTEGER)
     p.add_argument("--out", default=None, help="directory for report and trace files")
-    p.add_argument("--flatness-coeff", type=float, default=None,
+    p.add_argument("--flatness-coeff", type=float, default=iqp.PROVEN_RULE.coeff,
                    help="override the flatness rule coefficient (default 1.0)")
-    p.add_argument("--flatness-exponent", type=float, default=None,
+    p.add_argument("--flatness-exponent", type=float, default=iqp.PROVEN_RULE.exponent,
                    help="override the flatness rule exponent (default 2.5)")
     p.set_defaults(func=cmd_solve)
 
@@ -430,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="JSON batch description")
     p.add_argument("--out", required=True)
     p.add_argument("--max-iters", type=int, default=dynamics.DEFAULT_MAX_ITERS)
-    p.add_argument("--flatness-coeff", type=float, default=None,
+    p.add_argument("--flatness-coeff", type=float, default=iqp.PROVEN_RULE.coeff,
                    help="override the flatness rule coefficient (default 1.0)")
-    p.add_argument("--flatness-exponent", type=float, default=None,
+    p.add_argument("--flatness-exponent", type=float, default=iqp.PROVEN_RULE.exponent,
                    help="override the flatness rule exponent (default 2.5)")
     p.set_defaults(func=cmd_bench)
 

@@ -1,9 +1,8 @@
 """Simultaneous best-response iteration with certified outcomes.
 
 One iteration replaces every player's strategy at once with its best response
-to the *previous* joint profile (a Jacobi sweep; a Gauss-Seidel variant is
-available behind a flag for exploration but is excluded from the certified
-paths).  A run ends in one of four ways:
+to the *previous* joint profile (a Jacobi sweep, the update the certificates
+are proven for).  A run ends in one of four ways:
 
 * ``cycle``        -- the joint profile repeated exactly (integer mode); the
                       window between the two occurrences is the cycle.
@@ -24,6 +23,9 @@ some earlier iterate" test.
 Continuous mode replaces the integer best response with the continuous one,
 turning the sweep into the affine fixed-point iteration whose contraction /
 expansion behaviour mirrors the adequacy classification.
+
+`run_br`, the sweeps and the radii take the solve's `game.Prepared` value as
+``prep`` and build one from the instance when it is not given.
 """
 
 from __future__ import annotations
@@ -107,20 +109,31 @@ def _profile_key(profile: Sequence[np.ndarray]) -> bytes:
     return np.concatenate([np.asarray(x, dtype=np.int64) for x in profile]).tobytes()
 
 
-def continuous_step(inst: game.IcqsInstance, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
+def continuous_step(
+    inst: game.IcqsInstance,
+    profile: Sequence[np.ndarray],
+    prep: game.Prepared | None = None,
+) -> list[np.ndarray]:
     """One Jacobi sweep of continuous best responses."""
     return [
-        game.continuous_response(inst, i, [profile[j] for j in inst.opponents(i)])
+        game.continuous_response(inst, i, [profile[j] for j in inst.opponents(i)], prep)
         for i in range(inst.k)
     ]
 
 
 def _integer_step(
-    inst: game.IcqsInstance, profile: Sequence[np.ndarray], node_budget: int
+    inst: game.IcqsInstance,
+    profile: Sequence[np.ndarray],
+    node_budget: int,
+    prep: game.Prepared,
 ) -> list[np.ndarray]:
     return [
         game.best_response(
-            inst, i, [profile[j] for j in inst.opponents(i)], node_budget=node_budget
+            inst,
+            i,
+            [profile[j] for j in inst.opponents(i)],
+            node_budget=node_budget,
+            prep=prep,
         )
         for i in range(inst.k)
     ]
@@ -154,9 +167,9 @@ def run_br(
     start=None,
     max_iters: int = DEFAULT_MAX_ITERS,
     mode: str = INTEGER,
-    update: str = "jacobi",
     fp_tolerance: float = FP_TOLERANCE,
     node_budget: int = iqp.DEFAULT_NODE_BUDGET,
+    prep: game.Prepared | None = None,
 ) -> BrTrace:
     """Run best-response iteration from ``start`` (all zeros by default).
 
@@ -167,8 +180,8 @@ def run_br(
         raise ValueError("max_iters must be >= 1")
     if mode not in (INTEGER, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
-    if update not in ("jacobi", "gauss_seidel"):
-        raise ValueError(f"unknown update order {update!r}")
+    if prep is None:
+        prep = game.prepare(inst)
 
     current = _validate_start(inst, start, mode)
     profiles = [tuple(current)]
@@ -177,7 +190,7 @@ def run_br(
     if mode == INTEGER:
         seen[_profile_key(current)] = 0
 
-    div_radius = divergence_radius(inst)
+    div_radius = divergence_radius(inst, prep)
     latch: int | None = None
 
     outcome = OUTCOME_CAP
@@ -185,19 +198,10 @@ def run_br(
 
     for t in range(1, max_iters + 1):
         prev = profiles[-1]
-        if update == "jacobi":
-            if mode == INTEGER:
-                nxt = _integer_step(inst, prev, node_budget)
-            else:
-                nxt = continuous_step(inst, prev)
+        if mode == INTEGER:
+            nxt = _integer_step(inst, prev, node_budget, prep)
         else:
-            nxt = list(prev)
-            for i in range(inst.k):
-                others = [nxt[j] for j in inst.opponents(i)]
-                if mode == INTEGER:
-                    nxt[i] = game.best_response(inst, i, others, node_budget=node_budget)
-                else:
-                    nxt[i] = game.continuous_response(inst, i, others)
+            nxt = continuous_step(inst, prev, prep)
 
         profiles.append(tuple(nxt))
         norms.append(_joint_norm(nxt))
@@ -264,23 +268,9 @@ def cycle_sets(trace: BrTrace) -> CycleSets:
     )
 
 
-def _radius(inst: game.IcqsInstance, rho: float, prox_variant: str) -> float:
-    d_part = np.concatenate(
-        [iqp.continuous_min(iqp.Quadratic(p.Q, p.d)) for p in inst.players]
-    )
-    proxes = []
-    for p in inst.players:
-        q = iqp.Quadratic(p.Q, p.d)
-        if prox_variant == "exact":
-            proxes.append(iqp.guarantee_prox(q))
-        else:
-            proxes.append(iqp.prox_bound(q).prox_value)
-    return (float(np.linalg.norm(d_part)) + float(np.linalg.norm(proxes))) / rho
-
-
 def termination_radius(
     inst: game.IcqsInstance,
-    report: game.AdequacyReport | None = None,
+    prep: game.Prepared | None = None,
     prox_variant: str = "flatness",
 ) -> float | None:
     """Norm level below which a positively adequate run must eventually stay.
@@ -292,16 +282,16 @@ def termination_radius(
     the flatness-formula radii (default, matching the reported bounds) or the
     certified ``"exact"`` ones used by the descent guarantee.
     """
-    if report is None:
-        report = game.classify(inst)
-    if report.classification is not game.Adequacy.POSITIVE:
+    if prep is None:
+        prep = game.prepare(inst)
+    if prep.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return _radius(inst, report.rho, prox_variant)
+    return prep.radius(prox_variant)
 
 
 def divergence_radius(
     inst: game.IcqsInstance,
-    report: game.AdequacyReport | None = None,
+    prep: game.Prepared | None = None,
     prox_variant: str = "flatness",
 ) -> float | None:
     """Norm level beyond which negatively adequate iterates grow forever.
@@ -309,11 +299,11 @@ def divergence_radius(
     Same formula as the termination radius with rho = min sigma - 1.  Returns
     None unless the instance is negatively adequate.
     """
-    if report is None:
-        report = game.classify(inst)
-    if report.classification is not game.Adequacy.NEGATIVE:
+    if prep is None:
+        prep = game.prepare(inst)
+    if prep.report.classification is not game.Adequacy.NEGATIVE:
         return None
-    return _radius(inst, report.rho, prox_variant)
+    return prep.radius(prox_variant)
 
 
 def cycle_telemetry(trace: BrTrace) -> np.ndarray:

@@ -28,6 +28,14 @@ class EnumerationBudgetExceeded(IcqsError):
     """Lattice enumeration visited more nodes than the configured budget."""
 
 
+class ProximityViolation(IcqsError):
+    """An integer minimizer broke the proven proximity radius or gap bound.
+
+    Signals numerical failure in the enumeration; a correct minimizer always
+    satisfies both bounds.
+    """
+
+
 class OracleBudgetExceeded(IcqsError):
     """The brute-force search box contains more points than the oracle budget."""
 

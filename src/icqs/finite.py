@@ -88,7 +88,11 @@ def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
     return MixedProfile(probs=tuple(probs))
 
 
-def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
+def restrict(
+    inst: game.IcqsInstance,
+    cycle: dynamics.CycleSets,
+    prep: game.Prepared | None = None,
+) -> FiniteGame:
     """Cost tensor of the game restricted to the cycle strategies."""
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
@@ -100,7 +104,7 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
         profile = [strategies[i][index[i]] for i in range(k)]
         for i in range(k):
             others = [profile[j] for j in range(k) if j != i]
-            costs[index + (i,)] = game.objective(inst, i, profile[i], others)
+            costs[index + (i,)] = game.objective(inst, i, profile[i], others, prep)
     return FiniteGame(strategies=strategies, costs=costs)
 
 
@@ -420,7 +424,10 @@ class DeltaReport:
 
 
 def verify_delta(
-    inst: game.IcqsInstance, fg: FiniteGame, profile: MixedProfile
+    inst: game.IcqsInstance,
+    fg: FiniteGame,
+    profile: MixedProfile,
+    prep: game.Prepared | None = None,
 ) -> DeltaReport:
     """Measure every player's best-deviation gain against the full lattice.
 
@@ -429,19 +436,20 @@ def verify_delta(
     vector; the best deviation is therefore an exact integer minimization
     against the means.
     """
+    if prep is None:
+        prep = game.prepare(inst)
     means = mean_strategies(fg, profile)
     exp = expected_costs(fg, profile)
     dev_costs, dev_vecs, gains = [], [], []
     for i in range(fg.k):
         others = [means[j] for j in range(fg.k) if j != i]
-        v = game.best_response(inst, i, others)
-        cost = game.objective(inst, i, v, others)
+        v = game.best_response(inst, i, others, prep=prep)
+        cost = game.objective(inst, i, v, others, prep)
         dev_vecs.append(v)
         dev_costs.append(cost)
         gains.append(float(exp[i]) - cost)
-    report = game.classify(inst)
-    dpf = bounds.delta_a_priori(inst, report=report, prox_variant="flatness")
-    dpe = bounds.delta_a_priori(inst, report=report, prox_variant="exact")
+    dpf = bounds.delta_a_priori(inst, prep, "flatness")
+    dpe = bounds.delta_a_priori(inst, prep, "exact")
     return DeltaReport(
         expected_costs=tuple(float(e) for e in exp),
         deviation_costs=tuple(dev_costs),

@@ -14,6 +14,16 @@ singular values of the R_i decide whether best-response iteration contracts
 
 Instances are immutable after construction and every operation is a pure
 function, so instances can be shared and evaluated in parallel freely.
+
+Best-response iteration solves each player's integer quadratic over and over
+with only the linear term C_i y + d_i moving, so everything that depends on
+Q_i alone is per-instance data.  `prepare` gathers it once per solve into a
+`Prepared` value: the adequacy report, and per player the validated Q_i with
+its Cholesky factor, eigenvalue extremes and proven proximity bounds
+(`iqp.Factor`), the concatenated coupling, d_i, and the proximity radius of
+each variant under the solve's flatness rule.  The solve pipeline passes it
+explicitly to every stage; functions called without one build what they need
+from the instance, and nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -153,6 +163,77 @@ def classify(inst: IcqsInstance, adequacy_eps: float = ADEQUACY_EPS) -> Adequacy
     )
 
 
+@dataclass(frozen=True)
+class PreparedPlayer:
+    """Player i's data that every best response of one solve reuses.
+
+    ``prox_flatness`` is the plain flatness radius and ``prox_exact`` the one
+    raised to sqrt(n)/2 for scaled identities, both under the solve's rule.
+    """
+
+    factor: iqp.Factor
+    C_cat: np.ndarray  # coupling blocks, opponents in ascending player order
+    d: np.ndarray
+    prox_flatness: float
+    prox_exact: float
+
+    def prox(self, variant: str) -> float:
+        if variant == "flatness":
+            return self.prox_flatness
+        if variant == "exact":
+            return self.prox_exact
+        raise ValueError(f"unknown prox variant {variant!r}")
+
+
+def prepare_player(
+    inst: IcqsInstance, i: int, rule: iqp.FlatnessRule = iqp.PROVEN_RULE
+) -> PreparedPlayer:
+    """Factor Q_i and collect player i's reusable data under ``rule``."""
+    p = inst.players[i]
+    factor = iqp.factorize(p.Q)
+    return PreparedPlayer(
+        factor=factor,
+        C_cat=coupling_concat(inst, i),
+        d=p.d,
+        prox_flatness=factor.prox_bound(rule).prox_value,
+        prox_exact=factor.guarantee_prox(rule),
+    )
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """One instance's per-solve data; build it with `prepare`.
+
+    ``a_priori`` holds the L bounds and a-priori deltas per prox variant once
+    `bounds` has computed them; like the rest of the value it lives for one
+    solve.
+    """
+
+    inst: IcqsInstance
+    rule: iqp.FlatnessRule
+    report: AdequacyReport
+    players: tuple[PreparedPlayer, ...]
+    a_priori: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def radius(self, prox_variant: str) -> float:
+        """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho."""
+        d_part = np.concatenate(
+            [linalg.solve_with_factor(p.factor.L, -p.d) for p in self.players]
+        )
+        proxes = [p.prox(prox_variant) for p in self.players]
+        return (float(np.linalg.norm(d_part)) + float(np.linalg.norm(proxes))) / self.report.rho
+
+
+def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
+    """Classify ``inst`` once and factor every Q_i once, for one solve."""
+    return Prepared(
+        inst=inst,
+        rule=rule,
+        report=classify(inst),
+        players=tuple(prepare_player(inst, i, rule) for i in range(inst.k)),
+    )
+
+
 def _others_concat(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
     opp = inst.opponents(i)
     if len(others) != len(opp):
@@ -171,7 +252,7 @@ def _others_concat(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> 
 
 
 def effective_quadratic(
-    inst: IcqsInstance, i: int, others: Sequence[np.ndarray]
+    inst: IcqsInstance, i: int, others: Sequence[np.ndarray], prep: Prepared | None = None
 ) -> iqp.Quadratic:
     """Player i's subproblem with the opponents' strategies folded into d.
 
@@ -179,13 +260,24 @@ def effective_quadratic(
     entries are allowed: the coupling is linear in the opponents' variables,
     so responding to a mixed profile is exactly responding to its mean.
     """
-    p = inst.players[i]
     y = _others_concat(inst, i, others)
-    return iqp.Quadratic(Q=p.Q, d=coupling_concat(inst, i) @ y + p.d)
+    if prep is None:
+        p = inst.players[i]
+        return iqp.Quadratic(Q=p.Q, d=coupling_concat(inst, i) @ y + p.d)
+    pp = prep.players[i]
+    return iqp.Quadratic.from_factor(pp.factor, pp.C_cat @ y + pp.d)
+
+
+def _factor(prep: Prepared | None, i: int) -> iqp.Factor | None:
+    return None if prep is None else prep.players[i].factor
 
 
 def objective(
-    inst: IcqsInstance, i: int, own: np.ndarray, others: Sequence[np.ndarray]
+    inst: IcqsInstance,
+    i: int,
+    own: np.ndarray,
+    others: Sequence[np.ndarray],
+    prep: Prepared | None = None,
 ) -> float:
     """Player i's exact cost at (own, others)."""
     own = np.asarray(own, dtype=np.float64).ravel()
@@ -193,7 +285,7 @@ def objective(
         raise DimensionMismatch(
             f"player {i} vector has length {own.shape[0]}, expected {inst.dims[i]}"
         )
-    return effective_quadratic(inst, i, others).value(own)
+    return effective_quadratic(inst, i, others, prep).value(own)
 
 
 def best_response(
@@ -201,19 +293,26 @@ def best_response(
     i: int,
     others: Sequence[np.ndarray],
     node_budget: int = iqp.DEFAULT_NODE_BUDGET,
+    prep: Prepared | None = None,
 ) -> np.ndarray:
     """Integer best response of player i to the opponents' (mean) strategies.
 
     Deterministic: co-optimal responses resolve to the lexicographically
     smallest vector.
     """
-    v, _ = iqp.integer_min(effective_quadratic(inst, i, others), node_budget=node_budget)
+    v, _ = iqp.integer_min(
+        effective_quadratic(inst, i, others, prep),
+        node_budget=node_budget,
+        factor=_factor(prep, i),
+    )
     return v
 
 
-def continuous_response(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
+def continuous_response(
+    inst: IcqsInstance, i: int, others: Sequence[np.ndarray], prep: Prepared | None = None
+) -> np.ndarray:
     """Continuous best response -Q_i^{-1} (C_i y + d_i)."""
-    return iqp.continuous_min(effective_quadratic(inst, i, others))
+    return iqp.continuous_min(effective_quadratic(inst, i, others, prep), _factor(prep, i))
 
 
 # ---------------------------------------------------------------------------

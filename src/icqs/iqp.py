@@ -10,21 +10,31 @@ best known objective are pruned.  The rounded continuous minimizer seeds the
 incumbent.  This is the classical closest-vector enumeration scheme; it is
 exact, and fast at the dimensions used here (n <= ~25).
 
+Everything that depends on Q alone (its Cholesky factor, eigenvalue extremes
+and proximity data) is gathered in a `Factor`, built by `factorize`.  A
+caller that minimizes against the same Q many times, like a best-response
+loop where only d moves, builds the factor once and passes it to
+`integer_min`; nothing is cached between calls.
+
 The module also provides the closed-form proximity data for Q: an upper bound
 on how far the integer minimizer can sit from u (uniform over all d), and the
 matching bound on the objective gap.  Both are stated in terms of a flatness
-constant Flt(n) <= n^{5/2}.  For 1x1 and other scaled-identity matrices the
+constant Flt(n) <= coeff * n^exponent, given by a `FlatnessRule`; the default
+`PROVEN_RULE` is the proven n^{5/2} bound, and callers pass sharper
+conjectured rules explicitly.  For 1x1 and other scaled-identity matrices the
 flatness-based distance bound understates the true worst case (which is
 sqrt(n)/2 there, attained with u at a cube center), so `guarantee_prox`
-returns the larger of the two whenever the exact value is known; internal
-correctness checks and the certified radii that must actually hold use that
-variant, while `prox_bound` reports the plain flatness formula.
+returns the larger of the two whenever the exact value is known, while
+`prox_bound` reports the plain flatness formula.  The postcondition of
+`integer_min` always checks the proven-rule radius and gap, whatever rule
+the caller reports bounds under, and raises `ProximityViolation` if the
+returned minimizer breaks them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,34 +42,36 @@ from .errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
     OracleBudgetExceeded,
+    ProximityViolation,
 )
 from .linalg import as_vector, cholesky, require_symmetric, solve_with_factor, sym_eigen
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
-# Flt(n) <= coeff * n**exponent; the default is the proven n^{5/2} bound.
-# Sharper conjectured bounds (e.g. O(n)) can be installed process-wide with
-# set_flatness_rule; every prox-derived quantity picks the rule up at call
-# time.
-FLATNESS_EXPONENT = 2.5
-FLATNESS_COEFF = 1.0
-
-
-def set_flatness_rule(coeff: float, exponent: float) -> None:
-    """Override the dimension bound used by every flatness-based formula."""
-    global FLATNESS_COEFF, FLATNESS_EXPONENT
-    if coeff <= 0.0:
-        raise ValueError("flatness coefficient must be positive")
-    FLATNESS_COEFF = float(coeff)
-    FLATNESS_EXPONENT = float(exponent)
-
 _SCALED_IDENTITY_RTOL = 1e-12
 
-# Cholesky factors and eigenvalue extremes keyed by the Q buffer; best-response
-# loops minimize against the same Q thousands of times.
-_FACTOR_CACHE: dict[bytes, tuple[np.ndarray, float, float]] = {}
-_FACTOR_CACHE_CAP = 512
+
+@dataclass(frozen=True)
+class FlatnessRule:
+    """Flt(n) <= coeff * n**exponent, the dimension bound behind every prox.
+
+    The default is the proven n^{5/2} bound.  Sharper conjectured bounds
+    (e.g. O(n)) are passed explicitly by the caller that reports under them.
+    """
+
+    coeff: float = 1.0
+    exponent: float = 2.5
+
+    def __post_init__(self):
+        if not self.coeff > 0.0:
+            raise ValueError("flatness coefficient must be positive")
+
+    def constant(self, n: int) -> float:
+        return flatness_constant(n, self.exponent, self.coeff)
+
+
+PROVEN_RULE = FlatnessRule()
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,19 @@ class Quadratic:
             )
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def from_factor(cls, factor: Factor, d: np.ndarray) -> Quadratic:
+        """The quadratic with ``factor.Q``, which `factorize` already validated.
+
+        Nothing is checked: ``d`` must be a finite float64 vector of length
+        ``factor.n``.  Best-response loops build one per call and pay for
+        Q's validation once, in `factorize`.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "Q", factor.Q)
+        object.__setattr__(q, "d", d)
+        return q
 
     @property
     def n(self) -> int:
@@ -105,56 +130,109 @@ class ProxBound:
 
 
 def flatness_constant(
-    n: int, exponent: float | None = None, coeff: float | None = None
+    n: int, exponent: float = PROVEN_RULE.exponent, coeff: float = PROVEN_RULE.coeff
 ) -> float:
     """Flt(n) bound used in the proximity formulas; default n^{5/2}.
 
-    Overridable (per call or via set_flatness_rule) because sharper
-    dimension-dependent bounds are conjectured; every downstream formula is
-    stated in terms of Flt(n), so a better constant propagates directly.
+    Every downstream formula is stated in terms of Flt(n), so a better
+    constant (see `FlatnessRule`) propagates directly.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if exponent is None:
-        exponent = FLATNESS_EXPONENT
-    if coeff is None:
-        coeff = FLATNESS_COEFF
     return coeff * float(n) ** exponent
 
 
-def _factor(Q: np.ndarray) -> tuple[np.ndarray, float, float]:
-    key = Q.tobytes()
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
+@dataclass(frozen=True)
+class Factor:
+    """Everything minimizing 0.5 x'Qx + d'x needs from Q alone, for any d.
+
+    ``radius`` and ``gap`` are the proven-rule proximity radius and
+    objective-gap bound (`guarantee_prox` and `guarantee_obj_gap` under
+    `PROVEN_RULE`) that `integer_min`'s postcondition checks against.
+    """
+
+    Q: np.ndarray
+    L: np.ndarray  # lower Cholesky factor, Q = L L'
+    G: np.ndarray  # L' as a contiguous array: the rows the DFS walks
+    gdiag: np.ndarray
+    lambda_max: float
+    lambda_min: float
+    scaled_identity: bool
+    radius: float = field(init=False)
+    gap: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "radius", self.guarantee_prox())
+        object.__setattr__(self, "gap", self.guarantee_obj_gap())
+
+    @property
+    def n(self) -> int:
+        return self.Q.shape[0]
+
+    def prox_bound(self, rule: FlatnessRule = PROVEN_RULE) -> ProxBound:
+        flt = rule.constant(self.n)
+        return ProxBound(
+            prox_value=(flt / 4.0) * math.sqrt(self.lambda_max / self.lambda_min),
+            lambda_max=self.lambda_max,
+            lambda_min=self.lambda_min,
+            flatness=flt,
+            obj_gap=self.lambda_max * flt * flt / 32.0,
+        )
+
+    def guarantee_prox(self, rule: FlatnessRule = PROVEN_RULE) -> float:
+        """The flatness radius, raised to sqrt(n)/2 for scaled identities.
+
+        The flatness formula with Flt(n) = n^{5/2} is provably valid for
+        n >= 2 but understates the 1-D worst case (0.25 vs the true 0.5), so
+        scaled identities take the exact value when it is larger: for c*I
+        the integer minimizer rounds u componentwise, so the worst distance
+        is attained with u at a cube center.
+        """
+        bound = self.prox_bound(rule).prox_value
+        if self.scaled_identity:
+            bound = max(bound, math.sqrt(self.n) / 2.0)
+        return bound
+
+    def guarantee_obj_gap(self) -> float:
+        """Objective-gap bound matching `guarantee_prox` under the proven rule."""
+        pb = self.prox_bound()
+        gap = pb.obj_gap
+        if self.scaled_identity:
+            # distance <= sqrt(n)/2 translates to a gap of lambda_max * n / 8
+            gap = max(gap, pb.lambda_max * self.n / 8.0)
+        return gap
+
+
+def factorize(Q: np.ndarray) -> Factor:
+    """Validate Q and collect its `Factor`.
+
+    Raises DimensionMismatch for a non-symmetric Q and NotPositiveDefinite
+    when the Cholesky pivot test fails.
+    """
+    Q = require_symmetric(Q, "Q")
     L = cholesky(Q)
     eig = sym_eigen(Q)
-    entry = (L, eig.lambda_max, eig.lambda_min)
-    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_CAP:
-        _FACTOR_CACHE.clear()
-    _FACTOR_CACHE[key] = entry
-    return entry
+    G = np.ascontiguousarray(L.T)
+    return Factor(
+        Q=Q,
+        L=L,
+        G=G,
+        gdiag=np.diag(G).copy(),
+        lambda_max=eig.lambda_max,
+        lambda_min=eig.lambda_min,
+        scaled_identity=is_scaled_identity(Q),
+    )
 
 
-def continuous_min(q: Quadratic) -> np.ndarray:
+def continuous_min(q: Quadratic, factor: Factor | None = None) -> np.ndarray:
     """The unconstrained minimizer u = -Q^{-1} d."""
-    L, _, _ = _factor(q.Q)
+    L = factor.L if factor is not None else cholesky(q.Q)
     return solve_with_factor(L, -q.d)
 
 
-def prox_bound(
-    q: Quadratic, exponent: float | None = None, coeff: float | None = None
-) -> ProxBound:
+def prox_bound(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> ProxBound:
     """Flatness-based proximity bound for q's quadratic part."""
-    _, lam_max, lam_min = _factor(q.Q)
-    flt = flatness_constant(q.n, exponent, coeff)
-    return ProxBound(
-        prox_value=(flt / 4.0) * math.sqrt(lam_max / lam_min),
-        lambda_max=lam_max,
-        lambda_min=lam_min,
-        flatness=flt,
-        obj_gap=lam_max * flt * flt / 32.0,
-    )
+    return factorize(q.Q).prox_bound(rule)
 
 
 def is_scaled_identity(Q: np.ndarray, rtol: float = _SCALED_IDENTITY_RTOL) -> bool:
@@ -163,41 +241,15 @@ def is_scaled_identity(Q: np.ndarray, rtol: float = _SCALED_IDENTITY_RTOL) -> bo
     return bool(np.abs(Q - c * np.eye(n)).max() <= rtol * max(1.0, abs(c)))
 
 
-def exact_prox(q: Quadratic) -> float | None:
-    """sqrt(n)/2 when Q is a scaled identity (the true worst case), else None.
-
-    For c*I the integer minimizer is the componentwise rounding of u, so the
-    worst distance is attained with u at a cube center.
-    """
-    if is_scaled_identity(q.Q):
-        return math.sqrt(q.n) / 2.0
-    return None
-
-
-def guarantee_prox(
-    q: Quadratic, exponent: float | None = None, coeff: float | None = None
-) -> float:
-    """A proximity radius that is a valid upper bound for this Q.
-
-    The flatness formula with Flt(n) = n^{5/2} is provably valid for n >= 2
-    but understates the 1-D worst case (0.25 vs the true 0.5), so scaled
-    identities take the exact sqrt(n)/2 value when it is larger.
-    """
-    bound = prox_bound(q, exponent, coeff).prox_value
-    exact = exact_prox(q)
-    if exact is not None:
-        bound = max(bound, exact)
-    return bound
+def guarantee_prox(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> float:
+    """A proximity radius that is a valid upper bound for this Q (see
+    `Factor.guarantee_prox`)."""
+    return factorize(q.Q).guarantee_prox(rule)
 
 
 def guarantee_obj_gap(q: Quadratic) -> float:
     """Objective-gap bound valid for this Q (see guarantee_prox)."""
-    pb = prox_bound(q)
-    gap = pb.obj_gap
-    if is_scaled_identity(q.Q):
-        # distance <= sqrt(n)/2 translates to a gap of lambda_max * n / 8
-        gap = max(gap, pb.lambda_max * q.n / 8.0)
-    return gap
+    return factorize(q.Q).guarantee_obj_gap()
 
 
 def _zigzag(center: float, k: int, base: float, direction: float) -> float:
@@ -210,21 +262,25 @@ def _zigzag(center: float, k: int, base: float, direction: float) -> float:
 
 
 def integer_min(
-    q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET
+    q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET, factor: Factor | None = None
 ) -> tuple[np.ndarray, float]:
     """Global integer minimizer of q and its objective value.
 
+    ``factor`` is ``factorize(q.Q)``; a caller that minimizes against the same
+    Q repeatedly passes it so that Q is factored once, not on every call.
     Ties between co-optimal lattice points are broken toward the
     lexicographically smallest vector so repeated runs (and cycle detection
     built on them) are reproducible.  Raises EnumerationBudgetExceeded when
     the search tree outgrows ``node_budget``, which at desk scale only happens
-    for pathologically conditioned Q.
+    for pathologically conditioned Q, and ProximityViolation if the result
+    breaks the proven proximity radius or gap bound.
     """
+    if factor is None:
+        factor = factorize(q.Q)
     n = q.n
-    L, lam_max, lam_min = _factor(q.Q)
-    u = solve_with_factor(L, -q.d)
-    G = np.ascontiguousarray(L.T)
-    gdiag = np.diag(G).copy()
+    u = solve_with_factor(factor.L, -q.d)
+    G = factor.G
+    gdiag = factor.gdiag
 
     inc = np.rint(u)
     # Excess energy 0.5*||G(x-u)||^2 accumulated row by row, matching the
@@ -240,10 +296,10 @@ def integer_min(
     # direction of Q.
     max_frac = float(np.max(np.abs(w))) if n else 0.0
     if max_frac < 0.5:
-        guard = 0.5 * lam_min * (1.0 - max_frac) ** 2
+        guard = 0.5 * factor.lambda_min * (1.0 - max_frac) ** 2
         if best_excess < 0.999 * guard:
             v = best_vec.astype(np.int64)
-            _check_proximity(q, u, best_vec, best_excess)
+            _check_proximity(factor, u, best_vec, best_excess)
             return v, q.value(best_vec)
 
     x = np.zeros(n, dtype=np.float64)
@@ -297,7 +353,7 @@ def integer_min(
             j -= 1
             enter(j)
 
-    _check_proximity(q, u, best_vec, best_excess)
+    _check_proximity(factor, u, best_vec, best_excess)
     return best_vec.astype(np.int64), q.value(best_vec)
 
 
@@ -308,22 +364,20 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _check_proximity(q: Quadratic, u: np.ndarray, v: np.ndarray, excess: float) -> None:
+def _check_proximity(factor: Factor, u: np.ndarray, v: np.ndarray, excess: float) -> None:
     # Postcondition guard: the returned minimizer must respect the proximity
     # radius and objective-gap bound that are provable for this Q.  ``excess``
     # is the gap computed in the translated frame 0.5||L'(v-u)||^2, which
     # stays accurate where f(v) - f(u) would cancel catastrophically.
     dist = float(np.linalg.norm(v - u))
-    radius = guarantee_prox(q)
     slack = 1e-9 * max(1.0, float(np.abs(u).max()))
-    if dist > radius * (1.0 + 1e-9) + slack:
-        raise AssertionError(
-            f"integer minimizer at distance {dist:.6g} exceeds proximity radius {radius:.6g}"
+    if dist > factor.radius * (1.0 + 1e-9) + slack:
+        raise ProximityViolation(
+            f"integer minimizer at distance {dist:.6g} exceeds proximity radius {factor.radius:.6g}"
         )
-    gap_bound = guarantee_obj_gap(q)
-    if excess > gap_bound * (1.0 + 1e-9) + slack:
-        raise AssertionError(
-            f"objective gap {excess:.6g} exceeds bound {gap_bound:.6g}"
+    if excess > factor.gap * (1.0 + 1e-9) + slack:
+        raise ProximityViolation(
+            f"objective gap {excess:.6g} exceeds bound {factor.gap:.6g}"
         )
 
 
@@ -344,7 +398,7 @@ def brute_force_min(
     is exact and usually far smaller than the proximity-radius box.
     """
     n = q.n
-    L, _, _ = _factor(q.Q)
+    L = cholesky(q.Q)
     u = solve_with_factor(L, -q.d)
     center = np.rint(u)
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _corpus import quadratic_corpus
+from _corpus import instance_corpus, quadratic_corpus
 from icqs import bounds, dynamics, finite, game, instgen, iqp, linalg
 from icqs.errors import ToleranceNotReached
 
@@ -25,30 +25,11 @@ def announce(number: int, ok: bool, detail: str) -> None:
 # shared corpora
 
 
-def _instance_corpus():
-    """50 positively adequate instances: 25 pricing + 25 random, 2-5 players,
-    at most 10 variables per player."""
-    out = []
-    plan = [(2, 7), (3, 6), (4, 6), (5, 6)]
-    for players, count in plan:
-        for r in range(count):
-            spec = instgen.PricingSpec(n_players=players, seed=1000 * players + r)
-            out.append((f"pricing-{players}p-{r}", instgen.gen_pricing(spec)))
-    for players, count in plan:
-        vars_per_player = 10 if players == 2 else 5
-        for r in range(count):
-            spec = instgen.RandomSpec(
-                n_players=players, vars_per_player=vars_per_player, seed=2000 * players + r
-            )
-            out.append((f"random-{players}p-{vars_per_player}v-{r}", instgen.gen_random(spec)))
-    return out
-
-
 @pytest.fixture(scope="module")
 def instances6():
-    corpus = _instance_corpus()
+    corpus = instance_corpus()
     assert len(corpus) == 50
-    return [(name, inst, game.classify(inst)) for name, inst in corpus]
+    return [(name, inst, game.prepare(inst)) for name, inst in corpus]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +37,7 @@ def solves6(instances6):
     """10 seeded integer-mode solves per instance, full pipeline timed."""
     records = []
     rng = np.random.default_rng(20240601)
-    for name, inst, report in instances6:
+    for name, inst, prep in instances6:
         for start_idx in range(10):
             start = [rng.integers(-50, 51, size=n).astype(float) for n in inst.dims]
             t0 = time.perf_counter()
@@ -74,7 +55,7 @@ def solves6(instances6):
                     profile, _ = finite.solve_equilibrium(fg)
                     delta = finite.verify_delta(inst, fg, profile)
                     max_gain = delta.max_gain
-                    priori = bounds.delta_a_priori(inst, report=report, prox_variant="exact")
+                    priori = bounds.delta_a_priori(inst, prep, prox_variant="exact")
                     delta_ok = priori is not None and all(
                         g <= b + 1e-9 for g, b in zip(delta.gains, priori)
                     )
@@ -237,7 +218,7 @@ def test_criterion_5_proximity_invariants(iqp_corpus):
 
 def test_criterion_6_termination(instances6, solves6):
     classified_ok = all(
-        report.classification is game.Adequacy.POSITIVE for _, _, report in instances6
+        prep.report.classification is game.Adequacy.POSITIVE for _, _, prep in instances6
     )
     terminated = [r for r in solves6 if r["terminated"]]
     median = float(np.median([r["elapsed"] for r in solves6]))
@@ -255,16 +236,23 @@ def test_criterion_6_termination(instances6, solves6):
     )
 
 
-def test_criterion_7_equilibrium_quality(solves6):
+def test_criterion_7_equilibrium_quality(instances6, solves6):
     small_gain = sum(1 for r in solves6 if r["max_gain"] <= 1e-6)
     bounded = sum(1 for r in solves6 if r["delta_ok"])
     worst = max(r["max_gain"] for r in solves6)
+    # a gain is only checked against a finite bound; count where one exists
+    finite_bound = sum(
+        1
+        for _, inst, prep in instances6
+        if any(math.isfinite(b) for b in bounds.delta_a_priori(inst, prep, "exact") or [])
+    )
     ok = small_gain >= 0.95 * len(solves6) and bounded == len(solves6)
     announce(
         7,
         ok,
         f"{small_gain}/{len(solves6)} runs with max gain <= 1e-6 (worst {worst:.2e}); "
-        f"{bounded}/{len(solves6)} within the a-priori delta bound",
+        f"{bounded}/{len(solves6)} within the a-priori delta bound, which is finite "
+        f"on {finite_bound}/{len(instances6)} instances",
     )
 
 
@@ -273,8 +261,7 @@ def test_criterion_8_divergence():
     for seed in range(20):
         spec = instgen.NegativeSpec(n_players=2, vars_per_player=3, seed=7000 + seed)
         inst = instgen.gen_negative(spec)
-        report = game.classify(inst)
-        radius = dynamics.divergence_radius(inst, report)
+        radius = dynamics.divergence_radius(inst, game.prepare(inst))
         rng = np.random.default_rng(seed)
         # any integer start strictly outside the certified radius
         scale = math.ceil(radius / math.sqrt(sum(inst.dims))) + 1
@@ -317,7 +304,7 @@ def _affine_fixed_point(inst):
 
 def test_criterion_9_continuous_mode(instances6):
     stationarity_bad = contraction_bad = 0
-    for name, inst, report in instances6:
+    for name, inst, prep in instances6:
         trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS, max_iters=10_000)
         if trace.outcome != dynamics.OUTCOME_FIXED_POINT:
             stationarity_bad += 1
@@ -330,7 +317,7 @@ def test_criterion_9_continuous_mode(instances6):
         if residual > 1e-8:
             stationarity_bad += 1
         z_star = _affine_fixed_point(inst)
-        sigma = report.max_sigma
+        sigma = prep.report.max_sigma
         dists = [
             float(np.linalg.norm(np.concatenate([np.asarray(x, float) for x in p]) - z_star))
             for p in trace.profiles

@@ -127,13 +127,13 @@ def test_guarantee_chain_on_solved_positively_adequate_instances():
     # gain <= a-posteriori(measured L) <= a-priori, in the certified variant
     for seed in (1, 4, 9):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=3, seed=seed))
-        report = game.classify(inst)
+        prep = game.prepare(inst)
         trace = dynamics.run_br(inst, start=[[30.0, -20.0, 10.0], [-10.0, 25.0, -30.0]])
         sets = dynamics.cycle_sets(trace)
         fg = finite.restrict(inst, sets)
         profile, _ = finite.solve_equilibrium(fg)
         delta = finite.verify_delta(inst, fg, profile)
-        pack = bounds.guarantee_pack(inst, sets, report)
+        pack = bounds.guarantee_pack(inst, sets, prep)
         for i in range(inst.k):
             post = pack.delta_posteriori_exact[i]
             assert delta.gains[i] <= post + 1e-9

@@ -172,20 +172,79 @@ def test_solve_continuous_mode(cycling_file, tmp_path, capsys):
 
 
 def test_solve_flatness_override_changes_reported_bounds(tmp_path):
-    from icqs import iqp
-
     path = tmp_path / "r.json"
     run_cli(["generate", "--family", "random", "--players", "2", "--vars", "3",
              "--seed", "11", "--out", str(path)])
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    try:
-        run_cli(["solve", str(path), "--out", str(out_a)])
-        run_cli(["solve", str(path), "--out", str(out_b),
-                 "--flatness-coeff", "1.0", "--flatness-exponent", "1.0"])
-    finally:
-        iqp.set_flatness_rule(coeff=1.0, exponent=2.5)
-    rep_a = json.loads((out_a / "r.report.json").read_text())
-    rep_b = json.loads((out_b / "r.report.json").read_text())
-    da = rep_a["equilibrium"]["delta_a_priori"]["flatness"]
-    db = rep_b["equilibrium"]["delta_a_priori"]["flatness"]
+    reports = []
+    for name, extra in (("a", []),
+                        ("b", ["--flatness-coeff", "1.0", "--flatness-exponent", "1.0"]),
+                        ("after", [])):
+        assert run_cli(["solve", str(path), "--out", str(tmp_path / name), *extra]) == cli.EXIT_OK
+        reports.append(json.loads((tmp_path / name / "r.report.json").read_text())["equilibrium"])
+    rep_a, rep_b, after = reports
+    da = rep_a["delta_a_priori"]["flatness"]
+    db = rep_b["delta_a_priori"]["flatness"]
     assert all(b < a for a, b in zip(da, db))  # n^1 rule tightens every bound
+    # the rule belongs to its solve: the next plain solve reports the defaults
+    for key in ("l_bound", "delta_a_priori", "delta_a_posteriori"):
+        assert after[key] == rep_a[key]
+
+
+def test_solve_pipeline_classifies_once(monkeypatch):
+    calls = []
+    classify = game.classify
+
+    def counting(inst, *args, **kwargs):
+        calls.append(inst)
+        return classify(inst, *args, **kwargs)
+
+    monkeypatch.setattr(game, "classify", counting)
+    result = cli.solve_pipeline(instgen.builtin("cycling"), start=[[0.0], [0.0]])
+    assert result["outcome"] == "cycle"
+    assert len(calls) == 1
+
+
+def test_sharp_flatness_override_solves_with_the_proven_postcondition(tmp_path):
+    # a rule far below the proven n^{5/2} must change the reported bounds
+    # only; the kernel's proximity check keeps the proven radius
+    path = tmp_path / "p3.json"
+    run_cli(["generate", "--family", "pricing", "--players", "2", "--seed", "3",
+             "--out", str(path)])
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "plain")]) == cli.EXIT_OK
+    code = run_cli(["solve", str(path), "--out", str(tmp_path / "sharp"),
+                    "--flatness-coeff", "0.01", "--flatness-exponent", "0"])
+    assert code == cli.EXIT_OK
+    plain = json.loads((tmp_path / "plain" / "p3.report.json").read_text())["equilibrium"]
+    sharp = json.loads((tmp_path / "sharp" / "p3.report.json").read_text())["equilibrium"]
+    for kind in ("delta_a_priori", "delta_a_posteriori"):
+        for a, b in zip(plain[kind]["flatness"], sharp[kind]["flatness"]):
+            assert b < a
+    assert sharp["deviation_gains"] == plain["deviation_gains"]
+
+
+def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", str(cycling_file), "--flatness-coeff", "0"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "flatness coefficient" in capsys.readouterr().err
+
+
+def test_proximity_violation_exits_3(cycling_file, tmp_path, monkeypatch, capsys):
+    from icqs import iqp
+
+    monkeypatch.setattr(iqp.Factor, "guarantee_prox", lambda self, rule=iqp.PROVEN_RULE: 0.0)
+    code = run_cli(["solve", str(cycling_file), "--start", "0;0", "--out", str(tmp_path)])
+    assert code == cli.EXIT_SOLVER
+    assert "exceeds proximity radius" in capsys.readouterr().err
+
+
+def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):
+    path = tmp_path / "r6000.json"
+    run_cli(["generate", "--family", "random", "--players", "3", "--seed", "6000",
+             "--out", str(path)])
+    assert run_cli(["solve", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+    eq = json.loads((tmp_path / "r6000.report.json").read_text())["equilibrium"]
+    assert eq["l_bound"]["exact"] == [None, None, None]
+    assert eq["delta_bounded"] is None
+    assert "infinite" in eq["delta_bounded_reason"]
+    assert "NOT delta-bounded" in capsys.readouterr().out

@@ -141,11 +141,6 @@ def test_run_br_deterministic():
             assert np.array_equal(xa, xb)
 
 
-def test_gauss_seidel_variant_runs():
-    trace = dynamics.run_br(instgen.builtin("cycling"), update="gauss_seidel")
-    assert trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT)
-
-
 def test_continuous_mode_contracts_to_stationary_point():
     inst = instgen.gen_pricing(instgen.PricingSpec(n_players=2, seed=33))
     rep = game.classify(inst)

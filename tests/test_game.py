@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _corpus import instance_corpus
 from icqs import game, instgen, iqp, linalg
-from icqs.errors import DimensionMismatch, NotPositiveDefinite
+from icqs.errors import DimensionMismatch, NotPositiveDefinite, OracleBudgetExceeded
 
 
 def test_make_instance_validates_pd_and_blocks():
@@ -161,3 +162,60 @@ def test_wide_interaction_matrix_shape_multiplayer():
     R = game.interaction_matrix(inst, 1)
     assert R.shape == (4, 8)
     assert len(linalg.singular_values(R)) == 4
+
+
+def test_prepared_best_response_matches_reference_and_oracle():
+    # half-integer opponent vectors, as mixed means produce them; the
+    # prepared path must reproduce the unprepared kernel bit for bit
+    rng = np.random.default_rng(31)
+    cases = instance_corpus()
+    cases += [(name, instgen.builtin(name)) for name in ("cycling", "example1")]
+    cases.append(("counterexample", instgen.builtin("counterexample", M=10)))
+    draws = oracle_checked = split_ties = 0
+    for name, inst in cases:
+        prep = game.prepare(inst)
+        for i in range(inst.k):
+            for _ in range(2):
+                others = [rng.integers(-12, 13, size=inst.dims[j]) / 2.0 for j in inst.opponents(i)]
+                v = game.best_response(inst, i, others, prep=prep)
+                q = game.effective_quadratic(inst, i, others)
+                ref, _ = iqp.integer_min(q)
+                assert np.array_equal(v, ref), (name, i, others)
+                assert game.objective(inst, i, v, others, prep) == q.value(v)
+                draws += 1
+                try:
+                    oracle, _ = iqp.brute_force_min(q)
+                except OracleBudgetExceeded:
+                    continue  # ill-conditioned 5- and 10-variable blocks
+                oracle_checked += 1
+                if not np.array_equal(v, oracle):
+                    # co-optimal in f, but the kernel ranks ties by the energy
+                    # 0.5||L'(x - u)||^2, whose last bits can split them
+                    assert q.value(v) == q.value(oracle), (name, i, others)
+                    split_ties += 1
+    assert oracle_checked >= 0.9 * draws
+    assert split_ties <= 1  # random-4p-5v-4, player 1
+
+    # an exact tie: u = 1/2 makes 0 and 1 co-optimal; the smaller one wins
+    tied = game.make_instance(
+        [
+            game.PlayerProblem(Q=np.eye(1), C={1: np.eye(1)}, d=np.zeros(1)),
+            game.PlayerProblem(Q=np.eye(1), C={0: np.eye(1)}, d=np.zeros(1)),
+        ]
+    )
+    prep = game.prepare(tied)
+    for i in (0, 1):
+        q = game.effective_quadratic(tied, i, [[-0.5]])
+        assert iqp.continuous_min(q).tolist() == [0.5]
+        v = game.best_response(tied, i, [[-0.5]], prep=prep)
+        assert v.tolist() == [0] == iqp.brute_force_min(q)[0].tolist()
+
+
+def test_prepare_holds_one_report_and_per_player_data():
+    inst = instgen.builtin("cycling")
+    prep = game.prepare(inst, iqp.FlatnessRule(coeff=2.0, exponent=1.0))
+    assert prep.report == game.classify(inst)
+    assert [p.prox_flatness for p in prep.players] == pytest.approx([0.5, 0.5])
+    assert prep.players[0].prox("exact") == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        prep.players[0].prox("bogus")

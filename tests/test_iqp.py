@@ -155,14 +155,16 @@ def test_enumeration_budget_raises():
 
 
 def test_set_flatness_rule_flows_through_prox():
-    baseline = iqp.prox_bound(iqp.Quadratic(np.eye(4), np.zeros(4))).prox_value
+    q = iqp.Quadratic(np.eye(4), np.zeros(4))
+    baseline = iqp.prox_bound(q).prox_value
     assert baseline == pytest.approx(8.0)
-    try:
-        iqp.set_flatness_rule(coeff=2.0, exponent=1.0)  # a linear-rule override
-        assert iqp.flatness_constant(4) == 8.0
-        pb = iqp.prox_bound(iqp.Quadratic(np.eye(4), np.zeros(4)))
-        assert pb.prox_value == pytest.approx(2.0)
-        assert pb.obj_gap == pytest.approx(1.0 * 64.0 / 32.0)
-    finally:
-        iqp.set_flatness_rule(coeff=1.0, exponent=2.5)
-    assert iqp.prox_bound(iqp.Quadratic(np.eye(4), np.zeros(4))).prox_value == baseline
+    linear = iqp.FlatnessRule(coeff=2.0, exponent=1.0)  # a linear-rule override
+    assert linear.constant(4) == 8.0
+    pb = iqp.prox_bound(q, linear)
+    assert pb.prox_value == pytest.approx(2.0)
+    assert pb.obj_gap == pytest.approx(1.0 * 64.0 / 32.0)
+    assert iqp.guarantee_prox(q, linear) == pytest.approx(2.0)  # above sqrt(4)/2
+    # the rule travels with the call: nothing changed for the next caller
+    assert iqp.prox_bound(q).prox_value == baseline
+    with pytest.raises(ValueError):
+        iqp.FlatnessRule(coeff=0.0, exponent=1.0)
