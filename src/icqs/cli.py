@@ -14,7 +14,9 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,16 +42,14 @@ class RunRecord:
     max_delta_a_priori: float | None
 
 
-def _parse_start(text: str, inst: game.IcqsInstance) -> list[np.ndarray]:
+def _parse_start(text: str, inst: game.IcqsInstance, mode: str) -> list[np.ndarray]:
     # one comma list per player, players separated by semicolons
     try:
         parts = [p for p in text.split(";") if p.strip()]
         vectors = [np.array([float(v) for v in part.split(",")]) for part in parts]
     except ValueError as exc:
         raise IcqsError(f"cannot parse start {text!r}: {exc}") from exc
-    if len(vectors) != inst.k:
-        raise IcqsError(f"start has {len(vectors)} players, instance has {inst.k}")
-    return vectors
+    return dynamics.validate_start(inst, vectors, mode)
 
 
 def solve_pipeline(
@@ -200,7 +200,11 @@ def _flatness_rule(args) -> iqp.FlatnessRule:
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
     rule = _flatness_rule(args)
-    start = _parse_start(args.start, inst) if args.start else None
+    _check_max_iters(args)
+    try:
+        start = _parse_start(args.start, inst, args.mode) if args.start else None
+    except IcqsError as exc:
+        return _fail(str(exc), EXIT_PARSE)
     try:
         result = solve_pipeline(
             inst, start=start, max_iters=args.max_iters, mode=args.mode, rule=rule
@@ -231,33 +235,53 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _gen_from_entry(entry: dict, index: int) -> tuple[str, game.IcqsInstance]:
+def _int_field(entry: dict, key: str, default: int | None = None) -> int:
+    value = entry.get(key, default)
+    if value is None:
+        raise IcqsError(f"{entry.get('family')} entry needs {key!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise IcqsError(f"{key!r} must be an integer, got {value!r}") from None
+
+
+def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsInstance]]:
+    """Name and generator of one generation entry; IcqsError when malformed."""
     family = entry.get("family")
-    seed = int(entry.get("seed", index))
+    seed = _int_field(entry, "seed", index)
     if family == "pricing":
-        spec = instgen.PricingSpec(n_players=int(entry["n_players"]), seed=seed)
-        name = f"pricing-{spec.n_players}p-s{seed}"
-        return name, instgen.gen_pricing(spec)
+        spec = instgen.PricingSpec(n_players=_int_field(entry, "n_players"), seed=seed)
+        return f"pricing-{spec.n_players}p-s{seed}", partial(instgen.gen_pricing, spec)
     if family == "random":
         spec = instgen.RandomSpec(
-            n_players=int(entry["n_players"]),
-            vars_per_player=int(entry.get("vars_per_player", 5)),
+            n_players=_int_field(entry, "n_players"),
+            vars_per_player=_int_field(entry, "vars_per_player", 5),
             seed=seed,
         )
         name = f"random-{spec.n_players}p-{spec.vars_per_player}v-s{seed}"
-        return name, instgen.gen_random(spec)
+        return name, partial(instgen.gen_random, spec)
     if family == "negative":
         spec = instgen.NegativeSpec(
-            n_players=int(entry.get("n_players", 2)),
-            vars_per_player=int(entry.get("vars_per_player", 2)),
+            n_players=_int_field(entry, "n_players", 2),
+            vars_per_player=_int_field(entry, "vars_per_player", 2),
             seed=seed,
         )
         name = f"negative-{spec.n_players}p-{spec.vars_per_player}v-s{seed}"
-        return name, instgen.gen_negative(spec)
+        return name, partial(instgen.gen_negative, spec)
     if family == "builtin":
-        name = entry["name"]
-        return f"builtin-{name}", instgen.builtin(name, M=entry.get("M"))
+        name = entry.get("name")
+        if name not in instgen.BUILTIN_NAMES:
+            raise IcqsError(
+                f"builtin entry needs a name from {instgen.BUILTIN_NAMES}, got {name!r}"
+            )
+        M = None if entry.get("M") is None else _int_field(entry, "M")
+        return f"builtin-{name}", partial(instgen.builtin, name, M=M)
     raise IcqsError(f"unknown family {family!r}")
+
+
+def _check_max_iters(args) -> None:
+    if args.max_iters < 1:
+        raise SystemExit(_fail(f"--max-iters must be >= 1, got {args.max_iters}", EXIT_PARSE))
 
 
 def cmd_bench(args) -> int:
@@ -267,20 +291,31 @@ def cmd_bench(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read bench spec {args.spec}: {exc}", EXIT_PARSE)
     rule = _flatness_rule(args)
+    _check_max_iters(args)
+    # every entry is parsed before anything is solved, so a malformed spec
+    # fails fast as a parse error instead of midway through the batch
+    jobs: list[tuple[str, dict, str, Callable[[], game.IcqsInstance]]] = []
+    try:
+        families = spec.get("families", []) if isinstance(spec, dict) else None
+        if not isinstance(families, list):
+            raise IcqsError("spec needs a 'families' list")
+        for entry in families:
+            if not isinstance(entry, dict):
+                raise IcqsError(f"spec entry is not an object: {entry!r}")
+            count = _int_field(entry, "count", 1)
+            base_seed = _int_field(entry, "seed", 0)
+            for r in range(count):
+                job = {**entry, "seed": base_seed + r}
+                jobs.append((f"{len(jobs):04d}", job, *_parse_entry(job, len(jobs))))
+    except IcqsError as exc:
+        return _fail(f"bad bench spec {args.spec}: {exc}", EXIT_PARSE)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs: list[tuple[str, dict]] = []
-    for entry in spec.get("families", []):
-        count = int(entry.get("count", 1))
-        base_seed = int(entry.get("seed", 0))
-        for r in range(count):
-            jobs.append((f"{len(jobs):04d}", {**entry, "seed": base_seed + r}))
-
     records: list[RunRecord] = []
-    for index, (job_id, entry) in enumerate(jobs):
+    for job_id, entry, name, make in jobs:
         try:
-            name, inst = _gen_from_entry(entry, index)
+            inst = make()
             result = solve_pipeline(inst, max_iters=args.max_iters, rule=rule)
             result.pop("trace")
             records.append(record_from_result(f"{job_id}-{name}", inst, result))
@@ -406,7 +441,8 @@ def cmd_generate(args) -> int:
             "name": args.name,
             "M": args.M,
         }
-        _, inst = _gen_from_entry(entry, 0)
+        _, make = _parse_entry(entry, 0)
+        inst = make()
     except IcqsError as exc:
         return _fail(str(exc), EXIT_PARSE)
     game.save_instance(inst, args.out)

@@ -139,7 +139,9 @@ def _integer_step(
     ]
 
 
-def _validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
+def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
+    """Per-player start vectors checked against the instance; DimensionMismatch
+    on a wrong player count or length, or a non-integral integer-mode start."""
     if start is None:
         if mode == INTEGER:
             return [np.zeros(n, dtype=np.int64) for n in inst.dims]
@@ -183,7 +185,7 @@ def run_br(
     if prep is None:
         prep = game.prepare(inst)
 
-    current = _validate_start(inst, start, mode)
+    current = validate_start(inst, start, mode)
     profiles = [tuple(current)]
     norms = [_joint_norm(current)]
     seen: dict[bytes, int] = {}

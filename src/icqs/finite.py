@@ -11,10 +11,18 @@ Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
 indifference conditions are solved as a linear system per pair, and the first
 pair whose solution is a valid equilibrium wins, so the smallest-support
-equilibrium is returned deterministically.  Games with three or more players
-have multilinear indifference conditions instead; small supports are searched
-with a damped fixed-point sweep on the per-player indifference systems, with
-deterministic full-feedback regret matching as a fallback.
+equilibrium is returned deterministically.  Two exact shortcuts skip work on
+pairs that cannot win: a pair is dropped without a solve when one of its
+strategies is conditionally dominated on the other player's support, by more
+than the check's own tolerance can absorb, and each pair solves and checks
+the column player's mix before it solves the row player's.  The visiting
+order, and the arithmetic of the pair that wins, are those of the plain
+enumeration, so the returned equilibrium is the same to the bit.
+
+Games with three or more players have multilinear indifference conditions
+instead; small supports are searched with a damped fixed-point sweep on the
+per-player indifference systems, with deterministic full-feedback regret
+matching as a fallback.
 """
 
 from __future__ import annotations
@@ -203,40 +211,96 @@ def _valid_side(costs: np.ndarray, opp_mix: np.ndarray, supp, value: float, atol
     return not np.any(expected[mask] < value - atol)
 
 
+def _dominance_margin(costs: np.ndarray, atol: float) -> float:
+    """Cost gap above which a dominated strategy provably fails ``_valid_side``.
+
+    Under a mix that passes, a supported row costs at most ``value + atol``
+    and every row at least ``value - atol``, so no supported row costs more
+    than ``2 * atol`` above any other row.  The second term covers the float
+    rounding of the expected costs, of the normalised mix and of the
+    comparisons, relative to the largest cost magnitude and with a wide
+    safety factor.
+    """
+    scale = float(np.max(np.abs(costs))) + atol
+    return 2.0 * atol + 8.0 * sum(costs.shape) * np.finfo(np.float64).eps * scale
+
+
+def _dominated_given(costs: np.ndarray, margin: float):
+    """Lookup: opponent support -> set of rows dominated on it.
+
+    Row r is dominated on columns S when some row r' costs more than
+    ``margin`` less than r on every column of S.  Then every mix over S
+    leaves r more than ``2 * atol`` above r', so no support containing r
+    passes the equilibrium check against S.  Masks are cached per S.
+    """
+    beaten = (costs[:, None, :] - costs[None, :, :]) > margin  # [r, r', col]
+    cache: dict[tuple[int, ...], frozenset[int]] = {}
+
+    def lookup(cols: tuple[int, ...]) -> frozenset[int]:
+        rows = cache.get(cols)
+        if rows is None:
+            dominated = beaten[:, :, list(cols)].all(axis=2).any(axis=1)
+            rows = cache[cols] = frozenset(np.flatnonzero(dominated).tolist())
+        return rows
+
+    return lookup
+
+
+def _side(costs: np.ndarray, own, opp, size: int, atol: float):
+    """Normalised opponent mix over ``opp`` that makes ``own`` an equilibrium
+    support of ``costs``; None when the indifference system has no usable
+    solution or the mix fails the sign, sum or ``_valid_side`` checks."""
+    solved = _solve_indifference(costs, own, opp)
+    if solved is None:
+        return None
+    mix_supp, value = solved
+    if np.any(mix_supp < -1e-9):
+        return None
+    mix = np.zeros(size)
+    mix[list(opp)] = np.clip(mix_supp, 0.0, None)
+    if abs(mix.sum() - 1.0) > 1e-9:
+        return None
+    mix /= mix.sum()
+    if not _valid_side(costs, mix, own, value, atol):
+        return None
+    return mix
+
+
 def mne_two_player(fg: FiniteGame, atol: float = EQ_TOLERANCE) -> MixedProfile:
     """Exact mixed equilibrium of a bimatrix game by support enumeration.
 
     Returns the first valid equilibrium in the (total size ascending,
     lexicographic) support order, i.e. a smallest-support equilibrium,
-    deterministically.  NoEquilibriumFound cannot occur for a finite game
-    and signals numerical failure.
+    deterministically.  Pairs that provably fail the equilibrium check are
+    skipped without a solve: a pair is dropped when one of its strategies is
+    dominated, by more than twice ``atol`` plus rounding, on the other
+    player's support (conditional dominance, Porter, Nudelman & Shoham 2008),
+    and the column player's mix is solved and checked before the row
+    player's.  Neither changes the order or the returned profile.  When a
+    player has a single strategy there is nothing to prune and no pruning
+    table is built.  NoEquilibriumFound cannot occur for a finite game and
+    signals numerical failure.
     """
     if fg.k != 2:
         raise DimensionMismatch(f"two-player solver got k={fg.k}")
     A = fg.costs[..., 0]
     B = fg.costs[..., 1]
     m, n = A.shape
+    prune = m > 1 and n > 1
+    if prune:
+        margin = _dominance_margin(fg.costs, atol)
+        rows_dominated = _dominated_given(A, margin)
+        cols_dominated = _dominated_given(B.T, margin)
     for I, J in _support_pairs(m, n):
-        solved_q = _solve_indifference(A, I, J)
-        if solved_q is None:
+        if prune and not (rows_dominated(J).isdisjoint(I) and cols_dominated(I).isdisjoint(J)):
             continue
-        q_supp, vx = solved_q
-        solved_p = _solve_indifference(B.T, J, I)
-        if solved_p is None:
+        q = _side(A, I, J, n, atol)
+        if q is None:
             continue
-        p_supp, vy = solved_p
-        if np.any(q_supp < -1e-9) or np.any(p_supp < -1e-9):
+        p = _side(B.T, J, I, m, atol)
+        if p is None:
             continue
-        q = np.zeros(n)
-        q[list(J)] = np.clip(q_supp, 0.0, None)
-        p = np.zeros(m)
-        p[list(I)] = np.clip(p_supp, 0.0, None)
-        if abs(q.sum() - 1.0) > 1e-9 or abs(p.sum() - 1.0) > 1e-9:
-            continue
-        q /= q.sum()
-        p /= p.sum()
-        if _valid_side(A, q, I, vx, atol) and _valid_side(B.T, p, J, vy, atol):
-            return MixedProfile(probs=(p, q))
+        return MixedProfile(probs=(p, q))
     raise NoEquilibriumFound("support enumeration exhausted all supports")
 
 

@@ -248,3 +248,52 @@ def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):
     assert eq["delta_bounded"] is None
     assert "infinite" in eq["delta_bounded_reason"]
     assert "NOT delta-bounded" in capsys.readouterr().out
+
+
+def exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def bench_spec(tmp_path, entry):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"families": [entry]}))
+    return ["bench", str(path), "--out", str(tmp_path / "bench")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda f, t: ["solve", f, "--start", "a,b;1,2"], id="start-not-numbers"),
+        pytest.param(lambda f, t: ["solve", f, "--start", "0,0;1"], id="start-wrong-length"),
+        pytest.param(lambda f, t: ["solve", f, "--start", "0.5;0"], id="start-not-integral"),
+        pytest.param(lambda f, t: ["solve", f, "--max-iters", "0"], id="solve-max-iters-0"),
+        pytest.param(lambda f, t: bench_spec(t, {"family": "pricing"}), id="bench-no-n_players"),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": "x"}),
+            id="bench-n_players-not-int",
+        ),
+        pytest.param(lambda f, t: bench_spec(t, {"family": "nope"}), id="bench-unknown-family"),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": "x"}),
+            id="bench-M-not-int",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 2}) + ["--max-iters", "0"],
+            id="bench-max-iters-0",
+        ),
+        pytest.param(
+            lambda f, t: ["generate", "--family", "builtin", "--out", str(t / "g.json")],
+            id="generate-builtin-without-name",
+        ),
+    ],
+)
+def test_malformed_arguments_exit_2_with_one_error_line(argv, cycling_file, tmp_path, capsys):
+    assert exit_code(argv(str(cycling_file), tmp_path)) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "bench").exists()  # a bad spec is rejected before any solve
+    assert not (tmp_path / "g.json").exists()

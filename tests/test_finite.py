@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,116 @@ def test_mixed_profile_validation():
         finite.MixedProfile(probs=(np.array([-0.1, 1.1]),))
     ok = finite.MixedProfile(probs=(np.array([0.25, 0.75]),))
     assert ok.probs[0].sum() == 1.0
+
+
+def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
+    """Plain support enumeration with no pruning, solving and checking both
+    sides of every pair in the (total size, row size, lexicographic) order."""
+    A = fg.costs[..., 0]
+    B = fg.costs[..., 1]
+    m, n = A.shape
+    for total in range(2, m + n + 1):
+        for a in range(max(1, total - n), min(m, total - 1) + 1):
+            for I in itertools.combinations(range(m), a):
+                for J in itertools.combinations(range(n), total - a):
+                    solved_q = finite._solve_indifference(A, I, J)
+                    if solved_q is None:
+                        continue
+                    q_supp, vx = solved_q
+                    solved_p = finite._solve_indifference(B.T, J, I)
+                    if solved_p is None:
+                        continue
+                    p_supp, vy = solved_p
+                    if np.any(q_supp < -1e-9) or np.any(p_supp < -1e-9):
+                        continue
+                    q = np.zeros(n)
+                    q[list(J)] = np.clip(q_supp, 0.0, None)
+                    p = np.zeros(m)
+                    p[list(I)] = np.clip(p_supp, 0.0, None)
+                    if abs(q.sum() - 1.0) > 1e-9 or abs(p.sum() - 1.0) > 1e-9:
+                        continue
+                    q /= q.sum()
+                    p /= p.sum()
+                    if finite._valid_side(A, q, I, vx, atol) and finite._valid_side(
+                        B.T, p, J, vy, atol
+                    ):
+                        return p, q
+    raise AssertionError("reference enumeration found no equilibrium")
+
+
+def bimatrix(costs):
+    m, n = costs.shape[:2]
+    strategies = tuple(tuple(np.array([s]) for s in range(size)) for size in (m, n))
+    return finite.FiniteGame(strategies=strategies, costs=costs)
+
+
+def assert_equilibrium(fg, profile, atol=finite.EQ_TOLERANCE):
+    # independent of the solver: every supported pure strategy costs within
+    # 2 atol of the mix's expected cost, and none is cheaper by more than that
+    tol = 2.0 * atol + 1e-12 * (1.0 + np.abs(fg.costs).max())
+    for i in range(2):
+        costs_i = finite.pure_strategy_costs(fg, i, profile)
+        v = float(costs_i @ profile.probs[i])
+        assert np.max(np.abs(costs_i[profile.support(i)] - v)) <= tol
+        assert np.min(costs_i) >= v - tol
+
+
+def oracle_games():
+    rng = np.random.default_rng(20240507)
+    shapes = [(s, s) for s in range(1, 11)] + [(1, 10), (10, 1), (2, 7), (7, 3), (4, 9)]
+    for m, n in shapes:
+        for _ in range(3):
+            yield f"gauss-{m}x{n}", rng.standard_normal((m, n, 2))
+            # few distinct values: ties and degenerate indifference systems
+            yield f"int-{m}x{n}", rng.integers(-2, 3, size=(m, n, 2)).astype(np.float64)
+
+
+def test_mne_two_player_matches_plain_enumeration_bitwise(cycling_game, counter_game):
+    games = [(label, bimatrix(costs)) for label, costs in oracle_games()]
+    games += [("cycling", cycling_game[1]), ("counterexample", counter_game[1])]
+    for label, fg in games:
+        profile = finite.mne_two_player(fg)
+        p_ref, q_ref = reference_mne_two_player(fg)
+        assert profile.probs[0].tobytes() == p_ref.tobytes(), label
+        assert profile.probs[1].tobytes() == q_ref.tobytes(), label
+        assert_equilibrium(fg, profile)
+
+
+def test_mne_two_player_keeps_a_support_row_within_twice_atol():
+    # row 0 costs 1.999 atol more than row 1 against column 0, so a mix over
+    # both rows still passes the equilibrium check against column 0; pruning
+    # must not cut that row, and the smallest-support equilibrium it is part
+    # of must still come back
+    atol = finite.EQ_TOLERANCE
+    costs = np.zeros((2, 2, 2))
+    costs[..., 0] = [[1.999 * atol, 0.0], [0.0, 1.0]]
+    costs[..., 1] = [[0.0, 1.0], [0.0, -1.0]]
+    fg = bimatrix(costs)
+    assert finite.pne_search(fg) == []
+    profile = finite.mne_two_player(fg)
+    p_ref, q_ref = reference_mne_two_player(fg)
+    assert profile.probs[0].tobytes() == p_ref.tobytes()
+    assert profile.probs[1].tobytes() == q_ref.tobytes()
+    assert np.allclose(profile.probs[0], [0.5, 0.5], atol=1e-12)
+    assert profile.probs[1].tolist() == [1.0, 0.0]
+    assert_equilibrium(fg, profile)
+
+
+def test_mne_two_player_solves_only_the_winner_of_a_strict_pure_game(monkeypatch):
+    # with every gap far above the tolerance, each pure pair before the first
+    # pure equilibrium has a dominated strategy on the other's support, so
+    # only the winning pair pays for its two linear solves
+    rng = np.random.default_rng(7)
+    while True:
+        fg = bimatrix(rng.standard_normal((10, 10, 2)))
+        pnes = finite.pne_search(fg)
+        if pnes and pnes[0] != (0, 0):
+            break
+    solves = []
+    original = finite._solve_indifference
+    monkeypatch.setattr(
+        finite, "_solve_indifference", lambda *args: solves.append(args) or original(*args)
+    )
+    profile = finite.mne_two_player(fg)
+    assert tuple(int(profile.support(i)[0]) for i in range(2)) == pnes[0]
+    assert len(solves) == 2
