@@ -6,17 +6,26 @@ can find in the full lattice game is bounded a posteriori by
     delta_i = lambda_1(Q_i) * (prox_i + L_i)^2
 
 where L_i is the measured diameter of player i's cycle strategies.  When the
-instance is positively adequate, L_i itself is bounded a priori: for two
-players
+instance is positively adequate, L_i itself is bounded a priori by the least
+solution of the one-step inequalities taken with equality,
 
-    L_x <= (2 prox_y sigma_x + 2 prox_x) / (1 - sigma_x sigma_y)
+    L_i = sigma_i * ||(L_j)_{j != i}|| + 2 prox_i        (i = 1..k).
 
-(symmetrically for y), and for k players the same one-step inequality
-L_i <= sigma_i * ||(L_j)_{j != i}|| + 2 prox_i closes into a monotone
-fixed-point system that is iterated from zero; its limit reproduces the
-two-player closed form exactly and over-approximates for k >= 3 (it may be
-infinite when the sigmas are large, in which case the bound is reported as
-inf).  Composing the two gives the a-priori deviation bound per player.
+One closure serves every k.  Given N = ||L||, each equation solves for L_i,
+
+    L_i(N) = (2 prox_i + sigma_i sqrt((1 + sigma_i^2) N^2 - 4 prox_i^2)) / (1 + sigma_i^2),
+
+and on N >= max 2 prox_i the sum of (L_i(N) / N)^2 falls strictly toward
+sum sigma_i^2 / (1 + sigma_i^2).  So the system has a finite solution iff
+that sum is below one (for two players exactly sigma_x sigma_y < 1), and then
+exactly one, at the root of sum (L_i(N) / N)^2 = 1; a bracketed scalar
+root-find in 1/N locates it.  Otherwise every bound is inf.  For two players the
+root is the displayed closed form
+
+    L_x = (2 prox_y sigma_x + 2 prox_x) / (1 - sigma_x sigma_y)
+
+(symmetrically for y).  Composing the two gives the a-priori deviation bound
+per player: the a-posteriori bound at the bounded diameter.
 
 Every formula consumes a proximity radius per player, in one of two
 variants: ``"flatness"`` is the plain flatness-constant formula that the
@@ -24,8 +33,8 @@ reported numbers quote, and ``"exact"`` upgrades scaled-identity matrices to
 their true worst case sqrt(n)/2 (the flatness value understates 1-D blocks,
 where measured diameters can legitimately exceed the flatness-based L
 bound; such violations are flagged, not hidden).  Both come from the solve's
-`game.Prepared` value, under its flatness rule; the L bounds and a-priori
-deltas are computed at most once per variant and kept in it.
+`game.Prepared` value, under its flatness rule.  `guarantee_pack` computes
+the L bounds and a-priori deltas of each variant once per run.
 """
 
 from __future__ import annotations
@@ -36,11 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, game
-
-_FIXED_POINT_ITERS = 100_000
-_FIXED_POINT_TOL = 1e-13
-_DIVERGED = 1e15
-
 
 def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
     """Largest l2 distance between two of player i's cycle strategies."""
@@ -71,85 +75,76 @@ def delta_a_posteriori(
     return player.factor.lambda_max * (player.prox(prox_variant) + L_i) ** 2
 
 
+def closure_criterion(sigma) -> float:
+    """sum sigma_i^2 / (1 + sigma_i^2); the L-bound closure is finite iff it is below one."""
+    return sum(s * s / (1.0 + s * s) for s in sigma)
+
+
+def l_closure(sigma, prox) -> list[float]:
+    """Least solution of L_i = sigma_i ||L_{-i}|| + 2 prox_i; all inf when none is finite.
+
+    Solved in t = 1/N: the excess sum (L_i(N)/N)^2 - 1 rises, nearly
+    linearly, from criterion - 1 < 0 at t = 0 to >= 0 at t = 1/||2 prox||,
+    where every L_i(N) >= 2 prox_i.  Illinois false position on that bracket
+    stops once the excess is at the rounding level of a sum of k terms near
+    one.
+    """
+    sigma = [float(s) for s in sigma]
+    two_p = [2.0 * float(p) for p in prox]
+    criterion = closure_criterion(sigma)
+    if criterion >= 1.0:
+        return [math.inf] * len(sigma)
+    norm = math.hypot(*two_p)
+    if norm == 0.0:
+        return [0.0] * len(sigma)
+
+    def ratios(t: float) -> list[float]:
+        return [
+            (tp * t + s * math.sqrt(1.0 + s * s - (tp * t) ** 2)) / (1.0 + s * s)
+            for s, tp in zip(sigma, two_p)
+        ]
+
+    def excess(t: float) -> float:
+        return sum(r * r for r in ratios(t)) - 1.0
+
+    noise = len(sigma) * math.ulp(1.0)
+    lo, f_lo = 0.0, criterion - 1.0
+    t = hi = 1.0 / norm
+    f_t = f_hi = excess(hi)
+    side = 0
+    while abs(f_t) > noise and hi - lo > 4.0 * math.ulp(hi):
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        f_t = excess(t)
+        if f_t < 0.0:
+            if side == -1:
+                f_hi *= 0.5
+            lo, f_lo, side = t, f_t, -1
+        else:
+            if side == 1:
+                f_lo *= 0.5
+            hi, f_hi, side = t, f_t, 1
+    return [r / t for r in ratios(t)]
+
+
 def l_bound_theoretical(
     inst: game.IcqsInstance,
     prep: game.Prepared | None = None,
     prox_variant: str = "flatness",
 ) -> list[float] | None:
-    """A-priori per-player cycle diameter bounds; None unless positively adequate.
-
-    Solved as the least fixed point of L_i = sigma_i ||L_{-i}|| + 2 prox_i,
-    iterated from zero.  Entries come out inf when the system has no finite
-    fixed point (possible for k >= 3 with sigmas near one; the closure is a
-    conservative over-approximation there).
-    """
+    """A-priori per-player cycle diameter bounds; None unless positively adequate."""
     if prep is None:
         prep = game.prepare(inst)
     if prep.report.classification is not game.Adequacy.POSITIVE:
         return None
-    if inst.k == 2:
-        # the coupled pair of inequalities solves in closed form
-        return two_player_l_bound_closed_form(inst, prep, prox_variant)
-    sigma = np.array(prep.report.sigma_max)
-    prox = np.array([p.prox(prox_variant) for p in prep.players])
-    return _l_fixed_point(sigma, prox)
+    return l_closure(prep.report.sigma_max, [p.prox(prox_variant) for p in prep.players])
 
 
-def _l_fixed_point(sigma: np.ndarray, prox: np.ndarray) -> list[float]:
-    k = len(sigma)
-    L = np.zeros(k)
-    for _ in range(_FIXED_POINT_ITERS):
-        norms_rest = np.array(
-            [math.sqrt(max(float(L @ L - L[i] * L[i]), 0.0)) for i in range(k)]
-        )
-        nxt = sigma * norms_rest + 2.0 * prox
-        if np.max(np.abs(nxt - L)) < _FIXED_POINT_TOL * max(1.0, float(np.max(nxt))):
-            return [float(v) for v in nxt]
-        L = nxt
-        if float(L.max()) > _DIVERGED:
-            return [math.inf] * k
-    return [math.inf] * k
-
-
-def two_player_l_bound_closed_form(
-    inst: game.IcqsInstance,
-    prep: game.Prepared | None = None,
-    prox_variant: str = "flatness",
-) -> list[float] | None:
-    """The displayed two-player bounds; cross-checks the fixed-point closure."""
-    if prep is None:
-        prep = game.prepare(inst)
-    if prep.report.classification is not game.Adequacy.POSITIVE or inst.k != 2:
-        return None
-    sx, sy = prep.report.sigma_max
-    px = prep.players[0].prox(prox_variant)
-    py = prep.players[1].prox(prox_variant)
-    denom = 1.0 - sx * sy
-    return [
-        (2.0 * py * sx + 2.0 * px) / denom,
-        (2.0 * px * sy + 2.0 * py) / denom,
-    ]
-
-
-def _a_priori(
-    prep: game.Prepared, prox_variant: str
-) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
-    """(L bounds, a-priori deltas), both None unless positively adequate;
-    computed once per prepared instance and variant."""
-    hit = prep.a_priori.get(prox_variant)
-    if hit is None:
-        l_bounds = l_bound_theoretical(prep.inst, prep, prox_variant)
-        if l_bounds is None:
-            hit = (None, None)
-        else:
-            # the a-priori delta is the a-posteriori one at the bounded diameter
-            deltas = tuple(
-                delta_a_posteriori(prep.inst, i, L, prox_variant, prep)
-                for i, L in enumerate(l_bounds)
-            )
-            hit = (tuple(l_bounds), deltas)
-        prep.a_priori[prox_variant] = hit
-    return hit
+def _deltas(prep: game.Prepared, diameters, prox_variant: str) -> tuple[float, ...]:
+    return tuple(
+        delta_a_posteriori(prep.inst, i, L, prox_variant, prep) for i, L in enumerate(diameters)
+    )
 
 
 def delta_a_priori(
@@ -160,8 +155,8 @@ def delta_a_priori(
     """Per-player a-priori deviation bounds; None unless positively adequate."""
     if prep is None:
         prep = game.prepare(inst)
-    deltas = _a_priori(prep, prox_variant)[1]
-    return None if deltas is None else list(deltas)
+    l_bounds = l_bound_theoretical(inst, prep, prox_variant)
+    return None if l_bounds is None else list(_deltas(prep, l_bounds, prox_variant))
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,8 @@ def guarantee_pack(
         prep = game.prepare(inst)
     k = inst.k
     l_measured = tuple(cycle_diameter(cycle, i) for i in range(k))
-    lbf, dpf = _a_priori(prep, "flatness")
-    lbe, dpe = _a_priori(prep, "exact")
+    lbf = l_bound_theoretical(inst, prep, "flatness")
+    lbe = l_bound_theoretical(inst, prep, "exact")
     violated = tuple(
         lbf is not None and l_measured[i] > lbf[i] * (1.0 + 1e-9) + 1e-12
         for i in range(k)
@@ -213,15 +208,12 @@ def guarantee_pack(
         prox_flatness=tuple(p.prox_flatness for p in prep.players),
         prox_exact=tuple(p.prox_exact for p in prep.players),
         l_measured=l_measured,
-        l_bound_flatness=lbf,
-        l_bound_exact=lbe,
-        delta_posteriori_flatness=tuple(
-            delta_a_posteriori(inst, i, l_measured[i], "flatness", prep) for i in range(k)
-        ),
-        delta_posteriori_exact=tuple(
-            delta_a_posteriori(inst, i, l_measured[i], "exact", prep) for i in range(k)
-        ),
-        delta_priori_flatness=dpf,
-        delta_priori_exact=dpe,
+        l_bound_flatness=None if lbf is None else tuple(lbf),
+        l_bound_exact=None if lbe is None else tuple(lbe),
+        delta_posteriori_flatness=_deltas(prep, l_measured, "flatness"),
+        delta_posteriori_exact=_deltas(prep, l_measured, "exact"),
+        # the a-priori delta is the a-posteriori one at the bounded diameter
+        delta_priori_flatness=None if lbf is None else _deltas(prep, lbf, "flatness"),
+        delta_priori_exact=None if lbe is None else _deltas(prep, lbe, "exact"),
         flatness_l_violated=violated,
     )

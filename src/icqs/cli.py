@@ -142,7 +142,10 @@ def _delta_bounded(
         (g, b) for g, b in zip(delta.gains, pack.delta_priori_exact) if math.isfinite(b)
     ]
     if not checked:
-        return None, "no finite a-priori bound: the L-bound closure is infinite"
+        return None, (
+            "no finite a-priori bound: the L-bound closure is infinite: "
+            f"sum sigma^2/(1+sigma^2) = {bounds.closure_criterion(pack.sigma1):.2f} >= 1"
+        )
     ok = all(g <= b + 1e-9 for g, b in checked)
     verdict = "within" if ok else "exceed"
     return ok, (
@@ -235,14 +238,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _int_field(entry: dict, key: str, default: int | None = None) -> int:
+def _int_field(
+    entry: dict, key: str, default: int | None = None, minimum: int | None = None
+) -> int:
     value = entry.get(key, default)
     if value is None:
         raise IcqsError(f"{entry.get('family')} entry needs {key!r}")
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
         raise IcqsError(f"{key!r} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise IcqsError(f"{key!r} must be >= {minimum}, got {number}")
+    return number
 
 
 def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsInstance]]:
@@ -250,20 +258,22 @@ def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsIn
     family = entry.get("family")
     seed = _int_field(entry, "seed", index)
     if family == "pricing":
-        spec = instgen.PricingSpec(n_players=_int_field(entry, "n_players"), seed=seed)
+        spec = instgen.PricingSpec(
+            n_players=_int_field(entry, "n_players", minimum=2), seed=seed
+        )
         return f"pricing-{spec.n_players}p-s{seed}", partial(instgen.gen_pricing, spec)
     if family == "random":
         spec = instgen.RandomSpec(
-            n_players=_int_field(entry, "n_players"),
-            vars_per_player=_int_field(entry, "vars_per_player", 5),
+            n_players=_int_field(entry, "n_players", minimum=2),
+            vars_per_player=_int_field(entry, "vars_per_player", 5, minimum=1),
             seed=seed,
         )
         name = f"random-{spec.n_players}p-{spec.vars_per_player}v-s{seed}"
         return name, partial(instgen.gen_random, spec)
     if family == "negative":
         spec = instgen.NegativeSpec(
-            n_players=_int_field(entry, "n_players", 2),
-            vars_per_player=_int_field(entry, "vars_per_player", 2),
+            n_players=_int_field(entry, "n_players", 2, minimum=2),
+            vars_per_player=_int_field(entry, "vars_per_player", 2, minimum=1),
             seed=seed,
         )
         name = f"negative-{spec.n_players}p-{spec.vars_per_player}v-s{seed}"
@@ -302,7 +312,7 @@ def cmd_bench(args) -> int:
         for entry in families:
             if not isinstance(entry, dict):
                 raise IcqsError(f"spec entry is not an object: {entry!r}")
-            count = _int_field(entry, "count", 1)
+            count = _int_field(entry, "count", 1, minimum=1)
             base_seed = _int_field(entry, "seed", 0)
             for r in range(count):
                 job = {**entry, "seed": base_seed + r}

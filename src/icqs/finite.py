@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, dynamics, game
+from . import dynamics, game
 from .errors import DimensionMismatch, NoEquilibriumFound, ToleranceNotReached
 
 EQ_TOLERANCE = 1e-9
@@ -466,21 +466,19 @@ def mean_strategies(fg: FiniteGame, profile: MixedProfile) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """Measured deviation gains vs the instance, plus the a-priori bounds.
+    """Measured deviation gains of a mixed profile against the full lattice.
 
     ``gains[i]`` is (expected cost under the profile) minus (cost of the best
     integer deviation against the mean opponent strategies); it can exceed
     zero only up to numerical noise for an exact equilibrium of the full
-    game.  The a-priori fields are None unless the instance is positively
-    adequate.
+    game.  The a-priori bounds to compare them with are in
+    `bounds.GuaranteePack`.
     """
 
     expected_costs: tuple[float, ...]
     deviation_costs: tuple[float, ...]
     deviation_vectors: tuple[np.ndarray, ...]
     gains: tuple[float, ...]
-    delta_a_priori_flatness: tuple[float, ...] | None
-    delta_a_priori_exact: tuple[float, ...] | None
 
     @property
     def max_gain(self) -> float:
@@ -512,13 +510,9 @@ def verify_delta(
         dev_vecs.append(v)
         dev_costs.append(cost)
         gains.append(float(exp[i]) - cost)
-    dpf = bounds.delta_a_priori(inst, prep, "flatness")
-    dpe = bounds.delta_a_priori(inst, prep, "exact")
     return DeltaReport(
         expected_costs=tuple(float(e) for e in exp),
         deviation_costs=tuple(dev_costs),
         deviation_vectors=tuple(dev_vecs),
         gains=tuple(gains),
-        delta_a_priori_flatness=None if dpf is None else tuple(dpf),
-        delta_a_priori_exact=None if dpe is None else tuple(dpe),
     )

@@ -202,18 +202,12 @@ def prepare_player(
 
 @dataclass(frozen=True)
 class Prepared:
-    """One instance's per-solve data; build it with `prepare`.
-
-    ``a_priori`` holds the L bounds and a-priori deltas per prox variant once
-    `bounds` has computed them; like the rest of the value it lives for one
-    solve.
-    """
+    """One instance's per-solve data; build it with `prepare`."""
 
     inst: IcqsInstance
     rule: iqp.FlatnessRule
     report: AdequacyReport
     players: tuple[PreparedPlayer, ...]
-    a_priori: dict = field(default_factory=dict, compare=False, repr=False)
 
     def radius(self, prox_variant: str) -> float:
         """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho."""

@@ -63,31 +63,90 @@ def test_l_bound_zero_coupling_and_negative():
     assert bounds.l_bound_theoretical(instgen.builtin("example1")) is None
 
 
-def test_l_fixed_point_matches_closed_form_for_two_players():
-    sigma = np.array([0.3, 0.6])
-    prox = np.array([0.7, 0.2])
-    iterated = bounds._l_fixed_point(sigma, prox)
-    denom = 1 - sigma[0] * sigma[1]
-    closed = [
-        (2 * prox[1] * sigma[0] + 2 * prox[0]) / denom,
-        (2 * prox[0] * sigma[1] + 2 * prox[1]) / denom,
-    ]
-    assert iterated == pytest.approx(closed, rel=1e-10)
+@pytest.mark.parametrize(
+    "sigma, prox",
+    [
+        pytest.param((0.3, 0.6), (0.7, 0.2), id="0.3-0.6"),
+        pytest.param((0.1, 0.1), (0.25, 0.25), id="cycling"),
+        pytest.param((0.0, 0.9), (1.0, 3.0), id="one-uncoupled"),
+        pytest.param((0.99, 0.999), (0.5, 2.0), id="near-critical"),
+        pytest.param((0.5, 0.5), (0.0, 0.0), id="no-prox"),
+    ],
+)
+def test_l_closure_matches_the_two_player_formula(sigma, prox):
+    (sx, sy), (px, py) = sigma, prox
+    denom = 1 - sx * sy
+    displayed = [(2 * py * sx + 2 * px) / denom, (2 * px * sy + 2 * py) / denom]
+    assert bounds.l_closure(sigma, prox) == pytest.approx(displayed, rel=1e-12)
 
 
-def test_l_fixed_point_diverges_to_inf_when_unstable():
+@pytest.mark.parametrize(
+    "k, sigma",
+    [(3, 0.5), (4, 0.4), (5, 0.3), (6, 0.2), (3, 0.7070537488407882)],
+    ids=["k3", "k4", "k5", "k6", "k3-near-critical"],
+)
+def test_l_closure_matches_the_symmetric_closed_form(k, sigma):
+    # by symmetry L = sigma sqrt(k-1) L + 2p; the last case has criterion 0.9999
+    assert bounds.closure_criterion([sigma] * k) < 1
+    expected = 2.0 / (1 - sigma * math.sqrt(k - 1))
+    assert bounds.l_closure([sigma] * k, [1.0] * k) == pytest.approx([expected] * k, rel=1e-9)
+
+
+def test_l_closure_is_infinite_when_unstable():
     # symmetric sigma with sigma * sqrt(k-1) > 1 has no finite closure
-    out = bounds._l_fixed_point(np.array([0.9, 0.9, 0.9]), np.array([1.0, 1.0, 1.0]))
+    assert bounds.closure_criterion([0.9] * 3) >= 1
+    out = bounds.l_closure([0.9, 0.9, 0.9], [1.0, 1.0, 1.0])
     assert all(math.isinf(v) for v in out)
 
 
-def test_l_fixed_point_converges_for_three_players():
-    sigma = np.array([0.3, 0.4, 0.2])
-    prox = np.array([1.0, 2.0, 0.5])
-    L = np.array(bounds._l_fixed_point(sigma, prox))
-    for i in range(3):
-        rest = math.sqrt(float(L @ L - L[i] ** 2))
-        assert L[i] == pytest.approx(sigma[i] * rest + 2 * prox[i], rel=1e-9)
+def fixed_point_oracle(sigma, prox):
+    """Least fixed point of L_i = sigma_i ||L_{-i}|| + 2 prox_i, iterated from zero."""
+    sigma, prox = np.asarray(sigma, dtype=float), np.asarray(prox, dtype=float)
+    L = np.zeros(len(sigma))
+    for _ in range(100_000):
+        rest = np.sqrt(np.maximum(L @ L - L * L, 0.0))
+        nxt = sigma * rest + 2.0 * prox
+        if np.max(np.abs(nxt - L)) < 1e-13 * max(1.0, float(np.max(nxt))):
+            return [float(v) for v in nxt]
+        L = nxt
+        if float(L.max()) > 1e15:
+            break
+    return [math.inf] * len(sigma)
+
+
+def seeded_draws(count=400):
+    rng = np.random.default_rng(20240)
+    for _ in range(count):
+        k = int(rng.integers(2, 7))
+        yield rng.uniform(0.0, 1.2, k) * rng.choice([0.3, 1.0]), rng.uniform(0.01, 5.0, k)
+
+
+def test_l_closure_agrees_with_the_fixed_point_oracle():
+    checked = 0
+    for sigma, prox in seeded_draws():
+        if bounds.closure_criterion(sigma) > 0.99:
+            continue
+        checked += 1
+        expected = fixed_point_oracle(sigma, prox)
+        got = bounds.l_closure(sigma, prox)
+        assert [math.isinf(v) for v in got] == [math.isinf(v) for v in expected]
+        assert got == pytest.approx(expected, rel=1e-9)
+    assert checked > 100
+
+
+def test_l_closure_residual_on_seeded_draws():
+    finite_draws = 0
+    for sigma, prox in seeded_draws():
+        L = bounds.l_closure(sigma, prox)
+        finite = bounds.closure_criterion(sigma) < 1
+        assert all(math.isfinite(v) == finite for v in L)
+        if not finite:
+            continue
+        finite_draws += 1
+        for i in range(len(L)):
+            rest = math.sqrt(sum(v * v for j, v in enumerate(L) if j != i))
+            assert abs(L[i] - sigma[i] * rest - 2 * prox[i]) <= 1e-12 * L[i]
+    assert finite_draws > 100
 
 
 def test_delta_a_priori_values(cycling_setup):

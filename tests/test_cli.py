@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from icqs import cli, game, instgen
+from icqs import bounds, cli, game, instgen
 
 
 def run_cli(argv):
@@ -204,6 +204,23 @@ def test_solve_pipeline_classifies_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
+    calls = {"l_bound_theoretical": 0, "delta_a_priori": 0}
+    for name in calls:
+        original = getattr(bounds, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counting)
+    result = cli.solve_pipeline(instgen.builtin("cycling"), start=[[0.0], [0.0]])
+    assert result["outcome"] == "cycle"
+    assert result["equilibrium"]["delta_a_priori"]["exact"] is not None
+    # one closure per prox variant; the a-priori deltas come with the pack
+    assert calls == {"l_bound_theoretical": 2, "delta_a_priori": 0}
+
+
 def test_sharp_flatness_override_solves_with_the_proven_postcondition(tmp_path):
     # a rule far below the proven n^{5/2} must change the reported bounds
     # only; the kernel's proximity check keeps the proven radius
@@ -243,10 +260,14 @@ def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):
     run_cli(["generate", "--family", "random", "--players", "3", "--seed", "6000",
              "--out", str(path)])
     assert run_cli(["solve", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
-    eq = json.loads((tmp_path / "r6000.report.json").read_text())["equilibrium"]
+    report = json.loads((tmp_path / "r6000.report.json").read_text())
+    eq = report["equilibrium"]
     assert eq["l_bound"]["exact"] == [None, None, None]
     assert eq["delta_bounded"] is None
     assert "infinite" in eq["delta_bounded_reason"]
+    criterion = bounds.closure_criterion(report["sigma_max"])
+    assert criterion >= 1
+    assert f"sum sigma^2/(1+sigma^2) = {criterion:.2f} >= 1" in eq["delta_bounded_reason"]
     assert "NOT delta-bounded" in capsys.readouterr().out
 
 
@@ -287,6 +308,27 @@ def bench_spec(tmp_path, entry):
         pytest.param(
             lambda f, t: ["generate", "--family", "builtin", "--out", str(t / "g.json")],
             id="generate-builtin-without-name",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 0}),
+            id="bench-n_players-0",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "negative", "n_players": 1}),
+            id="bench-negative-n_players-1",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "random", "n_players": 2, "vars_per_player": 0}),
+            id="bench-vars_per_player-0",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 2, "count": -3}),
+            id="bench-count-negative",
+        ),
+        pytest.param(
+            lambda f, t: ["generate", "--family", "random", "--players", "1",
+                          "--out", str(t / "g.json")],
+            id="generate-players-1",
         ),
     ],
 )
