@@ -5,7 +5,9 @@ per solve (`game.prepare`: the classification of its interaction matrices
 and every player's factored Q_i), run certified best-response iteration
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
-(`finite.verify_delta`, `bounds`).
+(`finite.verify_delta`, `bounds`).  Every stage that needs a factor takes
+the prepared value, and `Prepared.inst` is its instance; `finite.restrict`
+and `game.objective` need none and take the instance.
 """
 
 from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical

@@ -33,8 +33,9 @@ reported numbers quote, and ``"exact"`` upgrades scaled-identity matrices to
 their true worst case sqrt(n)/2 (the flatness value understates 1-D blocks,
 where measured diameters can legitimately exceed the flatness-based L
 bound; such violations are flagged, not hidden).  Both come from the solve's
-`game.Prepared` value, under its flatness rule.  `guarantee_pack` computes
-the L bounds and a-priori deltas of each variant once per run.
+`game.Prepared` value, under its flatness rule, and every bound takes that
+value.  `guarantee_pack` computes the L bounds and a-priori deltas of each
+variant once per run.
 """
 
 from __future__ import annotations
@@ -62,16 +63,12 @@ def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
 
 
 def delta_a_posteriori(
-    inst: game.IcqsInstance,
-    i: int,
-    L_i: float,
-    prox_variant: str = "flatness",
-    prep: game.Prepared | None = None,
+    prep: game.Prepared, i: int, L_i: float, prox_variant: str = "flatness"
 ) -> float:
     """lambda_1(Q_i) * (prox_i + L_i)^2 for a measured cycle diameter L_i."""
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
-    player = prep.players[i] if prep is not None else game.prepare_player(inst, i)
+    player = prep.players[i]
     return player.factor.lambda_max * (player.prox(prox_variant) + L_i) ** 2
 
 
@@ -128,14 +125,8 @@ def l_closure(sigma, prox) -> list[float]:
     return [r / t for r in ratios(t)]
 
 
-def l_bound_theoretical(
-    inst: game.IcqsInstance,
-    prep: game.Prepared | None = None,
-    prox_variant: str = "flatness",
-) -> list[float] | None:
+def l_bound_theoretical(prep: game.Prepared, prox_variant: str = "flatness") -> list[float] | None:
     """A-priori per-player cycle diameter bounds; None unless positively adequate."""
-    if prep is None:
-        prep = game.prepare(inst)
     if prep.report.classification is not game.Adequacy.POSITIVE:
         return None
     return l_closure(prep.report.sigma_max, [p.prox(prox_variant) for p in prep.players])
@@ -143,19 +134,13 @@ def l_bound_theoretical(
 
 def _deltas(prep: game.Prepared, diameters, prox_variant: str) -> tuple[float, ...]:
     return tuple(
-        delta_a_posteriori(prep.inst, i, L, prox_variant, prep) for i, L in enumerate(diameters)
+        delta_a_posteriori(prep, i, L, prox_variant) for i, L in enumerate(diameters)
     )
 
 
-def delta_a_priori(
-    inst: game.IcqsInstance,
-    prep: game.Prepared | None = None,
-    prox_variant: str = "flatness",
-) -> list[float] | None:
+def delta_a_priori(prep: game.Prepared, prox_variant: str = "flatness") -> list[float] | None:
     """Per-player a-priori deviation bounds; None unless positively adequate."""
-    if prep is None:
-        prep = game.prepare(inst)
-    l_bounds = l_bound_theoretical(inst, prep, prox_variant)
+    l_bounds = l_bound_theoretical(prep, prox_variant)
     return None if l_bounds is None else list(_deltas(prep, l_bounds, prox_variant))
 
 
@@ -184,18 +169,12 @@ class GuaranteePack:
     flatness_l_violated: tuple[bool, ...]
 
 
-def guarantee_pack(
-    inst: game.IcqsInstance,
-    cycle: dynamics.CycleSets,
-    prep: game.Prepared | None = None,
-) -> GuaranteePack:
+def guarantee_pack(prep: game.Prepared, cycle: dynamics.CycleSets) -> GuaranteePack:
     """Assemble measured diameters and every bound variant for one run."""
-    if prep is None:
-        prep = game.prepare(inst)
-    k = inst.k
+    k = prep.inst.k
     l_measured = tuple(cycle_diameter(cycle, i) for i in range(k))
-    lbf = l_bound_theoretical(inst, prep, "flatness")
-    lbe = l_bound_theoretical(inst, prep, "exact")
+    lbf = l_bound_theoretical(prep, "flatness")
+    lbe = l_bound_theoretical(prep, "exact")
     violated = tuple(
         lbf is not None and l_measured[i] > lbf[i] * (1.0 + 1e-9) + 1e-12
         for i in range(k)

@@ -69,7 +69,7 @@ def solve_pipeline(
     t0 = time.perf_counter()
     prep = game.prepare(inst, rule)
     report = prep.report
-    trace = dynamics.run_br(inst, start=start, max_iters=max_iters, mode=mode, prep=prep)
+    trace = dynamics.run_br(prep, start=start, max_iters=max_iters, mode=mode)
     result: dict = {
         "classification": report.classification.value,
         "rho": report.rho,
@@ -77,18 +77,18 @@ def solve_pipeline(
         "sigma_min": list(report.sigma_min),
         "outcome": trace.outcome,
         "iterations": trace.iterations,
-        "termination_radius": dynamics.termination_radius(inst, prep),
-        "divergence_radius": dynamics.divergence_radius(inst, prep),
+        "termination_radius": dynamics.termination_radius(prep),
+        "divergence_radius": dynamics.divergence_radius(prep),
         "mode": mode,
     }
     equilibrium = None
     if trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT):
         sets = dynamics.cycle_sets(trace)
         if mode == dynamics.INTEGER:
-            fg = finite.restrict(inst, sets, prep)
+            fg = finite.restrict(inst, sets)
             profile, achieved_eps = finite.solve_equilibrium(fg)
-            delta = finite.verify_delta(inst, fg, profile, prep)
-            pack = bounds.guarantee_pack(inst, sets, prep)
+            delta = finite.verify_delta(prep, fg, profile)
+            pack = bounds.guarantee_pack(prep, sets)
             delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack)
             equilibrium = {
                 "strategies": [
@@ -285,7 +285,9 @@ def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsIn
                 f"builtin entry needs a name from {instgen.BUILTIN_NAMES}, got {name!r}"
             )
         M = None if entry.get("M") is None else _int_field(entry, "M")
-        return f"builtin-{name}", partial(instgen.builtin, name, M=M)
+        # built here, so that an M the builtin rejects is a parse error
+        inst = instgen.builtin(name, M=M)
+        return f"builtin-{name}", lambda: inst
     raise IcqsError(f"unknown family {family!r}")
 
 
@@ -375,11 +377,11 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
     """Scripted scenario checks for the built-in instances."""
     checks: list[tuple[str, bool, str]] = []
     if name == "example1":
-        inst = instgen.builtin("example1")
-        report = game.classify(inst)
+        prep = game.prepare(instgen.builtin("example1"))
+        report = prep.report
         _check(checks, "classified negatively adequate",
                report.classification is game.Adequacy.NEGATIVE, str(report.classification))
-        trace = dynamics.run_br(inst, start=[[5.0], [5.0]], max_iters=8)
+        trace = dynamics.run_br(prep, start=[[5.0], [5.0]], max_iters=8)
         doubling = all(
             float(trace.profiles[t][i][0]) == 5.0 * 2.0**t
             for t in range(len(trace.profiles))
@@ -390,34 +392,34 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
         _check(checks, "divergence certified",
                trace.outcome == dynamics.OUTCOME_DIVERGENCE, trace.outcome)
     elif name == "cycling":
-        inst = instgen.builtin("cycling")
-        trace = dynamics.run_br(inst, start=[[0.0], [0.0]])
+        prep = game.prepare(instgen.builtin("cycling"))
+        trace = dynamics.run_br(prep, start=[[0.0], [0.0]])
         path = [tuple(float(x[0]) for x in p) for p in trace.profiles]
         _check(checks, "period-4 cycle from the origin",
                trace.outcome == dynamics.OUTCOME_CYCLE
                and path == [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)], str(path))
-        fg = finite.restrict(inst, dynamics.cycle_sets(trace))
+        fg = finite.restrict(prep.inst, dynamics.cycle_sets(trace))
         profile = finite.mne_two_player(fg)
         half = all(np.allclose(p, [0.5, 0.5], atol=1e-9) for p in profile.probs)
         _check(checks, "mixed equilibrium is half-half", half,
                str([p.tolist() for p in profile.probs]))
-        delta = finite.verify_delta(inst, fg, profile)
+        delta = finite.verify_delta(prep, fg, profile)
         _check(checks, "no profitable lattice deviation",
                delta.max_gain <= 1e-9, f"max gain {delta.max_gain:.3e}")
     elif name == "counterexample":
-        inst = instgen.builtin("counterexample", M=M)
+        prep = game.prepare(instgen.builtin("counterexample", M=M))
         start = [[0.0, 1.0], [0.0, 1.0]]
-        trace = dynamics.run_br(inst, start=start)
+        trace = dynamics.run_br(prep, start=start)
         sets = dynamics.cycle_sets(trace)
         expected = {(0.0, 1.0), (float(M), 0.0)}
         got = {tuple(map(float, s)) for s in sets.strategies[0]}
         got |= {tuple(map(float, s)) for s in sets.strategies[1]}
         _check(checks, "cycle between (0,1) and (M,0)", got == expected, str(got))
-        fg = finite.restrict(inst, sets)
+        fg = finite.restrict(prep.inst, sets)
         _check(checks, "restricted game has no pure equilibrium",
                finite.pne_search(fg) == [], "")
         profile = finite.mne_two_player(fg)
-        delta = finite.verify_delta(inst, fg, profile)
+        delta = finite.verify_delta(prep, fg, profile)
         target = M * M / 8.0
         _check(checks, f"x-player gains at least M^2/8 = {target}",
                delta.gains[0] >= target - 1e-6, f"measured gain {delta.gains[0]:.6g}")

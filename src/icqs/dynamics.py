@@ -7,7 +7,7 @@ are proven for).  A run ends in one of four ways:
 * ``cycle``        -- the joint profile repeated exactly (integer mode); the
                       window between the two occurrences is the cycle.
 * ``fixed_point``  -- two consecutive profiles coincide (exactly in integer
-                      mode, within ``fp_tolerance`` in continuous mode).
+                      mode, within ``FP_TOLERANCE`` in continuous mode).
 * ``divergence``   -- the instance is negatively adequate, an iterate's norm
                       exceeded the divergence radius and the norms kept
                       growing monotonically from there on.  Once the growth
@@ -24,8 +24,8 @@ Continuous mode replaces the integer best response with the continuous one,
 turning the sweep into the affine fixed-point iteration whose contraction /
 expansion behaviour mirrors the adequacy classification.
 
-`run_br`, the sweeps and the radii take the solve's `game.Prepared` value as
-``prep`` and build one from the instance when it is not given.
+`run_br`, the sweeps and the radii take the solve's `game.Prepared` value,
+whose ``inst`` is the instance they run on.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import game, iqp
+from . import game
 from .errors import DimensionMismatch, NoCycle
 
 INTEGER = "integer"
@@ -54,6 +54,8 @@ FP_TOLERANCE = 1e-10
 # Stop once divergence is certified and iterates grow past this joint norm;
 # also truncates uncertified blow-ups before float64 precision degrades.
 DIVERGENCE_NORM_CAP = 1e14
+# Largest integer-mode start entry: float64 holds every integer up to 2^53.
+_INTEGER_START_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -109,39 +111,28 @@ def _profile_key(profile: Sequence[np.ndarray]) -> bytes:
     return np.concatenate([np.asarray(x, dtype=np.int64) for x in profile]).tobytes()
 
 
-def continuous_step(
-    inst: game.IcqsInstance,
-    profile: Sequence[np.ndarray],
-    prep: game.Prepared | None = None,
-) -> list[np.ndarray]:
+def continuous_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
     """One Jacobi sweep of continuous best responses."""
+    inst = prep.inst
     return [
-        game.continuous_response(inst, i, [profile[j] for j in inst.opponents(i)], prep)
+        game.continuous_response(prep, i, [profile[j] for j in inst.opponents(i)])
         for i in range(inst.k)
     ]
 
 
-def _integer_step(
-    inst: game.IcqsInstance,
-    profile: Sequence[np.ndarray],
-    node_budget: int,
-    prep: game.Prepared,
-) -> list[np.ndarray]:
+def _integer_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
+    inst = prep.inst
     return [
-        game.best_response(
-            inst,
-            i,
-            [profile[j] for j in inst.opponents(i)],
-            node_budget=node_budget,
-            prep=prep,
-        )
+        game.best_response(prep, i, [profile[j] for j in inst.opponents(i)])
         for i in range(inst.k)
     ]
 
 
 def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
     """Per-player start vectors checked against the instance; DimensionMismatch
-    on a wrong player count or length, or a non-integral integer-mode start."""
+    on a wrong player count or length, a non-finite entry, or an integer-mode
+    entry that is non-integral or beyond +-2^53 (where float64 stops holding
+    every integer)."""
     if start is None:
         if mode == INTEGER:
             return [np.zeros(n, dtype=np.int64) for n in inst.dims]
@@ -155,9 +146,13 @@ def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray
             raise DimensionMismatch(
                 f"start for player {i} has length {v.shape[0]}, expected {inst.dims[i]}"
             )
+        if not np.all(np.isfinite(v)):
+            raise DimensionMismatch(f"start for player {i} has non-finite entries")
         if mode == INTEGER:
             if not np.all(np.rint(v) == v):
                 raise DimensionMismatch(f"start for player {i} is not integral")
+            if np.any(np.abs(v) > _INTEGER_START_LIMIT):
+                raise DimensionMismatch(f"start for player {i} exceeds 2^53 in magnitude")
             out.append(v.astype(np.int64))
         else:
             out.append(v)
@@ -165,15 +160,13 @@ def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray
 
 
 def run_br(
-    inst: game.IcqsInstance,
+    prep: game.Prepared,
     start=None,
     max_iters: int = DEFAULT_MAX_ITERS,
     mode: str = INTEGER,
-    fp_tolerance: float = FP_TOLERANCE,
-    node_budget: int = iqp.DEFAULT_NODE_BUDGET,
-    prep: game.Prepared | None = None,
 ) -> BrTrace:
-    """Run best-response iteration from ``start`` (all zeros by default).
+    """Run best-response iteration on ``prep.inst`` from ``start`` (all zeros
+    by default).
 
     Deterministic: the same instance, start and configuration always produce
     the identical trace.
@@ -182,17 +175,15 @@ def run_br(
         raise ValueError("max_iters must be >= 1")
     if mode not in (INTEGER, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
-    if prep is None:
-        prep = game.prepare(inst)
 
-    current = validate_start(inst, start, mode)
+    current = validate_start(prep.inst, start, mode)
     profiles = [tuple(current)]
     norms = [_joint_norm(current)]
     seen: dict[bytes, int] = {}
     if mode == INTEGER:
         seen[_profile_key(current)] = 0
 
-    div_radius = divergence_radius(inst, prep)
+    div_radius = divergence_radius(prep)
     latch: int | None = None
 
     outcome = OUTCOME_CAP
@@ -201,9 +192,9 @@ def run_br(
     for t in range(1, max_iters + 1):
         prev = profiles[-1]
         if mode == INTEGER:
-            nxt = _integer_step(inst, prev, node_budget, prep)
+            nxt = _integer_step(prep, prev)
         else:
-            nxt = continuous_step(inst, prev, prep)
+            nxt = continuous_step(prep, prev)
 
         profiles.append(tuple(nxt))
         norms.append(_joint_norm(nxt))
@@ -222,7 +213,7 @@ def run_br(
             step = math.sqrt(
                 sum(float(np.sum((a - b) ** 2)) for a, b in zip(nxt, prev))
             )
-            if step < fp_tolerance:
+            if step < FP_TOLERANCE:
                 outcome, fixed_index = OUTCOME_FIXED_POINT, t
                 break
 
@@ -270,11 +261,7 @@ def cycle_sets(trace: BrTrace) -> CycleSets:
     )
 
 
-def termination_radius(
-    inst: game.IcqsInstance,
-    prep: game.Prepared | None = None,
-    prox_variant: str = "flatness",
-) -> float | None:
+def termination_radius(prep: game.Prepared, prox_variant: str = "flatness") -> float | None:
     """Norm level below which a positively adequate run must eventually stay.
 
     L = (||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
@@ -284,25 +271,17 @@ def termination_radius(
     the flatness-formula radii (default, matching the reported bounds) or the
     certified ``"exact"`` ones used by the descent guarantee.
     """
-    if prep is None:
-        prep = game.prepare(inst)
     if prep.report.classification is not game.Adequacy.POSITIVE:
         return None
     return prep.radius(prox_variant)
 
 
-def divergence_radius(
-    inst: game.IcqsInstance,
-    prep: game.Prepared | None = None,
-    prox_variant: str = "flatness",
-) -> float | None:
+def divergence_radius(prep: game.Prepared, prox_variant: str = "flatness") -> float | None:
     """Norm level beyond which negatively adequate iterates grow forever.
 
     Same formula as the termination radius with rho = min sigma - 1.  Returns
     None unless the instance is negatively adequate.
     """
-    if prep is None:
-        prep = game.prepare(inst)
     if prep.report.classification is not game.Adequacy.NEGATIVE:
         return None
     return prep.radius(prox_variant)

@@ -5,7 +5,9 @@ strategies visited inside the cycle yields a small finite game whose mixed
 equilibrium approximates an equilibrium of the full instance.  This module
 builds that game's cost tensor, finds pure and mixed equilibria, and measures
 a-posteriori how much any player could gain by deviating to an arbitrary
-lattice point.
+lattice point.  The cost tensor needs only the instance (`restrict`); the
+deviation check solves integer best responses, so `verify_delta` takes the
+solve's `game.Prepared` value.
 
 Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
@@ -96,11 +98,7 @@ def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
     return MixedProfile(probs=tuple(probs))
 
 
-def restrict(
-    inst: game.IcqsInstance,
-    cycle: dynamics.CycleSets,
-    prep: game.Prepared | None = None,
-) -> FiniteGame:
+def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     """Cost tensor of the game restricted to the cycle strategies."""
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
@@ -112,7 +110,7 @@ def restrict(
         profile = [strategies[i][index[i]] for i in range(k)]
         for i in range(k):
             others = [profile[j] for j in range(k) if j != i]
-            costs[index + (i,)] = game.objective(inst, i, profile[i], others, prep)
+            costs[index + (i,)] = game.objective(inst, i, profile[i], others)
     return FiniteGame(strategies=strategies, costs=costs)
 
 
@@ -266,14 +264,14 @@ def _side(costs: np.ndarray, own, opp, size: int, atol: float):
     return mix
 
 
-def mne_two_player(fg: FiniteGame, atol: float = EQ_TOLERANCE) -> MixedProfile:
+def mne_two_player(fg: FiniteGame) -> MixedProfile:
     """Exact mixed equilibrium of a bimatrix game by support enumeration.
 
     Returns the first valid equilibrium in the (total size ascending,
     lexicographic) support order, i.e. a smallest-support equilibrium,
     deterministically.  Pairs that provably fail the equilibrium check are
     skipped without a solve: a pair is dropped when one of its strategies is
-    dominated, by more than twice ``atol`` plus rounding, on the other
+    dominated, by more than twice ``EQ_TOLERANCE`` plus rounding, on the other
     player's support (conditional dominance, Porter, Nudelman & Shoham 2008),
     and the column player's mix is solved and checked before the row
     player's.  Neither changes the order or the returned profile.  When a
@@ -288,16 +286,16 @@ def mne_two_player(fg: FiniteGame, atol: float = EQ_TOLERANCE) -> MixedProfile:
     m, n = A.shape
     prune = m > 1 and n > 1
     if prune:
-        margin = _dominance_margin(fg.costs, atol)
+        margin = _dominance_margin(fg.costs, EQ_TOLERANCE)
         rows_dominated = _dominated_given(A, margin)
         cols_dominated = _dominated_given(B.T, margin)
     for I, J in _support_pairs(m, n):
         if prune and not (rows_dominated(J).isdisjoint(I) and cols_dominated(I).isdisjoint(J)):
             continue
-        q = _side(A, I, J, n, atol)
+        q = _side(A, I, J, n, EQ_TOLERANCE)
         if q is None:
             continue
-        p = _side(B.T, J, I, m, atol)
+        p = _side(B.T, J, I, m, EQ_TOLERANCE)
         if p is None:
             continue
         return MixedProfile(probs=(p, q))
@@ -404,20 +402,16 @@ def _regret_matching(fg: FiniteGame, eps: float, rounds: int) -> tuple[MixedProf
     return best_profile, best_eps
 
 
-def mne_k_player(
-    fg: FiniteGame,
-    eps: float = KPLAYER_TARGET_EPS,
-    support_cap: int = KPLAYER_SUPPORT_CAP,
-    rm_rounds: int = REGRET_MATCH_ROUNDS,
-) -> tuple[MixedProfile, float]:
+def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
     """Approximate equilibrium for k >= 3 players.
 
-    Pure profiles and small supports (up to ``support_cap`` strategies per
-    player) are searched first with the damped indifference sweep; if nothing
-    reaches the target regret, regret matching runs as a fallback.  Returns
-    the profile and its achieved per-player regret; raises
+    Pure profiles and small supports (up to ``KPLAYER_SUPPORT_CAP``
+    strategies per player) are searched first with the damped indifference
+    sweep; if nothing reaches the target regret ``KPLAYER_TARGET_EPS``,
+    ``REGRET_MATCH_ROUNDS`` rounds of regret matching run as a fallback.
+    Returns the profile and its achieved per-player regret; raises
     ToleranceNotReached (carrying the best regret) when even the fallback
-    stays above ``eps``.
+    stays above the target.
     """
     if fg.k < 3:
         raise DimensionMismatch(f"k-player solver got k={fg.k}")
@@ -427,7 +421,7 @@ def mne_k_player(
         return profile, float(regret(fg, profile).max())
     best_profile: MixedProfile | None = None
     best_eps = np.inf
-    tuples = _support_tuples(fg.sizes, support_cap)
+    tuples = _support_tuples(fg.sizes, KPLAYER_SUPPORT_CAP)
     for supports in tuples:
         if all(len(s) == 1 for s in supports):
             continue  # pure profiles were handled by pne_search
@@ -435,12 +429,12 @@ def mne_k_player(
         eps_now = float(regret(fg, profile).max())
         if eps_now < best_eps:
             best_profile, best_eps = profile, eps_now
-        if best_eps <= eps:
+        if best_eps <= KPLAYER_TARGET_EPS:
             return best_profile, best_eps
-    rm_profile, rm_eps = _regret_matching(fg, eps, rm_rounds)
+    rm_profile, rm_eps = _regret_matching(fg, KPLAYER_TARGET_EPS, REGRET_MATCH_ROUNDS)
     if rm_eps < best_eps:
         best_profile, best_eps = rm_profile, rm_eps
-    if best_profile is None or best_eps > eps:
+    if best_profile is None or best_eps > KPLAYER_TARGET_EPS:
         exc = ToleranceNotReached(best_eps)
         exc.best_profile = best_profile
         raise exc
@@ -485,12 +479,7 @@ class DeltaReport:
         return max(self.gains)
 
 
-def verify_delta(
-    inst: game.IcqsInstance,
-    fg: FiniteGame,
-    profile: MixedProfile,
-    prep: game.Prepared | None = None,
-) -> DeltaReport:
+def verify_delta(prep: game.Prepared, fg: FiniteGame, profile: MixedProfile) -> DeltaReport:
     """Measure every player's best-deviation gain against the full lattice.
 
     The coupling is linear in the opponents, so the expected cost of any own
@@ -498,15 +487,13 @@ def verify_delta(
     vector; the best deviation is therefore an exact integer minimization
     against the means.
     """
-    if prep is None:
-        prep = game.prepare(inst)
     means = mean_strategies(fg, profile)
     exp = expected_costs(fg, profile)
     dev_costs, dev_vecs, gains = [], [], []
     for i in range(fg.k):
         others = [means[j] for j in range(fg.k) if j != i]
-        v = game.best_response(inst, i, others, prep=prep)
-        cost = game.objective(inst, i, v, others, prep)
+        v = game.best_response(prep, i, others)
+        cost = game.objective(prep.inst, i, v, others)
         dev_vecs.append(v)
         dev_costs.append(cost)
         gains.append(float(exp[i]) - cost)

@@ -17,13 +17,15 @@ function, so instances can be shared and evaluated in parallel freely.
 
 Best-response iteration solves each player's integer quadratic over and over
 with only the linear term C_i y + d_i moving, so everything that depends on
-Q_i alone is per-instance data.  `prepare` gathers it once per solve into a
+Q_i alone is per-solve data.  `prepare` gathers it once per solve into a
 `Prepared` value: the adequacy report, and per player the validated Q_i with
 its Cholesky factor, eigenvalue extremes and proven proximity bounds
-(`iqp.Factor`), the concatenated coupling, d_i, and the proximity radius of
-each variant under the solve's flatness rule.  The solve pipeline passes it
-explicitly to every stage; functions called without one build what they need
-from the instance, and nothing is cached between calls.
+(`iqp.Factor`) and the proximity radius of each variant under the solve's
+flatness rule.  Every function that needs a factor (a best response, a
+radius, a bound) takes the `Prepared` value, whose ``inst`` is the instance;
+the functions that need none (`objective`, `classify`) take the instance.
+The concatenated coupling of each player is part of the instance, built once
+by `make_instance`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,15 @@ class PlayerProblem:
 
 @dataclass(frozen=True)
 class IcqsInstance:
+    """A validated instance; build it with `make_instance`.
+
+    ``C_cat[i]`` is player i's coupling blocks concatenated in ascending
+    opponent order, the matrix that maps the joint opponent strategy y to
+    the shift C_i y of player i's linear term.
+    """
+
     players: tuple[PlayerProblem, ...]
+    C_cat: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -110,17 +120,13 @@ def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) ->
                 raise DimensionMismatch(
                     f"player {i}: block against player {j} is {block.shape}, expected {(dims[i], dims[j])}"
                 )
-    return IcqsInstance(players=players, meta=dict(meta or {}))
-
-
-def coupling_concat(inst: IcqsInstance, i: int) -> np.ndarray:
-    """Player i's coupling blocks concatenated in ascending opponent order."""
-    return np.hstack([inst.players[i].C[j] for j in inst.opponents(i)])
+    C_cat = tuple(np.hstack([p.C[j] for j in range(k) if j != i]) for i, p in enumerate(players))
+    return IcqsInstance(players=players, C_cat=C_cat, meta=dict(meta or {}))
 
 
 def interaction_matrix(inst: IcqsInstance, i: int) -> np.ndarray:
     """R_i = Q_i^{-1} [C_i blocks, opponents in player order]."""
-    return linalg.solve_spd(inst.players[i].Q, coupling_concat(inst, i))
+    return linalg.solve_spd(inst.players[i].Q, inst.C_cat[i])
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ class AdequacyReport:
         return min(self.sigma_min)
 
 
-def classify(inst: IcqsInstance, adequacy_eps: float = ADEQUACY_EPS) -> AdequacyReport:
+def classify(inst: IcqsInstance) -> AdequacyReport:
     """Adequacy classification from the interaction matrices' singular values.
 
     Strict inequalities with an epsilon margin; singular values numerically
@@ -152,9 +158,9 @@ def classify(inst: IcqsInstance, adequacy_eps: float = ADEQUACY_EPS) -> Adequacy
         smin.append(float(sv[-1]))
     overall_max = max(smax)
     overall_min = min(smin)
-    if overall_max < 1.0 - adequacy_eps:
+    if overall_max < 1.0 - ADEQUACY_EPS:
         cls, rho = Adequacy.POSITIVE, 1.0 - overall_max
-    elif overall_min > 1.0 + adequacy_eps:
+    elif overall_min > 1.0 + ADEQUACY_EPS:
         cls, rho = Adequacy.NEGATIVE, overall_min - 1.0
     else:
         cls, rho = Adequacy.NEITHER, None
@@ -172,8 +178,6 @@ class PreparedPlayer:
     """
 
     factor: iqp.Factor
-    C_cat: np.ndarray  # coupling blocks, opponents in ascending player order
-    d: np.ndarray
     prox_flatness: float
     prox_exact: float
 
@@ -185,47 +189,42 @@ class PreparedPlayer:
         raise ValueError(f"unknown prox variant {variant!r}")
 
 
-def prepare_player(
-    inst: IcqsInstance, i: int, rule: iqp.FlatnessRule = iqp.PROVEN_RULE
-) -> PreparedPlayer:
-    """Factor Q_i and collect player i's reusable data under ``rule``."""
-    p = inst.players[i]
-    factor = iqp.factorize(p.Q)
-    return PreparedPlayer(
-        factor=factor,
-        C_cat=coupling_concat(inst, i),
-        d=p.d,
-        prox_flatness=factor.prox_bound(rule).prox_value,
-        prox_exact=factor.guarantee_prox(rule),
-    )
-
-
 @dataclass(frozen=True)
 class Prepared:
     """One instance's per-solve data; build it with `prepare`."""
 
     inst: IcqsInstance
-    rule: iqp.FlatnessRule
     report: AdequacyReport
     players: tuple[PreparedPlayer, ...]
 
     def radius(self, prox_variant: str) -> float:
         """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho."""
         d_part = np.concatenate(
-            [linalg.solve_with_factor(p.factor.L, -p.d) for p in self.players]
+            [
+                linalg.solve_with_factor(pp.factor.L, -p.d)
+                for pp, p in zip(self.players, self.inst.players)
+            ]
         )
         proxes = [p.prox(prox_variant) for p in self.players]
         return (float(np.linalg.norm(d_part)) + float(np.linalg.norm(proxes))) / self.report.rho
 
 
 def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
-    """Classify ``inst`` once and factor every Q_i once, for one solve."""
-    return Prepared(
-        inst=inst,
-        rule=rule,
-        report=classify(inst),
-        players=tuple(prepare_player(inst, i, rule) for i in range(inst.k)),
-    )
+    """Classify ``inst`` once and factor every Q_i once, for one solve.
+
+    ``rule`` is the flatness rule the proximity radii are stated under.
+    """
+    players = []
+    for p in inst.players:
+        factor = iqp.factorize(p.Q)
+        players.append(
+            PreparedPlayer(
+                factor=factor,
+                prox_flatness=factor.prox_bound(rule).prox_value,
+                prox_exact=factor.guarantee_prox(rule),
+            )
+        )
+    return Prepared(inst=inst, report=classify(inst), players=tuple(players))
 
 
 def _others_concat(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
@@ -245,33 +244,24 @@ def _others_concat(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> 
     return np.concatenate(parts)
 
 
-def effective_quadratic(
-    inst: IcqsInstance, i: int, others: Sequence[np.ndarray], prep: Prepared | None = None
-) -> iqp.Quadratic:
+def _linear_term(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
+    """C_i y + d_i for the opponents' strategies y, one vector per opponent."""
+    return inst.C_cat[i] @ _others_concat(inst, i, others) + inst.players[i].d
+
+
+def effective_quadratic(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> iqp.Quadratic:
     """Player i's subproblem with the opponents' strategies folded into d.
 
     ``others`` holds one vector per opponent in ascending player order.  Real
     entries are allowed: the coupling is linear in the opponents' variables,
-    so responding to a mixed profile is exactly responding to its mean.
+    so responding to a mixed profile is exactly responding to its mean.  The
+    quadratic's Q is the one ``prep.players[i].factor`` factors.
     """
-    y = _others_concat(inst, i, others)
-    if prep is None:
-        p = inst.players[i]
-        return iqp.Quadratic(Q=p.Q, d=coupling_concat(inst, i) @ y + p.d)
-    pp = prep.players[i]
-    return iqp.Quadratic.from_factor(pp.factor, pp.C_cat @ y + pp.d)
-
-
-def _factor(prep: Prepared | None, i: int) -> iqp.Factor | None:
-    return None if prep is None else prep.players[i].factor
+    return iqp.Quadratic.trusted(prep.players[i].factor.Q, _linear_term(prep.inst, i, others))
 
 
 def objective(
-    inst: IcqsInstance,
-    i: int,
-    own: np.ndarray,
-    others: Sequence[np.ndarray],
-    prep: Prepared | None = None,
+    inst: IcqsInstance, i: int, own: np.ndarray, others: Sequence[np.ndarray]
 ) -> float:
     """Player i's exact cost at (own, others)."""
     own = np.asarray(own, dtype=np.float64).ravel()
@@ -279,34 +269,24 @@ def objective(
         raise DimensionMismatch(
             f"player {i} vector has length {own.shape[0]}, expected {inst.dims[i]}"
         )
-    return effective_quadratic(inst, i, others, prep).value(own)
+    return iqp.Quadratic.trusted(inst.players[i].Q, _linear_term(inst, i, others)).value(own)
 
 
-def best_response(
-    inst: IcqsInstance,
-    i: int,
-    others: Sequence[np.ndarray],
-    node_budget: int = iqp.DEFAULT_NODE_BUDGET,
-    prep: Prepared | None = None,
-) -> np.ndarray:
+def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
     """Integer best response of player i to the opponents' (mean) strategies.
 
     Deterministic: co-optimal responses resolve to the lexicographically
     smallest vector.
     """
     v, _ = iqp.integer_min(
-        effective_quadratic(inst, i, others, prep),
-        node_budget=node_budget,
-        factor=_factor(prep, i),
+        effective_quadratic(prep, i, others), factor=prep.players[i].factor
     )
     return v
 
 
-def continuous_response(
-    inst: IcqsInstance, i: int, others: Sequence[np.ndarray], prep: Prepared | None = None
-) -> np.ndarray:
+def continuous_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
     """Continuous best response -Q_i^{-1} (C_i y + d_i)."""
-    return iqp.continuous_min(effective_quadratic(inst, i, others, prep), _factor(prep, i))
+    return iqp.continuous_min(effective_quadratic(prep, i, others), prep.players[i].factor)
 
 
 # ---------------------------------------------------------------------------

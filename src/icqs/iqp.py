@@ -92,15 +92,16 @@ class Quadratic:
         object.__setattr__(self, "d", d)
 
     @classmethod
-    def from_factor(cls, factor: Factor, d: np.ndarray) -> Quadratic:
-        """The quadratic with ``factor.Q``, which `factorize` already validated.
+    def trusted(cls, Q: np.ndarray, d: np.ndarray) -> Quadratic:
+        """The quadratic with a Q that `factorize` or `game.make_instance`
+        already validated.
 
-        Nothing is checked: ``d`` must be a finite float64 vector of length
-        ``factor.n``.  Best-response loops build one per call and pay for
-        Q's validation once, in `factorize`.
+        Nothing is checked: ``d`` must be a finite float64 vector of Q's
+        length.  Best-response loops build one per call and pay for Q's
+        validation once.
         """
         q = object.__new__(cls)
-        object.__setattr__(q, "Q", factor.Q)
+        object.__setattr__(q, "Q", Q)
         object.__setattr__(q, "d", d)
         return q
 
@@ -235,10 +236,10 @@ def prox_bound(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> ProxBound:
     return factorize(q.Q).prox_bound(rule)
 
 
-def is_scaled_identity(Q: np.ndarray, rtol: float = _SCALED_IDENTITY_RTOL) -> bool:
+def is_scaled_identity(Q: np.ndarray) -> bool:
     n = Q.shape[0]
     c = float(np.trace(Q)) / n
-    return bool(np.abs(Q - c * np.eye(n)).max() <= rtol * max(1.0, abs(c)))
+    return bool(np.abs(Q - c * np.eye(n)).max() <= _SCALED_IDENTITY_RTOL * max(1.0, abs(c)))
 
 
 def guarantee_prox(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> float:

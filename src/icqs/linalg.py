@@ -50,12 +50,12 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def is_symmetric(Q: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> bool:
+def is_symmetric(Q: np.ndarray) -> bool:
     Q = as_matrix(Q)
     if Q.shape[0] != Q.shape[1]:
         return False
     scale = max(1.0, float(np.abs(Q).max()))
-    return bool(np.abs(Q - Q.T).max() <= rtol * scale)
+    return bool(np.abs(Q - Q.T).max() <= _SYMMETRY_RTOL * scale)
 
 
 def require_symmetric(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -65,11 +65,11 @@ def require_symmetric(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
     return Q
 
 
-def cholesky(Q: np.ndarray, pd_tolerance: float = PD_TOLERANCE) -> np.ndarray:
+def cholesky(Q: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == Q for symmetric positive definite Q.
 
     The factorization is run column by column so the failing pivot can be
-    reported; a pivot at or below ``pd_tolerance`` raises NotPositiveDefinite,
+    reported; a pivot at or below ``PD_TOLERANCE`` raises NotPositiveDefinite,
     which downstream code treats as "this matrix violates the game class".
     """
     Q = require_symmetric(Q)
@@ -77,7 +77,7 @@ def cholesky(Q: np.ndarray, pd_tolerance: float = PD_TOLERANCE) -> np.ndarray:
     L = np.zeros_like(Q)
     for j in range(n):
         pivot = Q[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= pd_tolerance:
+        if pivot <= PD_TOLERANCE:
             raise NotPositiveDefinite(j, float(pivot))
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:

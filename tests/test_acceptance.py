@@ -41,7 +41,7 @@ def solves6(instances6):
         for start_idx in range(10):
             start = [rng.integers(-50, 51, size=n).astype(float) for n in inst.dims]
             t0 = time.perf_counter()
-            trace = dynamics.run_br(inst, start=start, max_iters=10_000)
+            trace = dynamics.run_br(prep, start=start, max_iters=10_000)
             terminated = trace.outcome in (
                 dynamics.OUTCOME_CYCLE,
                 dynamics.OUTCOME_FIXED_POINT,
@@ -53,9 +53,9 @@ def solves6(instances6):
                 fg = finite.restrict(inst, sets)
                 try:
                     profile, _ = finite.solve_equilibrium(fg)
-                    delta = finite.verify_delta(inst, fg, profile)
+                    delta = finite.verify_delta(prep, fg, profile)
                     max_gain = delta.max_gain
-                    priori = bounds.delta_a_priori(inst, prep, prox_variant="exact")
+                    priori = bounds.delta_a_priori(prep, prox_variant="exact")
                     delta_ok = priori is not None and all(
                         g <= b + 1e-9 for g, b in zip(delta.gains, priori)
                     )
@@ -84,7 +84,7 @@ def solves6(instances6):
 def test_criterion_1_example1_divergence():
     inst = instgen.builtin("example1")
     t0 = time.perf_counter()
-    trace = dynamics.run_br(inst, start=[[5.0], [5.0]], max_iters=8)
+    trace = dynamics.run_br(game.prepare(inst), start=[[5.0], [5.0]], max_iters=8)
     elapsed = time.perf_counter() - t0
     expected = [(5 * 2**t, 5 * 2**t) for t in range(9)]
     got = [tuple(int(x[0]) for x in p) for p in trace.profiles]
@@ -100,11 +100,12 @@ def test_criterion_1_example1_divergence():
 def test_criterion_2_cycling_example():
     inst = instgen.builtin("cycling")
     t0 = time.perf_counter()
-    trace = dynamics.run_br(inst, start=[[0.0], [0.0]])
+    prep = game.prepare(inst)
+    trace = dynamics.run_br(prep, start=[[0.0], [0.0]])
     sets = dynamics.cycle_sets(trace)
     fg = finite.restrict(inst, sets)
     profile = finite.mne_two_player(fg)
-    delta = finite.verify_delta(inst, fg, profile)
+    delta = finite.verify_delta(prep, fg, profile)
     elapsed = time.perf_counter() - t0
 
     path = [tuple(int(x[0]) for x in p) for p in trace.profiles]
@@ -127,7 +128,8 @@ def test_criterion_2_cycling_example():
 @pytest.mark.parametrize("M", [10, 20, 40])
 def test_criterion_3_counterexample_family(M):
     inst = instgen.builtin("counterexample", M=M)
-    trace = dynamics.run_br(inst, start=[[0.0, 1.0], [0.0, 1.0]])
+    prep = game.prepare(inst)
+    trace = dynamics.run_br(prep, start=[[0.0, 1.0], [0.0, 1.0]])
     sets = dynamics.cycle_sets(trace)
     expected_set = {(0, 1), (M, 0)}
     sets_ok = all(
@@ -138,13 +140,13 @@ def test_criterion_3_counterexample_family(M):
     profile = finite.mne_two_player(fg)
     mix_ok = all(np.allclose(p, [0.5, 0.5], atol=1e-9) for p in profile.probs)
     costs_ok = np.allclose(finite.expected_costs(fg, profile), [0.0, 0.0], atol=1e-9)
-    delta = finite.verify_delta(inst, fg, profile)
+    delta = finite.verify_delta(prep, fg, profile)
     target = M * M / 8.0
     gain_ok = delta.gains[0] >= target - 1e-6
 
     # independent confirmation of the deviation value by exhaustive scan
     means = finite.mean_strategies(fg, profile)
-    q = game.effective_quadratic(inst, 0, [means[1]])
+    q = game.effective_quadratic(prep, 0, [means[1]])
     _, oracle_value = iqp.brute_force_min(q)
     oracle_ok = oracle_value == pytest.approx(delta.deviation_costs[0], abs=1e-9)
 
@@ -244,7 +246,7 @@ def test_criterion_7_equilibrium_quality(instances6, solves6):
     finite_bound = sum(
         1
         for _, inst, prep in instances6
-        if any(math.isfinite(b) for b in bounds.delta_a_priori(inst, prep, "exact") or [])
+        if any(math.isfinite(b) for b in bounds.delta_a_priori(prep, "exact") or [])
     )
     ok = small_gain >= 0.95 * len(solves6) and bounded == len(solves6)
     announce(
@@ -261,14 +263,15 @@ def test_criterion_8_divergence():
     for seed in range(20):
         spec = instgen.NegativeSpec(n_players=2, vars_per_player=3, seed=7000 + seed)
         inst = instgen.gen_negative(spec)
-        radius = dynamics.divergence_radius(inst, game.prepare(inst))
+        prep = game.prepare(inst)
+        radius = dynamics.divergence_radius(prep)
         rng = np.random.default_rng(seed)
         # any integer start strictly outside the certified radius
         scale = math.ceil(radius / math.sqrt(sum(inst.dims))) + 1
         start = [
             rng.integers(1, 3, size=n).astype(float) * scale for n in inst.dims
         ]
-        trace = dynamics.run_br(inst, start=start, max_iters=50)
+        trace = dynamics.run_br(prep, start=start, max_iters=50)
         monotone = all(
             trace.norms[t + 1] > trace.norms[t] for t in range(len(trace.norms) - 1)
         )
@@ -291,7 +294,7 @@ def _affine_fixed_point(inst):
     b = np.zeros(N)
     for i in range(inst.k):
         rows = slice(offsets[i], offsets[i + 1])
-        Rq = linalg.solve_spd(inst.players[i].Q, game.coupling_concat(inst, i))
+        Rq = linalg.solve_spd(inst.players[i].Q, inst.C_cat[i])
         col = 0
         for j in inst.opponents(i):
             cols = slice(offsets[j], offsets[j + 1])
@@ -305,12 +308,12 @@ def _affine_fixed_point(inst):
 def test_criterion_9_continuous_mode(instances6):
     stationarity_bad = contraction_bad = 0
     for name, inst, prep in instances6:
-        trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS, max_iters=10_000)
+        trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS, max_iters=10_000)
         if trace.outcome != dynamics.OUTCOME_FIXED_POINT:
             stationarity_bad += 1
             continue
         z_end = trace.profiles[-1]
-        step = dynamics.continuous_step(inst, z_end)
+        step = dynamics.continuous_step(prep, z_end)
         residual = math.sqrt(
             sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z_end))
         )
@@ -329,7 +332,7 @@ def test_criterion_9_continuous_mode(instances6):
                 break
 
     ex1 = dynamics.run_br(
-        instgen.builtin("example1"), start=[[5.0], [5.0]],
+        game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]],
         mode=dynamics.CONTINUOUS, max_iters=30,
     )
     ex1_ok = ex1.outcome == dynamics.OUTCOME_DIVERGENCE and all(

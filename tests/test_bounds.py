@@ -7,7 +7,7 @@ from icqs import bounds, dynamics, finite, game, instgen
 
 
 def cycle_of(inst, start):
-    return dynamics.cycle_sets(dynamics.run_br(inst, start=start))
+    return dynamics.cycle_sets(dynamics.run_br(game.prepare(inst), start=start))
 
 
 @pytest.fixture(scope="module")
@@ -29,22 +29,22 @@ def test_cycle_diameter(cycling_setup):
 def test_delta_a_posteriori_values(cycling_setup):
     inst, _ = cycling_setup
     # lambda_1 = 2, flatness prox of a 1-D Q=2 block is 0.25, diameter 1
-    assert bounds.delta_a_posteriori(inst, 0, 1.0) == pytest.approx(2.0 * 1.25**2)
-    assert bounds.delta_a_posteriori(inst, 0, 0.0) == pytest.approx(2.0 * 0.25**2)
+    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 1.0) == pytest.approx(2.0 * 1.25**2)
+    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 0.0) == pytest.approx(2.0 * 0.25**2)
     cg = instgen.builtin("counterexample", M=10)
-    val = bounds.delta_a_posteriori(cg, 0, math.sqrt(101.0))
+    val = bounds.delta_a_posteriori(game.prepare(cg), 0, math.sqrt(101.0))
     assert val == pytest.approx((math.sqrt(2.0) + math.sqrt(101.0)) ** 2)
 
 
 def test_delta_a_posteriori_monotone_in_diameter(cycling_setup):
     inst, _ = cycling_setup
-    values = [bounds.delta_a_posteriori(inst, 0, L) for L in np.linspace(0.0, 5.0, 20)]
+    values = [bounds.delta_a_posteriori(game.prepare(inst), 0, L) for L in np.linspace(0.0, 5.0, 20)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_l_bound_two_player_closed_form(cycling_setup):
     inst, _ = cycling_setup
-    lb = bounds.l_bound_theoretical(inst)
+    lb = bounds.l_bound_theoretical(game.prepare(inst))
     expected = (2 * 0.25 * 0.1 + 2 * 0.25) / (1 - 0.01)
     assert lb[0] == pytest.approx(expected)
     assert lb[0] == pytest.approx(0.5556, abs=5e-5)
@@ -58,9 +58,9 @@ def test_l_bound_zero_coupling_and_negative():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    lb = bounds.l_bound_theoretical(inst)
+    lb = bounds.l_bound_theoretical(game.prepare(inst))
     assert lb == pytest.approx([0.5, 0.5])  # sigma = 0 leaves 2 * prox
-    assert bounds.l_bound_theoretical(instgen.builtin("example1")) is None
+    assert bounds.l_bound_theoretical(game.prepare(instgen.builtin("example1"))) is None
 
 
 @pytest.mark.parametrize(
@@ -151,11 +151,11 @@ def test_l_closure_residual_on_seeded_draws():
 
 def test_delta_a_priori_values(cycling_setup):
     inst, _ = cycling_setup
-    dp = bounds.delta_a_priori(inst)
-    lb = bounds.l_bound_theoretical(inst)[0]
+    dp = bounds.delta_a_priori(game.prepare(inst))
+    lb = bounds.l_bound_theoretical(game.prepare(inst))[0]
     assert dp[0] == pytest.approx(2.0 * (0.25 + lb) ** 2)
     assert dp[0] == pytest.approx(1.298, abs=5e-4)
-    assert bounds.delta_a_priori(instgen.builtin("example1")) is None
+    assert bounds.delta_a_priori(game.prepare(instgen.builtin("example1"))) is None
 
 
 def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
@@ -165,13 +165,13 @@ def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    dp = bounds.delta_a_priori(inst)
+    dp = bounds.delta_a_priori(game.prepare(inst))
     assert dp[0] == pytest.approx(2.0 * (3 * 0.25) ** 2)
 
 
 def test_guarantee_pack_flags_flatness_violation(cycling_setup):
     inst, sets = cycling_setup
-    pack = bounds.guarantee_pack(inst, sets)
+    pack = bounds.guarantee_pack(game.prepare(inst), sets)
     # measured diameter 1 exceeds the flatness-based bound but not the
     # exact-prox one: (0.1 + 1) / 0.99
     assert pack.l_measured == pytest.approx((1.0, 1.0))
@@ -187,12 +187,12 @@ def test_guarantee_chain_on_solved_positively_adequate_instances():
     for seed in (1, 4, 9):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=3, seed=seed))
         prep = game.prepare(inst)
-        trace = dynamics.run_br(inst, start=[[30.0, -20.0, 10.0], [-10.0, 25.0, -30.0]])
+        trace = dynamics.run_br(prep, start=[[30.0, -20.0, 10.0], [-10.0, 25.0, -30.0]])
         sets = dynamics.cycle_sets(trace)
         fg = finite.restrict(inst, sets)
         profile, _ = finite.solve_equilibrium(fg)
-        delta = finite.verify_delta(inst, fg, profile)
-        pack = bounds.guarantee_pack(inst, sets, prep)
+        delta = finite.verify_delta(prep, fg, profile)
+        pack = bounds.guarantee_pack(prep, sets)
         for i in range(inst.k):
             post = pack.delta_posteriori_exact[i]
             assert delta.gains[i] <= post + 1e-9

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from icqs import bounds, cli, game, instgen
+from icqs import bounds, cli, game, instgen, iqp
 
 
 def run_cli(argv):
@@ -191,17 +191,20 @@ def test_solve_flatness_override_changes_reported_bounds(tmp_path):
 
 
 def test_solve_pipeline_classifies_once(monkeypatch):
-    calls = []
-    classify = game.classify
+    calls = {"classify": 0, "prepare": 0, "factorize": 0}
+    for owner, name in ((game, "classify"), (game, "prepare"), (iqp, "factorize")):
+        original = getattr(owner, name)
 
-    def counting(inst, *args, **kwargs):
-        calls.append(inst)
-        return classify(inst, *args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(game, "classify", counting)
-    result = cli.solve_pipeline(instgen.builtin("cycling"), start=[[0.0], [0.0]])
+        monkeypatch.setattr(owner, name, counting)
+    inst = instgen.builtin("cycling")
+    result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
-    assert len(calls) == 1
+    # one prepared value per solve: one classification, one factor per player
+    assert calls == {"classify": 1, "prepare": 1, "factorize": inst.k}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
@@ -290,6 +293,11 @@ def bench_spec(tmp_path, entry):
         pytest.param(lambda f, t: ["solve", f, "--start", "a,b;1,2"], id="start-not-numbers"),
         pytest.param(lambda f, t: ["solve", f, "--start", "0,0;1"], id="start-wrong-length"),
         pytest.param(lambda f, t: ["solve", f, "--start", "0.5;0"], id="start-not-integral"),
+        pytest.param(lambda f, t: ["solve", f, "--start", "inf;0"], id="start-infinite"),
+        pytest.param(
+            lambda f, t: ["solve", f, "--start", "nan;0", "--mode", "continuous"],
+            id="start-nan-continuous",
+        ),
         pytest.param(lambda f, t: ["solve", f, "--max-iters", "0"], id="solve-max-iters-0"),
         pytest.param(lambda f, t: bench_spec(t, {"family": "pricing"}), id="bench-no-n_players"),
         pytest.param(
@@ -300,6 +308,22 @@ def bench_spec(tmp_path, entry):
         pytest.param(
             lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": "x"}),
             id="bench-M-not-int",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": 0}),
+            id="bench-M-0",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": -5}),
+            id="bench-M-negative",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": 3}),
+            id="bench-M-odd",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample"}),
+            id="bench-M-missing",
         ),
         pytest.param(
             lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 2}) + ["--max-iters", "0"],

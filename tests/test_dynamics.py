@@ -12,7 +12,7 @@ def path_scalars(trace):
 
 
 def test_cycling_example_period_four():
-    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
+    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[0.0], [0.0]])
     assert trace.outcome == dynamics.OUTCOME_CYCLE
     assert (trace.cycle_start, trace.cycle_repeat) == (0, 4)
     assert path_scalars(trace) == [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
@@ -22,14 +22,14 @@ def test_cycling_example_period_four():
 
 
 def test_example1_doubles_and_certifies_divergence():
-    trace = dynamics.run_br(instgen.builtin("example1"), start=[[5.0], [5.0]], max_iters=8)
+    trace = dynamics.run_br(game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], max_iters=8)
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     assert trace.divergence_index == 0
     assert path_scalars(trace) == [(5 * 2**t, 5 * 2**t) for t in range(9)]
 
 
 def test_example1_stops_before_float_blowup():
-    trace = dynamics.run_br(instgen.builtin("example1"), start=[[5.0], [5.0]])
+    trace = dynamics.run_br(game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]])
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     assert trace.norms[-1] > dynamics.DIVERGENCE_NORM_CAP
     assert trace.iterations < 100
@@ -37,7 +37,7 @@ def test_example1_stops_before_float_blowup():
 
 def test_counterexample_cycle_sets():
     inst = instgen.builtin("counterexample", M=10)
-    trace = dynamics.run_br(inst, start=[[0.0, 1.0], [0.0, 1.0]])
+    trace = dynamics.run_br(game.prepare(inst), start=[[0.0, 1.0], [0.0, 1.0]])
     assert trace.outcome == dynamics.OUTCOME_CYCLE
     sets = dynamics.cycle_sets(trace)
     for i in (0, 1):
@@ -46,7 +46,7 @@ def test_counterexample_cycle_sets():
 
 def test_counterexample_from_origin_finds_fixed_point():
     inst = instgen.builtin("counterexample", M=10)
-    trace = dynamics.run_br(inst)
+    trace = dynamics.run_br(game.prepare(inst))
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     fixed = trace.profiles[-1]
     assert fixed[0].tolist() == [1, 0] and fixed[1].tolist() == [1, 0]
@@ -56,7 +56,7 @@ def test_counterexample_from_origin_finds_fixed_point():
 
 def test_termination_radius_cycling_value():
     inst = instgen.builtin("cycling")
-    L = dynamics.termination_radius(inst)
+    L = dynamics.termination_radius(game.prepare(inst))
     d_part = math.hypot(0.45, 0.55)
     prox_part = math.hypot(0.25, 0.25)
     assert L == pytest.approx((d_part + prox_part) / 0.9, rel=1e-12)
@@ -71,27 +71,27 @@ def test_termination_radius_decoupled():
         ]
     )
     # rho = 1 and d = 0: the radius is just the prox-vector norm
-    assert dynamics.termination_radius(inst) == pytest.approx(math.hypot(0.25, 0.25))
-    assert dynamics.divergence_radius(inst) is None
-    assert dynamics.termination_radius(instgen.builtin("example1")) is None
+    assert dynamics.termination_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.25, 0.25))
+    assert dynamics.divergence_radius(game.prepare(inst)) is None
+    assert dynamics.termination_radius(game.prepare(instgen.builtin("example1"))) is None
 
 
 def test_divergence_radius_example1():
     inst = instgen.builtin("example1")
-    assert dynamics.divergence_radius(inst) == pytest.approx(math.hypot(0.25, 0.25))
-    assert dynamics.divergence_radius(instgen.builtin("cycling")) is None
+    assert dynamics.divergence_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.25, 0.25))
+    assert dynamics.divergence_radius(game.prepare(instgen.builtin("cycling"))) is None
 
 
 def test_norm_descent_above_certified_radius():
     # one sweep strictly shrinks any profile outside the exact-prox radius
     inst = instgen.builtin("cycling")
-    L_exact = dynamics.termination_radius(inst, prox_variant="exact")
+    L_exact = dynamics.termination_radius(game.prepare(inst), prox_variant="exact")
     for x in range(-4, 5):
         for y in range(-4, 5):
             start = [np.array([float(x)]), np.array([float(y)])]
             if math.hypot(x, y) <= L_exact:
                 continue
-            trace = dynamics.run_br(inst, start=start, max_iters=1)
+            trace = dynamics.run_br(game.prepare(inst), start=start, max_iters=1)
             assert trace.norms[1] < trace.norms[0], (x, y)
 
 
@@ -99,20 +99,20 @@ def test_flatness_radius_alone_does_not_certify_descent():
     # (-1, 1) maps to (1, 1): same norm, sitting between the flatness-based
     # radius and the exact one, which is why the certified variant exists
     inst = instgen.builtin("cycling")
-    L_flat = dynamics.termination_radius(inst)
-    L_exact = dynamics.termination_radius(inst, prox_variant="exact")
+    L_flat = dynamics.termination_radius(game.prepare(inst))
+    L_exact = dynamics.termination_radius(game.prepare(inst), prox_variant="exact")
     assert L_flat < math.hypot(-1, 1) < L_exact
-    trace = dynamics.run_br(inst, start=[[-1.0], [1.0]], max_iters=1)
+    trace = dynamics.run_br(game.prepare(inst), start=[[-1.0], [1.0]], max_iters=1)
     assert trace.norms[1] == trace.norms[0]
 
 
 def test_cycle_telemetry_zero_inside_cycle():
-    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
+    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[0.0], [0.0]])
     assert np.allclose(dynamics.cycle_telemetry(trace), 0.0)
 
 
 def test_cycle_telemetry_decreases_from_far_start():
-    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[10.0], [10.0]])
+    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[10.0], [10.0]])
     dist = dynamics.cycle_telemetry(trace)
     assert dist[0] > 0
     entry = next(t for t in range(len(dist)) if dist[t] == 0.0)
@@ -122,10 +122,10 @@ def test_cycle_telemetry_decreases_from_far_start():
 
 def test_cycle_telemetry_fixed_point_and_errors():
     inst = instgen.builtin("counterexample", M=10)
-    fixed_trace = dynamics.run_br(inst)
+    fixed_trace = dynamics.run_br(game.prepare(inst))
     dist = dynamics.cycle_telemetry(fixed_trace)
     assert dist[-1] == 0.0
-    divergent = dynamics.run_br(instgen.builtin("example1"), start=[[5.0], [5.0]], max_iters=8)
+    divergent = dynamics.run_br(game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], max_iters=8)
     with pytest.raises(NoCycle):
         dynamics.cycle_telemetry(divergent)
 
@@ -133,8 +133,8 @@ def test_cycle_telemetry_fixed_point_and_errors():
 def test_run_br_deterministic():
     inst = instgen.gen_random(instgen.RandomSpec(n_players=3, vars_per_player=5, seed=8))
     start = [np.array([3.0, -7.0, 2.0, 0.0, 1.0])] * 3
-    a = dynamics.run_br(inst, start=start)
-    b = dynamics.run_br(inst, start=start)
+    a = dynamics.run_br(game.prepare(inst), start=start)
+    b = dynamics.run_br(game.prepare(inst), start=start)
     assert a.outcome == b.outcome and a.iterations == b.iterations
     for pa, pb in zip(a.profiles, b.profiles):
         for xa, xb in zip(pa, pb):
@@ -144,10 +144,10 @@ def test_run_br_deterministic():
 def test_continuous_mode_contracts_to_stationary_point():
     inst = instgen.gen_pricing(instgen.PricingSpec(n_players=2, seed=33))
     rep = game.classify(inst)
-    trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS)
+    trace = dynamics.run_br(game.prepare(inst), mode=dynamics.CONTINUOUS)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     z = trace.profiles[-1]
-    step = dynamics.continuous_step(inst, z)
+    step = dynamics.continuous_step(game.prepare(inst), z)
     residual = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z)))
     assert residual <= 1e-8
 
@@ -157,8 +157,8 @@ def test_continuous_mode_contracts_to_stationary_point():
     for _ in range(20):
         z1 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
         z2 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
-        f1 = np.concatenate(dynamics.continuous_step(inst, z1))
-        f2 = np.concatenate(dynamics.continuous_step(inst, z2))
+        f1 = np.concatenate(dynamics.continuous_step(game.prepare(inst), z1))
+        f2 = np.concatenate(dynamics.continuous_step(game.prepare(inst), z2))
         lhs = np.linalg.norm(f1 - f2)
         rhs = sigma * np.linalg.norm(np.concatenate(z1) - np.concatenate(z2))
         assert lhs <= rhs + 1e-9
@@ -166,7 +166,7 @@ def test_continuous_mode_contracts_to_stationary_point():
 
 def test_continuous_mode_diverges_on_example1():
     trace = dynamics.run_br(
-        instgen.builtin("example1"), start=[[5.0], [5.0]], mode=dynamics.CONTINUOUS, max_iters=30
+        game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], mode=dynamics.CONTINUOUS, max_iters=30
     )
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     for t in range(trace.iterations):
@@ -182,13 +182,13 @@ def test_neither_instance_runs_under_cap_without_certificate():
         ]
     )
     assert game.classify(inst).classification is game.Adequacy.NEITHER
-    trace = dynamics.run_br(inst, start=[[3.0], [0.0]], max_iters=7)
+    trace = dynamics.run_br(game.prepare(inst), start=[[3.0], [0.0]], max_iters=7)
     assert trace.outcome in (dynamics.OUTCOME_CAP, dynamics.OUTCOME_CYCLE)
     assert trace.divergence_index is None
 
 
 def test_export_trace(tmp_path):
-    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
+    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[0.0], [0.0]])
     path = tmp_path / "trace.csv"
     dynamics.export_trace(trace, path)
     lines = path.read_text().splitlines()
@@ -219,7 +219,7 @@ def test_cycle_telemetry_linear_contraction_rate():
     threshold = 2.0 * prox_norm / eps
 
     start = [np.full(n, 300.0), np.full(n, -300.0)]
-    trace = dynamics.run_br(inst, start=start)
+    trace = dynamics.run_br(game.prepare(inst), start=start)
     assert trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT)
     dist = dynamics.cycle_telemetry(trace)
     checked = 0

@@ -8,7 +8,7 @@ from icqs.errors import DimensionMismatch
 
 
 def solved_cycle(inst, start):
-    trace = dynamics.run_br(inst, start=start)
+    trace = dynamics.run_br(game.prepare(inst), start=start)
     return dynamics.cycle_sets(trace)
 
 
@@ -90,7 +90,7 @@ def test_mne_two_player_equilibrium_conditions_random():
     # support costs are equal-minimal, off-support never better than -1e-9
     for seed in range(8):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=2, seed=300 + seed))
-        trace = dynamics.run_br(inst, start=[[9.0, -9.0], [-9.0, 9.0]])
+        trace = dynamics.run_br(game.prepare(inst), start=[[9.0, -9.0], [-9.0, 9.0]])
         fg = finite.restrict(inst, dynamics.cycle_sets(trace))
         profile = finite.mne_two_player(fg)
         for i in range(2):
@@ -157,7 +157,7 @@ def test_solve_equilibrium_dispatch(cycling_game):
 def test_verify_delta_cycling_is_exact_equilibrium(cycling_game):
     inst, fg = cycling_game
     profile = finite.mne_two_player(fg)
-    report = finite.verify_delta(inst, fg, profile)
+    report = finite.verify_delta(game.prepare(inst), fg, profile)
     assert report.max_gain <= 1e-9
     assert all(g >= -1e-9 for g in report.gains)
 
@@ -165,7 +165,7 @@ def test_verify_delta_cycling_is_exact_equilibrium(cycling_game):
 def test_verify_delta_counterexample_gain(counter_game):
     inst, fg = counter_game
     profile = finite.mne_two_player(fg)
-    report = finite.verify_delta(inst, fg, profile)
+    report = finite.verify_delta(game.prepare(inst), fg, profile)
     assert report.gains[0] == pytest.approx(12.5, abs=1e-9)
     assert report.deviation_vectors[0].tolist() == [5, 0]
 
@@ -175,7 +175,7 @@ def test_counterexample_gain_grows_quadratically(M):
     inst = instgen.builtin("counterexample", M=M)
     fg = finite.restrict(inst, solved_cycle(inst, [[0.0, 1.0], [0.0, 1.0]]))
     profile = finite.mne_two_player(fg)
-    report = finite.verify_delta(inst, fg, profile)
+    report = finite.verify_delta(game.prepare(inst), fg, profile)
     assert report.gains[0] >= M * M / 8.0 - 1e-9
 
 
@@ -183,7 +183,7 @@ def test_verify_delta_pne_fixed_point():
     inst = instgen.builtin("counterexample", M=10)
     fg = finite.restrict(inst, solved_cycle(inst, None))
     profile, _ = finite.solve_equilibrium(fg)
-    report = finite.verify_delta(inst, fg, profile)
+    report = finite.verify_delta(game.prepare(inst), fg, profile)
     assert report.max_gain <= 1e-9
 
 

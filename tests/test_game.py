@@ -93,20 +93,20 @@ def test_objective_dimension_mismatch():
 
 def test_best_response_examples():
     ex1 = instgen.builtin("example1")
-    assert game.best_response(ex1, 0, [[5.0]]).tolist() == [10]
+    assert game.best_response(game.prepare(ex1), 0, [[5.0]]).tolist() == [10]
 
     cyc = instgen.builtin("cycling")
-    assert game.best_response(cyc, 1, [[0.0]]).tolist() == [1]
+    assert game.best_response(game.prepare(cyc), 1, [[0.0]]).tolist() == [1]
 
     cg = instgen.builtin("counterexample", M=10)
-    assert game.best_response(cg, 1, [[0.0, 1.0]]).tolist() == [10, 0]
+    assert game.best_response(game.prepare(cg), 1, [[0.0, 1.0]]).tolist() == [10, 0]
 
 
 def test_best_response_against_mixed_mean_matches_pure_concentration():
-    cg = instgen.builtin("counterexample", M=10)
-    pure = game.best_response(cg, 1, [[10.0, 0.0]])
+    prep = game.prepare(instgen.builtin("counterexample", M=10))
+    pure = game.best_response(prep, 1, [[10.0, 0.0]])
     concentrated_mean = 1.0 * np.array([10.0, 0.0])
-    assert np.array_equal(game.best_response(cg, 1, [concentrated_mean]), pure)
+    assert np.array_equal(game.best_response(prep, 1, [concentrated_mean]), pure)
 
 
 def test_best_response_beats_box_oracle():
@@ -115,8 +115,9 @@ def test_best_response_beats_box_oracle():
     for seed in range(10):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=3, seed=50 + seed))
         others = [rng.integers(-5, 6, size=3).astype(float)]
-        v = game.best_response(inst, 0, others)
-        q = game.effective_quadratic(inst, 0, others)
+        prep = game.prepare(inst)
+        v = game.best_response(prep, 0, others)
+        q = game.effective_quadratic(prep, 0, others)
         _, oracle_value = iqp.brute_force_min(q)
         assert q.value(v) == pytest.approx(oracle_value, abs=1e-9)
 
@@ -164,6 +165,13 @@ def test_wide_interaction_matrix_shape_multiplayer():
     assert len(linalg.singular_values(R)) == 4
 
 
+def reference_quadratic(inst, i, others):
+    """Player i's subproblem built from the instance's raw blocks, validated."""
+    C = np.hstack([inst.players[i].C[j] for j in inst.opponents(i)])
+    y = np.concatenate([np.asarray(o, dtype=np.float64) for o in others])
+    return iqp.Quadratic(Q=inst.players[i].Q, d=C @ y + inst.players[i].d)
+
+
 def test_prepared_best_response_matches_reference_and_oracle():
     # half-integer opponent vectors, as mixed means produce them; the
     # prepared path must reproduce the unprepared kernel bit for bit
@@ -177,11 +185,11 @@ def test_prepared_best_response_matches_reference_and_oracle():
         for i in range(inst.k):
             for _ in range(2):
                 others = [rng.integers(-12, 13, size=inst.dims[j]) / 2.0 for j in inst.opponents(i)]
-                v = game.best_response(inst, i, others, prep=prep)
-                q = game.effective_quadratic(inst, i, others)
+                v = game.best_response(prep, i, others)
+                q = reference_quadratic(inst, i, others)
                 ref, _ = iqp.integer_min(q)
                 assert np.array_equal(v, ref), (name, i, others)
-                assert game.objective(inst, i, v, others, prep) == q.value(v)
+                assert game.objective(inst, i, v, others) == q.value(v)
                 draws += 1
                 try:
                     oracle, _ = iqp.brute_force_min(q)
@@ -205,9 +213,9 @@ def test_prepared_best_response_matches_reference_and_oracle():
     )
     prep = game.prepare(tied)
     for i in (0, 1):
-        q = game.effective_quadratic(tied, i, [[-0.5]])
+        q = reference_quadratic(tied, i, [[-0.5]])
         assert iqp.continuous_min(q).tolist() == [0.5]
-        v = game.best_response(tied, i, [[-0.5]], prep=prep)
+        v = game.best_response(prep, i, [[-0.5]])
         assert v.tolist() == [0] == iqp.brute_force_min(q)[0].tolist()
 
 
