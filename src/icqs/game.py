@@ -24,8 +24,8 @@ its Cholesky factor, eigenvalue extremes and proven proximity bounds
 flatness rule.  Every function that needs a factor (a best response, a
 radius, a bound) takes the `Prepared` value, whose ``inst`` is the instance;
 the functions that need none (`objective`, `classify`) take the instance.
-The concatenated coupling of each player is part of the instance, built once
-by `make_instance`.
+The concatenated coupling of each player is part of the instance, derived
+from its players once, when the instance is built.
 """
 
 from __future__ import annotations
@@ -70,12 +70,20 @@ class IcqsInstance:
 
     ``C_cat[i]`` is player i's coupling blocks concatenated in ascending
     opponent order, the matrix that maps the joint opponent strategy y to
-    the shift C_i y of player i's linear term.
+    the shift C_i y of player i's linear term.  It is derived from
+    ``players`` on construction and cannot be passed in.
     """
 
     players: tuple[PlayerProblem, ...]
-    C_cat: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     meta: dict = field(default_factory=dict, compare=False)
+    C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "C_cat",
+            tuple(np.hstack([p.C[j] for j in self.opponents(i)]) for i, p in enumerate(self.players)),
+        )
 
     @property
     def k(self) -> int:
@@ -120,8 +128,7 @@ def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) ->
                 raise DimensionMismatch(
                     f"player {i}: block against player {j} is {block.shape}, expected {(dims[i], dims[j])}"
                 )
-    C_cat = tuple(np.hstack([p.C[j] for j in range(k) if j != i]) for i, p in enumerate(players))
-    return IcqsInstance(players=players, C_cat=C_cat, meta=dict(meta or {}))
+    return IcqsInstance(players=players, meta=dict(meta or {}))
 
 
 def interaction_matrix(inst: IcqsInstance, i: int) -> np.ndarray:
@@ -244,9 +251,11 @@ def _others_concat(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> 
     return np.concatenate(parts)
 
 
-def _linear_term(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
-    """C_i y + d_i for the opponents' strategies y, one vector per opponent."""
-    return inst.C_cat[i] @ _others_concat(inst, i, others) + inst.players[i].d
+def _quadratic(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> iqp.Quadratic:
+    """Player i's quadratic with linear term C_i y + d_i, y the opponents'
+    strategies; the linear term is not checked for finiteness."""
+    d = inst.C_cat[i] @ _others_concat(inst, i, others) + inst.players[i].d
+    return iqp.Quadratic.trusted(inst.players[i].Q, d)
 
 
 def effective_quadratic(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> iqp.Quadratic:
@@ -255,21 +264,28 @@ def effective_quadratic(prep: Prepared, i: int, others: Sequence[np.ndarray]) ->
     ``others`` holds one vector per opponent in ascending player order.  Real
     entries are allowed: the coupling is linear in the opponents' variables,
     so responding to a mixed profile is exactly responding to its mean.  The
-    quadratic's Q is the one ``prep.players[i].factor`` factors.
+    quadratic's Q is the one ``prep.players[i].factor`` factors.  The
+    solve's own iterates are finite, so nothing is re-checked here.
     """
-    return iqp.Quadratic.trusted(prep.players[i].factor.Q, _linear_term(prep.inst, i, others))
+    return _quadratic(prep.inst, i, others)
 
 
 def objective(
     inst: IcqsInstance, i: int, own: np.ndarray, others: Sequence[np.ndarray]
 ) -> float:
-    """Player i's exact cost at (own, others)."""
+    """Player i's exact cost at (own, others).
+
+    Raises ValueError when the opponents' strategies make the linear term
+    C_i y + d_i non-finite.
+    """
     own = np.asarray(own, dtype=np.float64).ravel()
     if own.shape[0] != inst.dims[i]:
         raise DimensionMismatch(
             f"player {i} vector has length {own.shape[0]}, expected {inst.dims[i]}"
         )
-    return iqp.Quadratic.trusted(inst.players[i].Q, _linear_term(inst, i, others)).value(own)
+    q = _quadratic(inst, i, others)
+    linalg.as_vector(q.d, "d")  # raises on non-finite entries
+    return q.value(own)
 
 
 def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:

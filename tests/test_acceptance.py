@@ -37,10 +37,11 @@ def solves6(instances6):
     """10 seeded integer-mode solves per instance, full pipeline timed."""
     records = []
     rng = np.random.default_rng(20240601)
-    for name, inst, prep in instances6:
+    for name, inst, _ in instances6:
         for start_idx in range(10):
             start = [rng.integers(-50, 51, size=n).astype(float) for n in inst.dims]
             t0 = time.perf_counter()
+            prep = game.prepare(inst)
             trace = dynamics.run_br(prep, start=start, max_iters=10_000)
             terminated = trace.outcome in (
                 dynamics.OUTCOME_CYCLE,

@@ -49,6 +49,15 @@ def test_restrict_singleton_sets():
     assert fg.costs.shape == (1, 1, 2)
 
 
+def test_restrict_rejects_non_finite_strategies():
+    inst = instgen.builtin("cycling")
+    sets = dynamics.CycleSets(
+        strategies=((np.array([0.0]),), (np.array([np.nan]),)), joint_profiles=()
+    )
+    with pytest.raises(ValueError):
+        finite.restrict(inst, sets)
+
+
 def test_pne_search(cycling_game, counter_game):
     _, fg_cycling = cycling_game
     _, fg_counter = counter_game

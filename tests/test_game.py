@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,29 @@ def test_objective_dimension_mismatch():
         game.objective(cyc, 0, [1.0, 2.0], [[1.0]])
     with pytest.raises(DimensionMismatch):
         game.objective(cyc, 0, [1.0], [[1.0, 2.0]])
+
+
+def test_objective_rejects_non_finite_opponents():
+    cyc = instgen.builtin("cycling")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            game.objective(cyc, 0, [1.0], [[bad]])
+
+
+def test_coupling_concat_is_derived_from_players():
+    cg = instgen.builtin("counterexample", M=10)
+    for i in range(cg.k):
+        expected = np.hstack([cg.players[i].C[j] for j in cg.opponents(i)])
+        assert np.array_equal(cg.C_cat[i], expected)
+    with pytest.raises(TypeError):
+        game.IcqsInstance(players=cg.players, C_cat=())
+    doubled = tuple(
+        game.PlayerProblem(Q=p.Q, C={j: 2.0 * B for j, B in p.C.items()}, d=p.d)
+        for p in cg.players
+    )
+    replaced = dataclasses.replace(cg, players=doubled)
+    for i in range(cg.k):
+        assert np.array_equal(replaced.C_cat[i], 2.0 * cg.C_cat[i])
 
 
 def test_best_response_examples():
