@@ -52,6 +52,7 @@ from .game import (
     PlayerProblem,
     Prepared,
     best_response,
+    best_responses,
     classify,
     interaction_matrix,
     load_instance,

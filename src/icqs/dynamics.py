@@ -20,6 +20,12 @@ Cycle detection hashes each joint integer profile to its first-seen index, so
 a repeat is found in O(1) per iteration; this is semantically the "equal to
 some earlier iterate" test.
 
+An integer sweep is one `game.best_responses` call, the sweep kernel: the
+players' subproblems of one sweep answer the same previous profile, so they
+are independent, and each group of players of one dimension shares one
+stacked solve and one batched rounding certificate.  The responses are
+bitwise those of one `game.best_response` call per player.
+
 Continuous mode replaces the integer best response with the continuous one,
 turning the sweep into the affine fixed-point iteration whose contraction /
 expansion behaviour mirrors the adequacy classification.
@@ -120,14 +126,6 @@ def continuous_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[
     ]
 
 
-def _integer_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
-    inst = prep.inst
-    return [
-        game.best_response(prep, i, [profile[j] for j in inst.opponents(i)])
-        for i in range(inst.k)
-    ]
-
-
 def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
     """Per-player start vectors checked against the instance; DimensionMismatch
     on a wrong player count or length, a non-finite entry, or an integer-mode
@@ -192,7 +190,7 @@ def run_br(
     for t in range(1, max_iters + 1):
         prev = profiles[-1]
         if mode == INTEGER:
-            nxt = _integer_step(prep, prev)
+            nxt = game.best_responses(prep, prev)
         else:
             nxt = continuous_step(prep, prev)
 

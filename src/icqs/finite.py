@@ -489,12 +489,11 @@ def verify_delta(prep: game.Prepared, fg: FiniteGame, profile: MixedProfile) -> 
     """
     means = mean_strategies(fg, profile)
     exp = expected_costs(fg, profile)
-    dev_costs, dev_vecs, gains = [], [], []
-    for i in range(fg.k):
+    dev_vecs = game.best_responses(prep, means)
+    dev_costs, gains = [], []
+    for i, v in enumerate(dev_vecs):
         others = [means[j] for j in range(fg.k) if j != i]
-        v = game.best_response(prep, i, others)
         cost = game.objective(prep.inst, i, v, others)
-        dev_vecs.append(v)
         dev_costs.append(cost)
         gains.append(float(exp[i]) - cost)
     return DeltaReport(

@@ -26,6 +26,18 @@ radius, a bound) takes the `Prepared` value, whose ``inst`` is the instance;
 the functions that need none (`objective`, `classify`) take the instance.
 The concatenated coupling of each player is part of the instance, derived
 from its players once, when the instance is built.
+
+`best_responses(prep, profile)` is the sweep kernel: every player's integer
+best response to one joint profile.  `prepare` groups the players by
+dimension and stacks each group's factors (`iqp.FactorStack`).  The kernel
+concatenates the profile once and builds each player's linear term
+C_i y + d_i from slices of that joint vector, with the same matvec as a
+one-player call.  It gets u for a whole group from one stacked solve and
+runs the rounding certificate and the proximity postcondition on the group
+as arrays (`iqp.lattice_mins`); only the players the certificate cannot
+answer are enumerated, from that same u.  `best_response(prep, i, others)`
+is the same code for one player, and each response is bitwise the one it
+gives (the argument is in `iqp`).
 """
 
 from __future__ import annotations
@@ -197,12 +209,45 @@ class PreparedPlayer:
 
 
 @dataclass(frozen=True)
+class PlayerGroup:
+    """The players of one dimension, ascending, and their stacked factors;
+    ``labels`` name them in a `ProximityViolation`."""
+
+    players: tuple[int, ...]
+    stack: iqp.FactorStack
+    labels: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class Prepared:
-    """One instance's per-solve data; build it with `prepare`."""
+    """One instance's per-solve data; build it with `prepare`.
+
+    ``groups`` gathers the players by dimension, in order of their first
+    player, and ``slots[i]`` is the range [a, b) of player i's entries in the
+    joint strategy vector; both are derived from ``players``.
+    """
 
     inst: IcqsInstance
     report: AdequacyReport
     players: tuple[PreparedPlayer, ...]
+    groups: tuple[PlayerGroup, ...] = field(init=False, repr=False)
+    slots: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        members: dict[int, list[int]] = {}
+        for i, n in enumerate(self.inst.dims):
+            members.setdefault(n, []).append(i)
+        groups = tuple(
+            PlayerGroup(
+                players=tuple(ps),
+                stack=iqp.FactorStack(tuple(self.players[i].factor for i in ps)),
+                labels=tuple(f"player {i}" for i in ps),
+            )
+            for ps in members.values()
+        )
+        ends = np.cumsum(self.inst.dims).tolist()
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "slots", tuple(zip([0] + ends[:-1], ends)))
 
     def radius(self, prox_variant: str) -> float:
         """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho."""
@@ -234,27 +279,38 @@ def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Pre
     return Prepared(inst=inst, report=classify(inst), players=tuple(players))
 
 
+def _concat(inst: IcqsInstance, players: Sequence[int], vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors of ``players``, one each in that order, as one float64 vector."""
+    dims = inst.dims
+    parts = []
+    for j, vec in zip(players, vectors):
+        v = np.asarray(vec, dtype=np.float64).ravel()
+        if v.shape[0] != dims[j]:
+            raise DimensionMismatch(
+                f"player {j} vector has length {v.shape[0]}, expected {dims[j]}"
+            )
+        parts.append(v)
+    return np.concatenate(parts)
+
+
 def _others_concat(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
     opp = inst.opponents(i)
     if len(others) != len(opp):
         raise DimensionMismatch(
             f"player {i} has {len(opp)} opponents, got {len(others)} vectors"
         )
-    parts = []
-    for j, vec in zip(opp, others):
-        v = np.asarray(vec, dtype=np.float64).ravel()
-        if v.shape[0] != inst.dims[j]:
-            raise DimensionMismatch(
-                f"opponent {j} vector has length {v.shape[0]}, expected {inst.dims[j]}"
-            )
-        parts.append(v)
-    return np.concatenate(parts)
+    return _concat(inst, opp, others)
+
+
+def _linear_term(inst: IcqsInstance, i: int, y: np.ndarray) -> np.ndarray:
+    """C_i y + d_i for the joint opponent strategy y; not checked for
+    finiteness."""
+    return inst.C_cat[i] @ y + inst.players[i].d
 
 
 def _quadratic(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> iqp.Quadratic:
-    """Player i's quadratic with linear term C_i y + d_i, y the opponents'
-    strategies; the linear term is not checked for finiteness."""
-    d = inst.C_cat[i] @ _others_concat(inst, i, others) + inst.players[i].d
+    """Player i's quadratic against the opponents' strategies."""
+    d = _linear_term(inst, i, _others_concat(inst, i, others))
     return iqp.Quadratic.trusted(inst.players[i].Q, d)
 
 
@@ -288,16 +344,47 @@ def objective(
     return q.value(own)
 
 
+def best_responses(prep: Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Every player's integer best response to the joint ``profile``, one
+    vector per player: one Jacobi sweep.
+
+    Real entries are allowed, as for `best_response`.  Per group of players
+    of one dimension, the continuous minimizers come from one stacked solve
+    and the rounding certificate and proximity postcondition run on the
+    whole group (`iqp.lattice_mins`); only the players the certificate cannot
+    answer are enumerated.  Each response is bitwise the one `best_response`
+    gives the same player.
+    """
+    inst = prep.inst
+    if len(profile) != inst.k:
+        raise DimensionMismatch(f"profile has {len(profile)} players, expected {inst.k}")
+    z = _concat(inst, range(inst.k), profile)
+    out: list = [None] * inst.k
+    for g in prep.groups:
+        ys = [np.concatenate((z[:a], z[b:])) for a, b in (prep.slots[i] for i in g.players)]
+        for i, v in zip(g.players, _responses(inst, g, ys)):
+            out[i] = v
+    return out
+
+
 def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
     """Integer best response of player i to the opponents' (mean) strategies.
 
+    ``others`` holds one vector per opponent in ascending player order.
     Deterministic: co-optimal responses resolve to the lexicographically
-    smallest vector.
+    smallest vector.  This is `best_responses` for one player.
     """
-    v, _ = iqp.integer_min(
-        effective_quadratic(prep, i, others), factor=prep.players[i].factor
-    )
-    return v
+    alone = PlayerGroup((i,), iqp.FactorStack((prep.players[i].factor,)), (f"player {i}",))
+    return _responses(prep.inst, alone, [_others_concat(prep.inst, i, others)])[0]
+
+
+def _responses(inst: IcqsInstance, group: PlayerGroup, ys: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The integer best response of each player of ``group``, in its order,
+    to the joint opponent strategy in ``ys``."""
+    D = np.array([_linear_term(inst, i, y) for i, y in zip(group.players, ys)])
+    V = iqp.lattice_mins(group.stack, group.stack.continuous_mins(D), labels=group.labels)
+    # one array per response: row views would keep V alive in every trace
+    return [v.copy() for v in V]
 
 
 def continuous_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:

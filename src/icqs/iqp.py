@@ -13,8 +13,31 @@ exact, and fast at the dimensions used here (n <= ~25).
 Everything that depends on Q alone (its Cholesky factor, eigenvalue extremes
 and proximity data) is gathered in a `Factor`, built by `factorize`.  A
 caller that minimizes against the same Q many times, like a best-response
-loop where only d moves, builds the factor once and passes it to
-`integer_min`; nothing is cached between calls.
+loop where only d moves, builds the factor once; nothing is cached between
+calls.
+
+Minimization is split in two: the continuous minimizer u, then the integer
+minimizer given u and the factor (`lattice_mins`).  Both work on a
+`FactorStack`, the factors of several Qs of one dimension stacked row by
+row, with one u per row: `FactorStack.continuous_mins` gives every row's u
+from one stacked solve pair, and `lattice_mins` runs the rounding
+certificate and the proximity postcondition on all rows as arrays and
+enumerates only the rows the certificate cannot answer.  A best-response
+sweep (`game.best_responses`) calls them once per group of players of one
+dimension; `integer_min(q)` is the same code on a stack of one.
+
+Each row's result is bitwise the one a stack of one gives, and the one a
+search run entirely in numpy scalars gives.  numpy's stacked `solve` calls
+LAPACK's gesv once per matrix, exactly as a single call does.  The
+enumeration keeps its per-node state in Python floats, which perform the
+same IEEE operations as numpy scalars, and `round` rounds half to even as
+`np.rint` does; x - u stays one numpy vector, so each row's partial dot is
+the same BLAS ddot on the same operands.  The enumeration starts from the rounded point's excess
+computed row by row, in the association order of its own partial sums, so
+exact ties stay exact.  The certificate's batched excess may differ from
+that one in its last bits, but it only decides whether rint(u) is returned
+without a search, and it passes only 0.1% below the energy of every other
+lattice point, where the search returns rint(u) as well.
 
 The module also provides the closed-form proximity data for Q: an upper bound
 on how far the integer minimizer can sit from u (uniform over all d), and the
@@ -26,7 +49,7 @@ flatness-based distance bound understates the true worst case (which is
 sqrt(n)/2 there, attained with u at a cube center), so `guarantee_prox`
 returns the larger of the two whenever the exact value is known, while
 `prox_bound` reports the plain flatness formula.  The postcondition of
-`integer_min` always checks the proven-rule radius and gap, whatever rule
+`lattice_mins` always checks the proven-rule radius and gap, whatever rule
 the caller reports bounds under, and raises `ProximityViolation` if the
 returned minimizer breaks them.
 """
@@ -35,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -97,8 +121,8 @@ class Quadratic:
         already validated.
 
         Nothing is checked: ``d`` must be a finite float64 vector of Q's
-        length.  Best-response loops build one per call and pay for Q's
-        validation once.
+        length.  `game.objective` and the continuous responses build one per
+        call and pay for Q's validation once.
         """
         q = object.__new__(cls)
         object.__setattr__(q, "Q", Q)
@@ -225,6 +249,39 @@ def factorize(Q: np.ndarray) -> Factor:
     )
 
 
+@dataclass(frozen=True)
+class FactorStack:
+    """The factors of m matrices Q of one dimension n, stacked row by row.
+
+    Row r of every array belongs to ``factors[r]``: the lower Cholesky
+    factors ``L`` and their transposes ``G`` (m x n x n), and the smallest
+    eigenvalue, proven proximity radius and gap bound of each (length m).
+    """
+
+    factors: tuple[Factor, ...]
+    L: np.ndarray = field(init=False)
+    G: np.ndarray = field(init=False)
+    lambda_min: np.ndarray = field(init=False)
+    radius: np.ndarray = field(init=False)
+    gap: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        fs = self.factors
+        object.__setattr__(self, "L", np.stack([f.L for f in fs]))
+        object.__setattr__(self, "G", np.stack([f.G for f in fs]))
+        object.__setattr__(self, "lambda_min", np.array([f.lambda_min for f in fs]))
+        object.__setattr__(self, "radius", np.array([f.radius for f in fs]))
+        object.__setattr__(self, "gap", np.array([f.gap for f in fs]))
+
+    def continuous_mins(self, D: np.ndarray) -> np.ndarray:
+        """Row r: the minimizer -Q_r^{-1} D[r] of 0.5 x'Q_r x + D[r]'x.
+
+        One stacked solve pair; numpy runs LAPACK's gesv once per matrix, as
+        `continuous_min` does for one, so each row is bitwise the same.
+        """
+        return np.linalg.solve(self.G, np.linalg.solve(self.L, -D[:, :, None]))[:, :, 0]
+
+
 def continuous_min(q: Quadratic, factor: Factor | None = None) -> np.ndarray:
     """The unconstrained minimizer u = -Q^{-1} d."""
     L = factor.L if factor is not None else cholesky(q.Q)
@@ -253,15 +310,6 @@ def guarantee_obj_gap(q: Quadratic) -> float:
     return factorize(q.Q).guarantee_obj_gap()
 
 
-def _zigzag(center: float, k: int, base: float, direction: float) -> float:
-    # k-th candidate around `center`: base, base+dir, base-dir, base+2*dir, ...
-    if k == 0:
-        return base
-    if k % 2 == 1:
-        return base + direction * ((k + 1) // 2)
-    return base - direction * (k // 2)
-
-
 def integer_min(
     q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET, factor: Factor | None = None
 ) -> tuple[np.ndarray, float]:
@@ -269,66 +317,99 @@ def integer_min(
 
     ``factor`` is ``factorize(q.Q)``; a caller that minimizes against the same
     Q repeatedly passes it so that Q is factored once, not on every call.
-    Ties between co-optimal lattice points are broken toward the
-    lexicographically smallest vector so repeated runs (and cycle detection
-    built on them) are reproducible.  Raises EnumerationBudgetExceeded when
-    the search tree outgrows ``node_budget``, which at desk scale only happens
-    for pathologically conditioned Q, and ProximityViolation if the result
-    breaks the proven proximity radius or gap bound.
+    This is `lattice_mins` on a stack of one.  Ties between co-optimal
+    lattice points are broken toward the lexicographically smallest vector
+    so repeated runs (and cycle detection built on them) are reproducible.
+    Raises EnumerationBudgetExceeded when the search tree outgrows
+    ``node_budget``, which at desk scale only happens for pathologically
+    conditioned Q, and ProximityViolation if the result breaks the proven
+    proximity radius or gap bound.
     """
-    if factor is None:
-        factor = factorize(q.Q)
-    n = q.n
-    u = solve_with_factor(factor.L, -q.d)
+    stack = FactorStack((factor if factor is not None else factorize(q.Q),))
+    v = lattice_mins(stack, stack.continuous_mins(q.d[None]), node_budget)[0]
+    return v, q.value(v)
+
+
+def lattice_mins(
+    stack: FactorStack,
+    U: np.ndarray,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    labels: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Integer minimizer of each row's quadratic, given its continuous
+    minimizer ``U[r]`` and its factor ``stack.factors[r]``.
+
+    The rounding certificate runs on all rows at once; only the rows it
+    cannot answer are enumerated, one at a time.  The proximity
+    postcondition then runs on all rows at once and raises
+    ProximityViolation for the first row that breaks it, named by
+    ``labels[r]`` when given.
+    """
+    X = np.rint(U)
+    W = X - U
+    # Row j of G(x - u) holds G[j, j:] @ w[j:]: G = L' is upper triangular.
+    T = np.matmul(stack.G, W[:, :, None])[:, :, 0]
+    excess = 0.5 * np.einsum("rj,rj->r", T, T)
+    # The rounded point is certifiably the unique optimum when its excess is
+    # below the energy any other lattice point must pay in the softest
+    # direction of Q.
+    max_frac = np.abs(W).max(axis=1)
+    guard = 0.5 * stack.lambda_min * (1.0 - max_frac) ** 2
+    for r in (~((max_frac < 0.5) & (excess < 0.999 * guard))).nonzero()[0]:
+        X[r], excess[r] = _enumerate(stack.factors[r], U[r], node_budget)
+    _check_proximity(stack, U, X, excess, labels)
+    return X.astype(np.int64)
+
+
+def _enumerate(factor: Factor, u: np.ndarray, node_budget: int) -> tuple[list[float], float]:
+    """Zig-zag depth-first search for the integer minimizer around ``u``:
+    the minimizer and its excess energy 0.5*||G(x - u)||^2.
+
+    The per-node state lives in Python floats and lists, which perform the
+    same IEEE operations as numpy scalars; x - u stays one numpy vector so
+    that each row's partial dot is the same BLAS call on the same operands.
+    """
+    n = factor.n
     G = factor.G
-    gdiag = factor.gdiag
+    gdiag = factor.gdiag.tolist()
+    us = u.tolist()
 
     inc = np.rint(u)
-    # Excess energy 0.5*||G(x-u)||^2 accumulated row by row, matching the
-    # association order of the DFS partial sums so exact ties stay exact.
+    # Excess energy accumulated row by row, matching the association order of
+    # the search's partial sums so exact ties stay exact.
     w = inc - u
     best_excess = 0.0
     for j in range(n - 1, -1, -1):
         best_excess += 0.5 * float(G[j, j:] @ w[j:]) ** 2
-    best_vec = inc.copy()
+    best = inc.tolist()
 
-    # Rounded point is certifiably the unique optimum when its excess is
-    # below the energy any other lattice point must pay in the softest
-    # direction of Q.
-    max_frac = float(np.max(np.abs(w))) if n else 0.0
-    if max_frac < 0.5:
-        guard = 0.5 * factor.lambda_min * (1.0 - max_frac) ** 2
-        if best_excess < 0.999 * guard:
-            v = best_vec.astype(np.int64)
-            _check_proximity(factor, u, best_vec, best_excess)
-            return v, q.value(best_vec)
-
-    x = np.zeros(n, dtype=np.float64)
-    centers = np.zeros(n, dtype=np.float64)
-    bases = np.zeros(n, dtype=np.float64)
-    dirs = np.zeros(n, dtype=np.float64)
-    ctr = np.zeros(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=np.float64)  # acc[j]: cost of rows j+1..n-1
-
-    def enter(j: int) -> None:
-        if j == n - 1:
-            t = 0.0
-        else:
-            t = float(G[j, j + 1 :] @ (x[j + 1 :] - u[j + 1 :]))
-        c = u[j] - t / gdiag[j]
-        centers[j] = c
-        bases[j] = np.rint(c)
-        dirs[j] = 1.0 if c >= bases[j] else -1.0
-        ctr[j] = 0
+    xu = np.zeros(n)  # x - u on the coordinates fixed so far
+    rows = [G[j, j + 1 :] for j in range(n)]
+    tails = [xu[j + 1 :] for j in range(n)]
+    x = [0.0] * n
+    centers = [0.0] * n
+    bases = [0.0] * n
+    dirs = [0.0] * n
+    ctr = [0] * n
+    acc = [0.0] * n  # acc[j]: cost of rows j+1..n-1
 
     nodes = 0
     j = n - 1
-    acc[j] = 0.0
-    enter(j)
+    # Entering a level: its conditional center c, the nearest integer (half
+    # to even, as np.rint) and the side of c the zig-zag tries first.
+    c = us[j]
+    b = float(round(c))
+    centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
     while True:
-        cand = _zigzag(centers[j], int(ctr[j]), bases[j], dirs[j])
-        row_cost = 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
-        total = acc[j] + row_cost
+        # k-th candidate around the center: base, base+dir, base-dir, ...
+        k = ctr[j]
+        if k == 0:
+            cand = bases[j]
+        elif k % 2 == 1:
+            cand = bases[j] + dirs[j] * ((k + 1) // 2)
+        else:
+            cand = bases[j] - dirs[j] * (k // 2)
+        total = acc[j] + 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
         if total > best_excess:
             # zig-zag order is monotone in |cand - center|: level exhausted
             j += 1
@@ -343,42 +424,47 @@ def integer_min(
             )
         x[j] = cand
         if j == 0:
-            if total < best_excess or (
-                total == best_excess and _lex_less(x, best_vec)
-            ):
+            if total < best_excess or (total == best_excess and x < best):
                 best_excess = total
-                best_vec = x.copy()
+                best = x.copy()
             ctr[0] += 1
         else:
+            xu[j] = cand - us[j]
             acc[j - 1] = total
             j -= 1
-            enter(j)
-
-    _check_proximity(factor, u, best_vec, best_excess)
-    return best_vec.astype(np.int64), q.value(best_vec)
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for ai, bi in zip(a, b):
-        if ai != bi:
-            return ai < bi
-    return False
+            c = us[j] - float(rows[j] @ tails[j]) / gdiag[j]
+            b = float(round(c))
+            centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
+    return best, best_excess
 
 
-def _check_proximity(factor: Factor, u: np.ndarray, v: np.ndarray, excess: float) -> None:
-    # Postcondition guard: the returned minimizer must respect the proximity
-    # radius and objective-gap bound that are provable for this Q.  ``excess``
+def _check_proximity(
+    stack: FactorStack,
+    U: np.ndarray,
+    V: np.ndarray,
+    excess: np.ndarray,
+    labels: Sequence[str] | None,
+) -> None:
+    # Postcondition guard: each returned minimizer must respect the proximity
+    # radius and objective-gap bound that are provable for its Q.  ``excess``
     # is the gap computed in the translated frame 0.5||L'(v-u)||^2, which
     # stays accurate where f(v) - f(u) would cancel catastrophically.
-    dist = float(np.linalg.norm(v - u))
-    slack = 1e-9 * max(1.0, float(np.abs(u).max()))
-    if dist > factor.radius * (1.0 + 1e-9) + slack:
+    E = V - U
+    dist = np.sqrt(np.einsum("rj,rj->r", E, E))
+    slack = 1e-9 * np.maximum(1.0, np.abs(U).max(axis=1))
+    far = dist > stack.radius * (1.0 + 1e-9) + slack
+    high = excess > stack.gap * (1.0 + 1e-9) + slack
+    bad = (far | high).nonzero()[0]
+    if bad.size:
+        r = bad[0]
+        who = f"{labels[r]}: " if labels is not None else ""
+        if far[r]:
+            raise ProximityViolation(
+                f"{who}integer minimizer at distance {dist[r]:.6g} exceeds "
+                f"proximity radius {stack.radius[r]:.6g}"
+            )
         raise ProximityViolation(
-            f"integer minimizer at distance {dist:.6g} exceeds proximity radius {factor.radius:.6g}"
-        )
-    if excess > factor.gap * (1.0 + 1e-9) + slack:
-        raise ProximityViolation(
-            f"objective gap {excess:.6g} exceeds bound {factor.gap:.6g}"
+            f"{who}objective gap {excess[r]:.6g} exceeds bound {stack.gap[r]:.6g}"
         )
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from _corpus import instance_corpus
 from icqs import game, instgen, iqp, linalg
-from icqs.errors import DimensionMismatch, NotPositiveDefinite, OracleBudgetExceeded
+from icqs.errors import DimensionMismatch, NotPositiveDefinite, OracleBudgetExceeded, ProximityViolation
 
 
 def test_make_instance_validates_pd_and_blocks():
@@ -199,14 +200,24 @@ def reference_quadratic(inst, i, others):
 
 def test_prepared_best_response_matches_reference_and_oracle():
     # half-integer opponent vectors, as mixed means produce them; the
-    # prepared path must reproduce the unprepared kernel bit for bit
+    # prepared path must reproduce the unprepared kernel bit for bit, and
+    # the sweep kernel must give every player of a joint half-integer
+    # profile that same response
     rng = np.random.default_rng(31)
+    joint_rng = np.random.default_rng(37)
     cases = instance_corpus()
     cases += [(name, instgen.builtin(name)) for name in ("cycling", "example1")]
     cases.append(("counterexample", instgen.builtin("counterexample", M=10)))
     draws = oracle_checked = split_ties = 0
     for name, inst in cases:
         prep = game.prepare(inst)
+        for _ in range(2):
+            profile = [joint_rng.integers(-12, 13, size=n) / 2.0 for n in inst.dims]
+            sweep = game.best_responses(prep, profile)
+            for i in range(inst.k):
+                others = [profile[j] for j in inst.opponents(i)]
+                ref, _ = iqp.integer_min(reference_quadratic(inst, i, others))
+                assert sweep[i].dtype == ref.dtype and np.array_equal(sweep[i], ref), (name, i, profile)
         for i in range(inst.k):
             for _ in range(2):
                 others = [rng.integers(-12, 13, size=inst.dims[j]) / 2.0 for j in inst.opponents(i)]
@@ -242,6 +253,30 @@ def test_prepared_best_response_matches_reference_and_oracle():
         assert iqp.continuous_min(q).tolist() == [0.5]
         v = game.best_response(prep, i, [[-0.5]])
         assert v.tolist() == [0] == iqp.brute_force_min(q)[0].tolist()
+
+
+def test_sweep_kernel_raises_proximity_violation_for_the_broken_player():
+    # player 1 of a (3, 5, 5) instance shares its group with player 2; with
+    # its proven radius or gap shrunk to zero, the sweep must raise for it,
+    # as the one-player call does, and the other players stay unaffected
+    inst = dict(instance_corpus())["pricing-3p-0"]
+    prep = game.prepare(inst)
+    profile = [np.full(n, 0.5) for n in inst.dims]
+    assert len(game.best_responses(prep, profile)) == 3
+    others = [[profile[j] for j in inst.opponents(i)] for i in range(inst.k)]
+    for bound in ("radius", "gap"):
+        broken = copy.copy(prep.players[1].factor)
+        object.__setattr__(broken, bound, 0.0)
+        players = list(prep.players)
+        players[1] = dataclasses.replace(players[1], factor=broken)
+        bad = dataclasses.replace(prep, players=tuple(players))
+        with pytest.raises(ProximityViolation, match="^player 1: ") as one:
+            game.best_response(bad, 1, others[1])
+        with pytest.raises(ProximityViolation) as sweep:
+            game.best_responses(bad, profile)
+        assert str(sweep.value) == str(one.value)
+        for i in (0, 2):
+            game.best_response(bad, i, others[i])
 
 
 def test_prepare_holds_one_report_and_per_player_data():

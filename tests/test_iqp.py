@@ -168,3 +168,76 @@ def test_set_flatness_rule_flows_through_prox():
     assert iqp.prox_bound(q).prox_value == baseline
     with pytest.raises(ValueError):
         iqp.FlatnessRule(coeff=0.0, exponent=1.0)
+
+
+def _numpy_scalar_search(q):
+    """The rounding certificate and the zig-zag search with every per-node
+    value a numpy array entry or scalar: the form whose results the batched
+    certificate and the Python-float search must reproduce bit for bit."""
+    f = iqp.factorize(q.Q)
+    n, G, gdiag = q.n, f.G, f.gdiag
+    u = np.linalg.solve(f.L.T, np.linalg.solve(f.L, -q.d))
+    inc = np.rint(u)
+    w = inc - u
+    best_excess = 0.0
+    for j in range(n - 1, -1, -1):
+        best_excess += 0.5 * float(G[j, j:] @ w[j:]) ** 2
+    best_vec = inc.copy()
+    max_frac = float(np.max(np.abs(w)))
+    if max_frac < 0.5 and best_excess < 0.999 * 0.5 * f.lambda_min * (1.0 - max_frac) ** 2:
+        return best_vec.astype(np.int64)
+    x, centers, bases, dirs, acc = (np.zeros(n) for _ in range(5))
+    ctr = np.zeros(n, dtype=np.int64)
+
+    def enter(j):
+        t = 0.0 if j == n - 1 else float(G[j, j + 1 :] @ (x[j + 1 :] - u[j + 1 :]))
+        centers[j] = u[j] - t / gdiag[j]
+        bases[j] = np.rint(centers[j])
+        dirs[j] = 1.0 if centers[j] >= bases[j] else -1.0
+        ctr[j] = 0
+
+    j = n - 1
+    enter(j)
+    while True:
+        k = int(ctr[j])
+        step = 0 if k == 0 else ((k + 1) // 2 if k % 2 else -(k // 2))
+        cand = bases[j] + dirs[j] * step
+        total = acc[j] + 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
+        if total > best_excess:
+            j += 1
+            if j == n:
+                return best_vec.astype(np.int64)
+            ctr[j] += 1
+            continue
+        x[j] = cand
+        if j == 0:
+            if total < best_excess or (total == best_excess and list(x) < list(best_vec)):
+                best_excess, best_vec = total, x.copy()
+            ctr[0] += 1
+        else:
+            acc[j - 1] = total
+            j -= 1
+            enter(j)
+
+
+def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
+    # random quadratics, and small integer Qs with half-integer minimizers,
+    # whose co-optimal points tie exactly; one at a time and stacked by
+    # dimension, the results must be bitwise the reference's
+    rng = np.random.default_rng(17)
+    cases = quadratic_corpus(seed=23, count=120, dims=(1, 2, 3, 5, 8), cond=1e3)
+    for n in (1, 2, 3, 4):
+        for _ in range(25):
+            A = rng.integers(-1, 2, size=(n, n)).astype(np.float64)
+            Q = A @ A.T + rng.integers(1, 3) * np.eye(n)
+            cases.append(iqp.Quadratic(Q, -Q @ (rng.integers(-6, 7, size=n) / 2.0)))
+    by_dim: dict[int, list] = {}
+    for q in cases:
+        ref = _numpy_scalar_search(q)
+        v, _ = iqp.integer_min(q)
+        assert v.dtype == np.int64 and np.array_equal(v, ref), (q.Q, q.d)
+        by_dim.setdefault(q.n, []).append((q, ref))
+    for group in by_dim.values():
+        stack = iqp.FactorStack(tuple(iqp.factorize(q.Q) for q, _ in group))
+        U = stack.continuous_mins(np.array([q.d for q, _ in group]))
+        assert np.array_equal(iqp.lattice_mins(stack, U), np.array([ref for _, ref in group]))
