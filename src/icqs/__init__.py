@@ -1,8 +1,9 @@
 """Solver toolkit for integer convex quadratic simultaneous games.
 
 Pipeline: build or load an instance (`game`, `instgen`), prepare it once
-per solve (`game.prepare`: the classification of its interaction matrices
-and every player's factored Q_i), run certified best-response iteration
+per solve (`game.prepare`: every player's Q_i factored once, and the
+classification of the interaction matrices from those factors), run
+certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
 (`finite.verify_delta`, `bounds`).  Every stage that needs a factor takes

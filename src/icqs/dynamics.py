@@ -20,15 +20,23 @@ Cycle detection hashes each joint integer profile to its first-seen index, so
 a repeat is found in O(1) per iteration; this is semantically the "equal to
 some earlier iterate" test.
 
-An integer sweep is one `game.best_responses` call, the sweep kernel: the
-players' subproblems of one sweep answer the same previous profile, so they
-are independent, and each group of players of one dimension shares one
-stacked solve and one batched rounding certificate.  The responses are
-bitwise those of one `game.best_response` call per player.
+`run_br` iterates one joint strategy vector.  An integer sweep is one
+`game.integer_sweep` call, the sweep kernel: the players' subproblems of one
+sweep answer the same previous profile, so they are independent, and each
+group of players of one dimension shares one stacked matvec, one stacked
+solve and one batched rounding certificate.  The kernel takes the joint
+float64 vector and returns the joint int64 response, whose bytes are the
+cycle key.  The norms are taken per player on slices of the joint vector,
+with the same per-player dot products and the same Python sum as
+`_joint_norm` on separate vectors, and the trace keeps one copy of each
+player's entries per sweep.  Trace, norms and outcome are bitwise those of
+one `game.best_response` call per player and sweep.
 
-Continuous mode replaces the integer best response with the continuous one,
+Continuous mode replaces the integer best response with the continuous one
+(`game.continuous_sweep`, the same gather, matvec and stacked solve),
 turning the sweep into the affine fixed-point iteration whose contraction /
-expansion behaviour mirrors the adequacy classification.
+expansion behaviour mirrors the adequacy classification; `continuous_step`
+is one such sweep on a per-player profile.
 
 `run_br`, the sweeps and the radii take the solve's `game.Prepared` value,
 whose ``inst`` is the instance they run on.
@@ -113,17 +121,9 @@ def _joint_norm(profile: Sequence[np.ndarray]) -> float:
     )
 
 
-def _profile_key(profile: Sequence[np.ndarray]) -> bytes:
-    return np.concatenate([np.asarray(x, dtype=np.int64) for x in profile]).tobytes()
-
-
 def continuous_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
     """One Jacobi sweep of continuous best responses."""
-    inst = prep.inst
-    return [
-        game.continuous_response(prep, i, [profile[j] for j in inst.opponents(i)])
-        for i in range(inst.k)
-    ]
+    return list(prep.split(game.continuous_sweep(prep, game.joint_vector(prep.inst, profile))))
 
 
 def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
@@ -175,11 +175,14 @@ def run_br(
         raise ValueError(f"unknown mode {mode!r}")
 
     current = validate_start(prep.inst, start, mode)
+    integer = mode == INTEGER
+    sweep = game.integer_sweep if integer else game.continuous_sweep
+    slots = [slice(a, b) for a, b in prep.slots]
+    z = np.concatenate(current)
+    zf = z.astype(np.float64)
     profiles = [tuple(current)]
-    norms = [_joint_norm(current)]
-    seen: dict[bytes, int] = {}
-    if mode == INTEGER:
-        seen[_profile_key(current)] = 0
+    norms = [_joint_norm([zf[s] for s in slots])]
+    seen: dict[bytes, int] = {z.tobytes(): 0} if integer else {}
 
     div_radius = divergence_radius(prep)
     latch: int | None = None
@@ -188,17 +191,13 @@ def run_br(
     cycle_start = cycle_repeat = fixed_index = None
 
     for t in range(1, max_iters + 1):
-        prev = profiles[-1]
-        if mode == INTEGER:
-            nxt = game.best_responses(prep, prev)
-        else:
-            nxt = continuous_step(prep, prev)
+        z = sweep(prep, zf)
+        profiles.append(prep.split(z))
+        prev, zf = zf, (z.astype(np.float64) if integer else z)
+        norms.append(_joint_norm([zf[s] for s in slots]))
 
-        profiles.append(tuple(nxt))
-        norms.append(_joint_norm(nxt))
-
-        if mode == INTEGER:
-            key = _profile_key(nxt)
+        if integer:
+            key = z.tobytes()
             first = seen.get(key)
             if first is not None:
                 if first == t - 1:
@@ -208,9 +207,7 @@ def run_br(
                 break
             seen[key] = t
         else:
-            step = math.sqrt(
-                sum(float(np.sum((a - b) ** 2)) for a, b in zip(nxt, prev))
-            )
+            step = math.sqrt(sum(float(np.sum((zf[s] - prev[s]) ** 2)) for s in slots))
             if step < FP_TOLERANCE:
                 outcome, fixed_index = OUTCOME_FIXED_POINT, t
                 break

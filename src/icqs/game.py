@@ -18,26 +18,34 @@ function, so instances can be shared and evaluated in parallel freely.
 Best-response iteration solves each player's integer quadratic over and over
 with only the linear term C_i y + d_i moving, so everything that depends on
 Q_i alone is per-solve data.  `prepare` gathers it once per solve into a
-`Prepared` value: the adequacy report, and per player the validated Q_i with
-its Cholesky factor, eigenvalue extremes and proven proximity bounds
-(`iqp.Factor`) and the proximity radius of each variant under the solve's
-flatness rule.  Every function that needs a factor (a best response, a
-radius, a bound) takes the `Prepared` value, whose ``inst`` is the instance;
-the functions that need none (`objective`, `classify`) take the instance.
-The concatenated coupling of each player is part of the instance, derived
-from its players once, when the instance is built.
+`Prepared` value: per player, Q_i's one Cholesky factorization with the data
+derived from it (`iqp.Factor`) and the proximity radius of each variant
+under the solve's flatness rule, and the adequacy report, which `classify`
+computes from those same factors.  Q_i itself was validated once, by
+`make_instance`.  Every function that needs a factor (a best response, a
+radius, a bound) takes the `Prepared` value, whose ``inst`` is the
+instance; the functions that need none (`objective`, `classify`) take the
+instance.  The concatenated coupling of each player is part of the
+instance, derived from its players once, when the instance is built.
 
-`best_responses(prep, profile)` is the sweep kernel: every player's integer
-best response to one joint profile.  `prepare` groups the players by
-dimension and stacks each group's factors (`iqp.FactorStack`).  The kernel
-concatenates the profile once and builds each player's linear term
-C_i y + d_i from slices of that joint vector, with the same matvec as a
-one-player call.  It gets u for a whole group from one stacked solve and
+`integer_sweep(prep, z)` is the sweep kernel: every player's integer best
+response to the joint float64 strategy vector z, returned as one joint int64
+vector, with nothing checked.  `prepare` groups the players by dimension
+(`PlayerGroup`) and stacks, once per solve, what the kernel reads of each
+group: the factors and the certificate and postcondition constants
+(`iqp.FactorStack`), an index that gathers each player's opponents from z,
+the concatenated couplings and the linear terms.  Per group, the kernel
+forms every linear term C_i y + d_i with one stacked matvec, which gives
+each row bitwise the one-player matvec, gets u from one stacked solve, and
 runs the rounding certificate and the proximity postcondition on the group
 as arrays (`iqp.lattice_mins`); only the players the certificate cannot
-answer are enumerated, from that same u.  `best_response(prep, i, others)`
-is the same code for one player, and each response is bitwise the one it
-gives (the argument is in `iqp`).
+answer are enumerated, from that same u.  `continuous_sweep` is the same
+gather, matvec and solve without the rounding.  `best_responses(prep,
+profile)` is the checked wrapper: it validates the per-player vectors,
+joins them and splits the answer into one array per player.
+`best_response(prep, i, others)` runs the certificate and search on a
+stack of one from the one-player linear term, and each sweep response is
+bitwise the one it gives (the argument is in `iqp`).
 """
 
 from __future__ import annotations
@@ -164,15 +172,21 @@ class AdequacyReport:
         return min(self.sigma_min)
 
 
-def classify(inst: IcqsInstance) -> AdequacyReport:
+def classify(inst: IcqsInstance, Ls: Sequence[np.ndarray] | None = None) -> AdequacyReport:
     """Adequacy classification from the interaction matrices' singular values.
 
     Strict inequalities with an epsilon margin; singular values numerically
-    equal to one land in NEITHER rather than being misclassified.
+    equal to one land in NEITHER rather than being misclassified.  ``Ls``
+    are the lower Cholesky factors of the Q_i: `prepare` passes the ones it
+    holds, and without them (`icqs classify`, `instgen`) each Q_i is factored
+    here.  Either way R_i comes from the same factor and the same two solves
+    as in `interaction_matrix`, so the singular values are bitwise the same.
     """
+    if Ls is None:
+        Ls = [linalg.cholesky(p.Q) for p in inst.players]
     smax, smin = [], []
-    for i in range(inst.k):
-        sv = linalg.singular_values(interaction_matrix(inst, i))
+    for L, C in zip(Ls, inst.C_cat):
+        sv = linalg.singular_values(linalg.solve_with_factor(L, C))
         smax.append(float(sv[0]))
         smin.append(float(sv[-1]))
     overall_max = max(smax)
@@ -210,12 +224,33 @@ class PreparedPlayer:
 
 @dataclass(frozen=True)
 class PlayerGroup:
-    """The players of one dimension, ascending, and their stacked factors;
-    ``labels`` name them in a `ProximityViolation`."""
+    """The players of one dimension n, ascending, with their stacked factors
+    and the stacked arrays one sweep reads.
+
+    Row r belongs to player ``players[r]``: ``own[r]`` indexes its entries in
+    the joint strategy vector and ``gather[r]`` its opponents' entries in
+    ascending order, ``C[r]`` is its concatenated coupling and ``d[r]`` its
+    linear term.  ``labels`` name the players in a `ProximityViolation`.
+    """
 
     players: tuple[int, ...]
     stack: iqp.FactorStack
     labels: tuple[str, ...]
+    own: np.ndarray
+    gather: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
+
+    def continuous_mins(self, z: np.ndarray) -> np.ndarray:
+        """Row r: player ``players[r]``'s continuous best response
+        -Q_i^{-1} (C_i y + d_i) to the joint vector ``z``.
+
+        The stacked matvec gives each row bitwise the linear term the
+        one-player matvec ``C_cat[i] @ y + d_i`` gives, and the stacked
+        solve each row's one-player solve (see `iqp.FactorStack`).
+        """
+        D = np.matmul(self.C, z[self.gather][:, :, None])[:, :, 0] + self.d
+        return self.stack.continuous_mins(D)
 
 
 @dataclass(frozen=True)
@@ -224,7 +259,7 @@ class Prepared:
 
     ``groups`` gathers the players by dimension, in order of their first
     player, and ``slots[i]`` is the range [a, b) of player i's entries in the
-    joint strategy vector; both are derived from ``players``.
+    joint strategy vector; both are derived from ``inst`` and ``players``.
     """
 
     inst: IcqsInstance
@@ -234,20 +269,33 @@ class Prepared:
     slots: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        inst = self.inst
+        ends = np.cumsum(inst.dims).tolist()
+        slots = tuple(zip([0] + ends[:-1], ends))
+        index = np.arange(ends[-1])
         members: dict[int, list[int]] = {}
-        for i, n in enumerate(self.inst.dims):
+        for i, n in enumerate(inst.dims):
             members.setdefault(n, []).append(i)
         groups = tuple(
             PlayerGroup(
                 players=tuple(ps),
                 stack=iqp.FactorStack(tuple(self.players[i].factor for i in ps)),
                 labels=tuple(f"player {i}" for i in ps),
+                own=np.array([index[a:b] for a, b in (slots[i] for i in ps)]),
+                gather=np.array(
+                    [np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)]
+                ),
+                C=np.stack([inst.C_cat[i] for i in ps]),
+                d=np.stack([inst.players[i].d for i in ps]),
             )
             for ps in members.values()
         )
-        ends = np.cumsum(self.inst.dims).tolist()
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "slots", tuple(zip([0] + ends[:-1], ends)))
+        object.__setattr__(self, "slots", slots)
+
+    def split(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each player's entries of the joint vector ``z``, as its own array."""
+        return tuple(z[a:b].copy() for a, b in self.slots)
 
     def radius(self, prox_variant: str) -> float:
         """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho."""
@@ -262,7 +310,8 @@ class Prepared:
 
 
 def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
-    """Classify ``inst`` once and factor every Q_i once, for one solve.
+    """Factor every Q_i once and classify ``inst`` with those factors, for
+    one solve.
 
     ``rule`` is the flatness rule the proximity radii are stated under.
     """
@@ -276,7 +325,8 @@ def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Pre
                 prox_exact=factor.guarantee_prox(rule),
             )
         )
-    return Prepared(inst=inst, report=classify(inst), players=tuple(players))
+    report = classify(inst, [pp.factor.L for pp in players])
+    return Prepared(inst=inst, report=report, players=tuple(players))
 
 
 def _concat(inst: IcqsInstance, players: Sequence[int], vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -344,27 +394,46 @@ def objective(
     return q.value(own)
 
 
-def best_responses(prep: Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Every player's integer best response to the joint ``profile``, one
-    vector per player: one Jacobi sweep.
-
-    Real entries are allowed, as for `best_response`.  Per group of players
-    of one dimension, the continuous minimizers come from one stacked solve
-    and the rounding certificate and proximity postcondition run on the
-    whole group (`iqp.lattice_mins`); only the players the certificate cannot
-    answer are enumerated.  Each response is bitwise the one `best_response`
-    gives the same player.
-    """
-    inst = prep.inst
+def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarray:
+    """The joint float64 vector of ``profile``, one vector per player;
+    DimensionMismatch on a wrong player count or vector length."""
     if len(profile) != inst.k:
         raise DimensionMismatch(f"profile has {len(profile)} players, expected {inst.k}")
-    z = _concat(inst, range(inst.k), profile)
-    out: list = [None] * inst.k
+    return _concat(inst, range(inst.k), profile)
+
+
+def integer_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
+    """Every player's integer best response to the joint float64 vector
+    ``z``, as one joint int64 vector: one Jacobi sweep, unchecked.
+
+    Per group of players of one dimension, the continuous minimizers come
+    from one stacked solve, and the rounding certificate and the proximity
+    postcondition run on the whole group (`iqp.lattice_mins`); only the
+    players the certificate cannot answer are enumerated.
+    """
+    out = np.empty(z.shape[0], dtype=np.int64)
     for g in prep.groups:
-        ys = [np.concatenate((z[:a], z[b:])) for a, b in (prep.slots[i] for i in g.players)]
-        for i, v in zip(g.players, _responses(inst, g, ys)):
-            out[i] = v
+        out[g.own] = iqp.lattice_mins(g.stack, g.continuous_mins(z), labels=g.labels)
     return out
+
+
+def continuous_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
+    """Every player's continuous best response to the joint float64 vector
+    ``z``, as one joint vector; unchecked, as `integer_sweep`."""
+    out = np.empty_like(z)
+    for g in prep.groups:
+        out[g.own] = g.continuous_mins(z)
+    return out
+
+
+def best_responses(prep: Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Every player's integer best response to the joint ``profile``, one
+    vector per player: `integer_sweep` on the checked joint vector.
+
+    Real entries are allowed, as for `best_response`.  Each response is
+    bitwise the one `best_response` gives the same player.
+    """
+    return list(prep.split(integer_sweep(prep, joint_vector(prep.inst, profile))))
 
 
 def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
@@ -372,19 +441,12 @@ def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.nd
 
     ``others`` holds one vector per opponent in ascending player order.
     Deterministic: co-optimal responses resolve to the lexicographically
-    smallest vector.  This is `best_responses` for one player.
+    smallest vector.  This is the sweep's certificate and search on a stack
+    of one, from the one-player linear term.
     """
-    alone = PlayerGroup((i,), iqp.FactorStack((prep.players[i].factor,)), (f"player {i}",))
-    return _responses(prep.inst, alone, [_others_concat(prep.inst, i, others)])[0]
-
-
-def _responses(inst: IcqsInstance, group: PlayerGroup, ys: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The integer best response of each player of ``group``, in its order,
-    to the joint opponent strategy in ``ys``."""
-    D = np.array([_linear_term(inst, i, y) for i, y in zip(group.players, ys)])
-    V = iqp.lattice_mins(group.stack, group.stack.continuous_mins(D), labels=group.labels)
-    # one array per response: row views would keep V alive in every trace
-    return [v.copy() for v in V]
+    stack = iqp.FactorStack((prep.players[i].factor,))
+    D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))[None]
+    return iqp.lattice_mins(stack, stack.continuous_mins(D), labels=(f"player {i}",))[0]
 
 
 def continuous_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:

@@ -10,34 +10,52 @@ best known objective are pruned.  The rounded continuous minimizer seeds the
 incumbent.  This is the classical closest-vector enumeration scheme; it is
 exact, and fast at the dimensions used here (n <= ~25).
 
-Everything that depends on Q alone (its Cholesky factor, eigenvalue extremes
-and proximity data) is gathered in a `Factor`, built by `factorize`.  A
-caller that minimizes against the same Q many times, like a best-response
-loop where only d moves, builds the factor once; nothing is cached between
-calls.
+Everything that depends on Q alone (its Cholesky factor, the diagonal of
+Q^{-1}, eigenvalue extremes, proximity data, and the row views the search
+takes its dot products with) is gathered in a `Factor`, built by
+`factorize`, which factors Q once.  The symmetry and pivot checks of that
+one `cholesky` call are the only checks Q gets there: the instance or
+quadratic that holds Q validated it when it was built.  A caller that
+minimizes against the same Q many times, like a best-response loop where
+only d moves, builds the factor once; nothing is cached between calls.
 
 Minimization is split in two: the continuous minimizer u, then the integer
 minimizer given u and the factor (`lattice_mins`).  Both work on a
 `FactorStack`, the factors of several Qs of one dimension stacked row by
-row, with one u per row: `FactorStack.continuous_mins` gives every row's u
-from one stacked solve pair, and `lattice_mins` runs the rounding
+row, with one u per row and the per-row constants of the certificate and
+the postcondition precomputed: `FactorStack.continuous_mins` gives every
+row's u from one stacked solve pair, and `lattice_mins` runs the rounding
 certificate and the proximity postcondition on all rows as arrays and
 enumerates only the rows the certificate cannot answer.  A best-response
-sweep (`game.best_responses`) calls them once per group of players of one
+sweep (`game.integer_sweep`) calls them once per group of players of one
 dimension; `integer_min(q)` is the same code on a stack of one.
+
+The rounding certificate is the first level of Fincke-Pohst enumeration
+(Fincke & Pohst, Math. Comp. 44, 1985).  With r = rint(u) and w = r - u, a
+lattice point x that differs from r in coordinate j has |x_j - u_j| >=
+1 - |w_j|, and the least energy 0.5 (x - u)'Q(x - u) with a given x_j - u_j = t
+is 0.5 t^2 / (Q^{-1})_jj.  So every x other than r pays at least
+min_j 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, and r is returned without a search
+when max|w| < 0.5 and its excess 0.5 ||L'(r - u)||^2 is below 0.999 times
+that minimum: `FactorStack.cert` holds 0.999 * 0.5 / (Q^{-1})_jj.  Since
+1/(Q^{-1})_jj >= lambda_min(Q), this never accepts less than the former
+guard 0.5 lambda_min (1 - max|w|)^2.
 
 Each row's result is bitwise the one a stack of one gives, and the one a
 search run entirely in numpy scalars gives.  numpy's stacked `solve` calls
 LAPACK's gesv once per matrix, exactly as a single call does.  The
-enumeration keeps its per-node state in Python floats, which perform the
-same IEEE operations as numpy scalars, and `round` rounds half to even as
-`np.rint` does; x - u stays one numpy vector, so each row's partial dot is
-the same BLAS ddot on the same operands.  The enumeration starts from the rounded point's excess
-computed row by row, in the association order of its own partial sums, so
-exact ties stay exact.  The certificate's batched excess may differ from
-that one in its last bits, but it only decides whether rint(u) is returned
-without a search, and it passes only 0.1% below the energy of every other
-lattice point, where the search returns rint(u) as well.
+enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
+Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
+floats, which perform the same IEEE operations as numpy scalars, and
+`round` rounds half to even as `np.rint` does; x - u stays one numpy
+vector, so each row's partial dot is the same BLAS ddot on the same
+operands.  The enumeration starts from the rounded point's excess computed
+row by row, in the association order of its own partial sums, so exact ties
+stay exact.  The certificate's batched excess and its bound may differ from
+exact values in their last bits, but they only decide whether rint(u) is
+returned without a search, and the certificate passes only 0.1% below the
+energy of every other lattice point, far outside that rounding, where the
+search returns rint(u) as well.
 
 The module also provides the closed-form proximity data for Q: an upper bound
 on how far the integer minimizer can sit from u (uniform over all d), and the
@@ -171,24 +189,33 @@ def flatness_constant(
 class Factor:
     """Everything minimizing 0.5 x'Qx + d'x needs from Q alone, for any d.
 
-    ``radius`` and ``gap`` are the proven-rule proximity radius and
-    objective-gap bound (`guarantee_prox` and `guarantee_obj_gap` under
-    `PROVEN_RULE`) that `integer_min`'s postcondition checks against.
+    ``qinv_diag`` is the diagonal of Q^{-1}, which the rounding certificate
+    of `lattice_mins` reads.  ``radius`` and ``gap`` are the proven-rule
+    proximity radius and objective-gap bound (`guarantee_prox` and
+    `guarantee_obj_gap` under `PROVEN_RULE`) that its postcondition checks
+    against.  ``rows[j]`` and ``strict_rows[j]`` are the views ``G[j, j:]``
+    and ``G[j, j + 1:]`` the search takes its dot products with.
     """
 
     Q: np.ndarray
     L: np.ndarray  # lower Cholesky factor, Q = L L'
     G: np.ndarray  # L' as a contiguous array: the rows the DFS walks
-    gdiag: np.ndarray
+    gdiag: list[float]
+    qinv_diag: np.ndarray
     lambda_max: float
     lambda_min: float
     scaled_identity: bool
     radius: float = field(init=False)
     gap: float = field(init=False)
+    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    strict_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        G = self.G
         object.__setattr__(self, "radius", self.guarantee_prox())
         object.__setattr__(self, "gap", self.guarantee_obj_gap())
+        object.__setattr__(self, "rows", tuple(G[j, j:] for j in range(self.n)))
+        object.__setattr__(self, "strict_rows", tuple(G[j, j + 1 :] for j in range(self.n)))
 
     @property
     def n(self) -> int:
@@ -229,20 +256,21 @@ class Factor:
 
 
 def factorize(Q: np.ndarray) -> Factor:
-    """Validate Q and collect its `Factor`.
+    """Collect the `Factor` of a symmetric float64 matrix Q, factoring it once.
 
-    Raises DimensionMismatch for a non-symmetric Q and NotPositiveDefinite
-    when the Cholesky pivot test fails.
+    Q's only check is the one `cholesky` runs, which raises DimensionMismatch
+    for a non-symmetric Q and NotPositiveDefinite when the pivot test fails.
     """
-    Q = require_symmetric(Q, "Q")
     L = cholesky(Q)
     eig = sym_eigen(Q)
     G = np.ascontiguousarray(L.T)
+    Linv = np.linalg.solve(L, np.eye(Q.shape[0]))
     return Factor(
         Q=Q,
         L=L,
         G=G,
-        gdiag=np.diag(G).copy(),
+        gdiag=np.diag(G).tolist(),
+        qinv_diag=np.einsum("ij,ij->j", Linv, Linv),
         lambda_max=eig.lambda_max,
         lambda_min=eig.lambda_min,
         scaled_identity=is_scaled_identity(Q),
@@ -254,24 +282,26 @@ class FactorStack:
     """The factors of m matrices Q of one dimension n, stacked row by row.
 
     Row r of every array belongs to ``factors[r]``: the lower Cholesky
-    factors ``L`` and their transposes ``G`` (m x n x n), and the smallest
-    eigenvalue, proven proximity radius and gap bound of each (length m).
+    factors ``L`` and their transposes ``G`` (m x n x n), the rounding
+    certificate's per-coordinate factor ``cert = 0.999 * 0.5 / diag(Q^{-1})``
+    (m x n), and the proven proximity radius and gap bound with the
+    postcondition's relative tolerance 1e-9 applied (length m).
     """
 
     factors: tuple[Factor, ...]
     L: np.ndarray = field(init=False)
     G: np.ndarray = field(init=False)
-    lambda_min: np.ndarray = field(init=False)
-    radius: np.ndarray = field(init=False)
-    gap: np.ndarray = field(init=False)
+    cert: np.ndarray = field(init=False)
+    radius_tol: np.ndarray = field(init=False)
+    gap_tol: np.ndarray = field(init=False)
 
     def __post_init__(self):
         fs = self.factors
         object.__setattr__(self, "L", np.stack([f.L for f in fs]))
         object.__setattr__(self, "G", np.stack([f.G for f in fs]))
-        object.__setattr__(self, "lambda_min", np.array([f.lambda_min for f in fs]))
-        object.__setattr__(self, "radius", np.array([f.radius for f in fs]))
-        object.__setattr__(self, "gap", np.array([f.gap for f in fs]))
+        object.__setattr__(self, "cert", 0.999 * 0.5 / np.stack([f.qinv_diag for f in fs]))
+        object.__setattr__(self, "radius_tol", np.array([f.radius for f in fs]) * (1.0 + 1e-9))
+        object.__setattr__(self, "gap_tol", np.array([f.gap for f in fs]) * (1.0 + 1e-9))
 
     def continuous_mins(self, D: np.ndarray) -> np.ndarray:
         """Row r: the minimizer -Q_r^{-1} D[r] of 0.5 x'Q_r x + D[r]'x.
@@ -351,40 +381,40 @@ def lattice_mins(
     T = np.matmul(stack.G, W[:, :, None])[:, :, 0]
     excess = 0.5 * np.einsum("rj,rj->r", T, T)
     # The rounded point is certifiably the unique optimum when its excess is
-    # below the energy any other lattice point must pay in the softest
-    # direction of Q.
-    max_frac = np.abs(W).max(axis=1)
-    guard = 0.5 * stack.lambda_min * (1.0 - max_frac) ** 2
-    for r in (~((max_frac < 0.5) & (excess < 0.999 * guard))).nonzero()[0]:
-        X[r], excess[r] = _enumerate(stack.factors[r], U[r], node_budget)
+    # below the energy every lattice point that moves coordinate j must pay,
+    # 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, for every j, with 0.1% to spare.
+    A = np.abs(W)
+    guard = (stack.cert * (1.0 - A) ** 2).min(axis=1)
+    for r in (~((A.max(axis=1) < 0.5) & (excess < guard))).nonzero()[0]:
+        X[r], excess[r] = _enumerate(stack.factors[r], U[r], X[r], W[r], node_budget)
     _check_proximity(stack, U, X, excess, labels)
     return X.astype(np.int64)
 
 
-def _enumerate(factor: Factor, u: np.ndarray, node_budget: int) -> tuple[list[float], float]:
-    """Zig-zag depth-first search for the integer minimizer around ``u``:
-    the minimizer and its excess energy 0.5*||G(x - u)||^2.
+def _enumerate(
+    factor: Factor, u: np.ndarray, x0: np.ndarray, w: np.ndarray, node_budget: int
+) -> tuple[list[float], float]:
+    """Zig-zag depth-first search for the integer minimizer around ``u``,
+    from the incumbent ``x0 = rint(u)`` with ``w = x0 - u``: the minimizer
+    and its excess energy 0.5*||G(x - u)||^2.
 
     The per-node state lives in Python floats and lists, which perform the
     same IEEE operations as numpy scalars; x - u stays one numpy vector so
     that each row's partial dot is the same BLAS call on the same operands.
     """
     n = factor.n
-    G = factor.G
-    gdiag = factor.gdiag.tolist()
+    gdiag = factor.gdiag
+    rows = factor.strict_rows
     us = u.tolist()
 
-    inc = np.rint(u)
     # Excess energy accumulated row by row, matching the association order of
     # the search's partial sums so exact ties stay exact.
-    w = inc - u
     best_excess = 0.0
     for j in range(n - 1, -1, -1):
-        best_excess += 0.5 * float(G[j, j:] @ w[j:]) ** 2
-    best = inc.tolist()
+        best_excess += 0.5 * float(factor.rows[j] @ w[j:]) ** 2
+    best = x0.tolist()
 
     xu = np.zeros(n)  # x - u on the coordinates fixed so far
-    rows = [G[j, j + 1 :] for j in range(n)]
     tails = [xu[j + 1 :] for j in range(n)]
     x = [0.0] * n
     centers = [0.0] * n
@@ -451,20 +481,23 @@ def _check_proximity(
     # stays accurate where f(v) - f(u) would cancel catastrophically.
     E = V - U
     dist = np.sqrt(np.einsum("rj,rj->r", E, E))
+    if not ((dist > stack.radius_tol) | (excess > stack.gap_tol)).any():
+        return  # the slack below is >= 0, so every row passes
     slack = 1e-9 * np.maximum(1.0, np.abs(U).max(axis=1))
-    far = dist > stack.radius * (1.0 + 1e-9) + slack
-    high = excess > stack.gap * (1.0 + 1e-9) + slack
+    far = dist > stack.radius_tol + slack
+    high = excess > stack.gap_tol + slack
     bad = (far | high).nonzero()[0]
     if bad.size:
         r = bad[0]
         who = f"{labels[r]}: " if labels is not None else ""
+        factor = stack.factors[r]
         if far[r]:
             raise ProximityViolation(
                 f"{who}integer minimizer at distance {dist[r]:.6g} exceeds "
-                f"proximity radius {stack.radius[r]:.6g}"
+                f"proximity radius {factor.radius:.6g}"
             )
         raise ProximityViolation(
-            f"{who}objective gap {excess[r]:.6g} exceeds bound {stack.gap[r]:.6g}"
+            f"{who}objective gap {excess[r]:.6g} exceeds bound {factor.gap:.6g}"
         )
 
 

@@ -51,7 +51,10 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def is_symmetric(Q: np.ndarray) -> bool:
-    Q = as_matrix(Q)
+    return _symmetric(as_matrix(Q))
+
+
+def _symmetric(Q: np.ndarray) -> bool:
     if Q.shape[0] != Q.shape[1]:
         return False
     scale = max(1.0, float(np.abs(Q).max()))
@@ -60,7 +63,7 @@ def is_symmetric(Q: np.ndarray) -> bool:
 
 def require_symmetric(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
     Q = as_matrix(Q, name)
-    if not is_symmetric(Q):
+    if not _symmetric(Q):
         raise DimensionMismatch(f"{name} must be symmetric")
     return Q
 
@@ -106,8 +109,12 @@ class SymEigen:
 
 
 def sym_eigen(Q: np.ndarray) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix, sorted descending."""
-    Q = require_symmetric(Q)
+    """Full eigendecomposition of a symmetric matrix, sorted descending.
+
+    ``Q`` is not validated: its callers pass a matrix already checked by
+    `require_symmetric` or symmetric by construction, and, as in LAPACK's
+    syevd, only its lower triangle is read.
+    """
     try:
         values, vectors = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:  # pathological scaling

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from icqs import bounds, cli, game, instgen, iqp
+from icqs import bounds, cli, game, instgen, iqp, linalg
 
 
 def run_cli(argv):
@@ -191,8 +191,10 @@ def test_solve_flatness_override_changes_reported_bounds(tmp_path):
 
 
 def test_solve_pipeline_classifies_once(monkeypatch):
-    calls = {"classify": 0, "prepare": 0, "factorize": 0}
-    for owner, name in ((game, "classify"), (game, "prepare"), (iqp, "factorize")):
+    inst = instgen.builtin("cycling")  # validated and factored once, here
+    calls = {"classify": 0, "prepare": 0, "factorize": 0, "cholesky": 0}
+    targets = ((game, "classify"), (game, "prepare"), (iqp, "factorize"), (linalg, "cholesky"), (iqp, "cholesky"))
+    for owner, name in targets:
         original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -200,11 +202,11 @@ def test_solve_pipeline_classifies_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
-    inst = instgen.builtin("cycling")
     result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
-    # one prepared value per solve: one classification, one factor per player
-    assert calls == {"classify": 1, "prepare": 1, "factorize": inst.k}
+    # one prepared value per solve: one classification, and one factor, so
+    # one Cholesky factorization, per player
+    assert calls == {"classify": 1, "prepare": 1, "factorize": inst.k, "cholesky": inst.k}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):

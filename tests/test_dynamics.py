@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _corpus import instance_corpus
 from icqs import dynamics, game, instgen
 from icqs.errors import NoCycle
 
@@ -228,3 +229,95 @@ def test_cycle_telemetry_linear_contraction_rate():
             assert dist[t + 1] <= (1.0 - rho + eps) * dist[t] + 1e-9
             checked += 1
     assert checked >= 5  # the start is far enough to see several rate steps
+
+
+def _reference_run_br(prep, start, max_iters=dynamics.DEFAULT_MAX_ITERS):
+    """Integer best-response iteration from one `game.best_response` call per
+    player and sweep, with the outcome rules of `dynamics.run_br`."""
+    inst = prep.inst
+    profiles = [tuple(dynamics.validate_start(inst, start, dynamics.INTEGER))]
+    norms = [dynamics._joint_norm(profiles[0])]
+    seen = {np.concatenate(profiles[0]).tobytes(): 0}
+    div_radius = dynamics.divergence_radius(prep)
+    latch = None
+    outcome, indices = dynamics.OUTCOME_CAP, (None, None, None)
+    for t in range(1, max_iters + 1):
+        prev = profiles[-1]
+        nxt = tuple(
+            game.best_response(prep, i, [prev[j] for j in inst.opponents(i)]) for i in range(inst.k)
+        )
+        profiles.append(nxt)
+        norms.append(dynamics._joint_norm(nxt))
+        key = np.concatenate(nxt).tobytes()
+        if key in seen:
+            if seen[key] == t - 1:
+                outcome, indices = dynamics.OUTCOME_FIXED_POINT, (None, None, t)
+            else:
+                outcome, indices = dynamics.OUTCOME_CYCLE, (seen[key], t, None)
+            break
+        seen[key] = t
+        if div_radius is not None:
+            if latch is None:
+                if norms[t - 1] > div_radius and norms[t] > norms[t - 1]:
+                    latch = t - 1
+            elif norms[t] <= norms[t - 1]:
+                latch = None
+        if norms[t] > dynamics.DIVERGENCE_NORM_CAP:
+            break
+    if outcome == dynamics.OUTCOME_CAP and latch is not None:
+        outcome = dynamics.OUTCOME_DIVERGENCE
+    divergence = latch if outcome == dynamics.OUTCOME_DIVERGENCE else None
+    return profiles, norms, outcome, indices + (divergence,)
+
+
+def test_run_br_matches_per_player_reference():
+    # run_br iterates one joint vector through the sweep kernel; its trace
+    # must be bitwise the one a loop of public per-player responses gives
+    rng = np.random.default_rng(41)
+    cases = [inst for _, inst in instance_corpus()]
+    cases += [
+        instgen.gen_negative(instgen.NegativeSpec(n_players=k, vars_per_player=n, seed=7 * k + n))
+        for k in (2, 3)
+        for n in (2, 3, 4)
+    ]
+    cases += [instgen.builtin(name) for name in ("cycling", "example1")]
+    cases.append(instgen.builtin("counterexample", M=10))
+    outcomes = set()
+    for inst in cases:
+        prep = game.prepare(inst)
+        for _ in range(2):
+            start = [rng.integers(-60, 61, size=n) for n in inst.dims]
+            trace = dynamics.run_br(prep, start=start)
+            profiles, norms, outcome, indices = _reference_run_br(prep, start)
+            assert trace.outcome == outcome
+            assert (
+                trace.cycle_start, trace.cycle_repeat, trace.fixed_index, trace.divergence_index
+            ) == indices
+            assert trace.norms == tuple(norms)
+            assert len(trace.profiles) == len(profiles)
+            for got, ref in zip(trace.profiles, profiles):
+                for x, y in zip(got, ref):
+                    assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+                    assert x.base is None  # the trace holds copies, not views
+            outcomes.add(outcome)
+    assert {dynamics.OUTCOME_FIXED_POINT, dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_DIVERGENCE} <= outcomes
+
+
+def test_continuous_step_matches_per_player_responses():
+    # the stacked continuous sweep gives every player bitwise the response
+    # `game.continuous_response` gives it alone
+    rng = np.random.default_rng(43)
+    cases = [inst for _, inst in instance_corpus()]
+    cases += [
+        instgen.gen_negative(instgen.NegativeSpec(n_players=3, vars_per_player=n, seed=n))
+        for n in (2, 3)
+    ]
+    cases += [instgen.builtin(name) for name in ("cycling", "example1")]
+    for inst in cases:
+        prep = game.prepare(inst)
+        for _ in range(3):
+            profile = [rng.uniform(-1e3, 1e3, size=n) for n in inst.dims]
+            step = dynamics.continuous_step(prep, profile)
+            for i in range(inst.k):
+                ref = game.continuous_response(prep, i, [profile[j] for j in inst.opponents(i)])
+                assert step[i].dtype == ref.dtype and np.array_equal(step[i], ref)

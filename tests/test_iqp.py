@@ -241,3 +241,51 @@ def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
         stack = iqp.FactorStack(tuple(iqp.factorize(q.Q) for q, _ in group))
         U = stack.continuous_mins(np.array([q.d for q, _ in group]))
         assert np.array_equal(iqp.lattice_mins(stack, U), np.array([ref for _, ref in group]))
+
+
+def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
+    # rows the certificate answers without a search must have rint(u) as
+    # their unique minimizer, by the exhaustive oracle, and every row the
+    # former smallest-eigenvalue guard answered must still be answered
+    searched = []
+    enumerate_ = iqp._enumerate
+
+    def recording(factor, u, x0, w, node_budget):
+        searched.append(u.tobytes())
+        return enumerate_(factor, u, x0, w, node_budget)
+
+    monkeypatch.setattr(iqp, "_enumerate", recording)
+    rng = np.random.default_rng(59)
+    accepted = old_accepted = rows = 0
+    for trial in range(240):
+        n = 1 + trial % 6
+        cond = 10.0 ** rng.uniform(0.0, 6.0)
+        Q = quadratic_corpus(seed=trial, count=1, dims=(n,), cond=cond)[0].Q
+        f = iqp.factorize(Q)
+        stack = iqp.FactorStack((f,) * 8)
+        # a whole vector of magnitude up to 1e12 plus fractions near and away
+        # from 1/2, multiples of 2^-12 so that u is exact at that magnitude
+        base = np.rint(rng.uniform(-1.0, 1.0, size=(8, n)) * 10.0 ** rng.uniform(0, 12, size=(8, 1)))
+        frac = rng.uniform(-0.5, 0.5, size=(8, n)) * rng.choice([0.02, 0.3, 1.0], size=(8, 1))
+        near = rng.random(size=(8, n)) < 0.2
+        frac = np.where(near, np.sign(frac) * (0.5 - 2.0 ** -rng.integers(2, 12, size=(8, n))), frac)
+        frac = np.round(frac * 4096.0) / 4096.0
+        U = base + frac
+        searched.clear()
+        iqp.lattice_mins(stack, U)
+        for r in range(8):
+            rows += 1
+            w = np.rint(U[r]) - U[r]
+            t = f.G @ w
+            excess = 0.5 * float(t @ t)
+            max_frac = float(np.abs(w).max())
+            old = max_frac < 0.5 and excess < 0.999 * 0.5 * f.lambda_min * (1.0 - max_frac) ** 2
+            if U[r].tobytes() in searched:
+                assert not old, (Q, U[r])
+                continue
+            accepted += 1
+            old_accepted += old
+            # the translated problem around the fractional part
+            x, _ = iqp.brute_force_min(iqp.Quadratic(Q, -Q @ (U[r] - base[r])))
+            assert np.array_equal(x + base[r].astype(np.int64), np.rint(U[r])), (Q, U[r])
+    assert rows == 1920 and accepted > old_accepted > 500
