@@ -33,7 +33,6 @@ from .errors import (
     OracleBudgetExceeded,
     ProximityViolation,
     RejectionBudgetExceeded,
-    ToleranceNotReached,
 )
 from .finite import (
     DeltaReport,

@@ -53,15 +53,10 @@ class NoCycle(IcqsError):
 
 
 class NoEquilibriumFound(IcqsError):
-    """Support enumeration exhausted all supports without a valid equilibrium.
+    """The equilibrium solver ended without a profile that passes its check.
 
-    Cannot occur for a well-posed finite game; signals numerical failure.
+    Two-player support enumeration exhausting every support, or Lemke's
+    algorithm ending on a ray or at its pivot cap, signals numerical failure.
+    For k >= 3 it is also raised when the cost tensor is not polymatrix and
+    the pivoting result fails the regret check on the full tensor.
     """
-
-
-class ToleranceNotReached(IcqsError):
-    """The approximate equilibrium search stopped above the requested regret."""
-
-    def __init__(self, best_eps: float, message: str = ""):
-        self.best_eps = best_eps
-        super().__init__(message or f"best achievable regret was {best_eps:.3e}")

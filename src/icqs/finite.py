@@ -21,10 +21,16 @@ the column player's mix before it solves the row player's.  The visiting
 order, and the arithmetic of the pair that wins, are those of the plain
 enumeration, so the returned equilibrium is the same to the bit.
 
-Games with three or more players have multilinear indifference conditions
-instead; small supports are searched with a damped fixed-point sweep on the
-per-player indifference systems, with deterministic full-feedback regret
-matching as a fallback.
+Games with three or more players are solved exactly by one run of Lemke's
+complementary pivoting (Howson 1972; Miller & Zucker 1991).  This needs the
+cost tensor to be polymatrix: player i's cost is an own term plus one term
+per opponent that depends on i's and that opponent's strategy only.  A
+restricted game always is, because the coupling is linear.  Then the slices
+of the tensor with one opponent free and the rest at strategy 0 determine
+every entry, so the LCP is read off the tensor and `FiniteGame` needs no
+other field.  The result is checked on the full tensor, so a hand-built
+tensor that is not polymatrix raises instead of returning a false
+equilibrium.
 """
 
 from __future__ import annotations
@@ -35,16 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, game
-from .errors import DimensionMismatch, NoEquilibriumFound, ToleranceNotReached
+from .errors import DimensionMismatch, NoEquilibriumFound
 
 EQ_TOLERANCE = 1e-9
 PROB_SUM_TOLERANCE = 1e-12
-KPLAYER_TARGET_EPS = 1e-6
-KPLAYER_SUPPORT_CAP = 3
-KPLAYER_SWEEPS = 400
-KPLAYER_DAMPING = 0.5
-REGRET_MATCH_ROUNDS = 10**6
 _SING_PERTURBATION = 1e-12
+_PIVOT_TOLERANCE = 1e-9
+_MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -302,116 +305,93 @@ def mne_two_player(fg: FiniteGame) -> MixedProfile:
     raise NoEquilibriumFound("support enumeration exhausted all supports")
 
 
-def _support_tuples(sizes: tuple[int, ...], cap: int):
-    per_player = []
-    for m in sizes:
-        combos = []
-        for size in range(1, min(cap, m) + 1):
-            combos.extend(itertools.combinations(range(m), size))
-        per_player.append(combos)
-    tuples = list(itertools.product(*per_player))
-    tuples.sort(key=lambda t: (sum(len(s) for s in t), tuple(map(len, t)), t))
-    return tuples
+def polymatrix_blocks(fg: FiniteGame) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Stacked blocks D, with D[i][j] in rows offsets[i]: and columns
+    offsets[j]:, such that player i's expected cost against any mixes is
+    ``sum_j D_ij p_j``; the diagonal blocks are zero.
 
-
-def _damped_support_solve(fg: FiniteGame, supports) -> MixedProfile:
-    """Damped sweep: player i's indifference pins the next player's mix.
-
-    Each condition set is linear in one opponent's probabilities once the
-    rest are frozen, so a round-robin of small solves with damping settles on
-    mixes satisfying all indifference systems when the support admits one.
+    D_ij is the slice of player i's costs with player j free and every other
+    opponent at strategy 0; the first opponent's block also carries
+    ``-(k - 2)`` times the slice with all opponents at 0.  For a polymatrix
+    tensor this reproduces every entry exactly.
     """
-    k = fg.k
-    probs = []
-    for i, supp in enumerate(supports):
-        p = np.zeros(fg.sizes[i])
-        p[list(supp)] = 1.0 / len(supp)
-        probs.append(p)
-    profile = MixedProfile(probs=tuple(probs))
-    for _ in range(KPLAYER_SWEEPS):
-        shift = 0.0
-        for i in range(k):
-            j = (i + 1) % k
-            if len(supports[j]) == 1 or len(supports[i]) == 1:
-                continue  # nothing to pin: j is a point mass or i has no indifference
-            coeff = _cost_coefficients(fg, i, j, profile)
-            solved = _solve_indifference(coeff, list(supports[i]), list(supports[j]))
-            if solved is None:
+    k, sizes = fg.k, fg.sizes
+    offsets = tuple(int(o) for o in np.cumsum((0,) + sizes))
+    D = np.zeros((offsets[-1], offsets[-1]))
+    for i in range(k):
+        T = fg.costs[..., i]
+        base = T[tuple(slice(None) if a == i else 0 for a in range(k))]
+        for j in range(k):
+            if j == i:
                 continue
-            pj_supp, _ = solved
-            if not np.all(np.isfinite(pj_supp)):
-                continue
-            pj = np.zeros(fg.sizes[j])
-            pj[list(supports[j])] = np.clip(pj_supp, 0.0, None)
-            if pj.sum() <= 0.0:
-                continue
-            pj /= pj.sum()
-            new = (1.0 - KPLAYER_DAMPING) * profile.probs[j] + KPLAYER_DAMPING * pj
-            shift = max(shift, float(np.abs(new - profile.probs[j]).max()))
-            updated = list(profile.probs)
-            updated[j] = new / new.sum()
-            profile = MixedProfile(probs=tuple(updated))
-        if shift < 1e-14:
-            break
-    return profile
+            block = T[tuple(slice(None) if a in (i, j) else 0 for a in range(k))]
+            if j < i:
+                block = block.T
+            if j == (1 if i == 0 else 0):
+                block = block - (k - 2) * base[:, None]
+            D[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
+    return D, offsets
 
 
-def _cost_coefficients(fg: FiniteGame, i: int, j: int, profile: MixedProfile) -> np.ndarray:
-    """Matrix [s_i, s_j] of player i's expected cost with all but j mixed."""
-    T = fg.costs[..., i]
-    for axis_owner in range(fg.k - 1, -1, -1):
-        if axis_owner in (i, j):
-            continue
-        T = np.tensordot(T, profile.probs[axis_owner], axes=([axis_owner], [0]))
-    if i < j:
-        return T  # axes are (s_i, s_j)
-    return T.T
+def _lemke(M: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solution z of the LCP w = M z + q >= 0, z >= 0, w'z = 0.
 
-
-def _regret_matching(fg: FiniteGame, eps: float, rounds: int) -> tuple[MixedProfile, float]:
-    """Deterministic full-feedback regret matching; returns the time average."""
-    k = fg.k
-    cum_regret = [np.zeros(m) for m in fg.sizes]
-    cum_strategy = [np.zeros(m) for m in fg.sizes]
-    current = MixedProfile(probs=tuple(np.full(m, 1.0 / m) for m in fg.sizes))
-    best_profile, best_eps = current, float(regret(fg, current).max())
-    for t in range(1, rounds + 1):
-        for i in range(k):
-            costs_i = pure_strategy_costs(fg, i, current)
-            avg_cost = float(costs_i @ current.probs[i])
-            cum_regret[i] += avg_cost - costs_i  # positive where a pure action beats the mix
-            cum_strategy[i] += current.probs[i]
-        nxt = []
-        for i in range(k):
-            pos = np.clip(cum_regret[i], 0.0, None)
-            total = pos.sum()
-            if total > 0.0:
-                nxt.append(pos / total)
-            else:
-                fallback = np.zeros(fg.sizes[i])
-                fallback[int(np.argmax(cum_regret[i]))] = 1.0
-                nxt.append(fallback)
-        current = MixedProfile(probs=tuple(nxt))
-        if t % 1000 == 0 or t == rounds:
-            avg = MixedProfile(probs=tuple(s / s.sum() for s in cum_strategy))
-            eps_now = float(regret(fg, avg).max())
-            if eps_now < best_eps:
-                best_profile, best_eps = avg, eps_now
-            if best_eps <= eps:
+    Lemke's algorithm on the tableau [I, -M, -1 | q] (columns: w, z, the
+    artificial z0 with a covering vector of ones, right-hand side).  Ties in
+    the ratio test are broken lexicographically by the columns of the
+    initial identity, so no basis repeats.  Column entries up to
+    ``_PIVOT_TOLERANCE`` times the column's largest count as zero, which
+    keeps rounding noise from pivoting onto a singular basis.  Raises
+    NoEquilibriumFound on a secondary ray or after ``_MAX_PIVOTS`` pivots.
+    """
+    n = len(q)
+    tableau = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q[:, None]])
+    lex_columns = [2 * n + 1] + list(range(n))
+    basis = list(range(n))
+    entering = 2 * n
+    for _ in range(_MAX_PIVOTS):
+        col = tableau[:, entering]
+        if entering == 2 * n:
+            # z0 enters at the level that lifts the most negative q to zero
+            rows, denom = np.arange(n), -col
+        else:
+            rows = np.flatnonzero(col > _PIVOT_TOLERANCE * max(1.0, float(np.abs(col).max())))
+            denom = col
+            if rows.size == 0:
+                raise NoEquilibriumFound("Lemke's algorithm ended on a ray")
+        for c in lex_columns:
+            if rows.size == 1:
                 break
-    return best_profile, best_eps
+            ratios = tableau[rows, c] / denom[rows]
+            low = ratios.min()
+            rows = rows[ratios <= low + _PIVOT_TOLERANCE * max(1.0, abs(low))]
+        r = int(rows[0])
+        tableau[r] /= tableau[r, entering]
+        others = np.arange(n) != r
+        tableau[others] -= np.outer(tableau[others, entering], tableau[r])
+        leaving, basis[r] = basis[r], entering
+        if leaving == 2 * n:
+            z = np.zeros(n)
+            for row, var in enumerate(basis):
+                if n <= var < 2 * n:
+                    z[var - n] = tableau[row, -1]
+            return z
+        entering = leaving + n if leaving < n else leaving - n
+    raise NoEquilibriumFound(f"Lemke's algorithm exceeded {_MAX_PIVOTS} pivots")
 
 
 def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
-    """Approximate equilibrium for k >= 3 players.
+    """Exact equilibrium for k >= 3 players of a polymatrix cost tensor.
 
-    Pure profiles and small supports (up to ``KPLAYER_SUPPORT_CAP``
-    strategies per player) are searched first with the damped indifference
-    sweep; if nothing reaches the target regret ``KPLAYER_TARGET_EPS``,
-    ``REGRET_MATCH_ROUNDS`` rounds of regret matching run as a fallback.
-    Returns the profile and its achieved per-player regret; raises
-    ToleranceNotReached (carrying the best regret) when even the fallback
-    stays above the target.
+    A pure equilibrium is returned when one exists.  Otherwise the game is
+    written as the LCP ``M = [[D + c, -E], [E', 0]]``, ``q = (0, -1)``, with
+    D from `polymatrix_blocks`, E each player's column of ones and c making
+    every entry of D + c at least 2, so M is copositive-plus and Lemke's
+    algorithm ends with a solution (Howson 1972; Miller & Zucker 1991).  The
+    x part, normalised per player, is the profile.  Its regret is measured
+    on the full tensor, and NoEquilibriumFound is raised when it exceeds
+    ``EQ_TOLERANCE`` times ``max(1, max|costs|)``: a tensor that is not
+    polymatrix never returns a false equilibrium.
     """
     if fg.k < 3:
         raise DimensionMismatch(f"k-player solver got k={fg.k}")
@@ -419,26 +399,19 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
     if pnes:
         profile = pure_profile(fg, pnes[0])
         return profile, float(regret(fg, profile).max())
-    best_profile: MixedProfile | None = None
-    best_eps = np.inf
-    tuples = _support_tuples(fg.sizes, KPLAYER_SUPPORT_CAP)
-    for supports in tuples:
-        if all(len(s) == 1 for s in supports):
-            continue  # pure profiles were handled by pne_search
-        profile = _damped_support_solve(fg, supports)
-        eps_now = float(regret(fg, profile).max())
-        if eps_now < best_eps:
-            best_profile, best_eps = profile, eps_now
-        if best_eps <= KPLAYER_TARGET_EPS:
-            return best_profile, best_eps
-    rm_profile, rm_eps = _regret_matching(fg, KPLAYER_TARGET_EPS, REGRET_MATCH_ROUNDS)
-    if rm_eps < best_eps:
-        best_profile, best_eps = rm_profile, rm_eps
-    if best_profile is None or best_eps > KPLAYER_TARGET_EPS:
-        exc = ToleranceNotReached(best_eps)
-        exc.best_profile = best_profile
-        raise exc
-    return best_profile, best_eps
+    D, offsets = polymatrix_blocks(fg)
+    m, k = offsets[-1], fg.k
+    E = np.repeat(np.eye(k), fg.sizes, axis=0)
+    M = np.block([[D + (2.0 - D.min()), -E], [E.T, np.zeros((k, k))]])
+    x = np.clip(_lemke(M, np.concatenate([np.zeros(m), -np.ones(k)]))[:m], 0.0, None)
+    blocks = np.split(x, offsets[1:-1])
+    if any(b.sum() <= 0.0 for b in blocks):
+        raise NoEquilibriumFound("Lemke's solution leaves a player without a mix")
+    profile = MixedProfile(probs=tuple(b / b.sum() for b in blocks))
+    eps = float(regret(fg, profile).max())
+    if eps > EQ_TOLERANCE * max(1.0, float(np.abs(fg.costs).max())):
+        raise NoEquilibriumFound(f"regret {eps:.3e} on the full tensor: it is not polymatrix")
+    return profile, eps
 
 
 def solve_equilibrium(fg: FiniteGame) -> tuple[MixedProfile, float]:

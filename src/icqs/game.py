@@ -167,10 +167,6 @@ class AdequacyReport:
     def max_sigma(self) -> float:
         return max(self.sigma_max)
 
-    @property
-    def min_sigma(self) -> float:
-        return min(self.sigma_min)
-
 
 def classify(inst: IcqsInstance, Ls: Sequence[np.ndarray] | None = None) -> AdequacyReport:
     """Adequacy classification from the interaction matrices' singular values.

@@ -335,11 +335,6 @@ def guarantee_prox(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> float:
     return factorize(q.Q).guarantee_prox(rule)
 
 
-def guarantee_obj_gap(q: Quadratic) -> float:
-    """Objective-gap bound valid for this Q (see guarantee_prox)."""
-    return factorize(q.Q).guarantee_obj_gap()
-
-
 def integer_min(
     q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET, factor: Factor | None = None
 ) -> tuple[np.ndarray, float]:

@@ -50,10 +50,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def is_symmetric(Q: np.ndarray) -> bool:
-    return _symmetric(as_matrix(Q))
-
-
 def _symmetric(Q: np.ndarray) -> bool:
     if Q.shape[0] != Q.shape[1]:
         return False

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from icqs import dynamics, finite, game, instgen
-from icqs.errors import DimensionMismatch
+from icqs import cli, dynamics, finite, game, instgen
+from icqs.errors import DimensionMismatch, NoEquilibriumFound
 
 
 def solved_cycle(inst, start):
@@ -316,3 +316,103 @@ def test_mne_two_player_solves_only_the_winner_of_a_strict_pure_game(monkeypatch
     profile = finite.mne_two_player(fg)
     assert tuple(int(profile.support(i)[0]) for i in range(2)) == pnes[0]
     assert len(solves) == 2
+
+
+def coupled_game(rng, k, n):
+    # Q_i = 2 I, every coupling entry in (-1.9, 1.9): best responses move far
+    # enough to cycle through many strategies
+    players = [
+        game.PlayerProblem(
+            Q=2.0 * np.eye(n),
+            C={j: rng.uniform(-1.9, 1.9, size=(n, n)) for j in range(k) if j != i},
+            d=rng.uniform(-3.0, 3.0, size=n),
+        )
+        for i in range(k)
+    ]
+    return game.make_instance(players)
+
+
+def restricted_cycles(seed, k, n, draws):
+    """Restricted games of the seeded draws whose integer iteration cycles."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        inst = coupled_game(rng, k, n)
+        start = [rng.integers(-5, 6, size=n).astype(float) for _ in range(k)]
+        trace = dynamics.run_br(game.prepare(inst), start=start, max_iters=200)
+        if trace.outcome == dynamics.OUTCOME_CYCLE:
+            yield finite.restrict(inst, dynamics.cycle_sets(trace))
+
+
+@pytest.fixture(scope="module")
+def k_player_cycles():
+    return (
+        list(restricted_cycles(1, 3, 1, 120))
+        + list(restricted_cycles(2, 3, 2, 40))
+        + list(restricted_cycles(3, 4, 1, 60))
+    )
+
+
+def test_polymatrix_blocks_reproduce_the_cost_tensor(k_player_cycles):
+    assert {fg.k for fg in k_player_cycles} == {3, 4}
+    for fg in k_player_cycles:
+        D, offsets = finite.polymatrix_blocks(fg)
+        scale = max(1.0, float(np.abs(fg.costs).max()))
+        for i in range(fg.k):
+            assert not D[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]].any()
+        for s in np.ndindex(*fg.sizes):
+            for i in range(fg.k):
+                row = offsets[i] + s[i]
+                total = sum(D[row, offsets[j] + s[j]] for j in range(fg.k))
+                assert abs(total - fg.costs[s + (i,)]) <= 1e-12 * scale
+
+
+def test_mne_k_player_solves_every_mixed_only_cycle(k_player_cycles):
+    mixed = [fg for fg in k_player_cycles if not finite.pne_search(fg)]
+    assert {(fg.k, len(fg.strategies[0][0])) for fg in mixed} == {(3, 1), (3, 2), (4, 1)}
+    assert max(max(fg.sizes) for fg in mixed) >= 8
+    for fg in mixed:
+        profile, eps = finite.mne_k_player(fg)
+        assert eps <= 1e-9, fg.sizes
+        assert float(finite.regret(fg, profile).max()) == eps
+
+
+def test_mne_k_player_never_returns_a_false_equilibrium_off_polymatrix():
+    # a random tensor is not polymatrix: Lemke solves the game its slices
+    # define, and the full-tensor check must catch every miss
+    rng = np.random.default_rng(11)
+    raised = 0
+    for shape in [(2, 2, 2)] * 6 + [(3, 2, 2)] * 6:
+        costs = rng.standard_normal(shape + (3,))
+        fg = finite.FiniteGame(
+            strategies=tuple(tuple(np.array([s]) for s in range(m)) for m in shape), costs=costs
+        )
+        if finite.pne_search(fg):
+            continue
+        try:
+            profile, eps = finite.mne_k_player(fg)
+        except NoEquilibriumFound:
+            raised += 1
+            continue
+        assert eps <= finite.EQ_TOLERANCE * max(1.0, np.abs(costs).max())
+        assert float(finite.regret(fg, profile).max()) == eps
+    assert raised > 0
+
+
+THREE_PLAYER_CYCLE = {
+    "players": [
+        {"Q": [[2.0]], "C": {"1": [[-0.5]], "2": [[1.5]]}, "d": [0.5]},
+        {"Q": [[2.0]], "C": {"0": [[-1.0]], "2": [[-1.5]]}, "d": [2.0]},
+        {"Q": [[2.0]], "C": {"0": [[-1.5]], "1": [[-1.0]]}, "d": [2.0]},
+    ],
+    "meta": {},
+}
+
+
+def test_solve_pipeline_mixes_a_three_player_cycle():
+    result = cli.solve_pipeline(game.instance_from_dict(THREE_PLAYER_CYCLE))
+    assert result["outcome"] == dynamics.OUTCOME_CYCLE
+    eq = result["equilibrium"]
+    assert eq["within_game_eps"] <= 1e-9
+    expected = [[1 / 3, 2 / 3], [0.0, 1.0], [1 / 3, 2 / 3]]
+    for probs, want in zip(eq["probabilities"], expected):
+        assert np.allclose(probs, want, atol=1e-9)

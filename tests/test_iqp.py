@@ -118,7 +118,7 @@ def test_proximity_invariants_on_corpus():
             assert dist <= pb.prox_value + 1e-9
             assert gap <= pb.obj_gap + 1e-9
         assert dist <= iqp.guarantee_prox(q) + 1e-9
-        assert gap <= iqp.guarantee_obj_gap(q) + 1e-9
+        assert gap <= iqp.factorize(q.Q).guarantee_obj_gap() + 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
