@@ -1,8 +1,9 @@
 """Solver toolkit for integer convex quadratic simultaneous games.
 
-Pipeline: build or load an instance (`game`, `instgen`), prepare it once
-per solve (`game.prepare`: every player's Q_i factored once, and the
-classification of the interaction matrices from those factors), run
+Pipeline: build or load an instance (`game`, `instgen`; every player's Q_i
+is factored once, there, and the instance keeps the factor), prepare it
+once per solve (`game.prepare`: every player's factor data from that
+Cholesky factor, and the classification of the interaction matrices), run
 certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
@@ -22,6 +23,7 @@ from .dynamics import (
     termination_radius,
 )
 from .errors import (
+    BoundOverflow,
     DimensionMismatch,
     EnumerationBudgetExceeded,
     IcqsError,
@@ -66,12 +68,10 @@ from .iqp import (
     PROVEN_RULE,
     Factor,
     FlatnessRule,
-    ProxBound,
     Quadratic,
     brute_force_min,
     continuous_min,
     factorize,
-    flatness_constant,
     integer_min,
     prox_bound,
 )

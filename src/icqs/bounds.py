@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, game
+from .errors import BoundOverflow
 
 def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
     """Largest l2 distance between two of player i's cycle strategies."""
@@ -65,11 +66,24 @@ def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
 def delta_a_posteriori(
     prep: game.Prepared, i: int, L_i: float, prox_variant: str = "flatness"
 ) -> float:
-    """lambda_1(Q_i) * (prox_i + L_i)^2 for a measured cycle diameter L_i."""
+    """lambda_1(Q_i) * (prox_i + L_i)^2 for a measured cycle diameter L_i.
+
+    An infinite L_i gives an infinite bound; BoundOverflow when a finite
+    L_i gives one too large for a float.
+    """
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
     player = prep.players[i]
-    return player.factor.lambda_max * (player.prox(prox_variant) + L_i) ** 2
+    try:
+        delta = player.factor.lambda_max * (player.prox(prox_variant) + L_i) ** 2
+    except OverflowError:
+        delta = math.inf
+    if delta == math.inf and L_i != math.inf:
+        raise BoundOverflow(
+            f"player {i}: the deviation bound lambda_1 (prox + L)^2 overflows at "
+            f"prox = {player.prox(prox_variant):.6g}, L = {L_i:.6g}"
+        )
+    return delta
 
 
 def closure_criterion(sigma) -> float:

@@ -36,6 +36,12 @@ class ProximityViolation(IcqsError):
     """
 
 
+class BoundOverflow(IcqsError):
+    """A proximity bound is too large for a float: a flatness rule's Flt(n),
+    or its square, overflows at an instance dimension, or a deviation bound
+    lambda_1 (prox + L)^2 built on a finite radius and diameter does."""
+
+
 class OracleBudgetExceeded(IcqsError):
     """The brute-force search box contains more points than the oracle budget."""
 

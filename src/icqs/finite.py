@@ -145,20 +145,18 @@ def regret(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
 
 
 def pne_search(fg: FiniteGame, atol: float = EQ_TOLERANCE) -> list[tuple[int, ...]]:
-    """All pure joint indices with no profitable unilateral deviation."""
-    result = []
-    for index in np.ndindex(*fg.sizes):
-        ok = True
-        for i in range(fg.k):
-            slicer = list(index)
-            slicer[i] = slice(None)
-            column = fg.costs[tuple(slicer) + (i,)]
-            if fg.costs[index + (i,)] > column.min() + atol:
-                ok = False
-                break
-        if ok:
-            result.append(tuple(index))
-    return result
+    """All pure joint indices with no profitable unilateral deviation, in
+    `np.ndindex` order.
+
+    One reduction per player: a cell is kept unless player i's cost there
+    exceeds the least cost along axis i (its deviations) by more than
+    ``atol``.
+    """
+    keep = np.ones(fg.sizes, dtype=bool)
+    for i in range(fg.k):
+        cost = fg.costs[..., i]
+        keep &= ~(cost > cost.min(axis=i, keepdims=True) + atol)
+    return [tuple(index) for index in np.argwhere(keep).tolist()]
 
 
 def _support_pairs(m: int, n: int):

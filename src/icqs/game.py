@@ -15,18 +15,22 @@ singular values of the R_i decide whether best-response iteration contracts
 Instances are immutable after construction and every operation is a pure
 function, so instances can be shared and evaluated in parallel freely.
 
+Each Q_i is factored once, when the instance is built: `IcqsInstance.L`
+holds its lower Cholesky factor, whose pivot test is Q_i's positive
+definiteness check, and `interaction_matrix`, `classify` and `prepare` all
+take R_i and the factors from it, so no classification, solve or generator
+draw factors a Q_i again.  The concatenated coupling of each player is
+derived the same way, once, when the instance is built.
+
 Best-response iteration solves each player's integer quadratic over and over
 with only the linear term C_i y + d_i moving, so everything that depends on
 Q_i alone is per-solve data.  `prepare` gathers it once per solve into a
-`Prepared` value: per player, Q_i's one Cholesky factorization with the data
-derived from it (`iqp.Factor`) and the proximity radius of each variant
-under the solve's flatness rule, and the adequacy report, which `classify`
-computes from those same factors.  Q_i itself was validated once, by
-`make_instance`.  Every function that needs a factor (a best response, a
-radius, a bound) takes the `Prepared` value, whose ``inst`` is the
-instance; the functions that need none (`objective`, `classify`) take the
-instance.  The concatenated coupling of each player is part of the
-instance, derived from its players once, when the instance is built.
+`Prepared` value: per player, the data derived from Q_i's factor
+(`iqp.Factor`) and the proximity radius of each variant under the solve's
+flatness rule, and the adequacy report.  Every function that needs a factor
+(a best response, a radius, a bound) takes the `Prepared` value, whose
+``inst`` is the instance; the functions that need none (`objective`,
+`classify`) take the instance.
 
 `integer_sweep(prep, z)` is the sweep kernel: every player's integer best
 response to the joint float64 strategy vector z, returned as one joint int64
@@ -88,17 +92,22 @@ class PlayerProblem:
 class IcqsInstance:
     """A validated instance; build it with `make_instance`.
 
-    ``C_cat[i]`` is player i's coupling blocks concatenated in ascending
-    opponent order, the matrix that maps the joint opponent strategy y to
-    the shift C_i y of player i's linear term.  It is derived from
-    ``players`` on construction and cannot be passed in.
+    ``L[i]`` is the lower Cholesky factor of Q_i, the one factorization of
+    Q_i: it validates Q_i (NotPositiveDefinite when the pivot test fails),
+    and every interaction matrix, classification and prepared factor is
+    taken from it.  ``C_cat[i]`` is player i's coupling blocks concatenated
+    in ascending opponent order, the matrix that maps the joint opponent
+    strategy y to the shift C_i y of player i's linear term.  Both are
+    derived from ``players`` on construction and cannot be passed in.
     """
 
     players: tuple[PlayerProblem, ...]
     meta: dict = field(default_factory=dict, compare=False)
+    L: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "L", tuple(linalg.cholesky(p.Q) for p in self.players))
         object.__setattr__(
             self,
             "C_cat",
@@ -120,9 +129,9 @@ class IcqsInstance:
 def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) -> IcqsInstance:
     """Validate and freeze an instance.
 
-    Checks k >= 2, symmetry and positive definiteness of every Q_i (via
-    Cholesky), and that each coupling block's shape matches the opponent's
-    variable count.
+    Checks k >= 2, symmetry of every Q_i, that each coupling block's shape
+    matches the opponent's variable count, and then positive definiteness of
+    every Q_i with the Cholesky factorization the instance keeps.
     """
     players = tuple(
         PlayerProblem(
@@ -137,7 +146,6 @@ def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) ->
         raise DimensionMismatch("an instance needs at least two players")
     dims = [p.n for p in players]
     for i, p in enumerate(players):
-        linalg.cholesky(p.Q)  # raises NotPositiveDefinite on failure
         if p.d.shape[0] != dims[i]:
             raise DimensionMismatch(f"player {i}: d has length {p.d.shape[0]}, expected {dims[i]}")
         expected = {j for j in range(k) if j != i}
@@ -152,8 +160,9 @@ def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) ->
 
 
 def interaction_matrix(inst: IcqsInstance, i: int) -> np.ndarray:
-    """R_i = Q_i^{-1} [C_i blocks, opponents in player order]."""
-    return linalg.solve_spd(inst.players[i].Q, inst.C_cat[i])
+    """R_i = Q_i^{-1} [C_i blocks, opponents in player order], from Q_i's
+    Cholesky factor ``inst.L[i]``."""
+    return linalg.solve_with_factor(inst.L[i], inst.C_cat[i])
 
 
 @dataclass(frozen=True)
@@ -168,21 +177,16 @@ class AdequacyReport:
         return max(self.sigma_max)
 
 
-def classify(inst: IcqsInstance, Ls: Sequence[np.ndarray] | None = None) -> AdequacyReport:
-    """Adequacy classification from the interaction matrices' singular values.
+def classify(inst: IcqsInstance) -> AdequacyReport:
+    """Adequacy classification from the singular values of the interaction
+    matrices (`interaction_matrix`).
 
     Strict inequalities with an epsilon margin; singular values numerically
-    equal to one land in NEITHER rather than being misclassified.  ``Ls``
-    are the lower Cholesky factors of the Q_i: `prepare` passes the ones it
-    holds, and without them (`icqs classify`, `instgen`) each Q_i is factored
-    here.  Either way R_i comes from the same factor and the same two solves
-    as in `interaction_matrix`, so the singular values are bitwise the same.
+    equal to one land in NEITHER rather than being misclassified.
     """
-    if Ls is None:
-        Ls = [linalg.cholesky(p.Q) for p in inst.players]
     smax, smin = [], []
-    for L, C in zip(Ls, inst.C_cat):
-        sv = linalg.singular_values(linalg.solve_with_factor(L, C))
+    for i in range(inst.k):
+        sv = linalg.singular_values(interaction_matrix(inst, i))
         smax.append(float(sv[0]))
         smin.append(float(sv[-1]))
     overall_max = max(smax)
@@ -306,23 +310,23 @@ class Prepared:
 
 
 def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
-    """Factor every Q_i once and classify ``inst`` with those factors, for
-    one solve.
+    """Every player's factor, from the Cholesky factor the instance holds,
+    and the classification of ``inst``, for one solve.
 
-    ``rule`` is the flatness rule the proximity radii are stated under.
+    ``rule`` is the flatness rule the proximity radii are stated under;
+    BoundOverflow when it overflows at a player's dimension.
     """
     players = []
-    for p in inst.players:
-        factor = iqp.factorize(p.Q)
+    for p, L in zip(inst.players, inst.L):
+        factor = iqp.factorize(p.Q, L)
         players.append(
             PreparedPlayer(
                 factor=factor,
-                prox_flatness=factor.prox_bound(rule).prox_value,
-                prox_exact=factor.guarantee_prox(rule),
+                prox_flatness=iqp.prox_bound(factor, rule),
+                prox_exact=iqp.guarantee_prox(factor, rule),
             )
         )
-    report = classify(inst, [pp.factor.L for pp in players])
-    return Prepared(inst=inst, report=report, players=tuple(players))
+    return Prepared(inst=inst, report=classify(inst), players=tuple(players))
 
 
 def _concat(inst: IcqsInstance, players: Sequence[int], vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -354,24 +358,6 @@ def _linear_term(inst: IcqsInstance, i: int, y: np.ndarray) -> np.ndarray:
     return inst.C_cat[i] @ y + inst.players[i].d
 
 
-def _quadratic(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> iqp.Quadratic:
-    """Player i's quadratic against the opponents' strategies."""
-    d = _linear_term(inst, i, _others_concat(inst, i, others))
-    return iqp.Quadratic.trusted(inst.players[i].Q, d)
-
-
-def effective_quadratic(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> iqp.Quadratic:
-    """Player i's subproblem with the opponents' strategies folded into d.
-
-    ``others`` holds one vector per opponent in ascending player order.  Real
-    entries are allowed: the coupling is linear in the opponents' variables,
-    so responding to a mixed profile is exactly responding to its mean.  The
-    quadratic's Q is the one ``prep.players[i].factor`` factors.  The
-    solve's own iterates are finite, so nothing is re-checked here.
-    """
-    return _quadratic(prep.inst, i, others)
-
-
 def objective(
     inst: IcqsInstance, i: int, own: np.ndarray, others: Sequence[np.ndarray]
 ) -> float:
@@ -385,9 +371,8 @@ def objective(
         raise DimensionMismatch(
             f"player {i} vector has length {own.shape[0]}, expected {inst.dims[i]}"
         )
-    q = _quadratic(inst, i, others)
-    linalg.as_vector(q.d, "d")  # raises on non-finite entries
-    return q.value(own)
+    d = linalg.as_vector(_linear_term(inst, i, _others_concat(inst, i, others)), "d")
+    return iqp.Quadratic.trusted(inst.players[i].Q, d).value(own)
 
 
 def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarray:
@@ -443,11 +428,6 @@ def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.nd
     stack = iqp.FactorStack((prep.players[i].factor,))
     D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))[None]
     return iqp.lattice_mins(stack, stack.continuous_mins(D), labels=(f"player {i}",))[0]
-
-
-def continuous_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
-    """Continuous best response -Q_i^{-1} (C_i y + d_i)."""
-    return iqp.continuous_min(effective_quadratic(prep, i, others), prep.players[i].factor)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ incumbent.  This is the classical closest-vector enumeration scheme; it is
 exact, and fast at the dimensions used here (n <= ~25).
 
 Everything that depends on Q alone (its Cholesky factor, the diagonal of
-Q^{-1}, eigenvalue extremes, proximity data, and the row views the search
-takes its dot products with) is gathered in a `Factor`, built by
-`factorize`, which factors Q once.  The symmetry and pivot checks of that
-one `cholesky` call are the only checks Q gets there: the instance or
-quadratic that holds Q validated it when it was built.  A caller that
-minimizes against the same Q many times, like a best-response loop where
-only d moves, builds the factor once; nothing is cached between calls.
+Q^{-1}, eigenvalue extremes, the proven proximity radius and gap bound, and
+the row views the search takes its dot products with) is gathered in a
+`Factor`, built by `factorize` from Q and the Cholesky factor the caller
+already holds: `game.IcqsInstance` factors each Q_i once, when it is built,
+and that factorization is Q's one validation.  A caller that minimizes
+against the same Q many times, like a best-response loop where only d
+moves, builds the factor once; nothing is cached between calls.
+`integer_min(q)` and `continuous_min(q)` take a bare `Quadratic` and factor
+its Q themselves.
 
 Minimization is split in two: the continuous minimizer u, then the integer
 minimizer given u and the factor (`lattice_mins`).  Both work on a
@@ -57,19 +59,21 @@ returned without a search, and the certificate passes only 0.1% below the
 energy of every other lattice point, far outside that rounding, where the
 search returns rint(u) as well.
 
-The module also provides the closed-form proximity data for Q: an upper bound
-on how far the integer minimizer can sit from u (uniform over all d), and the
-matching bound on the objective gap.  Both are stated in terms of a flatness
-constant Flt(n) <= coeff * n^exponent, given by a `FlatnessRule`; the default
-`PROVEN_RULE` is the proven n^{5/2} bound, and callers pass sharper
-conjectured rules explicitly.  For 1x1 and other scaled-identity matrices the
-flatness-based distance bound understates the true worst case (which is
-sqrt(n)/2 there, attained with u at a cube center), so `guarantee_prox`
-returns the larger of the two whenever the exact value is known, while
-`prox_bound` reports the plain flatness formula.  The postcondition of
-`lattice_mins` always checks the proven-rule radius and gap, whatever rule
-the caller reports bounds under, and raises `ProximityViolation` if the
-returned minimizer breaks them.
+The module also provides the closed-form proximity radius for Q: an upper
+bound on how far the integer minimizer can sit from u, uniform over all d.
+It is stated in terms of a flatness constant Flt(n) <= coeff * n^exponent,
+given by a `FlatnessRule`; the default `PROVEN_RULE` is the proven n^{5/2}
+bound, and callers pass sharper conjectured rules explicitly.
+`prox_bound(factor, rule)` is the plain flatness formula
+(Flt(n) / 4) sqrt(lambda_max / lambda_min).  For 1x1 and other
+scaled-identity matrices it understates the true worst case (which is
+sqrt(n)/2 there, attained with u at a cube center), so
+`guarantee_prox(factor, rule)` returns the larger of the two whenever the
+exact value is known.  These two functions are the only radius formulas.
+The postcondition of `lattice_mins` always checks the proven-rule radius
+and gap (`Factor.radius`, `Factor.gap`), whatever rule the caller reports
+bounds under, and raises `ProximityViolation` if the returned minimizer
+breaks them.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BoundOverflow,
     DimensionMismatch,
     EnumerationBudgetExceeded,
     OracleBudgetExceeded,
@@ -100,17 +105,38 @@ class FlatnessRule:
 
     The default is the proven n^{5/2} bound.  Sharper conjectured bounds
     (e.g. O(n)) are passed explicitly by the caller that reports under them.
+    Both numbers must be finite and the coefficient positive.
     """
 
     coeff: float = 1.0
     exponent: float = 2.5
 
     def __post_init__(self):
+        if not (math.isfinite(self.coeff) and math.isfinite(self.exponent)):
+            raise ValueError(
+                f"flatness coefficient and exponent must be finite, got "
+                f"{self.coeff!r} and {self.exponent!r}"
+            )
         if not self.coeff > 0.0:
             raise ValueError("flatness coefficient must be positive")
 
     def constant(self, n: int) -> float:
-        return flatness_constant(n, self.exponent, self.coeff)
+        """Flt(n) = coeff * n**exponent, the constant of every prox formula.
+
+        Raises BoundOverflow when Flt(n) or its square, which the
+        objective-gap and deviation bounds carry, is not a finite float.
+        """
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
+        try:
+            flt = self.coeff * float(n) ** self.exponent
+        except OverflowError:
+            flt = math.inf
+        if not math.isfinite(flt * flt):
+            raise BoundOverflow(
+                f"flatness rule {self.coeff!r} * n**{self.exponent!r} overflows at n = {n}"
+            )
+        return flt
 
 
 PROVEN_RULE = FlatnessRule()
@@ -135,12 +161,11 @@ class Quadratic:
 
     @classmethod
     def trusted(cls, Q: np.ndarray, d: np.ndarray) -> Quadratic:
-        """The quadratic with a Q that `factorize` or `game.make_instance`
-        already validated.
+        """The quadratic with a Q that `game.make_instance` already validated.
 
         Nothing is checked: ``d`` must be a finite float64 vector of Q's
-        length.  `game.objective` and the continuous responses build one per
-        call and pay for Q's validation once.
+        length.  `game.objective` builds one per call and pays for Q's
+        validation once.
         """
         q = object.__new__(cls)
         object.__setattr__(q, "Q", Q)
@@ -157,44 +182,16 @@ class Quadratic:
 
 
 @dataclass(frozen=True)
-class ProxBound:
-    """Closed-form proximity data for a positive definite Q.
-
-    prox_value = (flatness / 4) * sqrt(lambda_max / lambda_min) bounds the
-    distance between continuous and integer minimizers uniformly over d, and
-    obj_gap = lambda_max * flatness^2 / 32 bounds the objective difference.
-    """
-
-    prox_value: float
-    lambda_max: float
-    lambda_min: float
-    flatness: float
-    obj_gap: float
-
-
-def flatness_constant(
-    n: int, exponent: float = PROVEN_RULE.exponent, coeff: float = PROVEN_RULE.coeff
-) -> float:
-    """Flt(n) bound used in the proximity formulas; default n^{5/2}.
-
-    Every downstream formula is stated in terms of Flt(n), so a better
-    constant (see `FlatnessRule`) propagates directly.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return coeff * float(n) ** exponent
-
-
-@dataclass(frozen=True)
 class Factor:
     """Everything minimizing 0.5 x'Qx + d'x needs from Q alone, for any d.
 
     ``qinv_diag`` is the diagonal of Q^{-1}, which the rounding certificate
-    of `lattice_mins` reads.  ``radius`` and ``gap`` are the proven-rule
-    proximity radius and objective-gap bound (`guarantee_prox` and
-    `guarantee_obj_gap` under `PROVEN_RULE`) that its postcondition checks
-    against.  ``rows[j]`` and ``strict_rows[j]`` are the views ``G[j, j:]``
-    and ``G[j, j + 1:]`` the search takes its dot products with.
+    of `lattice_mins` reads.  ``radius`` is `guarantee_prox` under
+    `PROVEN_RULE` and ``gap`` the matching objective-gap bound
+    lambda_max Flt(n)^2 / 32, raised to lambda_max n / 8 for scaled
+    identities: the bounds its postcondition checks against, computed once
+    here.  ``rows[j]`` and ``strict_rows[j]`` are the views ``G[j, j:]`` and
+    ``G[j, j + 1:]`` the search takes its dot products with.
     """
 
     Q: np.ndarray
@@ -212,8 +209,13 @@ class Factor:
 
     def __post_init__(self):
         G = self.G
-        object.__setattr__(self, "radius", self.guarantee_prox())
-        object.__setattr__(self, "gap", self.guarantee_obj_gap())
+        flt = PROVEN_RULE.constant(self.n)
+        gap = self.lambda_max * flt * flt / 32.0
+        if self.scaled_identity:
+            # distance <= sqrt(n)/2 translates to a gap of lambda_max * n / 8
+            gap = max(gap, self.lambda_max * self.n / 8.0)
+        object.__setattr__(self, "radius", guarantee_prox(self))
+        object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "rows", tuple(G[j, j:] for j in range(self.n)))
         object.__setattr__(self, "strict_rows", tuple(G[j, j + 1 :] for j in range(self.n)))
 
@@ -221,47 +223,15 @@ class Factor:
     def n(self) -> int:
         return self.Q.shape[0]
 
-    def prox_bound(self, rule: FlatnessRule = PROVEN_RULE) -> ProxBound:
-        flt = rule.constant(self.n)
-        return ProxBound(
-            prox_value=(flt / 4.0) * math.sqrt(self.lambda_max / self.lambda_min),
-            lambda_max=self.lambda_max,
-            lambda_min=self.lambda_min,
-            flatness=flt,
-            obj_gap=self.lambda_max * flt * flt / 32.0,
-        )
 
-    def guarantee_prox(self, rule: FlatnessRule = PROVEN_RULE) -> float:
-        """The flatness radius, raised to sqrt(n)/2 for scaled identities.
+def factorize(Q: np.ndarray, L: np.ndarray) -> Factor:
+    """Collect the `Factor` of a symmetric float64 matrix Q from its lower
+    Cholesky factor ``L = cholesky(Q)``.
 
-        The flatness formula with Flt(n) = n^{5/2} is provably valid for
-        n >= 2 but understates the 1-D worst case (0.25 vs the true 0.5), so
-        scaled identities take the exact value when it is larger: for c*I
-        the integer minimizer rounds u componentwise, so the worst distance
-        is attained with u at a cube center.
-        """
-        bound = self.prox_bound(rule).prox_value
-        if self.scaled_identity:
-            bound = max(bound, math.sqrt(self.n) / 2.0)
-        return bound
-
-    def guarantee_obj_gap(self) -> float:
-        """Objective-gap bound matching `guarantee_prox` under the proven rule."""
-        pb = self.prox_bound()
-        gap = pb.obj_gap
-        if self.scaled_identity:
-            # distance <= sqrt(n)/2 translates to a gap of lambda_max * n / 8
-            gap = max(gap, pb.lambda_max * self.n / 8.0)
-        return gap
-
-
-def factorize(Q: np.ndarray) -> Factor:
-    """Collect the `Factor` of a symmetric float64 matrix Q, factoring it once.
-
-    Q's only check is the one `cholesky` runs, which raises DimensionMismatch
-    for a non-symmetric Q and NotPositiveDefinite when the pivot test fails.
+    Nothing is checked: the `cholesky` that produced L validated Q, once
+    per player when the instance was built (``IcqsInstance.L``), or in
+    `integer_min` for a bare quadratic.
     """
-    L = cholesky(Q)
     eig = sym_eigen(Q)
     G = np.ascontiguousarray(L.T)
     Linv = np.linalg.solve(L, np.eye(Q.shape[0]))
@@ -312,15 +282,31 @@ class FactorStack:
         return np.linalg.solve(self.G, np.linalg.solve(self.L, -D[:, :, None]))[:, :, 0]
 
 
-def continuous_min(q: Quadratic, factor: Factor | None = None) -> np.ndarray:
+def continuous_min(q: Quadratic) -> np.ndarray:
     """The unconstrained minimizer u = -Q^{-1} d."""
-    L = factor.L if factor is not None else cholesky(q.Q)
-    return solve_with_factor(L, -q.d)
+    return solve_with_factor(cholesky(q.Q), -q.d)
 
 
-def prox_bound(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> ProxBound:
-    """Flatness-based proximity bound for q's quadratic part."""
-    return factorize(q.Q).prox_bound(rule)
+def prox_bound(factor: Factor, rule: FlatnessRule = PROVEN_RULE) -> float:
+    """The flatness radius (Flt(n) / 4) sqrt(lambda_max / lambda_min) of the
+    factored Q under ``rule``: a bound on the distance between the
+    continuous and the integer minimizer, uniform over d."""
+    return (rule.constant(factor.n) / 4.0) * math.sqrt(factor.lambda_max / factor.lambda_min)
+
+
+def guarantee_prox(factor: Factor, rule: FlatnessRule = PROVEN_RULE) -> float:
+    """The flatness radius, raised to sqrt(n)/2 for scaled identities.
+
+    The flatness formula with Flt(n) = n^{5/2} is provably valid for
+    n >= 2 but understates the 1-D worst case (0.25 vs the true 0.5), so
+    scaled identities take the exact value when it is larger: for c*I
+    the integer minimizer rounds u componentwise, so the worst distance
+    is attained with u at a cube center.
+    """
+    bound = prox_bound(factor, rule)
+    if factor.scaled_identity:
+        bound = max(bound, math.sqrt(factor.n) / 2.0)
+    return bound
 
 
 def is_scaled_identity(Q: np.ndarray) -> bool:
@@ -329,28 +315,18 @@ def is_scaled_identity(Q: np.ndarray) -> bool:
     return bool(np.abs(Q - c * np.eye(n)).max() <= _SCALED_IDENTITY_RTOL * max(1.0, abs(c)))
 
 
-def guarantee_prox(q: Quadratic, rule: FlatnessRule = PROVEN_RULE) -> float:
-    """A proximity radius that is a valid upper bound for this Q (see
-    `Factor.guarantee_prox`)."""
-    return factorize(q.Q).guarantee_prox(rule)
-
-
-def integer_min(
-    q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET, factor: Factor | None = None
-) -> tuple[np.ndarray, float]:
+def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[np.ndarray, float]:
     """Global integer minimizer of q and its objective value.
 
-    ``factor`` is ``factorize(q.Q)``; a caller that minimizes against the same
-    Q repeatedly passes it so that Q is factored once, not on every call.
-    This is `lattice_mins` on a stack of one.  Ties between co-optimal
-    lattice points are broken toward the lexicographically smallest vector
-    so repeated runs (and cycle detection built on them) are reproducible.
-    Raises EnumerationBudgetExceeded when the search tree outgrows
-    ``node_budget``, which at desk scale only happens for pathologically
-    conditioned Q, and ProximityViolation if the result breaks the proven
-    proximity radius or gap bound.
+    This is `lattice_mins` on a stack of one, from q's own factorization.
+    Ties between co-optimal lattice points are broken toward the
+    lexicographically smallest vector so repeated runs (and cycle detection
+    built on them) are reproducible.  Raises EnumerationBudgetExceeded when
+    the search tree outgrows ``node_budget``, which at desk scale only
+    happens for pathologically conditioned Q, and ProximityViolation if the
+    result breaks the proven proximity radius or gap bound.
     """
-    stack = FactorStack((factor if factor is not None else factorize(q.Q),))
+    stack = FactorStack((factorize(q.Q, cholesky(q.Q)),))
     v = lattice_mins(stack, stack.continuous_mins(q.d[None]), node_budget)[0]
     return v, q.value(v)
 

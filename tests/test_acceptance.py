@@ -143,7 +143,7 @@ def test_criterion_3_counterexample_family(M):
 
     # independent confirmation of the deviation value by exhaustive scan
     means = finite.mean_strategies(fg, profile)
-    q = game.effective_quadratic(prep, 0, [means[1]])
+    q = iqp.Quadratic(inst.players[0].Q, inst.C_cat[0] @ means[1] + inst.players[0].d)
     _, oracle_value = iqp.brute_force_min(q)
     oracle_ok = oracle_value == pytest.approx(delta.deviation_costs[0], abs=1e-9)
 
@@ -183,18 +183,20 @@ def test_criterion_5_proximity_invariants(iqp_corpus):
     for q in iqp_corpus:
         v, value = iqp.integer_min(q)
         u = iqp.continuous_min(q)
-        pb = iqp.prox_bound(q)
+        f = iqp.factorize(q.Q, linalg.cholesky(q.Q))
+        prox = iqp.prox_bound(f)
+        obj_gap = f.lambda_max * iqp.PROVEN_RULE.constant(q.n) ** 2 / 32.0
         dist = float(np.linalg.norm(v - u))
         gap = value - q.value(u)
         if q.n >= 2:
-            if dist > pb.prox_value + 1e-9:
+            if dist > prox + 1e-9:
                 dist_viol += 1
-            if gap > pb.obj_gap + 1e-9:
+            if gap > obj_gap + 1e-9:
                 gap_viol += 1
         else:
-            if dist > 0.5 + 1e-12 or gap > pb.lambda_max / 8.0 + 1e-9:
+            if dist > 0.5 + 1e-12 or gap > f.lambda_max / 8.0 + 1e-9:
                 dist_viol += 1
-            if dist > pb.prox_value + 1e-9:
+            if dist > prox + 1e-9:
                 flagged_n1 += 1
 
     sharp_ok = True

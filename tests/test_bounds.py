@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from icqs import bounds, dynamics, finite, game, instgen
+from icqs import bounds, dynamics, finite, game, instgen, iqp
+from icqs.errors import BoundOverflow
 
 
 def cycle_of(inst, start):
@@ -40,6 +41,20 @@ def test_delta_a_posteriori_monotone_in_diameter(cycling_setup):
     inst, _ = cycling_setup
     values = [bounds.delta_a_posteriori(game.prepare(inst), 0, L) for L in np.linspace(0.0, 5.0, 20)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_delta_a_posteriori_overflow_is_a_typed_error():
+    # Flt(1) = 1e154 and its square are finite, but lambda_1 = 1e6 times the
+    # squared radius 2.5e153 is not; an infinite diameter stays a plain inf
+    players = [
+        game.PlayerProblem(Q=np.array([[1e6]]), C={1: np.zeros((1, 1))}, d=np.zeros(1)),
+        game.PlayerProblem(Q=np.array([[1.0]]), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
+    ]
+    prep = game.prepare(game.make_instance(players), iqp.FlatnessRule(coeff=1e154, exponent=0.0))
+    with pytest.raises(BoundOverflow, match="^player 0: "):
+        bounds.delta_a_posteriori(prep, 0, 0.0)
+    assert bounds.delta_a_posteriori(prep, 0, math.inf) == math.inf
+    assert bounds.delta_a_posteriori(prep, 1, 0.0) == pytest.approx(1e154**2 / 16.0)
 
 
 def test_l_bound_two_player_closed_form(cycling_setup):

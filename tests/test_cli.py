@@ -204,9 +204,10 @@ def test_solve_pipeline_classifies_once(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
-    # one prepared value per solve: one classification, and one factor, so
-    # one Cholesky factorization, per player
-    assert calls == {"classify": 1, "prepare": 1, "factorize": inst.k, "cholesky": inst.k}
+    # one prepared value per solve: one classification, and one factor per
+    # player, from the Cholesky factor the instance holds, so no Q is
+    # factored again inside the solve
+    assert calls == {"classify": 1, "prepare": 1, "factorize": inst.k, "cholesky": 0}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
@@ -244,17 +245,28 @@ def test_sharp_flatness_override_solves_with_the_proven_postcondition(tmp_path):
     assert sharp["deviation_gains"] == plain["deviation_gains"]
 
 
-def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["solve", str(cycling_file), "--flatness-coeff", "0"])
-    assert exc.value.code == cli.EXIT_PARSE
-    assert "flatness coefficient" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        pytest.param(["--flatness-coeff", "0"], cli.EXIT_PARSE, "must be positive", id="zero-coeff"),
+        pytest.param(["--flatness-coeff", "inf"], cli.EXIT_PARSE, "must be finite", id="inf-coeff"),
+        pytest.param(["--flatness-exponent", "nan"], cli.EXIT_PARSE, "must be finite", id="nan-exponent"),
+        # Flt(1) = 1e308 is finite, but its square, which the bounds carry, is not
+        pytest.param(["--flatness-coeff", "1e308", "--flatness-exponent", "10"], cli.EXIT_SOLVER,
+                     "overflows at n = 1", id="overflowing-rule"),
+    ],
+)
+def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, tmp_path, capsys, flags, code, message):
+    assert exit_code(["solve", str(cycling_file), "--out", str(tmp_path / "out"), *flags]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: flatness") and message in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_proximity_violation_exits_3(cycling_file, tmp_path, monkeypatch, capsys):
     from icqs import iqp
 
-    monkeypatch.setattr(iqp.Factor, "guarantee_prox", lambda self, rule=iqp.PROVEN_RULE: 0.0)
+    monkeypatch.setattr(iqp, "guarantee_prox", lambda factor, rule=iqp.PROVEN_RULE: 0.0)
     code = run_cli(["solve", str(cycling_file), "--start", "0;0", "--out", str(tmp_path)])
     assert code == cli.EXIT_SOLVER
     assert "exceeds proximity radius" in capsys.readouterr().err
@@ -287,6 +299,13 @@ def bench_spec(tmp_path, entry):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"families": [entry]}))
     return ["bench", str(path), "--out", str(tmp_path / "bench")]
+
+
+def test_bench_writes_an_error_row_for_an_overflowing_flatness_rule(tmp_path):
+    argv = bench_spec(tmp_path, {"family": "random", "n_players": 2, "vars_per_player": 2})
+    assert run_cli(argv + ["--flatness-coeff", "1e300", "--flatness-exponent", "10"]) == cli.EXIT_OK
+    rows = (tmp_path / "bench" / "results.csv").read_text().splitlines()
+    assert [row.split(",")[4] for row in rows[1:]] == ["error:BoundOverflow"]
 
 
 @pytest.mark.parametrize(

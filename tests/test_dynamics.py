@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _corpus import instance_corpus
-from icqs import dynamics, game, instgen
+from icqs import dynamics, game, instgen, iqp
 from icqs.errors import NoCycle
 
 
@@ -305,7 +305,7 @@ def test_run_br_matches_per_player_reference():
 
 def test_continuous_step_matches_per_player_responses():
     # the stacked continuous sweep gives every player bitwise the response
-    # `game.continuous_response` gives it alone
+    # `iqp.continuous_min` gives it alone on its quadratic
     rng = np.random.default_rng(43)
     cases = [inst for _, inst in instance_corpus()]
     cases += [
@@ -319,5 +319,7 @@ def test_continuous_step_matches_per_player_responses():
             profile = [rng.uniform(-1e3, 1e3, size=n) for n in inst.dims]
             step = dynamics.continuous_step(prep, profile)
             for i in range(inst.k):
-                ref = game.continuous_response(prep, i, [profile[j] for j in inst.opponents(i)])
+                y = np.concatenate([profile[j] for j in inst.opponents(i)])
+                q = iqp.Quadratic(inst.players[i].Q, inst.C_cat[i] @ y + inst.players[i].d)
+                ref = iqp.continuous_min(q)
                 assert step[i].dtype == ref.dtype and np.array_equal(step[i], ref)

@@ -68,6 +68,39 @@ def test_pne_search(cycling_game, counter_game):
     assert finite.pne_search(singleton) == [(0, 0)]
 
 
+def loop_pne_search(fg, atol=finite.EQ_TOLERANCE):
+    # cell by cell: keep a cell unless some player's cost there exceeds its
+    # least cost over its own deviations by more than atol
+    result = []
+    for index in np.ndindex(*fg.sizes):
+        ok = True
+        for i in range(fg.k):
+            column = fg.costs[index[:i] + (slice(None),) + index[i + 1 :] + (i,)]
+            if fg.costs[index + (i,)] > column.min() + atol:
+                ok = False
+                break
+        if ok:
+            result.append(index)
+    return result
+
+
+def test_pne_search_matches_a_cell_by_cell_scan():
+    # integer costs in a small range tie often, so many cells are equilibria
+    rng = np.random.default_rng(71)
+    found = 0
+    for trial in range(120):
+        k = 2 + trial % 3
+        sizes = tuple(int(m) for m in rng.integers(1, 5, size=k))
+        strategies = tuple(tuple(np.array([s]) for s in range(m)) for m in sizes)
+        costs = rng.integers(-2, 3, size=sizes + (k,)).astype(np.float64)
+        fg = finite.FiniteGame(strategies=strategies, costs=costs)
+        got = finite.pne_search(fg)
+        assert got == loop_pne_search(fg)
+        assert all(type(v) is int for index in got for v in index)
+        found += len(got)
+    assert found > 0
+
+
 def test_mne_two_player_cycling_half_half(cycling_game):
     _, fg = cycling_game
     profile = finite.mne_two_player(fg)

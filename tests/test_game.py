@@ -28,6 +28,54 @@ def test_make_instance_validates_pd_and_blocks():
         )
 
 
+def test_replacing_a_q_with_a_non_pd_one_raises_at_once():
+    # the instance's Cholesky factor is derived on construction, so a copy
+    # with a non-PD Q fails when it is built, not later in a solve
+    inst = instgen.builtin("cycling")
+    bad = dataclasses.replace(inst.players[0], Q=np.array([[-1.0]]))
+    with pytest.raises(NotPositiveDefinite):
+        dataclasses.replace(inst, players=(bad, inst.players[1]))
+
+
+def test_instances_and_generator_draws_factor_each_q_once(monkeypatch):
+    # make_instance runs one Cholesky factorization per player, and the
+    # classification a generator verifies each draw with runs none
+    calls = {"cholesky": 0, "make_instance": 0, "classify": 0}
+    cholesky, make_instance, classify = linalg.cholesky, game.make_instance, game.classify
+
+    def counting_cholesky(Q):
+        calls["cholesky"] += 1
+        return cholesky(Q)
+
+    def counting_make_instance(*args, **kwargs):
+        calls["make_instance"] += 1
+        return make_instance(*args, **kwargs)
+
+    def counting_classify(inst):
+        before = calls["cholesky"]
+        report = classify(inst)
+        assert calls["cholesky"] == before
+        calls["classify"] += 1
+        return report
+
+    monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(game, "make_instance", counting_make_instance)
+    monkeypatch.setattr(game, "classify", counting_classify)
+    inst = instgen.builtin("counterexample", M=10)
+    assert calls == {"cholesky": inst.k, "make_instance": 1, "classify": 0}
+    for generate, spec in (
+        (instgen.gen_pricing, instgen.PricingSpec(n_players=3, seed=21)),
+        (instgen.gen_negative, instgen.NegativeSpec(n_players=3, vars_per_player=2, seed=1)),
+    ):
+        calls.update(cholesky=0, make_instance=0, classify=0)
+        inst = generate(spec)
+        assert calls["classify"] == calls["make_instance"] >= 1
+        assert calls["cholesky"] == inst.k * calls["make_instance"]
+    game.classify(inst)
+    game.prepare(inst)
+    assert calls["cholesky"] == inst.k * calls["make_instance"]
+
+
 def test_interaction_matrix_scalars():
     assert game.interaction_matrix(instgen.builtin("example1"), 0)[0, 0] == pytest.approx(-2.0)
     assert game.interaction_matrix(instgen.builtin("cycling"), 0)[0, 0] == pytest.approx(-0.1)
@@ -143,7 +191,7 @@ def test_best_response_beats_box_oracle():
         others = [rng.integers(-5, 6, size=3).astype(float)]
         prep = game.prepare(inst)
         v = game.best_response(prep, 0, others)
-        q = game.effective_quadratic(prep, 0, others)
+        q = iqp.Quadratic(inst.players[0].Q, inst.C_cat[0] @ others[0] + inst.players[0].d)
         _, oracle_value = iqp.brute_force_min(q)
         assert q.value(v) == pytest.approx(oracle_value, abs=1e-9)
 

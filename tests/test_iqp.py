@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from _corpus import quadratic_corpus
-from icqs import iqp
+from icqs import iqp, linalg
 from icqs.errors import OracleBudgetExceeded
 
 
 def scalar(qval, dval):
     return iqp.Quadratic(np.array([[qval]]), np.array([dval]))
+
+
+def factor_of(Q):
+    return iqp.factorize(Q, linalg.cholesky(Q))
 
 
 def test_continuous_min_examples():
@@ -24,47 +28,52 @@ def test_continuous_min_examples():
 
 @pytest.mark.parametrize("n,expected", [(1, 1.0), (4, 32.0), (9, 243.0)])
 def test_flatness_constant_default(n, expected):
-    assert iqp.flatness_constant(n) == expected
+    assert iqp.PROVEN_RULE.constant(n) == expected
 
 
 def test_flatness_constant_override():
-    assert iqp.flatness_constant(4, exponent=1.0, coeff=2.0) == 8.0
+    assert iqp.FlatnessRule(coeff=2.0, exponent=1.0).constant(4) == 8.0
 
 
 def test_prox_bound_identity_n4():
-    pb = iqp.prox_bound(iqp.Quadratic(np.eye(4), np.zeros(4)))
-    assert pb.prox_value == pytest.approx(8.0)
-    assert pb.lambda_max == pytest.approx(1.0)
-    assert pb.lambda_min == pytest.approx(1.0)
+    f = factor_of(np.eye(4))
+    assert iqp.prox_bound(f) == pytest.approx(8.0)
+    assert f.lambda_max == pytest.approx(1.0)
+    assert f.lambda_min == pytest.approx(1.0)
 
 
 def test_prox_bound_identity_n1():
-    pb = iqp.prox_bound(iqp.Quadratic(np.eye(1), np.zeros(1)))
-    assert pb.prox_value == pytest.approx(0.25)
-    assert pb.obj_gap == pytest.approx(1.0 / 32.0)
+    f = factor_of(np.eye(1))
+    assert iqp.prox_bound(f) == pytest.approx(0.25)
+    # the flatness gap 1/32 is raised to the scaled-identity gap n/8
+    assert f.gap == pytest.approx(max(1.0 / 32.0, 1.0 / 8.0))
 
 
 def test_prox_bound_diag_4_1():
-    pb = iqp.prox_bound(iqp.Quadratic(np.diag([4.0, 1.0]), np.zeros(2)))
-    assert pb.prox_value == pytest.approx((2.0**2.5 / 4.0) * 2.0)
-    assert pb.flatness == pytest.approx(2.0**2.5)
+    f = factor_of(np.diag([4.0, 1.0]))
+    assert iqp.prox_bound(f) == pytest.approx((2.0**2.5 / 4.0) * 2.0)
+    assert iqp.PROVEN_RULE.constant(f.n) == pytest.approx(2.0**2.5)
 
 
 def test_prox_bound_invariant_relations():
     for q in quadratic_corpus(seed=5, count=30, dims=(1, 2, 3, 4)):
-        pb = iqp.prox_bound(q)
-        assert pb.prox_value == pytest.approx(
-            (pb.flatness / 4.0) * math.sqrt(pb.lambda_max / pb.lambda_min)
-        )
-        assert pb.obj_gap == pytest.approx(pb.lambda_max * pb.flatness**2 / 32.0)
-        assert min(pb.prox_value, pb.lambda_max, pb.lambda_min, pb.flatness, pb.obj_gap) > 0
+        f = factor_of(q.Q)
+        flatness = iqp.PROVEN_RULE.constant(q.n)
+        prox = iqp.prox_bound(f)
+        assert prox == pytest.approx((flatness / 4.0) * math.sqrt(f.lambda_max / f.lambda_min))
+        obj_gap = f.lambda_max * flatness**2 / 32.0
+        if f.scaled_identity:
+            obj_gap = max(obj_gap, f.lambda_max * q.n / 8.0)
+        assert f.gap == pytest.approx(obj_gap)
+        assert f.radius == iqp.guarantee_prox(f)
+        assert min(prox, f.lambda_max, f.lambda_min, flatness, f.gap) > 0
 
 
 def test_guarantee_prox_upgrades_scaled_identity():
     # 1-D flatness value 0.25 understates the true rounding worst case 0.5
-    assert iqp.guarantee_prox(scalar(2.0, -0.9)) == pytest.approx(0.5)
+    assert iqp.guarantee_prox(factor_of(np.array([[2.0]]))) == pytest.approx(0.5)
     # for larger identities the flatness formula already dominates sqrt(n)/2
-    assert iqp.guarantee_prox(iqp.Quadratic(np.eye(4), np.zeros(4))) == pytest.approx(8.0)
+    assert iqp.guarantee_prox(factor_of(np.eye(4))) == pytest.approx(8.0)
 
 
 def test_integer_min_scalar_examples():
@@ -111,14 +120,15 @@ def test_proximity_invariants_on_corpus():
     for q in quadratic_corpus(seed=42, count=200, dims=(1, 2, 3, 4)):
         v, value = iqp.integer_min(q)
         u = iqp.continuous_min(q)
-        pb = iqp.prox_bound(q)
+        f = factor_of(q.Q)
         dist = float(np.linalg.norm(v - u))
         gap = value - q.value(u)
         if q.n >= 2:
-            assert dist <= pb.prox_value + 1e-9
-            assert gap <= pb.obj_gap + 1e-9
-        assert dist <= iqp.guarantee_prox(q) + 1e-9
-        assert gap <= iqp.factorize(q.Q).guarantee_obj_gap() + 1e-9
+            assert dist <= iqp.prox_bound(f) + 1e-9
+            # for n >= 2 the flatness gap n^5/32 is above n/8, so it is f.gap
+            assert gap <= f.lambda_max * iqp.PROVEN_RULE.constant(q.n) ** 2 / 32.0 + 1e-9
+        assert dist <= iqp.guarantee_prox(f) + 1e-9
+        assert gap <= f.gap + 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -155,17 +165,17 @@ def test_enumeration_budget_raises():
 
 
 def test_set_flatness_rule_flows_through_prox():
-    q = iqp.Quadratic(np.eye(4), np.zeros(4))
-    baseline = iqp.prox_bound(q).prox_value
+    f = factor_of(np.eye(4))
+    baseline = iqp.prox_bound(f)
     assert baseline == pytest.approx(8.0)
     linear = iqp.FlatnessRule(coeff=2.0, exponent=1.0)  # a linear-rule override
     assert linear.constant(4) == 8.0
-    pb = iqp.prox_bound(q, linear)
-    assert pb.prox_value == pytest.approx(2.0)
-    assert pb.obj_gap == pytest.approx(1.0 * 64.0 / 32.0)
-    assert iqp.guarantee_prox(q, linear) == pytest.approx(2.0)  # above sqrt(4)/2
+    assert iqp.prox_bound(f, linear) == pytest.approx(2.0)
+    # the proven gap the postcondition checks does not follow the rule
+    assert f.gap == pytest.approx(1.0 * 4.0**5 / 32.0)
+    assert iqp.guarantee_prox(f, linear) == pytest.approx(2.0)  # above sqrt(4)/2
     # the rule travels with the call: nothing changed for the next caller
-    assert iqp.prox_bound(q).prox_value == baseline
+    assert iqp.prox_bound(f) == baseline
     with pytest.raises(ValueError):
         iqp.FlatnessRule(coeff=0.0, exponent=1.0)
 
@@ -174,7 +184,7 @@ def _numpy_scalar_search(q):
     """The rounding certificate and the zig-zag search with every per-node
     value a numpy array entry or scalar: the form whose results the batched
     certificate and the Python-float search must reproduce bit for bit."""
-    f = iqp.factorize(q.Q)
+    f = factor_of(q.Q)
     n, G, gdiag = q.n, f.G, f.gdiag
     u = np.linalg.solve(f.L.T, np.linalg.solve(f.L, -q.d))
     inc = np.rint(u)
@@ -238,7 +248,7 @@ def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
         assert v.dtype == np.int64 and np.array_equal(v, ref), (q.Q, q.d)
         by_dim.setdefault(q.n, []).append((q, ref))
     for group in by_dim.values():
-        stack = iqp.FactorStack(tuple(iqp.factorize(q.Q) for q, _ in group))
+        stack = iqp.FactorStack(tuple(factor_of(q.Q) for q, _ in group))
         U = stack.continuous_mins(np.array([q.d for q, _ in group]))
         assert np.array_equal(iqp.lattice_mins(stack, U), np.array([ref for _, ref in group]))
 
@@ -261,7 +271,7 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
         n = 1 + trial % 6
         cond = 10.0 ** rng.uniform(0.0, 6.0)
         Q = quadratic_corpus(seed=trial, count=1, dims=(n,), cond=cond)[0].Q
-        f = iqp.factorize(Q)
+        f = factor_of(Q)
         stack = iqp.FactorStack((f,) * 8)
         # a whole vector of magnitude up to 1e12 plus fractions near and away
         # from 1/2, multiples of 2^-12 so that u is exact at that magnitude
