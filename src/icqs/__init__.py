@@ -1,15 +1,16 @@
 """Solver toolkit for integer convex quadratic simultaneous games.
 
-Pipeline: build or load an instance (`game`, `instgen`; every player's Q_i
-is factored once, there, and the instance keeps the factor), prepare it
-once per solve (`game.prepare`: every player's factor data from that
-Cholesky factor, and the classification of the interaction matrices), run
+Pipeline: build or load an instance (`game`, `instgen`; the instance
+derives, once, everything a solve needs from it alone: every player's
+Cholesky factor and factor data, the classification of the interaction
+matrices and the stacks of a sweep), prepare it once per solve
+(`game.prepare`: the proximity radii under the solve's flatness rule), run
 certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
-(`finite.verify_delta`, `bounds`).  Every stage that needs a factor takes
-the prepared value, and `Prepared.inst` is its instance; `finite.restrict`
-and `game.objective` need none and take the instance.
+(`finite.verify_delta`, `bounds`).  Every stage of a solve takes the
+prepared value, and `Prepared.inst` is its instance; `finite.restrict` and
+`game.objective` need no flatness rule and take the instance.
 """
 
 from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical

@@ -73,15 +73,15 @@ def delta_a_posteriori(
     """
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
-    player = prep.players[i]
+    prox = prep.prox(prox_variant)[i]
     try:
-        delta = player.factor.lambda_max * (player.prox(prox_variant) + L_i) ** 2
+        delta = prep.inst.factors[i].lambda_max * (prox + L_i) ** 2
     except OverflowError:
         delta = math.inf
     if delta == math.inf and L_i != math.inf:
         raise BoundOverflow(
             f"player {i}: the deviation bound lambda_1 (prox + L)^2 overflows at "
-            f"prox = {player.prox(prox_variant):.6g}, L = {L_i:.6g}"
+            f"prox = {prox:.6g}, L = {L_i:.6g}"
         )
     return delta
 
@@ -141,9 +141,9 @@ def l_closure(sigma, prox) -> list[float]:
 
 def l_bound_theoretical(prep: game.Prepared, prox_variant: str = "flatness") -> list[float] | None:
     """A-priori per-player cycle diameter bounds; None unless positively adequate."""
-    if prep.report.classification is not game.Adequacy.POSITIVE:
+    if prep.inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return l_closure(prep.report.sigma_max, [p.prox(prox_variant) for p in prep.players])
+    return l_closure(prep.inst.report.sigma_max, prep.prox(prox_variant))
 
 
 def _deltas(prep: game.Prepared, diameters, prox_variant: str) -> tuple[float, ...]:
@@ -194,12 +194,12 @@ def guarantee_pack(prep: game.Prepared, cycle: dynamics.CycleSets) -> GuaranteeP
         for i in range(k)
     )
     return GuaranteePack(
-        classification=prep.report.classification,
-        rho=prep.report.rho,
-        lambda1=tuple(p.factor.lambda_max for p in prep.players),
-        sigma1=prep.report.sigma_max,
-        prox_flatness=tuple(p.prox_flatness for p in prep.players),
-        prox_exact=tuple(p.prox_exact for p in prep.players),
+        classification=prep.inst.report.classification,
+        rho=prep.inst.report.rho,
+        lambda1=tuple(f.lambda_max for f in prep.inst.factors),
+        sigma1=prep.inst.report.sigma_max,
+        prox_flatness=prep.prox_flatness,
+        prox_exact=prep.prox_exact,
         l_measured=l_measured,
         l_bound_flatness=None if lbf is None else tuple(lbf),
         l_bound_exact=None if lbe is None else tuple(lbe),

@@ -68,7 +68,7 @@ def solve_pipeline(
     """
     t0 = time.perf_counter()
     prep = game.prepare(inst, rule)
-    report = prep.report
+    report = inst.report
     trace = dynamics.run_br(prep, start=start, max_iters=max_iters, mode=mode)
     result: dict = {
         "classification": report.classification.value,
@@ -183,7 +183,7 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_classify(args) -> int:
     inst = _load(args.instance)
-    report = game.classify(inst)
+    report = inst.report
     print(f"classification: {report.classification.value}")
     print(f"rho: {report.rho if report.rho is not None else ''}")
     for i in range(inst.k):
@@ -378,7 +378,7 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     if name == "example1":
         prep = game.prepare(instgen.builtin("example1"))
-        report = prep.report
+        report = prep.inst.report
         _check(checks, "classified negatively adequate",
                report.classification is game.Adequacy.NEGATIVE, str(report.classification))
         trace = dynamics.run_br(prep, start=[[5.0], [5.0]], max_iters=8)

@@ -123,7 +123,7 @@ def _joint_norm(profile: Sequence[np.ndarray]) -> float:
 
 def continuous_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
     """One Jacobi sweep of continuous best responses."""
-    return list(prep.split(game.continuous_sweep(prep, game.joint_vector(prep.inst, profile))))
+    return list(prep.inst.split(game.continuous_sweep(prep, game.joint_vector(prep.inst, profile))))
 
 
 def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
@@ -177,7 +177,7 @@ def run_br(
     current = validate_start(prep.inst, start, mode)
     integer = mode == INTEGER
     sweep = game.integer_sweep if integer else game.continuous_sweep
-    slots = [slice(a, b) for a, b in prep.slots]
+    slots = [slice(a, b) for a, b in prep.inst.slots]
     z = np.concatenate(current)
     zf = z.astype(np.float64)
     profiles = [tuple(current)]
@@ -192,7 +192,7 @@ def run_br(
 
     for t in range(1, max_iters + 1):
         z = sweep(prep, zf)
-        profiles.append(prep.split(z))
+        profiles.append(prep.inst.split(z))
         prev, zf = zf, (z.astype(np.float64) if integer else z)
         norms.append(_joint_norm([zf[s] for s in slots]))
 
@@ -266,7 +266,7 @@ def termination_radius(prep: game.Prepared, prox_variant: str = "flatness") -> f
     the flatness-formula radii (default, matching the reported bounds) or the
     certified ``"exact"`` ones used by the descent guarantee.
     """
-    if prep.report.classification is not game.Adequacy.POSITIVE:
+    if prep.inst.report.classification is not game.Adequacy.POSITIVE:
         return None
     return prep.radius(prox_variant)
 
@@ -277,7 +277,7 @@ def divergence_radius(prep: game.Prepared, prox_variant: str = "flatness") -> fl
     Same formula as the termination radius with rho = min sigma - 1.  Returns
     None unless the instance is negatively adequate.
     """
-    if prep.report.classification is not game.Adequacy.NEGATIVE:
+    if prep.inst.report.classification is not game.Adequacy.NEGATIVE:
         return None
     return prep.radius(prox_variant)
 

@@ -15,28 +15,25 @@ singular values of the R_i decide whether best-response iteration contracts
 Instances are immutable after construction and every operation is a pure
 function, so instances can be shared and evaluated in parallel freely.
 
-Each Q_i is factored once, when the instance is built: `IcqsInstance.L`
-holds its lower Cholesky factor, whose pivot test is Q_i's positive
-definiteness check, and `interaction_matrix`, `classify` and `prepare` all
-take R_i and the factors from it, so no classification, solve or generator
-draw factors a Q_i again.  The concatenated coupling of each player is
-derived the same way, once, when the instance is built.
-
 Best-response iteration solves each player's integer quadratic over and over
 with only the linear term C_i y + d_i moving, so everything that depends on
-Q_i alone is per-solve data.  `prepare` gathers it once per solve into a
-`Prepared` value: per player, the data derived from Q_i's factor
-(`iqp.Factor`) and the proximity radius of each variant under the solve's
-flatness rule, and the adequacy report.  Every function that needs a factor
-(a best response, a radius, a bound) takes the `Prepared` value, whose
-``inst`` is the instance; the functions that need none (`objective`,
-`classify`) take the instance.
+Q_i, C_i and d_i alone is data of the instance, and `IcqsInstance` derives it
+once, when it is built: each Q_i's Cholesky factor, whose pivot test is Q_i's
+positive definiteness check, and the `iqp.Factor` taken from it, the
+concatenated couplings, the adequacy report (`classify`), the sweep stacks
+and the norm of (Q_1^{-1}d_1; ...; Q_k^{-1}d_k).  No classification, solve
+or generator draw factors or classifies an instance again.  A solve adds
+only its flatness rule: `prepare(inst, rule)` gives a `Prepared` value with
+every player's proximity radii under that rule.  Every function of a solve
+(a best response, a sweep, a radius, a bound) takes the `Prepared` value,
+whose ``inst`` is the instance; the functions that need no rule
+(`objective`, `classify`) take the instance.
 
 `integer_sweep(prep, z)` is the sweep kernel: every player's integer best
 response to the joint float64 strategy vector z, returned as one joint int64
-vector, with nothing checked.  `prepare` groups the players by dimension
-(`PlayerGroup`) and stacks, once per solve, what the kernel reads of each
-group: the factors and the certificate and postcondition constants
+vector, with nothing checked.  The instance groups the players by dimension
+(`PlayerGroup`) and stacks, once, what the kernel reads of each group: the
+factors and the certificate and postcondition constants
 (`iqp.FactorStack`), an index that gathers each player's opponents from z,
 the concatenated couplings and the linear terms.  Per group, the kernel
 forms every linear term C_i y + d_i with one stacked matvec, which gives
@@ -55,6 +52,7 @@ bitwise the one it gives (the argument is in `iqp`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -62,7 +60,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import iqp, linalg
-from .errors import DimensionMismatch
+from .errors import BoundOverflow, DimensionMismatch
 
 # Singular values within this margin of 1 are treated as "on the boundary":
 # the instance is classified neither positively nor negatively adequate.
@@ -89,30 +87,112 @@ class PlayerProblem:
 
 
 @dataclass(frozen=True)
-class IcqsInstance:
-    """A validated instance; build it with `make_instance`.
+class PlayerGroup:
+    """The players of one dimension n, ascending, with their stacked factors
+    and the stacked arrays one sweep reads.
 
-    ``L[i]`` is the lower Cholesky factor of Q_i, the one factorization of
-    Q_i: it validates Q_i (NotPositiveDefinite when the pivot test fails),
-    and every interaction matrix, classification and prepared factor is
-    taken from it.  ``C_cat[i]`` is player i's coupling blocks concatenated
-    in ascending opponent order, the matrix that maps the joint opponent
-    strategy y to the shift C_i y of player i's linear term.  Both are
-    derived from ``players`` on construction and cannot be passed in.
+    Row r belongs to player ``players[r]``: ``own[r]`` indexes its entries in
+    the joint strategy vector and ``gather[r]`` its opponents' entries in
+    ascending order, ``C[r]`` is its concatenated coupling and ``d[r]`` its
+    linear term.  ``labels`` name the players in a `ProximityViolation`.
+    """
+
+    players: tuple[int, ...]
+    stack: iqp.FactorStack
+    labels: tuple[str, ...]
+    own: np.ndarray
+    gather: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
+
+    def continuous_mins(self, z: np.ndarray) -> np.ndarray:
+        """Row r: player ``players[r]``'s continuous best response
+        -Q_i^{-1} (C_i y + d_i) to the joint vector ``z``.
+
+        The stacked matvec gives each row bitwise the linear term the
+        one-player matvec ``C_cat[i] @ y + d_i`` gives, and the stacked
+        solve each row's one-player solve (see `iqp.FactorStack`).
+        """
+        D = np.matmul(self.C, z[self.gather][:, :, None])[:, :, 0] + self.d
+        return self.stack.continuous_mins(D)
+
+
+@dataclass(frozen=True)
+class IcqsInstance:
+    """A validated instance and everything a solve derives from it alone;
+    build it with `make_instance`.
+
+    Construction checks k >= 2 and the length of every d_i and shape of every
+    coupling block, and factors each Q_i: ``L[i]`` is its lower Cholesky
+    factor, whose symmetry and pivot tests are Q_i's one validation.  The
+    rest is derived from ``players`` once, on construction, and cannot be
+    passed in:
+
+    - ``C_cat[i]``: player i's coupling blocks concatenated in ascending
+      opponent order, the matrix that maps the joint opponent strategy y to
+      the shift C_i y of player i's linear term;
+    - ``factors[i]``: Q_i's `iqp.Factor`, from ``L[i]``;
+    - ``report``: the adequacy classification (`classify`);
+    - ``slots[i]``: the range [a, b) of player i's entries in the joint
+      strategy vector, and ``groups``: the players by dimension, in order of
+      their first player, with what a sweep reads of each (`PlayerGroup`);
+    - ``qinv_d_norm``: ||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)||, the part of the
+      termination and divergence radii that no flatness rule changes.
     """
 
     players: tuple[PlayerProblem, ...]
     meta: dict = field(default_factory=dict, compare=False)
     L: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+    factors: tuple[iqp.Factor, ...] = field(init=False, compare=False, repr=False)
+    report: AdequacyReport = field(init=False, compare=False, repr=False)
+    slots: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    groups: tuple[PlayerGroup, ...] = field(init=False, compare=False, repr=False)
+    qinv_d_norm: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "L", tuple(linalg.cholesky(p.Q) for p in self.players))
-        object.__setattr__(
-            self,
-            "C_cat",
-            tuple(np.hstack([p.C[j] for j in self.opponents(i)]) for i, p in enumerate(self.players)),
+        players = self.players
+        if len(players) < 2:
+            raise DimensionMismatch("an instance needs at least two players")
+        L = tuple(linalg.cholesky(p.Q, f"Q[{i}]") for i, p in enumerate(players))
+        dims = self.dims  # each Q_i is a square matrix from here on
+        for i, p in enumerate(players):
+            if p.d.shape[0] != dims[i]:
+                raise DimensionMismatch(f"player {i}: d has length {p.d.shape[0]}, expected {dims[i]}")
+            if set(p.C.keys()) != set(self.opponents(i)):
+                raise DimensionMismatch(f"player {i}: coupling blocks for {sorted(p.C)} instead of {list(self.opponents(i))}")
+            for j, block in p.C.items():
+                if block.shape != (dims[i], dims[j]):
+                    raise DimensionMismatch(
+                        f"player {i}: block against player {j} is {block.shape}, expected {(dims[i], dims[j])}"
+                    )
+        C_cat = tuple(np.hstack([p.C[j] for j in self.opponents(i)]) for i, p in enumerate(players))
+        factors = tuple(iqp.factorize(p.Q, Li) for p, Li in zip(players, L))
+        ends = np.cumsum(dims).tolist()
+        slots = tuple(zip([0] + ends[:-1], ends))
+        index = np.arange(ends[-1])
+        members: dict[int, list[int]] = {}
+        for i, n in enumerate(dims):
+            members.setdefault(n, []).append(i)
+        groups = tuple(
+            PlayerGroup(
+                players=tuple(ps),
+                stack=iqp.FactorStack(tuple(factors[i] for i in ps)),
+                labels=tuple(f"player {i}" for i in ps),
+                own=np.array([index[a:b] for a, b in (slots[i] for i in ps)]),
+                gather=np.array([np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)]),
+                C=np.stack([C_cat[i] for i in ps]),
+                d=np.stack([players[i].d for i in ps]),
+            )
+            for ps in members.values()
         )
+        d_part = np.concatenate([linalg.solve_with_factor(Li, -p.d) for p, Li in zip(players, L)])
+        for name, value in zip(
+            ("L", "C_cat", "factors", "slots", "groups", "qinv_d_norm"),
+            (L, C_cat, factors, slots, groups, _norm(d_part)),
+        ):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "report", classify(self))  # reads L and C_cat
 
     @property
     def k(self) -> int:
@@ -125,38 +205,36 @@ class IcqsInstance:
     def opponents(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.k) if j != i)
 
+    def split(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each player's entries of the joint vector ``z``, as its own array."""
+        return tuple(z[a:b].copy() for a, b in self.slots)
+
+
+def _norm(values) -> float:
+    """The Euclidean norm of ``values``; inf, with no numpy warning, on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(values))
+
 
 def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) -> IcqsInstance:
     """Validate and freeze an instance.
 
-    Checks k >= 2, symmetry of every Q_i, that each coupling block's shape
-    matches the opponent's variable count, and then positive definiteness of
-    every Q_i with the Cholesky factorization the instance keeps.
+    Converts every Q_i to float64, checks that every coupling block and d_i
+    is a finite float64 matrix or vector, and builds the `IcqsInstance`,
+    which checks the rest: k >= 2, the shapes against each player's variable
+    count, and the symmetry and positive definiteness of every Q_i.
     """
-    players = tuple(
-        PlayerProblem(
-            Q=linalg.require_symmetric(p.Q, f"Q[{i}]"),
-            C={int(j): linalg.as_matrix(B, f"C[{i}][{j}]") for j, B in p.C.items()},
-            d=linalg.as_vector(p.d, f"d[{i}]"),
-        )
-        for i, p in enumerate(players)
+    return IcqsInstance(
+        players=tuple(
+            PlayerProblem(
+                Q=np.asarray(p.Q, dtype=np.float64),
+                C={int(j): linalg.as_matrix(B, f"C[{i}][{j}]") for j, B in p.C.items()},
+                d=linalg.as_vector(p.d, f"d[{i}]"),
+            )
+            for i, p in enumerate(players)
+        ),
+        meta=dict(meta or {}),
     )
-    k = len(players)
-    if k < 2:
-        raise DimensionMismatch("an instance needs at least two players")
-    dims = [p.n for p in players]
-    for i, p in enumerate(players):
-        if p.d.shape[0] != dims[i]:
-            raise DimensionMismatch(f"player {i}: d has length {p.d.shape[0]}, expected {dims[i]}")
-        expected = {j for j in range(k) if j != i}
-        if set(p.C.keys()) != expected:
-            raise DimensionMismatch(f"player {i}: coupling blocks for {sorted(p.C)} instead of {sorted(expected)}")
-        for j, block in p.C.items():
-            if block.shape != (dims[i], dims[j]):
-                raise DimensionMismatch(
-                    f"player {i}: block against player {j} is {block.shape}, expected {(dims[i], dims[j])}"
-                )
-    return IcqsInstance(players=players, meta=dict(meta or {}))
 
 
 def interaction_matrix(inst: IcqsInstance, i: int) -> np.ndarray:
@@ -203,130 +281,49 @@ def classify(inst: IcqsInstance) -> AdequacyReport:
 
 
 @dataclass(frozen=True)
-class PreparedPlayer:
-    """Player i's data that every best response of one solve reuses.
+class Prepared:
+    """An instance and its players' proximity radii under one solve's
+    flatness rule; build it with `prepare`.
 
-    ``prox_flatness`` is the plain flatness radius and ``prox_exact`` the one
-    raised to sqrt(n)/2 for scaled identities, both under the solve's rule.
+    ``prox_flatness[i]`` is player i's plain flatness radius and
+    ``prox_exact[i]`` the one raised to sqrt(n)/2 for scaled identities.
     """
 
-    factor: iqp.Factor
-    prox_flatness: float
-    prox_exact: float
+    inst: IcqsInstance
+    prox_flatness: tuple[float, ...]
+    prox_exact: tuple[float, ...]
 
-    def prox(self, variant: str) -> float:
+    def prox(self, variant: str) -> tuple[float, ...]:
+        """Every player's radius of the ``"flatness"`` or ``"exact"`` variant."""
         if variant == "flatness":
             return self.prox_flatness
         if variant == "exact":
             return self.prox_exact
         raise ValueError(f"unknown prox variant {variant!r}")
 
-
-@dataclass(frozen=True)
-class PlayerGroup:
-    """The players of one dimension n, ascending, with their stacked factors
-    and the stacked arrays one sweep reads.
-
-    Row r belongs to player ``players[r]``: ``own[r]`` indexes its entries in
-    the joint strategy vector and ``gather[r]`` its opponents' entries in
-    ascending order, ``C[r]`` is its concatenated coupling and ``d[r]`` its
-    linear term.  ``labels`` name the players in a `ProximityViolation`.
-    """
-
-    players: tuple[int, ...]
-    stack: iqp.FactorStack
-    labels: tuple[str, ...]
-    own: np.ndarray
-    gather: np.ndarray
-    C: np.ndarray
-    d: np.ndarray
-
-    def continuous_mins(self, z: np.ndarray) -> np.ndarray:
-        """Row r: player ``players[r]``'s continuous best response
-        -Q_i^{-1} (C_i y + d_i) to the joint vector ``z``.
-
-        The stacked matvec gives each row bitwise the linear term the
-        one-player matvec ``C_cat[i] @ y + d_i`` gives, and the stacked
-        solve each row's one-player solve (see `iqp.FactorStack`).
-        """
-        D = np.matmul(self.C, z[self.gather][:, :, None])[:, :, 0] + self.d
-        return self.stack.continuous_mins(D)
-
-
-@dataclass(frozen=True)
-class Prepared:
-    """One instance's per-solve data; build it with `prepare`.
-
-    ``groups`` gathers the players by dimension, in order of their first
-    player, and ``slots[i]`` is the range [a, b) of player i's entries in the
-    joint strategy vector; both are derived from ``inst`` and ``players``.
-    """
-
-    inst: IcqsInstance
-    report: AdequacyReport
-    players: tuple[PreparedPlayer, ...]
-    groups: tuple[PlayerGroup, ...] = field(init=False, repr=False)
-    slots: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        inst = self.inst
-        ends = np.cumsum(inst.dims).tolist()
-        slots = tuple(zip([0] + ends[:-1], ends))
-        index = np.arange(ends[-1])
-        members: dict[int, list[int]] = {}
-        for i, n in enumerate(inst.dims):
-            members.setdefault(n, []).append(i)
-        groups = tuple(
-            PlayerGroup(
-                players=tuple(ps),
-                stack=iqp.FactorStack(tuple(self.players[i].factor for i in ps)),
-                labels=tuple(f"player {i}" for i in ps),
-                own=np.array([index[a:b] for a, b in (slots[i] for i in ps)]),
-                gather=np.array(
-                    [np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)]
-                ),
-                C=np.stack([inst.C_cat[i] for i in ps]),
-                d=np.stack([inst.players[i].d for i in ps]),
-            )
-            for ps in members.values()
-        )
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "slots", slots)
-
-    def split(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Each player's entries of the joint vector ``z``, as its own array."""
-        return tuple(z[a:b].copy() for a, b in self.slots)
-
     def radius(self, prox_variant: str) -> float:
-        """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho."""
-        d_part = np.concatenate(
-            [
-                linalg.solve_with_factor(pp.factor.L, -p.d)
-                for pp, p in zip(self.players, self.inst.players)
-            ]
-        )
-        proxes = [p.prox(prox_variant) for p in self.players]
-        return (float(np.linalg.norm(d_part)) + float(np.linalg.norm(proxes))) / self.report.rho
+        """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho.
+
+        BoundOverflow when it is too large for a float.
+        """
+        rho = self.inst.report.rho
+        radius = (self.inst.qinv_d_norm + _norm(self.prox(prox_variant))) / rho
+        if not math.isfinite(radius):
+            raise BoundOverflow(
+                f"the {prox_variant} radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {rho:.6g}"
+            )
+        return radius
 
 
 def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
-    """Every player's factor, from the Cholesky factor the instance holds,
-    and the classification of ``inst``, for one solve.
-
-    ``rule`` is the flatness rule the proximity radii are stated under;
-    BoundOverflow when it overflows at a player's dimension.
+    """Every player's proximity radii under ``rule``, for one solve of
+    ``inst``; BoundOverflow when the rule overflows at a player's dimension.
     """
-    players = []
-    for p, L in zip(inst.players, inst.L):
-        factor = iqp.factorize(p.Q, L)
-        players.append(
-            PreparedPlayer(
-                factor=factor,
-                prox_flatness=iqp.prox_bound(factor, rule),
-                prox_exact=iqp.guarantee_prox(factor, rule),
-            )
-        )
-    return Prepared(inst=inst, report=classify(inst), players=tuple(players))
+    return Prepared(
+        inst=inst,
+        prox_flatness=tuple(iqp.prox_bound(f, rule) for f in inst.factors),
+        prox_exact=tuple(iqp.guarantee_prox(f, rule) for f in inst.factors),
+    )
 
 
 def _concat(inst: IcqsInstance, players: Sequence[int], vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -393,7 +390,7 @@ def integer_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
     players the certificate cannot answer are enumerated.
     """
     out = np.empty(z.shape[0], dtype=np.int64)
-    for g in prep.groups:
+    for g in prep.inst.groups:
         out[g.own] = iqp.lattice_mins(g.stack, g.continuous_mins(z), labels=g.labels)
     return out
 
@@ -402,7 +399,7 @@ def continuous_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
     """Every player's continuous best response to the joint float64 vector
     ``z``, as one joint vector; unchecked, as `integer_sweep`."""
     out = np.empty_like(z)
-    for g in prep.groups:
+    for g in prep.inst.groups:
         out[g.own] = g.continuous_mins(z)
     return out
 
@@ -414,7 +411,7 @@ def best_responses(prep: Prepared, profile: Sequence[np.ndarray]) -> list[np.nda
     Real entries are allowed, as for `best_response`.  Each response is
     bitwise the one `best_response` gives the same player.
     """
-    return list(prep.split(integer_sweep(prep, joint_vector(prep.inst, profile))))
+    return list(prep.inst.split(integer_sweep(prep, joint_vector(prep.inst, profile))))
 
 
 def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
@@ -425,7 +422,7 @@ def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.nd
     smallest vector.  This is the sweep's certificate and search on a stack
     of one, from the one-player linear term.
     """
-    stack = iqp.FactorStack((prep.players[i].factor,))
+    stack = iqp.FactorStack((prep.inst.factors[i],))
     D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))[None]
     return iqp.lattice_mins(stack, stack.continuous_mins(D), labels=(f"player {i}",))[0]
 

@@ -5,9 +5,10 @@ Randomness comes from SplitMix64, a counter-based 64-bit generator small
 enough to respecify exactly (see the class docstring), so a (spec, seed)
 pair pins the emitted instance down to the last bit on any platform.
 
-Both stochastic families verify their advertised classification with
-`game.classify` and redraw on failure; generation raises
-RejectionBudgetExceeded after 1000 rejected draws.
+The stochastic families check their advertised classification against the
+report each draw derives when it is built (`IcqsInstance.report`) and
+redraw on failure; generation raises RejectionBudgetExceeded after 1000
+rejected draws.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def gen_pricing(spec: PricingSpec) -> game.IcqsInstance:
             inst = game.make_instance(players, meta=_spec_meta("pricing", spec))
         except NotPositiveDefinite:
             continue
-        if game.classify(inst).classification is game.Adequacy.POSITIVE:
+        if inst.report.classification is game.Adequacy.POSITIVE:
             return inst
     raise RejectionBudgetExceeded(f"pricing generation rejected {REJECTION_BUDGET} draws")
 
@@ -206,7 +207,7 @@ def gen_random(spec: RandomSpec) -> game.IcqsInstance:
         if not ok:
             continue
         inst = game.make_instance(players, meta=_spec_meta("random", spec))
-        if game.classify(inst).classification is game.Adequacy.POSITIVE:
+        if inst.report.classification is game.Adequacy.POSITIVE:
             return inst
     raise RejectionBudgetExceeded(f"random generation rejected {REJECTION_BUDGET} draws")
 
@@ -244,7 +245,7 @@ def gen_negative(spec: NegativeSpec) -> game.IcqsInstance:
                     col += n
             players.append(game.PlayerProblem(Q=Q, C=C, d=np.zeros(n)))
         inst = game.make_instance(players, meta=_spec_meta("negative", spec))
-        if game.classify(inst).classification is game.Adequacy.NEGATIVE:
+        if inst.report.classification is game.Adequacy.NEGATIVE:
             return inst
     raise RejectionBudgetExceeded(f"negative generation rejected {REJECTION_BUDGET} draws")
 

@@ -14,10 +14,10 @@ Everything that depends on Q alone (its Cholesky factor, the diagonal of
 Q^{-1}, eigenvalue extremes, the proven proximity radius and gap bound, and
 the row views the search takes its dot products with) is gathered in a
 `Factor`, built by `factorize` from Q and the Cholesky factor the caller
-already holds: `game.IcqsInstance` factors each Q_i once, when it is built,
-and that factorization is Q's one validation.  A caller that minimizes
-against the same Q many times, like a best-response loop where only d
-moves, builds the factor once; nothing is cached between calls.
+already holds: `game.IcqsInstance` factors each Q_i once, when it is built
+(Q's one validation), and keeps each player's `Factor`.  A caller that
+minimizes against the same Q many times, like a best-response loop where
+only d moves, builds the factor once; nothing is cached between calls.
 `integer_min(q)` and `continuous_min(q)` take a bare `Quadratic` and factor
 its Q themselves.
 
@@ -229,8 +229,8 @@ def factorize(Q: np.ndarray, L: np.ndarray) -> Factor:
     Cholesky factor ``L = cholesky(Q)``.
 
     Nothing is checked: the `cholesky` that produced L validated Q, once
-    per player when the instance was built (``IcqsInstance.L``), or in
-    `integer_min` for a bare quadratic.
+    per player when the instance was built (``IcqsInstance.factors``), or
+    in `integer_min` for a bare quadratic.
     """
     eig = sym_eigen(Q)
     G = np.ascontiguousarray(L.T)

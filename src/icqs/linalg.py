@@ -64,14 +64,14 @@ def require_symmetric(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
     return Q
 
 
-def cholesky(Q: np.ndarray) -> np.ndarray:
+def cholesky(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower-triangular L with L @ L.T == Q for symmetric positive definite Q.
 
-    The factorization is run column by column so the failing pivot can be
-    reported; a pivot at or below ``PD_TOLERANCE`` raises NotPositiveDefinite,
-    which downstream code treats as "this matrix violates the game class".
+    `require_symmetric` checks Q first, calling it ``name`` in its errors.
+    The loop runs column by column so the failing pivot can be reported: a
+    pivot at or below ``PD_TOLERANCE`` raises NotPositiveDefinite.
     """
-    Q = require_symmetric(Q)
+    Q = require_symmetric(Q, name)
     n = Q.shape[0]
     L = np.zeros_like(Q)
     for j in range(n):

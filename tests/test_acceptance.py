@@ -219,7 +219,7 @@ def test_criterion_5_proximity_invariants(iqp_corpus):
 
 def test_criterion_6_termination(instances6, solves6):
     classified_ok = all(
-        prep.report.classification is game.Adequacy.POSITIVE for _, _, prep in instances6
+        prep.inst.report.classification is game.Adequacy.POSITIVE for _, _, prep in instances6
     )
     terminated = [r for r in solves6 if r["terminated"]]
     median = float(np.median([r["elapsed"] for r in solves6]))
@@ -319,7 +319,7 @@ def test_criterion_9_continuous_mode(instances6):
         if residual > 1e-8:
             stationarity_bad += 1
         z_star = _affine_fixed_point(inst)
-        sigma = prep.report.max_sigma
+        sigma = prep.inst.report.max_sigma
         dists = [
             float(np.linalg.norm(np.concatenate([np.asarray(x, float) for x in p]) - z_star))
             for p in trace.profiles

@@ -204,10 +204,10 @@ def test_solve_pipeline_classifies_once(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
-    # one prepared value per solve: one classification, and one factor per
-    # player, from the Cholesky factor the instance holds, so no Q is
-    # factored again inside the solve
-    assert calls == {"classify": 1, "prepare": 1, "factorize": inst.k, "cholesky": 0}
+    # one prepared value per solve, which binds the flatness rule only: the
+    # classification and every player's factor come with the instance, so
+    # no Q is factored and nothing is classified inside the solve
+    assert calls == {"classify": 0, "prepare": 1, "factorize": 0, "cholesky": 0}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
@@ -260,6 +260,25 @@ def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, tmp_path, caps
     assert exit_code(["solve", str(cycling_file), "--out", str(tmp_path / "out"), *flags]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: flatness") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_radius_exits_3_with_one_error_line(tmp_path):
+    # Flt = 1e154 squares to a finite float, but the joint norm of three
+    # players' radii does not: the solve stops with one error line and no
+    # numpy warning, and no report with an infinite radius is written
+    path = tmp_path / "inst.json"
+    assert run_cli(["generate", "--family", "random", "--players", "3", "--vars", "5",
+                    "--seed", "7", "--out", str(path)]) == cli.EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "icqs", "solve", str(path), "--out", str(tmp_path / "out"),
+         "--flatness-coeff", "1e154", "--flatness-exponent", "0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_SOLVER
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the flatness radius"), proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -30,22 +30,50 @@ def test_make_instance_validates_pd_and_blocks():
 
 def test_replacing_a_q_with_a_non_pd_one_raises_at_once():
     # the instance's Cholesky factor is derived on construction, so a copy
-    # with a non-PD Q fails when it is built, not later in a solve
+    # with a non-PD or asymmetric Q fails when it is built, not later in a solve
     inst = instgen.builtin("cycling")
     bad = dataclasses.replace(inst.players[0], Q=np.array([[-1.0]]))
     with pytest.raises(NotPositiveDefinite):
         dataclasses.replace(inst, players=(bad, inst.players[1]))
+    wide = game.make_instance(
+        [
+            game.PlayerProblem(Q=np.eye(2), C={1: np.zeros((2, 1))}, d=np.zeros(2)),
+            game.PlayerProblem(Q=np.eye(1), C={0: np.zeros((1, 2))}, d=np.zeros(1)),
+        ]
+    )
+    asymmetric = dataclasses.replace(wide.players[0], Q=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch, match=r"^Q\[0\] must be symmetric"):
+        dataclasses.replace(wide, players=(asymmetric, wide.players[1]))
+
+
+def test_replacing_a_q_rederives_the_instance_data():
+    inst = instgen.builtin("cycling")
+    steeper = dataclasses.replace(inst.players[0], Q=np.array([[4.0]]))
+    rebuilt = dataclasses.replace(inst, players=(steeper, inst.players[1]))
+    assert rebuilt.factors[0].Q is steeper.Q and rebuilt.factors[0].lambda_max == 4.0
+    assert rebuilt.factors[1].Q is inst.players[1].Q
+    assert rebuilt.report == game.classify(rebuilt)
+    assert rebuilt.report.sigma_max[0] == pytest.approx(0.5 * inst.report.sigma_max[0])
+    assert [g.stack.factors for g in rebuilt.groups] == [rebuilt.factors]
+    assert rebuilt.qinv_d_norm != inst.qinv_d_norm
 
 
 def test_instances_and_generator_draws_factor_each_q_once(monkeypatch):
-    # make_instance runs one Cholesky factorization per player, and the
-    # classification a generator verifies each draw with runs none
-    calls = {"cholesky": 0, "make_instance": 0, "classify": 0}
-    cholesky, make_instance, classify = linalg.cholesky, game.make_instance, game.classify
+    # building an instance runs one Cholesky factorization, one factor and
+    # one classification per player and instance, and the classification
+    # runs no Cholesky; a generator draw classifies nothing a second time
+    calls = {"cholesky": 0, "factorize": 0, "make_instance": 0, "classify": 0}
+    cholesky, factorize, make_instance, classify = (
+        linalg.cholesky, iqp.factorize, game.make_instance, game.classify
+    )
 
-    def counting_cholesky(Q):
+    def counting_cholesky(*args, **kwargs):
         calls["cholesky"] += 1
-        return cholesky(Q)
+        return cholesky(*args, **kwargs)
+
+    def counting_factorize(*args, **kwargs):
+        calls["factorize"] += 1
+        return factorize(*args, **kwargs)
 
     def counting_make_instance(*args, **kwargs):
         calls["make_instance"] += 1
@@ -59,21 +87,22 @@ def test_instances_and_generator_draws_factor_each_q_once(monkeypatch):
         return report
 
     monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(iqp, "factorize", counting_factorize)
     monkeypatch.setattr(game, "make_instance", counting_make_instance)
     monkeypatch.setattr(game, "classify", counting_classify)
     inst = instgen.builtin("counterexample", M=10)
-    assert calls == {"cholesky": inst.k, "make_instance": 1, "classify": 0}
+    assert calls == {"cholesky": inst.k, "factorize": inst.k, "make_instance": 1, "classify": 1}
     for generate, spec in (
         (instgen.gen_pricing, instgen.PricingSpec(n_players=3, seed=21)),
         (instgen.gen_negative, instgen.NegativeSpec(n_players=3, vars_per_player=2, seed=1)),
     ):
-        calls.update(cholesky=0, make_instance=0, classify=0)
+        calls.update(cholesky=0, factorize=0, make_instance=0, classify=0)
         inst = generate(spec)
         assert calls["classify"] == calls["make_instance"] >= 1
-        assert calls["cholesky"] == inst.k * calls["make_instance"]
-    game.classify(inst)
+        assert calls["cholesky"] == calls["factorize"] == inst.k * calls["make_instance"]
+    calls.update(cholesky=0, factorize=0, make_instance=0, classify=0)
     game.prepare(inst)
-    assert calls["cholesky"] == inst.k * calls["make_instance"]
+    assert calls == {"cholesky": 0, "factorize": 0, "make_instance": 0, "classify": 0}
 
 
 def test_interaction_matrix_scalars():
@@ -303,7 +332,7 @@ def test_prepared_best_response_matches_reference_and_oracle():
         assert v.tolist() == [0] == iqp.brute_force_min(q)[0].tolist()
 
 
-def test_sweep_kernel_raises_proximity_violation_for_the_broken_player():
+def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypatch):
     # player 1 of a (3, 5, 5) instance shares its group with player 2; with
     # its proven radius or gap shrunk to zero, the sweep must raise for it,
     # as the one-player call does, and the other players stay unaffected
@@ -312,12 +341,23 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player():
     profile = [np.full(n, 0.5) for n in inst.dims]
     assert len(game.best_responses(prep, profile)) == 3
     others = [[profile[j] for j in inst.opponents(i)] for i in range(inst.k)]
+    factorize = iqp.factorize
     for bound in ("radius", "gap"):
-        broken = copy.copy(prep.players[1].factor)
-        object.__setattr__(broken, bound, 0.0)
-        players = list(prep.players)
-        players[1] = dataclasses.replace(players[1], factor=broken)
-        bad = dataclasses.replace(prep, players=tuple(players))
+
+        def breaking_factorize(Q, L, _bound=bound):
+            factor = factorize(Q, L)
+            if Q is inst.players[1].Q:
+                factor = copy.copy(factor)
+                object.__setattr__(factor, _bound, 0.0)
+            return factor
+
+        # the instance's factors and sweep stacks are derived when it is
+        # built, so the broken factor goes in through a rebuilt copy
+        with monkeypatch.context() as m:
+            m.setattr(iqp, "factorize", breaking_factorize)
+            bad = game.prepare(dataclasses.replace(inst))
+        assert getattr(bad.inst.factors[1], bound) == 0.0
+        assert bad.inst.groups[1].stack.factors[0] is bad.inst.factors[1]
         with pytest.raises(ProximityViolation, match="^player 1: ") as one:
             game.best_response(bad, 1, others[1])
         with pytest.raises(ProximityViolation) as sweep:
@@ -327,11 +367,12 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player():
             game.best_response(bad, i, others[i])
 
 
-def test_prepare_holds_one_report_and_per_player_data():
+def test_prepare_holds_only_the_rule_dependent_radii():
     inst = instgen.builtin("cycling")
     prep = game.prepare(inst, iqp.FlatnessRule(coeff=2.0, exponent=1.0))
-    assert prep.report == game.classify(inst)
-    assert [p.prox_flatness for p in prep.players] == pytest.approx([0.5, 0.5])
-    assert prep.players[0].prox("exact") == pytest.approx(0.5)
+    assert [f.name for f in dataclasses.fields(prep)] == ["inst", "prox_flatness", "prox_exact"]
+    assert prep.inst is inst and inst.report == game.classify(inst)
+    assert prep.prox("flatness") == prep.prox_flatness == pytest.approx((0.5, 0.5))
+    assert prep.prox("exact") == prep.prox_exact == pytest.approx((0.5, 0.5))
     with pytest.raises(ValueError):
-        prep.players[0].prox("bogus")
+        prep.prox("bogus")
