@@ -9,6 +9,14 @@ lattice point.  The cost tensor needs only the instance (`restrict`); the
 deviation check solves integer best responses, so `verify_delta` takes the
 solve's `game.Prepared` value.
 
+The coupling is linear, so the restricted game is polymatrix: player i's
+cost at a cell is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
+s_i'C_ij s_j per opponent.  `restrict` builds the tensor from those pieces:
+one own cost per strategy and one block S_i C_ij S_j' per ordered pair of
+players, O(sum_ij m_i m_j n) arithmetic for m_i strategies per player,
+broadcast onto the prod(m_i) cells with no loop over cells.  A
+(32, 43, 29, 32) four-player set takes about a tenth of a second.
+
 Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
 indifference conditions are solved as a linear system per pair, and the first
@@ -55,7 +63,7 @@ class FiniteGame:
     """Strategy lists plus the cost tensor of the restricted game.
 
     ``costs`` has shape (m_1, ..., m_k, k): entry [s_1, ..., s_k, i] is the
-    exact objective of player i at the indexed joint profile.
+    objective of player i at the indexed joint profile.
     """
 
     strategies: tuple[tuple[np.ndarray, ...], ...]
@@ -102,18 +110,43 @@ def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
 
 
 def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
-    """Cost tensor of the game restricted to the cycle strategies."""
+    """Cost tensor of the game restricted to the cycle strategies.
+
+    Player i's strategies are stacked into S_i (m_i x n_i).  Its own costs
+    ``0.5 s'Q_i s + d_i's`` are taken once per strategy and each block
+    ``S_i C_ij S_j'`` once per ordered pair; ``costs[..., i]`` is the own
+    term plus the blocks, added in ascending opponent order, each broadcast
+    onto the axes (i, j).  That is O(sum_ij m_i m_j n) arithmetic and one
+    broadcast add per block over the prod(m_i) cells, with no loop over
+    cells.  Each cell is `game.objective` at that profile up to rounding in
+    its last bits.  Raises ValueError when a cost is not finite, which a
+    non-finite strategy or an overflow makes it.
+    """
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
         raise DimensionMismatch("every player needs at least one cycle strategy")
     sizes = tuple(len(s) for s in strategies)
     k = len(strategies)
+    S = [np.array(strats, dtype=np.float64) for strats in strategies]
+    lengths = tuple(S_i.shape[1] for S_i in S)
+    if lengths != inst.dims:
+        raise DimensionMismatch(f"strategy lengths {lengths} do not fit the player dimensions {inst.dims}")
     costs = np.empty(sizes + (k,), dtype=np.float64)
-    for index in np.ndindex(*sizes):
-        profile = [strategies[i][index[i]] for i in range(k)]
-        for i in range(k):
-            others = [profile[j] for j in range(k) if j != i]
-            costs[index + (i,)] = game.objective(inst, i, profile[i], others)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, p in enumerate(inst.players):
+            # the own costs on axis i, then each block on the axes (i, j)
+            shape = [1] * k
+            shape[i] = sizes[i]
+            total = (0.5 * np.einsum("sa,ab,sb->s", S[i], p.Q, S[i]) + S[i] @ p.d).reshape(shape)
+            for j in inst.opponents(i):
+                block = S[i] @ p.C[j] @ S[j].T
+                pair = shape.copy()
+                pair[j] = sizes[j]
+                total = total + (block.T if j < i else block).reshape(pair)
+            costs[..., i] = total
+    if not np.isfinite(costs).all():
+        # a non-finite strategy makes its owner's cost non-finite: Q_i is PD
+        raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
     return FiniteGame(strategies=strategies, costs=costs)
 
 

@@ -257,14 +257,15 @@ class AdequacyReport:
 
 def classify(inst: IcqsInstance) -> AdequacyReport:
     """Adequacy classification from the singular values of the interaction
-    matrices (`interaction_matrix`).
+    matrices (`interaction_matrix`); ValueError naming the player and R_i
+    when an R_i overflows.
 
     Strict inequalities with an epsilon margin; singular values numerically
     equal to one land in NEITHER rather than being misclassified.
     """
     smax, smin = [], []
     for i in range(inst.k):
-        sv = linalg.singular_values(interaction_matrix(inst, i))
+        sv = linalg.singular_values(interaction_matrix(inst, i), f"player {i}: R_{i} = Q_{i}^-1 C_{i}")
         smax.append(float(sv[0]))
         smin.append(float(sv[-1]))
     overall_max = max(smax)

@@ -18,8 +18,9 @@ already holds: `game.IcqsInstance` factors each Q_i once, when it is built
 (Q's one validation), and keeps each player's `Factor`.  A caller that
 minimizes against the same Q many times, like a best-response loop where
 only d moves, builds the factor once; nothing is cached between calls.
-`integer_min(q)` and `continuous_min(q)` take a bare `Quadratic` and factor
-its Q themselves.
+`integer_min(q)`, `continuous_min(q)` and `brute_force_min(q)` take a bare
+`Quadratic` and factor its Q themselves, with `linalg.cholesky_unchecked`:
+building the `Quadratic` validated Q, so it is not scanned again.
 
 Minimization is split in two: the continuous minimizer u, then the integer
 minimizer given u and the factor (`lattice_mins`).  Both work on a
@@ -91,7 +92,8 @@ from .errors import (
     OracleBudgetExceeded,
     ProximityViolation,
 )
-from .linalg import as_vector, cholesky, require_symmetric, solve_with_factor, sym_eigen
+from .linalg import as_vector, cholesky_unchecked, require_symmetric, solve_with_factor, sym_eigen
+from .linalg import cholesky  # noqa: F401  not called here; perfbench's tracer wraps iqp.cholesky
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -228,9 +230,9 @@ def factorize(Q: np.ndarray, L: np.ndarray) -> Factor:
     """Collect the `Factor` of a symmetric float64 matrix Q from its lower
     Cholesky factor ``L = cholesky(Q)``.
 
-    Nothing is checked: the `cholesky` that produced L validated Q, once
-    per player when the instance was built (``IcqsInstance.factors``), or
-    in `integer_min` for a bare quadratic.
+    Nothing is checked: Q was validated once, by the `cholesky` that
+    produced L when the instance was built (``IcqsInstance.factors``), or by
+    building the bare `Quadratic` that `integer_min` factors.
     """
     eig = sym_eigen(Q)
     G = np.ascontiguousarray(L.T)
@@ -284,7 +286,7 @@ class FactorStack:
 
 def continuous_min(q: Quadratic) -> np.ndarray:
     """The unconstrained minimizer u = -Q^{-1} d."""
-    return solve_with_factor(cholesky(q.Q), -q.d)
+    return solve_with_factor(cholesky_unchecked(q.Q), -q.d)
 
 
 def prox_bound(factor: Factor, rule: FlatnessRule = PROVEN_RULE) -> float:
@@ -326,7 +328,7 @@ def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[n
     happens for pathologically conditioned Q, and ProximityViolation if the
     result breaks the proven proximity radius or gap bound.
     """
-    stack = FactorStack((factorize(q.Q, cholesky(q.Q)),))
+    stack = FactorStack((factorize(q.Q, cholesky_unchecked(q.Q)),))
     v = lattice_mins(stack, stack.continuous_mins(q.d[None]), node_budget)[0]
     return v, q.value(v)
 
@@ -489,7 +491,7 @@ def brute_force_min(
     is exact and usually far smaller than the proximity-radius box.
     """
     n = q.n
-    L = cholesky(q.Q)
+    L = cholesky_unchecked(q.Q)
     u = solve_with_factor(L, -q.d)
     center = np.rint(u)
 

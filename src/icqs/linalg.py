@@ -67,11 +67,19 @@ def require_symmetric(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
 def cholesky(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower-triangular L with L @ L.T == Q for symmetric positive definite Q.
 
-    `require_symmetric` checks Q first, calling it ``name`` in its errors.
-    The loop runs column by column so the failing pivot can be reported: a
-    pivot at or below ``PD_TOLERANCE`` raises NotPositiveDefinite.
+    `require_symmetric` checks Q first, calling it ``name`` in its errors;
+    the factorization is `cholesky_unchecked`'s.
     """
-    Q = require_symmetric(Q, name)
+    return cholesky_unchecked(require_symmetric(Q, name))
+
+
+def cholesky_unchecked(Q: np.ndarray) -> np.ndarray:
+    """`cholesky` of a Q that `require_symmetric` already returned.
+
+    Q's finiteness and symmetry are not checked again.  The loop runs column
+    by column so the failing pivot can be reported: a pivot at or below
+    ``PD_TOLERANCE`` raises NotPositiveDefinite.
+    """
     n = Q.shape[0]
     L = np.zeros_like(Q)
     for j in range(n):
@@ -119,14 +127,16 @@ def sym_eigen(Q: np.ndarray) -> SymEigen:
     return SymEigen(eigenvalues=values[order], eigenvectors=vectors[:, order])
 
 
-def singular_values(A: np.ndarray) -> np.ndarray:
+def singular_values(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Singular values of A, descending, as sqrt of the Gram spectrum.
+
+    `as_matrix` checks A first, calling it ``name`` in its errors.
 
     Going through A.T @ A costs some accuracy for tiny singular values, but
     the matrices here never exceed a few dozen rows and every consumer works
     at tolerances far above the induced error.
     """
-    A = as_matrix(A)
+    A = as_matrix(A, name)
     if A.shape[0] < A.shape[1]:
         A = A.T  # Gram matrix of the smaller side; nonzero spectrum matches
     gram = A.T @ A

@@ -33,6 +33,20 @@ def test_classify_malformed_file(tmp_path, capsys):
     assert exc.value.code == cli.EXIT_PARSE
 
 
+def test_classify_names_the_player_whose_interaction_matrix_overflows(tmp_path, capsys):
+    # R_0 = Q_0^-1 C_0 = 1e-5^-1 * 1e305 is not a finite float
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "players": [{"Q": [[1e-5]], "C": {"1": [[1e305]]}, "d": [0.0]},
+                    {"Q": [[1.0]], "C": {"0": [[0.5]]}, "d": [0.0]}],
+        "meta": {},
+    }))
+    assert exit_code(["classify", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "player 0" in err[0] and "R_0" in err[0] and "non-finite" in err[0]
+
+
 def test_solve_command_writes_report_and_trace(cycling_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run_cli(["solve", str(cycling_file), "--out", str(out_dir)]) == cli.EXIT_OK

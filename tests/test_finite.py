@@ -58,6 +58,82 @@ def test_restrict_rejects_non_finite_strategies():
         finite.restrict(inst, sets)
 
 
+def mixed_dim_game(rng, dims):
+    # random SPD Q_i, couplings and linear terms for players of dimensions dims
+    players = []
+    for i, n in enumerate(dims):
+        A = rng.standard_normal((n, n))
+        players.append(game.PlayerProblem(
+            Q=A @ A.T + n * np.eye(n),
+            C={j: rng.uniform(-2.0, 2.0, size=(n, m)) for j, m in enumerate(dims) if j != i},
+            d=rng.uniform(-3.0, 3.0, size=n),
+        ))
+    return game.make_instance(players)
+
+
+def strategy_sets(rng, dims, sizes):
+    strategies = tuple(
+        tuple(rng.integers(-6, 7, size=n).astype(np.float64) for _ in range(m))
+        for n, m in zip(dims, sizes)
+    )
+    return dynamics.CycleSets(strategies=strategies, joint_profiles=())
+
+
+def objective_at(inst, fg, cell, i):
+    profile = [fg.strategies[j][cell[j]] for j in range(fg.k)]
+    return game.objective(inst, i, profile[i], profile[:i] + profile[i + 1:])
+
+
+def test_restrict_matches_the_objective_on_every_cell():
+    rng = np.random.default_rng(11)
+    for k in range(2, 6):
+        for n in range(1, 4):
+            for _ in range(2):
+                dims = tuple(int(d) for d in rng.integers(1, n + 1, size=k))
+                sizes = tuple(int(m) for m in rng.integers(1, 5, size=k))
+                inst = mixed_dim_game(rng, dims)
+                fg = finite.restrict(inst, strategy_sets(rng, dims, sizes))
+                assert fg.costs.shape == sizes + (k,)
+                for cell in np.ndindex(*sizes):
+                    for i in range(k):
+                        expected = objective_at(inst, fg, cell, i)
+                        assert abs(fg.costs[cell + (i,)] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_restrict_makes_no_objective_call(monkeypatch):
+    rng = np.random.default_rng(12)
+    inst = mixed_dim_game(rng, (2, 1, 3))
+    sets = strategy_sets(rng, inst.dims, (3, 4, 2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("restrict called game.objective")
+
+    monkeypatch.setattr(game, "objective", forbidden)
+    assert finite.restrict(inst, sets).costs.shape == (3, 4, 2, 3)
+
+
+def test_restrict_builds_a_large_four_player_set_cell_for_cell():
+    rng = np.random.default_rng(13)
+    inst = coupled_game(rng, 4, 2)
+    fg = finite.restrict(inst, strategy_sets(rng, inst.dims, (12, 15, 11, 13)))
+    assert fg.sizes == (12, 15, 11, 13)
+    for _ in range(200):
+        cell = tuple(int(rng.integers(m)) for m in fg.sizes)
+        i = int(rng.integers(4))
+        expected = objective_at(inst, fg, cell, i)
+        assert abs(fg.costs[cell + (i,)] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_restrict_rejects_an_overflowing_cost():
+    # 0.5 s'Qs at s = 1e200 is about 1e400, beyond the largest float
+    inst = instgen.builtin("cycling")
+    sets = dynamics.CycleSets(
+        strategies=((np.array([0.0]), np.array([1e200])), (np.array([1.0]),)), joint_profiles=()
+    )
+    with pytest.raises(ValueError, match="overflows"):
+        finite.restrict(inst, sets)
+
+
 def test_pne_search(cycling_game, counter_game):
     _, fg_cycling = cycling_game
     _, fg_counter = counter_game

@@ -5,7 +5,7 @@ import pytest
 
 from _corpus import quadratic_corpus
 from icqs import iqp, linalg
-from icqs.errors import OracleBudgetExceeded
+from icqs.errors import NotPositiveDefinite, OracleBudgetExceeded
 
 
 def scalar(qval, dval):
@@ -99,6 +99,29 @@ def test_brute_force_examples():
     assert v.tolist() == [0] and value == pytest.approx(0.0)
     v, value = iqp.brute_force_min(iqp.Quadratic(np.eye(2), np.zeros(2)), radius=1.0)
     assert v.tolist() == [0, 0] and value == 0.0
+
+
+@pytest.mark.parametrize("entry", ["integer_min", "continuous_min", "brute_force_min"])
+def test_bare_quadratic_entry_points_scan_q_once(entry, monkeypatch):
+    # building the Quadratic validates Q; the entry point factors it unscanned
+    scans = {"finite": 0, "symmetric": 0}
+    as_matrix, symmetric = linalg.as_matrix, linalg._symmetric
+
+    def counting_as_matrix(*args, **kwargs):
+        scans["finite"] += 1
+        return as_matrix(*args, **kwargs)
+
+    def counting_symmetric(*args, **kwargs):
+        scans["symmetric"] += 1
+        return symmetric(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_matrix", counting_as_matrix)
+    monkeypatch.setattr(linalg, "_symmetric", counting_symmetric)
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    getattr(iqp, entry)(iqp.Quadratic(Q, np.array([-0.7, 0.3])))
+    assert scans == {"finite": 1, "symmetric": 1}
+    with pytest.raises(NotPositiveDefinite):
+        getattr(iqp, entry)(iqp.Quadratic(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2)))
 
 
 def test_brute_force_budget():
