@@ -253,15 +253,15 @@ def _int_field(
     return number
 
 
-def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsInstance]]:
-    """Name and generator of one generation entry; IcqsError when malformed."""
+def _parse_entry(entry: dict, index: int) -> tuple[str, int, Callable[[], game.IcqsInstance]]:
+    """Name, player count and generator of one entry; IcqsError when malformed."""
     family = entry.get("family")
     seed = _int_field(entry, "seed", index)
     if family == "pricing":
         spec = instgen.PricingSpec(
             n_players=_int_field(entry, "n_players", minimum=2), seed=seed
         )
-        return f"pricing-{spec.n_players}p-s{seed}", partial(instgen.gen_pricing, spec)
+        return f"pricing-{spec.n_players}p-s{seed}", spec.n_players, partial(instgen.gen_pricing, spec)
     if family == "random":
         spec = instgen.RandomSpec(
             n_players=_int_field(entry, "n_players", minimum=2),
@@ -269,7 +269,7 @@ def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsIn
             seed=seed,
         )
         name = f"random-{spec.n_players}p-{spec.vars_per_player}v-s{seed}"
-        return name, partial(instgen.gen_random, spec)
+        return name, spec.n_players, partial(instgen.gen_random, spec)
     if family == "negative":
         spec = instgen.NegativeSpec(
             n_players=_int_field(entry, "n_players", 2, minimum=2),
@@ -277,7 +277,7 @@ def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsIn
             seed=seed,
         )
         name = f"negative-{spec.n_players}p-{spec.vars_per_player}v-s{seed}"
-        return name, partial(instgen.gen_negative, spec)
+        return name, spec.n_players, partial(instgen.gen_negative, spec)
     if family == "builtin":
         name = entry.get("name")
         if name not in instgen.BUILTIN_NAMES:
@@ -287,7 +287,7 @@ def _parse_entry(entry: dict, index: int) -> tuple[str, Callable[[], game.IcqsIn
         M = None if entry.get("M") is None else _int_field(entry, "M")
         # built here, so that an M the builtin rejects is a parse error
         inst = instgen.builtin(name, M=M)
-        return f"builtin-{name}", lambda: inst
+        return f"builtin-{name}", inst.k, lambda: inst
     raise IcqsError(f"unknown family {family!r}")
 
 
@@ -306,7 +306,7 @@ def cmd_bench(args) -> int:
     _check_max_iters(args)
     # every entry is parsed before anything is solved, so a malformed spec
     # fails fast as a parse error instead of midway through the batch
-    jobs: list[tuple[str, dict, str, Callable[[], game.IcqsInstance]]] = []
+    jobs: list[tuple[str, str, int, Callable[[], game.IcqsInstance]]] = []
     try:
         families = spec.get("families", []) if isinstance(spec, dict) else None
         if not isinstance(families, list):
@@ -318,14 +318,14 @@ def cmd_bench(args) -> int:
             base_seed = _int_field(entry, "seed", 0)
             for r in range(count):
                 job = {**entry, "seed": base_seed + r}
-                jobs.append((f"{len(jobs):04d}", job, *_parse_entry(job, len(jobs))))
+                jobs.append((f"{len(jobs):04d}", *_parse_entry(job, len(jobs))))
     except IcqsError as exc:
         return _fail(f"bad bench spec {args.spec}: {exc}", EXIT_PARSE)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records: list[RunRecord] = []
-    for job_id, entry, name, make in jobs:
+    for job_id, name, n_players, make in jobs:
         try:
             inst = make()
             result = solve_pipeline(inst, max_iters=args.max_iters, rule=rule)
@@ -335,7 +335,7 @@ def cmd_bench(args) -> int:
             records.append(
                 RunRecord(
                     instance=f"{job_id}-failed",
-                    n_players=int(entry.get("n_players", 0)),
+                    n_players=n_players,
                     t_br=float("nan"),
                     k_br=0,
                     outcome=f"error:{type(exc).__name__}",
@@ -453,7 +453,7 @@ def cmd_generate(args) -> int:
             "name": args.name,
             "M": args.M,
         }
-        _, make = _parse_entry(entry, 0)
+        _, _, make = _parse_entry(entry, 0)
         inst = make()
     except IcqsError as exc:
         return _fail(str(exc), EXIT_PARSE)

@@ -62,7 +62,6 @@ class NoEquilibriumFound(IcqsError):
     """The equilibrium solver ended without a profile that passes its check.
 
     Two-player support enumeration exhausting every support, or Lemke's
-    algorithm ending on a ray or at its pivot cap, signals numerical failure.
-    For k >= 3 it is also raised when the cost tensor is not polymatrix and
-    the pivoting result fails the regret check on the full tensor.
+    algorithm ending on a ray, at its pivot cap or with a profile that
+    fails the regret check, signals numerical failure.
     """

@@ -3,19 +3,20 @@
 When best-response iteration cycles, restricting every player to the
 strategies visited inside the cycle yields a small finite game whose mixed
 equilibrium approximates an equilibrium of the full instance.  This module
-builds that game's cost tensor, finds pure and mixed equilibria, and measures
+builds that game's costs, finds pure and mixed equilibria, and measures
 a-posteriori how much any player could gain by deviating to an arbitrary
-lattice point.  The cost tensor needs only the instance (`restrict`); the
+lattice point.  The costs need only the instance (`restrict`); the
 deviation check solves integer best responses, so `verify_delta` takes the
 solve's `game.Prepared` value.
 
-The coupling is linear, so the restricted game is polymatrix: player i's
-cost at a cell is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
-s_i'C_ij s_j per opponent.  `restrict` builds the tensor from those pieces:
-one own cost per strategy and one block S_i C_ij S_j' per ordered pair of
-players, O(sum_ij m_i m_j n) arithmetic for m_i strategies per player,
-broadcast onto the prod(m_i) cells with no loop over cells.  A
-(32, 43, 29, 32) four-player set takes about a tenth of a second.
+The coupling is linear, so the restricted game is polymatrix (Howson 1972):
+player i's cost is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
+s_i'C_ij s_j per opponent.  `FiniteGame` holds one own cost per strategy and
+one block S_i C_ij S_j' per ordered pair, O(sum_ij m_i m_j n) arithmetic for
+m_i strategies per player; expected costs, regret and the Lemke LCP read
+them.  The tensor over the prod(m_i) cells is broadcast from them once, for
+the pure-equilibrium search and the two-player solver.  A (32, 43, 29, 32)
+four-player set takes about a tenth of a second.
 
 Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
@@ -30,21 +31,15 @@ order, and the arithmetic of the pair that wins, are those of the plain
 enumeration, so the returned equilibrium is the same to the bit.
 
 Games with three or more players are solved exactly by one run of Lemke's
-complementary pivoting (Howson 1972; Miller & Zucker 1991).  This needs the
-cost tensor to be polymatrix: player i's cost is an own term plus one term
-per opponent that depends on i's and that opponent's strategy only.  A
-restricted game always is, because the coupling is linear.  Then the slices
-of the tensor with one opponent free and the rest at strategy 0 determine
-every entry, so the LCP is read off the tensor and `FiniteGame` needs no
-other field.  The result is checked on the full tensor, so a hand-built
-tensor that is not polymatrix raises instead of returning a false
-equilibrium.
+complementary pivoting on the LCP built from the pairwise blocks (Howson
+1972; Miller & Zucker 1991).  The result's regret is checked, so a numerical
+failure of the pivoting raises instead of returning a false equilibrium.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,14 +55,43 @@ _MAX_PIVOTS = 10_000
 
 @dataclass(frozen=True)
 class FiniteGame:
-    """Strategy lists plus the cost tensor of the restricted game.
+    """Strategy lists plus the polymatrix costs of the restricted game.
 
-    ``costs`` has shape (m_1, ..., m_k, k): entry [s_1, ..., s_k, i] is the
-    objective of player i at the indexed joint profile.
+    ``own[i]`` is the length-m_i vector of player i's own costs
+    ``0.5 s'Q_i s + d_i's``, and ``pair[i][j]``, keyed by opponent as
+    `game.PlayerProblem.C` is, the m_i x m_j block ``S_i C_ij S_j'``.
+    ``costs``, of shape (m_1, ..., m_k, k), is derived: entry
+    [s_1, ..., s_k, i] is player i's own term plus its blocks, added in
+    ascending opponent order.  Raises DimensionMismatch when a block has the
+    wrong shape and ValueError when a cost is not finite, which a non-finite
+    strategy or an overflow makes it.
     """
 
     strategies: tuple[tuple[np.ndarray, ...], ...]
-    costs: np.ndarray
+    own: tuple[np.ndarray, ...]
+    pair: tuple[dict[int, np.ndarray], ...]
+    costs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        k, sizes = self.k, self.sizes
+        costs = np.empty(sizes + (k,), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(k):
+                # the own costs on axis i, then each block on the axes (i, j)
+                shape = [1] * k
+                shape[i] = sizes[i]
+                total = self.own[i].reshape(shape)
+                for j, block in sorted(self.pair[i].items()):
+                    if block.shape != (sizes[i], sizes[j]):
+                        raise DimensionMismatch(f"block ({i}, {j}) has shape {block.shape}")
+                    axes = shape.copy()
+                    axes[j] = sizes[j]
+                    total = total + (block.T if j < i else block).reshape(axes)
+                costs[..., i] = total
+        if not np.isfinite(costs).all():
+            # a non-finite strategy makes its owner's cost non-finite: Q_i is PD
+            raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
+        object.__setattr__(self, "costs", costs)
 
     @property
     def k(self) -> int:
@@ -88,12 +112,15 @@ class MixedProfile:
         cleaned = []
         for i, p in enumerate(self.probs):
             p = np.asarray(p, dtype=np.float64)
+            if not np.isfinite(p).all():
+                raise ValueError(f"player {i} has a non-finite probability")
             if np.any(p < -PROB_SUM_TOLERANCE):
                 raise ValueError(f"player {i} has a negative probability")
             total = p.sum()
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"player {i} probabilities sum to {total}")
-            cleaned.append(np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum())
+            p = np.clip(p, 0.0, None)
+            cleaned.append(p / p.sum())
         object.__setattr__(self, "probs", tuple(cleaned))
 
     def support(self, i: int) -> np.ndarray:
@@ -110,55 +137,36 @@ def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
 
 
 def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
-    """Cost tensor of the game restricted to the cycle strategies.
+    """The game restricted to the cycle strategies.
 
     Player i's strategies are stacked into S_i (m_i x n_i).  Its own costs
     ``0.5 s'Q_i s + d_i's`` are taken once per strategy and each block
-    ``S_i C_ij S_j'`` once per ordered pair; ``costs[..., i]`` is the own
-    term plus the blocks, added in ascending opponent order, each broadcast
-    onto the axes (i, j).  That is O(sum_ij m_i m_j n) arithmetic and one
-    broadcast add per block over the prod(m_i) cells, with no loop over
-    cells.  Each cell is `game.objective` at that profile up to rounding in
-    its last bits.  Raises ValueError when a cost is not finite, which a
-    non-finite strategy or an overflow makes it.
+    ``S_i C_ij S_j'`` once per ordered pair: O(sum_ij m_i m_j n)
+    arithmetic, with no loop over cells.  Each cell of the derived tensor is
+    `game.objective` at that profile up to rounding in its last bits.
+    Raises ValueError when a cost is not finite.
     """
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
         raise DimensionMismatch("every player needs at least one cycle strategy")
-    sizes = tuple(len(s) for s in strategies)
-    k = len(strategies)
     S = [np.array(strats, dtype=np.float64) for strats in strategies]
     lengths = tuple(S_i.shape[1] for S_i in S)
     if lengths != inst.dims:
         raise DimensionMismatch(f"strategy lengths {lengths} do not fit the player dimensions {inst.dims}")
-    costs = np.empty(sizes + (k,), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, p in enumerate(inst.players):
-            # the own costs on axis i, then each block on the axes (i, j)
-            shape = [1] * k
-            shape[i] = sizes[i]
-            total = (0.5 * np.einsum("sa,ab,sb->s", S[i], p.Q, S[i]) + S[i] @ p.d).reshape(shape)
-            for j in inst.opponents(i):
-                block = S[i] @ p.C[j] @ S[j].T
-                pair = shape.copy()
-                pair[j] = sizes[j]
-                total = total + (block.T if j < i else block).reshape(pair)
-            costs[..., i] = total
-    if not np.isfinite(costs).all():
-        # a non-finite strategy makes its owner's cost non-finite: Q_i is PD
-        raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
-    return FiniteGame(strategies=strategies, costs=costs)
+        own = tuple(
+            0.5 * np.einsum("sa,ab,sb->s", S[i], p.Q, S[i]) + S[i] @ p.d
+            for i, p in enumerate(inst.players)
+        )
+        pair = tuple(
+            {j: S[i] @ p.C[j] @ S[j].T for j in inst.opponents(i)} for i, p in enumerate(inst.players)
+        )
+    return FiniteGame(strategies=strategies, own=own, pair=pair)
 
 
 def pure_strategy_costs(fg: FiniteGame, i: int, profile: MixedProfile) -> np.ndarray:
     """Player i's expected cost for each pure strategy vs the others' mixes."""
-    T = fg.costs[..., i]
-    # contract opponent axes from the back so axis numbering stays stable
-    for j in range(fg.k - 1, -1, -1):
-        if j == i:
-            continue
-        T = np.tensordot(T, profile.probs[j], axes=([j], [0]))
-    return T
+    return fg.own[i] + sum(block @ profile.probs[j] for j, block in fg.pair[i].items())
 
 
 def expected_costs(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
@@ -341,25 +349,17 @@ def polymatrix_blocks(fg: FiniteGame) -> tuple[np.ndarray, tuple[int, ...]]:
     offsets[j]:, such that player i's expected cost against any mixes is
     ``sum_j D_ij p_j``; the diagonal blocks are zero.
 
-    D_ij is the slice of player i's costs with player j free and every other
-    opponent at strategy 0; the first opponent's block also carries
-    ``-(k - 2)`` times the slice with all opponents at 0.  For a polymatrix
-    tensor this reproduces every entry exactly.
+    D_ij is the game's block ``pair[i][j]``; the first opponent's block also
+    carries player i's own costs, which any mix of that opponent multiplies
+    by one.
     """
-    k, sizes = fg.k, fg.sizes
-    offsets = tuple(int(o) for o in np.cumsum((0,) + sizes))
+    offsets = tuple(int(o) for o in np.cumsum((0,) + fg.sizes))
     D = np.zeros((offsets[-1], offsets[-1]))
-    for i in range(k):
-        T = fg.costs[..., i]
-        base = T[tuple(slice(None) if a == i else 0 for a in range(k))]
-        for j in range(k):
-            if j == i:
-                continue
-            block = T[tuple(slice(None) if a in (i, j) else 0 for a in range(k))]
-            if j < i:
-                block = block.T
-            if j == (1 if i == 0 else 0):
-                block = block - (k - 2) * base[:, None]
+    for i in range(fg.k):
+        first = 1 if i == 0 else 0
+        for j, block in fg.pair[i].items():
+            if j == first:
+                block = block + fg.own[i][:, None]
             D[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
     return D, offsets
 
@@ -412,17 +412,17 @@ def _lemke(M: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
-    """Exact equilibrium for k >= 3 players of a polymatrix cost tensor.
+    """Exact equilibrium of a polymatrix game with k >= 3 players.
 
     A pure equilibrium is returned when one exists.  Otherwise the game is
     written as the LCP ``M = [[D + c, -E], [E', 0]]``, ``q = (0, -1)``, with
     D from `polymatrix_blocks`, E each player's column of ones and c making
     every entry of D + c at least 2, so M is copositive-plus and Lemke's
     algorithm ends with a solution (Howson 1972; Miller & Zucker 1991).  The
-    x part, normalised per player, is the profile.  Its regret is measured
-    on the full tensor, and NoEquilibriumFound is raised when it exceeds
-    ``EQ_TOLERANCE`` times ``max(1, max|costs|)``: a tensor that is not
-    polymatrix never returns a false equilibrium.
+    x part, normalised per player, is the profile.  NoEquilibriumFound is
+    raised when its regret exceeds ``EQ_TOLERANCE`` times
+    ``max(1, (k - 1) max|D|)``, a bound on every |cost|: a numerical failure
+    of the pivoting never returns a false equilibrium.
     """
     if fg.k < 3:
         raise DimensionMismatch(f"k-player solver got k={fg.k}")
@@ -440,8 +440,8 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
         raise NoEquilibriumFound("Lemke's solution leaves a player without a mix")
     profile = MixedProfile(probs=tuple(b / b.sum() for b in blocks))
     eps = float(regret(fg, profile).max())
-    if eps > EQ_TOLERANCE * max(1.0, float(np.abs(fg.costs).max())):
-        raise NoEquilibriumFound(f"regret {eps:.3e} on the full tensor: it is not polymatrix")
+    if eps > EQ_TOLERANCE * max(1.0, (k - 1) * float(np.abs(D).max())):
+        raise NoEquilibriumFound(f"regret {eps:.3e} of Lemke's solution")
     return profile, eps
 
 

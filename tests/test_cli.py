@@ -341,6 +341,22 @@ def test_bench_writes_an_error_row_for_an_overflowing_flatness_rule(tmp_path):
     assert [row.split(",")[4] for row in rows[1:]] == ["error:BoundOverflow"]
 
 
+def test_bench_error_rows_report_the_player_count(tmp_path):
+    # neither entry names n_players: one takes its family's default, the other
+    # the builtin's own count
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"families": [
+        {"family": "negative", "seed": 1, "vars_per_player": 2},
+        {"family": "negative", "seed": 1, "n_players": 3},
+        {"family": "builtin", "name": "cycling"},
+    ]}))
+    argv = ["bench", str(path), "--out", str(tmp_path / "bench")]
+    assert run_cli(argv + ["--flatness-coeff", "1e155", "--flatness-exponent", "0"]) == cli.EXIT_OK
+    rows = [row.split(",") for row in (tmp_path / "bench" / "results.csv").read_text().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["error:BoundOverflow"] * 3
+    assert [row[1] for row in rows] == ["2", "3", "2"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

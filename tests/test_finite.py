@@ -160,16 +160,30 @@ def loop_pne_search(fg, atol=finite.EQ_TOLERANCE):
     return result
 
 
+def labelled_strategies(sizes):
+    return tuple(tuple(np.array([s]) for s in range(m)) for m in sizes)
+
+
 def test_pne_search_matches_a_cell_by_cell_scan():
-    # integer costs in a small range tie often, so many cells are equilibria
+    # integer own costs and blocks in a small range tie often, so many cells
+    # are equilibria
     rng = np.random.default_rng(71)
     found = 0
     for trial in range(120):
         k = 2 + trial % 3
         sizes = tuple(int(m) for m in rng.integers(1, 5, size=k))
-        strategies = tuple(tuple(np.array([s]) for s in range(m)) for m in sizes)
-        costs = rng.integers(-2, 3, size=sizes + (k,)).astype(np.float64)
-        fg = finite.FiniteGame(strategies=strategies, costs=costs)
+        fg = finite.FiniteGame(
+            strategies=labelled_strategies(sizes),
+            own=tuple(rng.integers(-1, 2, size=m).astype(np.float64) for m in sizes),
+            pair=tuple(
+                {
+                    j: rng.integers(-1, 2, size=(sizes[i], sizes[j])).astype(np.float64)
+                    for j in range(k)
+                    if j != i
+                }
+                for i in range(k)
+            ),
+        )
         got = finite.pne_search(fg)
         assert got == loop_pne_search(fg)
         assert all(type(v) is int for index in got for v in index)
@@ -193,11 +207,10 @@ def test_mne_two_player_counterexample(counter_game):
 
 
 def test_mne_two_player_returns_pne_as_degenerate_profile():
-    strategies = ((np.array([0]), np.array([1])), (np.array([0]), np.array([1])))
     costs = np.zeros((2, 2, 2))
     costs[..., 0] = [[0.0, 5.0], [5.0, 1.0]]
     costs[..., 1] = [[0.0, 5.0], [5.0, 1.0]]
-    fg = finite.FiniteGame(strategies=strategies, costs=costs)
+    fg = bimatrix(costs)
     profile = finite.mne_two_player(fg)
     assert profile.probs[0].tolist() == [1.0, 0.0]
     assert profile.probs[1].tolist() == [1.0, 0.0]
@@ -222,12 +235,14 @@ def test_mne_two_player_equilibrium_conditions_random():
 def cyclic_mismatching_pennies():
     # three players, each pays 1 for matching the next player's bit; the
     # unique equilibrium mixes both bits evenly
-    strategies = tuple((np.array([0]), np.array([1])) for _ in range(3))
-    costs = np.zeros((2, 2, 2, 3))
-    for s in np.ndindex(2, 2, 2):
-        for i in range(3):
-            costs[s + (i,)] = 1.0 if s[i] == s[(i + 1) % 3] else 0.0
-    return finite.FiniteGame(strategies=strategies, costs=costs)
+    return finite.FiniteGame(
+        strategies=labelled_strategies((2, 2, 2)),
+        own=(np.zeros(2),) * 3,
+        pair=tuple(
+            {j: np.eye(2) if j == (i + 1) % 3 else np.zeros((2, 2)) for j in range(3) if j != i}
+            for i in range(3)
+        ),
+    )
 
 
 def test_mne_k_player_uniform_on_cyclic_game():
@@ -240,12 +255,12 @@ def test_mne_k_player_uniform_on_cyclic_game():
 
 
 def test_mne_k_player_returns_pne_with_zero_eps():
-    strategies = tuple((np.array([0]), np.array([1])) for _ in range(3))
-    costs = np.zeros((2, 2, 2, 3))
-    for s in np.ndindex(2, 2, 2):
-        for i in range(3):
-            costs[s + (i,)] = float(s[i])  # playing 0 dominates for everyone
-    fg = finite.FiniteGame(strategies=strategies, costs=costs)
+    # each player's cost is its own bit: playing 0 dominates for everyone
+    fg = finite.FiniteGame(
+        strategies=labelled_strategies((2, 2, 2)),
+        own=(np.array([0.0, 1.0]),) * 3,
+        pair=tuple({j: np.zeros((2, 2)) for j in range(3) if j != i} for i in range(3)),
+    )
     profile, eps = finite.mne_k_player(fg)
     assert eps == 0.0
     for p in profile.probs:
@@ -253,9 +268,11 @@ def test_mne_k_player_returns_pne_with_zero_eps():
 
 
 def test_mne_k_player_singleton_sets_degenerate():
-    strategies = tuple((np.array([i]),) for i in range(3))
-    costs = np.zeros((1, 1, 1, 3))
-    fg = finite.FiniteGame(strategies=strategies, costs=costs)
+    fg = finite.FiniteGame(
+        strategies=tuple((np.array([i]),) for i in range(3)),
+        own=(np.zeros(1),) * 3,
+        pair=tuple({j: np.zeros((1, 1)) for j in range(3) if j != i} for i in range(3)),
+    )
     profile, eps = finite.mne_k_player(fg)
     assert eps == 0.0
     for p in profile.probs:
@@ -310,6 +327,10 @@ def test_mixed_profile_validation():
         finite.MixedProfile(probs=(np.array([0.5, 0.4]),))
     with pytest.raises(ValueError):
         finite.MixedProfile(probs=(np.array([-0.1, 1.1]),))
+    with pytest.raises(ValueError, match="non-finite"):
+        finite.MixedProfile(probs=(np.array([np.nan, 1.0]),))
+    with pytest.raises(ValueError, match="non-finite"):
+        finite.MixedProfile(probs=(np.array([np.inf, 1.0]),))
     ok = finite.MixedProfile(probs=(np.array([0.25, 0.75]),))
     assert ok.probs[0].sum() == 1.0
 
@@ -350,9 +371,13 @@ def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
 
 
 def bimatrix(costs):
+    # a bimatrix game is polymatrix with no own costs
     m, n = costs.shape[:2]
-    strategies = tuple(tuple(np.array([s]) for s in range(size)) for size in (m, n))
-    return finite.FiniteGame(strategies=strategies, costs=costs)
+    return finite.FiniteGame(
+        strategies=labelled_strategies((m, n)),
+        own=(np.zeros(m), np.zeros(n)),
+        pair=({1: costs[..., 0]}, {0: costs[..., 1].T}),
+    )
 
 
 def assert_equilibrium(fg, profile, atol=finite.EQ_TOLERANCE):
@@ -485,26 +510,49 @@ def test_mne_k_player_solves_every_mixed_only_cycle(k_player_cycles):
         assert float(finite.regret(fg, profile).max()) == eps
 
 
-def test_mne_k_player_never_returns_a_false_equilibrium_off_polymatrix():
-    # a random tensor is not polymatrix: Lemke solves the game its slices
-    # define, and the full-tensor check must catch every miss
-    rng = np.random.default_rng(11)
-    raised = 0
-    for shape in [(2, 2, 2)] * 6 + [(3, 2, 2)] * 6:
-        costs = rng.standard_normal(shape + (3,))
-        fg = finite.FiniteGame(
-            strategies=tuple(tuple(np.array([s]) for s in range(m)) for m in shape), costs=costs
+def test_mne_k_player_raises_when_lemke_returns_no_equilibrium(monkeypatch):
+    # every player on bit 0 matches the next player's bit, so each gains 1 by
+    # switching: the regret check must catch a pivoting result that far off
+    fg = cyclic_mismatching_pennies()
+    z = np.concatenate([np.tile([1.0, 0.0], 3), np.zeros(3)])
+    monkeypatch.setattr(finite, "_lemke", lambda M, q: z)
+    with pytest.raises(NoEquilibriumFound, match="regret"):
+        finite.mne_k_player(fg)
+
+
+def tensor_pure_strategy_costs(fg, i, profile):
+    # the contraction of the full tensor, opponent axes from the back so the
+    # axis numbering stays stable
+    T = fg.costs[..., i]
+    for j in range(fg.k - 1, -1, -1):
+        if j != i:
+            T = np.tensordot(T, profile.probs[j], axes=([j], [0]))
+    return T
+
+
+def test_costs_and_regret_match_the_tensor_contraction(k_player_cycles):
+    rng = np.random.default_rng(29)
+    games = list(k_player_cycles) + [bimatrix(costs) for _, costs in oracle_games()]
+    for fg in games:
+        scale = 1e-12 * max(1.0, float(np.abs(fg.costs).max()))
+        for _ in range(3):
+            profile = finite.MixedProfile(probs=tuple(rng.dirichlet(np.ones(m)) for m in fg.sizes))
+            want = [tensor_pure_strategy_costs(fg, i, profile) for i in range(fg.k)]
+            expected = np.array([w @ p for w, p in zip(want, profile.probs)])
+            for i in range(fg.k):
+                assert np.abs(finite.pure_strategy_costs(fg, i, profile) - want[i]).max() <= scale
+            assert np.abs(finite.expected_costs(fg, profile) - expected).max() <= scale
+            regret = expected - np.array([w.min() for w in want])
+            assert np.abs(finite.regret(fg, profile) - regret).max() <= scale
+
+
+def test_finite_game_rejects_a_block_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        finite.FiniteGame(
+            strategies=labelled_strategies((2, 3)),
+            own=(np.zeros(2), np.zeros(3)),
+            pair=({1: np.zeros((3, 2))}, {0: np.zeros((3, 2))}),
         )
-        if finite.pne_search(fg):
-            continue
-        try:
-            profile, eps = finite.mne_k_player(fg)
-        except NoEquilibriumFound:
-            raised += 1
-            continue
-        assert eps <= finite.EQ_TOLERANCE * max(1.0, np.abs(costs).max())
-        assert float(finite.regret(fg, profile).max()) == eps
-    assert raised > 0
 
 
 THREE_PLAYER_CYCLE = {
