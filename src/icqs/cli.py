@@ -87,7 +87,7 @@ def solve_pipeline(
         if mode == dynamics.INTEGER:
             fg = finite.restrict(inst, sets)
             profile, achieved_eps = finite.solve_equilibrium(fg)
-            delta = finite.verify_delta(prep, fg, profile)
+            delta = finite.verify_delta(prep, fg, profile, trace)
             pack = bounds.guarantee_pack(prep, sets)
             delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack)
             equilibrium = {
@@ -403,7 +403,7 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
         half = all(np.allclose(p, [0.5, 0.5], atol=1e-9) for p in profile.probs)
         _check(checks, "mixed equilibrium is half-half", half,
                str([p.tolist() for p in profile.probs]))
-        delta = finite.verify_delta(prep, fg, profile)
+        delta = finite.verify_delta(prep, fg, profile, trace)
         _check(checks, "no profitable lattice deviation",
                delta.max_gain <= 1e-9, f"max gain {delta.max_gain:.3e}")
     elif name == "counterexample":
@@ -419,7 +419,7 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
         _check(checks, "restricted game has no pure equilibrium",
                finite.pne_search(fg) == [], "")
         profile = finite.mne_two_player(fg)
-        delta = finite.verify_delta(prep, fg, profile)
+        delta = finite.verify_delta(prep, fg, profile, trace)
         target = M * M / 8.0
         _check(checks, f"x-player gains at least M^2/8 = {target}",
                delta.gains[0] >= target - 1e-6, f"measured gain {delta.gains[0]:.6g}")

@@ -27,9 +27,9 @@ group of players of one dimension shares one stacked matvec, one stacked
 solve and one batched rounding certificate.  The kernel takes the joint
 float64 vector and returns the joint int64 response, whose bytes are the
 cycle key.  The norms are taken per player on slices of the joint vector,
-with the same per-player dot products and the same Python sum as
-`_joint_norm` on separate vectors, and the trace keeps one copy of each
-player's entries per sweep.  Trace, norms and outcome are bitwise those of
+with the same per-player dot products and the same Python sum as on
+separate vectors, and the trace keeps one copy of each player's entries
+per sweep.  Trace, norms and outcome are bitwise those of
 one `game.best_response` call per player and sweep.
 
 Continuous mode replaces the integer best response with the continuous one
@@ -114,11 +114,11 @@ class CycleSets:
         return tuple(len(s) for s in self.strategies)
 
 
-def _joint_norm(profile: Sequence[np.ndarray]) -> float:
-    # float64 throughout: int64 squares overflow once iterates grow large
-    return math.sqrt(
-        sum(float(np.dot(xf, xf)) for xf in (np.asarray(x, np.float64) for x in profile))
-    )
+def _joint_norm(zf: np.ndarray, slots: Sequence[slice]) -> float:
+    # One dot per player slice of the float64 joint vector (int64 squares
+    # overflow once iterates grow large), summed in player order.
+    # `ndarray.dot` is `np.dot` without its dispatch: the bits are the same.
+    return math.sqrt(sum([float(x.dot(x)) for x in [zf[s] for s in slots]]))
 
 
 def continuous_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -181,7 +181,7 @@ def run_br(
     z = np.concatenate(current)
     zf = z.astype(np.float64)
     profiles = [tuple(current)]
-    norms = [_joint_norm([zf[s] for s in slots])]
+    norms = [_joint_norm(zf, slots)]
     seen: dict[bytes, int] = {z.tobytes(): 0} if integer else {}
 
     div_radius = divergence_radius(prep)
@@ -194,7 +194,7 @@ def run_br(
         z = sweep(prep, zf)
         profiles.append(prep.inst.split(z))
         prev, zf = zf, (z.astype(np.float64) if integer else z)
-        norms.append(_joint_norm([zf[s] for s in slots]))
+        norms.append(_joint_norm(zf, slots))
 
         if integer:
             key = z.tobytes()

@@ -483,17 +483,33 @@ class DeltaReport:
         return max(self.gains)
 
 
-def verify_delta(prep: game.Prepared, fg: FiniteGame, profile: MixedProfile) -> DeltaReport:
+def verify_delta(
+    prep: game.Prepared,
+    fg: FiniteGame,
+    profile: MixedProfile,
+    trace: dynamics.BrTrace | None = None,
+) -> DeltaReport:
     """Measure every player's best-deviation gain against the full lattice.
 
     The coupling is linear in the opponents, so the expected cost of any own
     strategy against the mixed opponents equals its cost against their mean
     vector; the best deviation is therefore an exact integer minimization
     against the means.
+
+    ``trace`` is the optional `dynamics.run_br` run on ``prep`` that ``fg``
+    was restricted from.  When it is an integer-mode fixed point and the
+    means are its last swept input ``profiles[-2]``, its last sweep already
+    holds every player's integer best response to them, bitwise what a new
+    sweep gives, and the deviations are read from ``profiles[-1]``.
+    Otherwise (cycles, continuous-mode runs, other profiles) one sweep
+    against the means computes them.
     """
     means = mean_strategies(fg, profile)
     exp = expected_costs(fg, profile)
-    dev_vecs = game.best_responses(prep, means)
+    if _swept_last(trace, means):
+        dev_vecs = list(trace.profiles[-1])
+    else:
+        dev_vecs = game.best_responses(prep, means)
     dev_costs, gains = [], []
     for i, v in enumerate(dev_vecs):
         others = [means[j] for j in range(fg.k) if j != i]
@@ -505,4 +521,15 @@ def verify_delta(prep: game.Prepared, fg: FiniteGame, profile: MixedProfile) -> 
         deviation_costs=tuple(dev_costs),
         deviation_vectors=tuple(dev_vecs),
         gains=tuple(gains),
+    )
+
+
+def _swept_last(trace: dynamics.BrTrace | None, means: list[np.ndarray]) -> bool:
+    # Continuous-mode responses are not integer best responses, so only an
+    # integer fixed point's last sweep can stand in for `best_responses`.
+    return (
+        trace is not None
+        and trace.mode == dynamics.INTEGER
+        and trace.outcome == dynamics.OUTCOME_FIXED_POINT
+        and all(np.array_equal(m, x) for m, x in zip(means, trace.profiles[-2]))
     )

@@ -39,8 +39,10 @@ lattice point x that differs from r in coordinate j has |x_j - u_j| >=
 1 - |w_j|, and the least energy 0.5 (x - u)'Q(x - u) with a given x_j - u_j = t
 is 0.5 t^2 / (Q^{-1})_jj.  So every x other than r pays at least
 min_j 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, and r is returned without a search
-when max|w| < 0.5 and its excess 0.5 ||L'(r - u)||^2 is below 0.999 times
-that minimum: `FactorStack.cert` holds 0.999 * 0.5 / (Q^{-1})_jj.  Since
+when its excess 0.5 ||L'(r - u)||^2 is below 0.999 times that minimum:
+`FactorStack.cert` holds 0.999 * 0.5 / (Q^{-1})_jj.  A row that passes
+has max|w| < 0.5: with |w_j| = 0.5, r itself is 0.5 from u in coordinate
+j, so its excess is at least that coordinate's energy.  Since
 1/(Q^{-1})_jj >= lambda_min(Q), this never accepts less than the former
 guard 0.5 lambda_min (1 - max|w|)^2.
 
@@ -52,9 +54,9 @@ Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
 floats, which perform the same IEEE operations as numpy scalars, and
 `round` rounds half to even as `np.rint` does; x - u stays one numpy
 vector, so each row's partial dot is the same BLAS ddot on the same
-operands.  The enumeration starts from the rounded point's excess computed
-row by row, in the association order of its own partial sums, so exact ties
-stay exact.  The certificate's batched excess and its bound may differ from
+operands (see `_enumerate`).  The enumeration starts from the rounded
+point's excess computed row by row, in the association order of its own
+partial sums, so exact ties stay exact.  The certificate's batched excess and its bound may differ from
 exact values in their last bits, but they only decide whether rint(u) is
 returned without a search, and the certificate passes only 0.1% below the
 energy of every other lattice point, far outside that rounding, where the
@@ -356,11 +358,14 @@ def lattice_mins(
     # The rounded point is certifiably the unique optimum when its excess is
     # below the energy every lattice point that moves coordinate j must pay,
     # 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, for every j, with 0.1% to spare.
-    A = np.abs(W)
-    guard = (stack.cert * (1.0 - A) ** 2).min(axis=1)
-    for r in (~((A.max(axis=1) < 0.5) & (excess < guard))).nonzero()[0]:
+    # Every row that passes has max|w| < 1/2, so that needs no test of its
+    # own: with |w_j| = 1/2, rint(u) is itself 1/2 from u in coordinate j,
+    # so its excess is at least that energy.  A NaN row fails too.
+    certified = (excess[:, None] < stack.cert * (1.0 - np.abs(W)) ** 2).all(axis=1)
+    for r in (~certified).nonzero()[0]:
         X[r], excess[r] = _enumerate(stack.factors[r], U[r], X[r], W[r], node_budget)
-    _check_proximity(stack, U, X, excess, labels)
+        W[r] = X[r] - U[r]  # the postcondition reads x - u from W
+    _check_proximity(stack, U, W, excess, labels)
     return X.astype(np.int64)
 
 
@@ -374,6 +379,13 @@ def _enumerate(
     The per-node state lives in Python floats and lists, which perform the
     same IEEE operations as numpy scalars; x - u stays one numpy vector so
     that each row's partial dot is the same BLAS call on the same operands.
+    The dots are `ndarray.dot`, not `@`: on 1-D float64 of length >= 2
+    both call the same ddot, bit for bit, but `.dot` skips the matmul
+    ufunc's dispatch, which costs more than the dot itself at these
+    lengths.  At length one numpy multiplies the two entries, the same value
+    as ddot's 0 + a*b; only an exact zero can differ in sign, and the
+    search never reads that sign: a zero dot moves the center c by a zero,
+    `round(c)` returns +0.0 either way, and c enters every cost squared.
     """
     n = factor.n
     gdiag = factor.gdiag
@@ -384,7 +396,7 @@ def _enumerate(
     # the search's partial sums so exact ties stay exact.
     best_excess = 0.0
     for j in range(n - 1, -1, -1):
-        best_excess += 0.5 * float(factor.rows[j] @ w[j:]) ** 2
+        best_excess += 0.5 * float(factor.rows[j].dot(w[j:])) ** 2
     best = x0.tolist()
 
     xu = np.zeros(n)  # x - u on the coordinates fixed so far
@@ -435,7 +447,7 @@ def _enumerate(
             xu[j] = cand - us[j]
             acc[j - 1] = total
             j -= 1
-            c = us[j] - float(rows[j] @ tails[j]) / gdiag[j]
+            c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
             b = float(round(c))
             centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
     return best, best_excess
@@ -444,15 +456,15 @@ def _enumerate(
 def _check_proximity(
     stack: FactorStack,
     U: np.ndarray,
-    V: np.ndarray,
+    E: np.ndarray,
     excess: np.ndarray,
     labels: Sequence[str] | None,
 ) -> None:
-    # Postcondition guard: each returned minimizer must respect the proximity
-    # radius and objective-gap bound that are provable for its Q.  ``excess``
-    # is the gap computed in the translated frame 0.5||L'(v-u)||^2, which
-    # stays accurate where f(v) - f(u) would cancel catastrophically.
-    E = V - U
+    # Postcondition guard: each returned minimizer v = u + E[r] must respect
+    # the proximity radius and objective-gap bound that are provable for its
+    # Q.  ``excess`` is the gap computed in the translated frame
+    # 0.5||L'(v-u)||^2, which stays accurate where f(v) - f(u) would cancel
+    # catastrophically.
     dist = np.sqrt(np.einsum("rj,rj->r", E, E))
     if not ((dist > stack.radius_tol) | (excess > stack.gap_tol)).any():
         return  # the slack below is >= 0, so every row passes

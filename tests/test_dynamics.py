@@ -231,12 +231,19 @@ def test_cycle_telemetry_linear_contraction_rate():
     assert checked >= 5  # the start is far enough to see several rate steps
 
 
+def _per_player_norm(profile):
+    # the joint l2 norm from one np.dot per player's float64 vector
+    return math.sqrt(
+        sum(float(np.dot(xf, xf)) for xf in (np.asarray(x, np.float64) for x in profile))
+    )
+
+
 def _reference_run_br(prep, start, max_iters=dynamics.DEFAULT_MAX_ITERS):
     """Integer best-response iteration from one `game.best_response` call per
     player and sweep, with the outcome rules of `dynamics.run_br`."""
     inst = prep.inst
     profiles = [tuple(dynamics.validate_start(inst, start, dynamics.INTEGER))]
-    norms = [dynamics._joint_norm(profiles[0])]
+    norms = [_per_player_norm(profiles[0])]
     seen = {np.concatenate(profiles[0]).tobytes(): 0}
     div_radius = dynamics.divergence_radius(prep)
     latch = None
@@ -247,7 +254,7 @@ def _reference_run_br(prep, start, max_iters=dynamics.DEFAULT_MAX_ITERS):
             game.best_response(prep, i, [prev[j] for j in inst.opponents(i)]) for i in range(inst.k)
         )
         profiles.append(nxt)
-        norms.append(dynamics._joint_norm(nxt))
+        norms.append(_per_player_norm(nxt))
         key = np.concatenate(nxt).tobytes()
         if key in seen:
             if seen[key] == t - 1:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _corpus import instance_corpus
 from icqs import cli, dynamics, finite, game, instgen
 from icqs.errors import DimensionMismatch, NoEquilibriumFound
 
@@ -320,6 +321,94 @@ def test_verify_delta_pne_fixed_point():
     profile, _ = finite.solve_equilibrium(fg)
     report = finite.verify_delta(game.prepare(inst), fg, profile)
     assert report.max_gain <= 1e-9
+
+
+def delta_bits(report):
+    floats = (report.expected_costs, report.deviation_costs, report.gains)
+    vectors = [v.dtype.str + v.tobytes().hex() for v in report.deviation_vectors]
+    return [[float(x).hex() for x in field] for field in floats], vectors
+
+
+def terminated_runs():
+    """(label, prep, integer-mode trace) for every cycle or fixed point reached
+    from seeded starts on the acceptance corpus, negatively adequate games
+    and the built-in instances."""
+    rng = np.random.default_rng(13)
+    insts = list(instance_corpus())
+    insts += [
+        (f"negative-{k}p-{n}v-{seed}", instgen.gen_negative(instgen.NegativeSpec(k, n, seed=seed)))
+        for k, n, seed in ((2, 1, 1), (2, 2, 2), (3, 1, 3), (3, 2, 4))
+    ]
+    insts += [(name, instgen.builtin(name)) for name in ("example1", "cycling")]
+    insts.append(("counterexample", instgen.builtin("counterexample", M=10)))
+    for name, inst in insts:
+        prep = game.prepare(inst)
+        starts = [None] + [[rng.integers(-3, 4, size=n) for n in inst.dims] for _ in range(2)]
+        if name == "counterexample":
+            starts.append([[0.0, 1.0], [0.0, 1.0]])
+        for start in starts:
+            trace = dynamics.run_br(prep, start=start, max_iters=200)
+            if trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT):
+                yield name, prep, trace
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The joint vectors of every `game.integer_sweep` call, in call order."""
+    calls = []
+    integer_sweep = game.integer_sweep
+
+    def counting(prep, z):
+        calls.append(z)
+        return integer_sweep(prep, z)
+
+    monkeypatch.setattr(game, "integer_sweep", counting)
+    return calls
+
+
+def test_verify_delta_reads_a_fixed_point_from_its_trace(sweeps):
+    # with the run's trace, an integer fixed point takes its deviations from
+    # the last sweep and sweeps no more; a cycle sweeps once against the
+    # means.  Either way every field is bitwise the report without the trace.
+    seen = {dynamics.OUTCOME_CYCLE: set(), dynamics.OUTCOME_FIXED_POINT: set()}
+    for name, prep, trace in terminated_runs():
+        fg = finite.restrict(prep.inst, dynamics.cycle_sets(trace))
+        profile, _ = finite.solve_equilibrium(fg)
+        sweeps.clear()
+        plain = finite.verify_delta(prep, fg, profile)
+        assert len(sweeps) == 1
+        sweeps.clear()
+        reused = finite.verify_delta(prep, fg, profile, trace)
+        assert len(sweeps) == (trace.outcome == dynamics.OUTCOME_CYCLE), (name, trace.outcome)
+        assert delta_bits(reused) == delta_bits(plain), name
+        seen[trace.outcome].add(name.split("-")[0])
+    assert seen[dynamics.OUTCOME_FIXED_POINT] >= {"pricing", "random", "negative", "counterexample"}
+    assert seen[dynamics.OUTCOME_CYCLE] >= {"cycling", "counterexample"}
+
+
+def test_verify_delta_sweeps_for_a_continuous_fixed_point(sweeps):
+    # d = 0: both modes settle at the origin from the origin, so the means of
+    # the integer fixed point equal the continuous run's last swept input.
+    # Continuous responses are not integer best responses, so that trace is
+    # never read and the deviations come from one integer sweep.
+    inst = game.make_instance([
+        game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: 0.3 * np.eye(2)}, d=np.zeros(2))
+        for i in range(2)
+    ])
+    prep = game.prepare(inst)
+    fixed = dynamics.run_br(prep)
+    assert fixed.outcome == dynamics.OUTCOME_FIXED_POINT
+    fg = finite.restrict(inst, dynamics.cycle_sets(fixed))
+    profile, _ = finite.solve_equilibrium(fg)
+    smooth = dynamics.run_br(prep, mode=dynamics.CONTINUOUS)
+    assert smooth.outcome == dynamics.OUTCOME_FIXED_POINT
+    means = finite.mean_strategies(fg, profile)
+    assert all(np.array_equal(m, x) for m, x in zip(means, smooth.profiles[-2]))
+    sweeps.clear()
+    report = finite.verify_delta(prep, fg, profile, smooth)
+    assert len(sweeps) == 1
+    assert all(v.dtype == np.int64 for v in report.deviation_vectors)
+    assert delta_bits(report) == delta_bits(finite.verify_delta(prep, fg, profile, fixed))
 
 
 def test_mixed_profile_validation():

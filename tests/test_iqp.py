@@ -253,6 +253,51 @@ def _numpy_scalar_search(q):
             enter(j)
 
 
+def test_ndarray_dot_is_bitwise_matmul_on_vectors():
+    # the search takes its dots with `ndarray.dot`, and the numpy scalar
+    # reference above with `@`.  On 1-D float64 of length >= 2 both reach the
+    # same BLAS ddot, so every bit agrees, the sign of a zero result
+    # included.  numpy treats a one-element operand as a scalar and returns
+    # the IEEE product a*b, where ddot returns 0 + a*b: the values agree and
+    # only an exact zero may differ in sign.
+    rng = np.random.default_rng(41)
+    for trial in range(4000):
+        n = 1 + trial % 12
+        a, b = (
+            rng.choice([-1.0, 1.0], size=n)
+            * rng.uniform(1.0, 10.0, size=n)
+            * 10.0 ** rng.integers(-5, 13, size=n)
+            * (rng.random(size=n) > 0.25)
+            for _ in range(2)
+        )
+        got, want = a.dot(b), a @ b
+        if n == 1:
+            assert got == want and (got.tobytes() == want.tobytes() or got == 0.0), (a, b)
+        else:
+            assert got.tobytes() == want.tobytes(), (a, b)
+    for zeros in ([0.0, -0.0], [-0.0, -0.0, 0.0], [0.0] * 12):
+        a = np.array(zeros)
+        for b in (a, -a, np.ones_like(a), -np.ones_like(a)):
+            assert a.dot(b).tobytes() == (a @ b).tobytes(), (a, b)
+
+
+def test_search_ignores_the_sign_of_a_zero_dot():
+    # Q = diag(2, 4) and u = (-0.0, 0.5): the search fixes x_1 = 0, so the
+    # one-element dot G[0, 1] * (x_1 - u_1) is -0.0 by `ndarray.dot` and
+    # +0.0 by `@`, and the center of x_0 is +0.0 against -0.0.  The center
+    # is rounded by `round`, which returns +0.0 for both, and enters every
+    # cost squared, so the minimizer is bitwise the reference's.
+    q = iqp.Quadratic(np.diag([2.0, 4.0]), np.array([0.0, -2.0]))
+    f = factor_of(q.Q)
+    u = np.linalg.solve(f.L.T, np.linalg.solve(f.L, -q.d))
+    assert np.signbit(u[0]) and u[1] == 0.5
+    row, tail = f.G[0, 1:], np.array([0.0 - u[1]])
+    assert np.signbit(row.dot(tail)) and not np.signbit(row @ tail)
+    v, value = iqp.integer_min(q)
+    assert v.tobytes() == _numpy_scalar_search(q).tobytes()
+    assert v.tolist() == [0, 0] and value == 0.0
+
+
 def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
     # random quadratics, and small integer Qs with half-integer minimizers,
     # whose co-optimal points tie exactly; one at a time and stacked by
@@ -279,7 +324,10 @@ def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
 def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
     # rows the certificate answers without a search must have rint(u) as
     # their unique minimizer, by the exhaustive oracle, and every row the
-    # former smallest-eigenvalue guard answered must still be answered
+    # former smallest-eigenvalue guard answered must still be answered.
+    # Some fractional parts are exactly +-1/2: the certificate has no
+    # max|w| < 1/2 clause, and such a row must still be searched, since
+    # rint(u) itself then pays the energy it compares against.
     searched = []
     enumerate_ = iqp._enumerate
 
@@ -289,7 +337,7 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
 
     monkeypatch.setattr(iqp, "_enumerate", recording)
     rng = np.random.default_rng(59)
-    accepted = old_accepted = rows = 0
+    accepted = old_accepted = rows = halves = 0
     for trial in range(240):
         n = 1 + trial % 6
         cond = 10.0 ** rng.uniform(0.0, 6.0)
@@ -303,6 +351,8 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
         near = rng.random(size=(8, n)) < 0.2
         frac = np.where(near, np.sign(frac) * (0.5 - 2.0 ** -rng.integers(2, 12, size=(8, n))), frac)
         frac = np.round(frac * 4096.0) / 4096.0
+        half = rng.random(size=(8, n)) < 0.08
+        frac = np.where(half, np.where(frac < 0.0, -0.5, 0.5), frac)
         U = base + frac
         searched.clear()
         iqp.lattice_mins(stack, U)
@@ -313,12 +363,14 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
             excess = 0.5 * float(t @ t)
             max_frac = float(np.abs(w).max())
             old = max_frac < 0.5 and excess < 0.999 * 0.5 * f.lambda_min * (1.0 - max_frac) ** 2
+            halves += max_frac == 0.5
             if U[r].tobytes() in searched:
                 assert not old, (Q, U[r])
                 continue
+            assert max_frac < 0.5, (Q, U[r])
             accepted += 1
             old_accepted += old
             # the translated problem around the fractional part
             x, _ = iqp.brute_force_min(iqp.Quadratic(Q, -Q @ (U[r] - base[r])))
             assert np.array_equal(x + base[r].astype(np.int64), np.rint(U[r])), (Q, U[r])
-    assert rows == 1920 and accepted > old_accepted > 500
+    assert rows == 1920 and accepted > old_accepted > 500 and halves > 200
