@@ -32,6 +32,7 @@ from .errors import (
     NoCycle,
     NoEquilibriumFound,
     NonConvergence,
+    NonFiniteCentre,
     NotPositiveDefinite,
     OracleBudgetExceeded,
     ProximityViolation,

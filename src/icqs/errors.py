@@ -36,6 +36,10 @@ class ProximityViolation(IcqsError):
     """
 
 
+class NonFiniteCentre(IcqsError):
+    """A lattice search centre is infinite or NaN: a linear term overflowed."""
+
+
 class BoundOverflow(IcqsError):
     """A proximity bound is too large for a float: a flatness rule's Flt(n),
     or its square, overflows at an instance dimension, or a deviation bound

@@ -14,9 +14,8 @@ player i's cost is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
 s_i'C_ij s_j per opponent.  `FiniteGame` holds one own cost per strategy and
 one block S_i C_ij S_j' per ordered pair, O(sum_ij m_i m_j n) arithmetic for
 m_i strategies per player; expected costs, regret and the Lemke LCP read
-them.  The tensor over the prod(m_i) cells is broadcast from them once, for
-the pure-equilibrium search and the two-player solver.  A (32, 43, 29, 32)
-four-player set takes about a tenth of a second.
+them.  The pure-equilibrium search and the two-player solver build one
+player's costs over the prod(m_i) cells at a time (`cell_costs`).
 
 Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
@@ -39,7 +38,7 @@ failure of the pivoting raises instead of returning a false equilibrium.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,38 +59,25 @@ class FiniteGame:
     ``own[i]`` is the length-m_i vector of player i's own costs
     ``0.5 s'Q_i s + d_i's``, and ``pair[i][j]``, keyed by opponent as
     `game.PlayerProblem.C` is, the m_i x m_j block ``S_i C_ij S_j'``.
-    ``costs``, of shape (m_1, ..., m_k, k), is derived: entry
-    [s_1, ..., s_k, i] is player i's own term plus its blocks, added in
-    ascending opponent order.  Raises DimensionMismatch when a block has the
-    wrong shape and ValueError when a cost is not finite, which a non-finite
-    strategy or an overflow makes it.
+    A cell's cost is its own term plus its blocks (`cell_costs`).  Raises
+    DimensionMismatch for a block of the wrong shape, and ValueError unless
+    every piece is below ``finfo.max / k`` in magnitude, so that no sum of k
+    pieces overflows: NaN, infinities and finite pieces >= finfo.max / k fail.
     """
 
     strategies: tuple[tuple[np.ndarray, ...], ...]
     own: tuple[np.ndarray, ...]
     pair: tuple[dict[int, np.ndarray], ...]
-    costs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         k, sizes = self.k, self.sizes
-        costs = np.empty(sizes + (k,), dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(k):
-                # the own costs on axis i, then each block on the axes (i, j)
-                shape = [1] * k
-                shape[i] = sizes[i]
-                total = self.own[i].reshape(shape)
-                for j, block in sorted(self.pair[i].items()):
-                    if block.shape != (sizes[i], sizes[j]):
-                        raise DimensionMismatch(f"block ({i}, {j}) has shape {block.shape}")
-                    axes = shape.copy()
-                    axes[j] = sizes[j]
-                    total = total + (block.T if j < i else block).reshape(axes)
-                costs[..., i] = total
-        if not np.isfinite(costs).all():
-            # a non-finite strategy makes its owner's cost non-finite: Q_i is PD
+        for i in range(k):
+            for j, block in sorted(self.pair[i].items()):
+                if block.shape != (sizes[i], sizes[j]):
+                    raise DimensionMismatch(f"block ({i}, {j}) has shape {block.shape}")
+        pieces = np.concatenate([*self.own, *(b.ravel() for p in self.pair for b in p.values())])
+        if not np.abs(pieces).max() < np.finfo(np.float64).max / k:
             raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
-        object.__setattr__(self, "costs", costs)
 
     @property
     def k(self) -> int:
@@ -128,12 +114,7 @@ class MixedProfile:
 
 
 def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
-    probs = []
-    for i, m in enumerate(fg.sizes):
-        p = np.zeros(m)
-        p[index[i]] = 1.0
-        probs.append(p)
-    return MixedProfile(probs=tuple(probs))
+    return MixedProfile(probs=tuple(np.eye(m)[s] for m, s in zip(fg.sizes, index)))
 
 
 def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
@@ -142,9 +123,9 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     Player i's strategies are stacked into S_i (m_i x n_i).  Its own costs
     ``0.5 s'Q_i s + d_i's`` are taken once per strategy and each block
     ``S_i C_ij S_j'`` once per ordered pair: O(sum_ij m_i m_j n)
-    arithmetic, with no loop over cells.  Each cell of the derived tensor is
+    arithmetic, with no loop over cells.  Each cell of `cell_costs` is
     `game.objective` at that profile up to rounding in its last bits.
-    Raises ValueError when a cost is not finite.
+    Raises ValueError when a piece is not finite or too large (`FiniteGame`).
     """
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
@@ -185,18 +166,27 @@ def regret(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
     return np.array(out)
 
 
-def pne_search(fg: FiniteGame, atol: float = EQ_TOLERANCE) -> list[tuple[int, ...]]:
+def cell_costs(fg: FiniteGame, i: int) -> np.ndarray:
+    """Player i's cost in every cell, shape ``fg.sizes``: own, then blocks by ascending opponent."""
+    total = fg.own[i].reshape([m if a == i else 1 for a, m in enumerate(fg.sizes)])
+    for j, block in sorted(fg.pair[i].items()):
+        axes = [m if a in (i, j) else 1 for a, m in enumerate(fg.sizes)]
+        total = total + (block.T if j < i else block).reshape(axes)
+    return total
+
+
+def pne_search(fg: FiniteGame) -> list[tuple[int, ...]]:
     """All pure joint indices with no profitable unilateral deviation, in
     `np.ndindex` order.
 
     One reduction per player: a cell is kept unless player i's cost there
     exceeds the least cost along axis i (its deviations) by more than
-    ``atol``.
+    ``EQ_TOLERANCE``.  One player's `cell_costs` is held at a time.
     """
     keep = np.ones(fg.sizes, dtype=bool)
     for i in range(fg.k):
-        cost = fg.costs[..., i]
-        keep &= ~(cost > cost.min(axis=i, keepdims=True) + atol)
+        cost = cell_costs(fg, i)
+        keep &= ~(cost > cost.min(axis=i, keepdims=True) + EQ_TOLERANCE)
     return [tuple(index) for index in np.argwhere(keep).tolist()]
 
 
@@ -251,18 +241,18 @@ def _valid_side(costs: np.ndarray, opp_mix: np.ndarray, supp, value: float, atol
     return not np.any(expected[mask] < value - atol)
 
 
-def _dominance_margin(costs: np.ndarray, atol: float) -> float:
+def _dominance_margin(A: np.ndarray, B: np.ndarray, atol: float) -> float:
     """Cost gap above which a dominated strategy provably fails ``_valid_side``.
 
     Under a mix that passes, a supported row costs at most ``value + atol``
     and every row at least ``value - atol``, so no supported row costs more
     than ``2 * atol`` above any other row.  The second term covers the float
     rounding of the expected costs, of the normalised mix and of the
-    comparisons, relative to the largest cost magnitude and with a wide
-    safety factor.
+    comparisons, relative to the largest cost magnitude of the bimatrix game
+    (A, B) and with a wide safety factor.
     """
-    scale = float(np.max(np.abs(costs))) + atol
-    return 2.0 * atol + 8.0 * sum(costs.shape) * np.finfo(np.float64).eps * scale
+    scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) + atol
+    return 2.0 * atol + 8.0 * (sum(A.shape) + 2) * np.finfo(np.float64).eps * scale
 
 
 def _dominated_given(costs: np.ndarray, margin: float):
@@ -323,12 +313,12 @@ def mne_two_player(fg: FiniteGame) -> MixedProfile:
     """
     if fg.k != 2:
         raise DimensionMismatch(f"two-player solver got k={fg.k}")
-    A = fg.costs[..., 0]
-    B = fg.costs[..., 1]
+    A = cell_costs(fg, 0)
+    B = cell_costs(fg, 1)
     m, n = A.shape
     prune = m > 1 and n > 1
     if prune:
-        margin = _dominance_margin(fg.costs, EQ_TOLERANCE)
+        margin = _dominance_margin(A, B, EQ_TOLERANCE)
         rows_dominated = _dominated_given(A, margin)
         cols_dominated = _dominated_given(B.T, margin)
     for I, J in _support_pairs(m, n):

@@ -91,6 +91,7 @@ from .errors import (
     BoundOverflow,
     DimensionMismatch,
     EnumerationBudgetExceeded,
+    NonFiniteCentre,
     OracleBudgetExceeded,
     ProximityViolation,
 )
@@ -345,10 +346,10 @@ def lattice_mins(
     minimizer ``U[r]`` and its factor ``stack.factors[r]``.
 
     The rounding certificate runs on all rows at once; only the rows it
-    cannot answer are enumerated, one at a time.  The proximity
-    postcondition then runs on all rows at once and raises
-    ProximityViolation for the first row that breaks it, named by
-    ``labels[r]`` when given.
+    cannot answer are enumerated, one at a time (NonFiniteCentre when a
+    search meets a non-finite centre).  The proximity postcondition then
+    runs on all rows at once and raises ProximityViolation for the first row
+    that breaks it.  Both errors name the row ``labels[r]``, when given.
     """
     X = np.rint(U)
     W = X - U
@@ -363,7 +364,11 @@ def lattice_mins(
     # so its excess is at least that energy.  A NaN row fails too.
     certified = (excess[:, None] < stack.cert * (1.0 - np.abs(W)) ** 2).all(axis=1)
     for r in (~certified).nonzero()[0]:
-        X[r], excess[r] = _enumerate(stack.factors[r], U[r], X[r], W[r], node_budget)
+        try:
+            X[r], excess[r] = _enumerate(stack.factors[r], U[r], X[r], W[r], node_budget)
+        except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
+            who = f"{labels[r]}: " if labels is not None else ""
+            raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {U[r].tolist()})") from exc
         W[r] = X[r] - U[r]  # the postcondition reads x - u from W
     _check_proximity(stack, U, W, excess, labels)
     return X.astype(np.int64)

@@ -305,6 +305,27 @@ def test_proximity_violation_exits_3(cycling_file, tmp_path, monkeypatch, capsys
     assert "exceeds proximity radius" in capsys.readouterr().err
 
 
+def test_an_overflowing_linear_term_exits_3_naming_the_player(tmp_path):
+    # C = 1e300 against a start of 1e10 makes the linear term, and so the
+    # lattice search centre, infinite: a typed error, not round()'s traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "players": [{"Q": [[2.0]], "C": {"1": [[1e300]]}, "d": [0.0]},
+                    {"Q": [[2.0]], "C": {"0": [[1e300]]}, "d": [0.0]}],
+        "meta": {},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "icqs", "solve", str(path), "--start", "1e10;1e10",
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_SOLVER
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "player 0" in errors[0] and "not finite" in errors[0], proc.stderr
+
+
 def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):
     path = tmp_path / "r6000.json"
     run_cli(["generate", "--family", "random", "--players", "3", "--seed", "6000",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from icqs.errors import DimensionMismatch, NoEquilibriumFound
 def solved_cycle(inst, start):
     trace = dynamics.run_br(game.prepare(inst), start=start)
     return dynamics.cycle_sets(trace)
+
+
+def cost_tensor(fg):
+    # entry [s_1, ..., s_k, i] is player i's cost in cell s
+    return np.stack([finite.cell_costs(fg, i) for i in range(fg.k)], axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +37,7 @@ def test_restrict_cycling_matches_cost_table(cycling_game):
         [[[0.0, 0.0], [0.0, -0.1]], [[0.1, 0.0], [-0.1, 0.1]]]
     )
     assert fg.sizes == (2, 2)
-    assert np.allclose(fg.costs, expected, atol=1e-12)
+    assert np.allclose(cost_tensor(fg), expected, atol=1e-12)
 
 
 def test_restrict_counterexample_matches_cost_table(counter_game):
@@ -39,7 +45,7 @@ def test_restrict_counterexample_matches_cost_table(counter_game):
     expected = np.array(
         [[[-0.5, 0.5], [0.5, -50.0]], [[50.0, -0.5], [-50.0, 50.0]]]
     )
-    assert np.allclose(fg.costs, expected, atol=1e-12)
+    assert np.allclose(cost_tensor(fg), expected, atol=1e-12)
 
 
 def test_restrict_singleton_sets():
@@ -47,7 +53,7 @@ def test_restrict_singleton_sets():
     sets = solved_cycle(inst, None)  # from the origin this settles at a PNE
     fg = finite.restrict(inst, sets)
     assert fg.sizes == (1, 1)
-    assert fg.costs.shape == (1, 1, 2)
+    assert cost_tensor(fg).shape == (1, 1, 2)
 
 
 def test_restrict_rejects_non_finite_strategies():
@@ -94,11 +100,11 @@ def test_restrict_matches_the_objective_on_every_cell():
                 sizes = tuple(int(m) for m in rng.integers(1, 5, size=k))
                 inst = mixed_dim_game(rng, dims)
                 fg = finite.restrict(inst, strategy_sets(rng, dims, sizes))
-                assert fg.costs.shape == sizes + (k,)
+                assert cost_tensor(fg).shape == sizes + (k,)
                 for cell in np.ndindex(*sizes):
                     for i in range(k):
                         expected = objective_at(inst, fg, cell, i)
-                        assert abs(fg.costs[cell + (i,)] - expected) <= 1e-12 * max(1.0, abs(expected))
+                        assert abs(finite.cell_costs(fg, i)[cell] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_restrict_makes_no_objective_call(monkeypatch):
@@ -110,7 +116,7 @@ def test_restrict_makes_no_objective_call(monkeypatch):
         raise AssertionError("restrict called game.objective")
 
     monkeypatch.setattr(game, "objective", forbidden)
-    assert finite.restrict(inst, sets).costs.shape == (3, 4, 2, 3)
+    assert cost_tensor(finite.restrict(inst, sets)).shape == (3, 4, 2, 3)
 
 
 def test_restrict_builds_a_large_four_player_set_cell_for_cell():
@@ -122,7 +128,28 @@ def test_restrict_builds_a_large_four_player_set_cell_for_cell():
         cell = tuple(int(rng.integers(m)) for m in fg.sizes)
         i = int(rng.integers(4))
         expected = objective_at(inst, fg, cell, i)
-        assert abs(fg.costs[cell + (i,)] - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(finite.cell_costs(fg, i)[cell] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_restrict_keeps_only_the_pieces_of_a_large_four_player_set():
+    # the seeded (32, 43, 29, 32) set CI builds: 1.3 million cells, whose
+    # tensor of all costs would take 41 MB; the pieces take about 0.1 MB
+    rng = np.random.default_rng(0)
+    inst = coupled_game(rng, 4, 2)
+    sets = dynamics.CycleSets(
+        strategies=tuple(
+            tuple(rng.integers(-20, 21, size=2).astype(float) for _ in range(m)) for m in (32, 43, 29, 32)
+        ),
+        joint_profiles=(),
+    )
+    tracemalloc.start()
+    try:
+        fg = finite.restrict(inst, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(fg, "costs")
+    assert peak <= 1 << 20, peak
 
 
 def test_restrict_rejects_an_overflowing_cost():
@@ -148,12 +175,13 @@ def test_pne_search(cycling_game, counter_game):
 def loop_pne_search(fg, atol=finite.EQ_TOLERANCE):
     # cell by cell: keep a cell unless some player's cost there exceeds its
     # least cost over its own deviations by more than atol
+    costs = cost_tensor(fg)
     result = []
     for index in np.ndindex(*fg.sizes):
         ok = True
         for i in range(fg.k):
-            column = fg.costs[index[:i] + (slice(None),) + index[i + 1 :] + (i,)]
-            if fg.costs[index + (i,)] > column.min() + atol:
+            column = costs[index[:i] + (slice(None),) + index[i + 1 :] + (i,)]
+            if costs[index + (i,)] > column.min() + atol:
                 ok = False
                 break
         if ok:
@@ -427,8 +455,8 @@ def test_mixed_profile_validation():
 def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
     """Plain support enumeration with no pruning, solving and checking both
     sides of every pair in the (total size, row size, lexicographic) order."""
-    A = fg.costs[..., 0]
-    B = fg.costs[..., 1]
+    A = finite.cell_costs(fg, 0)
+    B = finite.cell_costs(fg, 1)
     m, n = A.shape
     for total in range(2, m + n + 1):
         for a in range(max(1, total - n), min(m, total - 1) + 1):
@@ -472,7 +500,7 @@ def bimatrix(costs):
 def assert_equilibrium(fg, profile, atol=finite.EQ_TOLERANCE):
     # independent of the solver: every supported pure strategy costs within
     # 2 atol of the mix's expected cost, and none is cheaper by more than that
-    tol = 2.0 * atol + 1e-12 * (1.0 + np.abs(fg.costs).max())
+    tol = 2.0 * atol + 1e-12 * (1.0 + np.abs(cost_tensor(fg)).max())
     for i in range(2):
         costs_i = finite.pure_strategy_costs(fg, i, profile)
         v = float(costs_i @ profile.probs[i])
@@ -579,14 +607,15 @@ def test_polymatrix_blocks_reproduce_the_cost_tensor(k_player_cycles):
     assert {fg.k for fg in k_player_cycles} == {3, 4}
     for fg in k_player_cycles:
         D, offsets = finite.polymatrix_blocks(fg)
-        scale = max(1.0, float(np.abs(fg.costs).max()))
+        costs = cost_tensor(fg)
+        scale = max(1.0, float(np.abs(costs).max()))
         for i in range(fg.k):
             assert not D[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]].any()
         for s in np.ndindex(*fg.sizes):
             for i in range(fg.k):
                 row = offsets[i] + s[i]
                 total = sum(D[row, offsets[j] + s[j]] for j in range(fg.k))
-                assert abs(total - fg.costs[s + (i,)]) <= 1e-12 * scale
+                assert abs(total - costs[s + (i,)]) <= 1e-12 * scale
 
 
 def test_mne_k_player_solves_every_mixed_only_cycle(k_player_cycles):
@@ -612,7 +641,7 @@ def test_mne_k_player_raises_when_lemke_returns_no_equilibrium(monkeypatch):
 def tensor_pure_strategy_costs(fg, i, profile):
     # the contraction of the full tensor, opponent axes from the back so the
     # axis numbering stays stable
-    T = fg.costs[..., i]
+    T = finite.cell_costs(fg, i)
     for j in range(fg.k - 1, -1, -1):
         if j != i:
             T = np.tensordot(T, profile.probs[j], axes=([j], [0]))
@@ -623,7 +652,7 @@ def test_costs_and_regret_match_the_tensor_contraction(k_player_cycles):
     rng = np.random.default_rng(29)
     games = list(k_player_cycles) + [bimatrix(costs) for _, costs in oracle_games()]
     for fg in games:
-        scale = 1e-12 * max(1.0, float(np.abs(fg.costs).max()))
+        scale = 1e-12 * max(1.0, float(np.abs(cost_tensor(fg)).max()))
         for _ in range(3):
             profile = finite.MixedProfile(probs=tuple(rng.dirichlet(np.ones(m)) for m in fg.sizes))
             want = [tensor_pure_strategy_costs(fg, i, profile) for i in range(fg.k)]
@@ -642,6 +671,26 @@ def test_finite_game_rejects_a_block_of_the_wrong_shape():
             own=(np.zeros(2), np.zeros(3)),
             pair=({1: np.zeros((3, 2))}, {0: np.zeros((3, 2))}),
         )
+
+
+def test_finite_game_bounds_every_piece_by_the_largest_float_over_k():
+    # a cell adds k pieces, so each must stay below finfo.max / k
+    def bimatrix_game(own0, entry):
+        return finite.FiniteGame(
+            strategies=labelled_strategies((2, 2)),
+            own=(own0, np.zeros(2)),
+            pair=({1: np.array([[0.0, entry], [0.0, 0.0]])}, {0: np.zeros((2, 2))}),
+        )
+
+    limit = np.finfo(np.float64).max / 2
+    with pytest.raises(ValueError):
+        bimatrix_game(np.array([0.0, np.nan]), 0.0)
+    with pytest.raises(ValueError):
+        bimatrix_game(np.zeros(2), limit)
+    with pytest.raises(ValueError):
+        bimatrix_game(np.zeros(2), -limit)
+    fg = bimatrix_game(np.zeros(2), np.nextafter(limit, 0.0))
+    assert np.isfinite(cost_tensor(fg)).all()
 
 
 THREE_PLAYER_CYCLE = {
