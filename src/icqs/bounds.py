@@ -73,9 +73,12 @@ def delta_a_posteriori(
     """
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
-    prox = prep.prox(prox_variant)[i]
+    return _delta(i, prep.inst.factors[i].lambda_max, prep.prox(prox_variant)[i], L_i)
+
+
+def _delta(i: int, lambda_max: float, prox: float, L_i: float) -> float:
     try:
-        delta = prep.inst.factors[i].lambda_max * (prox + L_i) ** 2
+        delta = lambda_max * (prox + L_i) ** 2
     except OverflowError:
         delta = math.inf
     if delta == math.inf and L_i != math.inf:
@@ -109,14 +112,13 @@ def l_closure(sigma, prox) -> list[float]:
     if norm == 0.0:
         return [0.0] * len(sigma)
 
+    terms = [(s, tp, 1.0 + s * s) for s, tp in zip(sigma, two_p)]
+
     def ratios(t: float) -> list[float]:
-        return [
-            (tp * t + s * math.sqrt(1.0 + s * s - (tp * t) ** 2)) / (1.0 + s * s)
-            for s, tp in zip(sigma, two_p)
-        ]
+        return [(tp * t + s * math.sqrt(a - (tp * t) ** 2)) / a for s, tp, a in terms]
 
     def excess(t: float) -> float:
-        return sum(r * r for r in ratios(t)) - 1.0
+        return sum([r * r for r in ratios(t)]) - 1.0
 
     noise = len(sigma) * math.ulp(1.0)
     lo, f_lo = 0.0, criterion - 1.0
@@ -147,8 +149,10 @@ def l_bound_theoretical(prep: game.Prepared, prox_variant: str = "flatness") -> 
 
 
 def _deltas(prep: game.Prepared, diameters, prox_variant: str) -> tuple[float, ...]:
+    """`delta_a_posteriori` of every player at its nonnegative diameter."""
     return tuple(
-        delta_a_posteriori(prep, i, L, prox_variant) for i, L in enumerate(diameters)
+        _delta(i, f.lambda_max, p, L)
+        for i, (f, p, L) in enumerate(zip(prep.inst.factors, prep.prox(prox_variant), diameters))
     )
 
 
@@ -183,12 +187,27 @@ class GuaranteePack:
     flatness_l_violated: tuple[bool, ...]
 
 
+def _variant(prep: game.Prepared, l_measured, prox_variant: str):
+    """One variant's L bounds, a-posteriori deltas and a-priori deltas."""
+    lb = l_bound_theoretical(prep, prox_variant)
+    if lb is None:
+        return None, _deltas(prep, l_measured, prox_variant), None
+    # the a-priori delta is the a-posteriori one at the bounded diameter
+    return tuple(lb), _deltas(prep, l_measured, prox_variant), _deltas(prep, lb, prox_variant)
+
+
 def guarantee_pack(prep: game.Prepared, cycle: dynamics.CycleSets) -> GuaranteePack:
-    """Assemble measured diameters and every bound variant for one run."""
+    """Assemble measured diameters and every bound variant for one run.
+
+    When every player's two proximity radii are equal, as for every Q that
+    is not a scaled identity, the exact variant's bounds are the flatness
+    ones and are not computed again.
+    """
     k = prep.inst.k
     l_measured = tuple(cycle_diameter(cycle, i) for i in range(k))
-    lbf = l_bound_theoretical(prep, "flatness")
-    lbe = l_bound_theoretical(prep, "exact")
+    flat = _variant(prep, l_measured, "flatness")
+    exact = flat if prep.prox_exact == prep.prox_flatness else _variant(prep, l_measured, "exact")
+    lbf = flat[0]
     violated = tuple(
         lbf is not None and l_measured[i] > lbf[i] * (1.0 + 1e-9) + 1e-12
         for i in range(k)
@@ -201,12 +220,11 @@ def guarantee_pack(prep: game.Prepared, cycle: dynamics.CycleSets) -> GuaranteeP
         prox_flatness=prep.prox_flatness,
         prox_exact=prep.prox_exact,
         l_measured=l_measured,
-        l_bound_flatness=None if lbf is None else tuple(lbf),
-        l_bound_exact=None if lbe is None else tuple(lbe),
-        delta_posteriori_flatness=_deltas(prep, l_measured, "flatness"),
-        delta_posteriori_exact=_deltas(prep, l_measured, "exact"),
-        # the a-priori delta is the a-posteriori one at the bounded diameter
-        delta_priori_flatness=None if lbf is None else _deltas(prep, lbf, "flatness"),
-        delta_priori_exact=None if lbe is None else _deltas(prep, lbe, "exact"),
+        l_bound_flatness=lbf,
+        l_bound_exact=exact[0],
+        delta_posteriori_flatness=flat[1],
+        delta_posteriori_exact=exact[1],
+        delta_priori_flatness=flat[2],
+        delta_priori_exact=exact[2],
         flatness_l_violated=violated,
     )

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from . import game
-from .errors import DimensionMismatch, NoCycle
+from .errors import DimensionMismatch, NoCycle, ResponseOverflow
 
 INTEGER = "integer"
 CONTINUOUS = "continuous"
@@ -70,6 +70,9 @@ FP_TOLERANCE = 1e-10
 DIVERGENCE_NORM_CAP = 1e14
 # Largest integer-mode start entry: float64 holds every integer up to 2^53.
 _INTEGER_START_LIMIT = 2.0**53
+# An int64 cast of a response beyond its range gives -2^63 (or saturates),
+# so a joint norm this large means a response may not have fitted.
+_INT64_NORM_LIMIT = 2.0**63
 
 
 @dataclass(frozen=True)
@@ -190,36 +193,49 @@ def run_br(
     outcome = OUTCOME_CAP
     cycle_start = cycle_repeat = fixed_index = None
 
-    for t in range(1, max_iters + 1):
-        z = sweep(prep, zf)
-        profiles.append(prep.inst.split(z))
-        prev, zf = zf, (z.astype(np.float64) if integer else z)
-        norms.append(_joint_norm(zf, slots))
+    # An integer sweep that overflows leaves a lattice search centre that is
+    # not finite, which `iqp.lattice_mins` raises as NonFiniteCentre, and a
+    # response beyond int64 stops the run at the norm cap with
+    # ResponseOverflow, so numpy's warnings on the way would only repeat
+    # those errors: one errstate per run silences them.  Continuous mode
+    # raises neither and keeps its warnings.
+    quiet = {"over": "ignore", "invalid": "ignore"} if integer else {}
+    with np.errstate(**quiet):
+        for t in range(1, max_iters + 1):
+            z = sweep(prep, zf)
+            profiles.append(prep.inst.split(z))
+            prev, zf = zf, (z.astype(np.float64) if integer else z)
+            norms.append(_joint_norm(zf, slots))
 
-        if integer:
-            key = z.tobytes()
-            first = seen.get(key)
-            if first is not None:
-                if first == t - 1:
+            if integer:
+                key = z.tobytes()
+                first = seen.get(key)
+                if first is not None:
+                    if first == t - 1:
+                        outcome, fixed_index = OUTCOME_FIXED_POINT, t
+                    else:
+                        outcome, cycle_start, cycle_repeat = OUTCOME_CYCLE, first, t
+                    break
+                seen[key] = t
+            else:
+                step = math.sqrt(sum(float(np.sum((zf[s] - prev[s]) ** 2)) for s in slots))
+                if step < FP_TOLERANCE:
                     outcome, fixed_index = OUTCOME_FIXED_POINT, t
-                else:
-                    outcome, cycle_start, cycle_repeat = OUTCOME_CYCLE, first, t
-                break
-            seen[key] = t
-        else:
-            step = math.sqrt(sum(float(np.sum((zf[s] - prev[s]) ** 2)) for s in slots))
-            if step < FP_TOLERANCE:
-                outcome, fixed_index = OUTCOME_FIXED_POINT, t
-                break
+                    break
 
-        if div_radius is not None:
-            if latch is None:
-                if norms[t - 1] > div_radius and norms[t] > norms[t - 1]:
-                    latch = t - 1
-            elif norms[t] <= norms[t - 1]:
-                latch = None  # growth broke; certificate must re-establish
-        if norms[t] > DIVERGENCE_NORM_CAP:
-            break
+            if div_radius is not None:
+                if latch is None:
+                    if norms[t - 1] > div_radius and norms[t] > norms[t - 1]:
+                        latch = t - 1
+                elif norms[t] <= norms[t - 1]:
+                    latch = None  # growth broke; certificate must re-establish
+            if norms[t] > DIVERGENCE_NORM_CAP:
+                if integer and norms[t] >= _INT64_NORM_LIMIT:
+                    raise ResponseOverflow(
+                        f"sweep {t}: an integer best response may be beyond the int64 range "
+                        f"(joint norm {norms[t]:.6g} >= 2^63)"
+                    )
+                break
 
     if outcome == OUTCOME_CAP and latch is not None:
         outcome = OUTCOME_DIVERGENCE

@@ -40,6 +40,10 @@ class NonFiniteCentre(IcqsError):
     """A lattice search centre is infinite or NaN: a linear term overflowed."""
 
 
+class ResponseOverflow(IcqsError):
+    """An integer best response is beyond the int64 range of the trace."""
+
+
 class BoundOverflow(IcqsError):
     """A proximity bound is too large for a float: a flatness rule's Flt(n),
     or its square, overflows at an instance dimension, or a deviation bound

@@ -17,6 +17,10 @@ m_i strategies per player; expected costs, regret and the Lemke LCP read
 them.  The pure-equilibrium search and the two-player solver build one
 player's costs over the prod(m_i) cells at a time (`cell_costs`).
 
+A game in which every player has one strategy, the restricted game of an
+integer fixed point, is its own equilibrium: `solve_equilibrium` returns
+its one cell as the pure profile, with its regret, and runs neither solver.
+
 Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
 indifference conditions are solved as a linear system per pair, and the first
@@ -38,7 +42,8 @@ failure of the pivoting raises instead of returning a false equilibrium.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +55,7 @@ PROB_SUM_TOLERANCE = 1e-12
 _SING_PERTURBATION = 1e-12
 _PIVOT_TOLERANCE = 1e-9
 _MAX_PIVOTS = 10_000
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,8 @@ class FiniteGame:
     ``own[i]`` is the length-m_i vector of player i's own costs
     ``0.5 s'Q_i s + d_i's``, and ``pair[i][j]``, keyed by opponent as
     `game.PlayerProblem.C` is, the m_i x m_j block ``S_i C_ij S_j'``.
-    A cell's cost is its own term plus its blocks (`cell_costs`).  Raises
+    A cell's cost is its own term plus its blocks (`cell_costs`).
+    ``sizes[i]`` is m_i, derived from the strategy lists.  Raises
     DimensionMismatch for a block of the wrong shape, and ValueError unless
     every piece is below ``finfo.max / k`` in magnitude, so that no sum of k
     pieces overflows: NaN, infinities and finite pieces >= finfo.max / k fail.
@@ -68,24 +75,22 @@ class FiniteGame:
     strategies: tuple[tuple[np.ndarray, ...], ...]
     own: tuple[np.ndarray, ...]
     pair: tuple[dict[int, np.ndarray], ...]
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k, sizes = self.k, self.sizes
-        for i in range(k):
-            for j, block in sorted(self.pair[i].items()):
+        sizes = tuple(len(s) for s in self.strategies)
+        object.__setattr__(self, "sizes", sizes)
+        for i, blocks in enumerate(self.pair):
+            for j, block in blocks.items():
                 if block.shape != (sizes[i], sizes[j]):
                     raise DimensionMismatch(f"block ({i}, {j}) has shape {block.shape}")
-        pieces = np.concatenate([*self.own, *(b.ravel() for p in self.pair for b in p.values())])
-        if not np.abs(pieces).max() < np.finfo(np.float64).max / k:
+        pieces = np.concatenate([*self.own, *(b.ravel() for blocks in self.pair for b in blocks.values())])
+        if not np.abs(pieces).max() < _FLOAT_MAX / len(sizes):
             raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
 
     @property
     def k(self) -> int:
         return len(self.strategies)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
 
 
 @dataclass(frozen=True)
@@ -98,14 +103,14 @@ class MixedProfile:
         cleaned = []
         for i, p in enumerate(self.probs):
             p = np.asarray(p, dtype=np.float64)
-            if not np.isfinite(p).all():
-                raise ValueError(f"player {i} has a non-finite probability")
-            if np.any(p < -PROB_SUM_TOLERANCE):
-                raise ValueError(f"player {i} has a negative probability")
-            total = p.sum()
+            total = p.sum()  # not finite iff an entry is not, or the entries overflow
+            if not math.isfinite(total):
+                raise ValueError(f"player {i} has a non-finite probability or probability sum")
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"player {i} probabilities sum to {total}")
-            p = np.clip(p, 0.0, None)
+            if p.min() < -PROB_SUM_TOLERANCE:
+                raise ValueError(f"player {i} has a negative probability")
+            p = p.clip(0.0, None)
             cleaned.append(p / p.sum())
         object.__setattr__(self, "probs", tuple(cleaned))
 
@@ -139,8 +144,9 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
             0.5 * np.einsum("sa,ab,sb->s", S[i], p.Q, S[i]) + S[i] @ p.d
             for i, p in enumerate(inst.players)
         )
+        T = [S_j.T for S_j in S]
         pair = tuple(
-            {j: S[i] @ p.C[j] @ S[j].T for j in inst.opponents(i)} for i, p in enumerate(inst.players)
+            {j: S[i] @ p.C[j] @ T[j] for j in inst.opponents(i)} for i, p in enumerate(inst.players)
         )
     return FiniteGame(strategies=strategies, own=own, pair=pair)
 
@@ -405,12 +411,15 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
     """Exact equilibrium of a polymatrix game with k >= 3 players.
 
     A pure equilibrium is returned when one exists.  Otherwise the game is
-    written as the LCP ``M = [[D + c, -E], [E', 0]]``, ``q = (0, -1)``, with
-    D from `polymatrix_blocks`, E each player's column of ones and c making
-    every entry of D + c at least 2, so M is copositive-plus and Lemke's
-    algorithm ends with a solution (Howson 1972; Miller & Zucker 1991).  The
-    x part, normalised per player, is the profile.  NoEquilibriumFound is
-    raised when its regret exceeds ``EQ_TOLERANCE`` times
+    written as the LCP ``M = [[D' + c, -E], [E', 0]]``, ``q = (0, -1)``, with
+    D from `polymatrix_blocks` scaled to D' = D / max|D|, E each player's
+    column of ones and c making every entry of D' + c at least 2, so M is
+    copositive-plus and Lemke's algorithm ends with a solution (Howson 1972;
+    Miller & Zucker 1991).  A positive scale leaves the equilibria as they
+    are, and puts D on the scale of E, to which the pivot tolerances are
+    relative: unscaled, costs of 1e9 and more ended on a ray.  The x part,
+    normalised per player, is the profile.  NoEquilibriumFound is raised
+    when its regret in the unscaled game exceeds ``EQ_TOLERANCE`` times
     ``max(1, (k - 1) max|D|)``, a bound on every |cost|: a numerical failure
     of the pivoting never returns a false equilibrium.
     """
@@ -422,6 +431,9 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
         return profile, float(regret(fg, profile).max())
     D, offsets = polymatrix_blocks(fg)
     m, k = offsets[-1], fg.k
+    scale = float(np.abs(D).max())
+    if scale > 0.0:
+        D = D / scale
     E = np.repeat(np.eye(k), fg.sizes, axis=0)
     M = np.block([[D + (2.0 - D.min()), -E], [E.T, np.zeros((k, k))]])
     x = np.clip(_lemke(M, np.concatenate([np.zeros(m), -np.ones(k)]))[:m], 0.0, None)
@@ -430,26 +442,31 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
         raise NoEquilibriumFound("Lemke's solution leaves a player without a mix")
     profile = MixedProfile(probs=tuple(b / b.sum() for b in blocks))
     eps = float(regret(fg, profile).max())
-    if eps > EQ_TOLERANCE * max(1.0, (k - 1) * float(np.abs(D).max())):
+    if eps > EQ_TOLERANCE * max(1.0, (k - 1) * scale):
         raise NoEquilibriumFound(f"regret {eps:.3e} of Lemke's solution")
     return profile, eps
 
 
 def solve_equilibrium(fg: FiniteGame) -> tuple[MixedProfile, float]:
-    """Dispatch on the player count; returns (profile, achieved regret)."""
-    if fg.k == 2:
+    """An exact equilibrium and its regret in the game: (profile, regret).
+
+    A game in which every player has one strategy, the restricted game of an
+    integer fixed point, is its own equilibrium: its one cell is returned as
+    the pure profile, bitwise what both solvers return for it.  Otherwise
+    two players go to `mne_two_player` and more to `mne_k_player`.
+    """
+    if fg.sizes == (1,) * fg.k:
+        profile = pure_profile(fg, (0,) * fg.k)
+    elif fg.k == 2:
         profile = mne_two_player(fg)
-        return profile, float(regret(fg, profile).max())
-    return mne_k_player(fg)
+    else:
+        return mne_k_player(fg)
+    return profile, float(regret(fg, profile).max())
 
 
 def mean_strategies(fg: FiniteGame, profile: MixedProfile) -> list[np.ndarray]:
     """Probability-weighted mean strategy vector per player."""
-    out = []
-    for i in range(fg.k):
-        stack = np.stack([np.asarray(s, dtype=np.float64) for s in fg.strategies[i]])
-        out.append(profile.probs[i] @ stack)
-    return out
+    return [p @ np.array(s, dtype=np.float64) for p, s in zip(profile.probs, fg.strategies)]
 
 
 @dataclass(frozen=True)
@@ -495,22 +512,19 @@ def verify_delta(
     against the means computes them.
     """
     means = mean_strategies(fg, profile)
-    exp = expected_costs(fg, profile)
+    exp = expected_costs(fg, profile).tolist()
     if _swept_last(trace, means):
-        dev_vecs = list(trace.profiles[-1])
+        dev_vecs = trace.profiles[-1]
     else:
-        dev_vecs = game.best_responses(prep, means)
-    dev_costs, gains = [], []
-    for i, v in enumerate(dev_vecs):
-        others = [means[j] for j in range(fg.k) if j != i]
-        cost = game.objective(prep.inst, i, v, others)
-        dev_costs.append(cost)
-        gains.append(float(exp[i]) - cost)
+        dev_vecs = tuple(game.best_responses(prep, means))
+    dev_costs = tuple(
+        game.objective(prep.inst, i, v, means[:i] + means[i + 1:]) for i, v in enumerate(dev_vecs)
+    )
     return DeltaReport(
-        expected_costs=tuple(float(e) for e in exp),
-        deviation_costs=tuple(dev_costs),
-        deviation_vectors=tuple(dev_vecs),
-        gains=tuple(gains),
+        expected_costs=tuple(exp),
+        deviation_costs=dev_costs,
+        deviation_vectors=dev_vecs,
+        gains=tuple(e - c for e, c in zip(exp, dev_costs)),
     )
 
 
@@ -521,5 +535,5 @@ def _swept_last(trace: dynamics.BrTrace | None, means: list[np.ndarray]) -> bool
         trace is not None
         and trace.mode == dynamics.INTEGER
         and trace.outcome == dynamics.OUTCOME_FIXED_POINT
-        and all(np.array_equal(m, x) for m, x in zip(means, trace.profiles[-2]))
+        and all(m.shape == x.shape and (m == x).all() for m, x in zip(means, trace.profiles[-2]))
     )

@@ -128,6 +128,7 @@ class IcqsInstance:
     rest is derived from ``players`` once, on construction, and cannot be
     passed in:
 
+    - ``dims[i]``: player i's variable count n_i;
     - ``C_cat[i]``: player i's coupling blocks concatenated in ascending
       opponent order, the matrix that maps the joint opponent strategy y to
       the shift C_i y of player i's linear term;
@@ -142,6 +143,7 @@ class IcqsInstance:
 
     players: tuple[PlayerProblem, ...]
     meta: dict = field(default_factory=dict, compare=False)
+    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     L: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     factors: tuple[iqp.Factor, ...] = field(init=False, compare=False, repr=False)
@@ -155,7 +157,8 @@ class IcqsInstance:
         if len(players) < 2:
             raise DimensionMismatch("an instance needs at least two players")
         L = tuple(linalg.cholesky(p.Q, f"Q[{i}]") for i, p in enumerate(players))
-        dims = self.dims  # each Q_i is a square matrix from here on
+        dims = tuple(p.n for p in players)  # each Q_i is a square matrix from here on
+        object.__setattr__(self, "dims", dims)
         for i, p in enumerate(players):
             if p.d.shape[0] != dims[i]:
                 raise DimensionMismatch(f"player {i}: d has length {p.d.shape[0]}, expected {dims[i]}")
@@ -197,10 +200,6 @@ class IcqsInstance:
     @property
     def k(self) -> int:
         return len(self.players)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(p.n for p in self.players)
 
     def opponents(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.k) if j != i)
@@ -359,18 +358,21 @@ def _linear_term(inst: IcqsInstance, i: int, y: np.ndarray) -> np.ndarray:
 def objective(
     inst: IcqsInstance, i: int, own: np.ndarray, others: Sequence[np.ndarray]
 ) -> float:
-    """Player i's exact cost at (own, others).
+    """Player i's exact cost ``0.5 x'Q_i x + (C_i y + d_i)'x`` at x = own and
+    the opponents' joint strategy y, one vector per opponent in ascending
+    player order in ``others``.
 
-    Raises ValueError when the opponents' strategies make the linear term
-    C_i y + d_i non-finite.
+    Raises DimensionMismatch on a wrong length of ``own`` or of an
+    opponent's vector or a wrong opponent count, and ValueError when the
+    opponents' strategies make the linear term C_i y + d_i non-finite.
     """
-    own = np.asarray(own, dtype=np.float64).ravel()
-    if own.shape[0] != inst.dims[i]:
-        raise DimensionMismatch(
-            f"player {i} vector has length {own.shape[0]}, expected {inst.dims[i]}"
-        )
-    d = linalg.as_vector(_linear_term(inst, i, _others_concat(inst, i, others)), "d")
-    return iqp.Quadratic.trusted(inst.players[i].Q, d).value(own)
+    x = np.asarray(own, dtype=np.float64).ravel()
+    if x.shape[0] != inst.dims[i]:
+        raise DimensionMismatch(f"player {i} vector has length {x.shape[0]}, expected {inst.dims[i]}")
+    d = _linear_term(inst, i, _others_concat(inst, i, others))
+    if not np.isfinite(d).all():
+        raise ValueError(f"player {i}: the linear term C_i y + d_i is not finite")
+    return float(0.5 * x @ inst.players[i].Q @ x + d @ x)
 
 
 def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarray:

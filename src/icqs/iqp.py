@@ -164,19 +164,6 @@ class Quadratic:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def trusted(cls, Q: np.ndarray, d: np.ndarray) -> Quadratic:
-        """The quadratic with a Q that `game.make_instance` already validated.
-
-        Nothing is checked: ``d`` must be a finite float64 vector of Q's
-        length.  `game.objective` builds one per call and pays for Q's
-        validation once.
-        """
-        q = object.__new__(cls)
-        object.__setattr__(q, "Q", Q)
-        object.__setattr__(q, "d", d)
-        return q
-
     @property
     def n(self) -> int:
         return self.Q.shape[0]

@@ -14,6 +14,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +135,19 @@ def singular_values(A: np.ndarray, name: str = "matrix") -> np.ndarray:
 
     Going through A.T @ A costs some accuracy for tiny singular values, but
     the matrices here never exceed a few dozen rows and every consumer works
-    at tolerances far above the induced error.
+    at tolerances far above the induced error.  When the Gram matrix
+    overflows, which takes a singular value above about 1.3e154, the
+    spectrum is taken of A scaled down by a power of two, an exact scaling,
+    and scaled back; a singular value beyond the float range is inf.
     """
     A = as_matrix(A, name)
     if A.shape[0] < A.shape[1]:
         A = A.T  # Gram matrix of the smaller side; nonzero spectrum matches
-    gram = A.T @ A
+    with np.errstate(over="ignore"):
+        gram = A.T @ A
+        if not np.isfinite(gram).all():
+            e = math.frexp(float(np.abs(A).max()))[1]
+            return np.ldexp(singular_values(np.ldexp(A, -e)), e)
     gram = 0.5 * (gram + gram.T)
     values = sym_eigen(gram).eigenvalues
     # Gram eigenvalues carry O(eps * lambda_max) noise; without a floor the

@@ -322,8 +322,31 @@ def test_an_overflowing_linear_term_exits_3_naming_the_player(tmp_path):
     )
     assert proc.returncode == cli.EXIT_SOLVER
     assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "player 0" in errors[0] and "not finite" in errors[0], proc.stderr
+    # one line: no numpy warning from the instance's Gram matrices, the
+    # stacked matvec or the rounding before the typed error
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), proc.stderr
+    assert "player 0" in errors[0] and "not finite" in errors[0], proc.stderr
+
+
+def test_a_response_beyond_int64_exits_3_with_one_line(tmp_path):
+    # C = 1e5 against a start of 1e14 sends the first responses to -1e19,
+    # past int64: a typed error, not a trace of wrapped integers
+    path = tmp_path / "wrap.json"
+    path.write_text(json.dumps({
+        "players": [{"Q": [[1.0]], "C": {"1": [[1e5]]}, "d": [0.0]},
+                    {"Q": [[1.0]], "C": {"0": [[1e5]]}, "d": [0.0]}],
+        "meta": {},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "icqs", "solve", str(path), "--start", "1e14;1e14",
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_SOLVER
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ") and "int64" in errors[0], proc.stderr
 
 
 def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):

@@ -261,14 +261,14 @@ def test_mne_two_player_equilibrium_conditions_random():
             assert np.min(costs_i) >= v - 1e-9
 
 
-def cyclic_mismatching_pennies():
-    # three players, each pays 1 for matching the next player's bit; the
+def cyclic_mismatching_pennies(s=1.0):
+    # three players, each pays s for matching the next player's bit; the
     # unique equilibrium mixes both bits evenly
     return finite.FiniteGame(
         strategies=labelled_strategies((2, 2, 2)),
         own=(np.zeros(2),) * 3,
         pair=tuple(
-            {j: np.eye(2) if j == (i + 1) % 3 else np.zeros((2, 2)) for j in range(3) if j != i}
+            {j: s * np.eye(2) if j == (i + 1) % 3 else np.zeros((2, 2)) for j in range(3) if j != i}
             for i in range(3)
         ),
     )
@@ -306,6 +306,83 @@ def test_mne_k_player_singleton_sets_degenerate():
     assert eps == 0.0
     for p in profile.probs:
         assert p.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6, 1e9, 1e12, 1e20])
+def test_mne_k_player_solves_the_cyclic_game_at_any_cost_scale(s):
+    # unscaled, the LCP mixed costs of 1e9 and more with its unit columns and
+    # Lemke's algorithm ended on a ray
+    fg = cyclic_mismatching_pennies(s)
+    assert finite.pne_search(fg) == []
+    profile, eps = finite.mne_k_player(fg)
+    assert eps <= finite.EQ_TOLERANCE * max(1.0, 2.0 * s)
+    assert float(finite.regret(fg, profile).max()) == eps
+    for p in profile.probs:
+        assert np.allclose(p, [0.5, 0.5], atol=1e-9)
+
+
+def profile_bits(profile, eps):
+    return [p.dtype.str + p.tobytes().hex() for p in profile.probs], float(eps).hex()
+
+
+def general_solver(fg):
+    # what the solvers give a one-cell game without the one-cell shortcut
+    if fg.k == 2:
+        profile = finite.mne_two_player(fg)
+        return profile, float(finite.regret(fg, profile).max())
+    return finite.mne_k_player(fg)
+
+
+def singleton_games():
+    rng = np.random.default_rng(15)
+    for k in range(2, 6):
+        for _ in range(5):
+            yield finite.FiniteGame(
+                strategies=tuple((rng.integers(-9, 10, size=2).astype(np.float64),) for _ in range(k)),
+                own=tuple(rng.uniform(-50.0, 50.0, size=1) for _ in range(k)),
+                pair=tuple({j: rng.uniform(-50.0, 50.0, size=(1, 1)) for j in range(k) if j != i} for i in range(k)),
+            )
+
+
+def test_a_one_cell_game_is_its_own_equilibrium(monkeypatch):
+    # every fixed point of the acceptance corpus, the negative and built-in
+    # games, and singleton games for k = 2..5: the one cell is returned as
+    # the pure profile, bitwise what the general solvers return for it
+    games = [
+        finite.restrict(prep.inst, dynamics.cycle_sets(trace))
+        for _, prep, trace in terminated_runs()
+        if trace.outcome == dynamics.OUTCOME_FIXED_POINT
+    ]
+    assert len(games) >= 150
+    games += list(singleton_games())
+    expected = [profile_bits(*general_solver(fg)) for fg in games]
+    assert {fg.k for fg in games} == {2, 3, 4, 5}
+
+    def not_called(fg):
+        raise AssertionError("a one-cell game went to a general solver")
+
+    monkeypatch.setattr(finite, "mne_two_player", not_called)
+    monkeypatch.setattr(finite, "mne_k_player", not_called)
+    for fg, want in zip(games, expected):
+        assert fg.sizes == (1,) * fg.k
+        got = finite.solve_equilibrium(fg)
+        assert profile_bits(*got) == want
+        assert all(p.tolist() == [1.0] for p in got[0].probs) and got[1] == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("c", [1e8, 1e20, 1e300])
+def test_a_one_cell_game_with_large_costs_is_solved(k, c):
+    # support enumeration checks the one cell's indifference value against
+    # an absolute tolerance, which its rounding missed at costs of 1e8
+    fg = finite.FiniteGame(
+        strategies=tuple((np.zeros(1),) for _ in range(k)),
+        own=(np.array([c]),) + (np.zeros(1),) * (k - 1),
+        pair=tuple({j: np.full((1, 1), c / 3) for j in range(k) if j != i} for i in range(k)),
+    )
+    profile, eps = finite.solve_equilibrium(fg)
+    assert [p.tolist() for p in profile.probs] == [[1.0]] * k
+    assert eps == 0.0
 
 
 def test_solve_equilibrium_dispatch(cycling_game):

@@ -178,6 +178,57 @@ def test_objective_rejects_non_finite_opponents():
             game.objective(cyc, 0, [1.0], [[bad]])
 
 
+def reference_objective(inst, i, own, others):
+    # game.objective before it was trimmed: the checked concatenation, the
+    # validated linear term and the value of the validated quadratic
+    x = np.asarray(own, dtype=np.float64).ravel()
+    y = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in others])
+    d = linalg.as_vector(inst.C_cat[i] @ y + inst.players[i].d, "d")
+    return iqp.Quadratic(inst.players[i].Q, d).value(x)
+
+
+def test_objective_is_bitwise_the_reference_expression():
+    # integer profiles as best-response runs give them, and halves and
+    # thirds as mixed means do, on the corpus and negatively adequate games
+    rng = np.random.default_rng(31)
+    insts = [inst for _, inst in instance_corpus()]
+    insts += [
+        instgen.gen_negative(instgen.NegativeSpec(n_players=k, vars_per_player=n, seed=40 + 3 * k + n))
+        for k in (2, 3, 4) for n in (1, 2, 3)
+    ]
+    checked = 0
+    for inst in insts:
+        for scale in (1.0, 2.0, 3.0):
+            profile = [rng.integers(-60, 61, size=n) / scale for n in inst.dims]
+            if scale == 1.0:
+                profile = [v.astype(np.int64) for v in profile]
+            for i in range(inst.k):
+                others = profile[:i] + profile[i + 1:]
+                got = game.objective(inst, i, profile[i], others)
+                assert type(got) is float
+                assert got.hex() == reference_objective(inst, i, profile[i], others).hex()
+                checked += 1
+    assert checked >= 500
+
+
+def test_objective_raises_each_error():
+    inst = instgen.builtin("counterexample", M=10)  # two players of 2 variables
+    own, other = [1.0, 2.0], [3.0, -1.0]
+    assert game.objective(inst, 1, own, [other]) == reference_objective(inst, 1, own, [other])
+    for bad_own, bad_others in (
+        ([1.0], [other]),  # own vector of the wrong length
+        (own, []),  # too few opponents
+        (own, [other, other]),  # too many opponents
+        (own, [[3.0]]),  # an opponent vector of the wrong length
+    ):
+        with pytest.raises(DimensionMismatch):
+            game.objective(inst, 1, bad_own, bad_others)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in ([np.nan, 0.0], [np.inf, 0.0], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="linear term"):
+                game.objective(inst, 1, own, [bad])
+
+
 def test_coupling_concat_is_derived_from_players():
     cg = instgen.builtin("counterexample", M=10)
     for i in range(cg.k):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icqs import linalg
+from icqs import game, linalg
 from icqs.errors import DimensionMismatch, NotPositiveDefinite
 
 
@@ -78,6 +78,24 @@ def test_singular_values_identity_and_scalar():
 def test_singular_values_rank_one_column():
     sv = linalg.singular_values(np.array([[3.0, 0.0], [4.0, 0.0]]))
     assert np.allclose(sv, [5.0, 0.0], atol=1e-8)
+
+
+def test_singular_values_past_an_overflowing_gram_matrix():
+    # A.T @ A overflows once a singular value passes about 1.3e154; before,
+    # the overflowed Gram spectrum fell under its own floor and read as zero,
+    # so a coupling of 1e300 classified as positively adequate
+    rng = np.random.default_rng(8)
+    for A in ([[5e299]], [[5e299, 1.0], [2.0, -3e299]], rng.normal(size=(4, 3)) * 1e200, rng.normal(size=(2, 5)) * 1e160):
+        A = np.asarray(A)
+        want = np.linalg.svd(A, compute_uv=False)
+        assert np.allclose(linalg.singular_values(A), want, rtol=1e-12, atol=1e-12 * want[0])
+    assert np.isinf(linalg.singular_values(np.full((2, 2), 1.7e308))[0])
+    inst = game.make_instance([
+        game.PlayerProblem(Q=np.array([[2.0]]), C={1 - i: np.array([[1e300]])}, d=np.zeros(1))
+        for i in range(2)
+    ])
+    assert inst.report.classification is game.Adequacy.NEGATIVE
+    assert inst.report.sigma_max == (5e299, 5e299)
 
 
 def test_solve_spd_examples():
