@@ -399,7 +399,7 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
                trace.outcome == dynamics.OUTCOME_CYCLE
                and path == [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)], str(path))
         fg = finite.restrict(prep.inst, dynamics.cycle_sets(trace))
-        profile = finite.mne_two_player(fg)
+        profile, _ = finite.solve_equilibrium(fg)
         half = all(np.allclose(p, [0.5, 0.5], atol=1e-9) for p in profile.probs)
         _check(checks, "mixed equilibrium is half-half", half,
                str([p.tolist() for p in profile.probs]))
@@ -418,7 +418,7 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
         fg = finite.restrict(prep.inst, sets)
         _check(checks, "restricted game has no pure equilibrium",
                finite.pne_search(fg) == [], "")
-        profile = finite.mne_two_player(fg)
+        profile, _ = finite.solve_equilibrium(fg)
         delta = finite.verify_delta(prep, fg, profile, trace)
         target = M * M / 8.0
         _check(checks, f"x-player gains at least M^2/8 = {target}",

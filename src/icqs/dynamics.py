@@ -35,8 +35,7 @@ one `game.best_response` call per player and sweep.
 Continuous mode replaces the integer best response with the continuous one
 (`game.continuous_sweep`, the same gather, matvec and stacked solve),
 turning the sweep into the affine fixed-point iteration whose contraction /
-expansion behaviour mirrors the adequacy classification; `continuous_step`
-is one such sweep on a per-player profile.
+expansion behaviour mirrors the adequacy classification.
 
 `run_br`, the sweeps and the radii take the solve's `game.Prepared` value,
 whose ``inst`` is the instance they run on.
@@ -122,11 +121,6 @@ def _joint_norm(zf: np.ndarray, slots: Sequence[slice]) -> float:
     # overflow once iterates grow large), summed in player order.
     # `ndarray.dot` is `np.dot` without its dispatch: the bits are the same.
     return math.sqrt(sum([float(x.dot(x)) for x in [zf[s] for s in slots]]))
-
-
-def continuous_step(prep: game.Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """One Jacobi sweep of continuous best responses."""
-    return list(prep.inst.split(game.continuous_sweep(prep, game.joint_vector(prep.inst, profile))))
 
 
 def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
@@ -272,22 +266,21 @@ def cycle_sets(trace: BrTrace) -> CycleSets:
     )
 
 
-def termination_radius(prep: game.Prepared, prox_variant: str = "flatness") -> float | None:
+def termination_radius(prep: game.Prepared) -> float | None:
     """Norm level below which a positively adequate run must eventually stay.
 
     L = (||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
     with rho = 1 - max sigma.  Outside L the joint norm strictly decreases,
     so only finitely many profiles are reachable infinitely often.  Returns
-    None unless the instance is positively adequate.  ``prox_variant`` picks
-    the flatness-formula radii (default, matching the reported bounds) or the
-    certified ``"exact"`` ones used by the descent guarantee.
+    None unless the instance is positively adequate.  It reads the flatness
+    radii, as the reported bounds do.
     """
     if prep.inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return prep.radius(prox_variant)
+    return prep.radius("flatness")
 
 
-def divergence_radius(prep: game.Prepared, prox_variant: str = "flatness") -> float | None:
+def divergence_radius(prep: game.Prepared) -> float | None:
     """Norm level beyond which negatively adequate iterates grow forever.
 
     Same formula as the termination radius with rho = min sigma - 1.  Returns
@@ -295,7 +288,7 @@ def divergence_radius(prep: game.Prepared, prox_variant: str = "flatness") -> fl
     """
     if prep.inst.report.classification is not game.Adequacy.NEGATIVE:
         return None
-    return prep.radius(prox_variant)
+    return prep.radius("flatness")
 
 
 def cycle_telemetry(trace: BrTrace) -> np.ndarray:

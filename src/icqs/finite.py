@@ -19,7 +19,7 @@ player's costs over the prod(m_i) cells at a time (`cell_costs`).
 
 A game in which every player has one strategy, the restricted game of an
 integer fixed point, is its own equilibrium: `solve_equilibrium` returns
-its one cell as the pure profile, with its regret, and runs neither solver.
+its one cell as the pure profile, with regret zero, and runs neither solver.
 
 Two-player games are solved exactly by support enumeration: support pairs are
 visited by total size ascending (lexicographic within a size), the
@@ -452,15 +452,15 @@ def solve_equilibrium(fg: FiniteGame) -> tuple[MixedProfile, float]:
 
     A game in which every player has one strategy, the restricted game of an
     integer fixed point, is its own equilibrium: its one cell is returned as
-    the pure profile, bitwise what both solvers return for it.  Otherwise
-    two players go to `mne_two_player` and more to `mne_k_player`.
+    the pure profile with regret 0.0, bitwise what the solvers and `regret`
+    give (each cost c is finite, `FiniteGame`, and c * 1.0 - c is +0.0).
+    Otherwise two players go to `mne_two_player` and more to `mne_k_player`.
     """
     if fg.sizes == (1,) * fg.k:
-        profile = pure_profile(fg, (0,) * fg.k)
-    elif fg.k == 2:
-        profile = mne_two_player(fg)
-    else:
+        return pure_profile(fg, (0,) * fg.k), 0.0
+    if fg.k > 2:
         return mne_k_player(fg)
+    profile = mne_two_player(fg)
     return profile, float(regret(fg, profile).max())
 
 

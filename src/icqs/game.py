@@ -123,16 +123,16 @@ class IcqsInstance:
     build it with `make_instance`.
 
     Construction checks k >= 2 and the length of every d_i and shape of every
-    coupling block, and factors each Q_i: ``L[i]`` is its lower Cholesky
-    factor, whose symmetry and pivot tests are Q_i's one validation.  The
-    rest is derived from ``players`` once, on construction, and cannot be
-    passed in:
+    coupling block, and factors each Q_i: ``factors[i].L`` is its lower
+    Cholesky factor, whose symmetry and pivot tests are Q_i's one
+    validation.  The rest is derived from ``players`` once, on construction,
+    and cannot be passed in:
 
     - ``dims[i]``: player i's variable count n_i;
     - ``C_cat[i]``: player i's coupling blocks concatenated in ascending
       opponent order, the matrix that maps the joint opponent strategy y to
       the shift C_i y of player i's linear term;
-    - ``factors[i]``: Q_i's `iqp.Factor`, from ``L[i]``;
+    - ``factors[i]``: Q_i's `iqp.Factor`, with its Cholesky factor ``L``;
     - ``report``: the adequacy classification (`classify`);
     - ``slots[i]``: the range [a, b) of player i's entries in the joint
       strategy vector, and ``groups``: the players by dimension, in order of
@@ -144,7 +144,6 @@ class IcqsInstance:
     players: tuple[PlayerProblem, ...]
     meta: dict = field(default_factory=dict, compare=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    L: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     factors: tuple[iqp.Factor, ...] = field(init=False, compare=False, repr=False)
     report: AdequacyReport = field(init=False, compare=False, repr=False)
@@ -189,13 +188,13 @@ class IcqsInstance:
             )
             for ps in members.values()
         )
-        d_part = np.concatenate([linalg.solve_with_factor(Li, -p.d) for p, Li in zip(players, L)])
+        d_part = np.concatenate([linalg.solve_with_factor(f.L, -p.d) for p, f in zip(players, factors)])
         for name, value in zip(
-            ("L", "C_cat", "factors", "slots", "groups", "qinv_d_norm"),
-            (L, C_cat, factors, slots, groups, _norm(d_part)),
+            ("C_cat", "factors", "slots", "groups", "qinv_d_norm"),
+            (C_cat, factors, slots, groups, _norm(d_part)),
         ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "report", classify(self))  # reads L and C_cat
+        object.__setattr__(self, "report", classify(self))  # reads factors and C_cat
 
     @property
     def k(self) -> int:
@@ -238,8 +237,8 @@ def make_instance(players: Sequence[PlayerProblem], meta: dict | None = None) ->
 
 def interaction_matrix(inst: IcqsInstance, i: int) -> np.ndarray:
     """R_i = Q_i^{-1} [C_i blocks, opponents in player order], from Q_i's
-    Cholesky factor ``inst.L[i]``."""
-    return linalg.solve_with_factor(inst.L[i], inst.C_cat[i])
+    Cholesky factor ``inst.factors[i].L``."""
+    return linalg.solve_with_factor(inst.factors[i].L, inst.C_cat[i])
 
 
 @dataclass(frozen=True)
@@ -318,11 +317,13 @@ class Prepared:
 def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
     """Every player's proximity radii under ``rule``, for one solve of
     ``inst``; BoundOverflow when the rule overflows at a player's dimension.
+    Each exact radius is the flatness one raised by `iqp.exact_prox`.
     """
+    flatness = tuple(iqp.prox_bound(f, rule) for f in inst.factors)
     return Prepared(
         inst=inst,
-        prox_flatness=tuple(iqp.prox_bound(f, rule) for f in inst.factors),
-        prox_exact=tuple(iqp.guarantee_prox(f, rule) for f in inst.factors),
+        prox_flatness=flatness,
+        prox_exact=tuple(iqp.exact_prox(f, p) for f, p in zip(inst.factors, flatness)),
     )
 
 

@@ -72,7 +72,8 @@ bound, and callers pass sharper conjectured rules explicitly.
 scaled-identity matrices it understates the true worst case (which is
 sqrt(n)/2 there, attained with u at a cube center), so
 `guarantee_prox(factor, rule)` returns the larger of the two whenever the
-exact value is known.  These two functions are the only radius formulas.
+exact value is known (`exact_prox` raises a flatness radius in hand).
+These are the only radius formulas.
 The postcondition of `lattice_mins` always checks the proven-rule radius
 and gap (`Factor.radius`, `Factor.gap`), whatever rule the caller reports
 bounds under, and raises `ProximityViolation` if the returned minimizer
@@ -295,10 +296,12 @@ def guarantee_prox(factor: Factor, rule: FlatnessRule = PROVEN_RULE) -> float:
     the integer minimizer rounds u componentwise, so the worst distance
     is attained with u at a cube center.
     """
-    bound = prox_bound(factor, rule)
-    if factor.scaled_identity:
-        bound = max(bound, math.sqrt(factor.n) / 2.0)
-    return bound
+    return exact_prox(factor, prox_bound(factor, rule))
+
+
+def exact_prox(factor: Factor, bound: float) -> float:
+    """The flatness radius ``bound`` of Q, raised to sqrt(n)/2 if Q is a scaled identity."""
+    return max(bound, math.sqrt(factor.n) / 2.0) if factor.scaled_identity else bound
 
 
 def is_scaled_identity(Q: np.ndarray) -> bool:

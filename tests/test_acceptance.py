@@ -312,7 +312,7 @@ def test_criterion_9_continuous_mode(instances6):
             stationarity_bad += 1
             continue
         z_end = trace.profiles[-1]
-        step = dynamics.continuous_step(prep, z_end)
+        step = inst.split(game.continuous_sweep(prep, game.joint_vector(inst, z_end)))
         residual = math.sqrt(
             sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z_end))
         )

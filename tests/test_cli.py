@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from icqs import bounds, cli, game, instgen, iqp, linalg
+from icqs import bounds, cli, finite, game, instgen, iqp, linalg
 
 
 def run_cli(argv):
@@ -222,6 +222,28 @@ def test_solve_pipeline_classifies_once(monkeypatch):
     # classification and every player's factor come with the instance, so
     # no Q is factored and nothing is classified inside the solve
     assert calls == {"classify": 0, "prepare": 1, "factorize": 0, "cholesky": 0}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_fixed_point_solve_takes_each_radius_and_cost_once(monkeypatch, k):
+    inst = instgen.gen_pricing(instgen.PricingSpec(n_players=k, seed=1000 * k))
+    calls = {"prox_bound": 0, "pure_strategy_costs": 0}
+    for owner, name in ((iqp, "prox_bound"), (finite, "pure_strategy_costs")):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    result = cli.solve_pipeline(inst)
+    assert result["outcome"] == "fixed_point"
+    assert [len(s) for s in result["equilibrium"]["strategies"]] == [1] * k
+    assert result["equilibrium"]["within_game_eps"] == 0.0
+    # one flatness radius per player, which `prepare` also raises to the
+    # exact one, and one pass of pure-strategy costs per player, for the
+    # expected costs: a one-cell game's regret is zero without one
+    assert calls == {"prox_bound": k, "pure_strategy_costs": k}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):

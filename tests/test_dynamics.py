@@ -86,7 +86,7 @@ def test_divergence_radius_example1():
 def test_norm_descent_above_certified_radius():
     # one sweep strictly shrinks any profile outside the exact-prox radius
     inst = instgen.builtin("cycling")
-    L_exact = dynamics.termination_radius(game.prepare(inst), prox_variant="exact")
+    L_exact = game.prepare(inst).radius("exact")
     for x in range(-4, 5):
         for y in range(-4, 5):
             start = [np.array([float(x)]), np.array([float(y)])]
@@ -101,7 +101,7 @@ def test_flatness_radius_alone_does_not_certify_descent():
     # radius and the exact one, which is why the certified variant exists
     inst = instgen.builtin("cycling")
     L_flat = dynamics.termination_radius(game.prepare(inst))
-    L_exact = dynamics.termination_radius(game.prepare(inst), prox_variant="exact")
+    L_exact = game.prepare(inst).radius("exact")
     assert L_flat < math.hypot(-1, 1) < L_exact
     trace = dynamics.run_br(game.prepare(inst), start=[[-1.0], [1.0]], max_iters=1)
     assert trace.norms[1] == trace.norms[0]
@@ -148,7 +148,7 @@ def test_continuous_mode_contracts_to_stationary_point():
     trace = dynamics.run_br(game.prepare(inst), mode=dynamics.CONTINUOUS)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     z = trace.profiles[-1]
-    step = dynamics.continuous_step(game.prepare(inst), z)
+    step = inst.split(game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z)))
     residual = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z)))
     assert residual <= 1e-8
 
@@ -158,8 +158,8 @@ def test_continuous_mode_contracts_to_stationary_point():
     for _ in range(20):
         z1 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
         z2 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
-        f1 = np.concatenate(dynamics.continuous_step(game.prepare(inst), z1))
-        f2 = np.concatenate(dynamics.continuous_step(game.prepare(inst), z2))
+        f1 = game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z1))
+        f2 = game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z2))
         lhs = np.linalg.norm(f1 - f2)
         rhs = sigma * np.linalg.norm(np.concatenate(z1) - np.concatenate(z2))
         assert lhs <= rhs + 1e-9
@@ -324,7 +324,7 @@ def test_continuous_step_matches_per_player_responses():
         prep = game.prepare(inst)
         for _ in range(3):
             profile = [rng.uniform(-1e3, 1e3, size=n) for n in inst.dims]
-            step = dynamics.continuous_step(prep, profile)
+            step = inst.split(game.continuous_sweep(prep, game.joint_vector(inst, profile)))
             for i in range(inst.k):
                 y = np.concatenate([profile[j] for j in inst.opponents(i)])
                 q = iqp.Quadratic(inst.players[i].Q, inst.C_cat[i] @ y + inst.players[i].d)

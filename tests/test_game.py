@@ -427,3 +427,19 @@ def test_prepare_holds_only_the_rule_dependent_radii():
     assert prep.prox("exact") == prep.prox_exact == pytest.approx((0.5, 0.5))
     with pytest.raises(ValueError):
         prep.prox("bogus")
+
+
+@pytest.mark.parametrize("rule", [iqp.PROVEN_RULE, iqp.FlatnessRule(coeff=0.5, exponent=0.5)])
+def test_prepare_gives_bitwise_the_guarantee_radii(rule):
+    # prepare raises its own flatness radii to the exact ones; each is
+    # bitwise what `guarantee_prox` gives from scratch
+    cases = [inst for _, inst in instance_corpus()]
+    cases += [instgen.builtin(name) for name in ("example1", "cycling")]
+    cases.append(instgen.builtin("counterexample", M=10))
+    raised = 0
+    for inst in cases:
+        prep = game.prepare(inst, rule)
+        assert [r.hex() for r in prep.prox_flatness] == [iqp.prox_bound(f, rule).hex() for f in inst.factors]
+        assert [r.hex() for r in prep.prox_exact] == [iqp.guarantee_prox(f, rule).hex() for f in inst.factors]
+        raised += prep.prox_exact != prep.prox_flatness
+    assert raised > 0  # the scaled-identity rule fires on some of them
