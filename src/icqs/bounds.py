@@ -27,21 +27,22 @@ root is the displayed closed form
 (symmetrically for y).  Composing the two gives the a-priori deviation bound
 per player: the a-posteriori bound at the bounded diameter.
 
-Every formula consumes a proximity radius per player, in one of two
-variants: ``"flatness"`` is the plain flatness-constant formula that the
-reported numbers quote, and ``"exact"`` upgrades scaled-identity matrices to
-their true worst case sqrt(n)/2 (the flatness value understates 1-D blocks,
-where measured diameters can legitimately exceed the flatness-based L
-bound; such violations are flagged, not hidden).  Both come from the solve's
-`game.Prepared` value, under its flatness rule, and every bound takes that
-value.  `guarantee_pack` computes the L bounds and a-priori deltas of each
-variant once per run.
+Every formula consumes a proximity radius per player, of one of the
+variants in the solve's `game.Prepared` value, ``prep.prox``:
+``"flatness"`` is the plain flatness-constant formula, and ``"exact"``
+upgrades scaled-identity matrices to their true worst case sqrt(n)/2 and is
+the one the certificates read (the flatness value understates 1-D blocks,
+where measured diameters can legitimately exceed the flatness-based L bound;
+such violations are flagged, not hidden).  `guarantee_pack` computes every
+variant's L bounds and deltas once per run, keyed by variant, and a variant
+whose radii equal an earlier one's shares its bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def delta_a_posteriori(
     """
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
-    return _delta(i, prep.inst.factors[i].lambda_max, prep.prox(prox_variant)[i], L_i)
+    return _delta(i, prep.inst.factors[i].lambda_max, prep.prox[prox_variant][i], L_i)
 
 
 def _delta(i: int, lambda_max: float, prox: float, L_i: float) -> float:
@@ -145,86 +146,72 @@ def l_bound_theoretical(prep: game.Prepared, prox_variant: str = "flatness") -> 
     """A-priori per-player cycle diameter bounds; None unless positively adequate."""
     if prep.inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return l_closure(prep.inst.report.sigma_max, prep.prox(prox_variant))
+    return l_closure(prep.inst.report.sigma_max, prep.prox[prox_variant])
 
 
-def _deltas(prep: game.Prepared, diameters, prox_variant: str) -> tuple[float, ...]:
-    """`delta_a_posteriori` of every player at its nonnegative diameter."""
+def _deltas(prep: game.Prepared, prox, diameters) -> tuple[float, ...]:
+    """`delta_a_posteriori` of every player at its radius in ``prox`` and its
+    nonnegative diameter."""
     return tuple(
         _delta(i, f.lambda_max, p, L)
-        for i, (f, p, L) in enumerate(zip(prep.inst.factors, prep.prox(prox_variant), diameters))
+        for i, (f, p, L) in enumerate(zip(prep.inst.factors, prox, diameters))
     )
 
 
 def delta_a_priori(prep: game.Prepared, prox_variant: str = "flatness") -> list[float] | None:
     """Per-player a-priori deviation bounds; None unless positively adequate."""
     l_bounds = l_bound_theoretical(prep, prox_variant)
-    return None if l_bounds is None else list(_deltas(prep, l_bounds, prox_variant))
+    return None if l_bounds is None else list(_deltas(prep, prep.prox[prox_variant], l_bounds))
 
 
 @dataclass(frozen=True)
 class GuaranteePack:
-    """Everything the run report quotes about one solved instance.
+    """The measured cycle diameters of one run and its bounds, each keyed by
+    the variant of ``prep.prox`` it is computed from.
 
-    ``flatness_l_violated[i]`` flags players whose measured cycle diameter
-    exceeds the flatness-variant L bound; the exact-variant bound is the one
-    the termination theory actually certifies.
+    ``l_bound`` and ``delta_a_priori`` map a variant to None unless the
+    instance is positively adequate.  ``flatness_l_violated[i]`` flags
+    players whose measured cycle diameter exceeds the flatness-variant L
+    bound; the exact-variant bound is the one the termination theory
+    actually certifies.
     """
 
-    classification: game.Adequacy
-    rho: float | None
-    lambda1: tuple[float, ...]
-    sigma1: tuple[float, ...]
-    prox_flatness: tuple[float, ...]
-    prox_exact: tuple[float, ...]
     l_measured: tuple[float, ...]
-    l_bound_flatness: tuple[float, ...] | None
-    l_bound_exact: tuple[float, ...] | None
-    delta_posteriori_flatness: tuple[float, ...]
-    delta_posteriori_exact: tuple[float, ...]
-    delta_priori_flatness: tuple[float, ...] | None
-    delta_priori_exact: tuple[float, ...] | None
+    l_bound: Mapping[str, tuple[float, ...] | None]
+    delta_a_posteriori: Mapping[str, tuple[float, ...]]
+    delta_a_priori: Mapping[str, tuple[float, ...] | None]
     flatness_l_violated: tuple[bool, ...]
 
 
-def _variant(prep: game.Prepared, l_measured, prox_variant: str):
-    """One variant's L bounds, a-posteriori deltas and a-priori deltas."""
-    lb = l_bound_theoretical(prep, prox_variant)
-    if lb is None:
-        return None, _deltas(prep, l_measured, prox_variant), None
-    # the a-priori delta is the a-posteriori one at the bounded diameter
-    return tuple(lb), _deltas(prep, l_measured, prox_variant), _deltas(prep, lb, prox_variant)
-
-
 def guarantee_pack(prep: game.Prepared, cycle: dynamics.CycleSets) -> GuaranteePack:
-    """Assemble measured diameters and every bound variant for one run.
+    """Assemble measured diameters and every variant's bounds for one run.
 
-    When every player's two proximity radii are equal, as for every Q that
-    is not a scaled identity, the exact variant's bounds are the flatness
-    ones and are not computed again.
+    A variant whose radii equal an earlier variant's, as the exact radii
+    equal the flatness ones for every Q that is not a scaled identity,
+    shares that variant's bounds, which are not computed again.
     """
     k = prep.inst.k
     l_measured = tuple(cycle_diameter(cycle, i) for i in range(k))
-    flat = _variant(prep, l_measured, "flatness")
-    exact = flat if prep.prox_exact == prep.prox_flatness else _variant(prep, l_measured, "exact")
-    lbf = flat[0]
+    l_bound, post, priori = {}, {}, {}
+    for variant, prox in prep.prox.items():
+        same = next((v for v in l_bound if prep.prox[v] == prox), None)
+        if same is not None:
+            l_bound[variant], post[variant], priori[variant] = l_bound[same], post[same], priori[same]
+            continue
+        lb = l_bound_theoretical(prep, variant)
+        l_bound[variant] = None if lb is None else tuple(lb)
+        post[variant] = _deltas(prep, prox, l_measured)
+        # the a-priori delta is the a-posteriori one at the bounded diameter
+        priori[variant] = None if lb is None else _deltas(prep, prox, lb)
+    lbf = l_bound["flatness"]
     violated = tuple(
         lbf is not None and l_measured[i] > lbf[i] * (1.0 + 1e-9) + 1e-12
         for i in range(k)
     )
     return GuaranteePack(
-        classification=prep.inst.report.classification,
-        rho=prep.inst.report.rho,
-        lambda1=tuple(f.lambda_max for f in prep.inst.factors),
-        sigma1=prep.inst.report.sigma_max,
-        prox_flatness=prep.prox_flatness,
-        prox_exact=prep.prox_exact,
         l_measured=l_measured,
-        l_bound_flatness=lbf,
-        l_bound_exact=exact[0],
-        delta_posteriori_flatness=flat[1],
-        delta_posteriori_exact=exact[1],
-        delta_priori_flatness=flat[2],
-        delta_priori_exact=exact[2],
+        l_bound=l_bound,
+        delta_a_posteriori=post,
+        delta_a_priori=priori,
         flatness_l_violated=violated,
     )

@@ -89,7 +89,7 @@ def solve_pipeline(
             profile, achieved_eps = finite.solve_equilibrium(fg)
             delta = finite.verify_delta(prep, fg, profile, trace)
             pack = bounds.guarantee_pack(prep, sets)
-            delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack)
+            delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack, report)
             equilibrium = {
                 "strategies": [
                     [np.asarray(s).tolist() for s in player] for player in fg.strategies
@@ -100,17 +100,9 @@ def solve_pipeline(
                 "deviation_costs": list(delta.deviation_costs),
                 "deviation_gains": list(delta.gains),
                 "cycle_diameters": list(pack.l_measured),
-                "l_bound": {
-                    "flatness": _maybe_list(pack.l_bound_flatness),
-                    "exact": _maybe_list(pack.l_bound_exact),
-                },
-                "delta_a_posteriori": {
-                    "flatness": list(pack.delta_posteriori_flatness),
-                    "exact": list(pack.delta_posteriori_exact),
-                },
-                "delta_a_priori": {
-                    "flatness": _maybe_list(pack.delta_priori_flatness),
-                    "exact": _maybe_list(pack.delta_priori_exact),
+                **{
+                    name: {variant: _maybe_list(b) for variant, b in getattr(pack, name).items()}
+                    for name in ("l_bound", "delta_a_posteriori", "delta_a_priori")
                 },
                 "flatness_l_violated": list(pack.flatness_l_violated),
                 "delta_bounded": delta_bounded,
@@ -132,19 +124,18 @@ def _maybe_list(values):
 
 
 def _delta_bounded(
-    delta: finite.DeltaReport, pack: bounds.GuaranteePack
+    delta: finite.DeltaReport, pack: bounds.GuaranteePack, report: game.AdequacyReport
 ) -> tuple[bool | None, str]:
     """Whether the gains are within the finite a-priori bounds (exact-prox
     variant), and why; None when no player has a finite bound."""
-    if pack.delta_priori_exact is None:
-        return None, f"no a-priori bound: the instance is {pack.classification.value}"
-    checked = [
-        (g, b) for g, b in zip(delta.gains, pack.delta_priori_exact) if math.isfinite(b)
-    ]
+    priori = pack.delta_a_priori["exact"]
+    if priori is None:
+        return None, f"no a-priori bound: the instance is {report.classification.value}"
+    checked = [(g, b) for g, b in zip(delta.gains, priori) if math.isfinite(b)]
     if not checked:
         return None, (
             "no finite a-priori bound: the L-bound closure is infinite: "
-            f"sum sigma^2/(1+sigma^2) = {bounds.closure_criterion(pack.sigma1):.2f} >= 1"
+            f"sum sigma^2/(1+sigma^2) = {bounds.closure_criterion(report.sigma_max):.2f} >= 1"
         )
     ok = all(g <= b + 1e-9 for g, b in checked)
     verdict = "within" if ok else "exceed"
@@ -468,33 +459,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Best-response solver for integer convex quadratic games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags `solve` and `bench` share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--max-iters", type=int, default=dynamics.DEFAULT_MAX_ITERS)
+    shared.add_argument("--flatness-coeff", type=float, default=iqp.PROVEN_RULE.coeff,
+                        help="override the flatness rule coefficient (default 1.0)")
+    shared.add_argument("--flatness-exponent", type=float, default=iqp.PROVEN_RULE.exponent,
+                        help="override the flatness rule exponent (default 2.5)")
 
     p = sub.add_parser("classify", help="print the adequacy classification")
     p.add_argument("instance")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("solve", help="run the full solve pipeline on an instance file")
+    p = sub.add_parser("solve", parents=[shared],
+                       help="run the full solve pipeline on an instance file")
     p.add_argument("instance")
     p.add_argument("--start", default=None,
                    help="per-player comma lists separated by semicolons, e.g. '0,1;0,1'")
-    p.add_argument("--max-iters", type=int, default=dynamics.DEFAULT_MAX_ITERS)
     p.add_argument("--mode", choices=[dynamics.INTEGER, dynamics.CONTINUOUS],
                    default=dynamics.INTEGER)
     p.add_argument("--out", default=None, help="directory for report and trace files")
-    p.add_argument("--flatness-coeff", type=float, default=iqp.PROVEN_RULE.coeff,
-                   help="override the flatness rule coefficient (default 1.0)")
-    p.add_argument("--flatness-exponent", type=float, default=iqp.PROVEN_RULE.exponent,
-                   help="override the flatness rule exponent (default 2.5)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", help="generate a seeded batch and solve every instance")
+    p = sub.add_parser("bench", parents=[shared],
+                       help="generate a seeded batch and solve every instance")
     p.add_argument("spec", help="JSON batch description")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-iters", type=int, default=dynamics.DEFAULT_MAX_ITERS)
-    p.add_argument("--flatness-coeff", type=float, default=iqp.PROVEN_RULE.coeff,
-                   help="override the flatness rule coefficient (default 1.0)")
-    p.add_argument("--flatness-exponent", type=float, default=iqp.PROVEN_RULE.exponent,
-                   help="override the flatness rule exponent (default 2.5)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("replicate", help="run the scripted checks for a built-in scenario")

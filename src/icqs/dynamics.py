@@ -270,25 +270,26 @@ def termination_radius(prep: game.Prepared) -> float | None:
     """Norm level below which a positively adequate run must eventually stay.
 
     L = (||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
-    with rho = 1 - max sigma.  Outside L the joint norm strictly decreases,
-    so only finitely many profiles are reachable infinitely often.  Returns
-    None unless the instance is positively adequate.  It reads the flatness
-    radii, as the reported bounds do.
+    with rho = 1 - max sigma, at the exact radii (`game.Prepared.radius`).
+    Outside L the joint norm strictly decreases, so only finitely many
+    profiles are reachable infinitely often.  Returns None unless the
+    instance is positively adequate.
     """
     if prep.inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return prep.radius("flatness")
+    return prep.radius()
 
 
 def divergence_radius(prep: game.Prepared) -> float | None:
     """Norm level beyond which negatively adequate iterates grow forever.
 
-    Same formula as the termination radius with rho = min sigma - 1.  Returns
-    None unless the instance is negatively adequate.
+    Same formula as the termination radius, at the exact radii, with
+    rho = min sigma - 1; `run_br`'s divergence latch reads it.  Returns None
+    unless the instance is negatively adequate.
     """
     if prep.inst.report.classification is not game.Adequacy.NEGATIVE:
         return None
-    return prep.radius("flatness")
+    return prep.radius()
 
 
 def cycle_telemetry(trace: BrTrace) -> np.ndarray:

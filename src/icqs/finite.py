@@ -307,12 +307,13 @@ def mne_two_player(fg: FiniteGame) -> MixedProfile:
 
     Returns the first valid equilibrium in the (total size ascending,
     lexicographic) support order, i.e. a smallest-support equilibrium,
-    deterministically.  Pairs that provably fail the equilibrium check are
-    skipped without a solve: a pair is dropped when one of its strategies is
-    dominated, by more than twice ``EQ_TOLERANCE`` plus rounding, on the other
-    player's support (conditional dominance, Porter, Nudelman & Shoham 2008),
-    and the column player's mix is solved and checked before the row
-    player's.  Neither changes the order or the returned profile.  When a
+    deterministically.  The equilibrium check's tolerance is ``EQ_TOLERANCE``
+    times ``max(1, max|A|, max|B|)``, relative to the costs as the k-player
+    check's is.  Pairs that provably fail the check are skipped without a
+    solve: a pair is dropped when one of its strategies is dominated, by more
+    than twice that tolerance plus rounding, on the other player's support
+    (conditional dominance, Porter, Nudelman & Shoham 2008), and the column
+    player's mix is solved and checked before the row player's.  Neither changes the order or the returned profile.  When a
     player has a single strategy there is nothing to prune and no pruning
     table is built.  NoEquilibriumFound cannot occur for a finite game and
     signals numerical failure.
@@ -322,18 +323,19 @@ def mne_two_player(fg: FiniteGame) -> MixedProfile:
     A = cell_costs(fg, 0)
     B = cell_costs(fg, 1)
     m, n = A.shape
+    atol = EQ_TOLERANCE * max(1.0, float(np.abs(A).max()), float(np.abs(B).max()))
     prune = m > 1 and n > 1
     if prune:
-        margin = _dominance_margin(A, B, EQ_TOLERANCE)
+        margin = _dominance_margin(A, B, atol)
         rows_dominated = _dominated_given(A, margin)
         cols_dominated = _dominated_given(B.T, margin)
     for I, J in _support_pairs(m, n):
         if prune and not (rows_dominated(J).isdisjoint(I) and cols_dominated(I).isdisjoint(J)):
             continue
-        q = _side(A, I, J, n, EQ_TOLERANCE)
+        q = _side(A, I, J, n, atol)
         if q is None:
             continue
-        p = _side(B.T, J, I, m, EQ_TOLERANCE)
+        p = _side(B.T, J, I, m, atol)
         if p is None:
             continue
         return MixedProfile(probs=(p, q))

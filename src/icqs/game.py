@@ -284,47 +284,39 @@ class Prepared:
     """An instance and its players' proximity radii under one solve's
     flatness rule; build it with `prepare`.
 
-    ``prox_flatness[i]`` is player i's plain flatness radius and
-    ``prox_exact[i]`` the one raised to sqrt(n)/2 for scaled identities.
+    ``prox[variant][i]`` is player i's radius of each variant the report
+    quotes: ``"flatness"``, the plain flatness radius, and ``"exact"``, the
+    one raised to sqrt(n)/2 for scaled identities, which the certificates
+    read.
     """
 
     inst: IcqsInstance
-    prox_flatness: tuple[float, ...]
-    prox_exact: tuple[float, ...]
+    prox: Mapping[str, tuple[float, ...]]
 
-    def prox(self, variant: str) -> tuple[float, ...]:
-        """Every player's radius of the ``"flatness"`` or ``"exact"`` variant."""
-        if variant == "flatness":
-            return self.prox_flatness
-        if variant == "exact":
-            return self.prox_exact
-        raise ValueError(f"unknown prox variant {variant!r}")
-
-    def radius(self, prox_variant: str) -> float:
-        """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho.
+    def radius(self) -> float:
+        """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
+        at the exact radii.
 
         BoundOverflow when it is too large for a float.
         """
         rho = self.inst.report.rho
-        radius = (self.inst.qinv_d_norm + _norm(self.prox(prox_variant))) / rho
+        radius = (self.inst.qinv_d_norm + _norm(self.prox["exact"])) / rho
         if not math.isfinite(radius):
             raise BoundOverflow(
-                f"the {prox_variant} radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {rho:.6g}"
+                f"the exact radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {rho:.6g}"
             )
         return radius
 
 
 def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
-    """Every player's proximity radii under ``rule``, for one solve of
-    ``inst``; BoundOverflow when the rule overflows at a player's dimension.
-    Each exact radius is the flatness one raised by `iqp.exact_prox`.
+    """Every player's proximity radii of both variants under ``rule``, for
+    one solve of ``inst``; BoundOverflow when the rule overflows at a
+    player's dimension.  Each exact radius is the flatness one raised by
+    `iqp.exact_prox`.
     """
     flatness = tuple(iqp.prox_bound(f, rule) for f in inst.factors)
-    return Prepared(
-        inst=inst,
-        prox_flatness=flatness,
-        prox_exact=tuple(iqp.exact_prox(f, p) for f, p in zip(inst.factors, flatness)),
-    )
+    exact = tuple(iqp.exact_prox(f, p) for f, p in zip(inst.factors, flatness))
+    return Prepared(inst=inst, prox={"flatness": flatness, "exact": exact})
 
 
 def _concat(inst: IcqsInstance, players: Sequence[int], vectors: Sequence[np.ndarray]) -> np.ndarray:

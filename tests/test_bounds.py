@@ -186,15 +186,16 @@ def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
 
 def test_guarantee_pack_flags_flatness_violation(cycling_setup):
     inst, sets = cycling_setup
-    pack = bounds.guarantee_pack(game.prepare(inst), sets)
+    prep = game.prepare(inst)
+    pack = bounds.guarantee_pack(prep, sets)
     # measured diameter 1 exceeds the flatness-based bound but not the
     # exact-prox one: (0.1 + 1) / 0.99
     assert pack.l_measured == pytest.approx((1.0, 1.0))
     assert pack.flatness_l_violated == (True, True)
-    assert pack.l_bound_exact[0] == pytest.approx(1.1 / 0.99)
-    assert pack.l_measured[0] <= pack.l_bound_exact[0]
-    assert pack.prox_flatness == pytest.approx((0.25, 0.25))
-    assert pack.prox_exact == pytest.approx((0.5, 0.5))
+    assert pack.l_bound["exact"][0] == pytest.approx(1.1 / 0.99)
+    assert pack.l_measured[0] <= pack.l_bound["exact"][0]
+    assert prep.prox["flatness"] == pytest.approx((0.25, 0.25))
+    assert prep.prox["exact"] == pytest.approx((0.5, 0.5))
 
 
 def test_guarantee_chain_on_solved_positively_adequate_instances():
@@ -209,8 +210,8 @@ def test_guarantee_chain_on_solved_positively_adequate_instances():
         delta = finite.verify_delta(prep, fg, profile)
         pack = bounds.guarantee_pack(prep, sets)
         for i in range(inst.k):
-            post = pack.delta_posteriori_exact[i]
+            post = pack.delta_a_posteriori["exact"][i]
             assert delta.gains[i] <= post + 1e-9
-            if pack.delta_priori_exact is not None:
-                assert pack.l_measured[i] <= pack.l_bound_exact[i] + 1e-9
-                assert post <= pack.delta_priori_exact[i] + 1e-9
+            if pack.delta_a_priori["exact"] is not None:
+                assert pack.l_measured[i] <= pack.l_bound["exact"][i] + 1e-9
+                assert post <= pack.delta_a_priori["exact"][i] + 1e-9

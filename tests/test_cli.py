@@ -314,7 +314,7 @@ def test_an_overflowing_radius_exits_3_with_one_error_line(tmp_path):
     )
     assert proc.returncode == cli.EXIT_SOLVER
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: the flatness radius"), proc.stderr
+    assert len(err) == 1 and err[0].startswith("error: the exact radius"), proc.stderr
     assert not (tmp_path / "out").exists()
 
 

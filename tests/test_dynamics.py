@@ -59,9 +59,9 @@ def test_termination_radius_cycling_value():
     inst = instgen.builtin("cycling")
     L = dynamics.termination_radius(game.prepare(inst))
     d_part = math.hypot(0.45, 0.55)
-    prox_part = math.hypot(0.25, 0.25)
+    prox_part = math.hypot(0.5, 0.5)  # the exact radius of a 1-D player is 1/2
     assert L == pytest.approx((d_part + prox_part) / 0.9, rel=1e-12)
-    assert L == pytest.approx(1.182, abs=5e-4)
+    assert L == pytest.approx(1.575, abs=5e-4)
 
 
 def test_termination_radius_decoupled():
@@ -71,22 +71,22 @@ def test_termination_radius_decoupled():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    # rho = 1 and d = 0: the radius is just the prox-vector norm
-    assert dynamics.termination_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.25, 0.25))
+    # rho = 1 and d = 0: the radius is just the exact prox-vector norm
+    assert dynamics.termination_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.5, 0.5))
     assert dynamics.divergence_radius(game.prepare(inst)) is None
     assert dynamics.termination_radius(game.prepare(instgen.builtin("example1"))) is None
 
 
 def test_divergence_radius_example1():
     inst = instgen.builtin("example1")
-    assert dynamics.divergence_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.25, 0.25))
+    assert dynamics.divergence_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.5, 0.5))
     assert dynamics.divergence_radius(game.prepare(instgen.builtin("cycling"))) is None
 
 
 def test_norm_descent_above_certified_radius():
-    # one sweep strictly shrinks any profile outside the exact-prox radius
+    # one sweep strictly shrinks any profile outside the reported radius
     inst = instgen.builtin("cycling")
-    L_exact = game.prepare(inst).radius("exact")
+    L_exact = dynamics.termination_radius(game.prepare(inst))
     for x in range(-4, 5):
         for y in range(-4, 5):
             start = [np.array([float(x)]), np.array([float(y)])]
@@ -100,11 +100,34 @@ def test_flatness_radius_alone_does_not_certify_descent():
     # (-1, 1) maps to (1, 1): same norm, sitting between the flatness-based
     # radius and the exact one, which is why the certified variant exists
     inst = instgen.builtin("cycling")
-    L_flat = dynamics.termination_radius(game.prepare(inst))
-    L_exact = game.prepare(inst).radius("exact")
+    prep = game.prepare(inst)
+    rho = inst.report.rho
+    L_flat = (inst.qinv_d_norm + math.hypot(*prep.prox["flatness"])) / rho
+    L_exact = dynamics.termination_radius(prep)
     assert L_flat < math.hypot(-1, 1) < L_exact
     trace = dynamics.run_br(game.prepare(inst), start=[[-1.0], [1.0]], max_iters=1)
     assert trace.norms[1] == trace.norms[0]
+
+
+def test_divergence_latch_reads_the_certified_radius():
+    # 1-D and negatively adequate (sigma = 3/2, rho = 1/2): the exact radius
+    # (||Q^-1 d|| + ||(1/2, 1/2)||) / rho is 2 sqrt 2, and the start's norm
+    # sqrt 5 lies between it and the flatness one, 3 / sqrt 2
+    inst = game.make_instance(
+        [
+            game.PlayerProblem(Q=2 * np.eye(1), C={1: -3 * np.eye(1)}, d=-np.ones(1)),
+            game.PlayerProblem(Q=2 * np.eye(1), C={0: -3 * np.eye(1)}, d=-np.ones(1)),
+        ]
+    )
+    prep = game.prepare(inst)
+    assert dynamics.divergence_radius(prep) == pytest.approx(2 * math.sqrt(2))
+    start = [[2.0], [1.0]]
+    one = dynamics.run_br(prep, start=start, max_iters=1)
+    assert one.norms[1] > one.norms[0] == pytest.approx(math.sqrt(5))
+    assert one.outcome == dynamics.OUTCOME_CAP and one.divergence_index is None
+    two = dynamics.run_br(prep, start=start, max_iters=2)
+    assert two.outcome == dynamics.OUTCOME_DIVERGENCE
+    assert two.divergence_index == 1
 
 
 def test_cycle_telemetry_zero_inside_cycle():

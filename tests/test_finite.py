@@ -646,6 +646,20 @@ def test_mne_two_player_solves_only_the_winner_of_a_strict_pure_game(monkeypatch
     assert len(solves) == 2
 
 
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e8, 1e9, 1e12, 1e20])
+def test_mne_two_player_solves_a_mixed_game_at_any_cost_scale(s):
+    # the equilibrium check's tolerance is relative to the costs: an absolute
+    # 1e-9 failed every support from s = 1e8 on
+    A = s * np.array([[3.0, -1.0], [-2.0, 1.5]])
+    fg = bimatrix(np.stack([A, -0.7 * A], axis=-1))
+    assert finite.pne_search(fg) == []
+    profile, eps = finite.solve_equilibrium(fg)
+    assert np.allclose(profile.probs[0], [7 / 15, 8 / 15], rtol=0.0, atol=1e-9)
+    assert np.allclose(profile.probs[1], [1 / 3, 2 / 3], rtol=0.0, atol=1e-9)
+    assert eps <= finite.EQ_TOLERANCE * max(1.0, float(np.abs(A).max()))
+    assert float(finite.regret(fg, profile).max()) == eps
+
+
 def coupled_game(rng, k, n):
     # Q_i = 2 I, every coupling entry in (-1.9, 1.9): best responses move far
     # enough to cycle through many strategies

@@ -421,12 +421,10 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
 def test_prepare_holds_only_the_rule_dependent_radii():
     inst = instgen.builtin("cycling")
     prep = game.prepare(inst, iqp.FlatnessRule(coeff=2.0, exponent=1.0))
-    assert [f.name for f in dataclasses.fields(prep)] == ["inst", "prox_flatness", "prox_exact"]
+    assert [f.name for f in dataclasses.fields(prep)] == ["inst", "prox"]
     assert prep.inst is inst and inst.report == game.classify(inst)
-    assert prep.prox("flatness") == prep.prox_flatness == pytest.approx((0.5, 0.5))
-    assert prep.prox("exact") == prep.prox_exact == pytest.approx((0.5, 0.5))
-    with pytest.raises(ValueError):
-        prep.prox("bogus")
+    assert prep.prox["flatness"] == pytest.approx((0.5, 0.5))
+    assert prep.prox["exact"] == pytest.approx((0.5, 0.5))
 
 
 @pytest.mark.parametrize("rule", [iqp.PROVEN_RULE, iqp.FlatnessRule(coeff=0.5, exponent=0.5)])
@@ -439,7 +437,7 @@ def test_prepare_gives_bitwise_the_guarantee_radii(rule):
     raised = 0
     for inst in cases:
         prep = game.prepare(inst, rule)
-        assert [r.hex() for r in prep.prox_flatness] == [iqp.prox_bound(f, rule).hex() for f in inst.factors]
-        assert [r.hex() for r in prep.prox_exact] == [iqp.guarantee_prox(f, rule).hex() for f in inst.factors]
-        raised += prep.prox_exact != prep.prox_flatness
+        assert [r.hex() for r in prep.prox["flatness"]] == [iqp.prox_bound(f, rule).hex() for f in inst.factors]
+        assert [r.hex() for r in prep.prox["exact"]] == [iqp.guarantee_prox(f, rule).hex() for f in inst.factors]
+        raised += prep.prox["exact"] != prep.prox["flatness"]
     assert raised > 0  # the scaled-identity rule fires on some of them
