@@ -223,6 +223,7 @@ def _solve_indifference(costs: np.ndarray, supp_rows, supp_cols) -> tuple[np.nda
     rhs[a] = 1.0
     try:
         if a == b:
+            # np.linalg.solve, not linalg.gesv: a singular M must raise
             sol = np.linalg.solve(M, rhs)
         else:
             sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)

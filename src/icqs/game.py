@@ -37,7 +37,9 @@ factors and the certificate and postcondition constants
 (`iqp.FactorStack`), an index that gathers each player's opponents from z,
 the concatenated couplings and the linear terms.  Per group, the kernel
 forms every linear term C_i y + d_i with one stacked matvec, which gives
-each row bitwise the one-player matvec, gets u from one stacked solve, and
+each row bitwise the one-player matvec, gets u from one stacked solve pair
+against the Cholesky factors, straight to numpy's gesv gufunc
+(`linalg.gesv`, the same LAPACK call and bits as `np.linalg.solve`), and
 runs the rounding certificate and the proximity postcondition on the group
 as arrays (`iqp.lattice_mins`); only the players the certificate cannot
 answer are enumerated, from that same u.  `continuous_sweep` is the same

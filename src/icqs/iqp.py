@@ -27,7 +27,9 @@ minimizer given u and the factor (`lattice_mins`).  Both work on a
 `FactorStack`, the factors of several Qs of one dimension stacked row by
 row, with one u per row and the per-row constants of the certificate and
 the postcondition precomputed: `FactorStack.continuous_mins` gives every
-row's u from one stacked solve pair, and `lattice_mins` runs the rounding
+row's u from one stacked solve pair, which goes straight to numpy's gesv
+gufunc (`linalg.gesv`: the LAPACK call and bits of `np.linalg.solve`,
+without its Python wrapper), and `lattice_mins` runs the rounding
 certificate and the proximity postcondition on all rows as arrays and
 enumerates only the rows the certificate cannot answer.  A best-response
 sweep (`game.integer_sweep`) calls them once per group of players of one
@@ -47,8 +49,8 @@ j, so its excess is at least that coordinate's energy.  Since
 guard 0.5 lambda_min (1 - max|w|)^2.
 
 Each row's result is bitwise the one a stack of one gives, and the one a
-search run entirely in numpy scalars gives.  numpy's stacked `solve` calls
-LAPACK's gesv once per matrix, exactly as a single call does.  The
+search run entirely in numpy scalars gives.  numpy's stacked gesv gufunc
+calls LAPACK's gesv once per matrix, exactly as a single call does.  The
 enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
 Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
 floats, which perform the same IEEE operations as numpy scalars, and
@@ -96,7 +98,7 @@ from .errors import (
     OracleBudgetExceeded,
     ProximityViolation,
 )
-from .linalg import as_vector, cholesky_unchecked, require_symmetric, solve_with_factor, sym_eigen
+from .linalg import as_vector, cholesky_unchecked, gesv, require_symmetric, solve_with_factor, sym_eigen
 from .linalg import cholesky  # noqa: F401  not called here; perfbench's tracer wraps iqp.cholesky
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -227,7 +229,7 @@ def factorize(Q: np.ndarray, L: np.ndarray) -> Factor:
     """
     eig = sym_eigen(Q)
     G = np.ascontiguousarray(L.T)
-    Linv = np.linalg.solve(L, np.eye(Q.shape[0]))
+    Linv = gesv(L, np.eye(Q.shape[0]))
     return Factor(
         Q=Q,
         L=L,
@@ -269,10 +271,11 @@ class FactorStack:
     def continuous_mins(self, D: np.ndarray) -> np.ndarray:
         """Row r: the minimizer -Q_r^{-1} D[r] of 0.5 x'Q_r x + D[r]'x.
 
-        One stacked solve pair; numpy runs LAPACK's gesv once per matrix, as
-        `continuous_min` does for one, so each row is bitwise the same.
+        One stacked solve pair, straight to numpy's gesv gufunc
+        (`linalg.gesv`): LAPACK's gesv runs once per matrix, as in
+        `continuous_min` for one, so each row is bitwise the same.
         """
-        return np.linalg.solve(self.G, np.linalg.solve(self.L, -D[:, :, None]))[:, :, 0]
+        return gesv(self.G, gesv(self.L, -D[:, :, None]))[:, :, 0]
 
 
 def continuous_min(q: Quadratic) -> np.ndarray:
@@ -351,8 +354,9 @@ def lattice_mins(
     # 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, for every j, with 0.1% to spare.
     # Every row that passes has max|w| < 1/2, so that needs no test of its
     # own: with |w_j| = 1/2, rint(u) is itself 1/2 from u in coordinate j,
-    # so its excess is at least that energy.  A NaN row fails too.
-    certified = (excess[:, None] < stack.cert * (1.0 - np.abs(W)) ** 2).all(axis=1)
+    # so its excess is at least that energy.  A NaN row fails too: the
+    # row's least energy is NaN once any of them is, as is the comparison.
+    certified = excess < np.minimum.reduce(stack.cert * (1.0 - np.abs(W)) ** 2, axis=1)
     for r in (~certified).nonzero()[0]:
         try:
             X[r], excess[r] = _enumerate(stack.factors[r], U[r], X[r], W[r], node_budget)
@@ -461,7 +465,7 @@ def _check_proximity(
     # 0.5||L'(v-u)||^2, which stays accurate where f(v) - f(u) would cancel
     # catastrophically.
     dist = np.sqrt(np.einsum("rj,rj->r", E, E))
-    if not ((dist > stack.radius_tol) | (excess > stack.gap_tol)).any():
+    if not np.logical_or.reduce((dist > stack.radius_tol) | (excess > stack.gap_tol)):
         return  # the slack below is >= 0, so every row passes
     slack = 1e-9 * np.maximum(1.0, np.abs(U).max(axis=1))
     far = dist > stack.radius_tol + slack

@@ -4,7 +4,10 @@ Thin numpy-backed routines that pin down the numerical semantics the rest of
 the solver relies on: positive definiteness is decided by an explicit pivot
 threshold inside the Cholesky loop, eigenvalues come back sorted descending
 with orthonormal columns, and singular values are taken as square roots of
-the Gram-matrix spectrum.  Everything here works on plain float64 ndarrays;
+the Gram-matrix spectrum.  Every solve against a Cholesky factor goes
+straight to numpy's gesv gufunc (`gesv`): the LAPACK call and the bits of
+`np.linalg.solve`, without the Python wrapper that costs more than LAPACK
+at these sizes.  Everything here works on plain float64 ndarrays;
 matrices are dense and small (a few dozen rows at most), so no attempt is
 made to exploit sparsity or bandedness.
 
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
@@ -168,10 +172,27 @@ def solve_spd(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"rhs has leading dimension {rhs.shape[0]}, expected {Q.shape[0]}"
         )
     L = cholesky(Q)
-    y = np.linalg.solve(L, rhs)
-    return np.linalg.solve(L.T, y)
+    y = gesv(L, rhs)
+    return gesv(L.T, y)
 
 
 def solve_with_factor(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L @ L.T) x = b given a precomputed Cholesky factor."""
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+    return gesv(L.T, gesv(L, b))
+
+
+def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` bit for bit, without its Python wrapper.
+
+    ``a`` is a float64 square matrix or a stack of them, ``b`` a float64
+    vector (numpy's ``solve1``) or a matrix or stack of matrices
+    (``solve``), as `np.linalg.solve` reads them.  This is the one gufunc
+    call `np.linalg.solve` ends in, the same LAPACK gesv per matrix, without
+    the array conversion, type and shape checks and errstate context that
+    cost more than LAPACK at these sizes.  Every caller passes a Cholesky
+    factor or its transpose, whose diagonal the pivot test keeps positive.
+    A singular ``a`` gives NaN and numpy's "invalid value" RuntimeWarning,
+    not LinAlgError; `finite.mne_two_player`, which needs that error,
+    calls `np.linalg.solve`.
+    """
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(a, b, signature="dd->d")

@@ -1,11 +1,13 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _corpus import instance_corpus
 from icqs import dynamics, game, instgen, iqp
-from icqs.errors import NoCycle
+from icqs.errors import NoCycle, NonFiniteCentre
 
 
 def path_scalars(trace):
@@ -195,6 +197,33 @@ def test_continuous_mode_diverges_on_example1():
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     for t in range(trace.iterations):
         assert trace.norms[t + 1] > trace.norms[t]
+
+
+def _overflowing_coupling():
+    # C = 1e300 both ways against a start of 1e10: the first sweep's linear
+    # terms, and so the continuous minimizers, are infinite
+    return game.prepare(game.make_instance([
+        game.PlayerProblem(Q=np.array([[2.0]]), C={1: np.array([[1e300]])}, d=np.array([0.0])),
+        game.PlayerProblem(Q=np.array([[2.0]]), C={0: np.array([[1e300]])}, d=np.array([0.0])),
+    ]))
+
+
+def test_an_overflowing_coupling_warns_only_from_the_continuous_matvec():
+    prep = _overflowing_coupling()
+    start = [[1e10], [1e10]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteCentre):
+            dynamics.run_br(prep, start=start)
+    assert caught == []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = dynamics.run_br(prep, start=start, mode=dynamics.CONTINUOUS)
+    assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
+    # the stacked matvec of PlayerGroup.continuous_mins overflows; the solve
+    # of its infinite linear terms adds no warning of its own
+    seen = [(w.category, str(w.message), Path(w.filename).name) for w in caught]
+    assert seen == [(RuntimeWarning, "overflow encountered in matmul", "game.py")]
 
 
 def test_neither_instance_runs_under_cap_without_certificate():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,54 @@ def test_solve_spd_residuals_random():
         assert np.linalg.norm(Q @ x - b) <= linalg.SOLVE_TOLERANCE * (
             np.linalg.norm(Q) * np.linalg.norm(x) + np.linalg.norm(b)
         )
+
+
+def _factor_pair(n, rng):
+    A = rng.normal(size=(n, n))
+    L = linalg.cholesky(A @ A.T + n * np.eye(n))
+    return L, np.ascontiguousarray(L.T)
+
+
+# the right-hand side entries gesv must pass through as np.linalg.solve does
+_EXTREMES = (1e308, -1e308, np.inf, -np.inf, np.nan, 5e-324, -1e-310)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_gesv_is_numpy_solve_bit_for_bit(n):
+    # gesv is the gufunc call np.linalg.solve ends in: the same bytes for
+    # vector, matrix and stacked right-hand sides, against a factor L, its
+    # F-order view L.T and the contiguous G = L', and no warning even where
+    # the right-hand side overflows the solve or holds inf, NaN or subnormals
+    rng = np.random.default_rng(n)
+    factors = [_factor_pair(n, rng) for _ in range(3)]
+    cases = []
+    L, G = factors[0]
+    for a in (L, L.T, G):
+        cases += [(a, rng.normal(size=n)), (a, rng.normal(size=(n, 1))), (a, rng.normal(size=(n, 3)))]
+        cases += [(a, np.full(n, v)) for v in _EXTREMES]
+        cases += [(a, np.full((n, 2), v)) for v in _EXTREMES]
+    for m in (1, 3):
+        Ls = np.stack([L for L, _ in factors[:m]])
+        Gs = np.stack([G for _, G in factors[:m]])
+        for a in (Ls, Ls.transpose(0, 2, 1), Gs):
+            cases += [(a, rng.normal(size=(m, n, 1))), (a, rng.normal(size=(m, n, 2)))]
+            cases += [(a, np.full((m, n, 1), v)) for v in _EXTREMES]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in cases:
+            got = linalg.gesv(a, b)
+            want = np.linalg.solve(a, b)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (a, b, got, want)
+
+
+@pytest.mark.parametrize("b", [np.ones(2), np.ones((2, 1))])
+def test_gesv_gives_nan_not_linalgerror_on_a_singular_matrix(b):
+    # pinned so that no caller relies on either: every matrix gesv is given
+    # is a Cholesky factor or its transpose, with a positive diagonal
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        x = linalg.gesv(np.zeros((2, 2)), b)
+    assert x.shape == b.shape and np.isnan(x).all()
 
 
 def test_block_diagonal_singular_values_are_the_union():
