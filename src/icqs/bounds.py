@@ -30,10 +30,11 @@ per player: the a-posteriori bound at the bounded diameter.
 Every formula consumes a proximity radius per player, of one of the
 variants in the solve's `game.Prepared` value, ``prep.prox``:
 ``"flatness"`` is the plain flatness-constant formula, and ``"exact"``
-upgrades scaled-identity matrices to their true worst case sqrt(n)/2 and is
-the one the certificates read (the flatness value understates 1-D blocks,
-where measured diameters can legitimately exceed the flatness-based L bound;
-such violations are flagged, not hidden).  `guarantee_pack` computes every
+upgrades scaled-identity matrices to their true worst case sqrt(n)/2.  The
+exact radius is the one the certificates read and the public functions'
+default: the flatness value understates 1-D blocks, where measured
+diameters can legitimately exceed the flatness-based L bound (such
+violations are flagged, not hidden).  `guarantee_pack` computes every
 variant's L bounds and deltas once per run, keyed by variant, and a variant
 whose radii equal an earlier one's shares its bounds.
 """
@@ -65,7 +66,7 @@ def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
 
 
 def delta_a_posteriori(
-    prep: game.Prepared, i: int, L_i: float, prox_variant: str = "flatness"
+    prep: game.Prepared, i: int, L_i: float, prox_variant: str = "exact"
 ) -> float:
     """lambda_1(Q_i) * (prox_i + L_i)^2 for a measured cycle diameter L_i.
 
@@ -142,7 +143,7 @@ def l_closure(sigma, prox) -> list[float]:
     return [r / t for r in ratios(t)]
 
 
-def l_bound_theoretical(prep: game.Prepared, prox_variant: str = "flatness") -> list[float] | None:
+def l_bound_theoretical(prep: game.Prepared, prox_variant: str = "exact") -> list[float] | None:
     """A-priori per-player cycle diameter bounds; None unless positively adequate."""
     if prep.inst.report.classification is not game.Adequacy.POSITIVE:
         return None
@@ -158,7 +159,7 @@ def _deltas(prep: game.Prepared, prox, diameters) -> tuple[float, ...]:
     )
 
 
-def delta_a_priori(prep: game.Prepared, prox_variant: str = "flatness") -> list[float] | None:
+def delta_a_priori(prep: game.Prepared, prox_variant: str = "exact") -> list[float] | None:
     """Per-player a-priori deviation bounds; None unless positively adequate."""
     l_bounds = l_bound_theoretical(prep, prox_variant)
     return None if l_bounds is None else list(_deltas(prep, prep.prox[prox_variant], l_bounds))

@@ -37,6 +37,9 @@ Games with three or more players are solved exactly by one run of Lemke's
 complementary pivoting on the LCP built from the pairwise blocks (Howson
 1972; Miller & Zucker 1991).  The result's regret is checked, so a numerical
 failure of the pivoting raises instead of returning a false equilibrium.
+Every equilibrium test takes ``EQ_TOLERANCE`` times the largest |cost| it
+reads, with no floor, so a game and its positive multiples have the same
+equilibria.
 """
 
 from __future__ import annotations
@@ -187,12 +190,14 @@ def pne_search(fg: FiniteGame) -> list[tuple[int, ...]]:
 
     One reduction per player: a cell is kept unless player i's cost there
     exceeds the least cost along axis i (its deviations) by more than
-    ``EQ_TOLERANCE``.  One player's `cell_costs` is held at a time.
+    ``EQ_TOLERANCE`` times max|cost| over player i's cells.  One player's
+    `cell_costs` is held at a time.
     """
     keep = np.ones(fg.sizes, dtype=bool)
     for i in range(fg.k):
         cost = cell_costs(fg, i)
-        keep &= ~(cost > cost.min(axis=i, keepdims=True) + EQ_TOLERANCE)
+        atol = EQ_TOLERANCE * float(np.abs(cost).max())
+        keep &= ~(cost > cost.min(axis=i, keepdims=True) + atol)
     return [tuple(index) for index in np.argwhere(keep).tolist()]
 
 
@@ -309,22 +314,23 @@ def mne_two_player(fg: FiniteGame) -> MixedProfile:
     Returns the first valid equilibrium in the (total size ascending,
     lexicographic) support order, i.e. a smallest-support equilibrium,
     deterministically.  The equilibrium check's tolerance is ``EQ_TOLERANCE``
-    times ``max(1, max|A|, max|B|)``, relative to the costs as the k-player
-    check's is.  Pairs that provably fail the check are skipped without a
-    solve: a pair is dropped when one of its strategies is dominated, by more
-    than twice that tolerance plus rounding, on the other player's support
+    times ``max(max|A|, max|B|)``, with no floor, as the k-player check's
+    is.  Pairs that provably fail the check are skipped without a solve: a
+    pair is dropped when one of its strategies is dominated, by more than
+    twice that tolerance plus rounding, on the other player's support
     (conditional dominance, Porter, Nudelman & Shoham 2008), and the column
-    player's mix is solved and checked before the row player's.  Neither changes the order or the returned profile.  When a
-    player has a single strategy there is nothing to prune and no pruning
-    table is built.  NoEquilibriumFound cannot occur for a finite game and
-    signals numerical failure.
+    player's mix is solved and checked before the row player's.  Neither
+    changes the order or the returned profile.  When a player has a single
+    strategy there is nothing to prune and no pruning table is built.
+    NoEquilibriumFound cannot occur for a finite game and signals numerical
+    failure.
     """
     if fg.k != 2:
         raise DimensionMismatch(f"two-player solver got k={fg.k}")
     A = cell_costs(fg, 0)
     B = cell_costs(fg, 1)
     m, n = A.shape
-    atol = EQ_TOLERANCE * max(1.0, float(np.abs(A).max()), float(np.abs(B).max()))
+    atol = EQ_TOLERANCE * max(float(np.abs(A).max()), float(np.abs(B).max()))
     prune = m > 1 and n > 1
     if prune:
         margin = _dominance_margin(A, B, atol)
@@ -423,8 +429,8 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
     relative: unscaled, costs of 1e9 and more ended on a ray.  The x part,
     normalised per player, is the profile.  NoEquilibriumFound is raised
     when its regret in the unscaled game exceeds ``EQ_TOLERANCE`` times
-    ``max(1, (k - 1) max|D|)``, a bound on every |cost|: a numerical failure
-    of the pivoting never returns a false equilibrium.
+    ``(k - 1) max|D|``, a bound on every |cost|, at any cost scale: a
+    numerical failure of the pivoting never returns a false equilibrium.
     """
     if fg.k < 3:
         raise DimensionMismatch(f"k-player solver got k={fg.k}")
@@ -445,7 +451,7 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
         raise NoEquilibriumFound("Lemke's solution leaves a player without a mix")
     profile = MixedProfile(probs=tuple(b / b.sum() for b in blocks))
     eps = float(regret(fg, profile).max())
-    if eps > EQ_TOLERANCE * max(1.0, (k - 1) * scale):
+    if eps > EQ_TOLERANCE * (k - 1) * scale:
         raise NoEquilibriumFound(f"regret {eps:.3e} of Lemke's solution")
     return profile, eps
 

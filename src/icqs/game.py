@@ -416,9 +416,10 @@ def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.nd
     """Integer best response of player i to the opponents' (mean) strategies.
 
     ``others`` holds one vector per opponent in ascending player order.
-    Deterministic: co-optimal responses resolve to the lexicographically
-    smallest vector.  This is the sweep's certificate and search on a stack
-    of one, from the one-player linear term.
+    Deterministic, by `iqp.integer_min`'s tie rule (least computed energy,
+    then the lexicographically smaller point).  This is the sweep's
+    certificate and search on a stack of one, from the one-player linear
+    term.
     """
     stack = iqp.FactorStack((prep.inst.factors[i],))
     D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))[None]

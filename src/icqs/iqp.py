@@ -317,12 +317,14 @@ def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[n
     """Global integer minimizer of q and its objective value.
 
     This is `lattice_mins` on a stack of one, from q's own factorization.
-    Ties between co-optimal lattice points are broken toward the
-    lexicographically smallest vector so repeated runs (and cycle detection
-    built on them) are reproducible.  Raises EnumerationBudgetExceeded when
-    the search tree outgrows ``node_budget``, which at desk scale only
-    happens for pathologically conditioned Q, and ProximityViolation if the
-    result breaks the proven proximity radius or gap bound.
+    It keeps the least computed energy 0.5||L'(x - u)||^2 (u the continuous
+    minimizer) and breaks exact ties in that energy toward the
+    lexicographically smaller point, so runs are reproducible; the energy's
+    last bits can split an exact tie in f.  Raises
+    EnumerationBudgetExceeded when the search tree outgrows ``node_budget``,
+    which at desk scale only happens for pathologically conditioned Q, and
+    ProximityViolation if the result breaks the proven proximity radius or
+    gap bound.
     """
     stack = FactorStack((factorize(q.Q, cholesky_unchecked(q.Q)),))
     v = lattice_mins(stack, stack.continuous_mins(q.d[None]), node_budget)[0]

@@ -2,14 +2,14 @@
 
 Thin numpy-backed routines that pin down the numerical semantics the rest of
 the solver relies on: positive definiteness is decided by an explicit pivot
-threshold inside the Cholesky loop, eigenvalues come back sorted descending
-with orthonormal columns, and singular values are taken as square roots of
-the Gram-matrix spectrum.  Every solve against a Cholesky factor goes
-straight to numpy's gesv gufunc (`gesv`): the LAPACK call and the bits of
-`np.linalg.solve`, without the Python wrapper that costs more than LAPACK
-at these sizes.  Everything here works on plain float64 ndarrays;
-matrices are dense and small (a few dozen rows at most), so no attempt is
-made to exploit sparsity or bandedness.
+threshold, relative to the matrix's largest diagonal entry, inside the
+Cholesky loop; eigenvalues come back sorted descending with orthonormal
+columns; and singular values come from one LAPACK SVD call.  Every solve
+against a Cholesky factor goes straight to numpy's gesv gufunc (`gesv`): the
+LAPACK call and the bits of `np.linalg.solve`, without the Python wrapper
+that costs more than LAPACK at these sizes.  Everything here works on plain
+float64 ndarrays; matrices are dense and small (a few dozen rows at most),
+so no attempt is made to exploit sparsity or bandedness.
 
 All functions are pure and all returned arrays are fresh, so values can be
 shared freely across threads.
@@ -17,7 +17,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
-# Absolute pivot floor below which a Cholesky pivot counts as non-positive.
+# Cholesky pivot floor, relative to Q's largest diagonal entry.
 PD_TOLERANCE = 1e-10
 # Relative reconstruction error allowed for the symmetric eigendecomposition.
 EIGEN_TOLERANCE = 1e-9
@@ -83,13 +82,15 @@ def cholesky_unchecked(Q: np.ndarray) -> np.ndarray:
 
     Q's finiteness and symmetry are not checked again.  The loop runs column
     by column so the failing pivot can be reported: a pivot at or below
-    ``PD_TOLERANCE`` raises NotPositiveDefinite.
+    ``PD_TOLERANCE`` times Q's largest diagonal entry raises
+    NotPositiveDefinite, so the decision does not change when Q is scaled.
     """
     n = Q.shape[0]
     L = np.zeros_like(Q)
+    floor = PD_TOLERANCE * float(Q.diagonal().max())
     for j in range(n):
         pivot = Q[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= PD_TOLERANCE:
+        if pivot <= floor:
             raise NotPositiveDefinite(j, float(pivot))
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:
@@ -133,31 +134,17 @@ def sym_eigen(Q: np.ndarray) -> SymEigen:
 
 
 def singular_values(A: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Singular values of A, descending, as sqrt of the Gram spectrum.
+    """Singular values of A, descending, from LAPACK's SVD (gesdd).
 
-    `as_matrix` checks A first, calling it ``name`` in its errors.
-
-    Going through A.T @ A costs some accuracy for tiny singular values, but
-    the matrices here never exceed a few dozen rows and every consumer works
-    at tolerances far above the induced error.  When the Gram matrix
-    overflows, which takes a singular value above about 1.3e154, the
-    spectrum is taken of A scaled down by a power of two, an exact scaling,
-    and scaled back; a singular value beyond the float range is inf.
+    `as_matrix` checks A first; its errors and NonConvergence call A
+    ``name``.  Each value's error is near eps times the largest; a value
+    beyond the float range is inf.
     """
     A = as_matrix(A, name)
-    if A.shape[0] < A.shape[1]:
-        A = A.T  # Gram matrix of the smaller side; nonzero spectrum matches
-    with np.errstate(over="ignore"):
-        gram = A.T @ A
-        if not np.isfinite(gram).all():
-            e = math.frexp(float(np.abs(A).max()))[1]
-            return np.ldexp(singular_values(np.ldexp(A, -e)), e)
-    gram = 0.5 * (gram + gram.T)
-    values = sym_eigen(gram).eigenvalues
-    # Gram eigenvalues carry O(eps * lambda_max) noise; without a floor the
-    # square root inflates exact zeros to ~1e-7 * ||A||.
-    floor = 64.0 * np.finfo(np.float64).eps * max(float(values[0]), 0.0)
-    return np.sqrt(np.where(values > floor, values, 0.0))
+    try:
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"{name}: {exc}") from exc
 
 
 def solve_spd(Q: np.ndarray, b: np.ndarray) -> np.ndarray:

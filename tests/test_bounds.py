@@ -30,10 +30,10 @@ def test_cycle_diameter(cycling_setup):
 def test_delta_a_posteriori_values(cycling_setup):
     inst, _ = cycling_setup
     # lambda_1 = 2, flatness prox of a 1-D Q=2 block is 0.25, diameter 1
-    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 1.0) == pytest.approx(2.0 * 1.25**2)
-    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 0.0) == pytest.approx(2.0 * 0.25**2)
+    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 1.0, "flatness") == pytest.approx(2.0 * 1.25**2)
+    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 0.0, "flatness") == pytest.approx(2.0 * 0.25**2)
     cg = instgen.builtin("counterexample", M=10)
-    val = bounds.delta_a_posteriori(game.prepare(cg), 0, math.sqrt(101.0))
+    val = bounds.delta_a_posteriori(game.prepare(cg), 0, math.sqrt(101.0), "flatness")
     assert val == pytest.approx((math.sqrt(2.0) + math.sqrt(101.0)) ** 2)
 
 
@@ -59,7 +59,7 @@ def test_delta_a_posteriori_overflow_is_a_typed_error():
 
 def test_l_bound_two_player_closed_form(cycling_setup):
     inst, _ = cycling_setup
-    lb = bounds.l_bound_theoretical(game.prepare(inst))
+    lb = bounds.l_bound_theoretical(game.prepare(inst), "flatness")
     expected = (2 * 0.25 * 0.1 + 2 * 0.25) / (1 - 0.01)
     assert lb[0] == pytest.approx(expected)
     assert lb[0] == pytest.approx(0.5556, abs=5e-5)
@@ -73,7 +73,7 @@ def test_l_bound_zero_coupling_and_negative():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    lb = bounds.l_bound_theoretical(game.prepare(inst))
+    lb = bounds.l_bound_theoretical(game.prepare(inst), "flatness")
     assert lb == pytest.approx([0.5, 0.5])  # sigma = 0 leaves 2 * prox
     assert bounds.l_bound_theoretical(game.prepare(instgen.builtin("example1"))) is None
 
@@ -166,8 +166,8 @@ def test_l_closure_residual_on_seeded_draws():
 
 def test_delta_a_priori_values(cycling_setup):
     inst, _ = cycling_setup
-    dp = bounds.delta_a_priori(game.prepare(inst))
-    lb = bounds.l_bound_theoretical(game.prepare(inst))[0]
+    dp = bounds.delta_a_priori(game.prepare(inst), "flatness")
+    lb = bounds.l_bound_theoretical(game.prepare(inst), "flatness")[0]
     assert dp[0] == pytest.approx(2.0 * (0.25 + lb) ** 2)
     assert dp[0] == pytest.approx(1.298, abs=5e-4)
     assert bounds.delta_a_priori(game.prepare(instgen.builtin("example1"))) is None
@@ -180,8 +180,22 @@ def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    dp = bounds.delta_a_priori(game.prepare(inst))
+    dp = bounds.delta_a_priori(game.prepare(inst), "flatness")
     assert dp[0] == pytest.approx(2.0 * (3 * 0.25) ** 2)
+
+
+def test_the_public_bounds_default_to_the_exact_radius(cycling_setup):
+    # the flatness radius of a 1-D player, 1/4, certifies nothing; the
+    # defaults are the exact radius the report's certificates read
+    inst, sets = cycling_setup
+    prep = game.prepare(inst)
+    pack = bounds.guarantee_pack(prep, sets)
+    assert bounds.delta_a_priori(prep) == list(pack.delta_a_priori["exact"])
+    assert bounds.l_bound_theoretical(prep) == list(pack.l_bound["exact"])
+    assert [bounds.delta_a_posteriori(prep, i, L) for i, L in enumerate(pack.l_measured)] == list(
+        pack.delta_a_posteriori["exact"]
+    )
+    assert pack.delta_a_priori["exact"] != pack.delta_a_priori["flatness"]
 
 
 def test_guarantee_pack_flags_flatness_violation(cycling_setup):

@@ -308,14 +308,15 @@ def test_mne_k_player_singleton_sets_degenerate():
         assert p.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6, 1e9, 1e12, 1e20])
+@pytest.mark.parametrize("s", [1e-20, 1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9, 1e12, 1e20])
 def test_mne_k_player_solves_the_cyclic_game_at_any_cost_scale(s):
     # unscaled, the LCP mixed costs of 1e9 and more with its unit columns and
-    # Lemke's algorithm ended on a ray
+    # Lemke's algorithm ended on a ray; with absolute tolerances below cost
+    # scale 1, every cell passed as a pure equilibrium from s = 1e-9 down
     fg = cyclic_mismatching_pennies(s)
     assert finite.pne_search(fg) == []
     profile, eps = finite.mne_k_player(fg)
-    assert eps <= finite.EQ_TOLERANCE * max(1.0, 2.0 * s)
+    assert eps <= finite.EQ_TOLERANCE * 2.0 * s
     assert float(finite.regret(fg, profile).max()) == eps
     for p in profile.probs:
         assert np.allclose(p, [0.5, 0.5], atol=1e-9)
@@ -646,18 +647,35 @@ def test_mne_two_player_solves_only_the_winner_of_a_strict_pure_game(monkeypatch
     assert len(solves) == 2
 
 
-@pytest.mark.parametrize("s", [1e-6, 1.0, 1e8, 1e9, 1e12, 1e20])
+@pytest.mark.parametrize("s", [1e-20, 1e-12, 1e-9, 1e-6, 1.0, 1e8, 1e9, 1e12, 1e20])
 def test_mne_two_player_solves_a_mixed_game_at_any_cost_scale(s):
     # the equilibrium check's tolerance is relative to the costs: an absolute
-    # 1e-9 failed every support from s = 1e8 on
+    # 1e-9 failed every support from s = 1e8 on, and a floor at 1 passed a
+    # pure support from s = 1e-9 down
     A = s * np.array([[3.0, -1.0], [-2.0, 1.5]])
     fg = bimatrix(np.stack([A, -0.7 * A], axis=-1))
     assert finite.pne_search(fg) == []
     profile, eps = finite.solve_equilibrium(fg)
     assert np.allclose(profile.probs[0], [7 / 15, 8 / 15], rtol=0.0, atol=1e-9)
     assert np.allclose(profile.probs[1], [1 / 3, 2 / 3], rtol=0.0, atol=1e-9)
-    assert eps <= finite.EQ_TOLERANCE * max(1.0, float(np.abs(A).max()))
+    assert eps <= finite.EQ_TOLERANCE * float(np.abs(A).max())
     assert float(finite.regret(fg, profile).max()) == eps
+
+
+def test_the_cycling_builtin_solves_to_its_half_half_mix_at_any_cost_scale():
+    # Q, C and d times s: best responses and equilibria are those at s = 1.
+    # An absolute Cholesky pivot floor rejected Q from s = 1e-11 down, and
+    # absolute equilibrium tolerances passed a pure profile at s = 1e-9
+    base = instgen.builtin("cycling")
+    for s in (1e-20, 1e-11, 1e-9, 1e20):
+        inst = game.make_instance([
+            game.PlayerProblem(Q=s * p.Q, C={j: s * c for j, c in p.C.items()}, d=s * p.d)
+            for p in base.players
+        ])
+        report = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
+        assert (report["outcome"], report["iterations"]) == ("cycle", 4), s
+        for probs in report["equilibrium"]["probabilities"]:
+            assert probs == pytest.approx([0.5, 0.5], abs=1e-9), s
 
 
 def coupled_game(rng, k, n):

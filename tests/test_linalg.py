@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from icqs import game, linalg
-from icqs.errors import DimensionMismatch, NotPositiveDefinite
+from icqs import dynamics, game, linalg
+from icqs.errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
 
 def test_cholesky_identity():
@@ -23,6 +23,17 @@ def test_cholesky_rejects_indefinite():
     # eigenvalues 3 and -1 by the 2x2 closed form
     with pytest.raises(NotPositiveDefinite):
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cholesky_pivot_test_is_relative_to_the_diagonal():
+    # the second pivot is s * 1e-11 (to rounding), below 1e-10 times the
+    # largest diagonal entry at every s; an absolute floor passed it at 1e6
+    for s in (1e-6, 1.0, 1e6):
+        with pytest.raises(NotPositiveDefinite, match="pivot 1 "):
+            linalg.cholesky(s * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]))
+    for s in (1e-20, 1e20):
+        L = linalg.cholesky(s * np.array([[4.0, 2.0], [2.0, 5.0]]))
+        assert np.allclose(L, np.sqrt(s) * np.array([[2.0, 0.0], [1.0, 2.0]]))
 
 
 def test_cholesky_rejects_asymmetric():
@@ -98,6 +109,43 @@ def test_singular_values_past_an_overflowing_gram_matrix():
     ])
     assert inst.report.classification is game.Adequacy.NEGATIVE
     assert inst.report.sigma_max == (5e299, 5e299)
+
+
+def rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def coupled_pair(R):
+    # Q_i = 2 I and C_i = 2 R both ways: each player's interaction matrix is R
+    return game.make_instance([
+        game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: 2.0 * R}, d=np.zeros(2)) for i in range(2)
+    ])
+
+
+def test_an_ill_conditioned_interaction_matrix_keeps_its_smallest_singular_value():
+    # sigma = (1.4e8, 1.06): through the Gram matrix sigma_min read as 0.0, the
+    # game as neither, and a diverging run ended at the iteration cap
+    inst = coupled_pair(np.array([[1e8, 1e8], [0.0, 1.5]]))
+    assert inst.report.classification is game.Adequacy.NEGATIVE
+    for sigma in inst.report.sigma_min:
+        assert abs(sigma - 1.0606601717798212) <= 1e-9
+    trace = dynamics.run_br(game.prepare(inst), start=[[3.0, -2.0], [1.0, 4.0]])
+    assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
+    # sigma_min = 1 + 1e-5 under sigma_max = 1e6, in 20 random orientations
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        a, b = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        R = rotation(a) @ np.diag([1e6, 1.0 + 1e-5]) @ rotation(b).T
+        assert coupled_pair(R).report.classification is game.Adequacy.NEGATIVE
+
+
+def test_singular_values_raise_nonconvergence_naming_the_matrix(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NonConvergence, match="^R_0: SVD did not converge$"):
+        linalg.singular_values(np.eye(2), "R_0")
 
 
 def test_solve_spd_examples():
