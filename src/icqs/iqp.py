@@ -310,7 +310,7 @@ def exact_prox(factor: Factor, bound: float) -> float:
 def is_scaled_identity(Q: np.ndarray) -> bool:
     n = Q.shape[0]
     c = float(np.trace(Q)) / n
-    return bool(np.abs(Q - c * np.eye(n)).max() <= _SCALED_IDENTITY_RTOL * max(1.0, abs(c)))
+    return bool(np.abs(Q - c * np.eye(n)).max() <= _SCALED_IDENTITY_RTOL * abs(c))
 
 
 def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[np.ndarray, float]:

@@ -1,10 +1,11 @@
 """Dense linear algebra for small real matrices.
 
 Thin numpy-backed routines that pin down the numerical semantics the rest of
-the solver relies on: positive definiteness is decided by an explicit pivot
-threshold, relative to the matrix's largest diagonal entry, inside the
-Cholesky loop; eigenvalues come back sorted descending with orthonormal
-columns; and singular values come from one LAPACK SVD call.  Every solve
+the solver relies on: symmetry is checked relative to the matrix's largest
+entry; positive definiteness is decided by an explicit pivot threshold,
+relative to each pivot's own diagonal entry, inside the Cholesky loop;
+eigenvalues come back sorted descending with orthonormal columns; and
+singular values come from one LAPACK SVD call.  Every solve
 against a Cholesky factor goes straight to numpy's gesv gufunc (`gesv`): the
 LAPACK call and the bits of `np.linalg.solve`, without the Python wrapper
 that costs more than LAPACK at these sizes.  Everything here works on plain
@@ -24,13 +25,14 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
-# Cholesky pivot floor, relative to Q's largest diagonal entry.
+# Cholesky pivot floor, relative to the pivot's own diagonal entry of Q.
 PD_TOLERANCE = 1e-10
 # Relative reconstruction error allowed for the symmetric eigendecomposition.
 EIGEN_TOLERANCE = 1e-9
 # Relative residual allowed for positive definite solves.
 SOLVE_TOLERANCE = 1e-9
 
+# Asymmetry allowed, relative to the matrix's largest |entry|.
 _SYMMETRY_RTOL = 1e-8
 
 
@@ -57,8 +59,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 def _symmetric(Q: np.ndarray) -> bool:
     if Q.shape[0] != Q.shape[1]:
         return False
-    scale = max(1.0, float(np.abs(Q).max()))
-    return bool(np.abs(Q - Q.T).max() <= _SYMMETRY_RTOL * scale)
+    return bool(np.abs(Q - Q.T).max() <= _SYMMETRY_RTOL * np.abs(Q).max())
 
 
 def require_symmetric(Q: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -82,15 +83,15 @@ def cholesky_unchecked(Q: np.ndarray) -> np.ndarray:
 
     Q's finiteness and symmetry are not checked again.  The loop runs column
     by column so the failing pivot can be reported: a pivot at or below
-    ``PD_TOLERANCE`` times Q's largest diagonal entry raises
-    NotPositiveDefinite, so the decision does not change when Q is scaled.
+    ``PD_TOLERANCE`` times its own diagonal entry Q[j, j] raises
+    NotPositiveDefinite, so the decision does not change when Q is scaled or
+    its rows and columns are rescaled by a positive diagonal.
     """
     n = Q.shape[0]
     L = np.zeros_like(Q)
-    floor = PD_TOLERANCE * float(Q.diagonal().max())
     for j in range(n):
         pivot = Q[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= floor:
+        if pivot <= PD_TOLERANCE * Q[j, j]:
             raise NotPositiveDefinite(j, float(pivot))
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:

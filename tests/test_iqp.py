@@ -76,6 +76,13 @@ def test_guarantee_prox_upgrades_scaled_identity():
     assert iqp.guarantee_prox(factor_of(np.eye(4))) == pytest.approx(8.0)
 
 
+def test_scaled_identity_test_is_relative_to_the_matrix():
+    # an absolute slack called every small enough Q a scaled identity
+    for s in (1e-13, 1.0, 1e13):
+        assert iqp.is_scaled_identity(s * np.eye(3))
+        assert not iqp.is_scaled_identity(s * np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
 def test_integer_min_scalar_examples():
     v, value = iqp.integer_min(scalar(2.0, -0.9))
     assert v.tolist() == [0] and value == pytest.approx(0.0)

@@ -26,19 +26,32 @@ def test_cholesky_rejects_indefinite():
 
 
 def test_cholesky_pivot_test_is_relative_to_the_diagonal():
-    # the second pivot is s * 1e-11 (to rounding), below 1e-10 times the
-    # largest diagonal entry at every s; an absolute floor passed it at 1e6
+    # the second pivot is s * 1e-11 (to rounding), below 1e-10 times its own
+    # diagonal entry at every s; an absolute floor passed it at 1e6
     for s in (1e-6, 1.0, 1e6):
         with pytest.raises(NotPositiveDefinite, match="pivot 1 "):
             linalg.cholesky(s * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]))
     for s in (1e-20, 1e20):
         L = linalg.cholesky(s * np.array([[4.0, 2.0], [2.0, 5.0]]))
         assert np.allclose(L, np.sqrt(s) * np.array([[2.0, 0.0], [1.0, 2.0]]))
+    # each pivot is compared with its own diagonal entry, not the largest,
+    # so a diagonal Q factors however widely its entries spread
+    for diagonal in ([1e10, 1.0], [1e12, 1.0], [1.0, 1e-12]):
+        L = linalg.cholesky(np.diag(diagonal))
+        assert np.array_equal(L, np.diag(np.sqrt(diagonal)))
 
 
 def test_cholesky_rejects_asymmetric():
     with pytest.raises(DimensionMismatch):
         linalg.cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # the symmetry test is relative to Q: an absolute slack let any asymmetry
+    # through at small scale, where the lower triangle that Cholesky reads
+    # is not Q's symmetric part
+    for s in (1e-13, 1.0, 1e13):
+        with pytest.raises(DimensionMismatch, match="symmetric"):
+            linalg.cholesky(s * np.array([[1.0, 0.0], [0.5, 1.0]]))
+        L = linalg.cholesky(s * np.array([[1.0, 0.25], [0.25, 1.0]]))
+        assert np.allclose(L @ L.T, s * np.array([[1.0, 0.25], [0.25, 1.0]]), rtol=1e-12, atol=0.0)
 
 
 def test_sym_eigen_identity():
