@@ -7,7 +7,10 @@ are proven for).  A run ends in one of four ways:
 * ``cycle``        -- the joint profile repeated exactly (integer mode); the
                       window between the two occurrences is the cycle.
 * ``fixed_point``  -- two consecutive profiles coincide (exactly in integer
-                      mode, within ``FP_TOLERANCE`` in continuous mode).
+                      mode; in continuous mode, the joint step is at most
+                      ``FP_TOLERANCE`` times the largest joint norm of the
+                      two and the start, so a zero step at the origin
+                      counts).
 * ``divergence``   -- the instance is negatively adequate, an iterate's norm
                       exceeded the divergence radius and the norms kept
                       growing monotonically from there on.  Once the growth
@@ -22,9 +25,10 @@ some earlier iterate" test.
 
 `run_br` iterates one joint strategy vector.  An integer sweep is one
 `game.integer_sweep` call, the sweep kernel: the players' subproblems of one
-sweep answer the same previous profile, so they are independent, and each
-group of players of one dimension shares one stacked matvec, one stacked
-solve and one batched rounding certificate.  The kernel takes the joint
+sweep answer the same previous profile, so they are independent.  Each
+group of players of one dimension shares one stacked matvec and one
+stacked solve pair; each player's rounding certificate, search and
+postcondition then run on its own row.  The kernel takes the joint
 float64 vector and returns the joint int64 response, whose bytes are the
 cycle key.  The norms are taken per player on slices of the joint vector,
 with the same per-player dot products and the same Python sum as on
@@ -35,7 +39,12 @@ one `game.best_response` call per player and sweep.
 Continuous mode replaces the integer best response with the continuous one
 (`game.continuous_sweep`, the same gather, matvec and stacked solve),
 turning the sweep into the affine fixed-point iteration whose contraction /
-expansion behaviour mirrors the adequacy classification.
+expansion behaviour mirrors the adequacy classification.  Its fixed-point
+test is relative to the joint norms of the start and the two iterates, so
+scaling every d_i and the start together (from the zero start: every d_i)
+scales the iterates and leaves the number of sweeps unchanged.  The start's
+norm keeps the test finite when iterates shrink geometrically to the origin,
+where the step stays a fixed fraction of the iterates' norm.
 
 `run_br`, the sweeps and the radii take the solve's `game.Prepared` value,
 whose ``inst`` is the instance they run on.
@@ -62,7 +71,8 @@ OUTCOME_DIVERGENCE = "divergence"
 OUTCOME_CAP = "cap"
 
 DEFAULT_MAX_ITERS = 10_000
-# Continuous-mode fixed-point tolerance on the joint step norm.
+# Continuous-mode fixed-point tolerance on the joint step norm, relative to
+# the largest joint norm of the start and the two profiles the step joins.
 FP_TOLERANCE = 1e-10
 # Stop once divergence is certified and iterates grow past this joint norm;
 # also truncates uncertified blow-ups before float64 precision degrades.
@@ -213,7 +223,8 @@ def run_br(
                 seen[key] = t
             else:
                 step = math.sqrt(sum(float(np.sum((zf[s] - prev[s]) ** 2)) for s in slots))
-                if step < FP_TOLERANCE:
+                # an infinite profile is no fixed point, though inf <= 1e-10 * inf
+                if step <= FP_TOLERANCE * max(norms[0], norms[t - 1], norms[t]) < math.inf:
                     outcome, fixed_index = OUTCOME_FIXED_POINT, t
                     break
 

@@ -33,22 +33,22 @@ whose ``inst`` is the instance; the functions that need no rule
 response to the joint float64 strategy vector z, returned as one joint int64
 vector, with nothing checked.  The instance groups the players by dimension
 (`PlayerGroup`) and stacks, once, what the kernel reads of each group: the
-factors and the certificate and postcondition constants
-(`iqp.FactorStack`), an index that gathers each player's opponents from z,
-the concatenated couplings and the linear terms.  Per group, the kernel
-forms every linear term C_i y + d_i with one stacked matvec, which gives
-each row bitwise the one-player matvec, gets u from one stacked solve pair
-against the Cholesky factors, straight to numpy's gesv gufunc
-(`linalg.gesv`, the same LAPACK call and bits as `np.linalg.solve`), and
-runs the rounding certificate and the proximity postcondition on the group
-as arrays (`iqp.lattice_mins`); only the players the certificate cannot
-answer are enumerated, from that same u.  `continuous_sweep` is the same
-gather, matvec and solve without the rounding.  `best_responses(prep,
-profile)` is the checked wrapper: it validates the per-player vectors,
-joins them and splits the answer into one array per player.
-`best_response(prep, i, others)` runs the certificate and search on a
-stack of one from the one-player linear term, and each sweep response is
-bitwise the one it gives (the argument is in `iqp`).
+factors, their stacked Cholesky factors and transposes, an index that
+gathers each player's opponents from z, the concatenated couplings and the
+linear terms.  Per group, the kernel forms every linear term C_i y + d_i
+with one stacked matvec, which gives each row bitwise the one-player
+matvec, and gets u from one stacked solve pair against the Cholesky
+factors, straight to numpy's gesv gufunc (`linalg.gesv`, the same LAPACK
+call and bits as `np.linalg.solve`).  `iqp.lattice_mins` then answers each
+player in turn from that u: the rounding certificate, the search when the
+certificate cannot answer, and the proximity postcondition.
+`continuous_sweep` is the same gather, matvec and solve without the
+rounding.  `best_responses(prep, profile)` is the checked wrapper: it
+validates the per-player vectors, joins them and splits the answer into one
+array per player.  `best_response(prep, i, others)` runs the same
+`lattice_mins` on one row, from the one-player linear term and
+`linalg.solve_with_factor`, and each sweep response is bitwise the one it
+gives (the argument is in `iqp`).
 """
 
 from __future__ import annotations
@@ -90,18 +90,22 @@ class PlayerProblem:
 
 @dataclass(frozen=True)
 class PlayerGroup:
-    """The players of one dimension n, ascending, with their stacked factors
-    and the stacked arrays one sweep reads.
+    """The players of one dimension n, ascending, with their factors and the
+    stacked arrays one sweep reads.
 
-    Row r belongs to player ``players[r]``: ``own[r]`` indexes its entries in
-    the joint strategy vector and ``gather[r]`` its opponents' entries in
-    ascending order, ``C[r]`` is its concatenated coupling and ``d[r]`` its
-    linear term.  ``labels`` name the players in a `ProximityViolation`.
+    Row r belongs to player ``players[r]``: ``factors[r]`` is its
+    `iqp.Factor`, ``L[r]`` and ``G[r]`` that factor's Cholesky factor and its
+    transpose, ``own[r]`` indexes its entries in the joint strategy vector
+    and ``gather[r]`` its opponents' entries in ascending order, ``C[r]`` is
+    its concatenated coupling and ``d[r]`` its linear term.  ``labels`` name
+    the players in a `ProximityViolation`.
     """
 
     players: tuple[int, ...]
-    stack: iqp.FactorStack
+    factors: tuple[iqp.Factor, ...]
     labels: tuple[str, ...]
+    L: np.ndarray
+    G: np.ndarray
     own: np.ndarray
     gather: np.ndarray
     C: np.ndarray
@@ -112,11 +116,13 @@ class PlayerGroup:
         -Q_i^{-1} (C_i y + d_i) to the joint vector ``z``.
 
         The stacked matvec gives each row bitwise the linear term the
-        one-player matvec ``C_cat[i] @ y + d_i`` gives, and the stacked
-        solve each row's one-player solve (see `iqp.FactorStack`).
+        one-player matvec ``C_cat[i] @ y + d_i`` gives.  The stacked solve
+        pair goes straight to numpy's gesv gufunc (`linalg.gesv`), which
+        runs LAPACK's gesv once per matrix, so each row is bitwise the
+        one-player `linalg.solve_with_factor`.
         """
         D = np.matmul(self.C, z[self.gather][:, :, None])[:, :, 0] + self.d
-        return self.stack.continuous_mins(D)
+        return linalg.gesv(self.G, linalg.gesv(self.L, -D[:, :, None]))[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -181,8 +187,10 @@ class IcqsInstance:
         groups = tuple(
             PlayerGroup(
                 players=tuple(ps),
-                stack=iqp.FactorStack(tuple(factors[i] for i in ps)),
+                factors=tuple(factors[i] for i in ps),
                 labels=tuple(f"player {i}" for i in ps),
+                L=np.stack([factors[i].L for i in ps]),
+                G=np.stack([factors[i].G for i in ps]),
                 own=np.array([index[a:b] for a, b in (slots[i] for i in ps)]),
                 gather=np.array([np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)]),
                 C=np.stack([C_cat[i] for i in ps]),
@@ -383,13 +391,13 @@ def integer_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
     ``z``, as one joint int64 vector: one Jacobi sweep, unchecked.
 
     Per group of players of one dimension, the continuous minimizers come
-    from one stacked solve, and the rounding certificate and the proximity
-    postcondition run on the whole group (`iqp.lattice_mins`); only the
-    players the certificate cannot answer are enumerated.
+    from one stacked solve pair, and `iqp.lattice_mins` answers each player
+    from its own: the rounding certificate, the search when the certificate
+    cannot answer, and the proximity postcondition.
     """
     out = np.empty(z.shape[0], dtype=np.int64)
     for g in prep.inst.groups:
-        out[g.own] = iqp.lattice_mins(g.stack, g.continuous_mins(z), labels=g.labels)
+        out[g.own] = iqp.lattice_mins(g.factors, g.continuous_mins(z), labels=g.labels)
     return out
 
 
@@ -418,12 +426,13 @@ def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.nd
     ``others`` holds one vector per opponent in ascending player order.
     Deterministic, by `iqp.integer_min`'s tie rule (least computed energy,
     then the lexicographically smaller point).  This is the sweep's
-    certificate and search on a stack of one, from the one-player linear
-    term.
+    certificate, search and postcondition on one row, from the one-player
+    linear term.
     """
-    stack = iqp.FactorStack((prep.inst.factors[i],))
-    D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))[None]
-    return iqp.lattice_mins(stack, stack.continuous_mins(D), labels=(f"player {i}",))[0]
+    factor = prep.inst.factors[i]
+    D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))
+    u = linalg.solve_with_factor(factor.L, -D)
+    return iqp.lattice_mins((factor,), u[None], labels=(f"player {i}",))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ best known objective are pruned.  The rounded continuous minimizer seeds the
 incumbent.  This is the classical closest-vector enumeration scheme; it is
 exact, and fast at the dimensions used here (n <= ~25).
 
-Everything that depends on Q alone (its Cholesky factor, the diagonal of
-Q^{-1}, eigenvalue extremes, the proven proximity radius and gap bound, and
-the row views the search takes its dot products with) is gathered in a
-`Factor`, built by `factorize` from Q and the Cholesky factor the caller
-already holds: `game.IcqsInstance` factors each Q_i once, when it is built
-(Q's one validation), and keeps each player's `Factor`.  A caller that
+Everything that depends on Q alone (its Cholesky factor, the rounding
+certificate's constants from the diagonal of Q^{-1}, eigenvalue extremes,
+the proven proximity radius and gap bound, and the row views the search
+takes its dot products with) is gathered in a `Factor`, built by
+`factorize` from Q and the Cholesky factor the caller already holds:
+`game.IcqsInstance` factors each Q_i once, when it is built (Q's one
+validation), and keeps each player's `Factor`.  A caller that
 minimizes against the same Q many times, like a best-response loop where
 only d moves, builds the factor once; nothing is cached between calls.
 `integer_min(q)`, `continuous_min(q)` and `brute_force_min(q)` take a bare
@@ -23,17 +24,14 @@ only d moves, builds the factor once; nothing is cached between calls.
 building the `Quadratic` validated Q, so it is not scanned again.
 
 Minimization is split in two: the continuous minimizer u, then the integer
-minimizer given u and the factor (`lattice_mins`).  Both work on a
-`FactorStack`, the factors of several Qs of one dimension stacked row by
-row, with one u per row and the per-row constants of the certificate and
-the postcondition precomputed: `FactorStack.continuous_mins` gives every
-row's u from one stacked solve pair, which goes straight to numpy's gesv
-gufunc (`linalg.gesv`: the LAPACK call and bits of `np.linalg.solve`,
-without its Python wrapper), and `lattice_mins` runs the rounding
-certificate and the proximity postcondition on all rows as arrays and
-enumerates only the rows the certificate cannot answer.  A best-response
-sweep (`game.integer_sweep`) calls them once per group of players of one
-dimension; `integer_min(q)` is the same code on a stack of one.
+minimizer given u and the factor (`lattice_mins`).  `lattice_mins` takes
+the factors of several Qs of one dimension with one u per row, and answers
+each row in one frame: the rounding certificate, the search when the
+certificate cannot answer, and the proximity postcondition.  A
+best-response sweep (`game.integer_sweep`) calls it once per group of
+players of one dimension, with every row's u from one stacked solve pair
+against the group's Cholesky factors; `integer_min(q)` is the same code on
+one row.
 
 The rounding certificate is the first level of Fincke-Pohst enumeration
 (Fincke & Pohst, Math. Comp. 44, 1985).  With r = rint(u) and w = r - u, a
@@ -42,13 +40,13 @@ lattice point x that differs from r in coordinate j has |x_j - u_j| >=
 is 0.5 t^2 / (Q^{-1})_jj.  So every x other than r pays at least
 min_j 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, and r is returned without a search
 when its excess 0.5 ||L'(r - u)||^2 is below 0.999 times that minimum:
-`FactorStack.cert` holds 0.999 * 0.5 / (Q^{-1})_jj.  A row that passes
+`Factor.cert` holds 0.999 * 0.5 / (Q^{-1})_jj.  A row that passes
 has max|w| < 0.5: with |w_j| = 0.5, r itself is 0.5 from u in coordinate
 j, so its excess is at least that coordinate's energy.  Since
 1/(Q^{-1})_jj >= lambda_min(Q), this never accepts less than the former
 guard 0.5 lambda_min (1 - max|w|)^2.
 
-Each row's result is bitwise the one a stack of one gives, and the one a
+Each row's result is bitwise the one a single row gives, and the one a
 search run entirely in numpy scalars gives.  numpy's stacked gesv gufunc
 calls LAPACK's gesv once per matrix, exactly as a single call does.  The
 enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
@@ -56,13 +54,13 @@ Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
 floats, which perform the same IEEE operations as numpy scalars, and
 `round` rounds half to even as `np.rint` does; x - u stays one numpy
 vector, so each row's partial dot is the same BLAS ddot on the same
-operands (see `_enumerate`).  The enumeration starts from the rounded
-point's excess computed row by row, in the association order of its own
-partial sums, so exact ties stay exact.  The certificate's batched excess and its bound may differ from
-exact values in their last bits, but they only decide whether rint(u) is
-returned without a search, and the certificate passes only 0.1% below the
-energy of every other lattice point, far outside that rounding, where the
-search returns rint(u) as well.
+operands (see `_enumerate`).  The rounded point's excess is summed row by
+row, in the association order of the search's own partial sums, so exact
+ties stay exact; the certificate reads that same excess, and the search
+starts from it.  The certificate's bound may differ from exact values in
+its last bits, but it only decides whether rint(u) is returned without a
+search, and it passes only 0.1% below the energy of every other lattice
+point, far outside that rounding, where the search returns rint(u) as well.
 
 The module also provides the closed-form proximity radius for Q: an upper
 bound on how far the integer minimizer can sit from u, uniform over all d.
@@ -180,20 +178,20 @@ class Quadratic:
 class Factor:
     """Everything minimizing 0.5 x'Qx + d'x needs from Q alone, for any d.
 
-    ``qinv_diag`` is the diagonal of Q^{-1}, which the rounding certificate
-    of `lattice_mins` reads.  ``radius`` is `guarantee_prox` under
-    `PROVEN_RULE` and ``gap`` the matching objective-gap bound
-    lambda_max Flt(n)^2 / 32, raised to lambda_max n / 8 for scaled
-    identities: the bounds its postcondition checks against, computed once
-    here.  ``rows[j]`` and ``strict_rows[j]`` are the views ``G[j, j:]`` and
-    ``G[j, j + 1:]`` the search takes its dot products with.
+    ``cert[j]`` is 0.999 * 0.5 / (Q^{-1})_jj, the rounding certificate's
+    constant for coordinate j in `lattice_mins`.  ``radius`` is
+    `guarantee_prox` under `PROVEN_RULE` and ``gap`` the matching
+    objective-gap bound lambda_max Flt(n)^2 / 32, raised to lambda_max n / 8
+    for scaled identities: the bounds its postcondition checks against,
+    computed once here.  ``rows[j]`` and ``strict_rows[j]`` are the views
+    ``G[j, j:]`` and ``G[j, j + 1:]`` the search takes its dot products with.
     """
 
     Q: np.ndarray
     L: np.ndarray  # lower Cholesky factor, Q = L L'
     G: np.ndarray  # L' as a contiguous array: the rows the DFS walks
     gdiag: list[float]
-    qinv_diag: np.ndarray
+    cert: list[float]
     lambda_max: float
     lambda_min: float
     scaled_identity: bool
@@ -235,47 +233,11 @@ def factorize(Q: np.ndarray, L: np.ndarray) -> Factor:
         L=L,
         G=G,
         gdiag=np.diag(G).tolist(),
-        qinv_diag=np.einsum("ij,ij->j", Linv, Linv),
+        cert=(0.999 * 0.5 / np.einsum("ij,ij->j", Linv, Linv)).tolist(),
         lambda_max=eig.lambda_max,
         lambda_min=eig.lambda_min,
         scaled_identity=is_scaled_identity(Q),
     )
-
-
-@dataclass(frozen=True)
-class FactorStack:
-    """The factors of m matrices Q of one dimension n, stacked row by row.
-
-    Row r of every array belongs to ``factors[r]``: the lower Cholesky
-    factors ``L`` and their transposes ``G`` (m x n x n), the rounding
-    certificate's per-coordinate factor ``cert = 0.999 * 0.5 / diag(Q^{-1})``
-    (m x n), and the proven proximity radius and gap bound with the
-    postcondition's relative tolerance 1e-9 applied (length m).
-    """
-
-    factors: tuple[Factor, ...]
-    L: np.ndarray = field(init=False)
-    G: np.ndarray = field(init=False)
-    cert: np.ndarray = field(init=False)
-    radius_tol: np.ndarray = field(init=False)
-    gap_tol: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        fs = self.factors
-        object.__setattr__(self, "L", np.stack([f.L for f in fs]))
-        object.__setattr__(self, "G", np.stack([f.G for f in fs]))
-        object.__setattr__(self, "cert", 0.999 * 0.5 / np.stack([f.qinv_diag for f in fs]))
-        object.__setattr__(self, "radius_tol", np.array([f.radius for f in fs]) * (1.0 + 1e-9))
-        object.__setattr__(self, "gap_tol", np.array([f.gap for f in fs]) * (1.0 + 1e-9))
-
-    def continuous_mins(self, D: np.ndarray) -> np.ndarray:
-        """Row r: the minimizer -Q_r^{-1} D[r] of 0.5 x'Q_r x + D[r]'x.
-
-        One stacked solve pair, straight to numpy's gesv gufunc
-        (`linalg.gesv`): LAPACK's gesv runs once per matrix, as in
-        `continuous_min` for one, so each row is bitwise the same.
-        """
-        return gesv(self.G, gesv(self.L, -D[:, :, None]))[:, :, 0]
 
 
 def continuous_min(q: Quadratic) -> np.ndarray:
@@ -316,7 +278,7 @@ def is_scaled_identity(Q: np.ndarray) -> bool:
 def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[np.ndarray, float]:
     """Global integer minimizer of q and its objective value.
 
-    This is `lattice_mins` on a stack of one, from q's own factorization.
+    This is `lattice_mins` on one row, from q's own factorization.
     It keeps the least computed energy 0.5||L'(x - u)||^2 (u the continuous
     minimizer) and breaks exact ties in that energy toward the
     lexicographically smaller point, so runs are reproducible; the energy's
@@ -326,56 +288,77 @@ def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[n
     ProximityViolation if the result breaks the proven proximity radius or
     gap bound.
     """
-    stack = FactorStack((factorize(q.Q, cholesky_unchecked(q.Q)),))
-    v = lattice_mins(stack, stack.continuous_mins(q.d[None]), node_budget)[0]
+    factor = factorize(q.Q, cholesky_unchecked(q.Q))
+    u = solve_with_factor(factor.L, -q.d)
+    v = lattice_mins((factor,), u[None], node_budget)[0]
     return v, q.value(v)
 
 
 def lattice_mins(
-    stack: FactorStack,
+    factors: Sequence[Factor],
     U: np.ndarray,
     node_budget: int = DEFAULT_NODE_BUDGET,
     labels: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Integer minimizer of each row's quadratic, given its continuous
-    minimizer ``U[r]`` and its factor ``stack.factors[r]``.
+    minimizer ``U[r]`` and its factor ``factors[r]``.
 
-    The rounding certificate runs on all rows at once; only the rows it
-    cannot answer are enumerated, one at a time (NonFiniteCentre when a
-    search meets a non-finite centre).  The proximity postcondition then
-    runs on all rows at once and raises ProximityViolation for the first row
-    that breaks it.  Both errors name the row ``labels[r]``, when given.
+    Each row is answered in turn: the rounding certificate, then, when it
+    cannot answer, the search (NonFiniteCentre when it meets a non-finite
+    centre), then the proximity postcondition (ProximityViolation).  Both
+    errors name the row ``labels[r]``, when given.
     """
     X = np.rint(U)
     W = X - U
-    # Row j of G(x - u) holds G[j, j:] @ w[j:]: G = L' is upper triangular.
-    T = np.matmul(stack.G, W[:, :, None])[:, :, 0]
-    excess = 0.5 * np.einsum("rj,rj->r", T, T)
-    # The rounded point is certifiably the unique optimum when its excess is
-    # below the energy every lattice point that moves coordinate j must pay,
-    # 0.5 (1 - |w_j|)^2 / (Q^{-1})_jj, for every j, with 0.1% to spare.
-    # Every row that passes has max|w| < 1/2, so that needs no test of its
-    # own: with |w_j| = 1/2, rint(u) is itself 1/2 from u in coordinate j,
-    # so its excess is at least that energy.  A NaN row fails too: the
-    # row's least energy is NaN once any of them is, as is the comparison.
-    certified = excess < np.minimum.reduce(stack.cert * (1.0 - np.abs(W)) ** 2, axis=1)
-    for r in (~certified).nonzero()[0]:
-        try:
-            X[r], excess[r] = _enumerate(stack.factors[r], U[r], X[r], W[r], node_budget)
-        except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
+    for r, factor in enumerate(factors):
+        u, w = U[r], W[r]
+        # The rounded point's excess 0.5||G(x - u)||^2, row j of G = L' being
+        # G[j, j:] @ w[j:], summed in the association order of the search's
+        # partial sums so exact ties stay exact.
+        excess = 0.0
+        for j in range(factor.n - 1, -1, -1):
+            excess += 0.5 * float(factor.rows[j].dot(w[j:])) ** 2
+        # The rounded point is certifiably the unique optimum when its excess
+        # is below the energy every lattice point that moves coordinate j
+        # must pay, cert_j (1 - |w_j|)^2, for every j.  Every row that passes
+        # has max|w| < 1/2, so that needs no test of its own: with
+        # |w_j| = 1/2, rint(u) is itself 1/2 from u in coordinate j, so its
+        # excess is at least that energy.  A non-finite u fails too: its w
+        # and excess are NaN, and so is every comparison.
+        if not all(excess < c * (1.0 - abs(t)) ** 2 for c, t in zip(factor.cert, w.tolist())):
+            try:
+                X[r], excess = _enumerate(factor, u, X[r], excess, node_budget)
+            except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
+                who = f"{labels[r]}: " if labels is not None else ""
+                raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {u.tolist()})") from exc
+            w = X[r] - u
+        # Postcondition guard: the minimizer must respect the proximity
+        # radius and objective-gap bound that are provable for its Q.  The
+        # excess is the gap computed in the translated frame, which stays
+        # accurate where f(x) - f(u) would cancel catastrophically.
+        dist = math.sqrt(float(w.dot(w)))
+        radius, gap = factor.radius * (1.0 + 1e-9), factor.gap * (1.0 + 1e-9)
+        if dist > radius or excess > gap:
+            slack = 1e-9 * max(1.0, float(np.abs(u).max()))
             who = f"{labels[r]}: " if labels is not None else ""
-            raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {U[r].tolist()})") from exc
-        W[r] = X[r] - U[r]  # the postcondition reads x - u from W
-    _check_proximity(stack, U, W, excess, labels)
+            if dist > radius + slack:
+                raise ProximityViolation(
+                    f"{who}integer minimizer at distance {dist:.6g} exceeds "
+                    f"proximity radius {factor.radius:.6g}"
+                )
+            if excess > gap + slack:
+                raise ProximityViolation(
+                    f"{who}objective gap {excess:.6g} exceeds bound {factor.gap:.6g}"
+                )
     return X.astype(np.int64)
 
 
 def _enumerate(
-    factor: Factor, u: np.ndarray, x0: np.ndarray, w: np.ndarray, node_budget: int
+    factor: Factor, u: np.ndarray, x0: np.ndarray, excess: float, node_budget: int
 ) -> tuple[list[float], float]:
     """Zig-zag depth-first search for the integer minimizer around ``u``,
-    from the incumbent ``x0 = rint(u)`` with ``w = x0 - u``: the minimizer
-    and its excess energy 0.5*||G(x - u)||^2.
+    from the incumbent ``x0 = rint(u)`` and its excess energy ``excess``:
+    the minimizer and its excess energy 0.5*||G(x - u)||^2.
 
     The per-node state lives in Python floats and lists, which perform the
     same IEEE operations as numpy scalars; x - u stays one numpy vector so
@@ -392,12 +375,7 @@ def _enumerate(
     gdiag = factor.gdiag
     rows = factor.strict_rows
     us = u.tolist()
-
-    # Excess energy accumulated row by row, matching the association order of
-    # the search's partial sums so exact ties stay exact.
-    best_excess = 0.0
-    for j in range(n - 1, -1, -1):
-        best_excess += 0.5 * float(factor.rows[j].dot(w[j:])) ** 2
+    best_excess = excess
     best = x0.tolist()
 
     xu = np.zeros(n)  # x - u on the coordinates fixed so far
@@ -452,39 +430,6 @@ def _enumerate(
             b = float(round(c))
             centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
     return best, best_excess
-
-
-def _check_proximity(
-    stack: FactorStack,
-    U: np.ndarray,
-    E: np.ndarray,
-    excess: np.ndarray,
-    labels: Sequence[str] | None,
-) -> None:
-    # Postcondition guard: each returned minimizer v = u + E[r] must respect
-    # the proximity radius and objective-gap bound that are provable for its
-    # Q.  ``excess`` is the gap computed in the translated frame
-    # 0.5||L'(v-u)||^2, which stays accurate where f(v) - f(u) would cancel
-    # catastrophically.
-    dist = np.sqrt(np.einsum("rj,rj->r", E, E))
-    if not np.logical_or.reduce((dist > stack.radius_tol) | (excess > stack.gap_tol)):
-        return  # the slack below is >= 0, so every row passes
-    slack = 1e-9 * np.maximum(1.0, np.abs(U).max(axis=1))
-    far = dist > stack.radius_tol + slack
-    high = excess > stack.gap_tol + slack
-    bad = (far | high).nonzero()[0]
-    if bad.size:
-        r = bad[0]
-        who = f"{labels[r]}: " if labels is not None else ""
-        factor = stack.factors[r]
-        if far[r]:
-            raise ProximityViolation(
-                f"{who}integer minimizer at distance {dist[r]:.6g} exceeds "
-                f"proximity radius {factor.radius:.6g}"
-            )
-        raise ProximityViolation(
-            f"{who}objective gap {excess[r]:.6g} exceeds bound {factor.gap:.6g}"
-        )
 
 
 def brute_force_min(

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from icqs import bounds, cli, finite, game, instgen, iqp, linalg
+from icqs import bounds, cli, dynamics, finite, game, instgen, iqp, linalg
 
 
 def run_cli(argv):
@@ -385,6 +386,32 @@ def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):
     assert criterion >= 1
     assert f"sum sigma^2/(1+sigma^2) = {criterion:.2f} >= 1" in eq["delta_bounded_reason"]
     assert "NOT delta-bounded" in capsys.readouterr().out
+
+
+def test_delta_bounded_compares_a_gain_at_the_scale_of_the_costs():
+    # the cycling builtin with Q, C and d times 1e-11: its exact a-priori
+    # bounds are 5.2e-11, so an absolute slack of 1e-9 passed a gain 20 times
+    # the bound
+    inst = game.make_instance([
+        game.PlayerProblem(Q=1e-11 * p.Q, C={j: 1e-11 * c for j, c in p.C.items()}, d=1e-11 * p.d)
+        for p in instgen.builtin("cycling").players
+    ])
+    prep = game.prepare(inst)
+    trace = dynamics.run_br(prep, start=[[0.0], [0.0]])
+    sets = dynamics.cycle_sets(trace)
+    fg = finite.restrict(inst, sets)
+    profile, _ = finite.solve_equilibrium(fg)
+    delta = finite.verify_delta(prep, fg, profile, trace)
+    pack = bounds.guarantee_pack(prep, sets)
+    bound = pack.delta_a_priori["exact"][0]
+    assert bound == pytest.approx(5.19e-11, rel=1e-3)
+    assert cli._delta_bounded(delta, pack, inst.report) == (
+        True, "gains within the finite a-priori bounds of 2 of 2 players"
+    )
+    gained = dataclasses.replace(delta, gains=(20.0 * bound, delta.gains[1]))
+    assert cli._delta_bounded(gained, pack, inst.report) == (
+        False, "gains exceed the finite a-priori bounds of 2 of 2 players"
+    )
 
 
 def exit_code(argv):

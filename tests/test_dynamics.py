@@ -190,6 +190,74 @@ def test_continuous_mode_contracts_to_stationary_point():
         assert lhs <= rhs + 1e-9
 
 
+def _d_scaled(inst, s):
+    return game.make_instance([game.PlayerProblem(Q=p.Q, C=p.C, d=s * p.d) for p in inst.players])
+
+
+def _relative_residual(prep, trace):
+    z = game.joint_vector(prep.inst, trace.profiles[-1])
+    return float(np.linalg.norm(game.continuous_sweep(prep, z) - z)) / trace.norms[-1]
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e9])
+def test_the_continuous_fixed_point_test_is_relative_to_the_iterates(s):
+    # d times s moves the cycling builtin's fixed point (1/2, 1/2) to s/2 and
+    # every iterate with it, so the run takes the same sweeps at every s.  An
+    # absolute step tolerance of 1e-10 stopped after 1 sweep at s = 1e-12, 10%
+    # away from the fixed point, and after 2 at s = 1e-9, 1% away
+    prep = game.prepare(_d_scaled(instgen.builtin("cycling"), s))
+    trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS)
+    assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, 12)
+    for x in trace.profiles[-1]:
+        assert x[0] == pytest.approx(0.5 * s, rel=1e-9, abs=0.0)
+    assert _relative_residual(prep, trace) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+def test_a_continuous_run_far_from_the_origin_settles(s):
+    # with d times 1e9 the iterates of the seed-2 random instance are so large
+    # that their float spacing exceeds an absolute step tolerance of 1e-10:
+    # the run ended at the cap of 3,000 sweeps, where unscaled it settles
+    inst = _d_scaled(instgen.gen_random(instgen.RandomSpec(3, 5, seed=2)), s)
+    prep = game.prepare(inst)
+    trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS, max_iters=3000)
+    assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, 30)
+    assert _relative_residual(prep, trace) <= 1e-8
+
+
+def test_a_zero_continuous_step_at_the_origin_is_a_fixed_point():
+    # with d = 0 the origin is the fixed point: a zero step from a zero
+    # profile ends the run after one sweep
+    trace = dynamics.run_br(game.prepare(_d_scaled(instgen.builtin("cycling"), 0.0)), mode=dynamics.CONTINUOUS)
+    assert (trace.outcome, trace.iterations, trace.norms) == (dynamics.OUTCOME_FIXED_POINT, 1, (0.0, 0.0))
+
+
+def _rotation_pair(c):
+    return game.make_instance(
+        [
+            game.PlayerProblem(Q=2 * np.eye(1), C={1: c * np.eye(1)}, d=np.zeros(1)),
+            game.PlayerProblem(Q=2 * np.eye(1), C={0: -c * np.eye(1)}, d=np.zeros(1)),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "inst, sweeps",
+    [(_d_scaled(instgen.builtin("cycling"), 0.0), 12), (_rotation_pair(1.98), 2327)],
+    ids=["cycling", "rho-0.99"],
+)
+def test_a_continuous_run_shrinking_to_the_origin_settles(inst, sweeps):
+    # with d = 0 and a nonzero start the iterates shrink geometrically, so a
+    # step stays a fixed fraction of their norm: the start's norm sets the
+    # scale.  Relative to the iterates alone, the cycling builtin ran 163
+    # sweeps, until its iterates (1e-163) squared to 0, and the rho = 0.99
+    # pair's iterates came to rest at +-5e-324 with rotating signs, ending
+    # at the cap
+    trace = dynamics.run_br(game.prepare(inst), start=[[1.0], [1.0]], mode=dynamics.CONTINUOUS)
+    assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, sweeps)
+    assert trace.norms[-1] <= 1e-10 * trace.norms[0]
+
+
 def test_continuous_mode_diverges_on_example1():
     trace = dynamics.run_br(
         game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], mode=dynamics.CONTINUOUS, max_iters=30

@@ -54,7 +54,7 @@ def test_replacing_a_q_rederives_the_instance_data():
     assert rebuilt.factors[1].Q is inst.players[1].Q
     assert rebuilt.report == game.classify(rebuilt)
     assert rebuilt.report.sigma_max[0] == pytest.approx(0.5 * inst.report.sigma_max[0])
-    assert [g.stack.factors for g in rebuilt.groups] == [rebuilt.factors]
+    assert [g.factors for g in rebuilt.groups] == [rebuilt.factors]
     assert rebuilt.qinv_d_norm != inst.qinv_d_norm
 
 
@@ -408,7 +408,7 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
             m.setattr(iqp, "factorize", breaking_factorize)
             bad = game.prepare(dataclasses.replace(inst))
         assert getattr(bad.inst.factors[1], bound) == 0.0
-        assert bad.inst.groups[1].stack.factors[0] is bad.inst.factors[1]
+        assert bad.inst.groups[1].factors[0] is bad.inst.factors[1]
         with pytest.raises(ProximityViolation, match="^player 1: ") as one:
             game.best_response(bad, 1, others[1])
         with pytest.raises(ProximityViolation) as sweep:

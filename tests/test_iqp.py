@@ -323,9 +323,9 @@ def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
         assert v.dtype == np.int64 and np.array_equal(v, ref), (q.Q, q.d)
         by_dim.setdefault(q.n, []).append((q, ref))
     for group in by_dim.values():
-        stack = iqp.FactorStack(tuple(factor_of(q.Q) for q, _ in group))
-        U = stack.continuous_mins(np.array([q.d for q, _ in group]))
-        assert np.array_equal(iqp.lattice_mins(stack, U), np.array([ref for _, ref in group]))
+        factors = tuple(factor_of(q.Q) for q, _ in group)
+        U = np.array([linalg.solve_with_factor(f.L, -q.d) for f, (q, _) in zip(factors, group)])
+        assert np.array_equal(iqp.lattice_mins(factors, U), np.array([ref for _, ref in group]))
 
 
 def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
@@ -338,9 +338,9 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
     searched = []
     enumerate_ = iqp._enumerate
 
-    def recording(factor, u, x0, w, node_budget):
+    def recording(factor, u, x0, excess, node_budget):
         searched.append(u.tobytes())
-        return enumerate_(factor, u, x0, w, node_budget)
+        return enumerate_(factor, u, x0, excess, node_budget)
 
     monkeypatch.setattr(iqp, "_enumerate", recording)
     rng = np.random.default_rng(59)
@@ -350,7 +350,7 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
         cond = 10.0 ** rng.uniform(0.0, 6.0)
         Q = quadratic_corpus(seed=trial, count=1, dims=(n,), cond=cond)[0].Q
         f = factor_of(Q)
-        stack = iqp.FactorStack((f,) * 8)
+        factors = (f,) * 8
         # a whole vector of magnitude up to 1e12 plus fractions near and away
         # from 1/2, multiples of 2^-12 so that u is exact at that magnitude
         base = np.rint(rng.uniform(-1.0, 1.0, size=(8, n)) * 10.0 ** rng.uniform(0, 12, size=(8, 1)))
@@ -362,7 +362,7 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
         frac = np.where(half, np.where(frac < 0.0, -0.5, 0.5), frac)
         U = base + frac
         searched.clear()
-        iqp.lattice_mins(stack, U)
+        iqp.lattice_mins(factors, U)
         for r in range(8):
             rows += 1
             w = np.rint(U[r]) - U[r]
