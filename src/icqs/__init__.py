@@ -37,6 +37,7 @@ from .errors import (
     OracleBudgetExceeded,
     ProximityViolation,
     RejectionBudgetExceeded,
+    ResponseOverflow,
 )
 from .finite import (
     DeltaReport,

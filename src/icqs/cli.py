@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, dynamics, finite, game, instgen, iqp
-from .errors import IcqsError
+from .errors import IcqsError, InvalidM
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -379,7 +379,8 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
     Each scenario is one `solve_pipeline` call, and its checks read the
     report: the classification, the outcome, the trace, the probabilities
     and the deviation gains.  Only the counterexample's check that the
-    restricted game has no pure equilibrium restricts the cycle again.
+    restricted game has no pure equilibrium restricts the cycle again.  An
+    M whose cycle, of joint norm sqrt(2) M, passes the norm cap is InvalidM.
     """
     checks: list[tuple[str, bool, str]] = []
     if name == "example1":
@@ -410,6 +411,8 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
         _check(checks, "no profitable lattice deviation",
                gain <= 1e-9, f"max gain {gain:.3e}")
     elif name == "counterexample":
+        if M is not None and M > dynamics.DIVERGENCE_NORM_CAP / math.sqrt(2.0):  # exact for any int M
+            raise InvalidM(f"M = {M}: the cycle's norm sqrt(2) M passes the norm cap {dynamics.DIVERGENCE_NORM_CAP:g}")
         inst = instgen.builtin("counterexample", M=M)
         report = solve_pipeline(inst, start=[[0.0, 1.0], [0.0, 1.0]])
         sets = dynamics.cycle_sets(report["trace"])  # NoCycle unless the run cycled

@@ -11,32 +11,23 @@ solve's `game.Prepared` value.
 
 The coupling is linear, so the restricted game is polymatrix (Howson 1972):
 player i's cost is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
-s_i'C_ij s_j per opponent.  `FiniteGame` holds one own cost per strategy and
-one block S_i C_ij S_j' per ordered pair, O(sum_ij m_i m_j n) arithmetic for
-m_i strategies per player; expected costs, regret and the Lemke LCP read
-them.  The pure-equilibrium search and the two-player solver build one
-player's costs over the prod(m_i) cells at a time (`cell_costs`).
+s_i'C_ij s_j per opponent.  `FiniteGame` holds the joint vector of own costs
+and one matrix D = (S C) S', S the block-diagonal stack of the strategies and
+C the instance's joint coupling, whose block (i, j) is S_i C_ij S_j'.  Expected
+costs and regret read one matvec, own + D p (`strategy_costs`), the Lemke LCP
+reads D, and `cell_costs` builds one player's costs over the cells from views.
 
 A game in which every player has one strategy, the restricted game of an
 integer fixed point, is its own equilibrium: `solve_equilibrium` returns
 its one cell as the pure profile, with regret zero, and runs neither solver.
 
-Two-player games are solved exactly by support enumeration: support pairs are
-visited by total size ascending (lexicographic within a size), the
-indifference conditions are solved as a linear system per pair, and the first
-pair whose solution is a valid equilibrium wins, so the smallest-support
-equilibrium is returned deterministically.  Two exact shortcuts skip work on
-pairs that cannot win: a pair is dropped without a solve when one of its
-strategies is conditionally dominated on the other player's support, by more
-than the check's own tolerance can absorb, and each pair solves and checks
-the column player's mix before it solves the row player's.  The visiting
-order, and the arithmetic of the pair that wins, are those of the plain
-enumeration, so the returned equilibrium is the same to the bit.
-
-Games with three or more players are solved exactly by one run of Lemke's
-complementary pivoting on the LCP built from the pairwise blocks (Howson
-1972; Miller & Zucker 1991).  The result's regret is checked, so a numerical
-failure of the pivoting raises instead of returning a false equilibrium.
+Two-player games are solved exactly by support enumeration, smallest
+supports first; the support pairs it skips provably cannot win, so the
+equilibrium is bitwise the plain enumeration's (`mne_two_player`).  Games
+with three or more players are solved exactly by one run of Lemke's
+complementary pivoting on the LCP built from D (Howson 1972; Miller & Zucker
+1991).  The result's regret is checked, so a numerical failure of the
+pivoting raises instead of returning a false equilibrium.
 Every equilibrium test takes ``EQ_TOLERANCE`` times the largest |cost| it
 reads, with no floor, so a game and its positive multiples have the same
 equilibria.
@@ -65,31 +56,32 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 class FiniteGame:
     """Strategy lists plus the polymatrix costs of the restricted game.
 
-    ``own[i]`` is the length-m_i vector of player i's own costs
-    ``0.5 s'Q_i s + d_i's``, and ``pair[i][j]``, keyed by opponent as
-    `game.PlayerProblem.C` is, the m_i x m_j block ``S_i C_ij S_j'``.
-    A cell's cost is its own term plus its blocks (`cell_costs`).
-    ``sizes[i]`` is m_i, derived from the strategy lists.  Raises
-    DimensionMismatch for a block of the wrong shape, and ValueError unless
-    every piece is below ``finfo.max / k`` in magnitude, so that no sum of k
-    pieces overflows: NaN, infinities and finite pieces >= finfo.max / k fail.
+    Player i's m_i = ``sizes[i]`` strategies take entries ``offsets[i]`` to
+    ``offsets[i + 1]`` of ``own``, the joint vector of own costs
+    ``0.5 s'Q_i s + d_i's``, and of each axis of ``D``, whose block (i, j) is
+    ``S_i C_ij S_j'`` and whose diagonal blocks are zero.  Raises
+    DimensionMismatch for a wrong shape, and ValueError for a nonzero
+    diagonal block or an entry not below ``finfo.max / k`` in magnitude (NaN
+    and infinities too), so that no sum of k pieces overflows.
     """
 
     strategies: tuple[tuple[np.ndarray, ...], ...]
-    own: tuple[np.ndarray, ...]
-    pair: tuple[dict[int, np.ndarray], ...]
+    own: np.ndarray
+    D: np.ndarray
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(len(s) for s in self.strategies)
+        offsets = tuple(itertools.accumulate(sizes, initial=0))
         object.__setattr__(self, "sizes", sizes)
-        for i, blocks in enumerate(self.pair):
-            for j, block in blocks.items():
-                if block.shape != (sizes[i], sizes[j]):
-                    raise DimensionMismatch(f"block ({i}, {j}) has shape {block.shape}")
-        pieces = np.concatenate([*self.own, *(b.ravel() for blocks in self.pair for b in blocks.values())])
-        if not np.abs(pieces).max() < _FLOAT_MAX / len(sizes):
+        object.__setattr__(self, "offsets", offsets)
+        if self.own.shape != offsets[-1:] or self.D.shape != (offsets[-1],) * 2:
+            raise DimensionMismatch(f"own {self.own.shape} and D {self.D.shape} do not fit {sizes}")
+        if not np.abs(np.concatenate([self.own, self.D.ravel()])).max() < _FLOAT_MAX / len(sizes):
             raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
+        if any(self.D[a:b, a:b].any() for a, b in zip(offsets, offsets[1:])):
+            raise ValueError("a diagonal block of D is not zero")
 
     @property
     def k(self) -> int:
@@ -128,12 +120,12 @@ def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
 def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     """The game restricted to the cycle strategies.
 
-    Player i's strategies are stacked into S_i (m_i x n_i).  Its own costs
-    ``0.5 s'Q_i s + d_i's`` are taken once per strategy and each block
-    ``S_i C_ij S_j'`` once per ordered pair: O(sum_ij m_i m_j n)
-    arithmetic, with no loop over cells.  Each cell of `cell_costs` is
-    `game.objective` at that profile up to rounding in its last bits.
-    Raises ValueError when a piece is not finite or too large (`FiniteGame`).
+    Player i's strategies are stacked into S_i (m_i x n_i), and its own
+    costs ``0.5 s'Q_i s + d_i's`` taken once per strategy.  D is one product
+    ``(S C) S'`` of the block-diagonal stack S of the S_i and the joint
+    coupling ``inst.C``, with no loop over cells or pairs.  Each cell of
+    `cell_costs` is `game.objective` at that profile up to rounding in its
+    last bits.  ValueError when a piece is not finite or too large.
     """
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
@@ -142,44 +134,44 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     lengths = tuple(S_i.shape[1] for S_i in S)
     if lengths != inst.dims:
         raise DimensionMismatch(f"strategy lengths {lengths} do not fit the player dimensions {inst.dims}")
+    stack = np.zeros((sum(map(len, S)), sum(lengths)))
+    for S_i, r, (a, b) in zip(S, itertools.accumulate(map(len, S), initial=0), inst.slots):
+        stack[r:r + len(S_i), a:b] = S_i
     with np.errstate(over="ignore", invalid="ignore"):
-        own = tuple(
-            0.5 * np.einsum("sa,ab,sb->s", S[i], p.Q, S[i]) + S[i] @ p.d
-            for i, p in enumerate(inst.players)
-        )
-        T = [S_j.T for S_j in S]
-        pair = tuple(
-            {j: S[i] @ p.C[j] @ T[j] for j in inst.opponents(i)} for i, p in enumerate(inst.players)
-        )
-    return FiniteGame(strategies=strategies, own=own, pair=pair)
+        own = np.concatenate([
+            0.5 * np.einsum("sa,ab,sb->s", S_i, p.Q, S_i) + S_i @ p.d for S_i, p in zip(S, inst.players)
+        ])
+        D = (stack @ inst.C) @ stack.T
+    return FiniteGame(strategies=strategies, own=own, D=D)
 
 
-def pure_strategy_costs(fg: FiniteGame, i: int, profile: MixedProfile) -> np.ndarray:
-    """Player i's expected cost for each pure strategy vs the others' mixes."""
-    return fg.own[i] + sum(block @ profile.probs[j] for j, block in fg.pair[i].items())
+def strategy_costs(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
+    """Every player's pure-strategy costs against the others' mixes, as one vector ``own + D p``."""
+    return fg.own + fg.D @ np.concatenate(profile.probs)
+
+
+def _expected(fg: FiniteGame, costs: np.ndarray, profile: MixedProfile) -> np.ndarray:
+    return np.add.reduceat(costs * np.concatenate(profile.probs), fg.offsets[:-1])
 
 
 def expected_costs(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
     """Expected cost per player under the product distribution."""
-    return np.array(
-        [float(pure_strategy_costs(fg, i, profile) @ profile.probs[i]) for i in range(fg.k)]
-    )
+    return _expected(fg, strategy_costs(fg, profile), profile)
 
 
 def regret(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
     """Per-player gain from the best pure strategy inside the finite game."""
-    out = []
-    for i in range(fg.k):
-        costs_i = pure_strategy_costs(fg, i, profile)
-        out.append(float(costs_i @ profile.probs[i] - costs_i.min()))
-    return np.array(out)
+    costs = strategy_costs(fg, profile)
+    return _expected(fg, costs, profile) - np.minimum.reduceat(costs, fg.offsets[:-1])
 
 
 def cell_costs(fg: FiniteGame, i: int) -> np.ndarray:
     """Player i's cost in every cell, shape ``fg.sizes``: own, then blocks by ascending opponent."""
-    total = fg.own[i].reshape([m if a == i else 1 for a, m in enumerate(fg.sizes)])
-    for j, block in sorted(fg.pair[i].items()):
-        axes = [m if a in (i, j) else 1 for a, m in enumerate(fg.sizes)]
+    o, sizes = fg.offsets, fg.sizes
+    total = fg.own[o[i]:o[i + 1]].reshape([m if a == i else 1 for a, m in enumerate(sizes)])
+    for j in itertools.chain(range(i), range(i + 1, fg.k)):
+        block = fg.D[o[i]:o[i + 1], o[j]:o[j + 1]]
+        axes = [m if a in (i, j) else 1 for a, m in enumerate(sizes)]
         total = total + (block.T if j < i else block).reshape(axes)
     return total
 
@@ -354,19 +346,15 @@ def polymatrix_blocks(fg: FiniteGame) -> tuple[np.ndarray, tuple[int, ...]]:
     offsets[j]:, such that player i's expected cost against any mixes is
     ``sum_j D_ij p_j``; the diagonal blocks are zero.
 
-    D_ij is the game's block ``pair[i][j]``; the first opponent's block also
-    carries player i's own costs, which any mix of that opponent multiplies
-    by one.
+    D_ij is the game's block (i, j) of ``fg.D``; the first opponent's block
+    also carries player i's own costs, which any mix of that opponent
+    multiplies by one.
     """
-    offsets = tuple(int(o) for o in np.cumsum((0,) + fg.sizes))
-    D = np.zeros((offsets[-1], offsets[-1]))
-    for i in range(fg.k):
-        first = 1 if i == 0 else 0
-        for j, block in fg.pair[i].items():
-            if j == first:
-                block = block + fg.own[i][:, None]
-            D[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
-    return D, offsets
+    o = fg.offsets
+    D = fg.D.copy()
+    D[:o[1], o[1]:o[2]] += fg.own[:o[1], None]
+    D[o[1]:, :o[1]] += fg.own[o[1]:, None]
+    return D, o
 
 
 def _lemke(M: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -140,6 +140,8 @@ class IcqsInstance:
     - ``C_cat[i]``: player i's coupling blocks concatenated in ascending
       opponent order, the matrix that maps the joint opponent strategy y to
       the shift C_i y of player i's linear term;
+    - ``C``: the joint coupling, sum(n_i) x sum(n_i), whose block (i, j) is
+      C_ij and whose diagonal blocks are zero;
     - ``factors[i]``: Q_i's `iqp.Factor`, with its Cholesky factor ``L``;
     - ``report``: the adequacy classification (`classify`);
     - ``slots[i]``: the range [a, b) of player i's entries in the joint
@@ -153,6 +155,7 @@ class IcqsInstance:
     meta: dict = field(default_factory=dict, compare=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+    C: np.ndarray = field(init=False, compare=False, repr=False)
     factors: tuple[iqp.Factor, ...] = field(init=False, compare=False, repr=False)
     report: AdequacyReport = field(init=False, compare=False, repr=False)
     slots: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
@@ -181,6 +184,9 @@ class IcqsInstance:
         ends = np.cumsum(dims).tolist()
         slots = tuple(zip([0] + ends[:-1], ends))
         index = np.arange(ends[-1])
+        owner = np.repeat(np.arange(len(dims)), dims)
+        C = np.zeros((ends[-1], ends[-1]))
+        C[owner[:, None] != owner] = np.concatenate([c.ravel() for c in C_cat])  # row by row
         members: dict[int, list[int]] = {}
         for i, n in enumerate(dims):
             members.setdefault(n, []).append(i)
@@ -200,8 +206,8 @@ class IcqsInstance:
         )
         d_part = np.concatenate([linalg.solve_with_factor(f.L, -p.d) for p, f in zip(players, factors)])
         for name, value in zip(
-            ("C_cat", "factors", "slots", "groups", "qinv_d_norm"),
-            (C_cat, factors, slots, groups, _norm(d_part)),
+            ("C_cat", "C", "factors", "slots", "groups", "qinv_d_norm"),
+            (C_cat, C, factors, slots, groups, _norm(d_part)),
         ):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "report", classify(self))  # reads factors and C_cat

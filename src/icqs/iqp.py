@@ -335,7 +335,8 @@ def lattice_mins(
         # Postcondition guard: the minimizer must respect the proximity
         # radius and objective-gap bound that are provable for its Q.  The
         # excess is the gap computed in the translated frame, which stays
-        # accurate where f(x) - f(u) would cancel catastrophically.
+        # accurate where f(x) - f(u) would cancel catastrophically.  The
+        # slack is in lattice units, times lambda_max for the gap's.
         dist = math.sqrt(float(w.dot(w)))
         radius, gap = factor.radius * (1.0 + 1e-9), factor.gap * (1.0 + 1e-9)
         if dist > radius or excess > gap:
@@ -346,7 +347,7 @@ def lattice_mins(
                     f"{who}integer minimizer at distance {dist:.6g} exceeds "
                     f"proximity radius {factor.radius:.6g}"
                 )
-            if excess > gap + slack:
+            if excess > gap + factor.lambda_max * slack:
                 raise ProximityViolation(
                     f"{who}objective gap {excess:.6g} exceeds bound {factor.gap:.6g}"
                 )

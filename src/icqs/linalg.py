@@ -180,7 +180,7 @@ def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cost more than LAPACK at these sizes.  Every caller passes a Cholesky
     factor or its transpose, whose diagonal the pivot test keeps positive.
     A singular ``a`` gives NaN and numpy's "invalid value" RuntimeWarning,
-    not LinAlgError; `finite.mne_two_player`, which needs that error,
+    not LinAlgError; `finite._solve_indifference`, which needs that error,
     calls `np.linalg.solve`.
     """
     return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(a, b, signature="dd->d")

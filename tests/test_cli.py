@@ -88,10 +88,22 @@ def test_solve_counterexample_flags_unbounded_gain(tmp_path, capsys):
 
 
 def test_replicate_all_pass(capsys):
-    for name, extra in (("cycling", []), ("example1", []), ("counterexample", ["--M", "10"])):
+    # 70710678118654 is the largest even M whose cycle, of joint norm
+    # sqrt(2) M, stays below the iteration's norm cap 1e14
+    cases = (("cycling", []), ("example1", []), ("counterexample", ["--M", "10"]),
+             ("counterexample", ["--M", "70710678118654"]))
+    for name, extra in cases:
         assert run_cli(["replicate", name, *extra]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+def test_replicate_rejects_an_M_whose_cycle_passes_the_norm_cap(capsys):
+    # the cycle's joint norm sqrt(2) M passes the cap 1e14, which had ended
+    # the run at the cap and the scenario with "trace ended with outcome 'cap'"
+    assert run_cli(["replicate", "counterexample", "--M", "70710678118656"]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "norm cap 1e+14" in err and "outcome" not in err
 
 
 def test_replicate_unknown_name_fails():
@@ -228,8 +240,8 @@ def test_solve_pipeline_classifies_once(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_a_fixed_point_solve_takes_each_radius_and_cost_once(monkeypatch, k):
     inst = instgen.gen_pricing(instgen.PricingSpec(n_players=k, seed=1000 * k))
-    calls = {"prox_bound": 0, "pure_strategy_costs": 0}
-    for owner, name in ((iqp, "prox_bound"), (finite, "pure_strategy_costs")):
+    calls = {"prox_bound": 0, "strategy_costs": 0}
+    for owner, name in ((iqp, "prox_bound"), (finite, "strategy_costs")):
         original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -242,9 +254,9 @@ def test_a_fixed_point_solve_takes_each_radius_and_cost_once(monkeypatch, k):
     assert [len(s) for s in result["equilibrium"]["strategies"]] == [1] * k
     assert result["equilibrium"]["within_game_eps"] == 0.0
     # one flatness radius per player, which `prepare` also raises to the
-    # exact one, and one pass of pure-strategy costs per player, for the
+    # exact one, and one pass of every player's pure-strategy costs, for the
     # expected costs: a one-cell game's regret is zero without one
-    assert calls == {"prox_bound": k, "pure_strategy_costs": k}
+    assert calls == {"prox_bound": k, "strategy_costs": 1}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
@@ -526,3 +538,15 @@ def test_malformed_arguments_exit_2_with_one_error_line(argv, cycling_file, tmp_
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "bench").exists()  # a bad spec is rejected before any solve
     assert not (tmp_path / "g.json").exists()
+
+
+def test_every_error_class_is_exported_from_the_package():
+    import icqs
+    from icqs import errors
+
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.IcqsError)
+    ]
+    assert len(classes) >= 14
+    assert [c.__name__ for c in classes if getattr(icqs, c.__name__, None) is not c] == []

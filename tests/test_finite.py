@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,62 @@ def test_restrict_matches_the_objective_on_every_cell():
                         assert abs(finite.cell_costs(fg, i)[cell] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+def pair_products(inst, fg):
+    # the reference: every block S_i C_ij S_j' as its own product
+    S = [np.array(strats, dtype=np.float64) for strats in fg.strategies]
+    return {(i, j): S[i] @ p.C[j] @ S[j].T for i, p in enumerate(inst.players) for j in p.C}
+
+
+def d_blocks(fg):
+    o = fg.offsets
+    return {(i, j): fg.D[o[i]:o[i + 1], o[j]:o[j + 1]] for i in range(fg.k) for j in range(fg.k)}
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_d_is_every_pair_product_bitwise_in_two_player_games():
+    # the benchmark's rotation games from their starts, the cycling and
+    # counterexample builtins from their cycles, and every builtin on
+    # seeded strategy sets
+    games = []
+    for _, inst, start in load_workloads().build_jobs("cycling", 0):
+        games.append((inst, finite.restrict(inst, solved_cycle(inst, start))))
+    for inst, start in (
+        (instgen.builtin("cycling"), [[0.0], [0.0]]),
+        (instgen.builtin("counterexample", M=10), [[0.0, 1.0], [0.0, 1.0]]),
+    ):
+        games.append((inst, finite.restrict(inst, solved_cycle(inst, start))))
+    rng = np.random.default_rng(31)
+    for name, M in (("example1", None), ("cycling", None), ("counterexample", 10)):
+        inst = instgen.builtin(name, M=M)
+        games.append((inst, finite.restrict(inst, strategy_sets(rng, inst.dims, (5, 4)))))
+    assert sum(fg.sizes != (1, 1) for _, fg in games) >= 100
+    for inst, fg in games:
+        blocks = d_blocks(fg)
+        for (i, j), want in pair_products(inst, fg).items():
+            assert blocks[i, j].tobytes() == want.tobytes()
+        assert not blocks[0, 0].any() and not blocks[1, 1].any()
+
+
+def test_d_is_every_pair_product_for_three_to_five_players():
+    rng = np.random.default_rng(37)
+    for k in (3, 4, 5):
+        for n in (1, 2, 3):
+            dims = tuple(int(d) for d in rng.integers(1, n + 1, size=k))
+            inst = mixed_dim_game(rng, dims)
+            fg = finite.restrict(inst, strategy_sets(rng, dims, tuple(rng.integers(1, 6, size=k))))
+            blocks = d_blocks(fg)
+            for (i, j), want in pair_products(inst, fg).items():
+                assert np.abs(blocks[i, j] - want).max() <= 1e-12 * np.abs(want).max()
+            assert not any(blocks[i, i].any() for i in range(k))
+
+
 def test_restrict_makes_no_objective_call(monkeypatch):
     rng = np.random.default_rng(12)
     inst = mixed_dim_game(rng, (2, 1, 3))
@@ -193,6 +251,22 @@ def labelled_strategies(sizes):
     return tuple(tuple(np.array([s]) for s in range(m)) for m in sizes)
 
 
+def polymatrix_game(strategies, own, pair):
+    # the joint own vector and D from one own-cost vector per player and one
+    # block per ordered pair, ``pair[i][j]`` keyed by opponent
+    offsets = np.cumsum([0] + [len(s) for s in strategies])
+    D = np.zeros((offsets[-1], offsets[-1]))
+    for i, blocks in enumerate(pair):
+        for j, block in blocks.items():
+            D[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = block
+    return finite.FiniteGame(strategies=strategies, own=np.concatenate(own), D=D)
+
+
+def player_costs(fg, i, profile):
+    # player i's entries of the joint strategy costs
+    return finite.strategy_costs(fg, profile)[fg.offsets[i]:fg.offsets[i + 1]]
+
+
 def test_pne_search_matches_a_cell_by_cell_scan():
     # integer own costs and blocks in a small range tie often, so many cells
     # are equilibria
@@ -201,7 +275,7 @@ def test_pne_search_matches_a_cell_by_cell_scan():
     for trial in range(120):
         k = 2 + trial % 3
         sizes = tuple(int(m) for m in rng.integers(1, 5, size=k))
-        fg = finite.FiniteGame(
+        fg = polymatrix_game(
             strategies=labelled_strategies(sizes),
             own=tuple(rng.integers(-1, 2, size=m).astype(np.float64) for m in sizes),
             pair=tuple(
@@ -254,7 +328,7 @@ def test_mne_two_player_equilibrium_conditions_random():
         fg = finite.restrict(inst, dynamics.cycle_sets(trace))
         profile = finite.mne_two_player(fg)
         for i in range(2):
-            costs_i = finite.pure_strategy_costs(fg, i, profile)
+            costs_i = player_costs(fg, i, profile)
             v = float(costs_i @ profile.probs[i])
             support = profile.support(i)
             assert np.max(np.abs(costs_i[support] - v)) <= 1e-9
@@ -264,7 +338,7 @@ def test_mne_two_player_equilibrium_conditions_random():
 def cyclic_mismatching_pennies(s=1.0):
     # three players, each pays s for matching the next player's bit; the
     # unique equilibrium mixes both bits evenly
-    return finite.FiniteGame(
+    return polymatrix_game(
         strategies=labelled_strategies((2, 2, 2)),
         own=(np.zeros(2),) * 3,
         pair=tuple(
@@ -285,7 +359,7 @@ def test_mne_k_player_uniform_on_cyclic_game():
 
 def test_mne_k_player_returns_pne_with_zero_eps():
     # each player's cost is its own bit: playing 0 dominates for everyone
-    fg = finite.FiniteGame(
+    fg = polymatrix_game(
         strategies=labelled_strategies((2, 2, 2)),
         own=(np.array([0.0, 1.0]),) * 3,
         pair=tuple({j: np.zeros((2, 2)) for j in range(3) if j != i} for i in range(3)),
@@ -297,7 +371,7 @@ def test_mne_k_player_returns_pne_with_zero_eps():
 
 
 def test_mne_k_player_singleton_sets_degenerate():
-    fg = finite.FiniteGame(
+    fg = polymatrix_game(
         strategies=tuple((np.array([i]),) for i in range(3)),
         own=(np.zeros(1),) * 3,
         pair=tuple({j: np.zeros((1, 1)) for j in range(3) if j != i} for i in range(3)),
@@ -338,7 +412,7 @@ def singleton_games():
     rng = np.random.default_rng(15)
     for k in range(2, 6):
         for _ in range(5):
-            yield finite.FiniteGame(
+            yield polymatrix_game(
                 strategies=tuple((rng.integers(-9, 10, size=2).astype(np.float64),) for _ in range(k)),
                 own=tuple(rng.uniform(-50.0, 50.0, size=1) for _ in range(k)),
                 pair=tuple({j: rng.uniform(-50.0, 50.0, size=(1, 1)) for j in range(k) if j != i} for i in range(k)),
@@ -376,7 +450,7 @@ def test_a_one_cell_game_is_its_own_equilibrium(monkeypatch):
 def test_a_one_cell_game_with_large_costs_is_solved(k, c):
     # support enumeration checks the one cell's indifference value against
     # an absolute tolerance, which its rounding missed at costs of 1e8
-    fg = finite.FiniteGame(
+    fg = polymatrix_game(
         strategies=tuple((np.zeros(1),) for _ in range(k)),
         own=(np.array([c]),) + (np.zeros(1),) * (k - 1),
         pair=tuple({j: np.full((1, 1), c / 3) for j in range(k) if j != i} for i in range(k)),
@@ -568,7 +642,7 @@ def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
 def bimatrix(costs):
     # a bimatrix game is polymatrix with no own costs
     m, n = costs.shape[:2]
-    return finite.FiniteGame(
+    return polymatrix_game(
         strategies=labelled_strategies((m, n)),
         own=(np.zeros(m), np.zeros(n)),
         pair=({1: costs[..., 0]}, {0: costs[..., 1].T}),
@@ -580,7 +654,7 @@ def assert_equilibrium(fg, profile, atol=finite.EQ_TOLERANCE):
     # 2 atol of the mix's expected cost, and none is cheaper by more than that
     tol = 2.0 * atol + 1e-12 * (1.0 + np.abs(cost_tensor(fg)).max())
     for i in range(2):
-        costs_i = finite.pure_strategy_costs(fg, i, profile)
+        costs_i = player_costs(fg, i, profile)
         v = float(costs_i @ profile.probs[i])
         assert np.max(np.abs(costs_i[profile.support(i)] - v)) <= tol
         assert np.min(costs_i) >= v - tol
@@ -766,26 +840,31 @@ def test_costs_and_regret_match_the_tensor_contraction(k_player_cycles):
             profile = finite.MixedProfile(probs=tuple(rng.dirichlet(np.ones(m)) for m in fg.sizes))
             want = [tensor_pure_strategy_costs(fg, i, profile) for i in range(fg.k)]
             expected = np.array([w @ p for w, p in zip(want, profile.probs)])
-            for i in range(fg.k):
-                assert np.abs(finite.pure_strategy_costs(fg, i, profile) - want[i]).max() <= scale
+            assert np.abs(finite.strategy_costs(fg, profile) - np.concatenate(want)).max() <= scale
             assert np.abs(finite.expected_costs(fg, profile) - expected).max() <= scale
             regret = expected - np.array([w.min() for w in want])
             assert np.abs(finite.regret(fg, profile) - regret).max() <= scale
 
 
-def test_finite_game_rejects_a_block_of_the_wrong_shape():
-    with pytest.raises(DimensionMismatch):
-        finite.FiniteGame(
-            strategies=labelled_strategies((2, 3)),
-            own=(np.zeros(2), np.zeros(3)),
-            pair=({1: np.zeros((3, 2))}, {0: np.zeros((3, 2))}),
-        )
+def test_finite_game_rejects_costs_of_the_wrong_shape():
+    strategies = labelled_strategies((2, 3))
+    for own, D in ((np.zeros(5), np.zeros((5, 4))), (np.zeros(4), np.zeros((5, 5)))):
+        with pytest.raises(DimensionMismatch):
+            finite.FiniteGame(strategies=strategies, own=own, D=D)
+
+
+def test_finite_game_rejects_a_nonzero_diagonal_block():
+    # `strategy_costs` reads all of D and `cell_costs` only the pair blocks
+    D = np.zeros((5, 5))
+    D[3, 4] = 1.0
+    with pytest.raises(ValueError, match="diagonal"):
+        finite.FiniteGame(strategies=labelled_strategies((2, 3)), own=np.zeros(5), D=D)
 
 
 def test_finite_game_bounds_every_piece_by_the_largest_float_over_k():
     # a cell adds k pieces, so each must stay below finfo.max / k
     def bimatrix_game(own0, entry):
-        return finite.FiniteGame(
+        return polymatrix_game(
             strategies=labelled_strategies((2, 2)),
             own=(own0, np.zeros(2)),
             pair=({1: np.array([[0.0, entry], [0.0, 0.0]])}, {0: np.zeros((2, 2))}),

@@ -5,7 +5,7 @@ import pytest
 
 from _corpus import quadratic_corpus
 from icqs import iqp, linalg
-from icqs.errors import NotPositiveDefinite, OracleBudgetExceeded
+from icqs.errors import NotPositiveDefinite, OracleBudgetExceeded, ProximityViolation
 
 
 def scalar(qval, dval):
@@ -381,3 +381,17 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
             x, _ = iqp.brute_force_min(iqp.Quadratic(Q, -Q @ (U[r] - base[r])))
             assert np.array_equal(x + base[r].astype(np.int64), np.rint(U[r])), (Q, U[r])
     assert rows == 1920 and accepted > old_accepted > 500 and halves > 200
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-11])
+def test_the_gap_postcondition_holds_at_every_cost_scale(s):
+    # with its gap bound forced to zero, every row's excess breaks the
+    # postcondition; the slack scales with the factor, so a cost scale of
+    # 1e-11 (true excess about 2.1e-11) must not hide the violation
+    Q = s * np.array([[2.0, 0.3], [0.3, 1.0]])
+    d = s * np.array([0.37, -0.81])
+    f = factor_of(Q)
+    object.__setattr__(f, "gap", 0.0)
+    u = linalg.solve_with_factor(f.L, -d)
+    with pytest.raises(ProximityViolation, match="objective gap"):
+        iqp.lattice_mins((f,), u[None])
