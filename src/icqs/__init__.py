@@ -27,6 +27,7 @@ from .errors import (
     BoundOverflow,
     DimensionMismatch,
     EnumerationBudgetExceeded,
+    GameTooLarge,
     IcqsError,
     InvalidM,
     NoCycle,
@@ -63,6 +64,7 @@ from .game import (
     load_instance,
     make_instance,
     objective,
+    objectives,
     prepare,
     save_instance,
 )

@@ -43,13 +43,15 @@ class RunRecord:
 
 
 def _parse_start(text: str, inst: game.IcqsInstance, mode: str) -> list[np.ndarray]:
-    # one comma list per player, players separated by semicolons
+    # one comma list per player, players separated by semicolons; checked
+    # here, so that a bad start is a parse error
     try:
         parts = [p for p in text.split(";") if p.strip()]
         vectors = [np.array([float(v) for v in part.split(",")]) for part in parts]
     except ValueError as exc:
         raise IcqsError(f"cannot parse start {text!r}: {exc}") from exc
-    return dynamics.validate_start(inst, vectors, mode)
+    dynamics.validate_start(inst, vectors, mode)
+    return vectors
 
 
 def solve_pipeline(
@@ -246,7 +248,7 @@ def _int_field(
         raise IcqsError(f"{entry.get('family')} entry needs {key!r}")
     try:
         number = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON 1e400 is inf
         raise IcqsError(f"{key!r} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
         raise IcqsError(f"{key!r} must be >= {minimum}, got {number}")

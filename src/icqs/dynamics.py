@@ -23,7 +23,10 @@ Cycle detection hashes each joint integer profile to its first-seen index, so
 a repeat is found in O(1) per iteration; this is semantically the "equal to
 some earlier iterate" test.
 
-`run_br` iterates one joint strategy vector.  An integer sweep is one
+`run_br` iterates one joint strategy vector, and starts from one:
+`validate_start` checks each player's length, then tests the joint start
+once (finite, and in integer mode integral and within +-2^53), with a
+fixed number of numpy calls whatever k is.  An integer sweep is one
 `game.integer_sweep` call, the sweep kernel: the players' subproblems of one
 sweep answer the same previous profile, so they are independent.  Each
 group of players of one dimension shares one stacked matvec and one
@@ -133,35 +136,46 @@ def _joint_norm(zf: np.ndarray, slots: Sequence[slice]) -> float:
     return math.sqrt(sum([float(x.dot(x)) for x in [zf[s] for s in slots]]))
 
 
-def validate_start(inst: game.IcqsInstance, start, mode: str) -> list[np.ndarray]:
-    """Per-player start vectors checked against the instance; DimensionMismatch
-    on a wrong player count or length, a non-finite entry, or an integer-mode
-    entry that is non-integral or beyond +-2^53 (where float64 stops holding
-    every integer)."""
+def validate_start(inst: game.IcqsInstance, start, mode: str) -> np.ndarray:
+    """The start as one joint vector checked against the instance: int64 in
+    integer mode, float64 in continuous mode, all zeros when ``start`` is
+    None.
+
+    ``start`` holds one vector per player.  Each player's length is checked,
+    then the joint vector once: finite, and in integer mode integral and
+    within +-2^53 (where float64 stops holding every integer).
+    DimensionMismatch on a wrong player count, or naming the first player
+    at fault and the first check its vector fails, in the order above.
+    """
+    integer = mode == INTEGER
     if start is None:
-        if mode == INTEGER:
-            return [np.zeros(n, dtype=np.int64) for n in inst.dims]
-        return [np.zeros(n, dtype=np.float64) for n in inst.dims]
+        return np.zeros(inst.slots[-1][1], dtype=np.int64 if integer else np.float64)
     if len(start) != inst.k:
         raise DimensionMismatch(f"start has {len(start)} players, expected {inst.k}")
-    out = []
-    for i, vec in enumerate(start):
-        v = np.asarray(vec, dtype=np.float64).ravel()
-        if v.shape[0] != inst.dims[i]:
-            raise DimensionMismatch(
-                f"start for player {i} has length {v.shape[0]}, expected {inst.dims[i]}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DimensionMismatch(f"start for player {i} has non-finite entries")
-        if mode == INTEGER:
-            if not np.all(np.rint(v) == v):
-                raise DimensionMismatch(f"start for player {i} is not integral")
-            if np.any(np.abs(v) > _INTEGER_START_LIMIT):
-                raise DimensionMismatch(f"start for player {i} exceeds 2^53 in magnitude")
-            out.append(v.astype(np.int64))
-        else:
-            out.append(v)
-    return out
+    parts = [np.asarray(vec, dtype=np.float64).ravel() for vec in start]
+    z = np.concatenate(parts)
+    lengths = tuple(v.shape[0] for v in parts)
+    # NaN and infinities fail both tests of an integer-mode entry
+    ok = (np.abs(z) <= _INTEGER_START_LIMIT) & (np.rint(z) == z) if integer else np.isfinite(z)
+    if lengths != inst.dims or not ok.all():
+        raise _start_fault(inst, z, lengths, integer)
+    return z.astype(np.int64) if integer else z
+
+
+def _start_fault(inst: game.IcqsInstance, z: np.ndarray, lengths, integer: bool) -> DimensionMismatch:
+    # the first player at fault, by its first failed check
+    faults = [(~np.isfinite(z), "has non-finite entries")]
+    if integer:
+        faults += [(np.rint(z) != z, "is not integral"), (np.abs(z) > _INTEGER_START_LIMIT, "exceeds 2^53 in magnitude")]
+    a = 0
+    for i, (n, m) in enumerate(zip(lengths, inst.dims)):
+        if n != m:
+            return DimensionMismatch(f"start for player {i} has length {n}, expected {m}")
+        for mask, what in faults:
+            if mask[a:a + n].any():
+                return DimensionMismatch(f"start for player {i} {what}")
+        a += n
+    raise AssertionError("no player's start is at fault")
 
 
 def run_br(
@@ -181,13 +195,12 @@ def run_br(
     if mode not in (INTEGER, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
 
-    current = validate_start(prep.inst, start, mode)
+    z = validate_start(prep.inst, start, mode)
     integer = mode == INTEGER
     sweep = game.integer_sweep if integer else game.continuous_sweep
     slots = [slice(a, b) for a, b in prep.inst.slots]
-    z = np.concatenate(current)
     zf = z.astype(np.float64)
-    profiles = [tuple(current)]
+    profiles = [prep.inst.split(z)]
     norms = [_joint_norm(zf, slots)]
     seen: dict[bytes, int] = {z.tobytes(): 0} if integer else {}
 

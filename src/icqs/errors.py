@@ -62,6 +62,10 @@ class InvalidM(IcqsError):
     """The counterexample family requires an even scale parameter M >= 2."""
 
 
+class GameTooLarge(IcqsError):
+    """The restricted game has too many cells to tabulate."""
+
+
 class NoCycle(IcqsError):
     """The trace did not end in a cycle or fixed point."""
 

@@ -7,7 +7,10 @@ builds that game's costs, finds pure and mixed equilibria, and measures
 a-posteriori how much any player could gain by deviating to an arbitrary
 lattice point.  The costs need only the instance (`restrict`); the
 deviation check solves integer best responses, so `verify_delta` takes the
-solve's `game.Prepared` value.
+solve's `game.Prepared` value.  It runs on joint vectors: the mean profile
+is one vector, the deviations one `game.integer_sweep` of it (or an
+integer fixed point's last sweep), and every player's deviation cost one
+`game.objectives` expression.
 
 The coupling is linear, so the restricted game is polymatrix (Howson 1972):
 player i's cost is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
@@ -16,6 +19,8 @@ and one matrix D = (S C) S', S the block-diagonal stack of the strategies and
 C the instance's joint coupling, whose block (i, j) is S_i C_ij S_j'.  Expected
 costs and regret read one matvec, own + D p (`strategy_costs`), the Lemke LCP
 reads D, and `cell_costs` builds one player's costs over the cells from views.
+`pne_search` takes only the axes of the players with more than one
+strategy, so the player count is not bound by numpy's axis limit.
 
 A game in which every player has one strategy, the restricted game of an
 integer fixed point, is its own equilibrium: `solve_equilibrium` returns
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, game
-from .errors import DimensionMismatch, NoEquilibriumFound
+from .errors import DimensionMismatch, GameTooLarge, NoEquilibriumFound
 
 EQ_TOLERANCE = 1e-9
 PROB_SUM_TOLERANCE = 1e-12
@@ -50,6 +55,9 @@ _SING_PERTURBATION = 1e-12
 _PIVOT_TOLERANCE = 1e-9
 _MAX_PIVOTS = 10_000
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+# numpy 1.x arrays have at most 32 axes (numpy 2.x: 64), and a game with
+# more players of several strategies has at least 2^33 cells
+_MAX_SEARCH_AXES = 32
 
 
 @dataclass(frozen=True)
@@ -165,14 +173,22 @@ def regret(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
     return _expected(fg, costs, profile) - np.minimum.reduceat(costs, fg.offsets[:-1])
 
 
-def cell_costs(fg: FiniteGame, i: int) -> np.ndarray:
-    """Player i's cost in every cell, shape ``fg.sizes``: own, then blocks by ascending opponent."""
+def cell_costs(fg: FiniteGame, i: int, axes: tuple[int, ...] | None = None) -> np.ndarray:
+    """Player i's cost in every cell: own, then blocks by ascending opponent.
+
+    One axis per player of ``axes``, ascending and holding i, all players
+    by default, so the shape is ``fg.sizes``.  A player left out has one
+    strategy, and its block adds to every cell as a size-1 axis would: the
+    costs are bitwise those on all axes with the size-1 axes dropped.
+    """
     o, sizes = fg.offsets, fg.sizes
-    total = fg.own[o[i]:o[i + 1]].reshape([m if a == i else 1 for a, m in enumerate(sizes)])
+    axes = tuple(range(fg.k)) if axes is None else axes
+    own = [sizes[a] if a == i else 1 for a in axes]
+    total = fg.own[o[i]:o[i + 1]].reshape(own)
     for j in itertools.chain(range(i), range(i + 1, fg.k)):
         block = fg.D[o[i]:o[i + 1], o[j]:o[j + 1]]
-        axes = [m if a in (i, j) else 1 for a, m in enumerate(sizes)]
-        total = total + (block.T if j < i else block).reshape(axes)
+        shape = [sizes[a] if a in (i, j) else 1 for a in axes] if j in axes else own
+        total = total + (block.T if j < i else block).reshape(shape)
     return total
 
 
@@ -180,17 +196,29 @@ def pne_search(fg: FiniteGame) -> list[tuple[int, ...]]:
     """All pure joint indices with no profitable unilateral deviation, in
     `np.ndindex` order.
 
-    One reduction per player: a cell is kept unless player i's cost there
-    exceeds the least cost along axis i (its deviations) by more than
-    ``EQ_TOLERANCE`` times max|cost| over player i's cells.  One player's
-    `cell_costs` is held at a time.
+    A player with one strategy has no deviation inside the game, so the
+    search runs over the axes of the players with more than one
+    (`cell_costs` on those axes).  One reduction per such player: a cell
+    is kept unless player i's cost there exceeds the least cost along axis
+    i (its deviations) by more than ``EQ_TOLERANCE`` times max|cost| over
+    player i's cells.  One player's costs are held at a time.
+    GameTooLarge when more than ``_MAX_SEARCH_AXES`` players have several
+    strategies: the game then has at least 2^33 cells.
     """
-    keep = np.ones(fg.sizes, dtype=bool)
-    for i in range(fg.k):
-        cost = cell_costs(fg, i)
+    axes = tuple(a for a, m in enumerate(fg.sizes) if m > 1)
+    if len(axes) > _MAX_SEARCH_AXES:
+        raise GameTooLarge(
+            f"{len(axes)} players have several strategies: the game has at least "
+            f"2^{len(axes)} cells, too many to search for a pure equilibrium"
+        )
+    keep = np.ones([fg.sizes[a] for a in axes], dtype=bool)
+    for axis, i in enumerate(axes):
+        cost = cell_costs(fg, i, axes)
         atol = EQ_TOLERANCE * float(np.abs(cost).max())
-        keep &= ~(cost > cost.min(axis=i, keepdims=True) + atol)
-    return [tuple(index) for index in np.argwhere(keep).tolist()]
+        keep &= ~(cost > cost.min(axis=axis, keepdims=True) + atol)
+    cells = np.zeros((np.count_nonzero(keep), fg.k), dtype=np.int64)  # index 0 on the other axes
+    cells[:, list(axes)] = np.argwhere(keep)
+    return [tuple(index) for index in cells.tolist()]
 
 
 def _support_pairs(m: int, n: int):
@@ -500,37 +528,37 @@ def verify_delta(
     vector; the best deviation is therefore an exact integer minimization
     against the means.
 
+    Everything runs on joint vectors: the means form one vector z, the
+    deviations are one joint integer vector v, and every player's deviation
+    cost comes from one `game.objectives` expression at v against z, up to
+    rounding in its last bits `game.objective`'s.
+
     ``trace`` is the optional `dynamics.run_br` run on ``prep`` that ``fg``
-    was restricted from.  When it is an integer-mode fixed point and the
-    means are its last swept input ``profiles[-2]``, its last sweep already
-    holds every player's integer best response to them, bitwise what a new
-    sweep gives, and the deviations are read from ``profiles[-1]``.
-    Otherwise (cycles, continuous-mode runs, other profiles) one sweep
-    against the means computes them.
+    was restricted from.  When it is an integer-mode fixed point and z is
+    its last swept input ``profiles[-2]``, its last sweep already holds
+    every player's integer best response to z, bitwise what a new sweep
+    gives, and v is read from ``profiles[-1]``.  Otherwise (cycles,
+    continuous-mode runs, other profiles) one `game.integer_sweep` of z
+    computes it, bitwise `game.best_responses` on the means.
     """
-    means = mean_strategies(fg, profile)
-    exp = expected_costs(fg, profile).tolist()
-    if _swept_last(trace, means):
-        dev_vecs = trace.profiles[-1]
-    else:
-        dev_vecs = tuple(game.best_responses(prep, means))
-    dev_costs = tuple(
-        game.objective(prep.inst, i, v, means[:i] + means[i + 1:]) for i, v in enumerate(dev_vecs)
-    )
+    z = np.concatenate(mean_strategies(fg, profile))
+    exp = expected_costs(fg, profile)
+    v = np.concatenate(trace.profiles[-1]) if _swept_last(trace, z) else game.integer_sweep(prep, z)
+    dev_costs = game.objectives(prep.inst, v.astype(np.float64), z)
     return DeltaReport(
-        expected_costs=tuple(exp),
-        deviation_costs=dev_costs,
-        deviation_vectors=dev_vecs,
-        gains=tuple(e - c for e, c in zip(exp, dev_costs)),
+        expected_costs=tuple(exp.tolist()),
+        deviation_costs=tuple(dev_costs.tolist()),
+        deviation_vectors=prep.inst.split(v),
+        gains=tuple((exp - dev_costs).tolist()),
     )
 
 
-def _swept_last(trace: dynamics.BrTrace | None, means: list[np.ndarray]) -> bool:
+def _swept_last(trace: dynamics.BrTrace | None, z: np.ndarray) -> bool:
     # Continuous-mode responses are not integer best responses, so only an
-    # integer fixed point's last sweep can stand in for `best_responses`.
+    # integer fixed point's last sweep can stand in for `integer_sweep`.
     return (
         trace is not None
         and trace.mode == dynamics.INTEGER
         and trace.outcome == dynamics.OUTCOME_FIXED_POINT
-        and all(m.shape == x.shape and (m == x).all() for m, x in zip(means, trace.profiles[-2]))
+        and np.array_equal(np.concatenate(trace.profiles[-2]), z)
     )

@@ -49,6 +49,14 @@ array per player.  `best_response(prep, i, others)` runs the same
 `lattice_mins` on one row, from the one-player linear term and
 `linalg.solve_with_factor`, and each sweep response is bitwise the one it
 gives (the argument is in `iqp`).
+
+Costs have the same two forms.  `objective(inst, i, own, others)` is one
+player's cost, with its opponents gathered from per-player vectors.
+`objectives(inst, x, y)` is every player's cost at the joint vector x
+against the joint vector y in one expression: the instance holds, beside
+its joint coupling ``C``, the block-diagonal joint ``Q`` and the joint
+``d``, so the linear terms are one matvec ``C y + d`` and the costs one
+``np.add.reduceat`` over the players' slots.
 """
 
 from __future__ import annotations
@@ -141,7 +149,9 @@ class IcqsInstance:
       opponent order, the matrix that maps the joint opponent strategy y to
       the shift C_i y of player i's linear term;
     - ``C``: the joint coupling, sum(n_i) x sum(n_i), whose block (i, j) is
-      C_ij and whose diagonal blocks are zero;
+      C_ij and whose diagonal blocks are zero, and beside it ``Q``, the
+      block-diagonal joint matrix of the Q_i, and ``d``, the joint vector of
+      the d_i (`objectives` reads the three);
     - ``factors[i]``: Q_i's `iqp.Factor`, with its Cholesky factor ``L``;
     - ``report``: the adequacy classification (`classify`);
     - ``slots[i]``: the range [a, b) of player i's entries in the joint
@@ -156,6 +166,8 @@ class IcqsInstance:
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     C_cat: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
     C: np.ndarray = field(init=False, compare=False, repr=False)
+    Q: np.ndarray = field(init=False, compare=False, repr=False)
+    d: np.ndarray = field(init=False, compare=False, repr=False)
     factors: tuple[iqp.Factor, ...] = field(init=False, compare=False, repr=False)
     report: AdequacyReport = field(init=False, compare=False, repr=False)
     slots: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
@@ -187,6 +199,8 @@ class IcqsInstance:
         owner = np.repeat(np.arange(len(dims)), dims)
         C = np.zeros((ends[-1], ends[-1]))
         C[owner[:, None] != owner] = np.concatenate([c.ravel() for c in C_cat])  # row by row
+        Q = np.zeros_like(C)
+        Q[owner[:, None] == owner] = np.concatenate([p.Q.ravel() for p in players])
         members: dict[int, list[int]] = {}
         for i, n in enumerate(dims):
             members.setdefault(n, []).append(i)
@@ -204,10 +218,11 @@ class IcqsInstance:
             )
             for ps in members.values()
         )
+        d = np.concatenate([p.d for p in players])
         d_part = np.concatenate([linalg.solve_with_factor(f.L, -p.d) for p, f in zip(players, factors)])
         for name, value in zip(
-            ("C_cat", "C", "factors", "slots", "groups", "qinv_d_norm"),
-            (C_cat, C, factors, slots, groups, _norm(d_part)),
+            ("C_cat", "C", "Q", "d", "factors", "slots", "groups", "qinv_d_norm"),
+            (C_cat, C, Q, d, factors, slots, groups, _norm(d_part)),
         ):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "report", classify(self))  # reads factors and C_cat
@@ -382,6 +397,25 @@ def objective(
     if not np.isfinite(d).all():
         raise ValueError(f"player {i}: the linear term C_i y + d_i is not finite")
     return float(0.5 * x @ inst.players[i].Q @ x + d @ x)
+
+
+def objectives(inst: IcqsInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every player's cost ``0.5 x_i'Q_i x_i + (C_i y + d_i)'x_i`` as one
+    vector, at its own entries x_i of the joint float64 vector ``x`` and
+    its opponents' entries of the joint float64 vector ``y``.
+
+    One expression for all players: the joint linear term ``C y + d`` (the
+    diagonal blocks of C are zero, so y_i drops out of player i's) and the
+    block-diagonal ``Q x``, summed per player by one ``np.add.reduceat``.
+    Each cost is `objective`'s up to rounding in its last bits.  ValueError,
+    in `objective`'s words, naming the first player whose linear term is
+    not finite.
+    """
+    linear = inst.C @ y + inst.d
+    if not np.isfinite(linear).all():
+        i = next(i for i, (a, b) in enumerate(inst.slots) if not np.isfinite(linear[a:b]).all())
+        raise ValueError(f"player {i}: the linear term C_i y + d_i is not finite")
+    return np.add.reduceat(x * (0.5 * (inst.Q @ x) + linear), [a for a, _ in inst.slots])
 
 
 def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarray:

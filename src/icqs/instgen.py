@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -260,7 +261,7 @@ def builtin(name: str, M: int | None = None) -> game.IcqsInstance:
     into a period-4 cycle whose restricted game has the half-half mixed
     equilibrium, and ``counterexample(M)`` cycles between (0,1) and (M,0)
     while admitting an integer deviation that grows quadratically in M
-    (M must be even and at least 2).
+    (M must be even, at least 2 and within the float range).
     """
     if name == "example1":
         players = [
@@ -281,6 +282,8 @@ def builtin(name: str, M: int | None = None) -> game.IcqsInstance:
     elif name == "counterexample":
         if M is None or M < 2 or M % 2 != 0:
             raise InvalidM(f"counterexample needs an even M >= 2, got {M}")
+        if M > sys.float_info.max:  # 1.0 / M would overflow
+            raise InvalidM(f"counterexample needs an M within the float range, got one of {len(str(M))} digits")
         players = [
             game.PlayerProblem(
                 Q=np.eye(2), C={1: -np.eye(2)}, d=np.zeros(2)

@@ -8,6 +8,10 @@ import pytest
 from icqs import bounds, cli, dynamics, finite, game, instgen, iqp, linalg
 
 
+# 10^400: an even integer beyond the float range
+HUGE_M = "1" + "0" * 400
+
+
 def run_cli(argv):
     return cli.main(argv)
 
@@ -529,6 +533,21 @@ def test_bench_error_rows_report_the_player_count(tmp_path):
                           "--out", str(t / "g.json")],
             id="generate-players-1",
         ),
+        # 1.0 / M overflows for an M beyond the float range
+        pytest.param(
+            lambda f, t: ["generate", "--family", "builtin", "--name", "counterexample",
+                          "--M", HUGE_M, "--out", str(t / "g.json")],
+            id="generate-M-beyond-float",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": int(HUGE_M)}),
+            id="bench-M-beyond-float",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": float("inf")}),
+            id="bench-M-infinite",
+        ),
+        pytest.param(lambda f, t: ["replicate", "counterexample", "--M", HUGE_M], id="replicate-M-beyond-float"),
     ],
 )
 def test_malformed_arguments_exit_2_with_one_error_line(argv, cycling_file, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from _corpus import instance_corpus
 from icqs import dynamics, game, instgen, iqp
-from icqs.errors import NoCycle, NonFiniteCentre
+from icqs.errors import DimensionMismatch, NoCycle, NonFiniteCentre
 
 
 def path_scalars(trace):
@@ -362,7 +362,7 @@ def _reference_run_br(prep, start, max_iters=dynamics.DEFAULT_MAX_ITERS):
     """Integer best-response iteration from one `game.best_response` call per
     player and sweep, with the outcome rules of `dynamics.run_br`."""
     inst = prep.inst
-    profiles = [tuple(dynamics.validate_start(inst, start, dynamics.INTEGER))]
+    profiles = [inst.split(dynamics.validate_start(inst, start, dynamics.INTEGER))]
     norms = [_per_player_norm(profiles[0])]
     seen = {np.concatenate(profiles[0]).tobytes(): 0}
     div_radius = dynamics.divergence_radius(prep)
@@ -450,3 +450,93 @@ def test_continuous_step_matches_per_player_responses():
                 q = iqp.Quadratic(inst.players[i].Q, inst.C_cat[i] @ y + inst.players[i].d)
                 ref = iqp.continuous_min(q)
                 assert step[i].dtype == ref.dtype and np.array_equal(step[i], ref)
+
+
+def _reference_validate_start(inst, start, mode):
+    """The per-player start check: each player in turn, its length, then its
+    entries finite, integral and within +-2^53 (the last two in integer mode)."""
+    if len(start) != inst.k:
+        raise DimensionMismatch(f"start has {len(start)} players, expected {inst.k}")
+    out = []
+    for i, vec in enumerate(start):
+        v = np.asarray(vec, dtype=np.float64).ravel()
+        if v.shape[0] != inst.dims[i]:
+            raise DimensionMismatch(f"start for player {i} has length {v.shape[0]}, expected {inst.dims[i]}")
+        if not np.all(np.isfinite(v)):
+            raise DimensionMismatch(f"start for player {i} has non-finite entries")
+        if mode == dynamics.INTEGER:
+            if not np.all(np.rint(v) == v):
+                raise DimensionMismatch(f"start for player {i} is not integral")
+            if np.any(np.abs(v) > 2.0**53):
+                raise DimensionMismatch(f"start for player {i} exceeds 2^53 in magnitude")
+            v = v.astype(np.int64)
+        out.append(v)
+    return np.concatenate(out)
+
+
+def _weak_instance(k, seed):
+    # k players of dimensions 1, 2, 3, 1, 2, ... and weak couplings
+    rng = np.random.default_rng(seed)
+    dims = [1 + i % 3 for i in range(k)]
+    return game.make_instance([
+        game.PlayerProblem(
+            Q=2.0 * np.eye(n),
+            C={j: rng.uniform(-0.01, 0.01, size=(n, dims[j])) for j in range(k) if j != i},
+            d=rng.uniform(-3.0, 3.0, size=n),
+        )
+        for i, n in enumerate(dims)
+    ])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 100])
+def test_validate_start_names_the_first_player_at_fault(k):
+    # the joint check raises the per-player check's error: the first player
+    # at fault, by the first check its vector fails
+    inst = _weak_instance(k, seed=k)
+    rng = np.random.default_rng(k)
+    bad_entries = {
+        "non-finite": (np.nan, np.inf, -np.inf),
+        "not integral": (0.5, -1e-3, 2.0**51 + 0.5),
+        "beyond 2^53": (2.0**53 + 2.0, -(2.0**54)),
+    }
+    seen = set()
+    for trial in range(60):
+        start = [rng.integers(-50, 51, size=n).astype(np.float64) for n in inst.dims]
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(k))
+            kind = list(bad_entries)[int(rng.integers(3))]
+            if kind == "beyond 2^53" and trial % 5 == 0:
+                start[i] = np.append(start[i], 0.0)  # a wrong length instead
+                continue
+            values = bad_entries[kind]
+            start[i][int(rng.integers(len(start[i])))] = values[int(rng.integers(len(values)))]
+        for mode in (dynamics.INTEGER, dynamics.CONTINUOUS):
+            try:
+                want = _reference_validate_start(inst, start, mode)
+            except DimensionMismatch as exc:
+                with pytest.raises(DimensionMismatch) as got:
+                    dynamics.validate_start(inst, start, mode)
+                assert str(got.value) == str(exc), (trial, mode)
+                seen.add(str(exc).split(" ", 4)[-1].split(",")[0])
+            else:
+                got = dynamics.validate_start(inst, start, mode)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert {"has non-finite entries", "is not integral", "exceeds 2^53 in magnitude"} <= seen
+    assert any(s.startswith("has length") for s in seen)
+    for wrong in (k - 1, k + 1):
+        start = [np.zeros(n) for n in inst.dims] + [np.zeros(1)]
+        with pytest.raises(DimensionMismatch, match=f"^start has {wrong} players, expected {k}$"):
+            dynamics.validate_start(inst, start[:wrong], dynamics.INTEGER)
+
+
+@pytest.mark.parametrize("k", [2, 5, 100])
+def test_validate_start_gives_the_joint_vector(k):
+    inst = _weak_instance(k, seed=k)
+    start = [np.arange(n) - 1.0 for n in inst.dims]
+    for mode, dtype in ((dynamics.INTEGER, np.int64), (dynamics.CONTINUOUS, np.float64)):
+        z = dynamics.validate_start(inst, start, mode)
+        assert z.dtype == dtype and np.array_equal(z, np.concatenate(start))
+        zero = dynamics.validate_start(inst, None, mode)
+        assert zero.dtype == dtype and zero.shape == (sum(inst.dims),) and not zero.any()
+        trace = dynamics.run_br(game.prepare(inst), start=start, mode=mode, max_iters=1)
+        assert all(x.dtype == dtype and np.array_equal(x, s) for x, s in zip(trace.profiles[0], start))

@@ -8,7 +8,7 @@ import pytest
 
 from _corpus import instance_corpus
 from icqs import cli, dynamics, finite, game, instgen
-from icqs.errors import DimensionMismatch, NoEquilibriumFound
+from icqs.errors import DimensionMismatch, GameTooLarge, NoEquilibriumFound
 
 
 def solved_cycle(inst, start):
@@ -899,3 +899,144 @@ def test_solve_pipeline_mixes_a_three_player_cycle():
     expected = [[1 / 3, 2 / 3], [0.0, 1.0], [1 / 3, 2 / 3]]
     for probs, want in zip(eq["probabilities"], expected):
         assert np.allclose(probs, want, atol=1e-9)
+
+
+def benchmark_jobs(workload, pool):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_jobs(workload, pool)
+
+
+def test_verify_delta_matches_the_per_player_deviations():
+    # every fixed point of the corpus workload's pool 3 and every cycle of
+    # the cycling workload's: the joint deviation vectors are bitwise
+    # `best_responses` on the means, and each joint deviation cost is
+    # `game.objective` up to a few ulps (5.9 at most when measured)
+    ulps = 16 * np.finfo(np.float64).eps
+    outcomes = []
+    for workload, want_outcome in (("corpus", dynamics.OUTCOME_FIXED_POINT), ("cycling", dynamics.OUTCOME_CYCLE)):
+        for name, inst, start in benchmark_jobs(workload, 3):
+            prep = game.prepare(inst)
+            trace = dynamics.run_br(prep, start=start)
+            if trace.outcome != want_outcome:
+                continue
+            fg = finite.restrict(inst, dynamics.cycle_sets(trace))
+            profile, _ = finite.solve_equilibrium(fg)
+            report = finite.verify_delta(prep, fg, profile, trace)
+            means = finite.mean_strategies(fg, profile)
+            for got, want in zip(report.deviation_vectors, game.best_responses(prep, means)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            for i, (v, cost) in enumerate(zip(report.deviation_vectors, report.deviation_costs)):
+                want = game.objective(inst, i, v, means[:i] + means[i + 1:])
+                assert abs(cost - want) <= ulps * abs(want), (name, i, cost, want)
+            outcomes.append(workload)
+    assert outcomes.count("corpus") == 500 and outcomes.count("cycling") >= 100
+
+
+def test_verify_delta_names_the_first_player_with_a_non_finite_linear_term():
+    # x_0 = 1e10 against C_10 = C_20 = 1e300: players 1 and 2 have an
+    # infinite linear term, while every cost of the one-cell game is finite
+    # (their strategies are zero).  The fixed point's trace holds the
+    # deviations, so no sweep meets the infinite term first.
+    inst = game.make_instance([
+        game.PlayerProblem(Q=[[2.0]], C={1: [[1.0]], 2: [[1.0]]}, d=[0.0]),
+        game.PlayerProblem(Q=[[2.0]], C={0: [[1e300]], 2: [[1.0]]}, d=[0.0]),
+        game.PlayerProblem(Q=[[2.0]], C={0: [[1e300]], 1: [[1.0]]}, d=[0.0]),
+    ])
+    cell = (np.array([10**10]), np.array([0]), np.array([0]))
+    fg = finite.restrict(inst, dynamics.CycleSets(strategies=tuple((x,) for x in cell), joint_profiles=()))
+    profile, _ = finite.solve_equilibrium(fg)
+    trace = dynamics.BrTrace(
+        profiles=(cell, cell), norms=(1e10, 1e10), outcome=dynamics.OUTCOME_FIXED_POINT,
+        mode=dynamics.INTEGER, fixed_index=1,
+    )
+    with pytest.raises(ValueError) as per_player, np.errstate(over="ignore"):
+        game.objective(inst, 1, cell[1], [cell[0], cell[2]])
+    with pytest.raises(ValueError) as joint, np.errstate(over="ignore"):
+        finite.verify_delta(game.prepare(inst), fg, profile, trace)
+    assert str(joint.value) == str(per_player.value) == "player 1: the linear term C_i y + d_i is not finite"
+
+
+def seventy_player_game(multi, seed, pennies=False):
+    # 70 one-dimensional players with weak couplings; the players in
+    # ``multi`` have two strategies, every other player one.  With
+    # ``pennies``, players 3 and 61 play matching pennies on {0, 1}: player
+    # 3 pays x_3 (x_3 - 2 x_61) and player 61 x_61 (x_61 + 2 x_3 - 2), and
+    # no other player moves their costs.
+    rng = np.random.default_rng(seed)
+    k = 70
+    players = [
+        game.PlayerProblem(
+            Q=[[2.0]], C={j: [[rng.uniform(-0.5, 0.5)]] for j in range(k) if j != i}, d=[rng.uniform(-3.0, 3.0)]
+        )
+        for i in range(k)
+    ]
+    strategies = [
+        tuple(np.array([float(s)]) for s in rng.choice(np.arange(-5, 6), size=2 if i in multi else 1, replace=False))
+        for i in range(k)
+    ]
+    if pennies:
+        for i, j, c, d in ((3, 61, -2.0, 0.0), (61, 3, 2.0, -2.0)):
+            players[i] = game.PlayerProblem(Q=[[2.0]], C={o: [[c if o == j else 0.0]] for o in range(k) if o != i}, d=[d])
+            strategies[i] = (np.array([0.0]), np.array([1.0]))
+    inst = game.make_instance(players)
+    return inst, finite.restrict(inst, dynamics.CycleSets(strategies=tuple(strategies), joint_profiles=()))
+
+
+def test_cell_costs_on_the_multi_strategy_axes_keep_their_bits():
+    # dropping the size-1 axes of the single-strategy players changes no bit
+    rng = np.random.default_rng(73)
+    for trial in range(40):
+        k = 2 + trial % 4
+        dims = tuple(int(n) for n in rng.integers(1, 3, size=k))
+        sizes = tuple(int(m) for m in rng.integers(1, 4, size=k))
+        fg = finite.restrict(mixed_dim_game(rng, dims), strategy_sets(rng, dims, sizes))
+        axes = tuple(a for a, m in enumerate(sizes) if m > 1)
+        for i in axes:
+            full = finite.cell_costs(fg, i)
+            got = finite.cell_costs(fg, i, axes)
+            assert got.tobytes() == full.reshape([sizes[a] for a in axes]).tobytes()
+
+
+def test_pne_search_beyond_the_array_dimension_limit():
+    # 70 players, two of them with two strategies: the search runs over the
+    # two axes, not one per player (numpy arrays have at most 64 axes)
+    for seed in range(6):
+        inst, fg = seventy_player_game(multi=(3, 61), seed=seed)
+        profile, eps = finite.solve_equilibrium(fg)
+        scale = float(np.abs(fg.own).max() + np.abs(fg.D).sum(axis=1).max())  # bounds every |cost|
+        assert eps <= finite.EQ_TOLERANCE * scale
+        assert float(finite.regret(fg, profile).max()) <= finite.EQ_TOLERANCE * scale
+        # the 2 x 2 game of players 3 and 61 by objective, cell by cell
+        pnes = []
+        for s3, s61 in itertools.product(range(2), repeat=2):
+            index = [0] * fg.k
+            index[3], index[61] = s3, s61
+            ok = True
+            for i in (3, 61):
+                costs = []
+                for s in range(2):
+                    cell = list(index)
+                    cell[i] = s
+                    costs.append(objective_at(inst, fg, cell, i))
+                ok &= costs[index[i]] <= min(costs) + finite.EQ_TOLERANCE * scale
+            if ok:
+                pnes.append(tuple(index))
+        assert finite.pne_search(fg) == pnes
+
+
+def test_a_seventy_player_game_without_a_pure_equilibrium_solves():
+    _, fg = seventy_player_game(multi=(3, 61), seed=0, pennies=True)
+    assert finite.pne_search(fg) == []
+    profile, eps = finite.solve_equilibrium(fg)
+    scale = float(np.abs(fg.own).max() + np.abs(fg.D).sum(axis=1).max())
+    assert eps <= finite.EQ_TOLERANCE * scale
+    assert np.allclose(profile.probs[3], [0.5, 0.5]) and np.allclose(profile.probs[61], [0.5, 0.5])
+
+
+def test_pne_search_refuses_more_multi_strategy_players_than_array_axes():
+    _, fg = seventy_player_game(multi=tuple(range(0, 66, 2)), seed=1)
+    with pytest.raises(GameTooLarge, match="33 players have several strategies"):
+        finite.pne_search(fg)

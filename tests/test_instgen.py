@@ -137,5 +137,9 @@ def test_builtin_rejects_bad_M_and_name():
         instgen.builtin("counterexample", M=7)
     with pytest.raises(InvalidM):
         instgen.builtin("counterexample", M=0)
+    with pytest.raises(InvalidM, match="float range"):
+        instgen.builtin("counterexample", M=10**400)  # 1.0 / M would overflow
+    big = instgen.builtin("counterexample", M=10**308)
+    assert big.players[1].C[0][0, 1] == -(1e308 - 1.0)
     with pytest.raises(ValueError):
         instgen.builtin("no-such-instance")
