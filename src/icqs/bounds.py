@@ -57,7 +57,7 @@ def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
         raise ValueError(f"player {i} has no cycle strategies")
     if len(strategies) == 1:
         return 0.0
-    pts = np.stack([np.asarray(s, dtype=np.float64) for s in strategies])
+    pts = np.asarray(strategies, dtype=np.float64)
     best = 0.0
     for a in range(len(pts) - 1):
         d = np.linalg.norm(pts[a + 1 :] - pts[a], axis=1).max()

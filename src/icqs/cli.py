@@ -85,17 +85,15 @@ def solve_pipeline(
     }
     equilibrium = None
     if trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT):
-        sets = dynamics.cycle_sets(trace)
         if mode == dynamics.INTEGER:
+            sets = dynamics.cycle_sets(trace)
             fg = finite.restrict(inst, sets)
             profile, achieved_eps = finite.solve_equilibrium(fg)
             delta = finite.verify_delta(prep, fg, profile, trace)
             pack = bounds.guarantee_pack(prep, sets)
             delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack, report)
             equilibrium = {
-                "strategies": [
-                    [np.asarray(s).tolist() for s in player] for player in fg.strategies
-                ],
+                "strategies": [S_i.tolist() for S_i in fg.strategies],
                 "probabilities": [p.tolist() for p in profile.probs],
                 "within_game_eps": achieved_eps,
                 "expected_costs": list(delta.expected_costs),
@@ -111,8 +109,7 @@ def solve_pipeline(
                 "delta_bounded_reason": delta_bounded_reason,
             }
         else:
-            fixed = [np.asarray(x).tolist() for x in trace.profiles[-1]]
-            equilibrium = {"fixed_point": fixed}
+            equilibrium = {"fixed_point": [x.tolist() for x in inst.split(trace.profiles[-1])]}
     result["equilibrium"] = equilibrium
     result["t_br"] = time.perf_counter() - t0
     result["trace"] = trace
@@ -172,9 +169,12 @@ def record_from_result(name: str, inst: game.IcqsInstance, result: dict) -> RunR
 
 
 def _load(path: str) -> game.IcqsInstance:
+    # the file is at fault for any failure to build the instance from it:
+    # unreadable, not JSON, not an instance document, or an instance the
+    # checks of `game.make_instance` reject
     try:
         return game.load_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, IcqsError) as exc:
         raise SystemExit(_fail(f"cannot read instance {path}: {exc}", EXIT_PARSE))
 
 
@@ -246,10 +246,14 @@ def _int_field(
     value = entry.get(key, default)
     if value is None:
         raise IcqsError(f"{entry.get('family')} entry needs {key!r}")
+    error = IcqsError(f"{key!r} must be an integer, got {value!r}")
+    # a bool is an int to Python, int() truncates a float, and a JSON 1e400 is inf
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise error
     try:
         number = int(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON 1e400 is inf
-        raise IcqsError(f"{key!r} must be an integer, got {value!r}") from None
+    except (TypeError, ValueError):
+        raise error from None
     if minimum is not None and number < minimum:
         raise IcqsError(f"{key!r} must be >= {minimum}, got {number}")
     return number
@@ -390,20 +394,15 @@ def replicate_checks(name: str, M: int) -> list[tuple[str, bool, str]]:
         classification = report["classification"]
         _check(checks, "classified negatively adequate",
                classification == game.Adequacy.NEGATIVE.value, classification)
-        trace = report["trace"]
-        doubling = all(
-            float(trace.profiles[t][i][0]) == 5.0 * 2.0**t
-            for t in range(len(trace.profiles))
-            for i in range(2)
-        )
-        _check(checks, "iterates double each sweep", doubling,
-               f"profiles={[tuple(float(x[0]) for x in p) for p in trace.profiles]}")
+        profiles = report["trace"].profiles.tolist()
+        doubling = all(x == 5.0 * 2.0**t for t, row in enumerate(profiles) for x in row)
+        _check(checks, "iterates double each sweep", doubling, f"profiles={profiles}")
         _check(checks, "divergence certified",
                report["outcome"] == dynamics.OUTCOME_DIVERGENCE, report["outcome"])
     elif name == "cycling":
         report = solve_pipeline(instgen.builtin("cycling"), start=[[0.0], [0.0]])
         eq = report["equilibrium"]
-        path = [tuple(float(x[0]) for x in p) for p in report["trace"].profiles]
+        path = [tuple(row) for row in report["trace"].profiles.tolist()]
         _check(checks, "period-4 cycle from the origin",
                report["outcome"] == dynamics.OUTCOME_CYCLE
                and path == [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)], str(path))

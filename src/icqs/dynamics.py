@@ -35,9 +35,10 @@ postcondition then run on its own row.  The kernel takes the joint
 float64 vector and returns the joint int64 response, whose bytes are the
 cycle key.  The norms are taken per player on slices of the joint vector,
 with the same per-player dot products and the same Python sum as on
-separate vectors, and the trace keeps one copy of each player's entries
-per sweep.  Trace, norms and outcome are bitwise those of
-one `game.best_response` call per player and sweep.
+separate vectors.  The trace keeps each sweep's joint response as one row
+of one array, with the instance's slots beside it: only `cycle_sets` and
+`game.IcqsInstance.split` map a row to players.  Trace, norms and outcome
+are bitwise those of one `game.best_response` call per player and sweep.
 
 Continuous mode replaces the integer best response with the continuous one
 (`game.continuous_sweep`, the same gather, matvec and stacked solve),
@@ -91,11 +92,15 @@ _INT64_NORM_LIMIT = 2.0**63
 class BrTrace:
     """Ordered joint profiles produced by one run, plus the certified outcome.
 
-    ``profiles[t][i]`` is player i's strategy after t sweeps (index 0 is the
-    start).  ``norms[t]`` is the joint l2 norm of profile t.
+    ``profiles`` is one (iterations + 1) x sum(n_i) array, int64 in integer
+    mode and float64 in continuous mode: row t is the joint profile after t
+    sweeps (row 0 is the start), and player i's entries are the columns
+    ``slots[i]`` = [a, b), the instance's slots.  ``norms[t]`` is the joint
+    l2 norm of profile t.
     """
 
-    profiles: tuple[tuple[np.ndarray, ...], ...]
+    profiles: np.ndarray
+    slots: tuple[tuple[int, int], ...]
     norms: tuple[float, ...]
     outcome: str
     mode: str
@@ -119,10 +124,10 @@ class BrTrace:
 
 @dataclass(frozen=True)
 class CycleSets:
-    """Per-player deduplicated strategies visited inside the cycle window."""
+    """Per-player deduplicated strategies visited inside the cycle window:
+    ``strategies[i]`` is an m_i x n_i matrix, one strategy per row."""
 
-    strategies: tuple[tuple[np.ndarray, ...], ...]
-    joint_profiles: tuple[tuple[np.ndarray, ...], ...]
+    strategies: tuple[np.ndarray, ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -200,7 +205,7 @@ def run_br(
     sweep = game.integer_sweep if integer else game.continuous_sweep
     slots = [slice(a, b) for a, b in prep.inst.slots]
     zf = z.astype(np.float64)
-    profiles = [prep.inst.split(z)]
+    profiles = [z]
     norms = [_joint_norm(zf, slots)]
     seen: dict[bytes, int] = {z.tobytes(): 0} if integer else {}
 
@@ -220,7 +225,7 @@ def run_br(
     with np.errstate(**quiet):
         for t in range(1, max_iters + 1):
             z = sweep(prep, zf)
-            profiles.append(prep.inst.split(z))
+            profiles.append(z)
             prev, zf = zf, (z.astype(np.float64) if integer else z)
             norms.append(_joint_norm(zf, slots))
 
@@ -259,7 +264,8 @@ def run_br(
         outcome = OUTCOME_DIVERGENCE
 
     return BrTrace(
-        profiles=tuple(profiles),
+        profiles=np.stack(profiles),
+        slots=prep.inst.slots,
         norms=tuple(norms),
         outcome=outcome,
         mode=mode,
@@ -271,23 +277,22 @@ def run_br(
 
 
 def cycle_sets(trace: BrTrace) -> CycleSets:
-    """Per-player distinct strategies over the cycle window, insertion order.
+    """Each player's distinct strategies over the cycle window: the rows of
+    its slice of the window, in first-seen order, and the slice itself when
+    no row repeats.
 
     Raises NoCycle unless the trace ended in a cycle or fixed point.
     """
     start, stop = trace.cycle_window()
-    k = len(trace.profiles[0])
-    per_player: list[dict[bytes, np.ndarray]] = [dict() for _ in range(k)]
-    joint = []
-    for t in range(start, stop):
-        profile = trace.profiles[t]
-        joint.append(profile)
-        for i, x in enumerate(profile):
-            per_player[i].setdefault(np.asarray(x).tobytes(), x)
-    return CycleSets(
-        strategies=tuple(tuple(d.values()) for d in per_player),
-        joint_profiles=tuple(joint),
-    )
+    window = trace.profiles[start:stop]
+    strategies = []
+    for a, b in trace.slots:
+        rows = window[:, a:b]
+        first: dict[bytes, int] = {}
+        for r, row in enumerate(rows):
+            first.setdefault(row.tobytes(), r)
+        strategies.append(rows if len(first) == len(rows) else rows[list(first.values())])
+    return CycleSets(strategies=tuple(strategies))
 
 
 def termination_radius(prep: game.Prepared) -> float | None:
@@ -321,31 +326,21 @@ def cycle_telemetry(trace: BrTrace) -> np.ndarray:
 
     Profiles inside the cycle report zero; the pre-cycle tail shows the
     approach, whose step-to-step ratio empirically checks the linear
-    contraction rate.  Raises NoCycle for divergent or capped traces.
+    contraction rate.  Each profile is compared with the window's rows in
+    one step.  Raises NoCycle for divergent or capped traces.
     """
-    sets = cycle_sets(trace)
-    targets = [np.concatenate([np.asarray(x, float) for x in p]) for p in sets.joint_profiles]
-    out = []
-    for profile in trace.profiles:
-        flat = np.concatenate([np.asarray(x, float) for x in profile])
-        out.append(min(float(np.linalg.norm(flat - tgt)) for tgt in targets))
-    return np.asarray(out)
+    start, stop = trace.cycle_window()
+    profiles = np.asarray(trace.profiles, dtype=np.float64)
+    window = profiles[start:stop]
+    return np.array([np.linalg.norm(window - x, axis=1).min() for x in profiles])
 
 
 def export_trace(trace: BrTrace, path) -> None:
-    """Write one CSV row per iteration: index, flattened profile, joint norm."""
-    k = len(trace.profiles[0])
-    dims = [len(trace.profiles[0][i]) for i in range(k)]
-    header = ["iter"]
-    for i in range(k):
-        header.extend(f"p{i}_{j}" for j in range(dims[i]))
-    header.append("norm")
+    """Write one CSV row per iteration: index, joint profile, joint norm."""
+    columns = (f"p{i}_{j}" for i, (a, b) in enumerate(trace.slots) for j in range(b - a))
+    header = ["iter", *columns, "norm"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for t, profile in enumerate(trace.profiles):
-            row = [t]
-            for x in profile:
-                row.extend(np.asarray(x).tolist())
-            row.append(repr(trace.norms[t]))
-            writer.writerow(row)
+        for t, (row, norm) in enumerate(zip(trace.profiles.tolist(), trace.norms)):
+            writer.writerow([t, *row, repr(norm)])

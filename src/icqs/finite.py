@@ -62,9 +62,11 @@ _MAX_SEARCH_AXES = 32
 
 @dataclass(frozen=True)
 class FiniteGame:
-    """Strategy lists plus the polymatrix costs of the restricted game.
+    """Strategy matrices plus the polymatrix costs of the restricted game.
 
-    Player i's m_i = ``sizes[i]`` strategies take entries ``offsets[i]`` to
+    ``strategies[i]`` is player i's m_i x n_i int64 matrix of cycle
+    strategies, one per row (`dynamics.CycleSets`).  Its m_i = ``sizes[i]``
+    strategies take entries ``offsets[i]`` to
     ``offsets[i + 1]`` of ``own``, the joint vector of own costs
     ``0.5 s'Q_i s + d_i's``, and of each axis of ``D``, whose block (i, j) is
     ``S_i C_ij S_j'`` and whose diagonal blocks are zero.  Raises
@@ -73,7 +75,7 @@ class FiniteGame:
     and infinities too), so that no sum of k pieces overflows.
     """
 
-    strategies: tuple[tuple[np.ndarray, ...], ...]
+    strategies: tuple[np.ndarray, ...]
     own: np.ndarray
     D: np.ndarray
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -128,8 +130,9 @@ def pure_profile(fg: FiniteGame, index: tuple[int, ...]) -> MixedProfile:
 def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     """The game restricted to the cycle strategies.
 
-    Player i's strategies are stacked into S_i (m_i x n_i), and its own
-    costs ``0.5 s'Q_i s + d_i's`` taken once per strategy.  D is one product
+    Player i's strategy matrix ``cycle.strategies[i]`` is converted once to
+    the float64 matrix S_i (m_i x n_i), and its own costs
+    ``0.5 s'Q_i s + d_i's`` taken once per strategy.  D is one product
     ``(S C) S'`` of the block-diagonal stack S of the S_i and the joint
     coupling ``inst.C``, with no loop over cells or pairs.  Each cell of
     `cell_costs` is `game.objective` at that profile up to rounding in its
@@ -138,7 +141,7 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
         raise DimensionMismatch("every player needs at least one cycle strategy")
-    S = [np.array(strats, dtype=np.float64) for strats in strategies]
+    S = [np.asarray(S_i, dtype=np.float64) for S_i in strategies]
     lengths = tuple(S_i.shape[1] for S_i in S)
     if lengths != inst.dims:
         raise DimensionMismatch(f"strategy lengths {lengths} do not fit the player dimensions {inst.dims}")
@@ -490,8 +493,9 @@ def solve_equilibrium(fg: FiniteGame) -> tuple[MixedProfile, float]:
 
 
 def mean_strategies(fg: FiniteGame, profile: MixedProfile) -> list[np.ndarray]:
-    """Probability-weighted mean strategy vector per player."""
-    return [p @ np.array(s, dtype=np.float64) for p, s in zip(profile.probs, fg.strategies)]
+    """Probability-weighted mean strategy vector per player: p_i @ S_i, with
+    player i's strategy matrix converted once to float64."""
+    return [p @ np.asarray(S_i, dtype=np.float64) for p, S_i in zip(profile.probs, fg.strategies)]
 
 
 @dataclass(frozen=True)
@@ -535,15 +539,15 @@ def verify_delta(
 
     ``trace`` is the optional `dynamics.run_br` run on ``prep`` that ``fg``
     was restricted from.  When it is an integer-mode fixed point and z is
-    its last swept input ``profiles[-2]``, its last sweep already holds
-    every player's integer best response to z, bitwise what a new sweep
-    gives, and v is read from ``profiles[-1]``.  Otherwise (cycles,
+    its last swept input, the row ``profiles[-2]``, its last sweep already
+    holds every player's integer best response to z, bitwise what a new
+    sweep gives, and v is the row ``profiles[-1]``.  Otherwise (cycles,
     continuous-mode runs, other profiles) one `game.integer_sweep` of z
     computes it, bitwise `game.best_responses` on the means.
     """
     z = np.concatenate(mean_strategies(fg, profile))
     exp = expected_costs(fg, profile)
-    v = np.concatenate(trace.profiles[-1]) if _swept_last(trace, z) else game.integer_sweep(prep, z)
+    v = trace.profiles[-1] if _swept_last(trace, z) else game.integer_sweep(prep, z)
     dev_costs = game.objectives(prep.inst, v.astype(np.float64), z)
     return DeltaReport(
         expected_costs=tuple(exp.tolist()),
@@ -560,5 +564,5 @@ def _swept_last(trace: dynamics.BrTrace | None, z: np.ndarray) -> bool:
         trace is not None
         and trace.mode == dynamics.INTEGER
         and trace.outcome == dynamics.OUTCOME_FIXED_POINT
-        and np.array_equal(np.concatenate(trace.profiles[-2]), z)
+        and np.array_equal(trace.profiles[-2], z)
     )

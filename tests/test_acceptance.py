@@ -84,7 +84,7 @@ def test_criterion_1_example1_divergence():
     trace = dynamics.run_br(game.prepare(inst), start=[[5.0], [5.0]], max_iters=8)
     elapsed = time.perf_counter() - t0
     expected = [(5 * 2**t, 5 * 2**t) for t in range(9)]
-    got = [tuple(int(x[0]) for x in p) for p in trace.profiles]
+    got = [tuple(int(x[0]) for x in inst.split(p)) for p in trace.profiles]
     ok = (
         got == expected
         and trace.iterations == 8
@@ -105,7 +105,7 @@ def test_criterion_2_cycling_example():
     delta = finite.verify_delta(prep, fg, profile)
     elapsed = time.perf_counter() - t0
 
-    path = [tuple(int(x[0]) for x in p) for p in trace.profiles]
+    path = [tuple(int(x[0]) for x in inst.split(p)) for p in trace.profiles]
     table = np.array([[[0.0, 0.0], [0.0, -0.1]], [[0.1, 0.0], [-0.1, 0.1]]])
     ok = (
         path == [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
@@ -311,7 +311,7 @@ def test_criterion_9_continuous_mode(instances6):
         if trace.outcome != dynamics.OUTCOME_FIXED_POINT:
             stationarity_bad += 1
             continue
-        z_end = trace.profiles[-1]
+        z_end = inst.split(trace.profiles[-1])
         step = inst.split(game.continuous_sweep(prep, game.joint_vector(inst, z_end)))
         residual = math.sqrt(
             sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z_end))
@@ -321,7 +321,7 @@ def test_criterion_9_continuous_mode(instances6):
         z_star = _affine_fixed_point(inst)
         sigma = prep.inst.report.max_sigma
         dists = [
-            float(np.linalg.norm(np.concatenate([np.asarray(x, float) for x in p]) - z_star))
+            float(np.linalg.norm(np.asarray(p, float) - z_star))
             for p in trace.profiles
         ]
         guard = 1e-6 * (1.0 + float(np.linalg.norm(z_star)))

@@ -27,6 +27,30 @@ def test_cycle_diameter(cycling_setup):
     assert bounds.cycle_diameter(singleton, 0) == 0.0
 
 
+def pairwise_diameter(strategies):
+    # the reference: one row against the rows after it, on float64 vectors
+    if len(strategies) == 1:
+        return 0.0
+    pts = np.stack([np.asarray(s, dtype=np.float64) for s in strategies])
+    best = 0.0
+    for a in range(len(pts) - 1):
+        d = np.linalg.norm(pts[a + 1 :] - pts[a], axis=1).max()
+        best = max(best, float(d))
+    return best
+
+
+def test_cycle_diameter_of_a_strategy_matrix_is_the_pairwise_loop_bitwise():
+    rng = np.random.default_rng(23)
+    for m in range(1, 13):
+        for n in (1, 2, 3, 5, 8):
+            for scale in (3, 1000, 10**9):
+                S = rng.integers(-scale, scale + 1, size=(m, n))
+                sets = dynamics.CycleSets(strategies=(S, S[:1]))
+                got = bounds.cycle_diameter(sets, 0)
+                assert type(got) is float and got == pairwise_diameter(list(S)), (m, n, scale)
+                assert bounds.cycle_diameter(sets, 1) == 0.0
+
+
 def test_delta_a_posteriori_values(cycling_setup):
     inst, _ = cycling_setup
     # lambda_1 = 2, flatness prox of a 1-D Q=2 block is 0.25, diameter 1

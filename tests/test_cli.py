@@ -548,6 +548,31 @@ def test_bench_error_rows_report_the_player_count(tmp_path):
             id="bench-M-infinite",
         ),
         pytest.param(lambda f, t: ["replicate", "counterexample", "--M", HUGE_M], id="replicate-M-beyond-float"),
+        # int() truncates a float and takes a bool
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 2.7, "seed": 1.5}),
+            id="bench-n_players-and-seed-fractional",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 2, "seed": 1.5}),
+            id="bench-seed-fractional",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "builtin", "name": "counterexample", "M": 4.9}),
+            id="bench-M-fractional",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": True}),
+            id="bench-n_players-bool",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "pricing", "n_players": 2, "seed": True}),
+            id="bench-seed-bool",
+        ),
+        pytest.param(
+            lambda f, t: bench_spec(t, {"family": "random", "n_players": 2, "vars_per_player": True}),
+            id="bench-vars_per_player-bool",
+        ),
     ],
 )
 def test_malformed_arguments_exit_2_with_one_error_line(argv, cycling_file, tmp_path, capsys):
@@ -557,6 +582,54 @@ def test_malformed_arguments_exit_2_with_one_error_line(argv, cycling_file, tmp_
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "bench").exists()  # a bad spec is rejected before any solve
     assert not (tmp_path / "g.json").exists()
+
+
+def test_bench_takes_integral_floats_and_numeric_strings(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"families": [
+        {"family": "pricing", "n_players": 2.0, "seed": "1"},
+        {"family": "builtin", "name": "counterexample", "M": 4.0, "count": "1"},
+    ]}))
+    assert exit_code(["bench", str(path), "--out", str(tmp_path / "bench")]) == cli.EXIT_OK
+    rows = (tmp_path / "bench" / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0000-pricing-2p-s1", "0001-builtin-counterexample"]
+    _, _, make = cli._parse_entry({"family": "builtin", "name": "counterexample", "M": 4.0}, 0)
+    assert make().meta == instgen.builtin("counterexample", M=4).meta
+
+
+NOT_AN_INSTANCE = [
+    pytest.param({"players": 5}, id="players-not-a-list"),
+    pytest.param([1, 2], id="top-level-list"),
+    pytest.param(
+        {"players": [{"Q": [[1.0]], "C": [[0.5]], "d": [0.0]},
+                     {"Q": [[1.0]], "C": {"0": [[0.5]]}, "d": [0.0]}]},
+        id="C-a-list",
+    ),
+    pytest.param(
+        {"players": [{"Q": [[1.0]], "C": {"1": [[0.5]]}, "d": [0.0, 1.0]},
+                     {"Q": [[1.0]], "C": {"0": [[0.5]]}, "d": [0.0]}]},
+        id="d-wrong-length",
+    ),
+    pytest.param(
+        {"players": [{"Q": [[-1.0]], "C": {"1": [[0.5]]}, "d": [0.0]},
+                     {"Q": [[1.0]], "C": {"0": [[0.5]]}, "d": [0.0]}]},
+        id="Q-not-positive-definite",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+@pytest.mark.parametrize("doc", NOT_AN_INSTANCE)
+def test_a_document_that_builds_no_instance_exits_2_with_one_error_line(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "solve" else [])
+    assert exit_code(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read instance {path}: "), captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_error_class_is_exported_from_the_package():

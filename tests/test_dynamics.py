@@ -11,7 +11,8 @@ from icqs.errors import DimensionMismatch, NoCycle, NonFiniteCentre
 
 
 def path_scalars(trace):
-    return [tuple(float(x[0]) for x in p) for p in trace.profiles]
+    # each player's first entry, per profile
+    return [tuple(float(p[a]) for a, _ in trace.slots) for p in trace.profiles]
 
 
 def test_cycling_example_period_four():
@@ -51,7 +52,7 @@ def test_counterexample_from_origin_finds_fixed_point():
     inst = instgen.builtin("counterexample", M=10)
     trace = dynamics.run_br(game.prepare(inst))
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
-    fixed = trace.profiles[-1]
+    fixed = inst.split(trace.profiles[-1])
     assert fixed[0].tolist() == [1, 0] and fixed[1].tolist() == [1, 0]
     sets = dynamics.cycle_sets(trace)
     assert sets.sizes == (1, 1)
@@ -172,7 +173,7 @@ def test_continuous_mode_contracts_to_stationary_point():
     rep = game.classify(inst)
     trace = dynamics.run_br(game.prepare(inst), mode=dynamics.CONTINUOUS)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
-    z = trace.profiles[-1]
+    z = inst.split(trace.profiles[-1])
     step = inst.split(game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z)))
     residual = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z)))
     assert residual <= 1e-8
@@ -195,7 +196,7 @@ def _d_scaled(inst, s):
 
 
 def _relative_residual(prep, trace):
-    z = game.joint_vector(prep.inst, trace.profiles[-1])
+    z = trace.profiles[-1]
     return float(np.linalg.norm(game.continuous_sweep(prep, z) - z)) / trace.norms[-1]
 
 
@@ -208,7 +209,7 @@ def test_the_continuous_fixed_point_test_is_relative_to_the_iterates(s):
     prep = game.prepare(_d_scaled(instgen.builtin("cycling"), s))
     trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS)
     assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, 12)
-    for x in trace.profiles[-1]:
+    for x in prep.inst.split(trace.profiles[-1]):
         assert x[0] == pytest.approx(0.5 * s, rel=1e-9, abs=0.0)
     assert _relative_residual(prep, trace) <= 1e-8
 
@@ -316,6 +317,74 @@ def test_export_trace(tmp_path):
     assert lines[0] == "iter,p0_0,p1_0,norm"
     assert len(lines) == len(trace.profiles) + 1
     assert lines[1].startswith("0,0,0,")
+    # one joint row per sweep: the period-4 cycle from the origin
+    assert path.read_text() == (
+        "iter,p0_0,p1_0,norm\n"
+        "0,0,0,0.0\n"
+        "1,0,1,1.0\n"
+        "2,1,1,1.4142135623730951\n"
+        "3,1,0,1.0\n"
+        "4,0,0,0.0\n"
+    )
+
+
+def test_export_trace_header_follows_the_player_dimensions(tmp_path):
+    inst = instgen.gen_pricing(instgen.PricingSpec(n_players=3, seed=1))
+    assert len(set(inst.dims)) == 3  # players of three dimensions
+    trace = dynamics.run_br(game.prepare(inst))
+    path = tmp_path / "trace.csv"
+    dynamics.export_trace(trace, path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert header == ["iter", *(f"p{i}_{j}" for i, n in enumerate(inst.dims) for j in range(n)), "norm"]
+    assert len(rows) == len(trace.profiles)
+    for t, row in enumerate(rows):
+        assert row[0] == str(t) and row[-1] == repr(trace.norms[t])
+        players = inst.split(trace.profiles[t])
+        assert row[1:-1] == [str(x) for x in np.concatenate(players).tolist()]
+
+
+def _reference_cycle_sets(trace):
+    # one dict per player, keyed by the bytes of its entries, in first-seen order
+    start, stop = trace.cycle_window()
+    per_player = [dict() for _ in trace.slots]
+    for t in range(start, stop):
+        for seen, (a, b) in zip(per_player, trace.slots):
+            x = trace.profiles[t, a:b]
+            seen.setdefault(x.tobytes(), x)
+    return [list(seen.values()) for seen in per_player]
+
+
+def test_cycle_sets_gives_one_matrix_of_first_seen_rows_per_player():
+    # k = 3 players of dimensions 1, 2 and 3; players 0 and 1 draw from
+    # small pools, so their rows repeat inside the window, player 2's do not
+    rng = np.random.default_rng(31)
+    slots = ((0, 1), (1, 3), (3, 6))
+    for _ in range(20):
+        rows = 9
+        pools = [rng.integers(-4, 5, size=(2, 1)), rng.integers(-4, 5, size=(3, 2))]
+        profiles = np.concatenate([
+            pools[0][rng.integers(0, 2, size=rows)],
+            pools[1][rng.integers(0, 3, size=rows)],
+            rng.integers(-50, 51, size=(rows, 3)) * 10 + np.arange(rows)[:, None],
+        ], axis=1)
+        start = int(rng.integers(0, 4))
+        profiles[-1] = profiles[start]
+        traces = [
+            dynamics.BrTrace(profiles=profiles, slots=slots, norms=(0.0,) * rows, outcome=dynamics.OUTCOME_CYCLE,
+                             mode=dynamics.INTEGER, cycle_start=start, cycle_repeat=rows - 1),
+            dynamics.BrTrace(profiles=profiles[[*range(start + 1), start]], slots=slots, norms=(0.0,) * (start + 2),
+                             outcome=dynamics.OUTCOME_FIXED_POINT, mode=dynamics.INTEGER, fixed_index=start + 1),
+        ]
+        for trace in traces:
+            sets = dynamics.cycle_sets(trace)
+            reference = _reference_cycle_sets(trace)
+            assert sets.sizes == tuple(len(r) for r in reference)
+            for S, ref, (a, b) in zip(sets.strategies, reference, slots):
+                assert S.dtype == np.int64 and S.shape == (len(ref), b - a)
+                assert np.array_equal(S, np.array(ref))
+        # in the cycle's window of at least 5 rows, players 0 and 1 repeat rows
+        window = rows - 1 - start
+        assert dynamics.cycle_sets(traces[0]).sizes in {(a, b, window) for a in (1, 2) for b in (1, 2, 3)}
 
 
 def test_cycle_telemetry_linear_contraction_rate():
@@ -421,11 +490,10 @@ def test_run_br_matches_per_player_reference():
                 trace.cycle_start, trace.cycle_repeat, trace.fixed_index, trace.divergence_index
             ) == indices
             assert trace.norms == tuple(norms)
-            assert len(trace.profiles) == len(profiles)
-            for got, ref in zip(trace.profiles, profiles):
-                for x, y in zip(got, ref):
-                    assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
-                    assert x.base is None  # the trace holds copies, not views
+            joined = np.array([np.concatenate(p) for p in profiles])
+            assert trace.profiles.shape == joined.shape
+            assert trace.profiles.dtype == joined.dtype == np.int64 and np.array_equal(trace.profiles, joined)
+            assert trace.profiles.base is None  # the trace holds its own array, not a view
             outcomes.add(outcome)
     assert {dynamics.OUTCOME_FIXED_POINT, dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_DIVERGENCE} <= outcomes
 
@@ -539,4 +607,4 @@ def test_validate_start_gives_the_joint_vector(k):
         zero = dynamics.validate_start(inst, None, mode)
         assert zero.dtype == dtype and zero.shape == (sum(inst.dims),) and not zero.any()
         trace = dynamics.run_br(game.prepare(inst), start=start, mode=mode, max_iters=1)
-        assert all(x.dtype == dtype and np.array_equal(x, s) for x, s in zip(trace.profiles[0], start))
+        assert all(x.dtype == dtype and np.array_equal(x, s) for x, s in zip(inst.split(trace.profiles[0]), start))

@@ -61,7 +61,7 @@ def test_restrict_singleton_sets():
 def test_restrict_rejects_non_finite_strategies():
     inst = instgen.builtin("cycling")
     sets = dynamics.CycleSets(
-        strategies=((np.array([0.0]),), (np.array([np.nan]),)), joint_profiles=()
+        strategies=((np.array([0.0]),), (np.array([np.nan]),))
     )
     with pytest.raises(ValueError):
         finite.restrict(inst, sets)
@@ -85,7 +85,7 @@ def strategy_sets(rng, dims, sizes):
         tuple(rng.integers(-6, 7, size=n).astype(np.float64) for _ in range(m))
         for n, m in zip(dims, sizes)
     )
-    return dynamics.CycleSets(strategies=strategies, joint_profiles=())
+    return dynamics.CycleSets(strategies=strategies)
 
 
 def objective_at(inst, fg, cell, i):
@@ -198,7 +198,6 @@ def test_restrict_keeps_only_the_pieces_of_a_large_four_player_set():
         strategies=tuple(
             tuple(rng.integers(-20, 21, size=2).astype(float) for _ in range(m)) for m in (32, 43, 29, 32)
         ),
-        joint_profiles=(),
     )
     tracemalloc.start()
     try:
@@ -214,7 +213,7 @@ def test_restrict_rejects_an_overflowing_cost():
     # 0.5 s'Qs at s = 1e200 is about 1e400, beyond the largest float
     inst = instgen.builtin("cycling")
     sets = dynamics.CycleSets(
-        strategies=((np.array([0.0]), np.array([1e200])), (np.array([1.0]),)), joint_profiles=()
+        strategies=((np.array([0.0]), np.array([1e200])), (np.array([1.0]),))
     )
     with pytest.raises(ValueError, match="overflows"):
         finite.restrict(inst, sets)
@@ -583,7 +582,7 @@ def test_verify_delta_sweeps_for_a_continuous_fixed_point(sweeps):
     smooth = dynamics.run_br(prep, mode=dynamics.CONTINUOUS)
     assert smooth.outcome == dynamics.OUTCOME_FIXED_POINT
     means = finite.mean_strategies(fg, profile)
-    assert all(np.array_equal(m, x) for m, x in zip(means, smooth.profiles[-2]))
+    assert all(np.array_equal(m, x) for m, x in zip(means, inst.split(smooth.profiles[-2])))
     sweeps.clear()
     report = finite.verify_delta(prep, fg, profile, smooth)
     assert len(sweeps) == 1
@@ -946,10 +945,10 @@ def test_verify_delta_names_the_first_player_with_a_non_finite_linear_term():
         game.PlayerProblem(Q=[[2.0]], C={0: [[1e300]], 1: [[1.0]]}, d=[0.0]),
     ])
     cell = (np.array([10**10]), np.array([0]), np.array([0]))
-    fg = finite.restrict(inst, dynamics.CycleSets(strategies=tuple((x,) for x in cell), joint_profiles=()))
+    fg = finite.restrict(inst, dynamics.CycleSets(strategies=tuple((x,) for x in cell)))
     profile, _ = finite.solve_equilibrium(fg)
     trace = dynamics.BrTrace(
-        profiles=(cell, cell), norms=(1e10, 1e10), outcome=dynamics.OUTCOME_FIXED_POINT,
+        profiles=np.array([np.concatenate(cell)] * 2), slots=inst.slots, norms=(1e10, 1e10), outcome=dynamics.OUTCOME_FIXED_POINT,
         mode=dynamics.INTEGER, fixed_index=1,
     )
     with pytest.raises(ValueError) as per_player, np.errstate(over="ignore"):
@@ -982,7 +981,7 @@ def seventy_player_game(multi, seed, pennies=False):
             players[i] = game.PlayerProblem(Q=[[2.0]], C={o: [[c if o == j else 0.0]] for o in range(k) if o != i}, d=[d])
             strategies[i] = (np.array([0.0]), np.array([1.0]))
     inst = game.make_instance(players)
-    return inst, finite.restrict(inst, dynamics.CycleSets(strategies=tuple(strategies), joint_profiles=()))
+    return inst, finite.restrict(inst, dynamics.CycleSets(strategies=tuple(strategies)))
 
 
 def test_cell_costs_on_the_multi_strategy_axes_keep_their_bits():

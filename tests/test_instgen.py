@@ -42,7 +42,7 @@ def test_pricing_decoupled_monopoly_prices():
     assert game.classify(inst).classification is game.Adequacy.POSITIVE
     trace = dynamics.run_br(game.prepare(inst))
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
-    for x in trace.profiles[-1]:
+    for x in inst.split(trace.profiles[-1]):
         assert x.tolist() == [5, 5, 5]  # a_j / (2 b_j)
 
 
