@@ -11,27 +11,23 @@ incumbent.  This is the classical closest-vector enumeration scheme; it is
 exact, and fast at the dimensions used here (n <= ~25).
 
 Everything that depends on Q alone (its Cholesky factor, the rounding
-certificate's constants from the diagonal of Q^{-1}, eigenvalue extremes,
-the proven proximity radius and gap bound, and the row views the search
-takes its dot products with) is gathered in a `Factor`, built by
-`factorize` from Q and the Cholesky factor the caller already holds:
-`game.IcqsInstance` factors each Q_i once, when it is built (Q's one
-validation), and keeps each player's `Factor`.  A caller that
-minimizes against the same Q many times, like a best-response loop where
-only d moves, builds the factor once; nothing is cached between calls.
+certificate's constants, eigenvalue extremes, the proven proximity radius
+and gap bound, and the rows the search takes its dots with) is a `Factor`,
+built once by `factorize` from Q and the Cholesky factor the caller holds:
+`game.IcqsInstance` factors each Q_i when it is built (Q's one validation)
+and keeps each player's `Factor`; nothing is cached between calls.
 `integer_min(q)`, `continuous_min(q)` and `brute_force_min(q)` take a bare
 `Quadratic` and factor its Q themselves, with `linalg.cholesky_unchecked`:
 building the `Quadratic` validated Q, so it is not scanned again.
 
 Minimization is split in two: the continuous minimizer u, then the integer
 minimizer given u and the factor (`lattice_mins`).  `lattice_mins` takes
-the factors of several Qs of one dimension with one u per row, and answers
+the factors of several Qs of one dimension with one u per row and answers
 each row in one frame: the rounding certificate, the search when the
-certificate cannot answer, and the proximity postcondition.  A
-best-response sweep (`game.integer_sweep`) calls it once per group of
-players of one dimension, with every row's u from one stacked solve pair
-against the group's Cholesky factors; `integer_min(q)` is the same code on
-one row.
+certificate cannot answer, and the proximity postcondition.  A sweep
+(`game.integer_sweep`) calls it once per group of players of one
+dimension, with every row's u from one stacked solve pair against the
+group's Cholesky factors; `integer_min(q)` is the same code on one row.
 
 The rounding certificate is the first level of Fincke-Pohst enumeration
 (Fincke & Pohst, Math. Comp. 44, 1985).  With r = rint(u) and w = r - u, a
@@ -52,32 +48,35 @@ calls LAPACK's gesv once per matrix, exactly as a single call does.  The
 enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
 Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
 floats, which perform the same IEEE operations as numpy scalars, and
-`round` rounds half to even as `np.rint` does; x - u stays one numpy
-vector, so each row's partial dot is the same BLAS ddot on the same
-operands (see `_enumerate`).  The rounded point's excess is summed row by
+`round` rounds half to even as `np.rint` does.  Each dot of length >= 2 is
+one BLAS ddot of a row of G and a numpy vector, since no cheaper form keeps
+its bits: on OpenBLAS 0.3.31 (Haswell kernel), ddot below length 16 is a
+chain of fused multiply-adds, which a plain Python sum missed on 15-32% of
+sampled vectors and Python 3.11 has no math.fma to write; `G @ w` and a
+stacked matmul differ from the per-row ddot in some row on 26-100% of
+random triangular systems (n = 2..10).  Squares stay `** 2`: x ** 2 !=
+x * x for about 1 float in 1,300.  A dot of length one is the plain
+product (see `_enumerate`).  The rounded point's excess is summed row by
 row, in the association order of the search's own partial sums, so exact
 ties stay exact; the certificate reads that same excess, and the search
 starts from it.  The certificate's bound may differ from exact values in
-its last bits, but it only decides whether rint(u) is returned without a
-search, and it passes only 0.1% below the energy of every other lattice
-point, far outside that rounding, where the search returns rint(u) as well.
+its last bits, but it passes only 0.1% below the energy of every other
+lattice point, far outside that rounding, where the search returns rint(u)
+as well.
 
-The module also provides the closed-form proximity radius for Q: an upper
-bound on how far the integer minimizer can sit from u, uniform over all d.
-It is stated in terms of a flatness constant Flt(n) <= coeff * n^exponent,
-given by a `FlatnessRule`; the default `PROVEN_RULE` is the proven n^{5/2}
-bound, and callers pass sharper conjectured rules explicitly.
-`prox_bound(factor, rule)` is the plain flatness formula
-(Flt(n) / 4) sqrt(lambda_max / lambda_min).  For 1x1 and other
-scaled-identity matrices it understates the true worst case (which is
-sqrt(n)/2 there, attained with u at a cube center), so
-`guarantee_prox(factor, rule)` returns the larger of the two whenever the
-exact value is known (`exact_prox` raises a flatness radius in hand).
-These are the only radius formulas.
-The postcondition of `lattice_mins` always checks the proven-rule radius
-and gap (`Factor.radius`, `Factor.gap`), whatever rule the caller reports
-bounds under, and raises `ProximityViolation` if the returned minimizer
-breaks them.
+The module also provides the closed-form proximity radius for Q, the only
+radius formulas: an upper bound on how far the integer minimizer can sit
+from u, uniform over all d, in terms of a flatness constant
+Flt(n) <= coeff * n^exponent given by a `FlatnessRule` (the default
+`PROVEN_RULE` is the proven n^{5/2} bound; callers pass sharper conjectured
+rules explicitly).  `prox_bound(factor, rule)` is the plain flatness
+formula (Flt(n) / 4) sqrt(lambda_max / lambda_min).  For 1x1 and other
+scaled identities it understates the true worst case (sqrt(n)/2, with u at
+a cube center), so `guarantee_prox(factor, rule)` returns the larger of the
+two there (`exact_prox` raises a flatness radius in hand).  The
+postcondition of `lattice_mins` always checks the proven-rule radius and
+gap (`Factor.radius`, `Factor.gap`), whatever rule the caller reports
+bounds under, and raises `ProximityViolation` if the minimizer breaks them.
 """
 
 from __future__ import annotations
@@ -183,8 +182,9 @@ class Factor:
     `guarantee_prox` under `PROVEN_RULE` and ``gap`` the matching
     objective-gap bound lambda_max Flt(n)^2 / 32, raised to lambda_max n / 8
     for scaled identities: the bounds its postcondition checks against,
-    computed once here.  ``rows[j]`` and ``strict_rows[j]`` are the views
-    ``G[j, j:]`` and ``G[j, j + 1:]`` the search takes its dot products with.
+    computed once here.  The dots take the views ``rows[j]`` = G[j, j:] and
+    ``strict_rows[j]`` = G[j, j + 1:], and ``corner`` = G[n - 2, n - 1]
+    (0.0 when n = 1) is the search's one-term dot at level n - 2.
     """
 
     Q: np.ndarray
@@ -199,6 +199,7 @@ class Factor:
     gap: float = field(init=False)
     rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     strict_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    corner: float = field(init=False)
 
     def __post_init__(self):
         G = self.G
@@ -211,6 +212,7 @@ class Factor:
         object.__setattr__(self, "gap", gap)
         object.__setattr__(self, "rows", tuple(G[j, j:] for j in range(self.n)))
         object.__setattr__(self, "strict_rows", tuple(G[j, j + 1 :] for j in range(self.n)))
+        object.__setattr__(self, "corner", float(G[-2, -1]) if self.n > 1 else 0.0)
 
     @property
     def n(self) -> int:
@@ -310,28 +312,29 @@ def lattice_mins(
     """
     X = np.rint(U)
     W = X - U
-    for r, factor in enumerate(factors):
-        u, w = U[r], W[r]
+    for r, (factor, ws) in enumerate(zip(factors, W.tolist())):
+        w, rows = W[r], factor.rows
         # The rounded point's excess 0.5||G(x - u)||^2, row j of G = L' being
         # G[j, j:] @ w[j:], summed in the association order of the search's
-        # partial sums so exact ties stay exact.
-        excess = 0.0
-        for j in range(factor.n - 1, -1, -1):
-            excess += 0.5 * float(factor.rows[j].dot(w[j:])) ** 2
+        # partial sums so exact ties stay exact.  Row n - 1 is one term.
+        excess = 0.5 * (factor.gdiag[-1] * ws[-1]) ** 2
+        for j in range(len(ws) - 2, -1, -1):
+            excess += 0.5 * float(rows[j].dot(w[j:])) ** 2
         # The rounded point is certifiably the unique optimum when its excess
-        # is below the energy every lattice point that moves coordinate j
-        # must pay, cert_j (1 - |w_j|)^2, for every j.  Every row that passes
-        # has max|w| < 1/2, so that needs no test of its own: with
-        # |w_j| = 1/2, rint(u) is itself 1/2 from u in coordinate j, so its
-        # excess is at least that energy.  A non-finite u fails too: its w
-        # and excess are NaN, and so is every comparison.
-        if not all(excess < c * (1.0 - abs(t)) ** 2 for c, t in zip(factor.cert, w.tolist())):
-            try:
-                X[r], excess = _enumerate(factor, u, X[r], excess, node_budget)
-            except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
-                who = f"{labels[r]}: " if labels is not None else ""
-                raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {u.tolist()})") from exc
-            w = X[r] - u
+        # is below cert_j (1 - |w_j|)^2, the energy every lattice point that
+        # moves coordinate j must pay, for every j; the first j that fails
+        # calls the search.  A row with |w_j| = 1/2 fails by j at the latest,
+        # and a non-finite u at once: its excess is NaN, as is each test.
+        for c, t in zip(factor.cert, ws):
+            if not excess < c * (1.0 - abs(t)) ** 2:
+                u = U[r]
+                try:
+                    X[r], excess = _enumerate(factor, u, X[r], excess, node_budget)
+                except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
+                    who = f"{labels[r]}: " if labels is not None else ""
+                    raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {u.tolist()})") from exc
+                w = X[r] - u
+                break
         # Postcondition guard: the minimizer must respect the proximity
         # radius and objective-gap bound that are provable for its Q.  The
         # excess is the gap computed in the translated frame, which stays
@@ -340,7 +343,7 @@ def lattice_mins(
         dist = math.sqrt(float(w.dot(w)))
         radius, gap = factor.radius * (1.0 + 1e-9), factor.gap * (1.0 + 1e-9)
         if dist > radius or excess > gap:
-            slack = 1e-9 * max(1.0, float(np.abs(u).max()))
+            slack = 1e-9 * max(1.0, float(np.abs(U[r]).max()))
             who = f"{labels[r]}: " if labels is not None else ""
             if dist > radius + slack:
                 raise ProximityViolation(
@@ -348,9 +351,7 @@ def lattice_mins(
                     f"proximity radius {factor.radius:.6g}"
                 )
             if excess > gap + factor.lambda_max * slack:
-                raise ProximityViolation(
-                    f"{who}objective gap {excess:.6g} exceeds bound {factor.gap:.6g}"
-                )
+                raise ProximityViolation(f"{who}objective gap {excess:.6g} exceeds bound {factor.gap:.6g}")
     return X.astype(np.int64)
 
 
@@ -361,75 +362,74 @@ def _enumerate(
     from the incumbent ``x0 = rint(u)`` and its excess energy ``excess``:
     the minimizer and its excess energy 0.5*||G(x - u)||^2.
 
-    The per-node state lives in Python floats and lists, which perform the
-    same IEEE operations as numpy scalars; x - u stays one numpy vector so
-    that each row's partial dot is the same BLAS call on the same operands.
-    The dots are `ndarray.dot`, not `@`: on 1-D float64 of length >= 2
-    both call the same ddot, bit for bit, but `.dot` skips the matmul
-    ufunc's dispatch, which costs more than the dot itself at these
-    lengths.  At length one numpy multiplies the two entries, the same value
-    as ddot's 0 + a*b; only an exact zero can differ in sign, and the
-    search never reads that sign: a zero dot moves the center c by a zero,
-    `round(c)` returns +0.0 either way, and c enters every cost squared.
+    Each level tries b, b + s, b - s, b + 2s, ... around its conditional
+    center c (b = round(c), s = +-1 toward c) by one step x_j += s per
+    candidate, then s = -s - 1 or -s + 1: the integers b + s k wherever
+    |b| < 2^53.  Level j < n - 2 takes its center's dot, of length >= 2,
+    with `ndarray.dot` on a view of x - u: the ddot of `@` without the
+    matmul ufunc's dispatch.  Level n - 2's dot is one product, ``corner``
+    times x_{n-1} - u_{n-1}, so a 2-variable search makes no numpy call
+    per node.  numpy's one-element dot is that product, and ddot's 0 + a*b
+    differs from it only in the sign of a zero, which the search never
+    reads: the center moves by a zero, `round(c)` returns +0.0 either way,
+    and c enters every cost squared.
     """
-    n = factor.n
+    us = u.tolist()
+    n = len(us)
     gdiag = factor.gdiag
     rows = factor.strict_rows
-    us = u.tolist()
+    corner = factor.corner
     best_excess = excess
     best = x0.tolist()
 
-    xu = np.zeros(n)  # x - u on the coordinates fixed so far
-    tails = [xu[j + 1 :] for j in range(n)]
+    deep = n > 2  # whether any level's dot has two terms or more
+    if deep:
+        xu = np.zeros(n)  # x - u on the coordinates fixed so far
+        tails = [xu[j + 1 :] for j in range(n - 2)]
     x = [0.0] * n
     centers = [0.0] * n
-    bases = [0.0] * n
-    dirs = [0.0] * n
-    ctr = [0] * n
+    steps = [0.0] * n  # steps[j]: from x[j] to the next candidate of level j
     acc = [0.0] * n  # acc[j]: cost of rows j+1..n-1
 
     nodes = 0
     j = n - 1
     # Entering a level: its conditional center c, the nearest integer (half
-    # to even, as np.rint) and the side of c the zig-zag tries first.
+    # to even, as np.rint) and a first step toward the side of c.
     c = us[j]
-    b = float(round(c))
-    centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
+    x[j] = b = float(round(c))
+    centers[j], steps[j] = c, 1.0 if c >= b else -1.0
     while True:
-        # k-th candidate around the center: base, base+dir, base-dir, ...
-        k = ctr[j]
-        if k == 0:
-            cand = bases[j]
-        elif k % 2 == 1:
-            cand = bases[j] + dirs[j] * ((k + 1) // 2)
-        else:
-            cand = bases[j] - dirs[j] * (k // 2)
+        cand = x[j]
         total = acc[j] + 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
         if total > best_excess:
             # zig-zag order is monotone in |cand - center|: level exhausted
             j += 1
             if j == n:
                 break
-            ctr[j] += 1
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            raise EnumerationBudgetExceeded(
-                f"enumeration exceeded {node_budget} nodes"
-            )
-        x[j] = cand
-        if j == 0:
+        else:
+            nodes += 1
+            if nodes > node_budget:
+                raise EnumerationBudgetExceeded(f"enumeration exceeded {node_budget} nodes")
+            if j:
+                t = cand - us[j]
+                acc[j - 1] = total
+                j -= 1
+                if deep:
+                    xu[j + 1] = t
+                if j < n - 2:
+                    c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
+                else:
+                    c = us[j] - corner * t / gdiag[j]
+                x[j] = b = float(round(c))
+                centers[j], steps[j] = c, 1.0 if c >= b else -1.0
+                continue
             if total < best_excess or (total == best_excess and x < best):
                 best_excess = total
                 best = x.copy()
-            ctr[0] += 1
-        else:
-            xu[j] = cand - us[j]
-            acc[j - 1] = total
-            j -= 1
-            c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
-            b = float(round(c))
-            centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
+        # the next candidate of level j: b, b + s, b - s, b + 2s, ...
+        s = steps[j]
+        x[j] += s
+        steps[j] = -s - 1.0 if s > 0.0 else -s + 1.0
     return best, best_excess
 
 

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import math
 
 import numpy as np
@@ -5,7 +7,13 @@ import pytest
 
 from _corpus import quadratic_corpus
 from icqs import iqp, linalg
-from icqs.errors import NotPositiveDefinite, OracleBudgetExceeded, ProximityViolation
+from icqs.errors import (
+    EnumerationBudgetExceeded,
+    NonFiniteCentre,
+    NotPositiveDefinite,
+    OracleBudgetExceeded,
+    ProximityViolation,
+)
 
 
 def scalar(qval, dval):
@@ -187,8 +195,6 @@ def test_integer_min_matches_oracle_on_larger_dims():
 
 
 def test_enumeration_budget_raises():
-    from icqs.errors import EnumerationBudgetExceeded
-
     q = iqp.Quadratic(np.eye(2), np.array([-0.5, -0.5]))  # tie-rich: no fast path
     with pytest.raises(EnumerationBudgetExceeded):
         iqp.integer_min(q, node_budget=0)
@@ -260,6 +266,155 @@ def _numpy_scalar_search(q):
             enter(j)
 
 
+# The counter form of the zig-zag search, kept verbatim as the reference:
+# the step form of `iqp._enumerate` must reproduce its points, excess bits
+# and node counts.
+def _reference_enumerate(
+    factor: Factor, u: np.ndarray, x0: np.ndarray, excess: float, node_budget: int
+) -> tuple[list[float], float]:
+    """Zig-zag depth-first search for the integer minimizer around ``u``,
+    from the incumbent ``x0 = rint(u)`` and its excess energy ``excess``:
+    the minimizer and its excess energy 0.5*||G(x - u)||^2.
+
+    The per-node state lives in Python floats and lists, which perform the
+    same IEEE operations as numpy scalars; x - u stays one numpy vector so
+    that each row's partial dot is the same BLAS call on the same operands.
+    The dots are `ndarray.dot`, not `@`: on 1-D float64 of length >= 2
+    both call the same ddot, bit for bit, but `.dot` skips the matmul
+    ufunc's dispatch, which costs more than the dot itself at these
+    lengths.  At length one numpy multiplies the two entries, the same value
+    as ddot's 0 + a*b; only an exact zero can differ in sign, and the
+    search never reads that sign: a zero dot moves the center c by a zero,
+    `round(c)` returns +0.0 either way, and c enters every cost squared.
+    """
+    n = factor.n
+    gdiag = factor.gdiag
+    rows = factor.strict_rows
+    us = u.tolist()
+    best_excess = excess
+    best = x0.tolist()
+
+    xu = np.zeros(n)  # x - u on the coordinates fixed so far
+    tails = [xu[j + 1 :] for j in range(n)]
+    x = [0.0] * n
+    centers = [0.0] * n
+    bases = [0.0] * n
+    dirs = [0.0] * n
+    ctr = [0] * n
+    acc = [0.0] * n  # acc[j]: cost of rows j+1..n-1
+
+    nodes = 0
+    j = n - 1
+    # Entering a level: its conditional center c, the nearest integer (half
+    # to even, as np.rint) and the side of c the zig-zag tries first.
+    c = us[j]
+    b = float(round(c))
+    centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
+    while True:
+        # k-th candidate around the center: base, base+dir, base-dir, ...
+        k = ctr[j]
+        if k == 0:
+            cand = bases[j]
+        elif k % 2 == 1:
+            cand = bases[j] + dirs[j] * ((k + 1) // 2)
+        else:
+            cand = bases[j] - dirs[j] * (k // 2)
+        total = acc[j] + 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
+        if total > best_excess:
+            # zig-zag order is monotone in |cand - center|: level exhausted
+            j += 1
+            if j == n:
+                break
+            ctr[j] += 1
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise EnumerationBudgetExceeded(
+                f"enumeration exceeded {node_budget} nodes"
+            )
+        x[j] = cand
+        if j == 0:
+            if total < best_excess or (total == best_excess and x < best):
+                best_excess = total
+                best = x.copy()
+            ctr[0] += 1
+        else:
+            xu[j] = cand - us[j]
+            acc[j - 1] = total
+            j -= 1
+            c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
+            b = float(round(c))
+            centers[j], bases[j], dirs[j], ctr[j] = c, b, 1.0 if c >= b else -1.0, 0
+    return best, best_excess
+
+
+class _CountingBudget:
+    """A budget of 10**6 nodes that keeps the largest node count compared
+    against it: for a search within it, the smallest int budget that does
+    not raise."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def __lt__(self, nodes):  # the search's `nodes > node_budget`, reflected
+        self.nodes = max(self.nodes, nodes)
+        return nodes > 10**6
+
+
+def _all_ddot_excess(f, w):
+    """The rounded point's excess with every row's partial dot a ddot, the
+    last row's one-element dot included."""
+    excess = 0.0
+    for j in range(f.n - 1, -1, -1):
+        excess += 0.5 * float(f.G[j, j:].dot(w[j:])) ** 2
+    return excess
+
+
+def _search_rows():
+    """Seeded (Q, u) rows for the search: n = 1..10, condition up to 1e6,
+    fractions near and exactly at +-1/2 over whole parts up to 1e12, and
+    small integer Qs with half-integer minimizers, whose co-optimal points
+    tie exactly."""
+    rng = np.random.default_rng(2024)
+    rows = []
+    for trial in range(1200):
+        n = 1 + trial % 10
+        cond = 10.0 ** rng.uniform(0.0, 6.0)
+        Q = quadratic_corpus(seed=10_000 + trial, count=1, dims=(n,), cond=cond)[0].Q
+        base = np.rint(rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(0, 12))
+        frac = rng.uniform(-0.5, 0.5, size=n) * rng.choice([0.02, 0.3, 1.0])
+        frac = np.where(rng.random(size=n) < 0.15, np.where(frac < 0.0, -0.5, 0.5), frac)
+        rows.append((Q, base + np.round(frac * 4096.0) / 4096.0))
+    for trial in range(300):
+        n = 1 + trial % 8
+        A = rng.integers(-1, 2, size=(n, n)).astype(np.float64)
+        Q = A @ A.T + rng.integers(1, 3) * np.eye(n)
+        rows.append((Q, rng.integers(-6, 7, size=n) / 2.0))
+    return rows
+
+
+def test_step_search_matches_the_counter_search_point_excess_and_budget():
+    # the same point, the same excess bits and the same smallest node budget
+    # that does not raise, on every row
+    most = 0
+    for Q, u in _search_rows():
+        f = factor_of(Q)
+        x0 = np.rint(u)
+        excess = _all_ddot_excess(f, x0 - u)
+        want_budget, got_budget = _CountingBudget(), _CountingBudget()
+        want = _reference_enumerate(f, u, x0, excess, want_budget)
+        got = iqp._enumerate(f, u, x0, excess, got_budget)
+        assert got[0] == want[0] and got[1].hex() == want[1].hex(), (Q, u)
+        nodes = want_budget.nodes
+        assert got_budget.nodes == nodes, (Q, u)
+        assert iqp._enumerate(f, u, x0, excess, nodes) == got
+        if nodes:
+            with pytest.raises(EnumerationBudgetExceeded):
+                iqp._enumerate(f, u, x0, excess, nodes - 1)
+        most = max(most, nodes)
+    assert most > 100
+
+
 def test_ndarray_dot_is_bitwise_matmul_on_vectors():
     # the search takes its dots with `ndarray.dot`, and the numpy scalar
     # reference above with `@`.  On 1-D float64 of length >= 2 both reach the
@@ -303,6 +458,66 @@ def test_search_ignores_the_sign_of_a_zero_dot():
     v, value = iqp.integer_min(q)
     assert v.tobytes() == _numpy_scalar_search(q).tobytes()
     assert v.tolist() == [0, 0] and value == 0.0
+
+
+def test_a_one_element_dot_is_the_plain_product():
+    # the last row of the rounded point's excess and the search's level
+    # n - 2 take their one-term dot as the Python product a * b: numpy's
+    # one-element dot in value, and in bits wherever it is not a zero
+    rng = np.random.default_rng(43)
+    size = 20_000
+    a, b = (
+        rng.choice([-1.0, 1.0], size=size)
+        * rng.uniform(1.0, 10.0, size=size)
+        * 10.0 ** rng.integers(-165, 150, size=size)
+        * (rng.random(size=size) > 0.1)
+        for _ in range(2)
+    )
+    specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e150, -1e150]
+    pairs = list(zip(a.tolist(), b.tolist())) + [(x, y) for x in specials for y in specials]
+    for x, y in pairs:
+        got, want = x * y, float(np.array([x]).dot(np.array([y])))
+        assert got == want, (x, y)
+        if want != 0.0:
+            assert got.hex() == want.hex(), (x, y)
+
+
+def test_the_rounded_points_excess_is_bitwise_the_all_ddot_sum(monkeypatch):
+    # with every certificate constant zero, each row reaches the search,
+    # which receives the excess lattice_mins summed, its last row's term a
+    # plain product
+    seen = []
+    enumerate_ = iqp._enumerate
+
+    def recording(factor, u, x0, excess, node_budget):
+        seen.append(excess)
+        return enumerate_(factor, u, x0, excess, node_budget)
+
+    monkeypatch.setattr(iqp, "_enumerate", recording)
+    # 60 centres per quadratic, its own and 59 shifted ones: x ** 2 and
+    # x * x part on about 1 float in 1,300, so a few thousand rows tell them
+    # apart
+    rng = np.random.default_rng(37)
+    for q in quadratic_corpus(seed=31, count=140, dims=(1, 2, 3, 4, 5, 8, 10), cond=1e4):
+        f = factor_of(q.Q)
+        object.__setattr__(f, "cert", [0.0] * q.n)
+        u = linalg.solve_with_factor(f.L, -q.d)
+        U = np.vstack([u, u + rng.uniform(-50.0, 50.0, size=(59, q.n))])
+        seen.clear()
+        iqp.lattice_mins((f,) * len(U), U)
+        assert [e.hex() for e in seen] == [_all_ddot_excess(f, np.rint(u) - u).hex() for u in U]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_row_fails_the_certificate_at_any_coordinate(bad):
+    # the certificate's comparisons are all false on a NaN excess, so the
+    # row reaches the search, whose round() names it as a non-finite centre
+    f = factor_of(np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]]))
+    for j in range(3):
+        U = np.array([[0.1, 0.2, 0.3], [0.4, -0.2, 7.0], [1.1, 2.2, 3.3]])
+        U[1, j] = bad
+        with pytest.raises(NonFiniteCentre, match="^row 1: "), np.errstate(invalid="ignore"):
+            iqp.lattice_mins((f,) * 3, U, labels=("row 0", "row 1", "row 2"))
 
 
 def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
