@@ -2,18 +2,17 @@
 
 Pipeline: build or load an instance (`game`, `instgen`; the instance
 derives, once, everything a solve needs from it alone: every player's
-Cholesky factor and factor data, the classification of the interaction
-matrices and the stacks of a sweep), prepare it once per solve
-(`game.prepare`: the proximity radii under the solve's flatness rule), run
-certified best-response iteration on the joint strategy vector
+Cholesky factor and factor data, its proven proximity radius among them,
+the classification of the interaction matrices and the stacks of a sweep),
+run certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
-(`finite.verify_delta`, `bounds`).  Every stage of a solve takes the
-prepared value, and `Prepared.inst` is its instance; `finite.restrict` and
-`game.objective` need no flatness rule and take the instance.
+(`finite.verify_delta`, `bounds`).  Every stage takes the instance.  A
+solve's flatness rule reaches only the reported bounds: `bounds.proximity`
+gives the radii under it, and `bounds.guarantee_pack` reads them.
 """
 
-from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical
+from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical, proximity
 from .dynamics import (
     BrTrace,
     CycleSets,
@@ -56,7 +55,6 @@ from .game import (
     AdequacyReport,
     IcqsInstance,
     PlayerProblem,
-    Prepared,
     best_response,
     best_responses,
     classify,
@@ -65,7 +63,6 @@ from .game import (
     make_instance,
     objective,
     objectives,
-    prepare,
     save_instance,
 )
 from .instgen import NegativeSpec, PricingSpec, RandomSpec, builtin, gen_negative, gen_pricing, gen_random

@@ -65,13 +65,16 @@ def solve_pipeline(
 
     Returns a plain-dict report mirroring the instance file format; the
     equilibrium stage is skipped for divergent or capped runs.  ``rule`` is
-    the flatness rule the reported proximity bounds are stated under; the
-    instance is prepared once under it and every stage shares that value.
+    the flatness rule the reported proximity bounds are stated under: its
+    radii (`bounds.proximity`, taken first, so a rule that overflows fails
+    before the run) reach only `bounds.guarantee_pack`.  The outcome, the
+    termination and divergence radii and every certificate read the proven
+    radii whatever the rule.
     """
     t0 = time.perf_counter()
-    prep = game.prepare(inst, rule)
+    prox = bounds.proximity(inst, rule)
     report = inst.report
-    trace = dynamics.run_br(prep, start=start, max_iters=max_iters, mode=mode)
+    trace = dynamics.run_br(inst, start=start, max_iters=max_iters, mode=mode)
     result: dict = {
         "classification": report.classification.value,
         "rho": report.rho,
@@ -79,8 +82,8 @@ def solve_pipeline(
         "sigma_min": list(report.sigma_min),
         "outcome": trace.outcome,
         "iterations": trace.iterations,
-        "termination_radius": dynamics.termination_radius(prep),
-        "divergence_radius": dynamics.divergence_radius(prep),
+        "termination_radius": dynamics.termination_radius(inst),
+        "divergence_radius": dynamics.divergence_radius(inst),
         "mode": mode,
     }
     equilibrium = None
@@ -89,8 +92,8 @@ def solve_pipeline(
             sets = dynamics.cycle_sets(trace)
             fg = finite.restrict(inst, sets)
             profile, achieved_eps = finite.solve_equilibrium(fg)
-            delta = finite.verify_delta(prep, fg, profile, trace)
-            pack = bounds.guarantee_pack(prep, sets)
+            delta = finite.verify_delta(inst, fg, profile, trace)
+            pack = bounds.guarantee_pack(inst, sets, prox)
             delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack, report)
             equilibrium = {
                 "strategies": [S_i.tolist() for S_i in fg.strategies],

@@ -50,8 +50,10 @@ scales the iterates and leaves the number of sweeps unchanged.  The start's
 norm keeps the test finite when iterates shrink geometrically to the origin,
 where the step stays a fixed fraction of the iterates' norm.
 
-`run_br`, the sweeps and the radii take the solve's `game.Prepared` value,
-whose ``inst`` is the instance they run on.
+`run_br`, the sweeps and the radii take the instance.  The termination and
+divergence radii, and so the divergence certificate, read each player's
+proven proximity radius (`iqp.Factor.radius`, Flt(n) <= n^{5/2}), never a
+flatness rule a solve reports its bounds under.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from . import game
-from .errors import DimensionMismatch, NoCycle, ResponseOverflow
+from .errors import BoundOverflow, DimensionMismatch, NoCycle, ResponseOverflow
 
 INTEGER = "integer"
 CONTINUOUS = "continuous"
@@ -184,13 +186,13 @@ def _start_fault(inst: game.IcqsInstance, z: np.ndarray, lengths, integer: bool)
 
 
 def run_br(
-    prep: game.Prepared,
+    inst: game.IcqsInstance,
     start=None,
     max_iters: int = DEFAULT_MAX_ITERS,
     mode: str = INTEGER,
 ) -> BrTrace:
-    """Run best-response iteration on ``prep.inst`` from ``start`` (all zeros
-    by default).
+    """Run best-response iteration on ``inst`` from ``start`` (all zeros by
+    default).
 
     Deterministic: the same instance, start and configuration always produce
     the identical trace.
@@ -200,16 +202,16 @@ def run_br(
     if mode not in (INTEGER, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
 
-    z = validate_start(prep.inst, start, mode)
+    z = validate_start(inst, start, mode)
     integer = mode == INTEGER
     sweep = game.integer_sweep if integer else game.continuous_sweep
-    slots = [slice(a, b) for a, b in prep.inst.slots]
+    slots = [slice(a, b) for a, b in inst.slots]
     zf = z.astype(np.float64)
     profiles = [z]
     norms = [_joint_norm(zf, slots)]
     seen: dict[bytes, int] = {z.tobytes(): 0} if integer else {}
 
-    div_radius = divergence_radius(prep)
+    div_radius = divergence_radius(inst)
     latch: int | None = None
 
     outcome = OUTCOME_CAP
@@ -224,7 +226,7 @@ def run_br(
     quiet = {"over": "ignore", "invalid": "ignore"} if integer else {}
     with np.errstate(**quiet):
         for t in range(1, max_iters + 1):
-            z = sweep(prep, zf)
+            z = sweep(inst, zf)
             profiles.append(z)
             prev, zf = zf, (z.astype(np.float64) if integer else z)
             norms.append(_joint_norm(zf, slots))
@@ -265,7 +267,7 @@ def run_br(
 
     return BrTrace(
         profiles=np.stack(profiles),
-        slots=prep.inst.slots,
+        slots=inst.slots,
         norms=tuple(norms),
         outcome=outcome,
         mode=mode,
@@ -295,30 +297,42 @@ def cycle_sets(trace: BrTrace) -> CycleSets:
     return CycleSets(strategies=tuple(strategies))
 
 
-def termination_radius(prep: game.Prepared) -> float | None:
+def _radius(inst: game.IcqsInstance) -> float:
+    """The radius below at the proven radii; BoundOverflow when it is too
+    large for a float."""
+    rho = inst.report.rho
+    radius = (inst.qinv_d_norm + game._norm([f.radius for f in inst.factors])) / rho
+    if not math.isfinite(radius):
+        raise BoundOverflow(
+            f"the exact radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {rho:.6g}"
+        )
+    return radius
+
+
+def termination_radius(inst: game.IcqsInstance) -> float | None:
     """Norm level below which a positively adequate run must eventually stay.
 
     L = (||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
-    with rho = 1 - max sigma, at the exact radii (`game.Prepared.radius`).
+    with rho = 1 - max sigma, at the proven radii (`iqp.Factor.radius`).
     Outside L the joint norm strictly decreases, so only finitely many
     profiles are reachable infinitely often.  Returns None unless the
     instance is positively adequate.
     """
-    if prep.inst.report.classification is not game.Adequacy.POSITIVE:
+    if inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return prep.radius()
+    return _radius(inst)
 
 
-def divergence_radius(prep: game.Prepared) -> float | None:
+def divergence_radius(inst: game.IcqsInstance) -> float | None:
     """Norm level beyond which negatively adequate iterates grow forever.
 
-    Same formula as the termination radius, at the exact radii, with
+    Same formula as the termination radius, at the proven radii, with
     rho = min sigma - 1; `run_br`'s divergence latch reads it.  Returns None
     unless the instance is negatively adequate.
     """
-    if prep.inst.report.classification is not game.Adequacy.NEGATIVE:
+    if inst.report.classification is not game.Adequacy.NEGATIVE:
         return None
-    return prep.radius()
+    return _radius(inst)
 
 
 def cycle_telemetry(trace: BrTrace) -> np.ndarray:

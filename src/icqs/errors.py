@@ -46,8 +46,9 @@ class ResponseOverflow(IcqsError):
 
 class BoundOverflow(IcqsError):
     """A proximity bound is too large for a float: a flatness rule's Flt(n),
-    or its square, overflows at an instance dimension, or a deviation bound
-    lambda_1 (prox + L)^2 built on a finite radius and diameter does."""
+    or its square, overflows at an instance dimension, or the termination or
+    divergence radius does, or a deviation bound lambda_1 (prox + L)^2 built
+    on a finite radius and diameter does."""
 
 
 class OracleBudgetExceeded(IcqsError):

@@ -5,9 +5,9 @@ strategies visited inside the cycle yields a small finite game whose mixed
 equilibrium approximates an equilibrium of the full instance.  This module
 builds that game's costs, finds pure and mixed equilibria, and measures
 a-posteriori how much any player could gain by deviating to an arbitrary
-lattice point.  The costs need only the instance (`restrict`); the
-deviation check solves integer best responses, so `verify_delta` takes the
-solve's `game.Prepared` value.  It runs on joint vectors: the mean profile
+lattice point.  Every function takes the instance: the costs
+(`restrict`), and the deviation check (`verify_delta`), which solves
+integer best responses.  That check runs on joint vectors: the mean profile
 is one vector, the deviations one `game.integer_sweep` of it (or an
 integer fixed point's last sweep), and every player's deviation cost one
 `game.objectives` expression.
@@ -520,7 +520,7 @@ class DeltaReport:
 
 
 def verify_delta(
-    prep: game.Prepared,
+    inst: game.IcqsInstance,
     fg: FiniteGame,
     profile: MixedProfile,
     trace: dynamics.BrTrace | None = None,
@@ -537,7 +537,7 @@ def verify_delta(
     cost comes from one `game.objectives` expression at v against z, up to
     rounding in its last bits `game.objective`'s.
 
-    ``trace`` is the optional `dynamics.run_br` run on ``prep`` that ``fg``
+    ``trace`` is the optional `dynamics.run_br` run on ``inst`` that ``fg``
     was restricted from.  When it is an integer-mode fixed point and z is
     its last swept input, the row ``profiles[-2]``, its last sweep already
     holds every player's integer best response to z, bitwise what a new
@@ -547,12 +547,12 @@ def verify_delta(
     """
     z = np.concatenate(mean_strategies(fg, profile))
     exp = expected_costs(fg, profile)
-    v = trace.profiles[-1] if _swept_last(trace, z) else game.integer_sweep(prep, z)
-    dev_costs = game.objectives(prep.inst, v.astype(np.float64), z)
+    v = trace.profiles[-1] if _swept_last(trace, z) else game.integer_sweep(inst, z)
+    dev_costs = game.objectives(inst, v.astype(np.float64), z)
     return DeltaReport(
         expected_costs=tuple(exp.tolist()),
         deviation_costs=tuple(dev_costs.tolist()),
-        deviation_vectors=prep.inst.split(v),
+        deviation_vectors=inst.split(v),
         gains=tuple((exp - dev_costs).tolist()),
     )
 

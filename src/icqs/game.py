@@ -22,14 +22,13 @@ once, when it is built: each Q_i's Cholesky factor, whose pivot test is Q_i's
 positive definiteness check, and the `iqp.Factor` taken from it, the
 concatenated couplings, the adequacy report (`classify`), the sweep stacks
 and the norm of (Q_1^{-1}d_1; ...; Q_k^{-1}d_k).  No classification, solve
-or generator draw factors or classifies an instance again.  A solve adds
-only its flatness rule: `prepare(inst, rule)` gives a `Prepared` value with
-every player's proximity radii under that rule.  Every function of a solve
-(a best response, a sweep, a radius, a bound) takes the `Prepared` value,
-whose ``inst`` is the instance; the functions that need no rule
-(`objective`, `classify`) take the instance.
+or generator draw factors or classifies an instance again.  Each factor
+carries its proven proximity radius (`iqp.Factor.radius`), the one every
+certificate reads, so every function of a solve (a best response, a sweep,
+a radius, a bound) takes the instance; only the reported bounds read a
+solve's flatness rule, through `bounds.proximity`.
 
-`integer_sweep(prep, z)` is the sweep kernel: every player's integer best
+`integer_sweep(inst, z)` is the sweep kernel: every player's integer best
 response to the joint float64 strategy vector z, returned as one joint int64
 vector, with nothing checked.  The instance groups the players by dimension
 (`PlayerGroup`) and stacks, once, what the kernel reads of each group: the
@@ -43,9 +42,9 @@ call and bits as `np.linalg.solve`).  `iqp.lattice_mins` then answers each
 player in turn from that u: the rounding certificate, the search when the
 certificate cannot answer, and the proximity postcondition.
 `continuous_sweep` is the same gather, matvec and solve without the
-rounding.  `best_responses(prep, profile)` is the checked wrapper: it
+rounding.  `best_responses(inst, profile)` is the checked wrapper: it
 validates the per-player vectors, joins them and splits the answer into one
-array per player.  `best_response(prep, i, others)` runs the same
+array per player.  `best_response(inst, i, others)` runs the same
 `lattice_mins` on one row, from the one-player linear term and
 `linalg.solve_with_factor`, and each sweep response is bitwise the one it
 gives (the argument is in `iqp`).
@@ -62,7 +61,6 @@ its joint coupling ``C``, the block-diagonal joint ``Q`` and the joint
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -70,7 +68,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import iqp, linalg
-from .errors import BoundOverflow, DimensionMismatch
+from .errors import DimensionMismatch
 
 # Singular values within this margin of 1 are treated as "on the boundary":
 # the instance is classified neither positively nor negatively adequate.
@@ -157,8 +155,8 @@ class IcqsInstance:
     - ``slots[i]``: the range [a, b) of player i's entries in the joint
       strategy vector, and ``groups``: the players by dimension, in order of
       their first player, with what a sweep reads of each (`PlayerGroup`);
-    - ``qinv_d_norm``: ||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)||, the part of the
-      termination and divergence radii that no flatness rule changes.
+    - ``qinv_d_norm``: ||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)||, the first term
+      of the termination and divergence radii (`dynamics.termination_radius`).
     """
 
     players: tuple[PlayerProblem, ...]
@@ -310,46 +308,6 @@ def classify(inst: IcqsInstance) -> AdequacyReport:
     )
 
 
-@dataclass(frozen=True)
-class Prepared:
-    """An instance and its players' proximity radii under one solve's
-    flatness rule; build it with `prepare`.
-
-    ``prox[variant][i]`` is player i's radius of each variant the report
-    quotes: ``"flatness"``, the plain flatness radius, and ``"exact"``, the
-    one raised to sqrt(n)/2 for scaled identities, which the certificates
-    read.
-    """
-
-    inst: IcqsInstance
-    prox: Mapping[str, tuple[float, ...]]
-
-    def radius(self) -> float:
-        """(||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
-        at the exact radii.
-
-        BoundOverflow when it is too large for a float.
-        """
-        rho = self.inst.report.rho
-        radius = (self.inst.qinv_d_norm + _norm(self.prox["exact"])) / rho
-        if not math.isfinite(radius):
-            raise BoundOverflow(
-                f"the exact radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {rho:.6g}"
-            )
-        return radius
-
-
-def prepare(inst: IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE) -> Prepared:
-    """Every player's proximity radii of both variants under ``rule``, for
-    one solve of ``inst``; BoundOverflow when the rule overflows at a
-    player's dimension.  Each exact radius is the flatness one raised by
-    `iqp.exact_prox`.
-    """
-    flatness = tuple(iqp.prox_bound(f, rule) for f in inst.factors)
-    exact = tuple(iqp.exact_prox(f, p) for f, p in zip(inst.factors, flatness))
-    return Prepared(inst=inst, prox={"flatness": flatness, "exact": exact})
-
-
 def _concat(inst: IcqsInstance, players: Sequence[int], vectors: Sequence[np.ndarray]) -> np.ndarray:
     """The vectors of ``players``, one each in that order, as one float64 vector."""
     dims = inst.dims
@@ -426,7 +384,7 @@ def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarra
     return _concat(inst, range(inst.k), profile)
 
 
-def integer_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
+def integer_sweep(inst: IcqsInstance, z: np.ndarray) -> np.ndarray:
     """Every player's integer best response to the joint float64 vector
     ``z``, as one joint int64 vector: one Jacobi sweep, unchecked.
 
@@ -436,31 +394,31 @@ def integer_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
     cannot answer, and the proximity postcondition.
     """
     out = np.empty(z.shape[0], dtype=np.int64)
-    for g in prep.inst.groups:
+    for g in inst.groups:
         out[g.own] = iqp.lattice_mins(g.factors, g.continuous_mins(z), labels=g.labels)
     return out
 
 
-def continuous_sweep(prep: Prepared, z: np.ndarray) -> np.ndarray:
+def continuous_sweep(inst: IcqsInstance, z: np.ndarray) -> np.ndarray:
     """Every player's continuous best response to the joint float64 vector
     ``z``, as one joint vector; unchecked, as `integer_sweep`."""
     out = np.empty_like(z)
-    for g in prep.inst.groups:
+    for g in inst.groups:
         out[g.own] = g.continuous_mins(z)
     return out
 
 
-def best_responses(prep: Prepared, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
+def best_responses(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Every player's integer best response to the joint ``profile``, one
     vector per player: `integer_sweep` on the checked joint vector.
 
     Real entries are allowed, as for `best_response`.  Each response is
     bitwise the one `best_response` gives the same player.
     """
-    return list(prep.inst.split(integer_sweep(prep, joint_vector(prep.inst, profile))))
+    return list(inst.split(integer_sweep(inst, joint_vector(inst, profile))))
 
 
-def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
+def best_response(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:
     """Integer best response of player i to the opponents' (mean) strategies.
 
     ``others`` holds one vector per opponent in ascending player order.
@@ -469,8 +427,8 @@ def best_response(prep: Prepared, i: int, others: Sequence[np.ndarray]) -> np.nd
     certificate, search and postcondition on one row, from the one-player
     linear term.
     """
-    factor = prep.inst.factors[i]
-    D = _linear_term(prep.inst, i, _others_concat(prep.inst, i, others))
+    factor = inst.factors[i]
+    D = _linear_term(inst, i, _others_concat(inst, i, others))
     u = linalg.solve_with_factor(factor.L, -D)
     return iqp.lattice_mins((factor,), u[None], labels=(f"player {i}",))[0]
 

@@ -28,7 +28,7 @@ def announce(number: int, ok: bool, detail: str) -> None:
 def instances6():
     corpus = instance_corpus()
     assert len(corpus) == 50
-    return [(name, inst, game.prepare(inst)) for name, inst in corpus]
+    return corpus
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +36,11 @@ def solves6(instances6):
     """10 seeded integer-mode solves per instance, full pipeline timed."""
     records = []
     rng = np.random.default_rng(20240601)
-    for name, inst, _ in instances6:
+    for name, inst in instances6:
         for start_idx in range(10):
             start = [rng.integers(-50, 51, size=n).astype(float) for n in inst.dims]
             t0 = time.perf_counter()
-            prep = game.prepare(inst)
-            trace = dynamics.run_br(prep, start=start, max_iters=10_000)
+            trace = dynamics.run_br(inst, start=start, max_iters=10_000)
             terminated = trace.outcome in (
                 dynamics.OUTCOME_CYCLE,
                 dynamics.OUTCOME_FIXED_POINT,
@@ -52,9 +51,9 @@ def solves6(instances6):
                 sets = dynamics.cycle_sets(trace)
                 fg = finite.restrict(inst, sets)
                 profile, _ = finite.solve_equilibrium(fg)
-                delta = finite.verify_delta(prep, fg, profile)
+                delta = finite.verify_delta(inst, fg, profile)
                 max_gain = delta.max_gain
-                priori = bounds.delta_a_priori(prep, prox_variant="exact")
+                priori = bounds.delta_a_priori(inst)
                 delta_ok = priori is not None and all(
                     g <= b + 1e-9 for g, b in zip(delta.gains, priori)
                 )
@@ -81,7 +80,7 @@ def solves6(instances6):
 def test_criterion_1_example1_divergence():
     inst = instgen.builtin("example1")
     t0 = time.perf_counter()
-    trace = dynamics.run_br(game.prepare(inst), start=[[5.0], [5.0]], max_iters=8)
+    trace = dynamics.run_br(inst, start=[[5.0], [5.0]], max_iters=8)
     elapsed = time.perf_counter() - t0
     expected = [(5 * 2**t, 5 * 2**t) for t in range(9)]
     got = [tuple(int(x[0]) for x in inst.split(p)) for p in trace.profiles]
@@ -97,12 +96,11 @@ def test_criterion_1_example1_divergence():
 def test_criterion_2_cycling_example():
     inst = instgen.builtin("cycling")
     t0 = time.perf_counter()
-    prep = game.prepare(inst)
-    trace = dynamics.run_br(prep, start=[[0.0], [0.0]])
+    trace = dynamics.run_br(inst, start=[[0.0], [0.0]])
     sets = dynamics.cycle_sets(trace)
     fg = finite.restrict(inst, sets)
     profile = finite.mne_two_player(fg)
-    delta = finite.verify_delta(prep, fg, profile)
+    delta = finite.verify_delta(inst, fg, profile)
     elapsed = time.perf_counter() - t0
 
     path = [tuple(int(x[0]) for x in inst.split(p)) for p in trace.profiles]
@@ -125,8 +123,7 @@ def test_criterion_2_cycling_example():
 @pytest.mark.parametrize("M", [10, 20, 40])
 def test_criterion_3_counterexample_family(M):
     inst = instgen.builtin("counterexample", M=M)
-    prep = game.prepare(inst)
-    trace = dynamics.run_br(prep, start=[[0.0, 1.0], [0.0, 1.0]])
+    trace = dynamics.run_br(inst, start=[[0.0, 1.0], [0.0, 1.0]])
     sets = dynamics.cycle_sets(trace)
     expected_set = {(0, 1), (M, 0)}
     sets_ok = all(
@@ -137,7 +134,7 @@ def test_criterion_3_counterexample_family(M):
     profile = finite.mne_two_player(fg)
     mix_ok = all(np.allclose(p, [0.5, 0.5], atol=1e-9) for p in profile.probs)
     costs_ok = np.allclose(finite.expected_costs(fg, profile), [0.0, 0.0], atol=1e-9)
-    delta = finite.verify_delta(prep, fg, profile)
+    delta = finite.verify_delta(inst, fg, profile)
     target = M * M / 8.0
     gain_ok = delta.gains[0] >= target - 1e-6
 
@@ -219,7 +216,7 @@ def test_criterion_5_proximity_invariants(iqp_corpus):
 
 def test_criterion_6_termination(instances6, solves6):
     classified_ok = all(
-        prep.inst.report.classification is game.Adequacy.POSITIVE for _, _, prep in instances6
+        inst.report.classification is game.Adequacy.POSITIVE for _, inst in instances6
     )
     terminated = [r for r in solves6 if r["terminated"]]
     median = float(np.median([r["elapsed"] for r in solves6]))
@@ -244,8 +241,8 @@ def test_criterion_7_equilibrium_quality(instances6, solves6):
     # a gain is only checked against a finite bound; count where one exists
     finite_bound = sum(
         1
-        for _, inst, prep in instances6
-        if any(math.isfinite(b) for b in bounds.delta_a_priori(prep, "exact") or [])
+        for _, inst in instances6
+        if any(math.isfinite(b) for b in bounds.delta_a_priori(inst) or [])
     )
     ok = small_gain >= 0.95 * len(solves6) and bounded == len(solves6)
     announce(
@@ -262,15 +259,14 @@ def test_criterion_8_divergence():
     for seed in range(20):
         spec = instgen.NegativeSpec(n_players=2, vars_per_player=3, seed=7000 + seed)
         inst = instgen.gen_negative(spec)
-        prep = game.prepare(inst)
-        radius = dynamics.divergence_radius(prep)
+        radius = dynamics.divergence_radius(inst)
         rng = np.random.default_rng(seed)
         # any integer start strictly outside the certified radius
         scale = math.ceil(radius / math.sqrt(sum(inst.dims))) + 1
         start = [
             rng.integers(1, 3, size=n).astype(float) * scale for n in inst.dims
         ]
-        trace = dynamics.run_br(prep, start=start, max_iters=50)
+        trace = dynamics.run_br(inst, start=start, max_iters=50)
         monotone = all(
             trace.norms[t + 1] > trace.norms[t] for t in range(len(trace.norms) - 1)
         )
@@ -306,20 +302,20 @@ def _affine_fixed_point(inst):
 
 def test_criterion_9_continuous_mode(instances6):
     stationarity_bad = contraction_bad = 0
-    for name, inst, prep in instances6:
-        trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS, max_iters=10_000)
+    for name, inst in instances6:
+        trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS, max_iters=10_000)
         if trace.outcome != dynamics.OUTCOME_FIXED_POINT:
             stationarity_bad += 1
             continue
         z_end = inst.split(trace.profiles[-1])
-        step = inst.split(game.continuous_sweep(prep, game.joint_vector(inst, z_end)))
+        step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, z_end)))
         residual = math.sqrt(
             sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z_end))
         )
         if residual > 1e-8:
             stationarity_bad += 1
         z_star = _affine_fixed_point(inst)
-        sigma = prep.inst.report.max_sigma
+        sigma = inst.report.max_sigma
         dists = [
             float(np.linalg.norm(np.asarray(p, float) - z_star))
             for p in trace.profiles
@@ -331,7 +327,7 @@ def test_criterion_9_continuous_mode(instances6):
                 break
 
     ex1 = dynamics.run_br(
-        game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]],
+        instgen.builtin("example1"), start=[[5.0], [5.0]],
         mode=dynamics.CONTINUOUS, max_iters=30,
     )
     ex1_ok = ex1.outcome == dynamics.OUTCOME_DIVERGENCE and all(

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from _corpus import instance_corpus
 from icqs import bounds, dynamics, finite, game, instgen, iqp
 from icqs.errors import BoundOverflow
 
 
 def cycle_of(inst, start):
-    return dynamics.cycle_sets(dynamics.run_br(game.prepare(inst), start=start))
+    return dynamics.cycle_sets(dynamics.run_br(inst, start=start))
 
 
 @pytest.fixture(scope="module")
@@ -54,16 +55,17 @@ def test_cycle_diameter_of_a_strategy_matrix_is_the_pairwise_loop_bitwise():
 def test_delta_a_posteriori_values(cycling_setup):
     inst, _ = cycling_setup
     # lambda_1 = 2, flatness prox of a 1-D Q=2 block is 0.25, diameter 1
-    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 1.0, "flatness") == pytest.approx(2.0 * 1.25**2)
-    assert bounds.delta_a_posteriori(game.prepare(inst), 0, 0.0, "flatness") == pytest.approx(2.0 * 0.25**2)
+    flat = bounds.proximity(inst)["flatness"]
+    assert bounds.delta_a_posteriori(inst, 0, 1.0, flat) == pytest.approx(2.0 * 1.25**2)
+    assert bounds.delta_a_posteriori(inst, 0, 0.0, flat) == pytest.approx(2.0 * 0.25**2)
     cg = instgen.builtin("counterexample", M=10)
-    val = bounds.delta_a_posteriori(game.prepare(cg), 0, math.sqrt(101.0), "flatness")
+    val = bounds.delta_a_posteriori(cg, 0, math.sqrt(101.0), bounds.proximity(cg)["flatness"])
     assert val == pytest.approx((math.sqrt(2.0) + math.sqrt(101.0)) ** 2)
 
 
 def test_delta_a_posteriori_monotone_in_diameter(cycling_setup):
     inst, _ = cycling_setup
-    values = [bounds.delta_a_posteriori(game.prepare(inst), 0, L) for L in np.linspace(0.0, 5.0, 20)]
+    values = [bounds.delta_a_posteriori(inst, 0, L) for L in np.linspace(0.0, 5.0, 20)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -74,16 +76,17 @@ def test_delta_a_posteriori_overflow_is_a_typed_error():
         game.PlayerProblem(Q=np.array([[1e6]]), C={1: np.zeros((1, 1))}, d=np.zeros(1)),
         game.PlayerProblem(Q=np.array([[1.0]]), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
     ]
-    prep = game.prepare(game.make_instance(players), iqp.FlatnessRule(coeff=1e154, exponent=0.0))
+    inst = game.make_instance(players)
+    prox = bounds.proximity(inst, iqp.FlatnessRule(coeff=1e154, exponent=0.0))["exact"]
     with pytest.raises(BoundOverflow, match="^player 0: "):
-        bounds.delta_a_posteriori(prep, 0, 0.0)
-    assert bounds.delta_a_posteriori(prep, 0, math.inf) == math.inf
-    assert bounds.delta_a_posteriori(prep, 1, 0.0) == pytest.approx(1e154**2 / 16.0)
+        bounds.delta_a_posteriori(inst, 0, 0.0, prox)
+    assert bounds.delta_a_posteriori(inst, 0, math.inf, prox) == math.inf
+    assert bounds.delta_a_posteriori(inst, 1, 0.0, prox) == pytest.approx(1e154**2 / 16.0)
 
 
 def test_l_bound_two_player_closed_form(cycling_setup):
     inst, _ = cycling_setup
-    lb = bounds.l_bound_theoretical(game.prepare(inst), "flatness")
+    lb = bounds.l_bound_theoretical(inst, bounds.proximity(inst)["flatness"])
     expected = (2 * 0.25 * 0.1 + 2 * 0.25) / (1 - 0.01)
     assert lb[0] == pytest.approx(expected)
     assert lb[0] == pytest.approx(0.5556, abs=5e-5)
@@ -97,9 +100,9 @@ def test_l_bound_zero_coupling_and_negative():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    lb = bounds.l_bound_theoretical(game.prepare(inst), "flatness")
+    lb = bounds.l_bound_theoretical(inst, bounds.proximity(inst)["flatness"])
     assert lb == pytest.approx([0.5, 0.5])  # sigma = 0 leaves 2 * prox
-    assert bounds.l_bound_theoretical(game.prepare(instgen.builtin("example1"))) is None
+    assert bounds.l_bound_theoretical(instgen.builtin("example1")) is None
 
 
 @pytest.mark.parametrize(
@@ -190,11 +193,12 @@ def test_l_closure_residual_on_seeded_draws():
 
 def test_delta_a_priori_values(cycling_setup):
     inst, _ = cycling_setup
-    dp = bounds.delta_a_priori(game.prepare(inst), "flatness")
-    lb = bounds.l_bound_theoretical(game.prepare(inst), "flatness")[0]
+    flat = bounds.proximity(inst)["flatness"]
+    dp = bounds.delta_a_priori(inst, flat)
+    lb = bounds.l_bound_theoretical(inst, flat)[0]
     assert dp[0] == pytest.approx(2.0 * (0.25 + lb) ** 2)
     assert dp[0] == pytest.approx(1.298, abs=5e-4)
-    assert bounds.delta_a_priori(game.prepare(instgen.builtin("example1"))) is None
+    assert bounds.delta_a_priori(instgen.builtin("example1")) is None
 
 
 def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
@@ -204,7 +208,7 @@ def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    dp = bounds.delta_a_priori(game.prepare(inst), "flatness")
+    dp = bounds.delta_a_priori(inst, bounds.proximity(inst)["flatness"])
     assert dp[0] == pytest.approx(2.0 * (3 * 0.25) ** 2)
 
 
@@ -212,11 +216,10 @@ def test_the_public_bounds_default_to_the_exact_radius(cycling_setup):
     # the flatness radius of a 1-D player, 1/4, certifies nothing; the
     # defaults are the exact radius the report's certificates read
     inst, sets = cycling_setup
-    prep = game.prepare(inst)
-    pack = bounds.guarantee_pack(prep, sets)
-    assert bounds.delta_a_priori(prep) == list(pack.delta_a_priori["exact"])
-    assert bounds.l_bound_theoretical(prep) == list(pack.l_bound["exact"])
-    assert [bounds.delta_a_posteriori(prep, i, L) for i, L in enumerate(pack.l_measured)] == list(
+    pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
+    assert bounds.delta_a_priori(inst) == list(pack.delta_a_priori["exact"])
+    assert bounds.l_bound_theoretical(inst) == list(pack.l_bound["exact"])
+    assert [bounds.delta_a_posteriori(inst, i, L) for i, L in enumerate(pack.l_measured)] == list(
         pack.delta_a_posteriori["exact"]
     )
     assert pack.delta_a_priori["exact"] != pack.delta_a_priori["flatness"]
@@ -224,32 +227,65 @@ def test_the_public_bounds_default_to_the_exact_radius(cycling_setup):
 
 def test_guarantee_pack_flags_flatness_violation(cycling_setup):
     inst, sets = cycling_setup
-    prep = game.prepare(inst)
-    pack = bounds.guarantee_pack(prep, sets)
+    pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
     # measured diameter 1 exceeds the flatness-based bound but not the
     # exact-prox one: (0.1 + 1) / 0.99
     assert pack.l_measured == pytest.approx((1.0, 1.0))
     assert pack.flatness_l_violated == (True, True)
     assert pack.l_bound["exact"][0] == pytest.approx(1.1 / 0.99)
     assert pack.l_measured[0] <= pack.l_bound["exact"][0]
-    assert prep.prox["flatness"] == pytest.approx((0.25, 0.25))
-    assert prep.prox["exact"] == pytest.approx((0.5, 0.5))
+    assert bounds.proximity(inst)["flatness"] == pytest.approx((0.25, 0.25))
+    assert bounds.proximity(inst)["exact"] == pytest.approx((0.5, 0.5))
 
 
 def test_guarantee_chain_on_solved_positively_adequate_instances():
     # gain <= a-posteriori(measured L) <= a-priori, in the certified variant
     for seed in (1, 4, 9):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=3, seed=seed))
-        prep = game.prepare(inst)
-        trace = dynamics.run_br(prep, start=[[30.0, -20.0, 10.0], [-10.0, 25.0, -30.0]])
+        trace = dynamics.run_br(inst, start=[[30.0, -20.0, 10.0], [-10.0, 25.0, -30.0]])
         sets = dynamics.cycle_sets(trace)
         fg = finite.restrict(inst, sets)
         profile, _ = finite.solve_equilibrium(fg)
-        delta = finite.verify_delta(prep, fg, profile)
-        pack = bounds.guarantee_pack(prep, sets)
+        delta = finite.verify_delta(inst, fg, profile)
+        pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
         for i in range(inst.k):
             post = pack.delta_a_posteriori["exact"][i]
             assert delta.gains[i] <= post + 1e-9
             if pack.delta_a_priori["exact"] is not None:
                 assert pack.l_measured[i] <= pack.l_bound["exact"][i] + 1e-9
                 assert post <= pack.delta_a_priori["exact"][i] + 1e-9
+
+
+def test_proximity_holds_both_variants_under_the_rule():
+    inst = instgen.builtin("cycling")
+    prox = bounds.proximity(inst, iqp.FlatnessRule(coeff=2.0, exponent=1.0))
+    assert list(prox) == ["flatness", "exact"]
+    assert prox["flatness"] == pytest.approx((0.5, 0.5))
+    assert prox["exact"] == pytest.approx((0.5, 0.5))
+
+
+@pytest.mark.parametrize("rule", [iqp.PROVEN_RULE, iqp.FlatnessRule(coeff=0.5, exponent=0.5)])
+def test_proximity_gives_bitwise_the_guarantee_radii(rule):
+    # proximity raises its own flatness radii to the exact ones; each is
+    # bitwise what `guarantee_prox` gives from scratch
+    cases = [inst for _, inst in instance_corpus()]
+    cases += [instgen.builtin(name) for name in ("example1", "cycling")]
+    cases.append(instgen.builtin("counterexample", M=10))
+    raised = 0
+    for inst in cases:
+        prox = bounds.proximity(inst, rule)
+        assert [r.hex() for r in prox["flatness"]] == [iqp.prox_bound(f, rule).hex() for f in inst.factors]
+        assert [r.hex() for r in prox["exact"]] == [iqp.guarantee_prox(f, rule).hex() for f in inst.factors]
+        raised += prox["exact"] != prox["flatness"]
+    assert raised > 0  # the scaled-identity rule fires on some of them
+
+
+def test_proven_exact_radii_are_bitwise_the_factors_radii():
+    # the certificates read `Factor.radius`, the reported bounds read
+    # `proximity`: under the proven rule the two must be the same floats, so
+    # that the reported bounds stay those the certificates are proven for
+    cases = [inst for _, inst in instance_corpus()]
+    cases += [instgen.builtin(name) for name in ("example1", "cycling")]
+    for inst in cases:
+        got = [r.hex() for r in bounds.proximity(inst)["exact"]]
+        assert got == [f.radius.hex() for f in inst.factors]

@@ -3,8 +3,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from _corpus import instance_corpus
 from icqs import bounds, cli, dynamics, finite, game, instgen, iqp, linalg
 
 
@@ -223,8 +225,8 @@ def test_solve_flatness_override_changes_reported_bounds(tmp_path):
 
 def test_solve_pipeline_classifies_once(monkeypatch):
     inst = instgen.builtin("cycling")  # validated and factored once, here
-    calls = {"classify": 0, "prepare": 0, "factorize": 0, "cholesky": 0}
-    targets = ((game, "classify"), (game, "prepare"), (iqp, "factorize"), (linalg, "cholesky"), (iqp, "cholesky"))
+    calls = {"classify": 0, "proximity": 0, "factorize": 0, "cholesky": 0}
+    targets = ((game, "classify"), (bounds, "proximity"), (iqp, "factorize"), (linalg, "cholesky"), (iqp, "cholesky"))
     for owner, name in targets:
         original = getattr(owner, name)
 
@@ -235,10 +237,10 @@ def test_solve_pipeline_classifies_once(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
-    # one prepared value per solve, which binds the flatness rule only: the
+    # one set of rule radii per solve, for the reported bounds only: the
     # classification and every player's factor come with the instance, so
     # no Q is factored and nothing is classified inside the solve
-    assert calls == {"classify": 0, "prepare": 1, "factorize": 0, "cholesky": 0}
+    assert calls == {"classify": 0, "proximity": 1, "factorize": 0, "cholesky": 0}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -257,7 +259,7 @@ def test_a_fixed_point_solve_takes_each_radius_and_cost_once(monkeypatch, k):
     assert result["outcome"] == "fixed_point"
     assert [len(s) for s in result["equilibrium"]["strategies"]] == [1] * k
     assert result["equilibrium"]["within_game_eps"] == 0.0
-    # one flatness radius per player, which `prepare` also raises to the
+    # one flatness radius per player, which `bounds.proximity` raises to the
     # exact one, and one pass of every player's pure-strategy costs, for the
     # expected costs: a one-cell game's regret is zero without one
     assert calls == {"prox_bound": k, "strategy_costs": 1}
@@ -317,9 +319,9 @@ def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, tmp_path, caps
 
 
 def test_an_overflowing_radius_exits_3_with_one_error_line(tmp_path):
-    # Flt = 1e154 squares to a finite float, but the joint norm of three
-    # players' radii does not: the solve stops with one error line and no
-    # numpy warning, and no report with an infinite radius is written
+    # Flt = 1e154 squares to a finite float, but lambda_max prox^2 of the
+    # deviation bound under it does not: the solve stops with one error line
+    # and no numpy warning, and no report with an infinite bound is written
     path = tmp_path / "inst.json"
     assert run_cli(["generate", "--family", "random", "--players", "3", "--vars", "5",
                     "--seed", "7", "--out", str(path)]) == cli.EXIT_OK
@@ -331,7 +333,7 @@ def test_an_overflowing_radius_exits_3_with_one_error_line(tmp_path):
     )
     assert proc.returncode == cli.EXIT_SOLVER
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: the exact radius"), proc.stderr
+    assert len(err) == 1 and err[0].startswith("error: player 0: the deviation bound"), proc.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -412,13 +414,12 @@ def test_delta_bounded_compares_a_gain_at_the_scale_of_the_costs():
         game.PlayerProblem(Q=1e-11 * p.Q, C={j: 1e-11 * c for j, c in p.C.items()}, d=1e-11 * p.d)
         for p in instgen.builtin("cycling").players
     ])
-    prep = game.prepare(inst)
-    trace = dynamics.run_br(prep, start=[[0.0], [0.0]])
+    trace = dynamics.run_br(inst, start=[[0.0], [0.0]])
     sets = dynamics.cycle_sets(trace)
     fg = finite.restrict(inst, sets)
     profile, _ = finite.solve_equilibrium(fg)
-    delta = finite.verify_delta(prep, fg, profile, trace)
-    pack = bounds.guarantee_pack(prep, sets)
+    delta = finite.verify_delta(inst, fg, profile, trace)
+    pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
     bound = pack.delta_a_priori["exact"][0]
     assert bound == pytest.approx(5.19e-11, rel=1e-3)
     assert cli._delta_bounded(delta, pack, inst.report) == (
@@ -642,3 +643,55 @@ def test_every_error_class_is_exported_from_the_package():
     ]
     assert len(classes) >= 14
     assert [c.__name__ for c in classes if getattr(icqs, c.__name__, None) is not c] == []
+
+
+SHARP_RULE = iqp.FlatnessRule(coeff=1e-6)
+NEGATIVE_START = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
+def negative_instance():
+    return instgen.gen_negative(instgen.NegativeSpec(n_players=2, vars_per_player=3, seed=1))
+
+
+@pytest.mark.parametrize("mode", [dynamics.INTEGER, dynamics.CONTINUOUS])
+def test_a_sharp_flatness_rule_does_not_reach_the_divergence_certificate(mode):
+    # the proven divergence radius of this instance is 82.66; the rule's own
+    # radius, 8.27e-5, lies below the start's norm, and the latch that read
+    # it certified divergence after one growing sweep
+    inst = negative_instance()
+    proven = cli.solve_pipeline(inst, start=NEGATIVE_START, max_iters=1, mode=mode)
+    sharp = cli.solve_pipeline(inst, start=NEGATIVE_START, max_iters=1, mode=mode, rule=SHARP_RULE)
+    assert proven["trace"].norms[1] > proven["trace"].norms[0]
+    assert proven["outcome"] == sharp["outcome"] == dynamics.OUTCOME_CAP
+    assert sharp["divergence_radius"].hex() == proven["divergence_radius"].hex()
+    assert proven["divergence_radius"] == pytest.approx(82.66, abs=5e-3)
+
+
+@pytest.mark.parametrize("mode", [dynamics.INTEGER, dynamics.CONTINUOUS])
+def test_the_solve_command_reads_cap_under_a_sharp_flatness_rule(tmp_path, mode):
+    path = tmp_path / "neg.json"
+    assert run_cli(["generate", "--family", "negative", "--players", "2", "--vars", "3",
+                    "--seed", "1", "--out", str(path)]) == cli.EXIT_OK
+    reports = []
+    for name, flags in (("proven", []), ("sharp", ["--flatness-coeff", "1e-6"])):
+        code = run_cli(["solve", str(path), "--start", "1,0,0;0,1,0", "--max-iters", "1",
+                        "--mode", mode, "--out", str(tmp_path / name), *flags])
+        assert code == cli.EXIT_OK
+        reports.append(json.loads((tmp_path / name / "neg.report.json").read_text()))
+    proven, sharp = reports
+    assert proven["outcome"] == sharp["outcome"] == "cap"
+    assert sharp["divergence_radius"] == proven["divergence_radius"]
+
+
+def test_a_sharper_rule_changes_no_outcome_iteration_or_radius():
+    # the rule reaches the reported bounds only: outcomes, sweeps and both
+    # radii are bitwise those of the proven rule
+    cases = [(inst, None) for _, inst in instance_corpus()[::5]]
+    cases += [(negative_instance(), NEGATIVE_START), (instgen.builtin("example1"), [[5.0], [5.0]])]
+    keys = ("outcome", "iterations", "termination_radius", "divergence_radius")
+    for inst, start in cases:
+        proven = cli.solve_pipeline(inst, start=start, max_iters=200)
+        for rule in (SHARP_RULE, iqp.FlatnessRule(coeff=0.5, exponent=1.0)):
+            sharp = cli.solve_pipeline(inst, start=start, max_iters=200, rule=rule)
+            assert [sharp[k] for k in keys] == [proven[k] for k in keys]
+            assert np.array_equal(sharp["trace"].profiles, proven["trace"].profiles)

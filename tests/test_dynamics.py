@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from _corpus import instance_corpus
-from icqs import dynamics, game, instgen, iqp
-from icqs.errors import DimensionMismatch, NoCycle, NonFiniteCentre
+from icqs import bounds, dynamics, game, instgen, iqp
+from icqs.errors import BoundOverflow, DimensionMismatch, NoCycle, NonFiniteCentre
 
 
 def path_scalars(trace):
@@ -16,7 +16,7 @@ def path_scalars(trace):
 
 
 def test_cycling_example_period_four():
-    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[0.0], [0.0]])
+    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
     assert trace.outcome == dynamics.OUTCOME_CYCLE
     assert (trace.cycle_start, trace.cycle_repeat) == (0, 4)
     assert path_scalars(trace) == [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
@@ -26,14 +26,14 @@ def test_cycling_example_period_four():
 
 
 def test_example1_doubles_and_certifies_divergence():
-    trace = dynamics.run_br(game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], max_iters=8)
+    trace = dynamics.run_br(instgen.builtin("example1"), start=[[5.0], [5.0]], max_iters=8)
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     assert trace.divergence_index == 0
     assert path_scalars(trace) == [(5 * 2**t, 5 * 2**t) for t in range(9)]
 
 
 def test_example1_stops_before_float_blowup():
-    trace = dynamics.run_br(game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]])
+    trace = dynamics.run_br(instgen.builtin("example1"), start=[[5.0], [5.0]])
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     assert trace.norms[-1] > dynamics.DIVERGENCE_NORM_CAP
     assert trace.iterations < 100
@@ -41,7 +41,7 @@ def test_example1_stops_before_float_blowup():
 
 def test_counterexample_cycle_sets():
     inst = instgen.builtin("counterexample", M=10)
-    trace = dynamics.run_br(game.prepare(inst), start=[[0.0, 1.0], [0.0, 1.0]])
+    trace = dynamics.run_br(inst, start=[[0.0, 1.0], [0.0, 1.0]])
     assert trace.outcome == dynamics.OUTCOME_CYCLE
     sets = dynamics.cycle_sets(trace)
     for i in (0, 1):
@@ -50,7 +50,7 @@ def test_counterexample_cycle_sets():
 
 def test_counterexample_from_origin_finds_fixed_point():
     inst = instgen.builtin("counterexample", M=10)
-    trace = dynamics.run_br(game.prepare(inst))
+    trace = dynamics.run_br(inst)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     fixed = inst.split(trace.profiles[-1])
     assert fixed[0].tolist() == [1, 0] and fixed[1].tolist() == [1, 0]
@@ -60,7 +60,7 @@ def test_counterexample_from_origin_finds_fixed_point():
 
 def test_termination_radius_cycling_value():
     inst = instgen.builtin("cycling")
-    L = dynamics.termination_radius(game.prepare(inst))
+    L = dynamics.termination_radius(inst)
     d_part = math.hypot(0.45, 0.55)
     prox_part = math.hypot(0.5, 0.5)  # the exact radius of a 1-D player is 1/2
     assert L == pytest.approx((d_part + prox_part) / 0.9, rel=1e-12)
@@ -75,27 +75,27 @@ def test_termination_radius_decoupled():
         ]
     )
     # rho = 1 and d = 0: the radius is just the exact prox-vector norm
-    assert dynamics.termination_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.5, 0.5))
-    assert dynamics.divergence_radius(game.prepare(inst)) is None
-    assert dynamics.termination_radius(game.prepare(instgen.builtin("example1"))) is None
+    assert dynamics.termination_radius(inst) == pytest.approx(math.hypot(0.5, 0.5))
+    assert dynamics.divergence_radius(inst) is None
+    assert dynamics.termination_radius(instgen.builtin("example1")) is None
 
 
 def test_divergence_radius_example1():
     inst = instgen.builtin("example1")
-    assert dynamics.divergence_radius(game.prepare(inst)) == pytest.approx(math.hypot(0.5, 0.5))
-    assert dynamics.divergence_radius(game.prepare(instgen.builtin("cycling"))) is None
+    assert dynamics.divergence_radius(inst) == pytest.approx(math.hypot(0.5, 0.5))
+    assert dynamics.divergence_radius(instgen.builtin("cycling")) is None
 
 
 def test_norm_descent_above_certified_radius():
     # one sweep strictly shrinks any profile outside the reported radius
     inst = instgen.builtin("cycling")
-    L_exact = dynamics.termination_radius(game.prepare(inst))
+    L_exact = dynamics.termination_radius(inst)
     for x in range(-4, 5):
         for y in range(-4, 5):
             start = [np.array([float(x)]), np.array([float(y)])]
             if math.hypot(x, y) <= L_exact:
                 continue
-            trace = dynamics.run_br(game.prepare(inst), start=start, max_iters=1)
+            trace = dynamics.run_br(inst, start=start, max_iters=1)
             assert trace.norms[1] < trace.norms[0], (x, y)
 
 
@@ -103,12 +103,11 @@ def test_flatness_radius_alone_does_not_certify_descent():
     # (-1, 1) maps to (1, 1): same norm, sitting between the flatness-based
     # radius and the exact one, which is why the certified variant exists
     inst = instgen.builtin("cycling")
-    prep = game.prepare(inst)
     rho = inst.report.rho
-    L_flat = (inst.qinv_d_norm + math.hypot(*prep.prox["flatness"])) / rho
-    L_exact = dynamics.termination_radius(prep)
+    L_flat = (inst.qinv_d_norm + math.hypot(*bounds.proximity(inst)["flatness"])) / rho
+    L_exact = dynamics.termination_radius(inst)
     assert L_flat < math.hypot(-1, 1) < L_exact
-    trace = dynamics.run_br(game.prepare(inst), start=[[-1.0], [1.0]], max_iters=1)
+    trace = dynamics.run_br(inst, start=[[-1.0], [1.0]], max_iters=1)
     assert trace.norms[1] == trace.norms[0]
 
 
@@ -122,24 +121,23 @@ def test_divergence_latch_reads_the_certified_radius():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: -3 * np.eye(1)}, d=-np.ones(1)),
         ]
     )
-    prep = game.prepare(inst)
-    assert dynamics.divergence_radius(prep) == pytest.approx(2 * math.sqrt(2))
+    assert dynamics.divergence_radius(inst) == pytest.approx(2 * math.sqrt(2))
     start = [[2.0], [1.0]]
-    one = dynamics.run_br(prep, start=start, max_iters=1)
+    one = dynamics.run_br(inst, start=start, max_iters=1)
     assert one.norms[1] > one.norms[0] == pytest.approx(math.sqrt(5))
     assert one.outcome == dynamics.OUTCOME_CAP and one.divergence_index is None
-    two = dynamics.run_br(prep, start=start, max_iters=2)
+    two = dynamics.run_br(inst, start=start, max_iters=2)
     assert two.outcome == dynamics.OUTCOME_DIVERGENCE
     assert two.divergence_index == 1
 
 
 def test_cycle_telemetry_zero_inside_cycle():
-    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[0.0], [0.0]])
+    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
     assert np.allclose(dynamics.cycle_telemetry(trace), 0.0)
 
 
 def test_cycle_telemetry_decreases_from_far_start():
-    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[10.0], [10.0]])
+    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[10.0], [10.0]])
     dist = dynamics.cycle_telemetry(trace)
     assert dist[0] > 0
     entry = next(t for t in range(len(dist)) if dist[t] == 0.0)
@@ -149,10 +147,10 @@ def test_cycle_telemetry_decreases_from_far_start():
 
 def test_cycle_telemetry_fixed_point_and_errors():
     inst = instgen.builtin("counterexample", M=10)
-    fixed_trace = dynamics.run_br(game.prepare(inst))
+    fixed_trace = dynamics.run_br(inst)
     dist = dynamics.cycle_telemetry(fixed_trace)
     assert dist[-1] == 0.0
-    divergent = dynamics.run_br(game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], max_iters=8)
+    divergent = dynamics.run_br(instgen.builtin("example1"), start=[[5.0], [5.0]], max_iters=8)
     with pytest.raises(NoCycle):
         dynamics.cycle_telemetry(divergent)
 
@@ -160,8 +158,8 @@ def test_cycle_telemetry_fixed_point_and_errors():
 def test_run_br_deterministic():
     inst = instgen.gen_random(instgen.RandomSpec(n_players=3, vars_per_player=5, seed=8))
     start = [np.array([3.0, -7.0, 2.0, 0.0, 1.0])] * 3
-    a = dynamics.run_br(game.prepare(inst), start=start)
-    b = dynamics.run_br(game.prepare(inst), start=start)
+    a = dynamics.run_br(inst, start=start)
+    b = dynamics.run_br(inst, start=start)
     assert a.outcome == b.outcome and a.iterations == b.iterations
     for pa, pb in zip(a.profiles, b.profiles):
         for xa, xb in zip(pa, pb):
@@ -171,10 +169,10 @@ def test_run_br_deterministic():
 def test_continuous_mode_contracts_to_stationary_point():
     inst = instgen.gen_pricing(instgen.PricingSpec(n_players=2, seed=33))
     rep = game.classify(inst)
-    trace = dynamics.run_br(game.prepare(inst), mode=dynamics.CONTINUOUS)
+    trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     z = inst.split(trace.profiles[-1])
-    step = inst.split(game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z)))
+    step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, z)))
     residual = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z)))
     assert residual <= 1e-8
 
@@ -184,8 +182,8 @@ def test_continuous_mode_contracts_to_stationary_point():
     for _ in range(20):
         z1 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
         z2 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
-        f1 = game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z1))
-        f2 = game.continuous_sweep(game.prepare(inst), game.joint_vector(inst, z2))
+        f1 = game.continuous_sweep(inst, game.joint_vector(inst, z1))
+        f2 = game.continuous_sweep(inst, game.joint_vector(inst, z2))
         lhs = np.linalg.norm(f1 - f2)
         rhs = sigma * np.linalg.norm(np.concatenate(z1) - np.concatenate(z2))
         assert lhs <= rhs + 1e-9
@@ -195,9 +193,9 @@ def _d_scaled(inst, s):
     return game.make_instance([game.PlayerProblem(Q=p.Q, C=p.C, d=s * p.d) for p in inst.players])
 
 
-def _relative_residual(prep, trace):
+def _relative_residual(inst, trace):
     z = trace.profiles[-1]
-    return float(np.linalg.norm(game.continuous_sweep(prep, z) - z)) / trace.norms[-1]
+    return float(np.linalg.norm(game.continuous_sweep(inst, z) - z)) / trace.norms[-1]
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e9])
@@ -206,12 +204,12 @@ def test_the_continuous_fixed_point_test_is_relative_to_the_iterates(s):
     # every iterate with it, so the run takes the same sweeps at every s.  An
     # absolute step tolerance of 1e-10 stopped after 1 sweep at s = 1e-12, 10%
     # away from the fixed point, and after 2 at s = 1e-9, 1% away
-    prep = game.prepare(_d_scaled(instgen.builtin("cycling"), s))
-    trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS)
+    inst = _d_scaled(instgen.builtin("cycling"), s)
+    trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS)
     assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, 12)
-    for x in prep.inst.split(trace.profiles[-1]):
+    for x in inst.split(trace.profiles[-1]):
         assert x[0] == pytest.approx(0.5 * s, rel=1e-9, abs=0.0)
-    assert _relative_residual(prep, trace) <= 1e-8
+    assert _relative_residual(inst, trace) <= 1e-8
 
 
 @pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
@@ -220,16 +218,15 @@ def test_a_continuous_run_far_from_the_origin_settles(s):
     # that their float spacing exceeds an absolute step tolerance of 1e-10:
     # the run ended at the cap of 3,000 sweeps, where unscaled it settles
     inst = _d_scaled(instgen.gen_random(instgen.RandomSpec(3, 5, seed=2)), s)
-    prep = game.prepare(inst)
-    trace = dynamics.run_br(prep, mode=dynamics.CONTINUOUS, max_iters=3000)
+    trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS, max_iters=3000)
     assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, 30)
-    assert _relative_residual(prep, trace) <= 1e-8
+    assert _relative_residual(inst, trace) <= 1e-8
 
 
 def test_a_zero_continuous_step_at_the_origin_is_a_fixed_point():
     # with d = 0 the origin is the fixed point: a zero step from a zero
     # profile ends the run after one sweep
-    trace = dynamics.run_br(game.prepare(_d_scaled(instgen.builtin("cycling"), 0.0)), mode=dynamics.CONTINUOUS)
+    trace = dynamics.run_br(_d_scaled(instgen.builtin("cycling"), 0.0), mode=dynamics.CONTINUOUS)
     assert (trace.outcome, trace.iterations, trace.norms) == (dynamics.OUTCOME_FIXED_POINT, 1, (0.0, 0.0))
 
 
@@ -254,14 +251,14 @@ def test_a_continuous_run_shrinking_to_the_origin_settles(inst, sweeps):
     # sweeps, until its iterates (1e-163) squared to 0, and the rho = 0.99
     # pair's iterates came to rest at +-5e-324 with rotating signs, ending
     # at the cap
-    trace = dynamics.run_br(game.prepare(inst), start=[[1.0], [1.0]], mode=dynamics.CONTINUOUS)
+    trace = dynamics.run_br(inst, start=[[1.0], [1.0]], mode=dynamics.CONTINUOUS)
     assert (trace.outcome, trace.iterations) == (dynamics.OUTCOME_FIXED_POINT, sweeps)
     assert trace.norms[-1] <= 1e-10 * trace.norms[0]
 
 
 def test_continuous_mode_diverges_on_example1():
     trace = dynamics.run_br(
-        game.prepare(instgen.builtin("example1")), start=[[5.0], [5.0]], mode=dynamics.CONTINUOUS, max_iters=30
+        instgen.builtin("example1"), start=[[5.0], [5.0]], mode=dynamics.CONTINUOUS, max_iters=30
     )
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     for t in range(trace.iterations):
@@ -271,23 +268,23 @@ def test_continuous_mode_diverges_on_example1():
 def _overflowing_coupling():
     # C = 1e300 both ways against a start of 1e10: the first sweep's linear
     # terms, and so the continuous minimizers, are infinite
-    return game.prepare(game.make_instance([
+    return game.make_instance([
         game.PlayerProblem(Q=np.array([[2.0]]), C={1: np.array([[1e300]])}, d=np.array([0.0])),
         game.PlayerProblem(Q=np.array([[2.0]]), C={0: np.array([[1e300]])}, d=np.array([0.0])),
-    ]))
+    ])
 
 
 def test_an_overflowing_coupling_warns_only_from_the_continuous_matvec():
-    prep = _overflowing_coupling()
+    inst = _overflowing_coupling()
     start = [[1e10], [1e10]]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NonFiniteCentre):
-            dynamics.run_br(prep, start=start)
+            dynamics.run_br(inst, start=start)
     assert caught == []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        trace = dynamics.run_br(prep, start=start, mode=dynamics.CONTINUOUS)
+        trace = dynamics.run_br(inst, start=start, mode=dynamics.CONTINUOUS)
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     # the stacked matvec of PlayerGroup.continuous_mins overflows; the solve
     # of its infinite linear terms adds no warning of its own
@@ -304,13 +301,13 @@ def test_neither_instance_runs_under_cap_without_certificate():
         ]
     )
     assert game.classify(inst).classification is game.Adequacy.NEITHER
-    trace = dynamics.run_br(game.prepare(inst), start=[[3.0], [0.0]], max_iters=7)
+    trace = dynamics.run_br(inst, start=[[3.0], [0.0]], max_iters=7)
     assert trace.outcome in (dynamics.OUTCOME_CAP, dynamics.OUTCOME_CYCLE)
     assert trace.divergence_index is None
 
 
 def test_export_trace(tmp_path):
-    trace = dynamics.run_br(game.prepare(instgen.builtin("cycling")), start=[[0.0], [0.0]])
+    trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
     path = tmp_path / "trace.csv"
     dynamics.export_trace(trace, path)
     lines = path.read_text().splitlines()
@@ -331,7 +328,7 @@ def test_export_trace(tmp_path):
 def test_export_trace_header_follows_the_player_dimensions(tmp_path):
     inst = instgen.gen_pricing(instgen.PricingSpec(n_players=3, seed=1))
     assert len(set(inst.dims)) == 3  # players of three dimensions
-    trace = dynamics.run_br(game.prepare(inst))
+    trace = dynamics.run_br(inst)
     path = tmp_path / "trace.csv"
     dynamics.export_trace(trace, path)
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
@@ -409,7 +406,7 @@ def test_cycle_telemetry_linear_contraction_rate():
     threshold = 2.0 * prox_norm / eps
 
     start = [np.full(n, 300.0), np.full(n, -300.0)]
-    trace = dynamics.run_br(game.prepare(inst), start=start)
+    trace = dynamics.run_br(inst, start=start)
     assert trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT)
     dist = dynamics.cycle_telemetry(trace)
     checked = 0
@@ -427,20 +424,19 @@ def _per_player_norm(profile):
     )
 
 
-def _reference_run_br(prep, start, max_iters=dynamics.DEFAULT_MAX_ITERS):
+def _reference_run_br(inst, start, max_iters=dynamics.DEFAULT_MAX_ITERS):
     """Integer best-response iteration from one `game.best_response` call per
     player and sweep, with the outcome rules of `dynamics.run_br`."""
-    inst = prep.inst
     profiles = [inst.split(dynamics.validate_start(inst, start, dynamics.INTEGER))]
     norms = [_per_player_norm(profiles[0])]
     seen = {np.concatenate(profiles[0]).tobytes(): 0}
-    div_radius = dynamics.divergence_radius(prep)
+    div_radius = dynamics.divergence_radius(inst)
     latch = None
     outcome, indices = dynamics.OUTCOME_CAP, (None, None, None)
     for t in range(1, max_iters + 1):
         prev = profiles[-1]
         nxt = tuple(
-            game.best_response(prep, i, [prev[j] for j in inst.opponents(i)]) for i in range(inst.k)
+            game.best_response(inst, i, [prev[j] for j in inst.opponents(i)]) for i in range(inst.k)
         )
         profiles.append(nxt)
         norms.append(_per_player_norm(nxt))
@@ -480,11 +476,10 @@ def test_run_br_matches_per_player_reference():
     cases.append(instgen.builtin("counterexample", M=10))
     outcomes = set()
     for inst in cases:
-        prep = game.prepare(inst)
         for _ in range(2):
             start = [rng.integers(-60, 61, size=n) for n in inst.dims]
-            trace = dynamics.run_br(prep, start=start)
-            profiles, norms, outcome, indices = _reference_run_br(prep, start)
+            trace = dynamics.run_br(inst, start=start)
+            profiles, norms, outcome, indices = _reference_run_br(inst, start)
             assert trace.outcome == outcome
             assert (
                 trace.cycle_start, trace.cycle_repeat, trace.fixed_index, trace.divergence_index
@@ -509,10 +504,9 @@ def test_continuous_step_matches_per_player_responses():
     ]
     cases += [instgen.builtin(name) for name in ("cycling", "example1")]
     for inst in cases:
-        prep = game.prepare(inst)
         for _ in range(3):
             profile = [rng.uniform(-1e3, 1e3, size=n) for n in inst.dims]
-            step = inst.split(game.continuous_sweep(prep, game.joint_vector(inst, profile)))
+            step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, profile)))
             for i in range(inst.k):
                 y = np.concatenate([profile[j] for j in inst.opponents(i)])
                 q = iqp.Quadratic(inst.players[i].Q, inst.C_cat[i] @ y + inst.players[i].d)
@@ -606,5 +600,21 @@ def test_validate_start_gives_the_joint_vector(k):
         assert z.dtype == dtype and np.array_equal(z, np.concatenate(start))
         zero = dynamics.validate_start(inst, None, mode)
         assert zero.dtype == dtype and zero.shape == (sum(inst.dims),) and not zero.any()
-        trace = dynamics.run_br(game.prepare(inst), start=start, mode=mode, max_iters=1)
+        trace = dynamics.run_br(inst, start=start, mode=mode, max_iters=1)
         assert all(x.dtype == dtype and np.array_equal(x, s) for x, s in zip(inst.split(trace.profiles[0]), start))
+
+
+def test_an_overflowing_proven_radius_is_a_typed_error_before_any_sweep(monkeypatch):
+    # example1 with d = (1e160, 1e160): ||Q^-1 d|| overflows, so the proven
+    # divergence radius the latch reads does too, and the run stops before
+    # its first sweep
+    ex1 = instgen.builtin("example1")
+    inst = game.make_instance([game.PlayerProblem(Q=p.Q, C=p.C, d=np.full(1, 1e160)) for p in ex1.players])
+    assert inst.report.classification is game.Adequacy.NEGATIVE
+
+    def no_sweep(inst, z):
+        raise AssertionError("swept before the radius was checked")
+
+    monkeypatch.setattr(game, "integer_sweep", no_sweep)
+    with pytest.raises(BoundOverflow, match="^the exact radius "):
+        dynamics.run_br(inst, start=[[5.0], [5.0]])

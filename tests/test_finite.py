@@ -12,7 +12,7 @@ from icqs.errors import DimensionMismatch, GameTooLarge, NoEquilibriumFound
 
 
 def solved_cycle(inst, start):
-    trace = dynamics.run_br(game.prepare(inst), start=start)
+    trace = dynamics.run_br(inst, start=start)
     return dynamics.cycle_sets(trace)
 
 
@@ -323,7 +323,7 @@ def test_mne_two_player_equilibrium_conditions_random():
     # support costs are equal-minimal, off-support never better than -1e-9
     for seed in range(8):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=2, seed=300 + seed))
-        trace = dynamics.run_br(game.prepare(inst), start=[[9.0, -9.0], [-9.0, 9.0]])
+        trace = dynamics.run_br(inst, start=[[9.0, -9.0], [-9.0, 9.0]])
         fg = finite.restrict(inst, dynamics.cycle_sets(trace))
         profile = finite.mne_two_player(fg)
         for i in range(2):
@@ -423,8 +423,8 @@ def test_a_one_cell_game_is_its_own_equilibrium(monkeypatch):
     # games, and singleton games for k = 2..5: the one cell is returned as
     # the pure profile, bitwise what the general solvers return for it
     games = [
-        finite.restrict(prep.inst, dynamics.cycle_sets(trace))
-        for _, prep, trace in terminated_runs()
+        finite.restrict(inst, dynamics.cycle_sets(trace))
+        for _, inst, trace in terminated_runs()
         if trace.outcome == dynamics.OUTCOME_FIXED_POINT
     ]
     assert len(games) >= 150
@@ -472,7 +472,7 @@ def test_solve_equilibrium_dispatch(cycling_game):
 def test_verify_delta_cycling_is_exact_equilibrium(cycling_game):
     inst, fg = cycling_game
     profile = finite.mne_two_player(fg)
-    report = finite.verify_delta(game.prepare(inst), fg, profile)
+    report = finite.verify_delta(inst, fg, profile)
     assert report.max_gain <= 1e-9
     assert all(g >= -1e-9 for g in report.gains)
 
@@ -480,7 +480,7 @@ def test_verify_delta_cycling_is_exact_equilibrium(cycling_game):
 def test_verify_delta_counterexample_gain(counter_game):
     inst, fg = counter_game
     profile = finite.mne_two_player(fg)
-    report = finite.verify_delta(game.prepare(inst), fg, profile)
+    report = finite.verify_delta(inst, fg, profile)
     assert report.gains[0] == pytest.approx(12.5, abs=1e-9)
     assert report.deviation_vectors[0].tolist() == [5, 0]
 
@@ -490,7 +490,7 @@ def test_counterexample_gain_grows_quadratically(M):
     inst = instgen.builtin("counterexample", M=M)
     fg = finite.restrict(inst, solved_cycle(inst, [[0.0, 1.0], [0.0, 1.0]]))
     profile = finite.mne_two_player(fg)
-    report = finite.verify_delta(game.prepare(inst), fg, profile)
+    report = finite.verify_delta(inst, fg, profile)
     assert report.gains[0] >= M * M / 8.0 - 1e-9
 
 
@@ -498,7 +498,7 @@ def test_verify_delta_pne_fixed_point():
     inst = instgen.builtin("counterexample", M=10)
     fg = finite.restrict(inst, solved_cycle(inst, None))
     profile, _ = finite.solve_equilibrium(fg)
-    report = finite.verify_delta(game.prepare(inst), fg, profile)
+    report = finite.verify_delta(inst, fg, profile)
     assert report.max_gain <= 1e-9
 
 
@@ -509,7 +509,7 @@ def delta_bits(report):
 
 
 def terminated_runs():
-    """(label, prep, integer-mode trace) for every cycle or fixed point reached
+    """(label, inst, integer-mode trace) for every cycle or fixed point reached
     from seeded starts on the acceptance corpus, negatively adequate games
     and the built-in instances."""
     rng = np.random.default_rng(13)
@@ -521,14 +521,13 @@ def terminated_runs():
     insts += [(name, instgen.builtin(name)) for name in ("example1", "cycling")]
     insts.append(("counterexample", instgen.builtin("counterexample", M=10)))
     for name, inst in insts:
-        prep = game.prepare(inst)
         starts = [None] + [[rng.integers(-3, 4, size=n) for n in inst.dims] for _ in range(2)]
         if name == "counterexample":
             starts.append([[0.0, 1.0], [0.0, 1.0]])
         for start in starts:
-            trace = dynamics.run_br(prep, start=start, max_iters=200)
+            trace = dynamics.run_br(inst, start=start, max_iters=200)
             if trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT):
-                yield name, prep, trace
+                yield name, inst, trace
 
 
 @pytest.fixture
@@ -537,9 +536,9 @@ def sweeps(monkeypatch):
     calls = []
     integer_sweep = game.integer_sweep
 
-    def counting(prep, z):
+    def counting(inst, z):
         calls.append(z)
-        return integer_sweep(prep, z)
+        return integer_sweep(inst, z)
 
     monkeypatch.setattr(game, "integer_sweep", counting)
     return calls
@@ -550,14 +549,14 @@ def test_verify_delta_reads_a_fixed_point_from_its_trace(sweeps):
     # the last sweep and sweeps no more; a cycle sweeps once against the
     # means.  Either way every field is bitwise the report without the trace.
     seen = {dynamics.OUTCOME_CYCLE: set(), dynamics.OUTCOME_FIXED_POINT: set()}
-    for name, prep, trace in terminated_runs():
-        fg = finite.restrict(prep.inst, dynamics.cycle_sets(trace))
+    for name, inst, trace in terminated_runs():
+        fg = finite.restrict(inst, dynamics.cycle_sets(trace))
         profile, _ = finite.solve_equilibrium(fg)
         sweeps.clear()
-        plain = finite.verify_delta(prep, fg, profile)
+        plain = finite.verify_delta(inst, fg, profile)
         assert len(sweeps) == 1
         sweeps.clear()
-        reused = finite.verify_delta(prep, fg, profile, trace)
+        reused = finite.verify_delta(inst, fg, profile, trace)
         assert len(sweeps) == (trace.outcome == dynamics.OUTCOME_CYCLE), (name, trace.outcome)
         assert delta_bits(reused) == delta_bits(plain), name
         seen[trace.outcome].add(name.split("-")[0])
@@ -574,20 +573,19 @@ def test_verify_delta_sweeps_for_a_continuous_fixed_point(sweeps):
         game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: 0.3 * np.eye(2)}, d=np.zeros(2))
         for i in range(2)
     ])
-    prep = game.prepare(inst)
-    fixed = dynamics.run_br(prep)
+    fixed = dynamics.run_br(inst)
     assert fixed.outcome == dynamics.OUTCOME_FIXED_POINT
     fg = finite.restrict(inst, dynamics.cycle_sets(fixed))
     profile, _ = finite.solve_equilibrium(fg)
-    smooth = dynamics.run_br(prep, mode=dynamics.CONTINUOUS)
+    smooth = dynamics.run_br(inst, mode=dynamics.CONTINUOUS)
     assert smooth.outcome == dynamics.OUTCOME_FIXED_POINT
     means = finite.mean_strategies(fg, profile)
     assert all(np.array_equal(m, x) for m, x in zip(means, inst.split(smooth.profiles[-2])))
     sweeps.clear()
-    report = finite.verify_delta(prep, fg, profile, smooth)
+    report = finite.verify_delta(inst, fg, profile, smooth)
     assert len(sweeps) == 1
     assert all(v.dtype == np.int64 for v in report.deviation_vectors)
-    assert delta_bits(report) == delta_bits(finite.verify_delta(prep, fg, profile, fixed))
+    assert delta_bits(report) == delta_bits(finite.verify_delta(inst, fg, profile, fixed))
 
 
 def test_mixed_profile_validation():
@@ -771,7 +769,7 @@ def restricted_cycles(seed, k, n, draws):
     for _ in range(draws):
         inst = coupled_game(rng, k, n)
         start = [rng.integers(-5, 6, size=n).astype(float) for _ in range(k)]
-        trace = dynamics.run_br(game.prepare(inst), start=start, max_iters=200)
+        trace = dynamics.run_br(inst, start=start, max_iters=200)
         if trace.outcome == dynamics.OUTCOME_CYCLE:
             yield finite.restrict(inst, dynamics.cycle_sets(trace))
 
@@ -917,15 +915,14 @@ def test_verify_delta_matches_the_per_player_deviations():
     outcomes = []
     for workload, want_outcome in (("corpus", dynamics.OUTCOME_FIXED_POINT), ("cycling", dynamics.OUTCOME_CYCLE)):
         for name, inst, start in benchmark_jobs(workload, 3):
-            prep = game.prepare(inst)
-            trace = dynamics.run_br(prep, start=start)
+            trace = dynamics.run_br(inst, start=start)
             if trace.outcome != want_outcome:
                 continue
             fg = finite.restrict(inst, dynamics.cycle_sets(trace))
             profile, _ = finite.solve_equilibrium(fg)
-            report = finite.verify_delta(prep, fg, profile, trace)
+            report = finite.verify_delta(inst, fg, profile, trace)
             means = finite.mean_strategies(fg, profile)
-            for got, want in zip(report.deviation_vectors, game.best_responses(prep, means)):
+            for got, want in zip(report.deviation_vectors, game.best_responses(inst, means)):
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
             for i, (v, cost) in enumerate(zip(report.deviation_vectors, report.deviation_costs)):
                 want = game.objective(inst, i, v, means[:i] + means[i + 1:])
@@ -954,7 +951,7 @@ def test_verify_delta_names_the_first_player_with_a_non_finite_linear_term():
     with pytest.raises(ValueError) as per_player, np.errstate(over="ignore"):
         game.objective(inst, 1, cell[1], [cell[0], cell[2]])
     with pytest.raises(ValueError) as joint, np.errstate(over="ignore"):
-        finite.verify_delta(game.prepare(inst), fg, profile, trace)
+        finite.verify_delta(inst, fg, profile, trace)
     assert str(joint.value) == str(per_player.value) == "player 1: the linear term C_i y + d_i is not finite"
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _corpus import instance_corpus
-from icqs import game, instgen, iqp, linalg
+from icqs import bounds, game, instgen, iqp, linalg
 from icqs.errors import DimensionMismatch, NotPositiveDefinite, OracleBudgetExceeded, ProximityViolation
 
 
@@ -101,7 +101,7 @@ def test_instances_and_generator_draws_factor_each_q_once(monkeypatch):
         assert calls["classify"] == calls["make_instance"] >= 1
         assert calls["cholesky"] == calls["factorize"] == inst.k * calls["make_instance"]
     calls.update(cholesky=0, factorize=0, make_instance=0, classify=0)
-    game.prepare(inst)
+    bounds.proximity(inst)
     assert calls == {"cholesky": 0, "factorize": 0, "make_instance": 0, "classify": 0}
 
 
@@ -247,20 +247,20 @@ def test_coupling_concat_is_derived_from_players():
 
 def test_best_response_examples():
     ex1 = instgen.builtin("example1")
-    assert game.best_response(game.prepare(ex1), 0, [[5.0]]).tolist() == [10]
+    assert game.best_response(ex1, 0, [[5.0]]).tolist() == [10]
 
     cyc = instgen.builtin("cycling")
-    assert game.best_response(game.prepare(cyc), 1, [[0.0]]).tolist() == [1]
+    assert game.best_response(cyc, 1, [[0.0]]).tolist() == [1]
 
     cg = instgen.builtin("counterexample", M=10)
-    assert game.best_response(game.prepare(cg), 1, [[0.0, 1.0]]).tolist() == [10, 0]
+    assert game.best_response(cg, 1, [[0.0, 1.0]]).tolist() == [10, 0]
 
 
 def test_best_response_against_mixed_mean_matches_pure_concentration():
-    prep = game.prepare(instgen.builtin("counterexample", M=10))
-    pure = game.best_response(prep, 1, [[10.0, 0.0]])
+    inst = instgen.builtin("counterexample", M=10)
+    pure = game.best_response(inst, 1, [[10.0, 0.0]])
     concentrated_mean = 1.0 * np.array([10.0, 0.0])
-    assert np.array_equal(game.best_response(prep, 1, [concentrated_mean]), pure)
+    assert np.array_equal(game.best_response(inst, 1, [concentrated_mean]), pure)
 
 
 def test_best_response_beats_box_oracle():
@@ -269,8 +269,7 @@ def test_best_response_beats_box_oracle():
     for seed in range(10):
         inst = instgen.gen_random(instgen.RandomSpec(n_players=2, vars_per_player=3, seed=50 + seed))
         others = [rng.integers(-5, 6, size=3).astype(float)]
-        prep = game.prepare(inst)
-        v = game.best_response(prep, 0, others)
+        v = game.best_response(inst, 0, others)
         q = iqp.Quadratic(inst.players[0].Q, inst.C_cat[0] @ others[0] + inst.players[0].d)
         _, oracle_value = iqp.brute_force_min(q)
         assert q.value(v) == pytest.approx(oracle_value, abs=1e-9)
@@ -328,7 +327,8 @@ def reference_quadratic(inst, i, others):
 
 def test_prepared_best_response_matches_reference_and_oracle():
     # half-integer opponent vectors, as mixed means produce them; the
-    # prepared path must reproduce the unprepared kernel bit for bit, and
+    # instance's prepared factors must reproduce the kernel on a freshly
+    # factored quadratic bit for bit, and
     # the sweep kernel must give every player of a joint half-integer
     # profile that same response
     rng = np.random.default_rng(31)
@@ -338,10 +338,9 @@ def test_prepared_best_response_matches_reference_and_oracle():
     cases.append(("counterexample", instgen.builtin("counterexample", M=10)))
     draws = oracle_checked = split_ties = 0
     for name, inst in cases:
-        prep = game.prepare(inst)
         for _ in range(2):
             profile = [joint_rng.integers(-12, 13, size=n) / 2.0 for n in inst.dims]
-            sweep = game.best_responses(prep, profile)
+            sweep = game.best_responses(inst, profile)
             for i in range(inst.k):
                 others = [profile[j] for j in inst.opponents(i)]
                 ref, _ = iqp.integer_min(reference_quadratic(inst, i, others))
@@ -349,7 +348,7 @@ def test_prepared_best_response_matches_reference_and_oracle():
         for i in range(inst.k):
             for _ in range(2):
                 others = [rng.integers(-12, 13, size=inst.dims[j]) / 2.0 for j in inst.opponents(i)]
-                v = game.best_response(prep, i, others)
+                v = game.best_response(inst, i, others)
                 q = reference_quadratic(inst, i, others)
                 ref, _ = iqp.integer_min(q)
                 assert np.array_equal(v, ref), (name, i, others)
@@ -375,11 +374,11 @@ def test_prepared_best_response_matches_reference_and_oracle():
             game.PlayerProblem(Q=np.eye(1), C={0: np.eye(1)}, d=np.zeros(1)),
         ]
     )
-    prep = game.prepare(tied)
+    inst = tied
     for i in (0, 1):
         q = reference_quadratic(tied, i, [[-0.5]])
         assert iqp.continuous_min(q).tolist() == [0.5]
-        v = game.best_response(prep, i, [[-0.5]])
+        v = game.best_response(inst, i, [[-0.5]])
         assert v.tolist() == [0] == iqp.brute_force_min(q)[0].tolist()
 
 
@@ -388,9 +387,8 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
     # its proven radius or gap shrunk to zero, the sweep must raise for it,
     # as the one-player call does, and the other players stay unaffected
     inst = dict(instance_corpus())["pricing-3p-0"]
-    prep = game.prepare(inst)
     profile = [np.full(n, 0.5) for n in inst.dims]
-    assert len(game.best_responses(prep, profile)) == 3
+    assert len(game.best_responses(inst, profile)) == 3
     others = [[profile[j] for j in inst.opponents(i)] for i in range(inst.k)]
     factorize = iqp.factorize
     for bound in ("radius", "gap"):
@@ -406,9 +404,9 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
         # built, so the broken factor goes in through a rebuilt copy
         with monkeypatch.context() as m:
             m.setattr(iqp, "factorize", breaking_factorize)
-            bad = game.prepare(dataclasses.replace(inst))
-        assert getattr(bad.inst.factors[1], bound) == 0.0
-        assert bad.inst.groups[1].factors[0] is bad.inst.factors[1]
+            bad = dataclasses.replace(inst)
+        assert getattr(bad.factors[1], bound) == 0.0
+        assert bad.groups[1].factors[0] is bad.factors[1]
         with pytest.raises(ProximityViolation, match="^player 1: ") as one:
             game.best_response(bad, 1, others[1])
         with pytest.raises(ProximityViolation) as sweep:
@@ -416,28 +414,3 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
         assert str(sweep.value) == str(one.value)
         for i in (0, 2):
             game.best_response(bad, i, others[i])
-
-
-def test_prepare_holds_only_the_rule_dependent_radii():
-    inst = instgen.builtin("cycling")
-    prep = game.prepare(inst, iqp.FlatnessRule(coeff=2.0, exponent=1.0))
-    assert [f.name for f in dataclasses.fields(prep)] == ["inst", "prox"]
-    assert prep.inst is inst and inst.report == game.classify(inst)
-    assert prep.prox["flatness"] == pytest.approx((0.5, 0.5))
-    assert prep.prox["exact"] == pytest.approx((0.5, 0.5))
-
-
-@pytest.mark.parametrize("rule", [iqp.PROVEN_RULE, iqp.FlatnessRule(coeff=0.5, exponent=0.5)])
-def test_prepare_gives_bitwise_the_guarantee_radii(rule):
-    # prepare raises its own flatness radii to the exact ones; each is
-    # bitwise what `guarantee_prox` gives from scratch
-    cases = [inst for _, inst in instance_corpus()]
-    cases += [instgen.builtin(name) for name in ("example1", "cycling")]
-    cases.append(instgen.builtin("counterexample", M=10))
-    raised = 0
-    for inst in cases:
-        prep = game.prepare(inst, rule)
-        assert [r.hex() for r in prep.prox["flatness"]] == [iqp.prox_bound(f, rule).hex() for f in inst.factors]
-        assert [r.hex() for r in prep.prox["exact"]] == [iqp.guarantee_prox(f, rule).hex() for f in inst.factors]
-        raised += prep.prox["exact"] != prep.prox["flatness"]
-    assert raised > 0  # the scaled-identity rule fires on some of them

@@ -40,7 +40,7 @@ def test_pricing_decoupled_monopoly_prices():
         for block in p.C.values():
             assert np.allclose(block, 0.0)
     assert game.classify(inst).classification is game.Adequacy.POSITIVE
-    trace = dynamics.run_br(game.prepare(inst))
+    trace = dynamics.run_br(inst)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     for x in inst.split(trace.profiles[-1]):
         assert x.tolist() == [5, 5, 5]  # a_j / (2 b_j)

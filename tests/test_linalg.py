@@ -142,7 +142,7 @@ def test_an_ill_conditioned_interaction_matrix_keeps_its_smallest_singular_value
     assert inst.report.classification is game.Adequacy.NEGATIVE
     for sigma in inst.report.sigma_min:
         assert abs(sigma - 1.0606601717798212) <= 1e-9
-    trace = dynamics.run_br(game.prepare(inst), start=[[3.0, -2.0], [1.0, 4.0]])
+    trace = dynamics.run_br(inst, start=[[3.0, -2.0], [1.0, 4.0]])
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
     # sigma_min = 1 + 1e-5 under sigma_max = 1e6, in 20 random orientations
     rng = np.random.default_rng(19)
