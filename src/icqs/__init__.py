@@ -7,12 +7,12 @@ the classification of the interaction matrices and the stacks of a sweep),
 run certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
-(`finite.verify_delta`, `bounds`).  Every stage takes the instance.  A
-solve's flatness rule reaches only the reported bounds: `bounds.proximity`
-gives the radii under it, and `bounds.guarantee_pack` reads them.
+(`finite.verify_delta`, `bounds`).  Every stage takes the instance, and
+every certificate and bound reads the one proven proximity radius per player
+(`iqp.Factor.radius`).
 """
 
-from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical, proximity
+from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical
 from .dynamics import (
     BrTrace,
     CycleSets,
@@ -67,9 +67,7 @@ from .game import (
 )
 from .instgen import NegativeSpec, PricingSpec, RandomSpec, builtin, gen_negative, gen_pricing, gen_random
 from .iqp import (
-    PROVEN_RULE,
     Factor,
-    FlatnessRule,
     Quadratic,
     brute_force_min,
     continuous_min,

@@ -27,46 +27,21 @@ root is the displayed closed form
 (symmetrically for y).  Composing the two gives the a-priori deviation bound
 per player: the a-posteriori bound at the bounded diameter.
 
-Every formula consumes a proximity radius per player, ``prox``, by default
-the proven exact radius each factor carries (`iqp.Factor.radius`), the one
-the certificates read.  `proximity(inst, rule)` is the one place a flatness
-rule meets an instance, and `guarantee_pack`, the reported bounds, its one
-reader: ``"flatness"`` is the plain flatness-constant formula, and
-``"exact"`` upgrades scaled-identity matrices to their true worst case
-sqrt(n)/2.  The flatness value understates 1-D blocks, where measured
-diameters can legitimately exceed the flatness-based L bound (such
-violations are flagged, not hidden).  `guarantee_pack` computes every
-variant's L bounds and deltas once per run, keyed by variant, and a variant
-whose radii equal an earlier one's shares its bounds.
+Every formula reads each player's proven proximity radius prox_i, the one
+its factor carries (`iqp.Factor.radius`) and every certificate reads, so the
+reported bounds are the bounds the certificates are proven for.
+`guarantee_pack` computes a run's measured diameters and its bounds once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import dynamics, game, iqp
+from . import dynamics, game
 from .errors import BoundOverflow
-
-
-def proximity(
-    inst: game.IcqsInstance, rule: iqp.FlatnessRule = iqp.PROVEN_RULE
-) -> dict[str, tuple[float, ...]]:
-    """Every player's radius of both variants under ``rule``: ``"flatness"``
-    (`iqp.prox_bound`) and ``"exact"``, that one raised by `iqp.exact_prox`
-    (under `iqp.PROVEN_RULE`, bitwise the factor's `iqp.Factor.radius`).
-    BoundOverflow when the rule overflows at a player's dimension.
-    """
-    flatness = tuple(iqp.prox_bound(f, rule) for f in inst.factors)
-    exact = tuple(iqp.exact_prox(f, p) for f, p in zip(inst.factors, flatness))
-    return {"flatness": flatness, "exact": exact}
-
-
-def _proven(inst: game.IcqsInstance, prox: Sequence[float] | None) -> Sequence[float]:
-    return [f.radius for f in inst.factors] if prox is None else prox
 
 
 def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
@@ -84,9 +59,7 @@ def cycle_diameter(cycle: dynamics.CycleSets, i: int) -> float:
     return best
 
 
-def delta_a_posteriori(
-    inst: game.IcqsInstance, i: int, L_i: float, prox: Sequence[float] | None = None
-) -> float:
+def delta_a_posteriori(inst: game.IcqsInstance, i: int, L_i: float) -> float:
     """lambda_1(Q_i) * (prox_i + L_i)^2 for a measured cycle diameter L_i.
 
     An infinite L_i gives an infinite bound; BoundOverflow when a finite
@@ -94,7 +67,8 @@ def delta_a_posteriori(
     """
     if L_i < 0:
         raise ValueError("cycle diameter must be nonnegative")
-    return _delta(i, inst.factors[i].lambda_max, _proven(inst, prox)[i], L_i)
+    f = inst.factors[i]
+    return _delta(i, f.lambda_max, f.radius, L_i)
 
 
 def _delta(i: int, lambda_max: float, prox: float, L_i: float) -> float:
@@ -162,80 +136,46 @@ def l_closure(sigma, prox) -> list[float]:
     return [r / t for r in ratios(t)]
 
 
-def l_bound_theoretical(inst: game.IcqsInstance, prox: Sequence[float] | None = None) -> list[float] | None:
+def l_bound_theoretical(inst: game.IcqsInstance) -> list[float] | None:
     """A-priori per-player cycle diameter bounds; None unless positively adequate."""
     if inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return l_closure(inst.report.sigma_max, _proven(inst, prox))
+    return l_closure(inst.report.sigma_max, [f.radius for f in inst.factors])
 
 
-def _deltas(inst: game.IcqsInstance, prox, diameters) -> tuple[float, ...]:
-    """`delta_a_posteriori` of every player at its radius in ``prox`` and its
-    nonnegative diameter."""
-    return tuple(
-        _delta(i, f.lambda_max, p, L)
-        for i, (f, p, L) in enumerate(zip(inst.factors, prox, diameters))
-    )
+def _deltas(inst: game.IcqsInstance, diameters) -> tuple[float, ...]:
+    """`delta_a_posteriori` of every player at its nonnegative diameter."""
+    return tuple(_delta(i, f.lambda_max, f.radius, L) for i, (f, L) in enumerate(zip(inst.factors, diameters)))
 
 
-def delta_a_priori(inst: game.IcqsInstance, prox: Sequence[float] | None = None) -> list[float] | None:
+def delta_a_priori(inst: game.IcqsInstance) -> list[float] | None:
     """Per-player a-priori deviation bounds; None unless positively adequate."""
-    prox = _proven(inst, prox)
-    l_bounds = l_bound_theoretical(inst, prox)
-    return None if l_bounds is None else list(_deltas(inst, prox, l_bounds))
+    l_bounds = l_bound_theoretical(inst)
+    return None if l_bounds is None else list(_deltas(inst, l_bounds))
 
 
 @dataclass(frozen=True)
 class GuaranteePack:
-    """The measured cycle diameters of one run and its bounds, each keyed by
-    the variant of `proximity` it is computed from.
+    """The measured cycle diameters of one run and its bounds, one per player.
 
-    ``l_bound`` and ``delta_a_priori`` map a variant to None unless the
-    instance is positively adequate.  ``flatness_l_violated[i]`` flags
-    players whose measured cycle diameter exceeds the flatness-variant L
-    bound; the exact-variant bound is the one the termination theory
-    actually certifies.
+    ``l_bound`` and ``delta_a_priori`` are None unless the instance is
+    positively adequate.
     """
 
     l_measured: tuple[float, ...]
-    l_bound: Mapping[str, tuple[float, ...] | None]
-    delta_a_posteriori: Mapping[str, tuple[float, ...]]
-    delta_a_priori: Mapping[str, tuple[float, ...] | None]
-    flatness_l_violated: tuple[bool, ...]
+    l_bound: tuple[float, ...] | None
+    delta_a_posteriori: tuple[float, ...]
+    delta_a_priori: tuple[float, ...] | None
 
 
-def guarantee_pack(
-    inst: game.IcqsInstance, cycle: dynamics.CycleSets, prox: Mapping[str, Sequence[float]]
-) -> GuaranteePack:
-    """Assemble measured diameters and every variant's bounds for one run
-    from ``prox``, `proximity` under the solve's rule.
-
-    A variant whose radii equal an earlier variant's, as the exact radii
-    equal the flatness ones for every Q that is not a scaled identity,
-    shares that variant's bounds, which are not computed again.
-    """
-    k = inst.k
-    l_measured = tuple(cycle_diameter(cycle, i) for i in range(k))
-    l_bound, post, priori = {}, {}, {}
-    for variant, radii in prox.items():
-        same = next((v for v in l_bound if prox[v] == radii), None)
-        if same is not None:
-            l_bound[variant], post[variant], priori[variant] = l_bound[same], post[same], priori[same]
-            continue
-        lb = l_bound_theoretical(inst, radii)
-        l_bound[variant] = None if lb is None else tuple(lb)
-        post[variant] = _deltas(inst, radii, l_measured)
-        # the a-priori delta is the a-posteriori one at the bounded diameter
-        priori[variant] = None if lb is None else _deltas(inst, radii, lb)
-    lbf = l_bound["flatness"]
-    violated = tuple(
-        lbf is not None and l_measured[i] > lbf[i] * (1.0 + 1e-9) + 1e-12
-        for i in range(k)
-    )
+def guarantee_pack(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> GuaranteePack:
+    """Assemble the measured diameters and the bounds of one run."""
+    l_measured = tuple(cycle_diameter(cycle, i) for i in range(inst.k))
+    lb = l_bound_theoretical(inst)
     return GuaranteePack(
         l_measured=l_measured,
-        l_bound=l_bound,
-        delta_a_posteriori=post,
-        delta_a_priori=priori,
-        flatness_l_violated=violated,
+        l_bound=None if lb is None else tuple(lb),
+        delta_a_posteriori=_deltas(inst, l_measured),
+        # the a-priori delta is the a-posteriori one at the bounded diameter
+        delta_a_priori=None if lb is None else _deltas(inst, lb),
     )

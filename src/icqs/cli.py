@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds, dynamics, finite, game, instgen, iqp
+from . import bounds, dynamics, finite, game, instgen
 from .errors import IcqsError, InvalidM
 
 EXIT_OK = 0
@@ -59,20 +59,16 @@ def solve_pipeline(
     start=None,
     max_iters: int = dynamics.DEFAULT_MAX_ITERS,
     mode: str = dynamics.INTEGER,
-    rule: iqp.FlatnessRule = iqp.PROVEN_RULE,
 ) -> dict:
     """Classify, iterate, restrict, solve the finite game, verify deltas.
 
     Returns a plain-dict report mirroring the instance file format; the
-    equilibrium stage is skipped for divergent or capped runs.  ``rule`` is
-    the flatness rule the reported proximity bounds are stated under: its
-    radii (`bounds.proximity`, taken first, so a rule that overflows fails
-    before the run) reach only `bounds.guarantee_pack`.  The outcome, the
-    termination and divergence radii and every certificate read the proven
-    radii whatever the rule.
+    equilibrium stage is skipped for divergent or capped runs.  The outcome,
+    the radii and every bound read each player's proven proximity radius.
+    The bounds ``l_bound``, ``delta_a_posteriori`` and ``delta_a_priori``
+    are each one list under the key ``"exact"``.
     """
     t0 = time.perf_counter()
-    prox = bounds.proximity(inst, rule)
     report = inst.report
     trace = dynamics.run_br(inst, start=start, max_iters=max_iters, mode=mode)
     result: dict = {
@@ -93,7 +89,7 @@ def solve_pipeline(
             fg = finite.restrict(inst, sets)
             profile, achieved_eps = finite.solve_equilibrium(fg)
             delta = finite.verify_delta(inst, fg, profile, trace)
-            pack = bounds.guarantee_pack(inst, sets, prox)
+            pack = bounds.guarantee_pack(inst, sets)
             delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack, report)
             equilibrium = {
                 "strategies": [S_i.tolist() for S_i in fg.strategies],
@@ -104,10 +100,9 @@ def solve_pipeline(
                 "deviation_gains": list(delta.gains),
                 "cycle_diameters": list(pack.l_measured),
                 **{
-                    name: {variant: _maybe_list(b) for variant, b in getattr(pack, name).items()}
+                    name: {"exact": _maybe_list(getattr(pack, name))}
                     for name in ("l_bound", "delta_a_posteriori", "delta_a_priori")
                 },
-                "flatness_l_violated": list(pack.flatness_l_violated),
                 "delta_bounded": delta_bounded,
                 "delta_bounded_reason": delta_bounded_reason,
             }
@@ -128,14 +123,14 @@ def _maybe_list(values):
 def _delta_bounded(
     delta: finite.DeltaReport, pack: bounds.GuaranteePack, report: game.AdequacyReport
 ) -> tuple[bool | None, str]:
-    """Whether the gains are within the finite a-priori bounds (exact-prox
-    variant), and why; None when no player has a finite bound.
+    """Whether the gains are within the finite a-priori bounds, and why;
+    None when no player has a finite bound.
 
     Player i's gain may exceed its bound by ``finite.EQ_TOLERANCE`` times
     the larger of |expected cost_i| and |deviation cost_i|, the rounding of
     the two costs it is the difference of, with no floor at 1.
     """
-    priori = pack.delta_a_priori["exact"]
+    priori = pack.delta_a_priori
     if priori is None:
         return None, f"no a-priori bound: the instance is {report.classification.value}"
     checked = [
@@ -198,25 +193,15 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _flatness_rule(args) -> iqp.FlatnessRule:
-    try:
-        return iqp.FlatnessRule(coeff=args.flatness_coeff, exponent=args.flatness_exponent)
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc), EXIT_PARSE))
-
-
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
-    rule = _flatness_rule(args)
     _check_max_iters(args)
     try:
         start = _parse_start(args.start, inst, args.mode) if args.start else None
     except IcqsError as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:
-        result = solve_pipeline(
-            inst, start=start, max_iters=args.max_iters, mode=args.mode, rule=rule
-        )
+        result = solve_pipeline(inst, start=start, max_iters=args.max_iters, mode=args.mode)
     except IcqsError as exc:
         return _fail(str(exc), EXIT_SOLVER)
     trace = result.pop("trace")
@@ -311,7 +296,6 @@ def cmd_bench(args) -> int:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read bench spec {args.spec}: {exc}", EXIT_PARSE)
-    rule = _flatness_rule(args)
     _check_max_iters(args)
     # every entry is parsed before anything is solved, so a malformed spec
     # fails fast as a parse error instead of midway through the batch
@@ -337,7 +321,7 @@ def cmd_bench(args) -> int:
     for job_id, name, n_players, make in jobs:
         try:
             inst = make()
-            result = solve_pipeline(inst, max_iters=args.max_iters, rule=rule)
+            result = solve_pipeline(inst, max_iters=args.max_iters)
             result.pop("trace")
             records.append(record_from_result(f"{job_id}-{name}", inst, result))
         except IcqsError as exc:
@@ -479,10 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags `solve` and `bench` share
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--max-iters", type=int, default=dynamics.DEFAULT_MAX_ITERS)
-    shared.add_argument("--flatness-coeff", type=float, default=iqp.PROVEN_RULE.coeff,
-                        help="override the flatness rule coefficient (default 1.0)")
-    shared.add_argument("--flatness-exponent", type=float, default=iqp.PROVEN_RULE.exponent,
-                        help="override the flatness rule exponent (default 2.5)")
 
     p = sub.add_parser("classify", help="print the adequacy classification")
     p.add_argument("instance")

@@ -51,9 +51,9 @@ norm keeps the test finite when iterates shrink geometrically to the origin,
 where the step stays a fixed fraction of the iterates' norm.
 
 `run_br`, the sweeps and the radii take the instance.  The termination and
-divergence radii, and so the divergence certificate, read each player's
-proven proximity radius (`iqp.Factor.radius`, Flt(n) <= n^{5/2}), never a
-flatness rule a solve reports its bounds under.
+divergence radii, and so the divergence certificate, are the instance's
+``norm_radius``, taken once from each player's proven proximity radius
+(`iqp.Factor.radius`).
 """
 
 from __future__ import annotations
@@ -297,14 +297,13 @@ def cycle_sets(trace: BrTrace) -> CycleSets:
     return CycleSets(strategies=tuple(strategies))
 
 
-def _radius(inst: game.IcqsInstance) -> float:
-    """The radius below at the proven radii; BoundOverflow when it is too
-    large for a float."""
-    rho = inst.report.rho
-    radius = (inst.qinv_d_norm + game._norm([f.radius for f in inst.factors])) / rho
+def _proven_radius(inst: game.IcqsInstance) -> float:
+    """The instance's ``norm_radius``; BoundOverflow when it is too large for
+    a float."""
+    radius = inst.norm_radius
     if not math.isfinite(radius):
         raise BoundOverflow(
-            f"the exact radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {rho:.6g}"
+            f"the proven radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {inst.report.rho:.6g}"
         )
     return radius
 
@@ -313,14 +312,15 @@ def termination_radius(inst: game.IcqsInstance) -> float | None:
     """Norm level below which a positively adequate run must eventually stay.
 
     L = (||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)|| + ||(prox_1; ...; prox_k)||) / rho
-    with rho = 1 - max sigma, at the proven radii (`iqp.Factor.radius`).
+    with rho = 1 - max sigma, at the proven radii (`iqp.Factor.radius`): the
+    instance's ``norm_radius``.
     Outside L the joint norm strictly decreases, so only finitely many
     profiles are reachable infinitely often.  Returns None unless the
     instance is positively adequate.
     """
     if inst.report.classification is not game.Adequacy.POSITIVE:
         return None
-    return _radius(inst)
+    return _proven_radius(inst)
 
 
 def divergence_radius(inst: game.IcqsInstance) -> float | None:
@@ -332,7 +332,7 @@ def divergence_radius(inst: game.IcqsInstance) -> float | None:
     """
     if inst.report.classification is not game.Adequacy.NEGATIVE:
         return None
-    return _radius(inst)
+    return _proven_radius(inst)
 
 
 def cycle_telemetry(trace: BrTrace) -> np.ndarray:

@@ -45,10 +45,9 @@ class ResponseOverflow(IcqsError):
 
 
 class BoundOverflow(IcqsError):
-    """A proximity bound is too large for a float: a flatness rule's Flt(n),
-    or its square, overflows at an instance dimension, or the termination or
-    divergence radius does, or a deviation bound lambda_1 (prox + L)^2 built
-    on a finite radius and diameter does."""
+    """A bound is too large for a float: the termination or divergence
+    radius overflows, or a deviation bound lambda_1 (prox + L)^2 built on a
+    finite radius and diameter does."""
 
 
 class OracleBudgetExceeded(IcqsError):

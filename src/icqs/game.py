@@ -24,9 +24,9 @@ concatenated couplings, the adequacy report (`classify`), the sweep stacks
 and the norm of (Q_1^{-1}d_1; ...; Q_k^{-1}d_k).  No classification, solve
 or generator draw factors or classifies an instance again.  Each factor
 carries its proven proximity radius (`iqp.Factor.radius`), the one every
-certificate reads, so every function of a solve (a best response, a sweep,
-a radius, a bound) takes the instance; only the reported bounds read a
-solve's flatness rule, through `bounds.proximity`.
+certificate and every reported bound reads, and the instance holds the
+termination or divergence radius taken from them, so every function of a
+solve (a best response, a sweep, a radius, a bound) takes the instance.
 
 `integer_sweep(inst, z)` is the sweep kernel: every player's integer best
 response to the joint float64 strategy vector z, returned as one joint int64
@@ -155,8 +155,12 @@ class IcqsInstance:
     - ``slots[i]``: the range [a, b) of player i's entries in the joint
       strategy vector, and ``groups``: the players by dimension, in order of
       their first player, with what a sweep reads of each (`PlayerGroup`);
-    - ``qinv_d_norm``: ||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)||, the first term
-      of the termination and divergence radii (`dynamics.termination_radius`).
+    - ``qinv_d_norm``: ||(Q_1^{-1}d_1; ...; Q_k^{-1}d_k)||, and
+      ``norm_radius``: (qinv_d_norm + ||(prox_1; ...; prox_k)||) / rho at the
+      proven radii ``factors[i].radius``, the termination radius of a
+      positively and the divergence radius of a negatively adequate instance
+      (None when it is neither, and inf when it overflows, which
+      `dynamics.termination_radius` and `dynamics.divergence_radius` raise).
     """
 
     players: tuple[PlayerProblem, ...]
@@ -171,6 +175,7 @@ class IcqsInstance:
     slots: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     groups: tuple[PlayerGroup, ...] = field(init=False, compare=False, repr=False)
     qinv_d_norm: float = field(init=False, compare=False, repr=False)
+    norm_radius: float | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         players = self.players
@@ -223,7 +228,10 @@ class IcqsInstance:
             (C_cat, C, Q, d, factors, slots, groups, _norm(d_part)),
         ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "report", classify(self))  # reads factors and C_cat
+        report = classify(self)  # reads factors and C_cat
+        object.__setattr__(self, "report", report)
+        radius = None if report.rho is None else (self.qinv_d_norm + _norm([f.radius for f in factors])) / report.rho
+        object.__setattr__(self, "norm_radius", radius)
 
     @property
     def k(self) -> int:

@@ -64,19 +64,17 @@ its last bits, but it passes only 0.1% below the energy of every other
 lattice point, far outside that rounding, where the search returns rint(u)
 as well.
 
-The module also provides the closed-form proximity radius for Q, the only
-radius formulas: an upper bound on how far the integer minimizer can sit
-from u, uniform over all d, in terms of a flatness constant
-Flt(n) <= coeff * n^exponent given by a `FlatnessRule` (the default
-`PROVEN_RULE` is the proven n^{5/2} bound; callers pass sharper conjectured
-rules explicitly).  `prox_bound(factor, rule)` is the plain flatness
-formula (Flt(n) / 4) sqrt(lambda_max / lambda_min).  For 1x1 and other
-scaled identities it understates the true worst case (sqrt(n)/2, with u at
-a cube center), so `guarantee_prox(factor, rule)` returns the larger of the
-two there (`exact_prox` raises a flatness radius in hand).  The
-postcondition of `lattice_mins` always checks the proven-rule radius and
-gap (`Factor.radius`, `Factor.gap`), whatever rule the caller reports
-bounds under, and raises `ProximityViolation` if the minimizer breaks them.
+The module also provides the proximity radius of Q, an upper bound on how
+far the integer minimizer can sit from u, uniform over all d.
+`guarantee_prox(factor)` is the proven radius sqrt(sum_j G_jj^2) /
+(2 sqrt(lambda_min)) from Babai's nearest-plane bound on the factor's
+columns; every certificate and every reported bound reads it, as
+`Factor.radius`, and the postcondition of `lattice_mins` checks it and the
+matching gap bound (`Factor.gap`), raising `ProximityViolation` if the
+minimizer breaks them.  `prox_bound(factor)` is the paper's formula
+(Flt(n) / 4) sqrt(lambda_max / lambda_min) with the proven flatness bound
+Flt(n) = n^{5/2}, which states the paper's numbers and is never below the
+proven radius for n >= 2.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BoundOverflow,
     DimensionMismatch,
     EnumerationBudgetExceeded,
     NonFiniteCentre,
@@ -101,50 +98,10 @@ from .linalg import cholesky  # noqa: F401  not called here; perfbench's tracer 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
-_SCALED_IDENTITY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FlatnessRule:
-    """Flt(n) <= coeff * n**exponent, the dimension bound behind every prox.
-
-    The default is the proven n^{5/2} bound.  Sharper conjectured bounds
-    (e.g. O(n)) are passed explicitly by the caller that reports under them.
-    Both numbers must be finite and the coefficient positive.
-    """
-
-    coeff: float = 1.0
-    exponent: float = 2.5
-
-    def __post_init__(self):
-        if not (math.isfinite(self.coeff) and math.isfinite(self.exponent)):
-            raise ValueError(
-                f"flatness coefficient and exponent must be finite, got "
-                f"{self.coeff!r} and {self.exponent!r}"
-            )
-        if not self.coeff > 0.0:
-            raise ValueError("flatness coefficient must be positive")
-
-    def constant(self, n: int) -> float:
-        """Flt(n) = coeff * n**exponent, the constant of every prox formula.
-
-        Raises BoundOverflow when Flt(n) or its square, which the
-        objective-gap and deviation bounds carry, is not a finite float.
-        """
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        try:
-            flt = self.coeff * float(n) ** self.exponent
-        except OverflowError:
-            flt = math.inf
-        if not math.isfinite(flt * flt):
-            raise BoundOverflow(
-                f"flatness rule {self.coeff!r} * n**{self.exponent!r} overflows at n = {n}"
-            )
-        return flt
-
-
-PROVEN_RULE = FlatnessRule()
+# The proven radius and gap are rounded up by this relative margin, far
+# above the few ulps their own float operations can lose; it does not cover
+# the rounding of lambda_min, which grows with the conditioning of Q.
+_LIFT = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,13 +135,13 @@ class Factor:
     """Everything minimizing 0.5 x'Qx + d'x needs from Q alone, for any d.
 
     ``cert[j]`` is 0.999 * 0.5 / (Q^{-1})_jj, the rounding certificate's
-    constant for coordinate j in `lattice_mins`.  ``radius`` is
-    `guarantee_prox` under `PROVEN_RULE` and ``gap`` the matching
-    objective-gap bound lambda_max Flt(n)^2 / 32, raised to lambda_max n / 8
-    for scaled identities: the bounds its postcondition checks against,
-    computed once here.  The dots take the views ``rows[j]`` = G[j, j:] and
-    ``strict_rows[j]`` = G[j, j + 1:], and ``corner`` = G[n - 2, n - 1]
-    (0.0 when n = 1) is the search's one-term dot at level n - 2.
+    constant for coordinate j in `lattice_mins`.  ``radius`` is the proven
+    proximity radius `guarantee_prox` and ``gap`` the matching objective-gap
+    bound sum_j G_jj^2 / 8, rounded up like it: the bounds its postcondition
+    checks against, computed once here.  The dots take the views ``rows[j]``
+    = G[j, j:] and ``strict_rows[j]`` = G[j, j + 1:], and ``corner`` =
+    G[n - 2, n - 1] (0.0 when n = 1) is the search's one-term dot at level
+    n - 2.
     """
 
     Q: np.ndarray
@@ -194,7 +151,6 @@ class Factor:
     cert: list[float]
     lambda_max: float
     lambda_min: float
-    scaled_identity: bool
     radius: float = field(init=False)
     gap: float = field(init=False)
     rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -203,13 +159,9 @@ class Factor:
 
     def __post_init__(self):
         G = self.G
-        flt = PROVEN_RULE.constant(self.n)
-        gap = self.lambda_max * flt * flt / 32.0
-        if self.scaled_identity:
-            # distance <= sqrt(n)/2 translates to a gap of lambda_max * n / 8
-            gap = max(gap, self.lambda_max * self.n / 8.0)
+        # a Babai point pays at most (1/2 G_jj)^2 / 2 per coordinate
         object.__setattr__(self, "radius", guarantee_prox(self))
-        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "gap", 0.125 * math.fsum(g * g for g in self.gdiag) * _LIFT)
         object.__setattr__(self, "rows", tuple(G[j, j:] for j in range(self.n)))
         object.__setattr__(self, "strict_rows", tuple(G[j, j + 1 :] for j in range(self.n)))
         object.__setattr__(self, "corner", float(G[-2, -1]) if self.n > 1 else 0.0)
@@ -238,7 +190,6 @@ def factorize(Q: np.ndarray, L: np.ndarray) -> Factor:
         cert=(0.999 * 0.5 / np.einsum("ij,ij->j", Linv, Linv)).tolist(),
         lambda_max=eig.lambda_max,
         lambda_min=eig.lambda_min,
-        scaled_identity=is_scaled_identity(Q),
     )
 
 
@@ -247,34 +198,32 @@ def continuous_min(q: Quadratic) -> np.ndarray:
     return solve_with_factor(cholesky_unchecked(q.Q), -q.d)
 
 
-def prox_bound(factor: Factor, rule: FlatnessRule = PROVEN_RULE) -> float:
-    """The flatness radius (Flt(n) / 4) sqrt(lambda_max / lambda_min) of the
-    factored Q under ``rule``: a bound on the distance between the
-    continuous and the integer minimizer, uniform over d."""
-    return (rule.constant(factor.n) / 4.0) * math.sqrt(factor.lambda_max / factor.lambda_min)
+def prox_bound(factor: Factor) -> float:
+    """The paper's proximity radius (Flt(n) / 4) sqrt(lambda_max / lambda_min)
+    of the factored Q, with the proven flatness bound Flt(n) = n^{5/2}.
 
-
-def guarantee_prox(factor: Factor, rule: FlatnessRule = PROVEN_RULE) -> float:
-    """The flatness radius, raised to sqrt(n)/2 for scaled identities.
-
-    The flatness formula with Flt(n) = n^{5/2} is provably valid for
-    n >= 2 but understates the 1-D worst case (0.25 vs the true 0.5), so
-    scaled identities take the exact value when it is larger: for c*I
-    the integer minimizer rounds u componentwise, so the worst distance
-    is attained with u at a cube center.
+    It states the paper's numbers; no solve reads it.  For n >= 2 it is at
+    least n^2 / 2 times `guarantee_prox`, and for n = 1 it gives 1/4, below
+    the true worst case 1/2.
     """
-    return exact_prox(factor, prox_bound(factor, rule))
+    return (float(factor.n) ** 2.5 / 4.0) * math.sqrt(factor.lambda_max / factor.lambda_min)
 
 
-def exact_prox(factor: Factor, bound: float) -> float:
-    """The flatness radius ``bound`` of Q, raised to sqrt(n)/2 if Q is a scaled identity."""
-    return max(bound, math.sqrt(factor.n) / 2.0) if factor.scaled_identity else bound
+def guarantee_prox(factor: Factor) -> float:
+    """The proven proximity radius sqrt(sum_j G_jj^2) / (2 sqrt(lambda_min))
+    of the factored Q = G'G: no integer minimizer of 0.5 x'Qx + d'x lies
+    farther from the continuous one u, for any d.
 
-
-def is_scaled_identity(Q: np.ndarray) -> bool:
-    n = Q.shape[0]
-    c = float(np.trace(Q)) / n
-    return bool(np.abs(Q - c * np.eye(n)).max() <= _SCALED_IDENTITY_RTOL * abs(c))
+    f(x) - f(u) = 0.5 ||G(x - u)||^2, so the integer minimizer x* gives the
+    point of the lattice G Z^n closest to Gu.  Babai's nearest-plane rule on
+    the columns of G, whose Gram-Schmidt vectors are G_jj e_j, reaches a
+    lattice point within sqrt(sum_j G_jj^2) / 2 of Gu (Babai, Combinatorica
+    6, 1986), and Gx* is no farther; ||x* - u|| <= ||G(x* - u)|| /
+    sqrt(lambda_min).  On c*I this is sqrt(n)/2, the true worst case (u at a
+    cube centre), and it is never above (sqrt(n)/2) sqrt(lambda_max /
+    lambda_min).  Rounded up by a relative 1e-12.
+    """
+    return math.hypot(*factor.gdiag) / (2.0 * math.sqrt(factor.lambda_min)) * _LIFT
 
 
 def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[np.ndarray, float]:

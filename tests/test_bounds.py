@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from _corpus import instance_corpus
 from icqs import bounds, dynamics, finite, game, instgen, iqp
 from icqs.errors import BoundOverflow
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def cycle_of(inst, start):
@@ -54,13 +58,13 @@ def test_cycle_diameter_of_a_strategy_matrix_is_the_pairwise_loop_bitwise():
 
 def test_delta_a_posteriori_values(cycling_setup):
     inst, _ = cycling_setup
-    # lambda_1 = 2, flatness prox of a 1-D Q=2 block is 0.25, diameter 1
-    flat = bounds.proximity(inst)["flatness"]
-    assert bounds.delta_a_posteriori(inst, 0, 1.0, flat) == pytest.approx(2.0 * 1.25**2)
-    assert bounds.delta_a_posteriori(inst, 0, 0.0, flat) == pytest.approx(2.0 * 0.25**2)
+    # lambda_1 = 2, the radius of a 1-D Q=2 block is 1/2, diameter 1
+    assert bounds.delta_a_posteriori(inst, 0, 1.0) == pytest.approx(2.0 * 1.5**2)
+    assert bounds.delta_a_posteriori(inst, 0, 0.0) == pytest.approx(2.0 * 0.5**2)
+    # Q = I_2: the radius is sqrt(2)/2, where the paper's formula gives sqrt(2)
     cg = instgen.builtin("counterexample", M=10)
-    val = bounds.delta_a_posteriori(cg, 0, math.sqrt(101.0), bounds.proximity(cg)["flatness"])
-    assert val == pytest.approx((math.sqrt(2.0) + math.sqrt(101.0)) ** 2)
+    val = bounds.delta_a_posteriori(cg, 0, math.sqrt(101.0))
+    assert val == pytest.approx((math.sqrt(0.5) + math.sqrt(101.0)) ** 2)
 
 
 def test_delta_a_posteriori_monotone_in_diameter(cycling_setup):
@@ -70,26 +74,26 @@ def test_delta_a_posteriori_monotone_in_diameter(cycling_setup):
 
 
 def test_delta_a_posteriori_overflow_is_a_typed_error():
-    # Flt(1) = 1e154 and its square are finite, but lambda_1 = 1e6 times the
-    # squared radius 2.5e153 is not; an infinite diameter stays a plain inf
+    # lambda_1 = 1e300 times (1/2 + L)^2 overflows at L = 1e5, a finite
+    # diameter; an infinite diameter stays a plain inf
     players = [
-        game.PlayerProblem(Q=np.array([[1e6]]), C={1: np.zeros((1, 1))}, d=np.zeros(1)),
+        game.PlayerProblem(Q=np.array([[1e300]]), C={1: np.zeros((1, 1))}, d=np.zeros(1)),
         game.PlayerProblem(Q=np.array([[1.0]]), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
     ]
     inst = game.make_instance(players)
-    prox = bounds.proximity(inst, iqp.FlatnessRule(coeff=1e154, exponent=0.0))["exact"]
     with pytest.raises(BoundOverflow, match="^player 0: "):
-        bounds.delta_a_posteriori(inst, 0, 0.0, prox)
-    assert bounds.delta_a_posteriori(inst, 0, math.inf, prox) == math.inf
-    assert bounds.delta_a_posteriori(inst, 1, 0.0, prox) == pytest.approx(1e154**2 / 16.0)
+        bounds.delta_a_posteriori(inst, 0, 1e5)
+    assert bounds.delta_a_posteriori(inst, 0, math.inf) == math.inf
+    assert bounds.delta_a_posteriori(inst, 0, 0.0) == pytest.approx(1e300 / 4.0)
+    assert bounds.delta_a_posteriori(inst, 1, 1e5) == pytest.approx((0.5 + 1e5) ** 2)
 
 
 def test_l_bound_two_player_closed_form(cycling_setup):
     inst, _ = cycling_setup
-    lb = bounds.l_bound_theoretical(inst, bounds.proximity(inst)["flatness"])
-    expected = (2 * 0.25 * 0.1 + 2 * 0.25) / (1 - 0.01)
+    lb = bounds.l_bound_theoretical(inst)
+    expected = (2 * 0.5 * 0.1 + 2 * 0.5) / (1 - 0.01)
     assert lb[0] == pytest.approx(expected)
-    assert lb[0] == pytest.approx(0.5556, abs=5e-5)
+    assert lb[0] == pytest.approx(1.1111, abs=5e-5)
     assert lb[1] == pytest.approx(expected)  # symmetric sigmas and proxes
 
 
@@ -100,8 +104,8 @@ def test_l_bound_zero_coupling_and_negative():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    lb = bounds.l_bound_theoretical(inst, bounds.proximity(inst)["flatness"])
-    assert lb == pytest.approx([0.5, 0.5])  # sigma = 0 leaves 2 * prox
+    lb = bounds.l_bound_theoretical(inst)
+    assert lb == pytest.approx([1.0, 1.0])  # sigma = 0 leaves 2 * prox
     assert bounds.l_bound_theoretical(instgen.builtin("example1")) is None
 
 
@@ -193,11 +197,10 @@ def test_l_closure_residual_on_seeded_draws():
 
 def test_delta_a_priori_values(cycling_setup):
     inst, _ = cycling_setup
-    flat = bounds.proximity(inst)["flatness"]
-    dp = bounds.delta_a_priori(inst, flat)
-    lb = bounds.l_bound_theoretical(inst, flat)[0]
-    assert dp[0] == pytest.approx(2.0 * (0.25 + lb) ** 2)
-    assert dp[0] == pytest.approx(1.298, abs=5e-4)
+    dp = bounds.delta_a_priori(inst)
+    lb = bounds.l_bound_theoretical(inst)[0]
+    assert dp[0] == pytest.approx(2.0 * (0.5 + lb) ** 2)
+    assert dp[0] == pytest.approx(5.191, abs=5e-4)
     assert bounds.delta_a_priori(instgen.builtin("example1")) is None
 
 
@@ -208,34 +211,49 @@ def test_delta_a_priori_zero_coupling_reduces_to_three_prox():
             game.PlayerProblem(Q=2 * np.eye(1), C={0: np.zeros((1, 1))}, d=np.zeros(1)),
         ]
     )
-    dp = bounds.delta_a_priori(inst, bounds.proximity(inst)["flatness"])
-    assert dp[0] == pytest.approx(2.0 * (3 * 0.25) ** 2)
+    dp = bounds.delta_a_priori(inst)
+    assert dp[0] == pytest.approx(2.0 * (3 * 0.5) ** 2)
 
 
 def test_the_public_bounds_default_to_the_exact_radius(cycling_setup):
-    # the flatness radius of a 1-D player, 1/4, certifies nothing; the
-    # defaults are the exact radius the report's certificates read
+    # the public bounds take no radius: they read the factors' proven radius
+    # (1/2 for a 1-D player, where the paper's formula gives 1/4), and give
+    # bitwise the bounds of the run's guarantee pack
     inst, sets = cycling_setup
-    pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
-    assert bounds.delta_a_priori(inst) == list(pack.delta_a_priori["exact"])
-    assert bounds.l_bound_theoretical(inst) == list(pack.l_bound["exact"])
+    pack = bounds.guarantee_pack(inst, sets)
+    assert [f.radius for f in inst.factors] == pytest.approx([0.5, 0.5], rel=1e-11)
+    assert bounds.delta_a_priori(inst) == list(pack.delta_a_priori)
+    assert bounds.l_bound_theoretical(inst) == list(pack.l_bound)
     assert [bounds.delta_a_posteriori(inst, i, L) for i, L in enumerate(pack.l_measured)] == list(
-        pack.delta_a_posteriori["exact"]
+        pack.delta_a_posteriori
     )
-    assert pack.delta_a_priori["exact"] != pack.delta_a_priori["flatness"]
 
 
-def test_guarantee_pack_flags_flatness_violation(cycling_setup):
-    inst, sets = cycling_setup
-    pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
-    # measured diameter 1 exceeds the flatness-based bound but not the
-    # exact-prox one: (0.1 + 1) / 0.99
-    assert pack.l_measured == pytest.approx((1.0, 1.0))
-    assert pack.flatness_l_violated == (True, True)
-    assert pack.l_bound["exact"][0] == pytest.approx(1.1 / 0.99)
-    assert pack.l_measured[0] <= pack.l_bound["exact"][0]
-    assert bounds.proximity(inst)["flatness"] == pytest.approx((0.25, 0.25))
-    assert bounds.proximity(inst)["exact"] == pytest.approx((0.5, 0.5))
+def cycle_cases():
+    """The acceptance corpus from a far start, and pool 0 of the benchmark's
+    `cycling` workload: (instance, start) pairs."""
+    cases = [(inst, [np.full(n, 7.0 * (-1) ** i) for i, n in enumerate(inst.dims)]) for _, inst in instance_corpus()]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases += [(inst, start) for _, inst, start in workloads.build_jobs("cycling", 0)]
+    return cases
+
+
+def test_every_measured_cycle_diameter_is_within_the_proven_l_bound():
+    # the L bound is the least solution of L_i = sigma_i ||L_-i|| + 2 prox_i
+    # at the proven radii, so no run's measured diameter may exceed it; the
+    # float closure is not exactly a post-fixed point, hence the relative 1e-9
+    checked = 0
+    for inst, start in cycle_cases():
+        if inst.report.classification is not game.Adequacy.POSITIVE:
+            continue
+        trace = dynamics.run_br(inst, start=start)
+        pack = bounds.guarantee_pack(inst, dynamics.cycle_sets(trace))
+        for measured, bound in zip(pack.l_measured, pack.l_bound):
+            assert measured <= bound * (1.0 + 1e-9), (inst.meta, measured, bound)
+            checked += measured > 0.0
+    assert checked > 100
 
 
 def test_guarantee_chain_on_solved_positively_adequate_instances():
@@ -247,45 +265,26 @@ def test_guarantee_chain_on_solved_positively_adequate_instances():
         fg = finite.restrict(inst, sets)
         profile, _ = finite.solve_equilibrium(fg)
         delta = finite.verify_delta(inst, fg, profile)
-        pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
+        pack = bounds.guarantee_pack(inst, sets)
         for i in range(inst.k):
-            post = pack.delta_a_posteriori["exact"][i]
+            post = pack.delta_a_posteriori[i]
             assert delta.gains[i] <= post + 1e-9
-            if pack.delta_a_priori["exact"] is not None:
-                assert pack.l_measured[i] <= pack.l_bound["exact"][i] + 1e-9
-                assert post <= pack.delta_a_priori["exact"][i] + 1e-9
-
-
-def test_proximity_holds_both_variants_under_the_rule():
-    inst = instgen.builtin("cycling")
-    prox = bounds.proximity(inst, iqp.FlatnessRule(coeff=2.0, exponent=1.0))
-    assert list(prox) == ["flatness", "exact"]
-    assert prox["flatness"] == pytest.approx((0.5, 0.5))
-    assert prox["exact"] == pytest.approx((0.5, 0.5))
-
-
-@pytest.mark.parametrize("rule", [iqp.PROVEN_RULE, iqp.FlatnessRule(coeff=0.5, exponent=0.5)])
-def test_proximity_gives_bitwise_the_guarantee_radii(rule):
-    # proximity raises its own flatness radii to the exact ones; each is
-    # bitwise what `guarantee_prox` gives from scratch
-    cases = [inst for _, inst in instance_corpus()]
-    cases += [instgen.builtin(name) for name in ("example1", "cycling")]
-    cases.append(instgen.builtin("counterexample", M=10))
-    raised = 0
-    for inst in cases:
-        prox = bounds.proximity(inst, rule)
-        assert [r.hex() for r in prox["flatness"]] == [iqp.prox_bound(f, rule).hex() for f in inst.factors]
-        assert [r.hex() for r in prox["exact"]] == [iqp.guarantee_prox(f, rule).hex() for f in inst.factors]
-        raised += prox["exact"] != prox["flatness"]
-    assert raised > 0  # the scaled-identity rule fires on some of them
+            if pack.delta_a_priori is not None:
+                assert pack.l_measured[i] <= pack.l_bound[i] + 1e-9
+                assert post <= pack.delta_a_priori[i] + 1e-9
 
 
 def test_proven_exact_radii_are_bitwise_the_factors_radii():
-    # the certificates read `Factor.radius`, the reported bounds read
-    # `proximity`: under the proven rule the two must be the same floats, so
-    # that the reported bounds stay those the certificates are proven for
+    # the certificates and the reported bounds read the same floats: every
+    # bound of the pack is the closure and deltas taken at `Factor.radius`
     cases = [inst for _, inst in instance_corpus()]
     cases += [instgen.builtin(name) for name in ("example1", "cycling")]
     for inst in cases:
-        got = [r.hex() for r in bounds.proximity(inst)["exact"]]
-        assert got == [f.radius.hex() for f in inst.factors]
+        radii = [f.radius for f in inst.factors]
+        assert [r.hex() for r in radii] == [iqp.guarantee_prox(f).hex() for f in inst.factors]
+        lb = bounds.l_bound_theoretical(inst)
+        if lb is None:
+            continue
+        assert [v.hex() for v in lb] == [v.hex() for v in bounds.l_closure(inst.report.sigma_max, radii)]
+        priori = [f.lambda_max * (r + L) ** 2 for f, r, L in zip(inst.factors, radii, lb)]
+        assert [v.hex() for v in bounds.delta_a_priori(inst)] == [v.hex() for v in priori]

@@ -1,13 +1,13 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from _corpus import instance_corpus
 from icqs import bounds, cli, dynamics, finite, game, instgen, iqp, linalg
+from icqs.errors import BoundOverflow
 
 
 # 10^400: an even integer beyond the float range
@@ -204,29 +204,10 @@ def test_solve_continuous_mode(cycling_file, tmp_path, capsys):
     assert fixed[1][0] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_solve_flatness_override_changes_reported_bounds(tmp_path):
-    path = tmp_path / "r.json"
-    run_cli(["generate", "--family", "random", "--players", "2", "--vars", "3",
-             "--seed", "11", "--out", str(path)])
-    reports = []
-    for name, extra in (("a", []),
-                        ("b", ["--flatness-coeff", "1.0", "--flatness-exponent", "1.0"]),
-                        ("after", [])):
-        assert run_cli(["solve", str(path), "--out", str(tmp_path / name), *extra]) == cli.EXIT_OK
-        reports.append(json.loads((tmp_path / name / "r.report.json").read_text())["equilibrium"])
-    rep_a, rep_b, after = reports
-    da = rep_a["delta_a_priori"]["flatness"]
-    db = rep_b["delta_a_priori"]["flatness"]
-    assert all(b < a for a, b in zip(da, db))  # n^1 rule tightens every bound
-    # the rule belongs to its solve: the next plain solve reports the defaults
-    for key in ("l_bound", "delta_a_priori", "delta_a_posteriori"):
-        assert after[key] == rep_a[key]
-
-
 def test_solve_pipeline_classifies_once(monkeypatch):
     inst = instgen.builtin("cycling")  # validated and factored once, here
-    calls = {"classify": 0, "proximity": 0, "factorize": 0, "cholesky": 0}
-    targets = ((game, "classify"), (bounds, "proximity"), (iqp, "factorize"), (linalg, "cholesky"), (iqp, "cholesky"))
+    calls = {"classify": 0, "guarantee_prox": 0, "factorize": 0, "cholesky": 0}
+    targets = ((game, "classify"), (iqp, "guarantee_prox"), (iqp, "factorize"), (linalg, "cholesky"), (iqp, "cholesky"))
     for owner, name in targets:
         original = getattr(owner, name)
 
@@ -237,17 +218,16 @@ def test_solve_pipeline_classifies_once(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
-    # one set of rule radii per solve, for the reported bounds only: the
-    # classification and every player's factor come with the instance, so
-    # no Q is factored and nothing is classified inside the solve
-    assert calls == {"classify": 0, "proximity": 1, "factorize": 0, "cholesky": 0}
+    # the classification and every player's factor, with its proven radius,
+    # come with the instance, so no Q is factored, no radius taken and
+    # nothing classified inside the solve
+    assert calls == {"classify": 0, "guarantee_prox": 0, "factorize": 0, "cholesky": 0}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_a_fixed_point_solve_takes_each_radius_and_cost_once(monkeypatch, k):
-    inst = instgen.gen_pricing(instgen.PricingSpec(n_players=k, seed=1000 * k))
-    calls = {"prox_bound": 0, "strategy_costs": 0}
-    for owner, name in ((iqp, "prox_bound"), (finite, "strategy_costs")):
+    calls = {"guarantee_prox": 0, "strategy_costs": 0}
+    for owner, name in ((iqp, "guarantee_prox"), (finite, "strategy_costs")):
         original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -255,14 +235,15 @@ def test_a_fixed_point_solve_takes_each_radius_and_cost_once(monkeypatch, k):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
+    inst = instgen.gen_pricing(instgen.PricingSpec(n_players=k, seed=1000 * k))
     result = cli.solve_pipeline(inst)
     assert result["outcome"] == "fixed_point"
     assert [len(s) for s in result["equilibrium"]["strategies"]] == [1] * k
     assert result["equilibrium"]["within_game_eps"] == 0.0
-    # one flatness radius per player, which `bounds.proximity` raises to the
-    # exact one, and one pass of every player's pure-strategy costs, for the
-    # expected costs: a one-cell game's regret is zero without one
-    assert calls == {"prox_bound": k, "strategy_costs": 1}
+    # one proven radius per player, when the instance is built, and one pass
+    # of every player's pure-strategy costs, for the expected costs: a
+    # one-cell game's regret is zero without one
+    assert calls == {"guarantee_prox": k, "strategy_costs": 1}
 
 
 def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
@@ -278,69 +259,53 @@ def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
     result = cli.solve_pipeline(instgen.builtin("cycling"), start=[[0.0], [0.0]])
     assert result["outcome"] == "cycle"
     assert result["equilibrium"]["delta_a_priori"]["exact"] is not None
-    # one closure per prox variant; the a-priori deltas come with the pack
-    assert calls == {"l_bound_theoretical": 2, "delta_a_priori": 0}
-
-
-def test_sharp_flatness_override_solves_with_the_proven_postcondition(tmp_path):
-    # a rule far below the proven n^{5/2} must change the reported bounds
-    # only; the kernel's proximity check keeps the proven radius
-    path = tmp_path / "p3.json"
-    run_cli(["generate", "--family", "pricing", "--players", "2", "--seed", "3",
-             "--out", str(path)])
-    assert run_cli(["solve", str(path), "--out", str(tmp_path / "plain")]) == cli.EXIT_OK
-    code = run_cli(["solve", str(path), "--out", str(tmp_path / "sharp"),
-                    "--flatness-coeff", "0.01", "--flatness-exponent", "0"])
-    assert code == cli.EXIT_OK
-    plain = json.loads((tmp_path / "plain" / "p3.report.json").read_text())["equilibrium"]
-    sharp = json.loads((tmp_path / "sharp" / "p3.report.json").read_text())["equilibrium"]
-    for kind in ("delta_a_priori", "delta_a_posteriori"):
-        for a, b in zip(plain[kind]["flatness"], sharp[kind]["flatness"]):
-            assert b < a
-    assert sharp["deviation_gains"] == plain["deviation_gains"]
+    # one closure; the a-priori deltas come with the pack
+    assert calls == {"l_bound_theoretical": 1, "delta_a_priori": 0}
 
 
 @pytest.mark.parametrize(
-    "flags, code, message",
+    "flags",
     [
-        pytest.param(["--flatness-coeff", "0"], cli.EXIT_PARSE, "must be positive", id="zero-coeff"),
-        pytest.param(["--flatness-coeff", "inf"], cli.EXIT_PARSE, "must be finite", id="inf-coeff"),
-        pytest.param(["--flatness-exponent", "nan"], cli.EXIT_PARSE, "must be finite", id="nan-exponent"),
-        # Flt(1) = 1e308 is finite, but its square, which the bounds carry, is not
-        pytest.param(["--flatness-coeff", "1e308", "--flatness-exponent", "10"], cli.EXIT_SOLVER,
-                     "overflows at n = 1", id="overflowing-rule"),
+        pytest.param(["--flatness-coeff", "0"], id="zero-coeff"),
+        pytest.param(["--flatness-coeff", "inf"], id="inf-coeff"),
+        pytest.param(["--flatness-exponent", "nan"], id="nan-exponent"),
+        pytest.param(["--flatness-coeff", "1e308", "--flatness-exponent", "10"], id="overflowing-rule"),
     ],
 )
-def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, tmp_path, capsys, flags, code, message):
-    assert exit_code(["solve", str(cycling_file), "--out", str(tmp_path / "out"), *flags]) == code
+def test_solve_rejects_a_nonpositive_flatness_coeff(cycling_file, tmp_path, capsys, flags):
+    # a solve takes no flatness rule: each of the rule's flags is a parse
+    # error that writes no report
+    assert exit_code(["solve", str(cycling_file), "--out", str(tmp_path / "out"), *flags]) == cli.EXIT_PARSE
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: flatness") and message in err[0]
+    assert err[-1].endswith("error: unrecognized arguments: " + " ".join(flags))
     assert not (tmp_path / "out").exists()
 
 
 def test_an_overflowing_radius_exits_3_with_one_error_line(tmp_path):
-    # Flt = 1e154 squares to a finite float, but lambda_max prox^2 of the
-    # deviation bound under it does not: the solve stops with one error line
-    # and no numpy warning, and no report with an infinite bound is written
+    # example1 with d = (1e160, 1e160): ||Q^-1 d||, and so the proven
+    # divergence radius, overflows; the solve stops with one error line and
+    # no numpy warning, and no report with an infinite radius is written
     path = tmp_path / "inst.json"
-    assert run_cli(["generate", "--family", "random", "--players", "3", "--vars", "5",
-                    "--seed", "7", "--out", str(path)]) == cli.EXIT_OK
+    path.write_text(json.dumps({
+        "players": [{"Q": [[2.0]], "C": {"1": [[-4.0]]}, "d": [1e160]},
+                    {"Q": [[2.0]], "C": {"0": [[-4.0]]}, "d": [1e160]}],
+        "meta": {},
+    }))
     proc = subprocess.run(
-        [sys.executable, "-m", "icqs", "solve", str(path), "--out", str(tmp_path / "out"),
-         "--flatness-coeff", "1e154", "--flatness-exponent", "0"],
+        [sys.executable, "-m", "icqs", "solve", str(path), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == cli.EXIT_SOLVER
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: player 0: the deviation bound"), proc.stderr
+    assert len(err) == 1 and err[0].startswith("error: the proven radius "), proc.stderr
     assert not (tmp_path / "out").exists()
 
 
 def test_proximity_violation_exits_3(cycling_file, tmp_path, monkeypatch, capsys):
     from icqs import iqp
 
-    monkeypatch.setattr(iqp, "guarantee_prox", lambda factor, rule=iqp.PROVEN_RULE: 0.0)
+    monkeypatch.setattr(iqp, "guarantee_prox", lambda factor: 0.0)
     code = run_cli(["solve", str(cycling_file), "--start", "0;0", "--out", str(tmp_path)])
     assert code == cli.EXIT_SOLVER
     assert "exceeds proximity radius" in capsys.readouterr().err
@@ -397,7 +362,7 @@ def test_delta_bounded_is_null_without_a_finite_bound(tmp_path, capsys):
     assert run_cli(["solve", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
     report = json.loads((tmp_path / "r6000.report.json").read_text())
     eq = report["equilibrium"]
-    assert eq["l_bound"]["exact"] == [None, None, None]
+    assert eq["l_bound"] == {"exact": [None, None, None]}
     assert eq["delta_bounded"] is None
     assert "infinite" in eq["delta_bounded_reason"]
     criterion = bounds.closure_criterion(report["sigma_max"])
@@ -419,8 +384,8 @@ def test_delta_bounded_compares_a_gain_at_the_scale_of_the_costs():
     fg = finite.restrict(inst, sets)
     profile, _ = finite.solve_equilibrium(fg)
     delta = finite.verify_delta(inst, fg, profile, trace)
-    pack = bounds.guarantee_pack(inst, sets, bounds.proximity(inst))
-    bound = pack.delta_a_priori["exact"][0]
+    pack = bounds.guarantee_pack(inst, sets)
+    bound = pack.delta_a_priori[0]
     assert bound == pytest.approx(5.19e-11, rel=1e-3)
     assert cli._delta_bounded(delta, pack, inst.report) == (
         True, "gains within the finite a-priori bounds of 2 of 2 players"
@@ -444,16 +409,14 @@ def bench_spec(tmp_path, entry):
     return ["bench", str(path), "--out", str(tmp_path / "bench")]
 
 
-def test_bench_writes_an_error_row_for_an_overflowing_flatness_rule(tmp_path):
-    argv = bench_spec(tmp_path, {"family": "random", "n_players": 2, "vars_per_player": 2})
-    assert run_cli(argv + ["--flatness-coeff", "1e300", "--flatness-exponent", "10"]) == cli.EXIT_OK
-    rows = (tmp_path / "bench" / "results.csv").read_text().splitlines()
-    assert [row.split(",")[4] for row in rows[1:]] == ["error:BoundOverflow"]
-
-
-def test_bench_error_rows_report_the_player_count(tmp_path):
+def test_bench_error_rows_report_the_player_count(tmp_path, monkeypatch):
     # neither entry names n_players: one takes its family's default, the other
-    # the builtin's own count
+    # the builtin's own count; every solve fails as an overflowing radius would
+
+    def overflowing(inst, **kwargs):
+        raise BoundOverflow("the proven radius overflows")
+
+    monkeypatch.setattr(cli, "solve_pipeline", overflowing)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"families": [
         {"family": "negative", "seed": 1, "vars_per_player": 2},
@@ -461,7 +424,7 @@ def test_bench_error_rows_report_the_player_count(tmp_path):
         {"family": "builtin", "name": "cycling"},
     ]}))
     argv = ["bench", str(path), "--out", str(tmp_path / "bench")]
-    assert run_cli(argv + ["--flatness-coeff", "1e155", "--flatness-exponent", "0"]) == cli.EXIT_OK
+    assert run_cli(argv) == cli.EXIT_OK
     rows = [row.split(",") for row in (tmp_path / "bench" / "results.csv").read_text().splitlines()[1:]]
     assert [row[4] for row in rows] == ["error:BoundOverflow"] * 3
     assert [row[1] for row in rows] == ["2", "3", "2"]
@@ -645,7 +608,6 @@ def test_every_error_class_is_exported_from_the_package():
     assert [c.__name__ for c in classes if getattr(icqs, c.__name__, None) is not c] == []
 
 
-SHARP_RULE = iqp.FlatnessRule(coeff=1e-6)
 NEGATIVE_START = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
@@ -655,43 +617,31 @@ def negative_instance():
 
 @pytest.mark.parametrize("mode", [dynamics.INTEGER, dynamics.CONTINUOUS])
 def test_a_sharp_flatness_rule_does_not_reach_the_divergence_certificate(mode):
-    # the proven divergence radius of this instance is 82.66; the rule's own
-    # radius, 8.27e-5, lies below the start's norm, and the latch that read
-    # it certified divergence after one growing sweep
+    # under a rule a millionth of the paper's, this instance's radius,
+    # 8.27e-5, is below the start's norm, so a latch reading it would
+    # certify divergence after one growing sweep; the latch reads the
+    # instance's proven radius, 11.26, and the run reads cap
     inst = negative_instance()
-    proven = cli.solve_pipeline(inst, start=NEGATIVE_START, max_iters=1, mode=mode)
-    sharp = cli.solve_pipeline(inst, start=NEGATIVE_START, max_iters=1, mode=mode, rule=SHARP_RULE)
-    assert proven["trace"].norms[1] > proven["trace"].norms[0]
-    assert proven["outcome"] == sharp["outcome"] == dynamics.OUTCOME_CAP
-    assert sharp["divergence_radius"].hex() == proven["divergence_radius"].hex()
-    assert proven["divergence_radius"] == pytest.approx(82.66, abs=5e-3)
+    result = cli.solve_pipeline(inst, start=NEGATIVE_START, max_iters=1, mode=mode)
+    sharp = (inst.qinv_d_norm + math.hypot(*[1e-6 * iqp.prox_bound(f) for f in inst.factors])) / inst.report.rho
+    assert sharp < result["trace"].norms[0] < result["trace"].norms[1]
+    assert result["outcome"] == dynamics.OUTCOME_CAP
+    assert result["divergence_radius"].hex() == inst.norm_radius.hex()
+    assert result["divergence_radius"] == pytest.approx(11.263, abs=5e-4)
 
 
 @pytest.mark.parametrize("mode", [dynamics.INTEGER, dynamics.CONTINUOUS])
-def test_the_solve_command_reads_cap_under_a_sharp_flatness_rule(tmp_path, mode):
+def test_the_solve_command_reads_cap_under_a_sharp_flatness_rule(tmp_path, mode, capsys):
+    # the command takes no flatness rule: with --flatness-coeff it writes no
+    # report, and without it the divergence certificate reads the proven
+    # radius and the run reads cap
     path = tmp_path / "neg.json"
     assert run_cli(["generate", "--family", "negative", "--players", "2", "--vars", "3",
                     "--seed", "1", "--out", str(path)]) == cli.EXIT_OK
-    reports = []
-    for name, flags in (("proven", []), ("sharp", ["--flatness-coeff", "1e-6"])):
-        code = run_cli(["solve", str(path), "--start", "1,0,0;0,1,0", "--max-iters", "1",
-                        "--mode", mode, "--out", str(tmp_path / name), *flags])
-        assert code == cli.EXIT_OK
-        reports.append(json.loads((tmp_path / name / "neg.report.json").read_text()))
-    proven, sharp = reports
-    assert proven["outcome"] == sharp["outcome"] == "cap"
-    assert sharp["divergence_radius"] == proven["divergence_radius"]
-
-
-def test_a_sharper_rule_changes_no_outcome_iteration_or_radius():
-    # the rule reaches the reported bounds only: outcomes, sweeps and both
-    # radii are bitwise those of the proven rule
-    cases = [(inst, None) for _, inst in instance_corpus()[::5]]
-    cases += [(negative_instance(), NEGATIVE_START), (instgen.builtin("example1"), [[5.0], [5.0]])]
-    keys = ("outcome", "iterations", "termination_radius", "divergence_radius")
-    for inst, start in cases:
-        proven = cli.solve_pipeline(inst, start=start, max_iters=200)
-        for rule in (SHARP_RULE, iqp.FlatnessRule(coeff=0.5, exponent=1.0)):
-            sharp = cli.solve_pipeline(inst, start=start, max_iters=200, rule=rule)
-            assert [sharp[k] for k in keys] == [proven[k] for k in keys]
-            assert np.array_equal(sharp["trace"].profiles, proven["trace"].profiles)
+    argv = ["solve", str(path), "--start", "1,0,0;0,1,0", "--max-iters", "1", "--mode", mode]
+    assert exit_code([*argv, "--out", str(tmp_path / "sharp"), "--flatness-coeff", "1e-6"]) == cli.EXIT_PARSE
+    assert not (tmp_path / "sharp").exists()
+    assert run_cli([*argv, "--out", str(tmp_path / "proven")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "proven" / "neg.report.json").read_text())
+    assert report["outcome"] == "cap"
+    assert report["divergence_radius"] == pytest.approx(11.263, abs=5e-4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _corpus import instance_corpus
-from icqs import bounds, dynamics, game, instgen, iqp
+from icqs import dynamics, game, instgen, iqp
 from icqs.errors import BoundOverflow, DimensionMismatch, NoCycle, NonFiniteCentre
 
 
@@ -100,11 +100,11 @@ def test_norm_descent_above_certified_radius():
 
 
 def test_flatness_radius_alone_does_not_certify_descent():
-    # (-1, 1) maps to (1, 1): same norm, sitting between the flatness-based
-    # radius and the exact one, which is why the certified variant exists
+    # (-1, 1) maps to (1, 1): same norm, sitting between the radius built on
+    # the paper's 1-D radius 1/4 and the proven one, built on 1/2
     inst = instgen.builtin("cycling")
     rho = inst.report.rho
-    L_flat = (inst.qinv_d_norm + math.hypot(*bounds.proximity(inst)["flatness"])) / rho
+    L_flat = (inst.qinv_d_norm + math.hypot(*[iqp.prox_bound(f) for f in inst.factors])) / rho
     L_exact = dynamics.termination_radius(inst)
     assert L_flat < math.hypot(-1, 1) < L_exact
     trace = dynamics.run_br(inst, start=[[-1.0], [1.0]], max_iters=1)
@@ -112,9 +112,9 @@ def test_flatness_radius_alone_does_not_certify_descent():
 
 
 def test_divergence_latch_reads_the_certified_radius():
-    # 1-D and negatively adequate (sigma = 3/2, rho = 1/2): the exact radius
+    # 1-D and negatively adequate (sigma = 3/2, rho = 1/2): the proven radius
     # (||Q^-1 d|| + ||(1/2, 1/2)||) / rho is 2 sqrt 2, and the start's norm
-    # sqrt 5 lies between it and the flatness one, 3 / sqrt 2
+    # sqrt 5 lies between it and the one built on the paper's 1/4, 3 / sqrt 2
     inst = game.make_instance(
         [
             game.PlayerProblem(Q=2 * np.eye(1), C={1: -3 * np.eye(1)}, d=-np.ones(1)),
@@ -616,5 +616,5 @@ def test_an_overflowing_proven_radius_is_a_typed_error_before_any_sweep(monkeypa
         raise AssertionError("swept before the radius was checked")
 
     monkeypatch.setattr(game, "integer_sweep", no_sweep)
-    with pytest.raises(BoundOverflow, match="^the exact radius "):
+    with pytest.raises(BoundOverflow, match="^the proven radius "):
         dynamics.run_br(inst, start=[[5.0], [5.0]])

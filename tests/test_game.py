@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _corpus import instance_corpus
-from icqs import bounds, game, instgen, iqp, linalg
+from icqs import bounds, dynamics, game, instgen, iqp, linalg
 from icqs.errors import DimensionMismatch, NotPositiveDefinite, OracleBudgetExceeded, ProximityViolation
 
 
@@ -101,7 +101,9 @@ def test_instances_and_generator_draws_factor_each_q_once(monkeypatch):
         assert calls["classify"] == calls["make_instance"] >= 1
         assert calls["cholesky"] == calls["factorize"] == inst.k * calls["make_instance"]
     calls.update(cholesky=0, factorize=0, make_instance=0, classify=0)
-    bounds.proximity(inst)
+    # the radii and the bounds read the instance's factors
+    dynamics.divergence_radius(inst)
+    bounds.delta_a_posteriori(inst, 0, 1.0)
     assert calls == {"cholesky": 0, "factorize": 0, "make_instance": 0, "classify": 0}
 
 

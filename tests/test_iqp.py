@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _corpus import quadratic_corpus
+from _corpus import quadratic_corpus, random_quadratic
 from icqs import iqp, linalg
 from icqs.errors import (
     EnumerationBudgetExceeded,
@@ -36,11 +36,8 @@ def test_continuous_min_examples():
 
 @pytest.mark.parametrize("n,expected", [(1, 1.0), (4, 32.0), (9, 243.0)])
 def test_flatness_constant_default(n, expected):
-    assert iqp.PROVEN_RULE.constant(n) == expected
-
-
-def test_flatness_constant_override():
-    assert iqp.FlatnessRule(coeff=2.0, exponent=1.0).constant(4) == 8.0
+    # the paper's radius on I_n is Flt(n) / 4, with the proven Flt(n) = n^{5/2}
+    assert 4.0 * iqp.prox_bound(factor_of(np.eye(n))) == expected
 
 
 def test_prox_bound_identity_n4():
@@ -53,42 +50,79 @@ def test_prox_bound_identity_n4():
 def test_prox_bound_identity_n1():
     f = factor_of(np.eye(1))
     assert iqp.prox_bound(f) == pytest.approx(0.25)
-    # the flatness gap 1/32 is raised to the scaled-identity gap n/8
-    assert f.gap == pytest.approx(max(1.0 / 32.0, 1.0 / 8.0))
+    # the gap bound sum G_jj^2 / 8 is the 1-D worst case 1/8, at u = 1/2
+    assert f.gap == pytest.approx(1.0 / 8.0, rel=1e-11)
 
 
 def test_prox_bound_diag_4_1():
     f = factor_of(np.diag([4.0, 1.0]))
     assert iqp.prox_bound(f) == pytest.approx((2.0**2.5 / 4.0) * 2.0)
-    assert iqp.PROVEN_RULE.constant(f.n) == pytest.approx(2.0**2.5)
+    # G = diag(2, 1) and lambda_min = 1: the proven radius is sqrt(5) / 2
+    assert iqp.guarantee_prox(f) == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-11)
 
 
 def test_prox_bound_invariant_relations():
     for q in quadratic_corpus(seed=5, count=30, dims=(1, 2, 3, 4)):
         f = factor_of(q.Q)
-        flatness = iqp.PROVEN_RULE.constant(q.n)
+        kappa = f.lambda_max / f.lambda_min
         prox = iqp.prox_bound(f)
-        assert prox == pytest.approx((flatness / 4.0) * math.sqrt(f.lambda_max / f.lambda_min))
-        obj_gap = f.lambda_max * flatness**2 / 32.0
-        if f.scaled_identity:
-            obj_gap = max(obj_gap, f.lambda_max * q.n / 8.0)
-        assert f.gap == pytest.approx(obj_gap)
+        assert prox == pytest.approx((q.n**2.5 / 4.0) * math.sqrt(kappa))
+        squares = sum(g * g for g in f.gdiag)
         assert f.radius == iqp.guarantee_prox(f)
-        assert min(prox, f.lambda_max, f.lambda_min, flatness, f.gap) > 0
+        assert f.radius == pytest.approx(math.sqrt(squares / f.lambda_min) / 2.0, rel=1e-11)
+        assert f.gap == pytest.approx(squares / 8.0, rel=1e-11)
+        # sum G_jj^2 <= tr Q <= n lambda_max: n^2 / 2 below the paper's radius
+        assert f.radius <= (math.sqrt(q.n) / 2.0) * math.sqrt(kappa) * (1.0 + 1e-9)
+        if q.n >= 2:
+            assert f.radius <= prox
+        assert min(prox, f.lambda_max, f.lambda_min, f.radius, f.gap) > 0
 
 
 def test_guarantee_prox_upgrades_scaled_identity():
-    # 1-D flatness value 0.25 understates the true rounding worst case 0.5
-    assert iqp.guarantee_prox(factor_of(np.array([[2.0]]))) == pytest.approx(0.5)
-    # for larger identities the flatness formula already dominates sqrt(n)/2
-    assert iqp.guarantee_prox(factor_of(np.eye(4))) == pytest.approx(8.0)
+    # the paper's 1-D radius 1/4 understates the rounding worst case 1/2,
+    # which the proven radius gives; on I_4 it gives sqrt(4)/2, where the
+    # paper's formula gives 8
+    f = factor_of(np.array([[2.0]]))
+    assert iqp.prox_bound(f) == pytest.approx(0.25)
+    assert iqp.guarantee_prox(f) == pytest.approx(0.5, rel=1e-11)
+    assert iqp.guarantee_prox(factor_of(np.eye(4))) == pytest.approx(1.0, rel=1e-11)
 
 
-def test_scaled_identity_test_is_relative_to_the_matrix():
-    # an absolute slack called every small enough Q a scaled identity
-    for s in (1e-13, 1.0, 1e13):
-        assert iqp.is_scaled_identity(s * np.eye(3))
-        assert not iqp.is_scaled_identity(s * np.array([[2.0, 1.0], [1.0, 2.0]]))
+def test_the_radius_of_a_scaled_identity_is_never_below_sqrt_n_over_2():
+    # c I_n attains sqrt(n)/2 with u at a cube centre, so that is the least
+    # valid radius; the 1e-12 lift keeps it above the rounding of the formula
+    # (unlifted, about a fifth of these draws sit one ulp below sqrt(n)/2)
+    rng = np.random.default_rng(26)
+    for n in range(1, 11):
+        for c in 10.0 ** rng.uniform(-11.0, 20.0, size=270):
+            f = factor_of(c * np.eye(n))
+            half = math.sqrt(n) / 2.0
+            assert half <= f.radius <= half * (1.0 + 2e-12), (n, c)
+            assert f.gap >= n * c / 8.0, (n, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_radius_and_gap_bound_every_brute_force_minimum(n):
+    # Babai's bound holds for every integer minimizer, so for the oracle's
+    # too, at any conditioning; a draw whose oracle box outgrows the budget
+    # is skipped
+    rng = np.random.default_rng(100 + n)
+    checked = 0
+    for cond in (1.0, 1e2, 1e4, 1e5):
+        for _ in range(25):
+            q = random_quadratic(rng, n, cond)
+            f = factor_of(q.Q)
+            try:
+                v, _ = iqp.brute_force_min(q)
+            except OracleBudgetExceeded:
+                continue
+            u = iqp.continuous_min(q)
+            w = v - u
+            slack = 1e-9 * max(1.0, float(np.abs(u).max()))
+            assert math.sqrt(float(w @ w)) <= f.radius + slack, (q.Q, q.d)
+            assert 0.5 * float(w @ q.Q @ w) <= f.gap + f.lambda_max * slack, (q.Q, q.d)
+            checked += 1
+    assert checked >= 80
 
 
 def test_integer_min_scalar_examples():
@@ -152,9 +186,9 @@ def test_oracle_equivalence_200_random_instances():
 
 
 def test_proximity_invariants_on_corpus():
-    # flatness-based distance and gap bounds hold verbatim for n >= 2; 1-D
-    # blocks use the exact scaled-identity radius (the flatness constant is
-    # provably below the true 1-D worst case, see guarantee_prox)
+    # the proven radius and gap hold on every draw, and for n >= 2 the
+    # radius is below the paper's; for n = 1 the paper's 1/4 understates the
+    # true worst case 1/2
     for q in quadratic_corpus(seed=42, count=200, dims=(1, 2, 3, 4)):
         v, value = iqp.integer_min(q)
         u = iqp.continuous_min(q)
@@ -162,10 +196,8 @@ def test_proximity_invariants_on_corpus():
         dist = float(np.linalg.norm(v - u))
         gap = value - q.value(u)
         if q.n >= 2:
-            assert dist <= iqp.prox_bound(f) + 1e-9
-            # for n >= 2 the flatness gap n^5/32 is above n/8, so it is f.gap
-            assert gap <= f.lambda_max * iqp.PROVEN_RULE.constant(q.n) ** 2 / 32.0 + 1e-9
-        assert dist <= iqp.guarantee_prox(f) + 1e-9
+            assert f.radius <= iqp.prox_bound(f)
+        assert dist <= f.radius + 1e-9
         assert gap <= f.gap + 1e-9
 
 
@@ -198,22 +230,6 @@ def test_enumeration_budget_raises():
     q = iqp.Quadratic(np.eye(2), np.array([-0.5, -0.5]))  # tie-rich: no fast path
     with pytest.raises(EnumerationBudgetExceeded):
         iqp.integer_min(q, node_budget=0)
-
-
-def test_set_flatness_rule_flows_through_prox():
-    f = factor_of(np.eye(4))
-    baseline = iqp.prox_bound(f)
-    assert baseline == pytest.approx(8.0)
-    linear = iqp.FlatnessRule(coeff=2.0, exponent=1.0)  # a linear-rule override
-    assert linear.constant(4) == 8.0
-    assert iqp.prox_bound(f, linear) == pytest.approx(2.0)
-    # the proven gap the postcondition checks does not follow the rule
-    assert f.gap == pytest.approx(1.0 * 4.0**5 / 32.0)
-    assert iqp.guarantee_prox(f, linear) == pytest.approx(2.0)  # above sqrt(4)/2
-    # the rule travels with the call: nothing changed for the next caller
-    assert iqp.prox_bound(f) == baseline
-    with pytest.raises(ValueError):
-        iqp.FlatnessRule(coeff=0.0, exponent=1.0)
 
 
 def _numpy_scalar_search(q):
