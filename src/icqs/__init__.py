@@ -3,7 +3,8 @@
 Pipeline: build or load an instance (`game`, `instgen`; the instance
 derives, once, everything a solve needs from it alone: every player's
 Cholesky factor and factor data, its proven proximity radius among them,
-the classification of the interaction matrices and the stacks of a sweep),
+the classification of the interaction matrices, the a-priori bounds and
+the stacks of a sweep),
 run certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds

@@ -27,8 +27,12 @@ integer fixed point, is its own equilibrium: `solve_equilibrium` returns
 its one cell as the pure profile, with regret zero, and runs neither solver.
 
 Two-player games are solved exactly by support enumeration, smallest
-supports first; the support pairs it skips provably cannot win, so the
-equilibrium is bitwise the plain enumeration's (`mne_two_player`).  Games
+supports first (`mne_two_player`).  Conditional dominance is one table of
+Python-integer bitmasks per player, so the column supports of a row support
+are drawn only from the columns not dominated on it, and a pair's rows are
+tested against its column support with a few integer operations.  The pairs it
+skips provably cannot win: it solves the same pairs in the same order as
+the plain enumeration, and returns bitwise its profile.  Games
 with three or more players are solved exactly by one run of Lemke's
 complementary pivoting on the LCP built from D (Howson 1972; Miller & Zucker
 1991).  The result's regret is checked, so a numerical failure of the
@@ -40,6 +44,7 @@ equilibria.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,6 +53,7 @@ import numpy as np
 
 from . import dynamics, game
 from .errors import DimensionMismatch, GameTooLarge, NoEquilibriumFound
+from .linalg import gesv
 
 EQ_TOLERANCE = 1e-9
 PROB_SUM_TOLERANCE = 1e-12
@@ -224,24 +230,17 @@ def pne_search(fg: FiniteGame) -> list[tuple[int, ...]]:
     return [tuple(index) for index in cells.tolist()]
 
 
-def _support_pairs(m: int, n: int):
-    # ascending total size, then x-support size, then lexicographic supports
-    for total in range(2, m + n + 1):
-        for a in range(max(1, total - n), min(m, total - 1) + 1):
-            b = total - a
-            for I in itertools.combinations(range(m), a):
-                for J in itertools.combinations(range(n), b):
-                    yield I, J
-
-
-def _solve_indifference(costs: np.ndarray, supp_rows, supp_cols) -> tuple[np.ndarray, float] | None:
+def _solve_indifference(costs: np.ndarray, supp_rows: list, supp_cols: list) -> tuple[np.ndarray, float] | None:
     """Opponent mix + value making the supported rows of ``costs`` indifferent.
 
     Rows are the supported player's strategies, columns the opponent's; solves
-    [A | -1; 1' | 0] (q, v) = (0, 1), least squares when non-square.  Singular
-    systems get a 1e-12 diagonal perturbation and one retry.
+    [A | -1; 1' | 0] (q, v) = (0, 1), least squares when non-square.  A square
+    system goes to `linalg.gesv`, `np.linalg.solve`'s LAPACK call and bits;
+    only a non-finite result, as a singular M gives, is solved again by
+    `np.linalg.solve`, which raises on a singular M.  Singular systems get a
+    1e-12 diagonal perturbation and one retry.
     """
-    A = costs[np.ix_(supp_rows, supp_cols)]
+    A = costs[supp_rows][:, supp_cols]
     a, b = A.shape
     M = np.zeros((a + 1, b + 1))
     M[:a, :b] = A
@@ -251,8 +250,10 @@ def _solve_indifference(costs: np.ndarray, supp_rows, supp_cols) -> tuple[np.nda
     rhs[a] = 1.0
     try:
         if a == b:
-            # np.linalg.solve, not linalg.gesv: a singular M must raise
-            sol = np.linalg.solve(M, rhs)
+            with np.errstate(all="ignore"):
+                sol = gesv(M, rhs)
+            if not np.isfinite(sol).all():
+                sol = np.linalg.solve(M, rhs)
         else:
             sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     except np.linalg.LinAlgError:
@@ -261,114 +262,115 @@ def _solve_indifference(costs: np.ndarray, supp_rows, supp_cols) -> tuple[np.nda
             sol, *_ = np.linalg.lstsq(Mp, rhs, rcond=None)
         except np.linalg.LinAlgError:
             return None
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         return None
     return sol[:b], float(sol[b])
 
 
-def _valid_side(costs: np.ndarray, opp_mix: np.ndarray, supp, value: float, atol: float) -> bool:
+def _valid_side(costs: np.ndarray, opp_mix: np.ndarray, supp: list, value: float, atol: float) -> bool:
     # every support row attains `value`, every other row costs at least it
     expected = costs @ opp_mix
-    if np.max(np.abs(expected[list(supp)] - value)) > atol:
-        return False
-    mask = np.ones(len(expected), dtype=bool)
-    mask[list(supp)] = False
-    return not np.any(expected[mask] < value - atol)
+    gap = np.abs(expected[supp] - value).max()
+    expected[supp] = np.inf
+    return not (gap > atol or expected.min() < value - atol)
 
 
-def _dominance_margin(A: np.ndarray, B: np.ndarray, atol: float) -> float:
+def _dominance_margin(top: float, size: int, atol: float) -> float:
     """Cost gap above which a dominated strategy provably fails ``_valid_side``.
 
     Under a mix that passes, a supported row costs at most ``value + atol``
     and every row at least ``value - atol``, so no supported row costs more
     than ``2 * atol`` above any other row.  The second term covers the float
     rounding of the expected costs, of the normalised mix and of the
-    comparisons, relative to the largest cost magnitude of the bimatrix game
-    (A, B) and with a wide safety factor.
+    comparisons, relative to ``top``, the largest cost magnitude of a
+    bimatrix game of ``size`` strategies in all, with a wide safety factor.
     """
-    scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) + atol
-    return 2.0 * atol + 8.0 * (sum(A.shape) + 2) * np.finfo(np.float64).eps * scale
+    return 2.0 * atol + 8.0 * (size + 2) * np.finfo(np.float64).eps * (top + atol)
 
 
 def _dominated_given(costs: np.ndarray, margin: float):
-    """Lookup: opponent support -> set of rows dominated on it.
+    """Lookup: opponent support (a tuple) -> bitmask of the rows dominated on it.
 
     Row r is dominated on columns S when some row r' costs more than
     ``margin`` less than r on every column of S.  Then every mix over S
     leaves r more than ``2 * atol`` above r', so no support containing r
-    passes the equilibrium check against S.  Masks are cached per S.
+    passes the equilibrium check against S.  Bit r of ``beats[r'][c]``, a
+    Python integer of any width, is set when row r costs more than
+    ``margin`` above row r' in column c, so the rows dominated on S are the
+    union over r' of the intersection over S.  Cached per S.
     """
     beaten = (costs[:, None, :] - costs[None, :, :]) > margin  # [r, r', col]
-    cache: dict[tuple[int, ...], frozenset[int]] = {}
+    packed = np.packbits(beaten, axis=0, bitorder="little").astype(object)
+    beats = sum(byte << 8 * k for k, byte in enumerate(packed)).tolist()  # [r'][col]
 
-    def lookup(cols: tuple[int, ...]) -> frozenset[int]:
-        rows = cache.get(cols)
-        if rows is None:
-            dominated = beaten[:, :, list(cols)].all(axis=2).any(axis=1)
-            rows = cache[cols] = frozenset(np.flatnonzero(dominated).tolist())
+    @functools.cache
+    def lookup(cols: tuple[int, ...]) -> int:
+        rows = 0
+        for row in beats:
+            common = row[cols[0]]
+            for c in cols[1:]:
+                common &= row[c]
+            rows |= common
         return rows
 
     return lookup
 
 
-def _side(costs: np.ndarray, own, opp, size: int, atol: float):
+def _side(costs: np.ndarray, own: list, opp: list, size: int, atol: float):
     """Normalised opponent mix over ``opp`` that makes ``own`` an equilibrium
     support of ``costs``; None when the indifference system has no usable
     solution or the mix fails the sign, sum or ``_valid_side`` checks."""
     solved = _solve_indifference(costs, own, opp)
-    if solved is None:
+    if solved is None or solved[0].min() < -1e-9:
         return None
     mix_supp, value = solved
-    if np.any(mix_supp < -1e-9):
-        return None
     mix = np.zeros(size)
-    mix[list(opp)] = np.clip(mix_supp, 0.0, None)
-    if abs(mix.sum() - 1.0) > 1e-9:
+    mix[opp] = np.maximum(mix_supp, 0.0)
+    total = mix.sum()
+    if abs(total - 1.0) > 1e-9:
         return None
-    mix /= mix.sum()
-    if not _valid_side(costs, mix, own, value, atol):
-        return None
-    return mix
+    mix /= total
+    return mix if _valid_side(costs, mix, own, value, atol) else None
 
 
 def mne_two_player(fg: FiniteGame) -> MixedProfile:
     """Exact mixed equilibrium of a bimatrix game by support enumeration.
 
-    Returns the first valid equilibrium in the (total size ascending,
-    lexicographic) support order, i.e. a smallest-support equilibrium,
-    deterministically.  The equilibrium check's tolerance is ``EQ_TOLERANCE``
-    times ``max(max|A|, max|B|)``, with no floor, as the k-player check's
-    is.  Pairs that provably fail the check are skipped without a solve: a
-    pair is dropped when one of its strategies is dominated, by more than
-    twice that tolerance plus rounding, on the other player's support
-    (conditional dominance, Porter, Nudelman & Shoham 2008), and the column
-    player's mix is solved and checked before the row player's.  Neither
-    changes the order or the returned profile.  When a player has a single
-    strategy there is nothing to prune and no pruning table is built.
-    NoEquilibriumFound cannot occur for a finite game and signals numerical
-    failure.
+    Returns the first valid equilibrium in the (total size, row support
+    size, lexicographic) support order, a smallest-support equilibrium.
+    The equilibrium check's tolerance is ``EQ_TOLERANCE`` times ``max(max|A|,
+    max|B|)``, with no floor, as the k-player check's is.  Pairs that
+    provably fail the check are never solved (conditional dominance, Porter,
+    Nudelman & Shoham 2008): the columns dominated, by more than twice that
+    tolerance plus rounding, on a row support are dropped before its column
+    supports are enumerated, then a pair with a row dominated on its column
+    support, and the column player's mix is solved and checked before the
+    row player's.  None of this changes the pairs solved, their order or the
+    returned profile.  With a single strategy for a player, nothing is
+    pruned.  NoEquilibriumFound signals a numerical failure.
     """
     if fg.k != 2:
         raise DimensionMismatch(f"two-player solver got k={fg.k}")
     A = cell_costs(fg, 0)
-    B = cell_costs(fg, 1)
+    BT = cell_costs(fg, 1).T
     m, n = A.shape
-    atol = EQ_TOLERANCE * max(float(np.abs(A).max()), float(np.abs(B).max()))
-    prune = m > 1 and n > 1
-    if prune:
-        margin = _dominance_margin(A, B, atol)
-        rows_dominated = _dominated_given(A, margin)
-        cols_dominated = _dominated_given(B.T, margin)
-    for I, J in _support_pairs(m, n):
-        if prune and not (rows_dominated(J).isdisjoint(I) and cols_dominated(I).isdisjoint(J)):
-            continue
-        q = _side(A, I, J, n, atol)
-        if q is None:
-            continue
-        p = _side(B.T, J, I, m, atol)
-        if p is None:
-            continue
-        return MixedProfile(probs=(p, q))
+    top = max(float(np.abs(A).max()), float(np.abs(BT).max()))
+    atol = EQ_TOLERANCE * top
+    # no cost difference exceeds an infinite margin: nothing is pruned
+    margin = _dominance_margin(top, m + n, atol) if m > 1 and n > 1 else math.inf
+    rows_dominated, cols_dominated = _dominated_given(A, margin), _dominated_given(BT, margin)
+    for total in range(2, m + n + 1):
+        for a in range(max(1, total - n), min(m, total - 1) + 1):
+            for I in itertools.combinations(range(m), a):
+                own, rows, skip = sum(1 << i for i in I), list(I), cols_dominated(I)
+                for J in itertools.combinations([j for j in range(n) if not skip >> j & 1], total - a):
+                    if rows_dominated(J) & own:
+                        continue
+                    cols = list(J)
+                    q = _side(A, rows, cols, n, atol)
+                    p = None if q is None else _side(BT, cols, rows, m, atol)
+                    if p is not None:
+                        return MixedProfile(probs=(p, q))
     raise NoEquilibriumFound("support enumeration exhausted all supports")
 
 

@@ -67,7 +67,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import iqp, linalg
+from . import bounds, iqp, linalg
 from .errors import DimensionMismatch
 
 # Singular values within this margin of 1 are treated as "on the boundary":
@@ -160,7 +160,12 @@ class IcqsInstance:
       proven radii ``factors[i].radius``, the termination radius of a
       positively and the divergence radius of a negatively adequate instance
       (None when it is neither, and inf when it overflows, which
-      `dynamics.termination_radius` and `dynamics.divergence_radius` raise).
+      `dynamics.termination_radius` and `dynamics.divergence_radius` raise);
+    - ``l_bound`` and ``delta_a_priori``: every player's a-priori cycle
+      diameter and deviation bounds at the proven radii (`bounds.a_priori`;
+      None unless positively adequate, and a deviation bound inf when it
+      overflows, which `bounds.delta_a_priori` and `bounds.guarantee_pack`
+      raise).
     """
 
     players: tuple[PlayerProblem, ...]
@@ -176,6 +181,8 @@ class IcqsInstance:
     groups: tuple[PlayerGroup, ...] = field(init=False, compare=False, repr=False)
     qinv_d_norm: float = field(init=False, compare=False, repr=False)
     norm_radius: float | None = field(init=False, compare=False, repr=False)
+    l_bound: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
+    delta_a_priori: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         players = self.players
@@ -232,6 +239,9 @@ class IcqsInstance:
         object.__setattr__(self, "report", report)
         radius = None if report.rho is None else (self.qinv_d_norm + _norm([f.radius for f in factors])) / report.rho
         object.__setattr__(self, "norm_radius", radius)
+        l_bound, delta_a_priori = bounds.a_priori(self)  # reads factors and report
+        object.__setattr__(self, "l_bound", l_bound)
+        object.__setattr__(self, "delta_a_priori", delta_a_priori)
 
     @property
     def k(self) -> int:

@@ -68,10 +68,12 @@ The module also provides the proximity radius of Q, an upper bound on how
 far the integer minimizer can sit from u, uniform over all d.
 `guarantee_prox(factor)` is the proven radius sqrt(sum_j G_jj^2) /
 (2 sqrt(lambda_min)) from Babai's nearest-plane bound on the factor's
-columns; every certificate and every reported bound reads it, as
-`Factor.radius`, and the postcondition of `lattice_mins` checks it and the
-matching gap bound (`Factor.gap`), raising `ProximityViolation` if the
-minimizer breaks them.  `prox_bound(factor)` is the paper's formula
+columns, with lambda_min taken 4 n eps lambda_max below the computed one
+(`lambda_floor`), beyond the eigensolver's rounding; every certificate and
+every reported bound reads it, as `Factor.radius`, and the postcondition
+of `lattice_mins` checks it and the matching gap bound (`Factor.gap`),
+raising `ProximityViolation` if the minimizer breaks them.
+`prox_bound(factor)` is the paper's formula
 (Flt(n) / 4) sqrt(lambda_max / lambda_min) with the proven flatness bound
 Flt(n) = n^{5/2}, which states the paper's numbers and is never below the
 proven radius for n >= 2.
@@ -99,9 +101,11 @@ DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
 # The proven radius and gap are rounded up by this relative margin, far
-# above the few ulps their own float operations can lose; it does not cover
-# the rounding of lambda_min, which grows with the conditioning of Q.
+# above the few ulps their own float operations can lose.  The rounding of
+# lambda_min, which grows with the conditioning of Q, is covered by
+# `lambda_floor`.
 _LIFT = 1.0 + 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -221,9 +225,26 @@ def guarantee_prox(factor: Factor) -> float:
     6, 1986), and Gx* is no farther; ||x* - u|| <= ||G(x* - u)|| /
     sqrt(lambda_min).  On c*I this is sqrt(n)/2, the true worst case (u at a
     cube centre), and it is never above (sqrt(n)/2) sqrt(lambda_max /
-    lambda_min).  Rounded up by a relative 1e-12.
+    lambda_min).  It divides by `lambda_floor`, not by the computed
+    lambda_min, and is rounded up by a relative 1e-12; inf when the floor
+    is not positive.
     """
-    return math.hypot(*factor.gdiag) / (2.0 * math.sqrt(factor.lambda_min)) * _LIFT
+    floor = lambda_floor(factor)
+    return math.hypot(*factor.gdiag) / (2.0 * math.sqrt(floor)) * _LIFT if floor > 0.0 else math.inf
+
+
+def lambda_floor(factor: Factor) -> float:
+    """The computed lambda_min less 4 n eps lambda_max: below the true least
+    eigenvalue of Q.
+
+    A symmetric eigensolver's eigenvalues are off by its backward error, a
+    small multiple of n eps ||Q||, so the computed lambda_min can sit above
+    the true one; a relative lift of the radius does not cover that once Q
+    is ill-conditioned.  On 4 x 4 draws of condition 1e2 to 1e8, Q minus
+    this floor times I was positive definite in exact arithmetic on every
+    draw, and Q - lambda_min (1 - 2e-12) I was not on some.
+    """
+    return factor.lambda_min - 4.0 * factor.n * _EPS * factor.lambda_max
 
 
 def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[np.ndarray, float]:

@@ -177,10 +177,11 @@ def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (``solve``), as `np.linalg.solve` reads them.  This is the one gufunc
     call `np.linalg.solve` ends in, the same LAPACK gesv per matrix, without
     the array conversion, type and shape checks and errstate context that
-    cost more than LAPACK at these sizes.  Every caller passes a Cholesky
-    factor or its transpose, whose diagonal the pivot test keeps positive.
-    A singular ``a`` gives NaN and numpy's "invalid value" RuntimeWarning,
-    not LinAlgError; `finite._solve_indifference`, which needs that error,
-    calls `np.linalg.solve`.
+    cost more than LAPACK at these sizes.  The solves against Q pass a
+    Cholesky factor or its transpose, whose diagonal the pivot test keeps
+    positive.  A singular ``a`` gives NaN and numpy's "invalid value"
+    RuntimeWarning, not LinAlgError: `finite._solve_indifference` calls it
+    with warnings off and reruns `np.linalg.solve`, which raises that
+    error, only on a non-finite result.
     """
     return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(a, b, signature="dd->d")

@@ -256,10 +256,14 @@ def test_solve_pipeline_computes_the_a_priori_bounds_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(bounds, name, counting)
-    result = cli.solve_pipeline(instgen.builtin("cycling"), start=[[0.0], [0.0]])
-    assert result["outcome"] == "cycle"
-    assert result["equilibrium"]["delta_a_priori"]["exact"] is not None
-    # one closure; the a-priori deltas come with the pack
+    # one closure, when the instance is built, which takes the a-priori
+    # deltas with it; a solve takes neither again
+    inst = instgen.builtin("cycling")
+    assert calls == {"l_bound_theoretical": 1, "delta_a_priori": 0}
+    for _ in range(3):
+        result = cli.solve_pipeline(inst, start=[[0.0], [0.0]])
+        assert result["outcome"] == "cycle"
+        assert result["equilibrium"]["delta_a_priori"]["exact"] == list(inst.delta_a_priori)
     assert calls == {"l_bound_theoretical": 1, "delta_a_priori": 0}
 
 

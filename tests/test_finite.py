@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _enumeration_reference as reference
 from _corpus import instance_corpus
 from icqs import cli, dynamics, finite, game, instgen
 from icqs.errors import DimensionMismatch, GameTooLarge, NoEquilibriumFound
@@ -603,7 +604,8 @@ def test_mixed_profile_validation():
 
 def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
     """Plain support enumeration with no pruning, solving and checking both
-    sides of every pair in the (total size, row size, lexicographic) order."""
+    sides of every pair in the (total size, row size, lexicographic) order,
+    with the reference module's solve and check (`_enumeration_reference`)."""
     A = finite.cell_costs(fg, 0)
     B = finite.cell_costs(fg, 1)
     m, n = A.shape
@@ -611,11 +613,11 @@ def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
         for a in range(max(1, total - n), min(m, total - 1) + 1):
             for I in itertools.combinations(range(m), a):
                 for J in itertools.combinations(range(n), total - a):
-                    solved_q = finite._solve_indifference(A, I, J)
+                    solved_q = reference._solve_indifference(A, I, J)
                     if solved_q is None:
                         continue
                     q_supp, vx = solved_q
-                    solved_p = finite._solve_indifference(B.T, J, I)
+                    solved_p = reference._solve_indifference(B.T, J, I)
                     if solved_p is None:
                         continue
                     p_supp, vy = solved_p
@@ -629,7 +631,7 @@ def reference_mne_two_player(fg, atol=finite.EQ_TOLERANCE):
                         continue
                     q /= q.sum()
                     p /= p.sum()
-                    if finite._valid_side(A, q, I, vx, atol) and finite._valid_side(
+                    if reference._valid_side(A, q, I, vx, atol) and reference._valid_side(
                         B.T, p, J, vy, atol
                     ):
                         return p, q
@@ -676,6 +678,96 @@ def test_mne_two_player_matches_plain_enumeration_bitwise(cycling_game, counter_
         assert profile.probs[0].tobytes() == p_ref.tobytes(), label
         assert profile.probs[1].tobytes() == q_ref.tobytes(), label
         assert_equilibrium(fg, profile)
+
+
+def logged_solves(mp, module):
+    """Patch ``module._solve_indifference`` to log each call's costs and
+    supports; returns the log."""
+    calls = []
+    original = module._solve_indifference
+
+    def logging(costs, rows, cols):
+        calls.append((costs.tobytes(), tuple(int(r) for r in rows), tuple(int(c) for c in cols)))
+        return original(costs, rows, cols)
+
+    mp.setattr(module, "_solve_indifference", logging)
+    return calls
+
+
+def assert_reference_enumeration(monkeypatch, fg, label):
+    # the same profile bit for bit, from the same solves in the same order
+    with monkeypatch.context() as mp:
+        calls, reference_calls = logged_solves(mp, finite), logged_solves(mp, reference)
+        profile, expected = finite.mne_two_player(fg), reference.mne_two_player(fg)
+    assert calls == reference_calls, label
+    assert [p.tobytes() for p in profile.probs] == [p.tobytes() for p in expected.probs], label
+    return calls
+
+
+def seventy_strategy_game():
+    # row (j + 1) % 70 is the row player's strict best response to column j
+    # and column i the column player's to row i, so no cell but (66, 69),
+    # made strict for both, is a pure equilibrium: the dominance masks are
+    # read above bit 63
+    rng = np.random.default_rng(3)
+    m = 70
+    costs = 1.0 + rng.uniform(size=(m, m, 2))
+    costs[(np.arange(m) + 1) % m, np.arange(m), 0] = 0.0
+    costs[np.arange(m), np.arange(m), 1] = 0.0
+    costs[66, 69] = -1.0
+    return bimatrix(costs)
+
+
+def duplicated_strategy_game():
+    # matching pennies on rows 2 and 3, and a strategy, rows 0 and 1, that
+    # both players rate the same against either column: no row or column is
+    # dominated on the supports {0, 1}, whose square system is singular
+    A = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
+    return bimatrix(np.stack([A, -A], axis=-1))
+
+
+def test_mne_two_player_solves_the_reference_pairs_bitwise(monkeypatch, cycling_game, counter_game):
+    games = [(label, bimatrix(costs)) for label, costs in oracle_games()]
+    games += [("cycling", cycling_game[1]), ("counterexample", counter_game[1])]
+    games += [("70x70", seventy_strategy_game()), ("duplicated", duplicated_strategy_game())]
+    solved = 0
+    for label, fg in games:
+        solved += len(assert_reference_enumeration(monkeypatch, fg, label))
+    assert solved > 300
+
+
+def test_seventy_strategies_per_side_solve_only_the_pure_equilibrium(monkeypatch):
+    fg = seventy_strategy_game()
+    assert finite.pne_search(fg) == [(66, 69)]
+    calls = assert_reference_enumeration(monkeypatch, fg, "70x70")
+    assert [call[1:] for call in calls] == [((66,), (69,)), ((69,), (66,))]
+
+
+def test_a_singular_support_system_takes_the_least_squares_fallback(monkeypatch):
+    fg = duplicated_strategy_game()
+    calls = assert_reference_enumeration(monkeypatch, fg, "duplicated")
+    assert (finite.cell_costs(fg, 0).tobytes(), (0, 1), (0, 1)) in calls
+    fallbacks = []
+    original = np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda M, *args, **kwargs: fallbacks.append(M.shape) or original(M, *args, **kwargs)
+    )
+    profile = finite.mne_two_player(fg)
+    assert fallbacks.count((3, 3)) == 1  # the rest are non-square systems
+    assert [p.tolist() for p in profile.probs] == [[0.0, 0.0, 0.5, 0.5], [0.5, 0.5]]
+    assert_equilibrium(fg, profile)
+
+
+def test_mne_two_player_matches_the_reference_enumeration_on_the_cycling_workload(monkeypatch):
+    # the restricted game of every pool-0 job of the benchmark's cycling workload
+    games = 0
+    for name, inst, start in benchmark_jobs("cycling", 0):
+        trace = dynamics.run_br(inst, start=start)
+        fg = finite.restrict(inst, dynamics.cycle_sets(trace))
+        if fg.sizes != (1, 1):
+            assert_reference_enumeration(monkeypatch, fg, name)
+            games += 1
+    assert games == 145
 
 
 def test_mne_two_player_keeps_a_support_row_within_twice_atol():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +101,47 @@ def test_the_radius_of_a_scaled_identity_is_never_below_sqrt_n_over_2():
             half = math.sqrt(n) / 2.0
             assert half <= f.radius <= half * (1.0 + 2e-12), (n, c)
             assert f.gap >= n * c / 8.0, (n, c)
+
+
+def exactly_positive_definite(Q, shift) -> bool:
+    """Whether Q - shift I is positive definite, by an LDL' of the exact
+    rationals of Q's entries and the shift."""
+    n = len(Q)
+    S = [[Fraction(float(Q[i, j])) - (Fraction(shift) if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if S[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            ratio = S[i][k] / S[k][k]
+            for j in range(k + 1, n):
+                S[i][j] -= ratio * S[k][j]
+    return True
+
+
+def test_the_radius_divides_by_a_floor_below_the_least_eigenvalue():
+    # 40 draws of 4 x 4 Q per condition number: Q - lambda_floor I is
+    # positive definite in exact arithmetic, so the radius divides by less
+    # than the true lambda_min; the computed lambda_min, less a relative
+    # 2e-12, is above the true one on some draws (15 of these 120)
+    rng = np.random.default_rng(27)
+    above = 0
+    for cond in (1e2, 1e5, 1e8):
+        for _ in range(40):
+            f = factor_of(random_quadratic(rng, 4, cond).Q)
+            assert exactly_positive_definite(f.Q, iqp.lambda_floor(f)), (cond, f.Q.tolist())
+            assert f.radius == math.hypot(*f.gdiag) / (2.0 * math.sqrt(iqp.lambda_floor(f))) * (1.0 + 1e-12)
+            above += not exactly_positive_definite(f.Q, f.lambda_min * (1.0 - 2e-12))
+    assert above > 0
+
+
+def test_a_floor_at_or_below_zero_gives_an_infinite_radius():
+    # diag(1, 1e-16) passes the Cholesky pivot test, but its computed
+    # lambda_min is within the eigensolver's rounding of zero: no finite
+    # radius is proven
+    f = factor_of(np.diag([1.0, 1e-16]))
+    assert iqp.lambda_floor(f) < 0.0
+    assert f.radius == math.inf
+    assert dataclasses.replace(f, lambda_min=1.0).radius < math.inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
