@@ -25,6 +25,7 @@ from .dynamics import (
 )
 from .errors import (
     BoundOverflow,
+    CentreTooLarge,
     DimensionMismatch,
     EnumerationBudgetExceeded,
     GameTooLarge,

@@ -65,8 +65,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import game
-from .errors import BoundOverflow, DimensionMismatch, NoCycle, ResponseOverflow
+from . import game, iqp
+from .errors import BoundOverflow, CentreTooLarge, DimensionMismatch, NoCycle, ResponseOverflow
 
 INTEGER = "integer"
 CONTINUOUS = "continuous"
@@ -195,7 +195,9 @@ def run_br(
     default).
 
     Deterministic: the same instance, start and configuration always produce
-    the identical trace.
+    the identical trace.  An integer sweep that meets a lattice search
+    centre of 2^52 or more in magnitude (CentreTooLarge) ends the run as the
+    norm cap does, without that sweep: its response is past the cap.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -226,7 +228,15 @@ def run_br(
     quiet = {"over": "ignore", "invalid": "ignore"} if integer else {}
     with np.errstate(**quiet):
         for t in range(1, max_iters + 1):
-            z = sweep(inst, zf)
+            try:
+                z = sweep(inst, zf)
+            except CentreTooLarge:
+                # A response around a search centre of 2^52 or more lies past
+                # the norm cap.  The run ends there, without that sweep, and
+                # the response's norm, above every earlier one, would latch.
+                if div_radius is not None and latch is None and norms[t - 1] > div_radius:
+                    latch = t - 1
+                break
             profiles.append(z)
             prev, zf = zf, (z.astype(np.float64) if integer else z)
             norms.append(_joint_norm(zf, slots))
@@ -298,10 +308,17 @@ def cycle_sets(trace: BrTrace) -> CycleSets:
 
 
 def _proven_radius(inst: game.IcqsInstance) -> float:
-    """The instance's ``norm_radius``; BoundOverflow when it is too large for
-    a float."""
+    """The instance's ``norm_radius``; BoundOverflow when a player's proximity
+    radius is unproven (`iqp.lambda_floor` is not positive) or the radius is
+    too large for a float."""
     radius = inst.norm_radius
     if not math.isfinite(radius):
+        for i, f in enumerate(inst.factors):
+            if iqp.lambda_floor(f) <= 0.0:
+                raise BoundOverflow(
+                    f"player {i}: no proximity radius is proven: lambda_min(Q_{i}) = {f.lambda_min:.6g} "
+                    f"is within 4 n eps lambda_max = {f.lambda_min - iqp.lambda_floor(f):.6g} of zero"
+                )
         raise BoundOverflow(
             f"the proven radius (||Q^-1 d|| + ||prox||) / rho overflows at rho = {inst.report.rho:.6g}"
         )

@@ -40,6 +40,12 @@ class NonFiniteCentre(IcqsError):
     """A lattice search centre is infinite or NaN: a linear term overflowed."""
 
 
+class CentreTooLarge(IcqsError):
+    """A lattice search centre has a finite entry of 2^52 or more in
+    magnitude, where floats are a unit or more apart and the search's
+    unit steps may round onto points it has already visited."""
+
+
 class ResponseOverflow(IcqsError):
     """An integer best response is beyond the int64 range of the trace."""
 
@@ -47,7 +53,9 @@ class ResponseOverflow(IcqsError):
 class BoundOverflow(IcqsError):
     """A bound is too large for a float: the termination or divergence
     radius overflows, or a deviation bound lambda_1 (prox + L)^2 built on a
-    finite radius and diameter does."""
+    finite radius and diameter does.  Also raised, naming the player, when
+    the radius is infinite because a player's proximity radius is unproven:
+    its lambda_min is within the eigensolver's rounding of zero."""
 
 
 class OracleBudgetExceeded(IcqsError):

@@ -38,9 +38,13 @@ linear terms.  Per group, the kernel forms every linear term C_i y + d_i
 with one stacked matvec, which gives each row bitwise the one-player
 matvec, and gets u from one stacked solve pair against the Cholesky
 factors, straight to numpy's gesv gufunc (`linalg.gesv`, the same LAPACK
-call and bits as `np.linalg.solve`).  `iqp.lattice_mins` then answers each
-player in turn from that u: the rounding certificate, the search when the
-certificate cannot answer, and the proximity postcondition.
+call and bits as `np.linalg.solve`).  `iqp.lattice_mins` then takes every
+row's dots against the group's stacked G in a fixed number of `np.vecdot`
+calls and answers each player in turn from that u: the rounding
+certificate, the search when the certificate cannot answer, and the
+proximity postcondition.  So a sweep makes a fixed number of numpy calls
+per group of n <= 15, however many players it holds (one more per level
+beyond 15), beside the rows that search.
 `continuous_sweep` is the same gather, matvec and solve without the
 rounding.  `best_responses(inst, profile)` is the checked wrapper: it
 validates the per-player vectors, joins them and splits the answer into one
@@ -102,9 +106,11 @@ class PlayerGroup:
     Row r belongs to player ``players[r]``: ``factors[r]`` is its
     `iqp.Factor`, ``L[r]`` and ``G[r]`` that factor's Cholesky factor and its
     transpose, ``own[r]`` indexes its entries in the joint strategy vector
-    and ``gather[r]`` its opponents' entries in ascending order, ``C[r]`` is
-    its concatenated coupling and ``d[r]`` its linear term.  ``labels`` name
-    the players in a `ProximityViolation`.
+    and ``gather[r, :, 0]`` its opponents' entries in ascending order,
+    ``C[r]`` is its concatenated coupling and ``d[r, :, 0]`` its linear
+    term.  ``gather`` and ``d`` keep a trailing axis of one, the column
+    shape the stacked matvec and solves take, so a sweep reshapes nothing.
+    ``labels`` name the players in the errors of `iqp.lattice_mins`.
     """
 
     players: tuple[int, ...]
@@ -122,13 +128,16 @@ class PlayerGroup:
         -Q_i^{-1} (C_i y + d_i) to the joint vector ``z``.
 
         The stacked matvec gives each row bitwise the linear term the
-        one-player matvec ``C_cat[i] @ y + d_i`` gives.  The stacked solve
-        pair goes straight to numpy's gesv gufunc (`linalg.gesv`), which
-        runs LAPACK's gesv once per matrix, so each row is bitwise the
-        one-player `linalg.solve_with_factor`.
+        one-player matvec ``C_cat[i] @ y + d_i`` gives, and it is formed,
+        shifted and negated in one (m, n, 1) array.  The stacked solve pair
+        goes straight to numpy's gesv gufunc (`linalg.gesv`), which runs
+        LAPACK's gesv once per matrix, so each row is bitwise the one-player
+        `linalg.solve_with_factor`.
         """
-        D = np.matmul(self.C, z[self.gather][:, :, None])[:, :, 0] + self.d
-        return linalg.gesv(self.G, linalg.gesv(self.L, -D[:, :, None]))[:, :, 0]
+        D = np.matmul(self.C, z[self.gather])
+        D += self.d
+        np.negative(D, out=D)
+        return linalg.gesv(self.G, linalg.gesv(self.L, D))[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -222,9 +231,9 @@ class IcqsInstance:
                 L=np.stack([factors[i].L for i in ps]),
                 G=np.stack([factors[i].G for i in ps]),
                 own=np.array([index[a:b] for a, b in (slots[i] for i in ps)]),
-                gather=np.array([np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)]),
+                gather=np.array([np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)])[:, :, None],
                 C=np.stack([C_cat[i] for i in ps]),
-                d=np.stack([players[i].d for i in ps]),
+                d=np.stack([players[i].d for i in ps])[:, :, None],
             )
             for ps in members.values()
         )
@@ -413,7 +422,7 @@ def integer_sweep(inst: IcqsInstance, z: np.ndarray) -> np.ndarray:
     """
     out = np.empty(z.shape[0], dtype=np.int64)
     for g in inst.groups:
-        out[g.own] = iqp.lattice_mins(g.factors, g.continuous_mins(z), labels=g.labels)
+        out[g.own] = iqp.lattice_mins(g.factors, g.continuous_mins(z), labels=g.labels, G=g.G)
     return out
 
 
@@ -448,7 +457,7 @@ def best_response(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> n
     factor = inst.factors[i]
     D = _linear_term(inst, i, _others_concat(inst, i, others))
     u = linalg.solve_with_factor(factor.L, -D)
-    return iqp.lattice_mins((factor,), u[None], labels=(f"player {i}",))[0]
+    return iqp.lattice_mins((factor,), u[None], labels=(f"player {i}",), G=factor.G[None])[0]
 
 
 # ---------------------------------------------------------------------------

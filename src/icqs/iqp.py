@@ -22,12 +22,16 @@ building the `Quadratic` validated Q, so it is not scanned again.
 
 Minimization is split in two: the continuous minimizer u, then the integer
 minimizer given u and the factor (`lattice_mins`).  `lattice_mins` takes
-the factors of several Qs of one dimension with one u per row and answers
-each row in one frame: the rounding certificate, the search when the
-certificate cannot answer, and the proximity postcondition.  A sweep
+the factors of several Qs of one dimension, their stacked G, and one u per
+row; it takes every row's dots in a fixed number of numpy calls, then
+answers each row in one frame: the rounding certificate, the search when
+the certificate cannot answer, and the proximity postcondition.  A sweep
 (`game.integer_sweep`) calls it once per group of players of one
 dimension, with every row's u from one stacked solve pair against the
 group's Cholesky factors; `integer_min(q)` is the same code on one row.
+A search centre with an entry of 2^52 or more in magnitude is
+`CentreTooLarge`: there floats are a unit or more apart, and the search's
+unit steps would round back onto points it has visited.
 
 The rounding certificate is the first level of Fincke-Pohst enumeration
 (Fincke & Pohst, Math. Comp. 44, 1985).  With r = rint(u) and w = r - u, a
@@ -49,14 +53,22 @@ enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
 Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
 floats, which perform the same IEEE operations as numpy scalars, and
 `round` rounds half to even as `np.rint` does.  Each dot of length >= 2 is
-one BLAS ddot of a row of G and a numpy vector, since no cheaper form keeps
-its bits: on OpenBLAS 0.3.31 (Haswell kernel), ddot below length 16 is a
-chain of fused multiply-adds, which a plain Python sum missed on 15-32% of
+one BLAS ddot of a row of G and a vector, since no cheaper form keeps its
+bits: on OpenBLAS 0.3.31 (Haswell kernel), ddot below length 16 is a chain
+of fused multiply-adds, which a plain Python sum missed on 15-32% of
 sampled vectors and Python 3.11 has no math.fma to write; `G @ w` and a
 stacked matmul differ from the per-row ddot in some row on 26-100% of
-random triangular systems (n = 2..10).  Squares stay `** 2`: x ** 2 !=
-x * x for about 1 float in 1,300.  A dot of length one is the plain
-product (see `_enumerate`).  The rounded point's excess is summed row by
+random triangular systems (n = 2..10).  `np.vecdot` runs that ddot once per
+row of its stacked operands, so `lattice_mins` takes the rounded points'
+dots for a whole group in a fixed number of calls.  Rows of the last
+min(n, 15) levels share one call over G[:, :, a:] (a = max(0, n - 15)):
+the chain starts at +0 and stays there through the zeros before a row's
+diagonal, so each is bitwise its slice G[j, j:].  A row padded to 16 terms
+or more is not, since from length 16 the kernel blocks, so each level
+j < a takes its own call on the slice.  The search takes its node dots with
+`ndarray.dot` on views of x - u.  Squares stay `** 2`: x ** 2 != x * x for
+about 1 float in 1,300.  A dot of length one is the plain product (see
+`_enumerate`).  The rounded point's excess is summed row by
 row, in the association order of the search's own partial sums, so exact
 ties stay exact; the certificate reads that same excess, and the search
 starts from it.  The certificate's bound may differ from exact values in
@@ -88,6 +100,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    CentreTooLarge,
     DimensionMismatch,
     EnumerationBudgetExceeded,
     NonFiniteCentre,
@@ -106,6 +119,12 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 # `lambda_floor`.
 _LIFT = 1.0 + 1e-12
 _EPS = float(np.finfo(np.float64).eps)
+# OpenBLAS's ddot is one sequential chain of fused multiply-adds up to this
+# length, so zeros before a row's diagonal leave its dot unchanged.
+_CHAIN = 15
+# A search centre with an entry this large has neighbouring floats a unit
+# or more apart.
+_CENTRE_LIMIT = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -142,10 +161,10 @@ class Factor:
     constant for coordinate j in `lattice_mins`.  ``radius`` is the proven
     proximity radius `guarantee_prox` and ``gap`` the matching objective-gap
     bound sum_j G_jj^2 / 8, rounded up like it: the bounds its postcondition
-    checks against, computed once here.  The dots take the views ``rows[j]``
-    = G[j, j:] and ``strict_rows[j]`` = G[j, j + 1:], and ``corner`` =
-    G[n - 2, n - 1] (0.0 when n = 1) is the search's one-term dot at level
-    n - 2.
+    checks against, computed once here.  The search's dots take the views
+    ``strict_rows[j]`` = G[j, j + 1:], and ``corner`` = G[n - 2, n - 1]
+    (0.0 when n = 1) is its one-term dot at level n - 2; `lattice_mins`
+    takes the rounded point's dots from the stacked ``G``.
     """
 
     Q: np.ndarray
@@ -157,7 +176,6 @@ class Factor:
     lambda_min: float
     radius: float = field(init=False)
     gap: float = field(init=False)
-    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     strict_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     corner: float = field(init=False)
 
@@ -166,7 +184,6 @@ class Factor:
         # a Babai point pays at most (1/2 G_jj)^2 / 2 per coordinate
         object.__setattr__(self, "radius", guarantee_prox(self))
         object.__setattr__(self, "gap", 0.125 * math.fsum(g * g for g in self.gdiag) * _LIFT)
-        object.__setattr__(self, "rows", tuple(G[j, j:] for j in range(self.n)))
         object.__setattr__(self, "strict_rows", tuple(G[j, j + 1 :] for j in range(self.n)))
         object.__setattr__(self, "corner", float(G[-2, -1]) if self.n > 1 else 0.0)
 
@@ -262,7 +279,7 @@ def integer_min(q: Quadratic, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[n
     """
     factor = factorize(q.Q, cholesky_unchecked(q.Q))
     u = solve_with_factor(factor.L, -q.d)
-    v = lattice_mins((factor,), u[None], node_budget)[0]
+    v = lattice_mins((factor,), u[None], node_budget, G=factor.G[None])[0]
     return v, q.value(v)
 
 
@@ -271,25 +288,47 @@ def lattice_mins(
     U: np.ndarray,
     node_budget: int = DEFAULT_NODE_BUDGET,
     labels: Sequence[str] | None = None,
+    G: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer minimizer of each row's quadratic, given its continuous
     minimizer ``U[r]`` and its factor ``factors[r]``.
 
-    Each row is answered in turn: the rounding certificate, then, when it
-    cannot answer, the search (NonFiniteCentre when it meets a non-finite
-    centre), then the proximity postcondition (ProximityViolation).  Both
-    errors name the row ``labels[r]``, when given.
+    ``G`` stacks the factors' ``G`` (a `game.PlayerGroup`'s, or
+    ``factor.G[None]`` for one row); it is stacked from ``factors`` when not
+    given.  Every row's dots come from a fixed number of `np.vecdot` calls:
+    one over the rows G[j, a:] of the last min(n, 15) levels (a = max(0,
+    n - 15)), whose zeros before the diagonal keep ddot's sequential chain
+    below length 16, one per level j < a on the slice G[j, j:], and one for
+    the distances.
+    Each row is then answered in turn: the rounding certificate, then, when
+    it cannot answer, the search (NonFiniteCentre when its centre is not
+    finite, CentreTooLarge when an entry is 2^52 or more in magnitude),
+    then the proximity postcondition (ProximityViolation).  These errors
+    name the row ``labels[r]``, when given.
     """
+    if G is None:
+        G = np.stack([f.G for f in factors])
+    n = U.shape[1]
     X = np.rint(U)
     W = X - U
-    for r, (factor, ws) in enumerate(zip(factors, W.tolist())):
-        w, rows = W[r], factor.rows
-        # The rounded point's excess 0.5||G(x - u)||^2, row j of G = L' being
-        # G[j, j:] @ w[j:], summed in the association order of the search's
-        # partial sums so exact ties stay exact.  Row n - 1 is one term.
-        excess = 0.5 * (factor.gdiag[-1] * ws[-1]) ** 2
-        for j in range(len(ws) - 2, -1, -1):
-            excess += 0.5 * float(rows[j].dot(w[j:])) ** 2
+    # The rounded point's excess 0.5||G(x - u)||^2, row j of G = L' being
+    # G[j, j:] @ w[j:]: D[r, j] is that dot, bitwise the slice's ddot.
+    if n <= _CHAIN:
+        D = np.vecdot(G, W[:, None])
+    else:
+        a = n - _CHAIN
+        D = np.empty_like(W)
+        np.vecdot(G[:, a:, a:], W[:, None, a:], out=D[:, a:])
+        for j in range(a):
+            np.vecdot(G[:, j, j:], W[:, j:], out=D[:, j])
+    dist2 = np.vecdot(W, W).tolist()
+    Us = Xs = None
+    for r, (factor, ws, ds) in enumerate(zip(factors, W.tolist(), D.tolist())):
+        # summed from the last row up, the association order of the
+        # search's partial sums, so exact ties stay exact
+        excess = 0.0
+        for t in reversed(ds):
+            excess += 0.5 * t ** 2
         # The rounded point is certifiably the unique optimum when its excess
         # is below cert_j (1 - |w_j|)^2, the energy every lattice point that
         # moves coordinate j must pay, for every j; the first j that fails
@@ -297,24 +336,34 @@ def lattice_mins(
         # and a non-finite u at once: its excess is NaN, as is each test.
         for c, t in zip(factor.cert, ws):
             if not excess < c * (1.0 - abs(t)) ** 2:
-                u = U[r]
+                if Us is None:
+                    Us, Xs = U.tolist(), X.tolist()
+                us = Us[r]
+                # an infinite or NaN entry is left to the search's round()
+                if not max(map(abs, us)) < _CENTRE_LIMIT and all(map(math.isfinite, us)):
+                    raise CentreTooLarge(
+                        f"{_name(labels, r)}a lattice search centre has an entry of 2^52 or more in magnitude "
+                        f"(u = {us}), where the search's unit steps may round onto points already visited"
+                    )
                 try:
-                    X[r], excess = _enumerate(factor, u, X[r], excess, node_budget)
+                    x, excess = _enumerate(factor, us, Xs[r], excess, node_budget)
                 except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
-                    who = f"{labels[r]}: " if labels is not None else ""
-                    raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {u.tolist()})") from exc
-                w = X[r] - u
+                    raise NonFiniteCentre(f"{_name(labels, r)}a lattice search centre is not finite (u = {us})") from exc
+                X[r] = x
+                # not the ddot's bits, which only the guard below reads
+                dist = math.dist(x, us)
                 break
+        else:
+            dist = math.sqrt(dist2[r])
         # Postcondition guard: the minimizer must respect the proximity
         # radius and objective-gap bound that are provable for its Q.  The
         # excess is the gap computed in the translated frame, which stays
         # accurate where f(x) - f(u) would cancel catastrophically.  The
         # slack is in lattice units, times lambda_max for the gap's.
-        dist = math.sqrt(float(w.dot(w)))
         radius, gap = factor.radius * (1.0 + 1e-9), factor.gap * (1.0 + 1e-9)
         if dist > radius or excess > gap:
             slack = 1e-9 * max(1.0, float(np.abs(U[r]).max()))
-            who = f"{labels[r]}: " if labels is not None else ""
+            who = _name(labels, r)
             if dist > radius + slack:
                 raise ProximityViolation(
                     f"{who}integer minimizer at distance {dist:.6g} exceeds "
@@ -325,12 +374,19 @@ def lattice_mins(
     return X.astype(np.int64)
 
 
+def _name(labels: Sequence[str] | None, r: int) -> str:
+    """The prefix naming row ``r`` in an error of `lattice_mins`."""
+    return f"{labels[r]}: " if labels is not None else ""
+
+
 def _enumerate(
-    factor: Factor, u: np.ndarray, x0: np.ndarray, excess: float, node_budget: int
+    factor: Factor, us: Sequence[float], x0: Sequence[float], excess: float, node_budget: int
 ) -> tuple[list[float], float]:
-    """Zig-zag depth-first search for the integer minimizer around ``u``,
+    """Zig-zag depth-first search for the integer minimizer around ``us``,
     from the incumbent ``x0 = rint(u)`` and its excess energy ``excess``:
-    the minimizer and its excess energy 0.5*||G(x - u)||^2.
+    the minimizer and its excess energy 0.5*||G(x - u)||^2.  ``us`` and
+    ``x0`` are float sequences; `lattice_mins` passes rows of
+    ``U.tolist()`` and ``X.tolist()``.
 
     Each level tries b, b + s, b - s, b + 2s, ... around its conditional
     center c (b = round(c), s = +-1 toward c) by one step x_j += s per
@@ -344,13 +400,12 @@ def _enumerate(
     reads: the center moves by a zero, `round(c)` returns +0.0 either way,
     and c enters every cost squared.
     """
-    us = u.tolist()
     n = len(us)
     gdiag = factor.gdiag
     rows = factor.strict_rows
     corner = factor.corner
     best_excess = excess
-    best = x0.tolist()
+    best = list(x0)
 
     deep = n > 2  # whether any level's dot has two terms or more
     if deep:

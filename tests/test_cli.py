@@ -306,6 +306,28 @@ def test_an_overflowing_radius_exits_3_with_one_error_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_unproven_radius_exits_3_naming_the_player(tmp_path):
+    # Q_0 = diag(1, 1e-16): its lambda_min is within the eigensolver's
+    # rounding of zero, so the error says the radius is unproven, not that
+    # it overflows.  (d_0 = 0 keeps player 0 at the origin: a row with a
+    # fractional part makes its search enumerate about 6e7 nodes.)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "players": [{"Q": [[1.0, 0.0], [0.0, 1e-16]], "C": {"1": [[0.0, 0.0], [0.0, 0.0]]}, "d": [0.0, 0.0]},
+                    {"Q": [[2.0, 0.0], [0.0, 2.0]], "C": {"0": [[0.0, 0.0], [0.0, 0.0]]}, "d": [0.1, 0.4]}],
+        "meta": {},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "icqs", "solve", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_SOLVER
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: player 0: no proximity radius is proven: "), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_proximity_violation_exits_3(cycling_file, tmp_path, monkeypatch, capsys):
     from icqs import iqp
 

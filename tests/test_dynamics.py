@@ -7,7 +7,7 @@ import pytest
 
 from _corpus import instance_corpus
 from icqs import dynamics, game, instgen, iqp
-from icqs.errors import BoundOverflow, DimensionMismatch, NoCycle, NonFiniteCentre
+from icqs.errors import BoundOverflow, CentreTooLarge, DimensionMismatch, NoCycle, NonFiniteCentre
 
 
 def path_scalars(trace):
@@ -618,3 +618,31 @@ def test_an_overflowing_proven_radius_is_a_typed_error_before_any_sweep(monkeypa
     monkeypatch.setattr(game, "integer_sweep", no_sweep)
     with pytest.raises(BoundOverflow, match="^the proven radius "):
         dynamics.run_br(inst, start=[[5.0], [5.0]])
+
+
+def test_an_unproven_radius_is_named_not_called_an_overflow():
+    # Q_0 = diag(1, 1e-16) passes the Cholesky pivot test, but its computed
+    # lambda_min is within 4 n eps lambda_max of zero, so no radius is proven
+    # for player 0 and none for the instance
+    inst = game.make_instance([
+        game.PlayerProblem(Q=np.diag([1.0, 1e-16]), C={1: np.zeros((2, 2))}, d=np.zeros(2)),
+        game.PlayerProblem(Q=2.0 * np.eye(2), C={0: np.zeros((2, 2))}, d=np.array([0.1, 0.4])),
+    ])
+    assert inst.report.classification is game.Adequacy.POSITIVE
+    with pytest.raises(BoundOverflow, match=r"^player 0: no proximity radius is proven: .* 4 n eps lambda_max = 1\.77636e-15 of zero$"):
+        dynamics.termination_radius(inst)
+
+
+def test_a_sweep_past_the_float_integers_ends_the_run_as_the_norm_cap_does():
+    # sigma = (1.4e8, 1.06): the second sweep's search centre for player 0 is
+    # about 1e16, where floats are 2 apart.  The run ends without that sweep,
+    # and the latch reads its response's norm as above every earlier one.
+    R = np.array([[1e8, 1e8], [0.0, 1.5]])
+    inst = game.make_instance([
+        game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: 2.0 * R}, d=np.zeros(2)) for i in range(2)
+    ])
+    with pytest.raises(CentreTooLarge, match="^player 0: "):
+        game.integer_sweep(inst, np.array([-5e8, -6.0, -1e8, 3.0]))
+    trace = dynamics.run_br(inst, start=[[3.0, -2.0], [1.0, 4.0]])
+    assert trace.outcome == dynamics.OUTCOME_DIVERGENCE and trace.divergence_index == 1
+    assert trace.profiles.tolist() == [[3, -2, 1, 4], [-500000000, -6, -100000000, 3]]

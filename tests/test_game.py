@@ -416,3 +416,17 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
         assert str(sweep.value) == str(one.value)
         for i in (0, 2):
             game.best_response(bad, i, others[i])
+
+
+def test_continuous_mins_is_bitwise_the_former_expression():
+    # the linear terms formed, shifted and negated in one (m, n, 1) array
+    # give bitwise the former gather, matvec, sum and negation of 2-D arrays
+    rng = np.random.default_rng(71)
+    for k, n in ((2, 1), (3, 2), (5, 5), (50, 5), (4, 20)):
+        inst = instgen.gen_random(instgen.RandomSpec(k, n, seed=1))
+        for g in inst.groups:
+            for scale in (1e-3, 1.0, 1e9):
+                z = rng.integers(-50, 51, size=sum(inst.dims)) * scale
+                D = np.matmul(g.C, z[g.gather[:, :, 0]][:, :, None])[:, :, 0] + g.d[:, :, 0]
+                former = linalg.gesv(g.G, linalg.gesv(g.L, -D[:, :, None]))[:, :, 0]
+                assert g.continuous_mins(z).tobytes() == former.tobytes(), (k, n, scale)

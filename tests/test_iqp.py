@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from _corpus import quadratic_corpus, random_quadratic
+from _frame_reference import frames_agree
 from icqs import iqp, linalg
 from icqs.errors import (
+    CentreTooLarge,
     EnumerationBudgetExceeded,
     NonFiniteCentre,
     NotPositiveDefinite,
@@ -613,7 +615,7 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
     enumerate_ = iqp._enumerate
 
     def recording(factor, u, x0, excess, node_budget):
-        searched.append(u.tobytes())
+        searched.append(np.asarray(u).tobytes())
         return enumerate_(factor, u, x0, excess, node_budget)
 
     monkeypatch.setattr(iqp, "_enumerate", recording)
@@ -669,3 +671,90 @@ def test_the_gap_postcondition_holds_at_every_cost_scale(s):
     u = linalg.solve_with_factor(f.L, -d)
     with pytest.raises(ProximityViolation, match="objective gap"):
         iqp.lattice_mins((f,), u[None])
+
+
+def test_the_stacked_frame_is_the_per_row_frame_on_the_corpus():
+    # each quadratic's own centre and 19 shifted ones, with the certificate
+    # as it is and with every row sent to the search: the same points, and
+    # the same centres, incumbents and excess bits handed to the search
+    rng = np.random.default_rng(61)
+    searched = 0
+    for q in quadratic_corpus(seed=31, count=140, dims=(1, 2, 3, 4, 5, 8, 10), cond=1e4):
+        f = factor_of(q.Q)
+        u = linalg.solve_with_factor(f.L, -q.d)
+        U = np.vstack([u, u + rng.uniform(-50.0, 50.0, size=(19, q.n))])
+        for g in (f, dataclasses.replace(f, cert=[0.0] * q.n)):
+            searched += frames_agree((g,) * len(U), U)
+    # every row with the certificate off, and some with it on
+    assert searched > 140 * 20
+
+
+def test_the_stacked_frame_is_the_per_row_frame_on_stacked_groups():
+    # four distinct Qs per group at n = 1..40 (n >= 16 takes the per-level
+    # dots), over whole parts up to 1e9, fractions near 0, near 1/2 and
+    # exactly 1/2, with the certificate as it is and with every row searched
+    rng = np.random.default_rng(63)
+    searched = 0
+    for n in range(1, 41):
+        factors = tuple(factor_of(q.Q) for q in quadratic_corpus(seed=n, count=4, dims=(n,), cond=10.0))
+        G = np.stack([f.G for f in factors])
+        base = np.rint(rng.uniform(-1.0, 1.0, size=(4, n)) * 10.0 ** rng.uniform(0, 9, size=(4, 1)))
+        frac = rng.uniform(-0.5, 0.5, size=(4, n)) * np.array([[0.02], [0.1], [0.02], [0.1]])
+        frac[2:, : min(n, 2)] = 0.5 - 2.0**-10  # near 1/2: rows the certificate sends to the search
+        frac[3, -1] = -0.5
+        U = base + np.round(frac * 4096.0) / 4096.0
+        for fs in (factors, tuple(dataclasses.replace(f, cert=[0.0] * n) for f in factors)):
+            searched += frames_agree(fs, U, G)
+    # every row with the certificate off, and most near-1/2 rows with it on
+    assert searched > 40 * 5
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif(
+    "openblas" not in _blas_name().lower(),
+    reason="OpenBLAS's ddot below length 16 is one chain of fused multiply-adds; other BLAS libraries may block it",
+)
+def test_leading_zeros_leave_a_dot_below_length_16_unchanged():
+    # lattice_mins takes the last min(n, 15) levels' dots in one vecdot over
+    # rows G[j, n - 15:], zeros before the diagonal, and each earlier level's
+    # on the slice G[j, j:]; each is bitwise the slice's ddot.  A row padded
+    # to 16 terms or more is not: from length 16 the kernel blocks.
+    rng = np.random.default_rng(67)
+    m = 100
+    for n in (*range(1, 18), 20, 24, 31, 32, 40, 64):
+        G = np.triu(rng.standard_normal((m, n, n)) * 10.0 ** rng.integers(-3, 4, size=(m, n, n)))
+        W = rng.uniform(-0.5, 0.5, size=(m, n))
+        a = max(0, n - 15)
+        window = np.vecdot(G[:, a:, a:], W[:, None, a:])
+        levels = [np.vecdot(G[:, j, j:], W[:, j:]) for j in range(a)]
+        padded = np.vecdot(G, W[:, None])
+        differ = 0
+        for r in range(m):
+            slices = [G[r, j, j:].dot(W[r, j:]) for j in range(n)]
+            for j in range(a, n):
+                assert window[r, j - a].tobytes() == slices[j].tobytes(), (n, r, j)
+            for j in range(a):
+                assert levels[j][r].tobytes() == slices[j].tobytes(), (n, r, j)
+            differ += sum(padded[r, j].tobytes() != slices[j].tobytes() for j in range(n))
+        assert (differ > 0) == (n >= 16), (n, differ)
+
+
+def test_a_search_centre_of_2_52_or_more_is_a_typed_error_before_any_node():
+    # u = (2^60, 1/2) reaches the search, whose unit steps at 2^60 round back
+    # onto the same float: it searched 134 nodes and returned (2^60, 0).  With
+    # a budget of no node, the error shows that it raises before the search.
+    f = factor_of(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for big in (2.0**60, 2.0**52, -(2.0**52)):
+        with pytest.raises(CentreTooLarge, match="^row 0: .*2\\^52"):
+            iqp.lattice_mins((f,), np.array([[big, 0.5]]), node_budget=0, labels=("row 0",))
+    # a non-finite entry is still a non-finite centre, beside any other
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFiniteCentre), np.errstate(invalid="ignore"):
+            iqp.lattice_mins((f,), np.array([[2.0**60, bad]]))
+    # a certified row pays no check, and below 2^52 the search runs
+    assert iqp.lattice_mins((f,), np.array([[2.0**60, 0.1]])).tolist() == [[2**60, 0]]
+    x = iqp.lattice_mins((f,), np.array([[2.0**52 - 0.5, 0.5]]))
+    assert np.abs(x - [2**52, 0]).max() <= 1
