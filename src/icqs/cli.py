@@ -42,16 +42,16 @@ class RunRecord:
     max_delta_a_priori: float | None
 
 
-def _parse_start(text: str, inst: game.IcqsInstance, mode: str) -> list[np.ndarray]:
+def _parse_start(text: str, inst: game.IcqsInstance, mode: str) -> np.ndarray:
     # one comma list per player, players separated by semicolons; checked
-    # here, so that a bad start is a parse error
+    # here, so that a bad start is a parse error, and passed on as the
+    # joint vector `dynamics.validate_start` returns
     try:
         parts = [p for p in text.split(";") if p.strip()]
         vectors = [np.array([float(v) for v in part.split(",")]) for part in parts]
     except ValueError as exc:
         raise IcqsError(f"cannot parse start {text!r}: {exc}") from exc
-    dynamics.validate_start(inst, vectors, mode)
-    return vectors
+    return dynamics.validate_start(inst, vectors, mode)
 
 
 def solve_pipeline(
@@ -59,6 +59,8 @@ def solve_pipeline(
     start=None,
     max_iters: int = dynamics.DEFAULT_MAX_ITERS,
     mode: str = dynamics.INTEGER,
+    *,
+    joint: np.ndarray | None = None,
 ) -> dict:
     """Classify, iterate, restrict, solve the finite game, verify deltas.
 
@@ -67,10 +69,24 @@ def solve_pipeline(
     the radii and every bound read each player's proven proximity radius.
     The bounds ``l_bound``, ``delta_a_posteriori`` and ``delta_a_priori``
     are each one list under the key ``"exact"``.
+
+    ``start`` holds one vector per player; ``joint``, given in its place,
+    is the start as `dynamics.validate_start` returned it for this instance
+    and mode, and is not checked again.  The start is checked first
+    (DimensionMismatch), then the termination and divergence radii are read
+    (BoundOverflow when one is unproven or overflows), then the run starts.
+    So a radius error comes at once, before any sweep, and wins over every
+    error the run would raise: ValueError for ``max_iters`` or ``mode``, and
+    a sweep's own (a search budget, a proximity violation, a response
+    beyond int64).
     """
     t0 = time.perf_counter()
     report = inst.report
-    trace = dynamics.run_br(inst, start=start, max_iters=max_iters, mode=mode)
+    if joint is None:
+        joint = dynamics.validate_start(inst, start, mode)
+    termination_radius = dynamics.termination_radius(inst)
+    divergence_radius = dynamics.divergence_radius(inst)
+    trace = dynamics.run_br(inst, max_iters=max_iters, mode=mode, joint=joint)
     result: dict = {
         "classification": report.classification.value,
         "rho": report.rho,
@@ -78,8 +94,8 @@ def solve_pipeline(
         "sigma_min": list(report.sigma_min),
         "outcome": trace.outcome,
         "iterations": trace.iterations,
-        "termination_radius": dynamics.termination_radius(inst),
-        "divergence_radius": dynamics.divergence_radius(inst),
+        "termination_radius": termination_radius,
+        "divergence_radius": divergence_radius,
         "mode": mode,
     }
     equilibrium = None
@@ -197,11 +213,11 @@ def cmd_solve(args) -> int:
     inst = _load(args.instance)
     _check_max_iters(args)
     try:
-        start = _parse_start(args.start, inst, args.mode) if args.start else None
+        joint = _parse_start(args.start, inst, args.mode) if args.start else None
     except IcqsError as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:
-        result = solve_pipeline(inst, start=start, max_iters=args.max_iters, mode=args.mode)
+        result = solve_pipeline(inst, max_iters=args.max_iters, mode=args.mode, joint=joint)
     except IcqsError as exc:
         return _fail(str(exc), EXIT_SOLVER)
     trace = result.pop("trace")

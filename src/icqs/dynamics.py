@@ -190,9 +190,13 @@ def run_br(
     start=None,
     max_iters: int = DEFAULT_MAX_ITERS,
     mode: str = INTEGER,
+    *,
+    joint: np.ndarray | None = None,
 ) -> BrTrace:
     """Run best-response iteration on ``inst`` from ``start`` (all zeros by
-    default).
+    default).  ``joint``, given in place of ``start``, is the start as
+    `validate_start` returned it for this instance and mode, and is not
+    checked again.
 
     Deterministic: the same instance, start and configuration always produce
     the identical trace.  An integer sweep that meets a lattice search
@@ -204,7 +208,7 @@ def run_br(
     if mode not in (INTEGER, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
 
-    z = validate_start(inst, start, mode)
+    z = validate_start(inst, start, mode) if joint is None else joint
     integer = mode == INTEGER
     sweep = game.integer_sweep if integer else game.continuous_sweep
     slots = [slice(a, b) for a, b in inst.slots]

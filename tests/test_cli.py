@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from icqs import bounds, cli, dynamics, finite, game, instgen, iqp, linalg
-from icqs.errors import BoundOverflow
+from icqs.errors import BoundOverflow, DimensionMismatch
 
 
 # 10^400: an even integer beyond the float range
@@ -326,6 +326,63 @@ def test_an_unproven_radius_exits_3_naming_the_player(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: player 0: no proximity radius is proven: "), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_an_unproven_radius_stops_the_solve_before_the_run(tmp_path, monkeypatch, capsys):
+    # Q_0 = diag(1, 1e-16) with d_0 = (0.3, 0.2): the run's searches around
+    # player 0's centre took 52 s before the termination radius was read.
+    # The radii are read before the run, which is then never called.
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_br called")
+
+    monkeypatch.setattr(dynamics, "run_br", no_run)
+    players = [
+        {"Q": [[1.0, 0.0], [0.0, 1e-16]], "C": {"1": [[0.0, 0.0], [0.0, 0.0]]}, "d": [0.3, 0.2]},
+        {"Q": [[2.0, 0.0], [0.0, 2.0]], "C": {"0": [[0.0, 0.0], [0.0, 0.0]]}, "d": [0.1, 0.4]},
+    ]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"players": players, "meta": {}}))
+    for start in ([], ["--start", "3,-2;1,4"]):
+        assert exit_code(["solve", str(path), "--out", str(tmp_path / "out"), *start]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: player 0: no proximity radius is proven: "), err
+    assert not (tmp_path / "out").exists()
+    inst = game.load_instance(path)
+    with pytest.raises(BoundOverflow, match="^player 0: no proximity radius is proven: "):
+        cli.solve_pipeline(inst, start=[[3.0, -2.0], [1.0, 4.0]])
+    # a start that fails its check is still the error reported first
+    with pytest.raises(DimensionMismatch, match="^start for player 1 is not integral$"):
+        cli.solve_pipeline(inst, start=[[3.0, -2.0], [1.0, 4.5]])
+
+
+def test_a_solve_checks_its_start_once(cycling_file, tmp_path, monkeypatch):
+    # `icqs solve --start` checks the start when it parses it and passes the
+    # joint vector on; solve_pipeline checks a start it is given as vectors
+    calls = []
+    validate = dynamics.validate_start
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "validate_start", counting)
+    for mode in ("integer", "continuous"):
+        del calls[:]
+        argv = ["solve", str(cycling_file), "--start", "1;-2", "--mode", mode, "--out", str(tmp_path / mode)]
+        assert exit_code(argv) == cli.EXIT_OK
+        assert len(calls) == 1
+    inst = instgen.builtin("cycling")
+    for start in (None, [[1.0], [-2.0]]):
+        del calls[:]
+        result = cli.solve_pipeline(inst, start=start)
+        assert len(calls) == 1 and result["outcome"] == "cycle"
+    # the joint vector a solve is given is not checked again, and solves as
+    # the vectors it came from
+    z = validate(inst, [[1.0], [-2.0]], dynamics.INTEGER)
+    del calls[:]
+    joint = cli.solve_pipeline(inst, joint=z)
+    assert calls == []
+    assert joint["trace"].profiles.tobytes() == result["trace"].profiles.tobytes()
 
 
 def test_proximity_violation_exits_3(cycling_file, tmp_path, monkeypatch, capsys):

@@ -399,7 +399,9 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
             factor = factorize(Q, L)
             if Q is inst.players[1].Q:
                 factor = copy.copy(factor)
+                # the postcondition reads the limit, taken from the bound once per factor
                 object.__setattr__(factor, _bound, 0.0)
+                object.__setattr__(factor, f"{_bound}_limit", 0.0)
             return factor
 
         # the instance's factors and sweep stacks are derived when it is

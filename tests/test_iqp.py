@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _corpus import quadratic_corpus, random_quadratic
 from _frame_reference import frames_agree
-from icqs import iqp, linalg
+from icqs import cli, iqp, linalg
 from icqs.errors import (
     CentreTooLarge,
     EnumerationBudgetExceeded,
@@ -459,7 +461,8 @@ def test_step_search_matches_the_counter_search_point_excess_and_budget():
     # that does not raise, on every row
     most = 0
     for Q, u in _search_rows():
-        f = factor_of(Q)
+        # the Cholesky frame: node counts and excess bits are that frame's
+        f = dataclasses.replace(factor_of(Q), reduced=None)
         x0 = np.rint(u)
         excess = _all_ddot_excess(f, x0 - u)
         want_budget, got_budget = _CountingBudget(), _CountingBudget()
@@ -668,6 +671,7 @@ def test_the_gap_postcondition_holds_at_every_cost_scale(s):
     d = s * np.array([0.37, -0.81])
     f = factor_of(Q)
     object.__setattr__(f, "gap", 0.0)
+    object.__setattr__(f, "gap_limit", 0.0)  # the postcondition reads the limit, taken once per factor
     u = linalg.solve_with_factor(f.L, -d)
     with pytest.raises(ProximityViolation, match="objective gap"):
         iqp.lattice_mins((f,), u[None])
@@ -758,3 +762,187 @@ def test_a_search_centre_of_2_52_or_more_is_a_typed_error_before_any_node():
     assert iqp.lattice_mins((f,), np.array([[2.0**60, 0.1]])).tolist() == [[2**60, 0]]
     x = iqp.lattice_mins((f,), np.array([[2.0**52 - 0.5, 0.5]]))
     assert np.abs(x - [2**52, 0]).max() <= 1
+
+
+# The reduced frame must return the Cholesky frame's point on every search:
+# the checks below compare it with the counter form `_reference_enumerate`,
+# which reads the factor's Cholesky frame only.
+
+
+def reduced_frame(factor):
+    """``factor``'s LLL-reduced frame, whether or not it pays: T and its
+    inverse are integer matrices whose product is exactly I."""
+    frame = iqp.reduced_frame(factor)
+    assert frame is not None
+    T, Tinv = frame.T.astype(np.int64), frame.Tinv.astype(np.int64)
+    assert np.array_equal(frame.T, T) and np.array_equal(frame.Tinv, Tinv)
+    assert np.array_equal(T @ Tinv, np.eye(factor.n, dtype=np.int64))
+    return frame
+
+
+def reduced(factor):
+    """``factor`` in its LLL-reduced frame."""
+    return dataclasses.replace(factor, reduced=reduced_frame(factor))
+
+
+class _CappedBudget:
+    """A node budget that raises past ``cap`` nodes."""
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def __lt__(self, nodes):  # the search's `nodes > node_budget`, reflected
+        return nodes > self.cap
+
+
+def reduced_frame_draws(seed: int, count: int):
+    """Seeded (Q, u) rows for the reduced frame: n = 2..20, condition 1 to
+    1e6, whole parts of magnitude 1 to 1e13, and fractions anywhere in
+    [-1/2, 1/2], near 1/2 and exactly 1/2."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = 2 + trial % 19
+        Q = random_quadratic(rng, n, 10.0 ** rng.uniform(0.0, 6.0)).Q
+        base = np.rint(rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(0.0, 13.0))
+        frac = rng.uniform(-0.5, 0.5, size=n)
+        frac = np.where(rng.random(size=n) < 0.1, np.sign(frac) * (0.5 - 2.0**-20), frac)
+        frac = np.where(rng.random(size=n) < 0.1, 0.5, frac)
+        yield Q, base + frac
+
+
+def check_reduced_rows(rows, cap=None) -> tuple[int, int]:
+    """For each (Q, u): the reduced frame's point is the reference's, and
+    `iqp._energy` of a point the search found is the excess it reported, bit
+    for bit.  A row whose reference search passes ``cap`` nodes is skipped.
+    The rows compared and skipped."""
+    compared = skipped = 0
+    for Q, u in rows:
+        f = factor_of(Q)
+        g = reduced(f)
+        x0 = np.rint(u)
+        excess = _all_ddot_excess(f, x0 - u)
+        try:
+            want, want_excess = _reference_enumerate(f, u, x0, excess, 10**9 if cap is None else _CappedBudget(cap))
+        except EnumerationBudgetExceeded:
+            skipped += 1
+            continue
+        got, _ = iqp._enumerate(g, u.tolist(), x0.tolist(), excess, 10**9)
+        assert got == want, (Q.tolist(), u.tolist())
+        if want_excess != excess:
+            assert iqp._energy(f, u.tolist(), want).hex() == want_excess.hex(), (Q.tolist(), u.tolist())
+        compared += 1
+    return compared, skipped
+
+
+def test_the_reduced_frame_gives_the_reference_point_on_seeded_draws():
+    # n = 2..20 at condition up to 1e6 and centres up to 1e13; a reference
+    # search past 5e4 nodes is left to CI's large draws
+    compared, skipped = check_reduced_rows(reduced_frame_draws(71, 190), cap=50_000)
+    assert compared >= 170 and skipped <= 20
+
+
+def test_exact_ties_in_the_reduced_frame_break_as_in_the_cholesky_frame():
+    # Q = 2I with half-integer centres: every corner of the cube around u
+    # has the same exact energy.  An integer Q with u midway between two
+    # lattice points: they tie exactly.  In both, the reduced frame returns
+    # the reference's point, an exact minimizer, and the least exact
+    # minimizer in the search's order: computed energy, then the point.
+    rng = np.random.default_rng(73)
+    rows = []
+    for trial in range(60):
+        n = 2 + trial % 5
+        u = rng.integers(-9, 10, size=n) + np.where(rng.random(size=n) < 0.6, 0.5, 0.0)
+        u[trial % n] += 0.5
+        rows.append((2.0 * np.eye(n), u))
+    for trial in range(120):
+        n = 2 + trial % 4
+        A = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
+        Q = A @ A.T + rng.integers(1, 3) * np.eye(n)
+        v = rng.integers(-1, 2, size=n)
+        v[trial % n] = 1
+        rows.append((Q, rng.integers(-20, 21, size=n) + v / 2.0))
+    ties = 0
+    for Q, u in rows:
+        f = factor_of(Q)
+        g = reduced(f)
+        x0 = np.rint(u)
+        excess = _all_ddot_excess(f, x0 - u)
+        want, _ = _reference_enumerate(f, u, x0, excess, 10**8)
+        got, _ = iqp._enumerate(g, u.tolist(), x0.tolist(), excess, 10**8)
+        assert got == want, (Q.tolist(), u.tolist())
+        # exact objectives in integers: 2 f(x) - x'Qx is -2 x'Q u, and 2u is integral
+        Qi, u2 = Q.astype(np.int64), (2.0 * u).astype(np.int64)
+        box = [np.arange(int(math.floor(c)) - 2, int(math.ceil(c)) + 3) for c in u]
+        X = np.stack([a.ravel() for a in np.meshgrid(*box, indexing="ij")], axis=1)
+        exact = np.einsum("ij,jk,ik->i", X, Qi, X) - X @ (Qi @ u2)
+        best = X[exact == exact.min()]
+        assert any(list(map(float, x)) == got for x in best), (Q.tolist(), u.tolist())
+        # the search's order: (computed energy, point), with rint(u) at the
+        # certificate's excess beside its own
+        pairs = [(iqp._energy(f, u.tolist(), x), x) for x in (list(map(float, x)) for x in best)]
+        if any(x == x0.tolist() for _, x in pairs):
+            pairs.append((excess, x0.tolist()))
+        assert got == min(pairs)[1], (Q.tolist(), u.tolist())
+        ties += sum(e == min(pairs)[0] for e, _ in pairs) > 1
+    assert ties > 60
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_search_in_the_reduced_frame_is_the_reference_point(monkeypatch):
+    # every factor of pools 0, 3 and 11 of the benchmark's three workloads
+    # takes the reduced frame; every search the solves make returns the
+    # reference's point, and nearly all of them run in that frame
+    workloads = load_workloads()
+    monkeypatch.setattr(iqp, "_choose_frame", reduced_frame)
+    calls = []
+    frames = {"reduced": 0, "cholesky": 0}
+    search, start_ = iqp._enumerate, iqp._reduced_start
+
+    def recording(factor, us, x0, excess, node_budget):
+        found = search(factor, us, x0, excess, node_budget)
+        calls.append((factor, us, x0, excess, found[0]))
+        return found
+
+    def counting(reduced_, us, x0, excess):
+        start = start_(reduced_, us, x0, excess)
+        frames["cholesky" if start is None else "reduced"] += 1
+        return start
+
+    monkeypatch.setattr(iqp, "_enumerate", recording)
+    monkeypatch.setattr(iqp, "_reduced_start", counting)
+    for workload in workloads.WORKLOADS:
+        for pool in (0, 3, 11):
+            for name, inst, start in workloads.build_jobs(workload, pool):
+                assert all(f.reduced is not None for f in inst.factors), name
+                cli.solve_pipeline(inst, start=start)
+    for factor, us, x0, excess, x in calls:
+        assert x == _reference_enumerate(factor, np.array(us), np.array(x0), excess, 10**8)[0], (factor.Q, us)
+    assert len(calls) == sum(frames.values()) > 100_000
+    assert frames["cholesky"] < 0.05 * len(calls)
+
+
+@pytest.mark.parametrize("frame", ["cholesky", "reduced"])
+def test_a_budget_stop_names_the_row_in_both_frames(frame):
+    # a search past its node budget raises EnumerationBudgetExceeded naming
+    # the row, as the other errors of lattice_mins do, in whichever frame
+    # runs; the nodes counted are that frame's
+    rng = np.random.default_rng(79)
+    q = random_quadratic(rng, 8, 1e4)
+    f = factor_of(q.Q)
+    f = dataclasses.replace(f, reduced=None) if frame == "cholesky" else reduced(f)
+    # rows 0 and 2 are lattice points, which the certificate answers; row 1
+    # has a fraction of 1/2, which it cannot
+    U = np.rint(rng.uniform(-5.0, 5.0, size=(3, 8)))
+    U[1] += rng.uniform(-0.5, 0.5, size=8)
+    U[1, 0] = 0.5 + np.rint(U[1, 0])
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^player 4: enumeration exceeded 2 nodes$"):
+        iqp.lattice_mins((f,) * 3, U, node_budget=2, labels=("player 3", "player 4", "player 5"))
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^enumeration exceeded 2 nodes$"):
+        iqp.lattice_mins((f,), U[1:2], node_budget=2)
