@@ -25,20 +25,22 @@ some earlier iterate" test.
 
 `run_br` iterates one joint strategy vector, and starts from one:
 `validate_start` checks each player's length, then tests the joint start
-once (finite, and in integer mode integral and within +-2^53), with a
-fixed number of numpy calls whatever k is.  An integer sweep is one
-`game.integer_sweep` call, the sweep kernel: the players' subproblems of one
-sweep answer the same previous profile, so they are independent.  Each
-group of players of one dimension shares one stacked matvec and one
-stacked solve pair; each player's rounding certificate, search and
-postcondition then run on its own row.  The kernel takes the joint
-float64 vector and returns the joint int64 response, whose bytes are the
-cycle key.  The norms are taken per player on slices of the joint vector,
-with the same per-player dot products and the same Python sum as on
-separate vectors.  The trace keeps each sweep's joint response as one row
-of one array, with the instance's slots beside it: only `cycle_sets` and
-`game.IcqsInstance.split` map a row to players.  Trace, norms and outcome
-are bitwise those of one `game.best_response` call per player and sweep.
+once (finite, and in integer mode integral and within +-2^53), with a fixed
+number of numpy calls whatever k is.  An integer sweep is one
+`game.integer_sweep` call, the sweep kernel: the players' subproblems of
+one sweep answer the same previous profile, so they are independent.  Each
+group of players of one dimension shares one stacked matvec and one stacked
+solve pair; each player's rounding certificate, search and postcondition
+then run on its own row.  The kernel takes the joint float64 vector and
+returns the joint int64 response, whose bytes are the cycle key, with each
+player's squared norm: one `np.vecdot` per group on its float64 rows,
+bitwise each player's own dot product.  `run_br` sums them in player order,
+as on separate vectors.  The start's squares (`game.squared_norms`) and a
+continuous sweep's take the same path.  The trace keeps each sweep's joint
+response as one row of one array, with the instance's slots beside it: only
+`cycle_sets` and `game.IcqsInstance.split` map a row to players.  Trace,
+norms and outcome are bitwise those of one `game.best_response` call per
+player and sweep.
 
 Continuous mode replaces the integer best response with the continuous one
 (`game.continuous_sweep`, the same gather, matvec and stacked solve),
@@ -61,7 +63,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,8 +86,8 @@ FP_TOLERANCE = 1e-10
 DIVERGENCE_NORM_CAP = 1e14
 # Largest integer-mode start entry: float64 holds every integer up to 2^53.
 _INTEGER_START_LIMIT = 2.0**53
-# An int64 cast of a response beyond its range gives -2^63 (or saturates),
-# so a joint norm this large means a response may not have fitted.
+# The norms are the responses' own, taken before the int64 cast, so a
+# joint norm this large means a response may be beyond the int64 range.
 _INT64_NORM_LIMIT = 2.0**63
 
 
@@ -134,13 +135,6 @@ class CycleSets:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
-
-
-def _joint_norm(zf: np.ndarray, slots: Sequence[slice]) -> float:
-    # One dot per player slice of the float64 joint vector (int64 squares
-    # overflow once iterates grow large), summed in player order.
-    # `ndarray.dot` is `np.dot` without its dispatch: the bits are the same.
-    return math.sqrt(sum([float(x.dot(x)) for x in [zf[s] for s in slots]]))
 
 
 def validate_start(inst: game.IcqsInstance, start, mode: str) -> np.ndarray:
@@ -214,7 +208,7 @@ def run_br(
     slots = [slice(a, b) for a, b in inst.slots]
     zf = z.astype(np.float64)
     profiles = [z]
-    norms = [_joint_norm(zf, slots)]
+    norms = [math.sqrt(sum(game.squared_norms(inst, zf)))]
     seen: dict[bytes, int] = {z.tobytes(): 0} if integer else {}
 
     div_radius = divergence_radius(inst)
@@ -233,7 +227,7 @@ def run_br(
     with np.errstate(**quiet):
         for t in range(1, max_iters + 1):
             try:
-                z = sweep(inst, zf)
+                z, squares = sweep(inst, zf)
             except CentreTooLarge:
                 # A response around a search centre of 2^52 or more lies past
                 # the norm cap.  The run ends there, without that sweep, and
@@ -243,7 +237,7 @@ def run_br(
                 break
             profiles.append(z)
             prev, zf = zf, (z.astype(np.float64) if integer else z)
-            norms.append(_joint_norm(zf, slots))
+            norms.append(math.sqrt(sum(squares)))
 
             if integer:
                 key = z.tobytes()

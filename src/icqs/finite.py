@@ -549,7 +549,7 @@ def verify_delta(
     """
     z = np.concatenate(mean_strategies(fg, profile))
     exp = expected_costs(fg, profile)
-    v = trace.profiles[-1] if _swept_last(trace, z) else game.integer_sweep(inst, z)
+    v = trace.profiles[-1] if _swept_last(trace, z) else game.integer_sweep(inst, z)[0]
     dev_costs = game.objectives(inst, v.astype(np.float64), z)
     return DeltaReport(
         expected_costs=tuple(exp.tolist()),

@@ -29,29 +29,33 @@ termination or divergence radius taken from them, so every function of a
 solve (a best response, a sweep, a radius, a bound) takes the instance.
 
 `integer_sweep(inst, z)` is the sweep kernel: every player's integer best
-response to the joint float64 strategy vector z, returned as one joint int64
-vector, with nothing checked.  The instance groups the players by dimension
-(`PlayerGroup`) and stacks, once, what the kernel reads of each group: the
-factors, their stacked Cholesky factors and transposes, an index that
-gathers each player's opponents from z, the concatenated couplings and the
-linear terms.  Per group, the kernel forms every linear term C_i y + d_i
-with one stacked matvec, which gives each row bitwise the one-player
-matvec, and gets u from one stacked solve pair against the Cholesky
-factors, straight to numpy's gesv gufunc (`linalg.gesv`, the same LAPACK
-call and bits as `np.linalg.solve`).  `iqp.lattice_mins` then takes every
-row's dots against the group's stacked G in a fixed number of `np.vecdot`
-calls and answers each player in turn from that u: the rounding
-certificate, the search when the certificate cannot answer, and the
-proximity postcondition.  So a sweep makes a fixed number of numpy calls
-per group of n <= 15, however many players it holds (one more per level
-beyond 15), beside the rows that search.
-`continuous_sweep` is the same gather, matvec and solve without the
-rounding.  `best_responses(inst, profile)` is the checked wrapper: it
-validates the per-player vectors, joins them and splits the answer into one
-array per player.  `best_response(inst, i, others)` runs the same
-`lattice_mins` on one row, from the one-player linear term and
-`linalg.solve_with_factor`, and each sweep response is bitwise the one it
-gives (the argument is in `iqp`).
+response to the joint float64 strategy vector z, returned as one joint
+int64 vector with each player's squared norm, with nothing checked.  The
+instance groups the players by dimension (`PlayerGroup`) and stacks, once,
+what the kernel reads of each group: the factors, their stacked Cholesky
+factors and transposes, an index that gathers each player's opponents from
+z, the concatenated couplings and the linear terms.  Per group, the kernel
+forms every linear term C_i y + d_i with one stacked matvec, which gives
+each row bitwise the one-player matvec, and gets u from one stacked solve
+pair against the Cholesky factors, straight to numpy's gesv gufunc
+(`linalg.gesv`, the same LAPACK call and bits as `np.linalg.solve`).
+`iqp.lattice_mins` then takes every row's dots against the group's stacked
+G in a fixed number of `np.vecdot` calls and answers each player in turn
+from that u: the rounding certificate, the search when the certificate
+cannot answer, and the proximity postcondition.  So a sweep makes a fixed
+number of numpy calls per group of n <= 15, however many players it holds
+(one more per level beyond 15), beside the rows that search.  One more
+`np.vecdot` on the group's float64 rows gives every player's squared norm,
+bitwise its own dot (`_squares`); with one group, which holds every player
+in player order, the rows are the joint response and no scatter writes
+them.  `continuous_sweep` is the same gather, matvec and solve without the
+rounding, and `squared_norms` the same norms of a joint vector.
+`best_responses(inst, profile)` is the checked wrapper: it validates the
+per-player vectors, joins them and splits the answer into one array per
+player.  `best_response(inst, i, others)` runs the same `lattice_mins` on
+one row, from the one-player linear term and `linalg.solve_with_factor`,
+and each sweep response is bitwise the one it gives (the argument is in
+`iqp`).
 
 Costs have the same two forms.  `objective(inst, i, own, others)` is one
 player's cost, with its opponents gathered from per-player vectors.
@@ -411,28 +415,59 @@ def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarra
     return _concat(inst, range(inst.k), profile)
 
 
-def integer_sweep(inst: IcqsInstance, z: np.ndarray) -> np.ndarray:
+def integer_sweep(inst: IcqsInstance, z: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Every player's integer best response to the joint float64 vector
-    ``z``, as one joint int64 vector: one Jacobi sweep, unchecked.
+    ``z``, as one joint int64 vector, and each player's squared norm, in
+    player order: one Jacobi sweep, unchecked.
 
     Per group of players of one dimension, the continuous minimizers come
     from one stacked solve pair, and `iqp.lattice_mins` answers each player
     from its own: the rounding certificate, the search when the certificate
-    cannot answer, and the proximity postcondition.
+    cannot answer, and the proximity postcondition.  The norms are those of
+    its float64 rows (`_joint`).
     """
-    out = np.empty(z.shape[0], dtype=np.int64)
-    for g in inst.groups:
-        out[g.own] = iqp.lattice_mins(g.factors, g.continuous_mins(z), labels=g.labels, G=g.G)
-    return out
+    rows = [iqp._lattice_rows(g.factors, g.continuous_mins(z), labels=g.labels, G=g.G) for g in inst.groups]
+    return _joint(inst, rows, np.int64)
 
 
-def continuous_sweep(inst: IcqsInstance, z: np.ndarray) -> np.ndarray:
+def continuous_sweep(inst: IcqsInstance, z: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Every player's continuous best response to the joint float64 vector
-    ``z``, as one joint vector; unchecked, as `integer_sweep`."""
-    out = np.empty_like(z)
-    for g in inst.groups:
-        out[g.own] = g.continuous_mins(z)
-    return out
+    ``z``, as one joint vector, and each player's squared norm; unchecked,
+    as `integer_sweep`."""
+    return _joint(inst, [g.continuous_mins(z) for g in inst.groups], np.float64)
+
+
+def squared_norms(inst: IcqsInstance, z: np.ndarray) -> list[float]:
+    """Each player's squared l2 norm of its entries of the joint float64
+    vector ``z``, in player order, as the sweeps give them."""
+    return _squares(inst, [z[g.own] for g in inst.groups])
+
+
+def _joint(inst: IcqsInstance, rows: list[np.ndarray], dtype) -> tuple[np.ndarray, list[float]]:
+    """Each group's float64 rows as one joint vector of ``dtype``, and each
+    player's squared norm.  One group holds every player in player order,
+    so its rows are the joint vector; several are scattered into it."""
+    if len(rows) == 1:
+        out = rows[0].astype(dtype, copy=False).reshape(-1)
+    else:
+        out = np.empty(inst.slots[-1][1], dtype=dtype)
+        for g, X in zip(inst.groups, rows):
+            out[g.own] = X
+    return out, _squares(inst, rows)
+
+
+def _squares(inst: IcqsInstance, rows: list[np.ndarray]) -> list[float]:
+    """Each player's squared norm from its group's float64 rows, in player
+    order: one `np.vecdot` per group, which runs one ddot per row, so each
+    is bitwise ``float(x.dot(x))`` of the player's own vector.  A rounded
+    -0.0 squares to +0.0, as the integer 0 does."""
+    if len(rows) == 1:
+        return np.vecdot(rows[0], rows[0]).tolist()
+    squares = [0.0] * inst.k
+    for g, X in zip(inst.groups, rows):
+        for i, s in zip(g.players, np.vecdot(X, X).tolist()):
+            squares[i] = s
+    return squares
 
 
 def best_responses(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -442,7 +477,7 @@ def best_responses(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> list[np
     Real entries are allowed, as for `best_response`.  Each response is
     bitwise the one `best_response` gives the same player.
     """
-    return list(inst.split(integer_sweep(inst, joint_vector(inst, profile))))
+    return list(inst.split(integer_sweep(inst, joint_vector(inst, profile))[0]))
 
 
 def best_response(inst: IcqsInstance, i: int, others: Sequence[np.ndarray]) -> np.ndarray:

@@ -69,7 +69,7 @@ or more is not, since from length 16 the kernel blocks, so each level
 j < a takes its own call on the slice.  The search takes its node dots with
 `ndarray.dot` on views of x - u.  Squares stay `** 2`: x ** 2 != x * x for
 about 1 float in 1,300.  A dot of length one is the plain product (see
-`_enumerate`).  The rounded point's excess is summed row by
+`_zigzag`).  The rounded point's excess is summed row by
 row, in the association order of the search's own partial sums, so exact
 ties stay exact; the certificate reads that same excess, and the search
 starts from it.  The certificate's bound may differ from exact values in
@@ -526,22 +526,33 @@ def lattice_mins(
     G: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer minimizer of each row's quadratic, given its continuous
-    minimizer ``U[r]`` and its factor ``factors[r]``.
+    minimizer ``U[r]`` and its factor ``factors[r]``, as int64 rows.
 
     ``G`` stacks the factors' ``G`` (a `game.PlayerGroup`'s, or
     ``factor.G[None]`` for one row); it is stacked from ``factors`` when not
     given.  Every row's dots come from a fixed number of `np.vecdot` calls:
     one over the rows G[j, a:] of the last min(n, 15) levels (a = max(0,
     n - 15)), whose zeros before the diagonal keep ddot's sequential chain
-    below length 16, one per level j < a on the slice G[j, j:], and one for
-    the distances.
+    below length 16, and one per level j < a on the slice G[j, j:].
     Each row is then answered in turn: the rounding certificate, then, when
     it cannot answer, the search in the factor's frame (NonFiniteCentre
     when its centre is not finite, CentreTooLarge when an entry is 2^52 or
     more in magnitude, EnumerationBudgetExceeded past ``node_budget``
     nodes), then the proximity postcondition (ProximityViolation).  These
-    errors name the row ``labels[r]``, when given.
+    errors name the row ``labels[r]``, when given.  `_lattice_rows` is the
+    same kernel with float64 rows, which `game.integer_sweep` reads.
     """
+    return _lattice_rows(factors, U, node_budget, labels, G).astype(np.int64)
+
+
+def _lattice_rows(
+    factors: Sequence[Factor],
+    U: np.ndarray,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    labels: Sequence[str] | None = None,
+    G: np.ndarray | None = None,
+) -> np.ndarray:
+    """`lattice_mins` with float64 rows, each an integer point."""
     if G is None:
         G = np.stack([f.G for f in factors])
     n = U.shape[1]
@@ -557,7 +568,6 @@ def lattice_mins(
         np.vecdot(G[:, a:, a:], W[:, None, a:], out=D[:, a:])
         for j in range(a):
             np.vecdot(G[:, j, j:], W[:, j:], out=D[:, j])
-    dist2 = np.vecdot(W, W).tolist()
     Us = Xs = None
     for r, (factor, ws, ds) in enumerate(zip(factors, W.tolist(), D.tolist())):
         # summed from the last row up, the association order of the
@@ -581,23 +591,25 @@ def lattice_mins(
                         f"{_name(labels, r)}a lattice search centre has an entry of 2^52 or more in magnitude "
                         f"(u = {us}), where the search's unit steps may round onto points already visited"
                     )
+                # a factor without a reduced frame goes straight to the loop
+                search = _zigzag if factor.reduced is None else _enumerate
                 try:
-                    x, excess = _enumerate(factor, us, Xs[r], excess, node_budget)
+                    x, excess = search(factor, us, Xs[r], excess, node_budget)
                 except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
                     raise NonFiniteCentre(f"{_name(labels, r)}a lattice search centre is not finite (u = {us})") from exc
                 except EnumerationBudgetExceeded as exc:
                     raise EnumerationBudgetExceeded(f"{_name(labels, r)}{exc}") from None
                 X[r] = x
-                # not the ddot's bits, which only the guard below reads
                 dist = math.dist(x, us)
                 break
         else:
-            dist = math.sqrt(dist2[r])
+            dist = math.hypot(*ws)
         # Postcondition guard: the minimizer must respect the proximity
         # radius and objective-gap bound that are provable for its Q.  The
         # excess is the gap computed in the translated frame, which stays
         # accurate where f(x) - f(u) would cancel catastrophically.  The
-        # slack is in lattice units, times lambda_max for the gap's.
+        # slack is in lattice units, times lambda_max for the gap's.  Only
+        # this guard reads the distance, so its last bits move no output.
         if dist > factor.radius_limit or excess > factor.gap_limit:
             slack = 1e-9 * max(1.0, float(np.abs(U[r]).max()))
             who = _name(labels, r)
@@ -608,7 +620,7 @@ def lattice_mins(
                 )
             if excess > factor.gap_limit + factor.lambda_max * slack:
                 raise ProximityViolation(f"{who}objective gap {excess:.6g} exceeds bound {factor.gap:.6g}")
-    return X.astype(np.int64)
+    return X
 
 
 def _name(labels: Sequence[str] | None, r: int) -> str:
@@ -619,14 +631,15 @@ def _name(labels: Sequence[str] | None, r: int) -> str:
 def _enumerate(
     factor: Factor, us: Sequence[float], x0: Sequence[float], excess: float, node_budget: int
 ) -> tuple[list[float], float]:
-    """Zig-zag depth-first search for the integer minimizer around ``us``,
-    from the incumbent ``x0 = rint(u)`` and its excess energy ``excess``:
-    the point of least computed energy 0.5*||G(x - u)||^2 in the Cholesky
-    frame, the lexicographically smaller one on a tie, and that energy.
-    ``us`` and ``x0`` are float sequences; `lattice_mins` passes rows of
-    ``U.tolist()`` and ``X.tolist()``.
+    """The integer minimizer around ``us`` from the incumbent ``x0 =
+    rint(u)`` and its excess energy ``excess``, in the factor's frame: the
+    point of least computed energy 0.5*||G(x - u)||^2 in the Cholesky frame,
+    the lexicographically smaller one on a tie, and that energy.  ``us`` and
+    ``x0`` are float sequences; `lattice_mins` passes rows of ``U.tolist()``
+    and ``X.tolist()``, and calls `_zigzag` itself for a factor with no
+    reduced frame.
 
-    A factor with a reduced frame runs the same loop in that frame
+    A factor with a reduced frame runs the zig-zag loop in that frame
     (`_reduced_start`), keeping every leaf within a window of the least,
     and returns the same point (`_reduced_answer`); its excess is then the
     Cholesky frame's when two kept points compete, else its own computed
@@ -634,100 +647,114 @@ def _enumerate(
     searches in the Cholesky frame, and so does one whose reduced search
     keeps more than `_KEPT` leaves.  EnumerationBudgetExceeded once a
     search visits more than ``node_budget`` nodes of the frame it runs in.
+    """
+    reduced = factor.reduced
+    start = None if reduced is None else _reduced_start(reduced, us, x0, excess)
+    if start is not None:
+        centre, slack = start
+        keep: list = []
+        _, least = _zigzag(reduced, centre, [0.0] * len(us), excess + slack, node_budget, 2.0 * slack, keep)
+        if len(keep) <= _KEPT:
+            return _reduced_answer(factor, us, x0, excess, keep, least + 2.0 * slack)
+    return _zigzag(factor, us, x0, excess, node_budget)
+
+
+def _zigzag(
+    frame: Factor | Reduced,
+    us: Sequence[float],
+    x0: Sequence[float],
+    excess: float,
+    node_budget: int,
+    window: float = 0.0,
+    keep: list | None = None,
+) -> tuple[list[float], float]:
+    """Zig-zag depth-first search in ``frame`` for the integer point of
+    least computed energy around ``us``, from the incumbent ``x0`` at
+    ``excess``: the point, the lexicographically smaller one on a tie, and
+    that energy.  With ``keep``, a list, each leaf within ``window`` of the
+    least found so far is appended to it as (energy, point), and the search
+    stops once it holds more than `_KEPT`; `_enumerate` reads it.
+    EnumerationBudgetExceeded once it visits more than ``node_budget``
+    nodes.
 
     Each level tries b, b + s, b - s, b + 2s, ... around its conditional
     center c (b = round(c), s = +-1 toward c) by one step x_j += s per
     candidate, then s = -s - 1 or -s + 1: the integers b + s k wherever
     |b| < 2^53.  A branch is pruned once its partial energy exceeds the
-    least found so far plus the window (0 in the Cholesky frame): partial
-    sums of non-negative terms only grow, in floats too, and the zig-zag
-    order is monotone in |cand - center|, so no leaf within the window of
-    the final least is pruned.  Level j < n - 2 takes its center's dot, of
-    length >= 2, with `ndarray.dot` on a view of x - u: the ddot of `@`
-    without the matmul ufunc's dispatch.  Level n - 2's dot is one product,
-    ``corner`` times x_{n-1} - u_{n-1}, so a 2-variable search makes no
-    numpy call per node.  numpy's one-element dot is that product, and
-    ddot's 0 + a*b differs from it only in the sign of a zero, which the
-    search never reads: the center moves by a zero, `round(c)` returns +0.0
-    either way, and c enters every cost squared.
+    least found so far plus the window: partial sums of non-negative terms
+    only grow, in floats too, and the zig-zag order is monotone in |cand -
+    center|, so no leaf within the window of the final least is pruned.
+    Level j < n - 2 takes its center's dot, of length >= 2, with
+    `ndarray.dot` on a view of x - u: the ddot of `@` without the matmul
+    ufunc's dispatch.  Level n - 2's dot is one product, ``corner`` times
+    x_{n-1} - u_{n-1}, so a 2-variable search makes no numpy call per node.
+    numpy's one-element dot is that product, and ddot's 0 + a*b differs
+    from it only in the sign of a zero, which the search never reads: the
+    center moves by a zero, `round(c)` returns +0.0 either way, and c enters
+    every cost squared.
     """
-    reduced = factor.reduced
-    start = None if reduced is None else _reduced_start(reduced, us, x0, excess)
-    if start is None:
-        frame, window, keep = factor, 0.0, None
-    else:
-        centre, slack = start
-        frame, window, keep = reduced, 2.0 * slack, []
-        found = us, x0, excess
-        us, x0, excess = centre, [0.0] * len(us), excess + slack
-    while True:  # twice at most: a crowded reduced search runs again in the Cholesky frame
-        n = len(us)
-        gdiag = frame.gdiag
-        rows = frame.strict_rows
-        corner = frame.corner
-        best_excess = excess
-        bound = excess + window
-        best = list(x0)
+    n = len(us)
+    gdiag = frame.gdiag
+    rows = frame.strict_rows
+    corner = frame.corner
+    best_excess = excess
+    bound = excess + window
+    best = list(x0)
 
-        deep = n > 2  # whether any level's dot has two terms or more
-        if deep:
-            xu = np.zeros(n)  # x - u on the coordinates fixed so far
-            tails = [xu[j + 1 :] for j in range(n - 2)]
-        x = [0.0] * n
-        centers = [0.0] * n
-        steps = [0.0] * n  # steps[j]: from x[j] to the next candidate of level j
-        acc = [0.0] * n  # acc[j]: cost of rows j+1..n-1
+    deep = n > 2  # whether any level's dot has two terms or more
+    if deep:
+        xu = np.zeros(n)  # x - u on the coordinates fixed so far
+        tails = [xu[j + 1 :] for j in range(n - 2)]
+    x = [0.0] * n
+    centers = [0.0] * n
+    steps = [0.0] * n  # steps[j]: from x[j] to the next candidate of level j
+    acc = [0.0] * n  # acc[j]: cost of rows j+1..n-1
 
-        nodes = 0
-        j = n - 1
-        # Entering a level: its conditional center c, the nearest integer
-        # (half to even, as np.rint) and a first step toward the side of c.
-        c = us[j]
-        x[j] = b = float(round(c))
-        centers[j], steps[j] = c, 1.0 if c >= b else -1.0
-        while True:
-            cand = x[j]
-            total = acc[j] + 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
-            if total > bound:
-                # zig-zag order is monotone in |cand - center|: level exhausted
-                j += 1
-                if j == n:
+    nodes = 0
+    j = n - 1
+    # Entering a level: its conditional center c, the nearest integer
+    # (half to even, as np.rint) and a first step toward the side of c.
+    c = us[j]
+    x[j] = b = float(round(c))
+    centers[j], steps[j] = c, 1.0 if c >= b else -1.0
+    while True:
+        cand = x[j]
+        total = acc[j] + 0.5 * (gdiag[j] * (cand - centers[j])) ** 2
+        if total > bound:
+            # zig-zag order is monotone in |cand - center|: level exhausted
+            j += 1
+            if j == n:
+                break
+        else:
+            nodes += 1
+            if nodes > node_budget:
+                raise EnumerationBudgetExceeded(f"enumeration exceeded {node_budget} nodes")
+            if j:
+                t = cand - us[j]
+                acc[j - 1] = total
+                j -= 1
+                if deep:
+                    xu[j + 1] = t
+                if j < n - 2:
+                    c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
+                else:
+                    c = us[j] - corner * t / gdiag[j]
+                x[j] = b = float(round(c))
+                centers[j], steps[j] = c, 1.0 if c >= b else -1.0
+                continue
+            if total < best_excess or (total == best_excess and x < best):
+                best_excess = total
+                best = x.copy()
+                bound = total + window
+            if keep is not None:
+                keep.append((total, x.copy()))
+                if len(keep) > _KEPT:
                     break
-            else:
-                nodes += 1
-                if nodes > node_budget:
-                    raise EnumerationBudgetExceeded(f"enumeration exceeded {node_budget} nodes")
-                if j:
-                    t = cand - us[j]
-                    acc[j - 1] = total
-                    j -= 1
-                    if deep:
-                        xu[j + 1] = t
-                    if j < n - 2:
-                        c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
-                    else:
-                        c = us[j] - corner * t / gdiag[j]
-                    x[j] = b = float(round(c))
-                    centers[j], steps[j] = c, 1.0 if c >= b else -1.0
-                    continue
-                if total < best_excess or (total == best_excess and x < best):
-                    best_excess = total
-                    best = x.copy()
-                    bound = total + window
-                if keep is not None:
-                    keep.append((total, x.copy()))
-                    if len(keep) > _KEPT:
-                        break
-            # the next candidate of level j: b, b + s, b - s, b + 2s, ...
-            s = steps[j]
-            x[j] += s
-            steps[j] = -s - 1.0 if s > 0.0 else -s + 1.0
-        if keep is None:
-            return best, best_excess
-        if len(keep) <= _KEPT:
-            return _reduced_answer(factor, *found, keep, best_excess + window)
-        frame, window, keep = factor, 0.0, None
-        us, x0, excess = found
+        # the next candidate of level j: b, b + s, b - s, b + 2s, ...
+        s = steps[j]
+        x[j] += s
+        steps[j] = -s - 1.0 if s > 0.0 else -s + 1.0
+    return best, best_excess
 
 
 def _reduced_start(
@@ -796,7 +823,7 @@ def _lattice_point(reduced: Reduced, x0: Sequence[float], z: Sequence[float]) ->
 
 
 def _energy(factor: Factor, us: Sequence[float], x: Sequence[float]) -> float:
-    """The energy `_enumerate` computes for the leaf ``x`` in the Cholesky
+    """The energy `_zigzag` computes for the leaf ``x`` in the Cholesky
     frame around ``us``, by the same operations in the same order: it
     depends on x alone, not on the path to it."""
     n = len(us)

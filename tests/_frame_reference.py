@@ -6,11 +6,12 @@ one more dot for its distance.  The stacked form takes every row's dots from
 a fixed number of `np.vecdot` calls.  Two lines differ from the former code:
 the slice views ``factor.rows``, no longer a `Factor` field, are taken here
 from ``factor.G``, and the search is looked up as ``iqp._enumerate`` on
-each call, so a test can record what each frame hands it.
+each call, so a test can record what each frame hands it (`searches`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Sequence
 
@@ -71,26 +72,50 @@ def lattice_mins(
     return X.astype(np.int64)
 
 
+@contextlib.contextmanager
+def searches(record):
+    """Within the block, ``record(factor, us, x0, excess)`` sees every search
+    started through `iqp._enumerate`, and every one `iqp.lattice_mins`
+    starts in the zig-zag loop itself (a factor with no reduced frame), in
+    call order; the loop's runs inside `_enumerate` are not recorded again."""
+    enumerate_, zigzag = iqp._enumerate, iqp._zigzag
+    inside = [0]
+
+    def enumerating(factor, us, x0, excess, node_budget):
+        record(factor, us, x0, excess)
+        inside[0] += 1
+        try:
+            return enumerate_(factor, us, x0, excess, node_budget)
+        finally:
+            inside[0] -= 1
+
+    def zigzagging(frame, us, x0, excess, node_budget, *rest):
+        if not inside[0]:
+            record(frame, us, x0, excess)
+        return zigzag(frame, us, x0, excess, node_budget, *rest)
+
+    iqp._enumerate, iqp._zigzag = enumerating, zigzagging
+    try:
+        yield
+    finally:
+        iqp._enumerate, iqp._zigzag = enumerate_, zigzag
+
+
 def frames_agree(factors: Sequence[iqp.Factor], U: np.ndarray, G: np.ndarray | None = None) -> int:
     """Run `iqp.lattice_mins` and the reference on the same rows, and assert
-    that both return the same points and hand `iqp._enumerate` the same
-    centres, incumbents and excess bits, in the same order; the number of
+    that both return the same points and hand the search the same centres,
+    incumbents and excess bits, in the same order; the number of
     searches."""
     calls: list[tuple] = []
-    search = iqp._enumerate
 
-    def recording(factor, u, x0, excess, node_budget):
+    def recording(factor, u, x0, excess):
         calls.append((np.asarray(u).tobytes(), np.asarray(x0).tobytes(), excess.hex()))
-        return search(factor, u, x0, excess, node_budget)
 
-    iqp._enumerate = recording
-    try:
+    with searches(recording):
         got = iqp.lattice_mins(factors, U, G=G)
         handed = calls[:]
         del calls[:]
         want = lattice_mins(factors, U)
-    finally:
-        iqp._enumerate = search
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
     assert handed == calls
     return len(calls)

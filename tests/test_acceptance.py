@@ -305,7 +305,7 @@ def test_criterion_9_continuous_mode(instances6):
             stationarity_bad += 1
             continue
         z_end = inst.split(trace.profiles[-1])
-        step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, z_end)))
+        step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, z_end))[0])
         residual = math.sqrt(
             sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z_end))
         )

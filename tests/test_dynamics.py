@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _corpus import instance_corpus
+from _corpus import instance_corpus, quadratic_corpus
 from icqs import dynamics, game, instgen, iqp
-from icqs.errors import BoundOverflow, CentreTooLarge, DimensionMismatch, NoCycle, NonFiniteCentre
+from icqs.errors import BoundOverflow, CentreTooLarge, DimensionMismatch, NoCycle, NonFiniteCentre, ResponseOverflow
 
 
 def path_scalars(trace):
@@ -172,7 +172,7 @@ def test_continuous_mode_contracts_to_stationary_point():
     trace = dynamics.run_br(inst, mode=dynamics.CONTINUOUS)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT
     z = inst.split(trace.profiles[-1])
-    step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, z)))
+    step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, z))[0])
     residual = math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(step, z)))
     assert residual <= 1e-8
 
@@ -182,8 +182,8 @@ def test_continuous_mode_contracts_to_stationary_point():
     for _ in range(20):
         z1 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
         z2 = [rng.uniform(-20, 20, size=n) for n in inst.dims]
-        f1 = game.continuous_sweep(inst, game.joint_vector(inst, z1))
-        f2 = game.continuous_sweep(inst, game.joint_vector(inst, z2))
+        f1 = game.continuous_sweep(inst, game.joint_vector(inst, z1))[0]
+        f2 = game.continuous_sweep(inst, game.joint_vector(inst, z2))[0]
         lhs = np.linalg.norm(f1 - f2)
         rhs = sigma * np.linalg.norm(np.concatenate(z1) - np.concatenate(z2))
         assert lhs <= rhs + 1e-9
@@ -195,7 +195,7 @@ def _d_scaled(inst, s):
 
 def _relative_residual(inst, trace):
     z = trace.profiles[-1]
-    return float(np.linalg.norm(game.continuous_sweep(inst, z) - z)) / trace.norms[-1]
+    return float(np.linalg.norm(game.continuous_sweep(inst, z)[0] - z)) / trace.norms[-1]
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e9])
@@ -506,7 +506,7 @@ def test_continuous_step_matches_per_player_responses():
     for inst in cases:
         for _ in range(3):
             profile = [rng.uniform(-1e3, 1e3, size=n) for n in inst.dims]
-            step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, profile)))
+            step = inst.split(game.continuous_sweep(inst, game.joint_vector(inst, profile))[0])
             for i in range(inst.k):
                 y = np.concatenate([profile[j] for j in inst.opponents(i)])
                 q = iqp.Quadratic(inst.players[i].Q, inst.C_cat[i] @ y + inst.players[i].d)
@@ -646,3 +646,131 @@ def test_a_sweep_past_the_float_integers_ends_the_run_as_the_norm_cap_does():
     trace = dynamics.run_br(inst, start=[[3.0, -2.0], [1.0, 4.0]])
     assert trace.outcome == dynamics.OUTCOME_DIVERGENCE and trace.divergence_index == 1
     assert trace.profiles.tolist() == [[3, -2, 1, 4], [-500000000, -6, -100000000, 3]]
+
+
+def test_a_response_beyond_int64_raises_with_its_own_norm():
+    # Q = [[2]], C = [[-1e7]], d = 0: each sweep multiplies the profile by
+    # 5e6, so sweep 3's responses are 1.25e20, beyond int64.  The message
+    # gives their own joint norm, sqrt(2) * 1.25e20, not that of the int64
+    # cast (sqrt(2) * 2^63 = 1.30438e+19)
+    inst = game.make_instance([
+        game.PlayerProblem(Q=np.array([[2.0]]), C={1 - i: np.array([[-1e7]])}, d=np.zeros(1)) for i in range(2)
+    ])
+    with pytest.raises(ResponseOverflow, match=r"^sweep 3: .* \(joint norm 1\.76777e\+20 >= 2\^63\)$"):
+        dynamics.run_br(inst, start=[[1], [1]])
+
+
+def _slice_norm(zf, slots):
+    # the former per-slice joint norm of `dynamics.run_br`, verbatim: one dot
+    # per player slice of the float64 joint vector, summed in player order
+    return math.sqrt(sum([float(x.dot(x)) for x in [zf[s] for s in slots]]))
+
+
+def _slice_squares(inst, z):
+    # each player's squared norm as the former form took it, on its slice
+    zf = np.asarray(z, dtype=np.float64)
+    return [float(zf[a:b].dot(zf[a:b])) for a, b in inst.slots]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _coupled_instance(dims, seed, scale=0.1):
+    # seeded Q_i of the given dimensions and couplings of about ``scale``
+    rng = np.random.default_rng(seed)
+    Qs = [q.Q for q in quadratic_corpus(seed=seed, count=len(dims), dims=tuple(dims), cond=10.0)]
+    return game.make_instance([
+        game.PlayerProblem(
+            Q=Q,
+            C={j: scale * rng.standard_normal((n, dims[j])) for j in range(len(dims)) if j != i},
+            d=rng.uniform(-5.0, 5.0, size=n),
+        )
+        for i, (n, Q) in enumerate(zip(dims, Qs))
+    ])
+
+
+@pytest.mark.parametrize("mode", [dynamics.INTEGER, dynamics.CONTINUOUS])
+def test_run_br_norms_are_the_former_per_slice_norms(mode):
+    # every norm of a run, the start's included, is bitwise the former
+    # per-slice form on the trace's row, on one-group and several-group
+    # instances, in both modes
+    rng = np.random.default_rng(83)
+    cases = [instgen.builtin(name) for name in ("cycling", "example1")]
+    cases += [
+        instgen.gen_negative(instgen.NegativeSpec(n_players=k, vars_per_player=n, seed=5 * k + n))
+        for k in (2, 3)
+        for n in (2, 4)
+    ]
+    cases += [_coupled_instance((5, 6, 5, 4), seed=seed, scale=scale) for seed, scale in ((1, 0.5), (2, 2.0))]
+    cases += [_weak_instance(7, 89)]
+    cases += [inst for _, inst in instance_corpus()[::5]]
+    groups = set()
+    for inst in cases:
+        slots = [slice(a, b) for a, b in inst.slots]
+        for _ in range(2):
+            start = [rng.integers(-40, 41, size=n) for n in inst.dims]
+            trace = dynamics.run_br(inst, start=start, mode=mode, max_iters=60)
+            want = [_slice_norm(np.asarray(row, dtype=np.float64), slots) for row in trace.profiles]
+            assert _hexes(trace.norms) == _hexes(want)
+        groups.add(len(inst.groups))
+    assert {1, 2, 3} <= groups
+
+
+def test_the_start_and_sweep_squares_are_the_per_slice_dots():
+    # `game.squared_norms` of a joint vector and the squares a sweep returns
+    # beside its response are bitwise each player's own dot on its slice
+    rng = np.random.default_rng(97)
+    for inst in (_coupled_instance((5, 6, 5, 4), seed=3), _coupled_instance((3, 3, 3), seed=4), instgen.builtin("cycling")):
+        for scale in (1e-3, 1.0, 1e6):
+            z = rng.standard_normal(sum(inst.dims)) * scale
+            assert _hexes(game.squared_norms(inst, z)) == _hexes(_slice_squares(inst, z))
+            zi = np.rint(z)
+            response, squares = game.integer_sweep(inst, zi)
+            assert response.dtype == np.int64
+            assert _hexes(squares) == _hexes(_slice_squares(inst, response))
+            assert np.array_equal(response, np.concatenate(game.best_responses(inst, inst.split(zi))))
+            step, squares = game.continuous_sweep(inst, z)
+            assert step.dtype == np.float64
+            assert _hexes(squares) == _hexes(_slice_squares(inst, step))
+
+
+def test_a_response_that_rounds_to_minus_zero_squares_to_plus_zero():
+    # u = (-0.2, 0.3) for both players: rint gives -0.0 in the float rows the
+    # kernel squares, and its square is +0.0, as the integer 0's is
+    inst = game.make_instance([
+        game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: np.zeros((2, 2))}, d=np.array([0.4, -0.6])) for i in range(2)
+    ])
+    g = inst.groups[0]
+    z = np.zeros(4)
+    rows = iqp._lattice_rows(g.factors, g.continuous_mins(z), labels=g.labels, G=g.G)
+    assert np.signbit(rows[:, 0]).all() and not rows.any()
+    response, squares = game.integer_sweep(inst, z)
+    assert response.tolist() == [0, 0, 0, 0]
+    assert _hexes(squares) == _hexes(_slice_squares(inst, response)) == [(0.0).hex()] * 2
+    trace = dynamics.run_br(inst)
+    assert trace.outcome == dynamics.OUTCOME_FIXED_POINT and _hexes(trace.norms) == [(0.0).hex()] * 2
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif(
+    "openblas" not in _blas_name().lower(),
+    reason="np.vecdot and ndarray.dot are checked to run OpenBLAS's ddot alike; other BLAS libraries may block it by alignment",
+)
+def test_stacked_squares_are_the_per_slice_dots_at_every_length():
+    # one group of four players, and a group of three beside a player of
+    # another dimension, at n = 1..40: from n = 16 ddot blocks its sum, and
+    # each row's square must still be bitwise its slice's dot
+    rng = np.random.default_rng(101)
+    for n in range(1, 41):
+        for dims in ((n, n, n, n), (n, n + 1, n, n)):
+            inst = _coupled_instance(dims, seed=n, scale=0.05)
+            z = rng.uniform(-30.0, 30.0, size=sum(dims))
+            assert _hexes(game.squared_norms(inst, z)) == _hexes(_slice_squares(inst, z))
+            response, squares = game.integer_sweep(inst, np.rint(z))
+            assert _hexes(squares) == _hexes(_slice_squares(inst, response))
+            step, squares = game.continuous_sweep(inst, z)
+            assert _hexes(squares) == _hexes(_slice_squares(inst, step))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from _corpus import quadratic_corpus, random_quadratic
-from _frame_reference import frames_agree
+from _frame_reference import frames_agree, searches
 from icqs import cli, iqp, linalg
 from icqs.errors import (
     CentreTooLarge,
@@ -546,18 +546,11 @@ def test_a_one_element_dot_is_the_plain_product():
             assert got.hex() == want.hex(), (x, y)
 
 
-def test_the_rounded_points_excess_is_bitwise_the_all_ddot_sum(monkeypatch):
+def test_the_rounded_points_excess_is_bitwise_the_all_ddot_sum():
     # with every certificate constant zero, each row reaches the search,
     # which receives the excess lattice_mins summed, its last row's term a
     # plain product
     seen = []
-    enumerate_ = iqp._enumerate
-
-    def recording(factor, u, x0, excess, node_budget):
-        seen.append(excess)
-        return enumerate_(factor, u, x0, excess, node_budget)
-
-    monkeypatch.setattr(iqp, "_enumerate", recording)
     # 60 centres per quadratic, its own and 59 shifted ones: x ** 2 and
     # x * x part on about 1 float in 1,300, so a few thousand rows tell them
     # apart
@@ -568,7 +561,8 @@ def test_the_rounded_points_excess_is_bitwise_the_all_ddot_sum(monkeypatch):
         u = linalg.solve_with_factor(f.L, -q.d)
         U = np.vstack([u, u + rng.uniform(-50.0, 50.0, size=(59, q.n))])
         seen.clear()
-        iqp.lattice_mins((f,) * len(U), U)
+        with searches(lambda factor, u, x0, excess: seen.append(excess)):
+            iqp.lattice_mins((f,) * len(U), U)
         assert [e.hex() for e in seen] == [_all_ddot_excess(f, np.rint(u) - u).hex() for u in U]
 
 
@@ -607,7 +601,7 @@ def test_batched_certificate_and_search_match_a_numpy_scalar_reference():
         assert np.array_equal(iqp.lattice_mins(factors, U), np.array([ref for _, ref in group]))
 
 
-def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
+def test_per_coordinate_certificate_is_sound_and_never_weaker():
     # rows the certificate answers without a search must have rint(u) as
     # their unique minimizer, by the exhaustive oracle, and every row the
     # former smallest-eigenvalue guard answered must still be answered.
@@ -615,13 +609,6 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
     # max|w| < 1/2 clause, and such a row must still be searched, since
     # rint(u) itself then pays the energy it compares against.
     searched = []
-    enumerate_ = iqp._enumerate
-
-    def recording(factor, u, x0, excess, node_budget):
-        searched.append(np.asarray(u).tobytes())
-        return enumerate_(factor, u, x0, excess, node_budget)
-
-    monkeypatch.setattr(iqp, "_enumerate", recording)
     rng = np.random.default_rng(59)
     accepted = old_accepted = rows = halves = 0
     for trial in range(240):
@@ -641,7 +628,8 @@ def test_per_coordinate_certificate_is_sound_and_never_weaker(monkeypatch):
         frac = np.where(half, np.where(frac < 0.0, -0.5, 0.5), frac)
         U = base + frac
         searched.clear()
-        iqp.lattice_mins(factors, U)
+        with searches(lambda factor, u, x0, excess: searched.append(np.asarray(u).tobytes())):
+            iqp.lattice_mins(factors, U)
         for r in range(8):
             rows += 1
             w = np.rint(U[r]) - U[r]
