@@ -8,9 +8,10 @@ the stacks of a sweep),
 run certified best-response iteration on the joint strategy vector
 (`dynamics.run_br`), restrict to the cycle and solve the finite game
 (`finite`), then measure deviation gains against the a-priori bounds
-(`finite.verify_delta`, `bounds`).  Every stage takes the instance, and
-every certificate and bound reads the one proven proximity radius per player
-(`iqp.Factor.radius`).
+(`finite.verify_delta`; for an integer fixed point, which is its own
+equilibrium, `finite.fixed_point_delta`; `bounds`).  Every stage takes the
+instance, and every certificate and bound reads the one proven proximity
+radius per player (`iqp.Factor.radius`).
 """
 
 from .bounds import GuaranteePack, cycle_diameter, delta_a_posteriori, delta_a_priori, guarantee_pack, l_bound_theoretical
@@ -45,6 +46,7 @@ from .finite import (
     DeltaReport,
     FiniteGame,
     MixedProfile,
+    fixed_point_delta,
     mne_k_player,
     mne_two_player,
     pne_search,

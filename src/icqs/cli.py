@@ -65,8 +65,11 @@ def solve_pipeline(
     """Classify, iterate, restrict, solve the finite game, verify deltas.
 
     Returns a plain-dict report mirroring the instance file format; the
-    equilibrium stage is skipped for divergent or capped runs.  The outcome,
-    the radii and every bound read each player's proven proximity radius.
+    equilibrium stage is skipped for divergent or capped runs.  A cycle's
+    game is solved and swept at its means; an integer fixed point's is its
+    own pure equilibrium, reported by `finite.fixed_point_delta` with no
+    solver and no further sweep.  The outcome, the radii and every bound
+    read each player's proven proximity radius.
     The bounds ``l_bound``, ``delta_a_posteriori`` and ``delta_a_priori``
     are each one list under the key ``"exact"``.
 
@@ -103,13 +106,19 @@ def solve_pipeline(
         if mode == dynamics.INTEGER:
             sets = dynamics.cycle_sets(trace)
             fg = finite.restrict(inst, sets)
-            profile, achieved_eps = finite.solve_equilibrium(fg)
-            delta = finite.verify_delta(inst, fg, profile, trace)
+            if trace.outcome == dynamics.OUTCOME_FIXED_POINT:
+                # the one cell is its own equilibrium, and the last sweep answered it
+                probabilities, achieved_eps = [[1.0] for _ in range(inst.k)], 0.0
+                delta = finite.fixed_point_delta(inst, fg, trace.profiles[-1])
+            else:
+                profile, achieved_eps = finite.solve_equilibrium(fg)
+                probabilities = [p.tolist() for p in profile.probs]
+                delta = finite.verify_delta(inst, fg, profile)
             pack = bounds.guarantee_pack(inst, sets)
             delta_bounded, delta_bounded_reason = _delta_bounded(delta, pack, report)
             equilibrium = {
                 "strategies": [S_i.tolist() for S_i in fg.strategies],
-                "probabilities": [p.tolist() for p in profile.probs],
+                "probabilities": probabilities,
                 "within_game_eps": achieved_eps,
                 "expected_costs": list(delta.expected_costs),
                 "deviation_costs": list(delta.deviation_costs),

@@ -205,7 +205,6 @@ def run_br(
     z = validate_start(inst, start, mode) if joint is None else joint
     integer = mode == INTEGER
     sweep = game.integer_sweep if integer else game.continuous_sweep
-    slots = [slice(a, b) for a, b in inst.slots]
     zf = z.astype(np.float64)
     profiles = [z]
     norms = [math.sqrt(sum(game.squared_norms(inst, zf)))]
@@ -250,7 +249,7 @@ def run_br(
                     break
                 seen[key] = t
             else:
-                step = math.sqrt(sum(float(np.sum((zf[s] - prev[s]) ** 2)) for s in slots))
+                step = _step_norm(inst, zf, prev)
                 # an infinite profile is no fixed point, though inf <= 1e-10 * inf
                 if step <= FP_TOLERANCE * max(norms[0], norms[t - 1], norms[t]) < math.inf:
                     outcome, fixed_index = OUTCOME_FIXED_POINT, t
@@ -284,6 +283,16 @@ def run_br(
         fixed_index=fixed_index,
         divergence_index=latch if outcome == OUTCOME_DIVERGENCE else None,
     )
+
+
+def _step_norm(inst: game.IcqsInstance, z: np.ndarray, prev: np.ndarray) -> float:
+    """The joint l2 norm of the step from ``prev`` to ``z``, both joint
+    float64 vectors: the difference once, then each player's sum of squares
+    as one row sum per group, which is bitwise `np.sum` of the player's own
+    slice (the same pairwise sum along one contiguous row), and the sums
+    added in player order."""
+    diff = z - prev
+    return math.sqrt(sum(game.in_player_order(inst, [np.sum(diff[g.own] ** 2, axis=1) for g in inst.groups])))
 
 
 def cycle_sets(trace: BrTrace) -> CycleSets:

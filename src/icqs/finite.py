@@ -5,26 +5,27 @@ strategies visited inside the cycle yields a small finite game whose mixed
 equilibrium approximates an equilibrium of the full instance.  This module
 builds that game's costs, finds pure and mixed equilibria, and measures
 a-posteriori how much any player could gain by deviating to an arbitrary
-lattice point.  Every function takes the instance: the costs
-(`restrict`), and the deviation check (`verify_delta`), which solves
-integer best responses.  That check runs on joint vectors: the mean profile
-is one vector, the deviations one `game.integer_sweep` of it (or an
-integer fixed point's last sweep), and every player's deviation cost one
-`game.objectives` expression.
+lattice point.  The functions that read the full game take the instance:
+the costs (`restrict`), and the deviation check (`verify_delta`), which
+solves integer best responses.  That check runs on joint vectors: the mean
+profile is one vector, the deviations one `game.integer_sweep` of it, and
+every player's deviation cost one `game.objectives` expression.
 
 The coupling is linear, so the restricted game is polymatrix (Howson 1972):
 player i's cost is an own term 0.5 s_i'Q_i s_i + d_i's_i plus one term
 s_i'C_ij s_j per opponent.  `FiniteGame` holds the joint vector of own costs
 and one matrix D = (S C) S', S the block-diagonal stack of the strategies and
 C the instance's joint coupling, whose block (i, j) is S_i C_ij S_j'.  Expected
-costs and regret read one matvec, own + D p (`strategy_costs`), the Lemke LCP
-reads D, and `cell_costs` builds one player's costs over the cells from views.
-`pne_search` takes only the axes of the players with more than one
-strategy, so the player count is not bound by numpy's axis limit.
+costs and regret read one matvec, own + D p at the joint probability vector p
+(`strategy_costs`), the Lemke LCP reads D, and `cell_costs` builds one
+player's costs over the cells from views.  `pne_search` takes only the axes
+of the players with more than one strategy, so the player count is not
+bound by numpy's axis limit.
 
 A game in which every player has one strategy, the restricted game of an
-integer fixed point, is its own equilibrium: `solve_equilibrium` returns
-its one cell as the pure profile, with regret zero, and runs neither solver.
+integer fixed point z, is its own pure equilibrium, and the run's last sweep
+has already answered z with z: `fixed_point_delta` builds its report from
+z alone, with no solver and no further sweep.
 
 Two-player games are solved exactly by support enumeration, smallest
 supports first (`mne_two_player`).  Conditional dominance is one table of
@@ -162,24 +163,27 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     return FiniteGame(strategies=strategies, own=own, D=D)
 
 
-def strategy_costs(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
-    """Every player's pure-strategy costs against the others' mixes, as one vector ``own + D p``."""
-    return fg.own + fg.D @ np.concatenate(profile.probs)
+def strategy_costs(fg: FiniteGame, p: np.ndarray) -> np.ndarray:
+    """Every player's pure-strategy costs against the others' mixes, as one
+    vector ``own + D p`` at the joint probability vector ``p``."""
+    return fg.own + fg.D @ p
 
 
-def _expected(fg: FiniteGame, costs: np.ndarray, profile: MixedProfile) -> np.ndarray:
-    return np.add.reduceat(costs * np.concatenate(profile.probs), fg.offsets[:-1])
+def _expected(fg: FiniteGame, costs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return np.add.reduceat(costs * p, fg.offsets[:-1])
 
 
 def expected_costs(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
     """Expected cost per player under the product distribution."""
-    return _expected(fg, strategy_costs(fg, profile), profile)
+    p = np.concatenate(profile.probs)
+    return _expected(fg, strategy_costs(fg, p), p)
 
 
 def regret(fg: FiniteGame, profile: MixedProfile) -> np.ndarray:
     """Per-player gain from the best pure strategy inside the finite game."""
-    costs = strategy_costs(fg, profile)
-    return _expected(fg, costs, profile) - np.minimum.reduceat(costs, fg.offsets[:-1])
+    p = np.concatenate(profile.probs)
+    costs = strategy_costs(fg, p)
+    return _expected(fg, costs, p) - np.minimum.reduceat(costs, fg.offsets[:-1])
 
 
 def cell_costs(fg: FiniteGame, i: int, axes: tuple[int, ...] | None = None) -> np.ndarray:
@@ -480,14 +484,12 @@ def mne_k_player(fg: FiniteGame) -> tuple[MixedProfile, float]:
 def solve_equilibrium(fg: FiniteGame) -> tuple[MixedProfile, float]:
     """An exact equilibrium and its regret in the game: (profile, regret).
 
-    A game in which every player has one strategy, the restricted game of an
-    integer fixed point, is its own equilibrium: its one cell is returned as
-    the pure profile with regret 0.0, bitwise what the solvers and `regret`
-    give (each cost c is finite, `FiniteGame`, and c * 1.0 - c is +0.0).
-    Otherwise two players go to `mne_two_player` and more to `mne_k_player`.
+    Two players go to `mne_two_player` and more to `mne_k_player`.  A
+    one-cell game, an integer fixed point's, comes back from either as its
+    pure profile with regret 0.0 (each cost c is finite, `FiniteGame`, and
+    c * 1.0 - c is +0.0): what `cli.solve_pipeline` writes for a fixed point
+    without solving.
     """
-    if fg.sizes == (1,) * fg.k:
-        return pure_profile(fg, (0,) * fg.k), 0.0
     if fg.k > 2:
         return mne_k_player(fg)
     profile = mne_two_player(fg)
@@ -521,12 +523,7 @@ class DeltaReport:
         return max(self.gains)
 
 
-def verify_delta(
-    inst: game.IcqsInstance,
-    fg: FiniteGame,
-    profile: MixedProfile,
-    trace: dynamics.BrTrace | None = None,
-) -> DeltaReport:
+def verify_delta(inst: game.IcqsInstance, fg: FiniteGame, profile: MixedProfile) -> DeltaReport:
     """Measure every player's best-deviation gain against the full lattice.
 
     The coupling is linear in the opponents, so the expected cost of any own
@@ -535,36 +532,37 @@ def verify_delta(
     against the means.
 
     Everything runs on joint vectors: the means form one vector z, the
-    deviations are one joint integer vector v, and every player's deviation
-    cost comes from one `game.objectives` expression at v against z, up to
-    rounding in its last bits `game.objective`'s.
-
-    ``trace`` is the optional `dynamics.run_br` run on ``inst`` that ``fg``
-    was restricted from.  When it is an integer-mode fixed point and z is
-    its last swept input, the row ``profiles[-2]``, its last sweep already
-    holds every player's integer best response to z, bitwise what a new
-    sweep gives, and v is the row ``profiles[-1]``.  Otherwise (cycles,
-    continuous-mode runs, other profiles) one `game.integer_sweep` of z
-    computes it, bitwise `game.best_responses` on the means.
+    deviations are one joint integer vector v, one `game.integer_sweep` of
+    z (bitwise `game.best_responses` on the means), and every player's
+    deviation cost comes from one `game.objectives` expression at v against
+    z, up to rounding in its last bits `game.objective`'s.
     """
     z = np.concatenate(mean_strategies(fg, profile))
-    exp = expected_costs(fg, profile)
-    v = trace.profiles[-1] if _swept_last(trace, z) else game.integer_sweep(inst, z)[0]
+    return _delta_report(inst, expected_costs(fg, profile), game.integer_sweep(inst, z)[0], z)
+
+
+def fixed_point_delta(inst: game.IcqsInstance, fg: FiniteGame, z: np.ndarray) -> DeltaReport:
+    """The report of an integer fixed point: `verify_delta` at its pure
+    profile, bit for bit, from the joint int64 fixed point ``z`` alone.
+
+    ``fg`` is the one-cell game restricted from ``z`` (DimensionMismatch
+    for any other size).  Its expected costs are `strategy_costs` at
+    probability one, which are bitwise `expected_costs` at the pure profile:
+    c * 1.0 and a one-element sum are exact.  The means are z itself, and
+    the last sweep of the run that settled at z answered z with z, so z is
+    every player's best deviation, with no further sweep.
+    """
+    if fg.sizes != (1,) * fg.k:
+        raise DimensionMismatch(f"a fixed point's game has one strategy per player, not {fg.sizes}")
+    return _delta_report(inst, strategy_costs(fg, np.ones(fg.k)), z, z.astype(np.float64))
+
+
+def _delta_report(inst: game.IcqsInstance, exp: np.ndarray, v: np.ndarray, z: np.ndarray) -> DeltaReport:
+    # expected costs, the joint int64 deviations v and the joint float64 means z
     dev_costs = game.objectives(inst, v.astype(np.float64), z)
     return DeltaReport(
         expected_costs=tuple(exp.tolist()),
         deviation_costs=tuple(dev_costs.tolist()),
         deviation_vectors=inst.split(v),
         gains=tuple((exp - dev_costs).tolist()),
-    )
-
-
-def _swept_last(trace: dynamics.BrTrace | None, z: np.ndarray) -> bool:
-    # Continuous-mode responses are not integer best responses, so only an
-    # integer fixed point's last sweep can stand in for `integer_sweep`.
-    return (
-        trace is not None
-        and trace.mode == dynamics.INTEGER
-        and trace.outcome == dynamics.OUTCOME_FIXED_POINT
-        and np.array_equal(trace.profiles[-2], z)
     )

@@ -463,11 +463,20 @@ def _squares(inst: IcqsInstance, rows: list[np.ndarray]) -> list[float]:
     -0.0 squares to +0.0, as the integer 0 does."""
     if len(rows) == 1:
         return np.vecdot(rows[0], rows[0]).tolist()
-    squares = [0.0] * inst.k
-    for g, X in zip(inst.groups, rows):
-        for i, s in zip(g.players, np.vecdot(X, X).tolist()):
-            squares[i] = s
-    return squares
+    return in_player_order(inst, [np.vecdot(X, X) for X in rows])
+
+
+def in_player_order(inst: IcqsInstance, values: list[np.ndarray]) -> list[float]:
+    """One float per player, in player order, from one vector per group
+    holding its players' values in the group's order.  One group holds
+    every player in player order, so its vector is the list."""
+    if len(values) == 1:
+        return values[0].tolist()
+    out = [0.0] * inst.k
+    for g, v in zip(inst.groups, values):
+        for i, x in zip(g.players, v.tolist()):
+            out[i] = x
+    return out
 
 
 def best_responses(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -466,7 +466,7 @@ def test_delta_bounded_compares_a_gain_at_the_scale_of_the_costs():
     sets = dynamics.cycle_sets(trace)
     fg = finite.restrict(inst, sets)
     profile, _ = finite.solve_equilibrium(fg)
-    delta = finite.verify_delta(inst, fg, profile, trace)
+    delta = finite.verify_delta(inst, fg, profile)
     pack = bounds.guarantee_pack(inst, sets)
     bound = pack.delta_a_priori[0]
     assert bound == pytest.approx(5.19e-11, rel=1e-3)

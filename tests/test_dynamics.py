@@ -131,6 +131,51 @@ def test_divergence_latch_reads_the_certified_radius():
     assert two.divergence_index == 1
 
 
+def _three_player_game(coupling, q):
+    # k = 3, n_i = 1, Q_i = q, d = 0 and C_ij = coupling(i, j)
+    return game.make_instance([
+        game.PlayerProblem(Q=[[q]], C={j: [[coupling(i, j)]] for j in range(3) if j != i}, d=[0.0])
+        for i in range(3)
+    ])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="for k >= 3 the per-player sigma_max(R_i) do not bound the joint R = Q^-1 C, which the descent needs",
+)
+def test_a_three_player_termination_radius_certifies_descent():
+    # Q_i = 2 and every C_ij = -1.2: each sigma_max(R_i) is 0.849, so the
+    # instance is labelled positively adequate with radius 5.72, but the
+    # joint R has norm 1.2.  From (100, 100, 100) one sweep raises the joint
+    # norm from 173.2 to 207.8, and the run ends in cap after 149 sweeps.
+    inst = _three_player_game(lambda i, j: -1.2, 2.0)
+    radius = dynamics.termination_radius(inst)
+    trace = dynamics.run_br(inst, start=[[100.0]] * 3)
+    if radius is not None:
+        # a claimed certificate: outside the radius every sweep shrinks the norm
+        rises = [t for t in range(trace.iterations) if trace.norms[t] > radius and not trace.norms[t + 1] < trace.norms[t]]
+        assert not rises, (radius, trace.norms[:3])
+        assert trace.outcome in (dynamics.OUTCOME_CYCLE, dynamics.OUTCOME_FIXED_POINT)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="for k >= 3 each R_i is wide, so sigma_min(R_i) bounds no ||R_i y|| from below, which the growth needs",
+)
+def test_a_three_player_divergence_radius_certifies_growth():
+    # Q_i = 1, C_{i,i+1} = 0.8 and C_{i,i-1} = -0.8: each sigma_min(R_i) is
+    # 1.131, so the instance is labelled negatively adequate with radius
+    # 6.59, but from (1000, 1000, 1000) the run reaches the origin in 2 sweeps
+    inst = _three_player_game(lambda i, j: 0.8 if j == (i + 1) % 3 else -0.8, 1.0)
+    radius = dynamics.divergence_radius(inst)
+    trace = dynamics.run_br(inst, start=[[1000.0]] * 3)
+    if radius is not None:
+        # a claimed certificate: beyond the radius the norm grows forever
+        assert trace.norms[0] > radius
+        assert all(b > a for a, b in zip(trace.norms, trace.norms[1:])), trace.norms
+        assert trace.outcome == dynamics.OUTCOME_DIVERGENCE
+
+
 def test_cycle_telemetry_zero_inside_cycle():
     trace = dynamics.run_br(instgen.builtin("cycling"), start=[[0.0], [0.0]])
     assert np.allclose(dynamics.cycle_telemetry(trace), 0.0)
@@ -688,6 +733,30 @@ def _coupled_instance(dims, seed, scale=0.1):
         )
         for i, (n, Q) in enumerate(zip(dims, Qs))
     ])
+
+
+def _former_step(zf, prev, slots):
+    # the former continuous fixed-point step of `dynamics.run_br`, verbatim
+    return math.sqrt(sum(float(np.sum((zf[s] - prev[s]) ** 2)) for s in slots))
+
+
+def test_the_continuous_step_is_the_former_per_slice_sum():
+    # one, two and three groups, at n = 1..20 (np.sum's pairwise blocks begin
+    # at n = 8), from steps of 1e-12 to 1 relative to the iterates' scale:
+    # the step is bitwise the former per-slice np.sum form
+    rng = np.random.default_rng(109)
+    groups = set()
+    for n in (1, 2, 5, 7, 8, 9, 13, 16, 17, 20):
+        for dims in ((n, n, n), (n, n + 3, n, n + 3), (n, n + 1, n + 9, n)):
+            inst = _coupled_instance(dims, seed=n, scale=0.05)
+            slots = [slice(a, b) for a, b in inst.slots]
+            for scale in (1e-9, 1.0, 1e9):
+                for rel in (1e-12, 1e-6, 1.0):
+                    prev = rng.standard_normal(sum(dims)) * scale
+                    z = prev + rng.standard_normal(sum(dims)) * scale * rel
+                    assert dynamics._step_norm(inst, z, prev).hex() == _former_step(z, prev, slots).hex(), (dims, scale, rel)
+            groups.add(len(inst.groups))
+    assert groups == {1, 2, 3}
 
 
 @pytest.mark.parametrize("mode", [dynamics.INTEGER, dynamics.CONTINUOUS])

@@ -8,7 +8,7 @@ import pytest
 
 import _enumeration_reference as reference
 from _corpus import instance_corpus
-from icqs import cli, dynamics, finite, game, instgen
+from icqs import bounds, cli, dynamics, finite, game, instgen
 from icqs.errors import DimensionMismatch, GameTooLarge, NoEquilibriumFound
 
 
@@ -264,7 +264,7 @@ def polymatrix_game(strategies, own, pair):
 
 def player_costs(fg, i, profile):
     # player i's entries of the joint strategy costs
-    return finite.strategy_costs(fg, profile)[fg.offsets[i]:fg.offsets[i + 1]]
+    return finite.strategy_costs(fg, np.concatenate(profile.probs))[fg.offsets[i]:fg.offsets[i + 1]]
 
 
 def test_pne_search_matches_a_cell_by_cell_scan():
@@ -396,18 +396,6 @@ def test_mne_k_player_solves_the_cyclic_game_at_any_cost_scale(s):
         assert np.allclose(p, [0.5, 0.5], atol=1e-9)
 
 
-def profile_bits(profile, eps):
-    return [p.dtype.str + p.tobytes().hex() for p in profile.probs], float(eps).hex()
-
-
-def general_solver(fg):
-    # what the solvers give a one-cell game without the one-cell shortcut
-    if fg.k == 2:
-        profile = finite.mne_two_player(fg)
-        return profile, float(finite.regret(fg, profile).max())
-    return finite.mne_k_player(fg)
-
-
 def singleton_games():
     rng = np.random.default_rng(15)
     for k in range(2, 6):
@@ -419,10 +407,12 @@ def singleton_games():
             )
 
 
-def test_a_one_cell_game_is_its_own_equilibrium(monkeypatch):
+def test_a_one_cell_game_is_its_own_equilibrium():
     # every fixed point of the acceptance corpus, the negative and built-in
-    # games, and singleton games for k = 2..5: the one cell is returned as
-    # the pure profile, bitwise what the general solvers return for it
+    # games, and singleton games for k = 2..5: the solvers return the one
+    # cell as the pure profile with regret +0.0, which a fixed point's report
+    # writes without solving, and its expected costs are bitwise the
+    # strategy costs at probability one, which `fixed_point_delta` reads
     games = [
         finite.restrict(inst, dynamics.cycle_sets(trace))
         for _, inst, trace in terminated_runs()
@@ -430,19 +420,12 @@ def test_a_one_cell_game_is_its_own_equilibrium(monkeypatch):
     ]
     assert len(games) >= 150
     games += list(singleton_games())
-    expected = [profile_bits(*general_solver(fg)) for fg in games]
     assert {fg.k for fg in games} == {2, 3, 4, 5}
-
-    def not_called(fg):
-        raise AssertionError("a one-cell game went to a general solver")
-
-    monkeypatch.setattr(finite, "mne_two_player", not_called)
-    monkeypatch.setattr(finite, "mne_k_player", not_called)
-    for fg, want in zip(games, expected):
+    for fg in games:
         assert fg.sizes == (1,) * fg.k
-        got = finite.solve_equilibrium(fg)
-        assert profile_bits(*got) == want
-        assert all(p.tolist() == [1.0] for p in got[0].probs) and got[1] == 0.0
+        profile, eps = finite.solve_equilibrium(fg)
+        assert [p.tolist() for p in profile.probs] == [[1.0]] * fg.k and float(eps).hex() == (0.0).hex()
+        assert hexes(finite.expected_costs(fg, profile)) == hexes(finite.strategy_costs(fg, np.ones(fg.k)))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -503,10 +486,64 @@ def test_verify_delta_pne_fixed_point():
     assert report.max_gain <= 1e-9
 
 
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
 def delta_bits(report):
     floats = (report.expected_costs, report.deviation_costs, report.gains)
     vectors = [v.dtype.str + v.tobytes().hex() for v in report.deviation_vectors]
-    return [[float(x).hex() for x in field] for field in floats], vectors
+    return [hexes(field) for field in floats], vectors
+
+
+def report_bits(result):
+    """A fixed point's equilibrium fields of a `cli.solve_pipeline` report, floats as hex."""
+    eq = result["equilibrium"]
+    return (
+        [hexes(p) for p in eq["probabilities"]],
+        float(eq["within_game_eps"]).hex(),
+        [hexes(eq[key]) for key in ("expected_costs", "deviation_costs", "deviation_gains")],
+        eq["delta_bounded"],
+        eq["delta_bounded_reason"],
+    )
+
+
+def general_bits(inst, trace):
+    """The same fields from the general path, and its `DeltaReport`: the
+    restricted game through `solve_equilibrium`'s solvers, and one sweep at
+    the means by `verify_delta`."""
+    sets = dynamics.cycle_sets(trace)
+    fg = finite.restrict(inst, sets)
+    profile, eps = finite.solve_equilibrium(fg)
+    delta = finite.verify_delta(inst, fg, profile)
+    verdict = cli._delta_bounded(delta, bounds.guarantee_pack(inst, sets), inst.report)
+    fields = (
+        [hexes(p) for p in profile.probs],
+        float(eps).hex(),
+        [hexes(x) for x in (delta.expected_costs, delta.deviation_costs, delta.gains)],
+        *verdict,
+    )
+    return fields, delta
+
+
+def fixed_point_mismatches(jobs):
+    """(fixed points compared, names of those whose report differs) over
+    (name, inst, start) jobs: every equilibrium field of the report, and
+    every field of `fixed_point_delta`, deviation vectors included, against
+    the general path, bit for bit."""
+    compared, mismatches = 0, []
+    for name, inst, start in jobs:
+        result = cli.solve_pipeline(inst, start=start)
+        trace = result["trace"]
+        if trace.outcome != dynamics.OUTCOME_FIXED_POINT:
+            continue
+        want, delta = general_bits(inst, trace)
+        fg = finite.restrict(inst, dynamics.cycle_sets(trace))
+        got = report_bits(result), delta_bits(finite.fixed_point_delta(inst, fg, trace.profiles[-1]))
+        if got != (want, delta_bits(delta)):
+            mismatches.append(name)
+        compared += 1
+    return compared, mismatches
 
 
 def terminated_runs():
@@ -545,31 +582,51 @@ def sweeps(monkeypatch):
     return calls
 
 
-def test_verify_delta_reads_a_fixed_point_from_its_trace(sweeps):
-    # with the run's trace, an integer fixed point takes its deviations from
-    # the last sweep and sweeps no more; a cycle sweeps once against the
-    # means.  Either way every field is bitwise the report without the trace.
-    seen = {dynamics.OUTCOME_CYCLE: set(), dynamics.OUTCOME_FIXED_POINT: set()}
-    for name, inst, trace in terminated_runs():
-        fg = finite.restrict(inst, dynamics.cycle_sets(trace))
-        profile, _ = finite.solve_equilibrium(fg)
+def test_a_fixed_point_report_comes_from_its_last_sweep(monkeypatch, sweeps):
+    # every fixed point of the acceptance corpus, the negative and built-in
+    # games from seeded starts: the pipeline reports every field bitwise as
+    # the general path does, with no solver and no sweep after the run.  A
+    # cycle is solved and sweeps once more, at its means.
+    runs = list(terminated_runs())
+    for name, inst, trace in runs:
+        if trace.outcome == dynamics.OUTCOME_CYCLE:
+            sweeps.clear()
+            result = cli.solve_pipeline(inst, joint=trace.profiles[0], max_iters=200)
+            assert len(sweeps) == result["iterations"] + 1, name
+    fixed = [(name, inst, trace) for name, inst, trace in runs if trace.outcome == dynamics.OUTCOME_FIXED_POINT]
+    expected = [general_bits(inst, trace) for _, inst, trace in fixed]
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("an integer fixed point went to a solver or a deviation sweep")
+
+    for name in ("solve_equilibrium", "mne_two_player", "mne_k_player", "verify_delta"):
+        monkeypatch.setattr(finite, name, not_called)
+    kinds = set()
+    for (name, inst, trace), (want, delta) in zip(fixed, expected):
         sweeps.clear()
-        plain = finite.verify_delta(inst, fg, profile)
-        assert len(sweeps) == 1
-        sweeps.clear()
-        reused = finite.verify_delta(inst, fg, profile, trace)
-        assert len(sweeps) == (trace.outcome == dynamics.OUTCOME_CYCLE), (name, trace.outcome)
-        assert delta_bits(reused) == delta_bits(plain), name
-        seen[trace.outcome].add(name.split("-")[0])
-    assert seen[dynamics.OUTCOME_FIXED_POINT] >= {"pricing", "random", "negative", "counterexample"}
-    assert seen[dynamics.OUTCOME_CYCLE] >= {"cycling", "counterexample"}
+        result = cli.solve_pipeline(inst, joint=trace.profiles[0], max_iters=200)
+        assert len(sweeps) == result["iterations"] == trace.iterations, name
+        assert report_bits(result) == want, name
+        fg = finite.restrict(inst, dynamics.cycle_sets(result["trace"]))
+        assert delta_bits(finite.fixed_point_delta(inst, fg, trace.profiles[-1])) == delta_bits(delta), name
+        kinds.add(name.split("-")[0])
+    assert len(fixed) >= 150
+    assert kinds >= {"pricing", "random", "negative", "counterexample"}
+
+
+def test_fixed_point_delta_takes_only_a_one_cell_game(cycling_game):
+    inst, fg = cycling_game
+    with pytest.raises(DimensionMismatch):
+        finite.fixed_point_delta(inst, fg, np.zeros(2, dtype=np.int64))
 
 
 def test_verify_delta_sweeps_for_a_continuous_fixed_point(sweeps):
     # d = 0: both modes settle at the origin from the origin, so the means of
-    # the integer fixed point equal the continuous run's last swept input.
-    # Continuous responses are not integer best responses, so that trace is
-    # never read and the deviations come from one integer sweep.
+    # the integer fixed point equal the continuous run's last profile.
+    # `verify_delta` reads no trace: at those means it takes the deviations
+    # from one integer sweep, bitwise the integer fixed point's report.  A
+    # continuous fixed point is reported as the point alone, with no sweep
+    # after the run.
     inst = game.make_instance([
         game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: 0.3 * np.eye(2)}, d=np.zeros(2))
         for i in range(2)
@@ -581,12 +638,15 @@ def test_verify_delta_sweeps_for_a_continuous_fixed_point(sweeps):
     smooth = dynamics.run_br(inst, mode=dynamics.CONTINUOUS)
     assert smooth.outcome == dynamics.OUTCOME_FIXED_POINT
     means = finite.mean_strategies(fg, profile)
-    assert all(np.array_equal(m, x) for m, x in zip(means, inst.split(smooth.profiles[-2])))
+    assert all(np.array_equal(m, x) for m, x in zip(means, inst.split(smooth.profiles[-1])))
     sweeps.clear()
-    report = finite.verify_delta(inst, fg, profile, smooth)
+    report = finite.verify_delta(inst, fg, profile)
     assert len(sweeps) == 1
     assert all(v.dtype == np.int64 for v in report.deviation_vectors)
-    assert delta_bits(report) == delta_bits(finite.verify_delta(inst, fg, profile, fixed))
+    assert delta_bits(report) == delta_bits(finite.fixed_point_delta(inst, fg, fixed.profiles[-1]))
+    sweeps.clear()
+    result = cli.solve_pipeline(inst, mode=dynamics.CONTINUOUS)
+    assert not sweeps and list(result["equilibrium"]) == ["fixed_point"]
 
 
 def test_mixed_profile_validation():
@@ -929,7 +989,8 @@ def test_costs_and_regret_match_the_tensor_contraction(k_player_cycles):
             profile = finite.MixedProfile(probs=tuple(rng.dirichlet(np.ones(m)) for m in fg.sizes))
             want = [tensor_pure_strategy_costs(fg, i, profile) for i in range(fg.k)]
             expected = np.array([w @ p for w, p in zip(want, profile.probs)])
-            assert np.abs(finite.strategy_costs(fg, profile) - np.concatenate(want)).max() <= scale
+            costs = finite.strategy_costs(fg, np.concatenate(profile.probs))
+            assert np.abs(costs - np.concatenate(want)).max() <= scale
             assert np.abs(finite.expected_costs(fg, profile) - expected).max() <= scale
             regret = expected - np.array([w.min() for w in want])
             assert np.abs(finite.regret(fg, profile) - regret).max() <= scale
@@ -999,8 +1060,9 @@ def benchmark_jobs(workload, pool):
 
 
 def test_verify_delta_matches_the_per_player_deviations():
-    # every fixed point of the corpus workload's pool 3 and every cycle of
-    # the cycling workload's: the joint deviation vectors are bitwise
+    # every fixed point of the corpus workload's pool 3, by
+    # `fixed_point_delta`, and every cycle of the cycling workload's, by
+    # `verify_delta`: the joint deviation vectors are bitwise
     # `best_responses` on the means, and each joint deviation cost is
     # `game.objective` up to a few ulps (5.9 at most when measured)
     ulps = 16 * np.finfo(np.float64).eps
@@ -1012,7 +1074,10 @@ def test_verify_delta_matches_the_per_player_deviations():
                 continue
             fg = finite.restrict(inst, dynamics.cycle_sets(trace))
             profile, _ = finite.solve_equilibrium(fg)
-            report = finite.verify_delta(inst, fg, profile, trace)
+            if trace.outcome == dynamics.OUTCOME_FIXED_POINT:
+                report = finite.fixed_point_delta(inst, fg, trace.profiles[-1])
+            else:
+                report = finite.verify_delta(inst, fg, profile)
             means = finite.mean_strategies(fg, profile)
             for got, want in zip(report.deviation_vectors, game.best_responses(inst, means)):
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -1026,8 +1091,8 @@ def test_verify_delta_matches_the_per_player_deviations():
 def test_verify_delta_names_the_first_player_with_a_non_finite_linear_term():
     # x_0 = 1e10 against C_10 = C_20 = 1e300: players 1 and 2 have an
     # infinite linear term, while every cost of the one-cell game is finite
-    # (their strategies are zero).  The fixed point's trace holds the
-    # deviations, so no sweep meets the infinite term first.
+    # (their strategies are zero).  A fixed point's deviations are the point
+    # itself, so no sweep meets the infinite term first.
     inst = game.make_instance([
         game.PlayerProblem(Q=[[2.0]], C={1: [[1.0]], 2: [[1.0]]}, d=[0.0]),
         game.PlayerProblem(Q=[[2.0]], C={0: [[1e300]], 2: [[1.0]]}, d=[0.0]),
@@ -1035,15 +1100,10 @@ def test_verify_delta_names_the_first_player_with_a_non_finite_linear_term():
     ])
     cell = (np.array([10**10]), np.array([0]), np.array([0]))
     fg = finite.restrict(inst, dynamics.CycleSets(strategies=tuple((x,) for x in cell)))
-    profile, _ = finite.solve_equilibrium(fg)
-    trace = dynamics.BrTrace(
-        profiles=np.array([np.concatenate(cell)] * 2), slots=inst.slots, norms=(1e10, 1e10), outcome=dynamics.OUTCOME_FIXED_POINT,
-        mode=dynamics.INTEGER, fixed_index=1,
-    )
     with pytest.raises(ValueError) as per_player, np.errstate(over="ignore"):
         game.objective(inst, 1, cell[1], [cell[0], cell[2]])
     with pytest.raises(ValueError) as joint, np.errstate(over="ignore"):
-        finite.verify_delta(inst, fg, profile, trace)
+        finite.fixed_point_delta(inst, fg, np.concatenate(cell))
     assert str(joint.value) == str(per_player.value) == "player 1: the linear term C_i y + d_i is not finite"
 
 
