@@ -32,11 +32,15 @@ one sweep answer the same previous profile, so they are independent.  Each
 group of players of one dimension shares one stacked matvec and one stacked
 solve pair; each player's rounding certificate, search and postcondition
 then run on its own row.  The kernel takes the joint float64 vector and
-returns the joint int64 response, whose bytes are the cycle key, with each
+returns the joint int64 response, whose bytes are the cycle key, the same
+response as a joint float64 vector, which the next sweep takes, and each
 player's squared norm: one `np.vecdot` per group on its float64 rows,
-bitwise each player's own dot product.  `run_br` sums them in player order,
-as on separate vectors.  The start's squares (`game.squared_norms`) and a
-continuous sweep's take the same path.  The trace keeps each sweep's joint
+bitwise each player's own dot product.  With one group the float64 vector
+is those rows, so a sweep converts its response once, to int64.  A rounded
+-0.0 in it reaches the next sweep's matvec, where it can change only the
+sign of an exact zero, which moves no integer response.  `run_br` sums the
+squares in player order, as on separate vectors.  The start's squares
+(`game.squared_norms`) and a continuous sweep's take the same path.  The trace keeps each sweep's joint
 response as one row of one array, with the instance's slots beside it: only
 `cycle_sets` and `game.IcqsInstance.split` map a row to players.  Trace,
 norms and outcome are bitwise those of one `game.best_response` call per
@@ -204,7 +208,6 @@ def run_br(
 
     z = validate_start(inst, start, mode) if joint is None else joint
     integer = mode == INTEGER
-    sweep = game.integer_sweep if integer else game.continuous_sweep
     zf = z.astype(np.float64)
     profiles = [z]
     norms = [math.sqrt(sum(game.squared_norms(inst, zf)))]
@@ -226,7 +229,12 @@ def run_br(
     with np.errstate(**quiet):
         for t in range(1, max_iters + 1):
             try:
-                z, squares = sweep(inst, zf)
+                if integer:
+                    z, zf, squares = game.integer_sweep(inst, zf)
+                else:
+                    prev = zf
+                    z, squares = game.continuous_sweep(inst, zf)
+                    zf = z
             except CentreTooLarge:
                 # A response around a search centre of 2^52 or more lies past
                 # the norm cap.  The run ends there, without that sweep, and
@@ -235,7 +243,6 @@ def run_br(
                     latch = t - 1
                 break
             profiles.append(z)
-            prev, zf = zf, (z.astype(np.float64) if integer else z)
             norms.append(math.sqrt(sum(squares)))
 
             if integer:

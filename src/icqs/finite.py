@@ -97,7 +97,11 @@ class FiniteGame:
             raise DimensionMismatch(f"own {self.own.shape} and D {self.D.shape} do not fit {sizes}")
         if not np.abs(np.concatenate([self.own, self.D.ravel()])).max() < _FLOAT_MAX / len(sizes):
             raise ValueError("a cost of the restricted game overflows or a strategy is not finite")
-        if any(self.D[a:b, a:b].any() for a, b in zip(offsets, offsets[1:])):
+        if max(sizes) == 1:  # every diagonal block is one entry of the diagonal
+            diagonal = np.count_nonzero(self.D.diagonal())
+        else:
+            diagonal = any(self.D[a:b, a:b].any() for a, b in zip(offsets, offsets[1:]))
+        if diagonal:
             raise ValueError("a diagonal block of D is not zero")
 
     @property
@@ -138,12 +142,13 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     """The game restricted to the cycle strategies.
 
     Player i's strategy matrix ``cycle.strategies[i]`` is converted once to
-    the float64 matrix S_i (m_i x n_i), and its own costs
-    ``0.5 s'Q_i s + d_i's`` taken once per strategy.  D is one product
-    ``(S C) S'`` of the block-diagonal stack S of the S_i and the joint
-    coupling ``inst.C``, with no loop over cells or pairs.  Each cell of
-    `cell_costs` is `game.objective` at that profile up to rounding in its
-    last bits.  ValueError when a piece is not finite or too large.
+    the float64 matrix S_i (m_i x n_i), and the own costs
+    ``0.5 s'Q_i s + d_i's`` are taken per group of players of one dimension
+    (`_own_costs`).  D is one product ``(S C) S'`` of the block-diagonal
+    stack S of the S_i and the joint coupling ``inst.C``, with no loop over
+    cells or pairs.  Each cell of `cell_costs` is `game.objective` at that
+    profile up to rounding in its last bits.  ValueError when a piece is
+    not finite or too large.
     """
     strategies = cycle.strategies
     if any(len(s) == 0 for s in strategies):
@@ -152,15 +157,51 @@ def restrict(inst: game.IcqsInstance, cycle: dynamics.CycleSets) -> FiniteGame:
     lengths = tuple(S_i.shape[1] for S_i in S)
     if lengths != inst.dims:
         raise DimensionMismatch(f"strategy lengths {lengths} do not fit the player dimensions {inst.dims}")
-    stack = np.zeros((sum(map(len, S)), sum(lengths)))
-    for S_i, r, (a, b) in zip(S, itertools.accumulate(map(len, S), initial=0), inst.slots):
+    offsets = tuple(itertools.accumulate(map(len, S), initial=0))
+    stack = np.zeros((offsets[-1], sum(lengths)))
+    for S_i, r, (a, b) in zip(S, offsets, inst.slots):
         stack[r:r + len(S_i), a:b] = S_i
     with np.errstate(over="ignore", invalid="ignore"):
-        own = np.concatenate([
-            0.5 * np.einsum("sa,ab,sb->s", S_i, p.Q, S_i) + S_i @ p.d for S_i, p in zip(S, inst.players)
-        ])
+        own = _own_costs(inst, S)
         D = (stack @ inst.C) @ stack.T
     return FiniteGame(strategies=strategies, own=own, D=D)
+
+
+def _own_costs(inst: game.IcqsInstance, S: list[np.ndarray]) -> np.ndarray:
+    """The joint vector of own costs ``0.5 s'Q_i s + d_i's``, each bitwise
+    the per-player ``0.5 * einsum("sa,ab,sb->s", S_i, Q_i, S_i) + S_i @
+    d_i``.
+
+    Per group of players of one dimension (`game.PlayerGroup`), the
+    quadratic terms come from one einsum over the stacked S_i, zero-padded
+    to the group's largest count, which sums each row as the per-player
+    einsum does.  When every player of the group has the same count, the
+    linear terms are one stacked matmul, which runs each player's own
+    product, and one group's costs are the joint vector as they stand.
+    Otherwise each player's linear term is its own ``S_i @ d_i``: a matmul
+    over padded rows can round differently, and so can one ``stack @ d``
+    over every player.
+    """
+    parts: list = [None] * inst.k
+    for g in inst.groups:
+        ps = g.players
+        counts = [len(S[i]) for i in ps]
+        m = max(counts)
+        if m == min(counts):
+            Sg = S[ps[0]][None] if len(ps) == 1 else np.concatenate([S[i] for i in ps]).reshape(len(ps), m, -1)
+            costs = 0.5 * np.einsum("gsa,gab,gsb->gs", Sg, g.Q, Sg) + np.matmul(Sg, g.d)[:, :, 0]
+            if len(inst.groups) == 1:
+                return costs.reshape(-1)
+            for i, row in zip(ps, costs):
+                parts[i] = row
+            continue
+        Sg = np.zeros((len(ps), m, g.Q.shape[1]))
+        for r, i in enumerate(ps):
+            Sg[r, :counts[r]] = S[i]
+        half = 0.5 * np.einsum("gsa,gab,gsb->gs", Sg, g.Q, Sg)
+        for i, row, count in zip(ps, half, counts):
+            parts[i] = row[:count] + S[i] @ inst.players[i].d
+    return np.concatenate(parts)
 
 
 def strategy_costs(fg: FiniteGame, p: np.ndarray) -> np.ndarray:

@@ -30,15 +30,17 @@ solve (a best response, a sweep, a radius, a bound) takes the instance.
 
 `integer_sweep(inst, z)` is the sweep kernel: every player's integer best
 response to the joint float64 strategy vector z, returned as one joint
-int64 vector with each player's squared norm, with nothing checked.  The
-instance groups the players by dimension (`PlayerGroup`) and stacks, once,
-what the kernel reads of each group: the factors, their stacked Cholesky
-factors and transposes, an index that gathers each player's opponents from
-z, the concatenated couplings and the linear terms.  Per group, the kernel
-forms every linear term C_i y + d_i with one stacked matvec, which gives
-each row bitwise the one-player matvec, and gets u from one stacked solve
-pair against the Cholesky factors, straight to numpy's gesv gufunc
-(`linalg.gesv`, the same LAPACK call and bits as `np.linalg.solve`).
+int64 vector, the same vector in float64 for the next sweep, and each
+player's squared norm, with nothing checked.  The instance groups the
+players by dimension (`PlayerGroup`) and stacks, once, what the kernel
+reads of each group: the factors, their stacked Cholesky factors and
+transposes, an index that gathers each player's opponents from z, the
+concatenated couplings, negated, and the linear terms.  Per group, the
+kernel forms every negated linear term -(C_i y + d_i) with one stacked
+matvec, which gives each row bitwise the one-player matvec up to the sign
+of an exact zero, and gets u from one stacked solve pair against the
+Cholesky factors, straight to numpy's gesv gufunc (`linalg.gesv`, the same
+LAPACK call and bits as `np.linalg.solve`).
 `iqp.lattice_mins` then takes every row's dots against the group's stacked
 G in a fixed number of `np.vecdot` calls and answers each player in turn
 from that u: the rounding certificate, the search when the certificate
@@ -47,9 +49,10 @@ number of numpy calls per group of n <= 15, however many players it holds
 (one more per level beyond 15), beside the rows that search.  One more
 `np.vecdot` on the group's float64 rows gives every player's squared norm,
 bitwise its own dot (`_squares`); with one group, which holds every player
-in player order, the rows are the joint response and no scatter writes
-them.  `continuous_sweep` is the same gather, matvec and solve without the
-rounding, and `squared_norms` the same norms of a joint vector.
+in player order, the rows are the joint float64 response and no scatter
+writes them, and one cast gives the int64 vector.  `continuous_sweep` is
+the same gather, matvec and solve without the rounding, and
+`squared_norms` the same norms of a joint vector.
 `best_responses(inst, profile)` is the checked wrapper: it validates the
 per-player vectors, joins them and splits the answer into one array per
 player.  `best_response(inst, i, others)` runs the same `lattice_mins` on
@@ -108,39 +111,43 @@ class PlayerGroup:
     stacked arrays one sweep reads.
 
     Row r belongs to player ``players[r]``: ``factors[r]`` is its
-    `iqp.Factor`, ``L[r]`` and ``G[r]`` that factor's Cholesky factor and its
-    transpose, ``own[r]`` indexes its entries in the joint strategy vector
-    and ``gather[r, :, 0]`` its opponents' entries in ascending order,
-    ``C[r]`` is its concatenated coupling and ``d[r, :, 0]`` its linear
-    term.  ``gather`` and ``d`` keep a trailing axis of one, the column
-    shape the stacked matvec and solves take, so a sweep reshapes nothing.
+    `iqp.Factor`, ``Q[r]`` its Q_i, ``L[r]`` and ``G[r]`` that factor's
+    Cholesky factor and its transpose, ``own[r]`` indexes its entries in the
+    joint strategy vector and ``gather[r, :, 0]`` its opponents' entries in
+    ascending order, ``minus_C[r]`` is its concatenated coupling, negated,
+    and ``d[r, :, 0]`` its linear term.  ``gather`` and ``d`` keep a
+    trailing axis of one, the column shape the stacked matvec and solves
+    take, so a sweep reshapes nothing.
     ``labels`` name the players in the errors of `iqp.lattice_mins`.
     """
 
     players: tuple[int, ...]
     factors: tuple[iqp.Factor, ...]
     labels: tuple[str, ...]
+    Q: np.ndarray
     L: np.ndarray
     G: np.ndarray
     own: np.ndarray
     gather: np.ndarray
-    C: np.ndarray
+    minus_C: np.ndarray
     d: np.ndarray
 
     def continuous_mins(self, z: np.ndarray) -> np.ndarray:
         """Row r: player ``players[r]``'s continuous best response
         -Q_i^{-1} (C_i y + d_i) to the joint vector ``z``.
 
-        The stacked matvec gives each row bitwise the linear term the
-        one-player matvec ``C_cat[i] @ y + d_i`` gives, and it is formed,
-        shifted and negated in one (m, n, 1) array.  The stacked solve pair
-        goes straight to numpy's gesv gufunc (`linalg.gesv`), which runs
-        LAPACK's gesv once per matrix, so each row is bitwise the one-player
-        `linalg.solve_with_factor`.
+        The stacked matvec of the negated couplings, less the linear terms
+        in one (m, n, 1) array, gives each row bitwise the negated linear
+        term -(C_cat[i] @ y + d_i) of the one-player matvec, but for the
+        sign of an exact zero: rounding to nearest is symmetric, and a - b
+        is a + (-b).  The stacked solve pair goes straight to numpy's gesv
+        gufunc (`linalg.gesv`), which runs LAPACK's gesv once per matrix, so
+        each row is bitwise the one-player `linalg.solve_with_factor`, up to
+        that sign, which moves no integer response.  A continuous response
+        that is exactly zero can carry either sign.
         """
-        D = np.matmul(self.C, z[self.gather])
-        D += self.d
-        np.negative(D, out=D)
+        D = np.matmul(self.minus_C, z[self.gather])
+        D -= self.d
         return linalg.gesv(self.G, linalg.gesv(self.L, D))[:, :, 0]
 
 
@@ -232,11 +239,12 @@ class IcqsInstance:
                 players=tuple(ps),
                 factors=tuple(factors[i] for i in ps),
                 labels=tuple(f"player {i}" for i in ps),
+                Q=np.stack([players[i].Q for i in ps]),
                 L=np.stack([factors[i].L for i in ps]),
                 G=np.stack([factors[i].G for i in ps]),
                 own=np.array([index[a:b] for a, b in (slots[i] for i in ps)]),
                 gather=np.array([np.concatenate((index[:a], index[b:])) for a, b in (slots[i] for i in ps)])[:, :, None],
-                C=np.stack([C_cat[i] for i in ps]),
+                minus_C=-np.stack([C_cat[i] for i in ps]),
                 d=np.stack([players[i].d for i in ps])[:, :, None],
             )
             for ps in members.values()
@@ -415,26 +423,29 @@ def joint_vector(inst: IcqsInstance, profile: Sequence[np.ndarray]) -> np.ndarra
     return _concat(inst, range(inst.k), profile)
 
 
-def integer_sweep(inst: IcqsInstance, z: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def integer_sweep(inst: IcqsInstance, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Every player's integer best response to the joint float64 vector
-    ``z``, as one joint int64 vector, and each player's squared norm, in
-    player order: one Jacobi sweep, unchecked.
+    ``z``: one Jacobi sweep, unchecked.  It returns the responses as one
+    joint int64 vector, the same responses as one joint float64 vector, and
+    each player's squared norm, in player order.
 
     Per group of players of one dimension, the continuous minimizers come
     from one stacked solve pair, and `iqp.lattice_mins` answers each player
     from its own: the rounding certificate, the search when the certificate
-    cannot answer, and the proximity postcondition.  The norms are those of
-    its float64 rows (`_joint`).
+    cannot answer, and the proximity postcondition.  The float64 vector and
+    the norms are those of its float64 rows (`_joint`); a rounded -0.0 stays
+    in the float64 vector, which only the next sweep's matvec reads.
     """
     rows = [iqp._lattice_rows(g.factors, g.continuous_mins(z), labels=g.labels, G=g.G) for g in inst.groups]
-    return _joint(inst, rows, np.int64)
+    zf, squares = _joint(inst, rows)
+    return zf.astype(np.int64), zf, squares
 
 
 def continuous_sweep(inst: IcqsInstance, z: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Every player's continuous best response to the joint float64 vector
     ``z``, as one joint vector, and each player's squared norm; unchecked,
     as `integer_sweep`."""
-    return _joint(inst, [g.continuous_mins(z) for g in inst.groups], np.float64)
+    return _joint(inst, [g.continuous_mins(z) for g in inst.groups])
 
 
 def squared_norms(inst: IcqsInstance, z: np.ndarray) -> list[float]:
@@ -443,14 +454,15 @@ def squared_norms(inst: IcqsInstance, z: np.ndarray) -> list[float]:
     return _squares(inst, [z[g.own] for g in inst.groups])
 
 
-def _joint(inst: IcqsInstance, rows: list[np.ndarray], dtype) -> tuple[np.ndarray, list[float]]:
-    """Each group's float64 rows as one joint vector of ``dtype``, and each
+def _joint(inst: IcqsInstance, rows: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+    """Each group's float64 rows as one joint float64 vector, and each
     player's squared norm.  One group holds every player in player order,
-    so its rows are the joint vector; several are scattered into it."""
+    so its rows are the joint vector, with no copy; several are scattered
+    into it."""
     if len(rows) == 1:
-        out = rows[0].astype(dtype, copy=False).reshape(-1)
+        out = rows[0].reshape(-1)
     else:
-        out = np.empty(inst.slots[-1][1], dtype=dtype)
+        out = np.empty(inst.slots[-1][1])
         for g, X in zip(inst.groups, rows):
             out[g.own] = X
     return out, _squares(inst, rows)

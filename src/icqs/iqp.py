@@ -53,7 +53,10 @@ calls LAPACK's gesv once per matrix, exactly as a single call does.  The
 enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
 Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
 floats, which perform the same IEEE operations as numpy scalars, and
-`round` rounds half to even as `np.rint` does.  Each dot of length >= 2 is
+rounds each centre half to even as `np.rint` does: by adding and taking
+away 1.5 * 2^52 below 2^51 in magnitude, and by `round` beyond, which
+raises on a NaN or infinite centre.  The searches of one `lattice_mins`
+call share one x - u buffer (`_scratch`).  Each dot of length >= 2 is
 one BLAS ddot of a row of G and a vector, since no cheaper form keeps its
 bits: on OpenBLAS 0.3.31 (Haswell kernel), ddot below length 16 is a chain
 of fused multiply-adds, which a plain Python sum missed on 15-32% of
@@ -160,6 +163,10 @@ _CHAIN = 15
 # A search centre with an entry this large has neighbouring floats a unit
 # or more apart.
 _CENTRE_LIMIT = 2.0**52
+# Below 2^51 in magnitude, c + 1.5 * 2^52 lies where floats are one apart,
+# so adding and taking away this shift rounds c half to even, as round does.
+_ROUND_SHIFT = 1.5 * 2.0**52
+_ROUND_LIMIT = 2.0**51
 
 
 @dataclass(frozen=True)
@@ -568,7 +575,7 @@ def _lattice_rows(
         np.vecdot(G[:, a:, a:], W[:, None, a:], out=D[:, a:])
         for j in range(a):
             np.vecdot(G[:, j, j:], W[:, j:], out=D[:, j])
-    Us = Xs = None
+    Us = Xs = scratch = None
     for r, (factor, ws, ds) in enumerate(zip(factors, W.tolist(), D.tolist())):
         # summed from the last row up, the association order of the
         # search's partial sums, so exact ties stay exact
@@ -583,7 +590,7 @@ def _lattice_rows(
         for c, t in zip(factor.cert, ws):
             if not excess < c * (1.0 - abs(t)) ** 2:
                 if Us is None:
-                    Us, Xs = U.tolist(), X.tolist()
+                    Us, Xs, scratch = U.tolist(), X.tolist(), _scratch(n)
                 us = Us[r]
                 # an infinite or NaN entry is left to the search's round()
                 if not max(map(abs, us)) < _CENTRE_LIMIT and all(map(math.isfinite, us)):
@@ -594,7 +601,7 @@ def _lattice_rows(
                 # a factor without a reduced frame goes straight to the loop
                 search = _zigzag if factor.reduced is None else _enumerate
                 try:
-                    x, excess = search(factor, us, Xs[r], excess, node_budget)
+                    x, excess = search(factor, us, Xs[r], excess, node_budget, scratch)
                 except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
                     raise NonFiniteCentre(f"{_name(labels, r)}a lattice search centre is not finite (u = {us})") from exc
                 except EnumerationBudgetExceeded as exc:
@@ -629,7 +636,12 @@ def _name(labels: Sequence[str] | None, r: int) -> str:
 
 
 def _enumerate(
-    factor: Factor, us: Sequence[float], x0: Sequence[float], excess: float, node_budget: int
+    factor: Factor,
+    us: Sequence[float],
+    x0: Sequence[float],
+    excess: float,
+    node_budget: int,
+    scratch: tuple[np.ndarray, list[np.ndarray]],
 ) -> tuple[list[float], float]:
     """The integer minimizer around ``us`` from the incumbent ``x0 =
     rint(u)`` and its excess energy ``excess``, in the factor's frame: the
@@ -637,7 +649,8 @@ def _enumerate(
     the lexicographically smaller one on a tie, and that energy.  ``us`` and
     ``x0`` are float sequences; `lattice_mins` passes rows of ``U.tolist()``
     and ``X.tolist()``, and calls `_zigzag` itself for a factor with no
-    reduced frame.
+    reduced frame.  ``scratch`` is the buffers of `_scratch`, which both
+    frames' searches share.
 
     A factor with a reduced frame runs the zig-zag loop in that frame
     (`_reduced_start`), keeping every leaf within a window of the least,
@@ -653,10 +666,19 @@ def _enumerate(
     if start is not None:
         centre, slack = start
         keep: list = []
-        _, least = _zigzag(reduced, centre, [0.0] * len(us), excess + slack, node_budget, 2.0 * slack, keep)
+        _, least = _zigzag(reduced, centre, [0.0] * len(us), excess + slack, node_budget, scratch, 2.0 * slack, keep)
         if len(keep) <= _KEPT:
             return _reduced_answer(factor, us, x0, excess, keep, least + 2.0 * slack)
-    return _zigzag(factor, us, x0, excess, node_budget)
+    return _zigzag(factor, us, x0, excess, node_budget, scratch)
+
+
+def _scratch(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The buffers of an n-variable `_zigzag`: x - u, and its tail views
+    from level j + 1 for the levels j < n - 2 that take a dot.  Each search
+    writes an entry before it reads it, so the searches of one
+    `lattice_mins` call share one set."""
+    xu = np.zeros(n)
+    return xu, [xu[j + 1 :] for j in range(n - 2)]
 
 
 def _zigzag(
@@ -665,46 +687,51 @@ def _zigzag(
     x0: Sequence[float],
     excess: float,
     node_budget: int,
+    scratch: tuple[np.ndarray, list[np.ndarray]],
     window: float = 0.0,
     keep: list | None = None,
 ) -> tuple[list[float], float]:
     """Zig-zag depth-first search in ``frame`` for the integer point of
     least computed energy around ``us``, from the incumbent ``x0`` at
     ``excess``: the point, the lexicographically smaller one on a tie, and
-    that energy.  With ``keep``, a list, each leaf within ``window`` of the
+    that energy.  ``scratch`` is the buffers of `_scratch` for n =
+    len(us).  With ``keep``, a list, each leaf within ``window`` of the
     least found so far is appended to it as (energy, point), and the search
     stops once it holds more than `_KEPT`; `_enumerate` reads it.
     EnumerationBudgetExceeded once it visits more than ``node_budget``
     nodes.
 
     Each level tries b, b + s, b - s, b + 2s, ... around its conditional
-    center c (b = round(c), s = +-1 toward c) by one step x_j += s per
-    candidate, then s = -s - 1 or -s + 1: the integers b + s k wherever
-    |b| < 2^53.  A branch is pruned once its partial energy exceeds the
-    least found so far plus the window: partial sums of non-negative terms
-    only grow, in floats too, and the zig-zag order is monotone in |cand -
-    center|, so no leaf within the window of the final least is pruned.
+    center c (b the nearest integer, s = +-1 toward c) by one step x_j += s
+    per candidate, then s = -s - 1 or -s + 1: the integers b + s k wherever
+    |b| < 2^53.  b is (c + 1.5 * 2^52) - 1.5 * 2^52 when |c| < 2^51, which
+    rounds half to even as np.rint does and gives +0.0 for a zero, and
+    float(round(c)) otherwise, which raises on a NaN or infinite c.  A
+    branch is pruned once its partial energy exceeds the least found so far
+    plus the window: partial sums of non-negative terms only grow, in
+    floats too, and the zig-zag order is monotone in |cand - center|, so no
+    leaf within the window of the final least is pruned.
     Level j < n - 2 takes its center's dot, of length >= 2, with
     `ndarray.dot` on a view of x - u: the ddot of `@` without the matmul
     ufunc's dispatch.  Level n - 2's dot is one product, ``corner`` times
     x_{n-1} - u_{n-1}, so a 2-variable search makes no numpy call per node.
     numpy's one-element dot is that product, and ddot's 0 + a*b differs
     from it only in the sign of a zero, which the search never reads: the
-    center moves by a zero, `round(c)` returns +0.0 either way, and c enters
-    every cost squared.
+    center moves by a zero, its nearest integer is +0.0 either way, and c
+    enters every cost squared.
     """
     n = len(us)
     gdiag = frame.gdiag
     rows = frame.strict_rows
     corner = frame.corner
+    shift, low, high = _ROUND_SHIFT, -_ROUND_LIMIT, _ROUND_LIMIT
     best_excess = excess
     bound = excess + window
     best = list(x0)
 
     deep = n > 2  # whether any level's dot has two terms or more
     if deep:
-        xu = np.zeros(n)  # x - u on the coordinates fixed so far
-        tails = [xu[j + 1 :] for j in range(n - 2)]
+        xu, tails = scratch  # x - u on the coordinates fixed so far
     x = [0.0] * n
     centers = [0.0] * n
     steps = [0.0] * n  # steps[j]: from x[j] to the next candidate of level j
@@ -715,7 +742,7 @@ def _zigzag(
     # Entering a level: its conditional center c, the nearest integer
     # (half to even, as np.rint) and a first step toward the side of c.
     c = us[j]
-    x[j] = b = float(round(c))
+    x[j] = b = (c + shift) - shift if low < c < high else float(round(c))
     centers[j], steps[j] = c, 1.0 if c >= b else -1.0
     while True:
         cand = x[j]
@@ -739,7 +766,7 @@ def _zigzag(
                     c = us[j] - float(rows[j].dot(tails[j])) / gdiag[j]
                 else:
                     c = us[j] - corner * t / gdiag[j]
-                x[j] = b = float(round(c))
+                x[j] = b = (c + shift) - shift if low < c < high else float(round(c))
                 centers[j], steps[j] = c, 1.0 if c >= b else -1.0
                 continue
             if total < best_excess or (total == best_excess and x < best):

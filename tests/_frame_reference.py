@@ -6,7 +6,8 @@ one more dot for its distance.  The stacked form takes every row's dots from
 a fixed number of `np.vecdot` calls.  Two lines differ from the former code:
 the slice views ``factor.rows``, no longer a `Factor` field, are taken here
 from ``factor.G``, and the search is looked up as ``iqp._enumerate`` on
-each call, so a test can record what each frame hands it (`searches`).
+each call, so a test can record what each frame hands it (`searches`), and
+it is handed a fresh search buffer (`iqp._scratch`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def lattice_mins(
             if not excess < c * (1.0 - abs(t)) ** 2:
                 u = U[r]
                 try:
-                    X[r], excess = iqp._enumerate(factor, u, X[r], excess, node_budget)
+                    X[r], excess = iqp._enumerate(factor, u, X[r], excess, node_budget, iqp._scratch(factor.n))
                 except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
                     who = f"{labels[r]}: " if labels is not None else ""
                     raise NonFiniteCentre(f"{who}a lattice search centre is not finite (u = {u.tolist()})") from exc
@@ -81,11 +82,11 @@ def searches(record):
     enumerate_, zigzag = iqp._enumerate, iqp._zigzag
     inside = [0]
 
-    def enumerating(factor, us, x0, excess, node_budget):
+    def enumerating(factor, us, x0, excess, node_budget, *rest):
         record(factor, us, x0, excess)
         inside[0] += 1
         try:
-            return enumerate_(factor, us, x0, excess, node_budget)
+            return enumerate_(factor, us, x0, excess, node_budget, *rest)
         finally:
             inside[0] -= 1
 

@@ -795,8 +795,9 @@ def test_the_start_and_sweep_squares_are_the_per_slice_dots():
             z = rng.standard_normal(sum(inst.dims)) * scale
             assert _hexes(game.squared_norms(inst, z)) == _hexes(_slice_squares(inst, z))
             zi = np.rint(z)
-            response, squares = game.integer_sweep(inst, zi)
-            assert response.dtype == np.int64
+            response, floats, squares = game.integer_sweep(inst, zi)
+            assert response.dtype == np.int64 and floats.dtype == np.float64
+            assert np.array_equal(floats, response)
             assert _hexes(squares) == _hexes(_slice_squares(inst, response))
             assert np.array_equal(response, np.concatenate(game.best_responses(inst, inst.split(zi))))
             step, squares = game.continuous_sweep(inst, z)
@@ -806,7 +807,9 @@ def test_the_start_and_sweep_squares_are_the_per_slice_dots():
 
 def test_a_response_that_rounds_to_minus_zero_squares_to_plus_zero():
     # u = (-0.2, 0.3) for both players: rint gives -0.0 in the float rows the
-    # kernel squares, and its square is +0.0, as the integer 0's is
+    # kernel squares, and its square is +0.0, as the integer 0's is.  The
+    # -0.0 stays in the float64 response the next sweep takes, and the run
+    # still settles at once
     inst = game.make_instance([
         game.PlayerProblem(Q=2.0 * np.eye(2), C={1 - i: np.zeros((2, 2))}, d=np.array([0.4, -0.6])) for i in range(2)
     ])
@@ -814,8 +817,9 @@ def test_a_response_that_rounds_to_minus_zero_squares_to_plus_zero():
     z = np.zeros(4)
     rows = iqp._lattice_rows(g.factors, g.continuous_mins(z), labels=g.labels, G=g.G)
     assert np.signbit(rows[:, 0]).all() and not rows.any()
-    response, squares = game.integer_sweep(inst, z)
+    response, floats, squares = game.integer_sweep(inst, z)
     assert response.tolist() == [0, 0, 0, 0]
+    assert np.signbit(floats).tolist() == [True, False, True, False]
     assert _hexes(squares) == _hexes(_slice_squares(inst, response)) == [(0.0).hex()] * 2
     trace = dynamics.run_br(inst)
     assert trace.outcome == dynamics.OUTCOME_FIXED_POINT and _hexes(trace.norms) == [(0.0).hex()] * 2
@@ -839,7 +843,7 @@ def test_stacked_squares_are_the_per_slice_dots_at_every_length():
             inst = _coupled_instance(dims, seed=n, scale=0.05)
             z = rng.uniform(-30.0, 30.0, size=sum(dims))
             assert _hexes(game.squared_norms(inst, z)) == _hexes(_slice_squares(inst, z))
-            response, squares = game.integer_sweep(inst, np.rint(z))
+            response, _, squares = game.integer_sweep(inst, np.rint(z))
             assert _hexes(squares) == _hexes(_slice_squares(inst, response))
             step, squares = game.continuous_sweep(inst, z)
             assert _hexes(squares) == _hexes(_slice_squares(inst, step))

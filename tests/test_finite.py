@@ -915,15 +915,60 @@ def coupled_game(rng, k, n):
     return game.make_instance(players)
 
 
-def restricted_cycles(seed, k, n, draws):
-    """Restricted games of the seeded draws whose integer iteration cycles."""
+def restricted_cycle_games(seed, k, n, draws):
+    """(instance, restricted game) of the seeded draws whose integer
+    iteration cycles."""
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         inst = coupled_game(rng, k, n)
         start = [rng.integers(-5, 6, size=n).astype(float) for _ in range(k)]
         trace = dynamics.run_br(inst, start=start, max_iters=200)
         if trace.outcome == dynamics.OUTCOME_CYCLE:
-            yield finite.restrict(inst, dynamics.cycle_sets(trace))
+            yield inst, finite.restrict(inst, dynamics.cycle_sets(trace))
+
+
+def restricted_cycles(seed, k, n, draws):
+    """Restricted games of the seeded draws whose integer iteration cycles."""
+    for _, fg in restricted_cycle_games(seed, k, n, draws):
+        yield fg
+
+
+def per_player_own_costs(inst, fg):
+    """The own costs as one einsum and one matvec per player, the former
+    form `restrict`'s per-group terms must reproduce bit for bit."""
+    S = [np.asarray(S_i, dtype=np.float64) for S_i in fg.strategies]
+    return np.concatenate([0.5 * np.einsum("sa,ab,sb->s", S_i, p.Q, S_i) + S_i @ p.d for S_i, p in zip(S, inst.players)])
+
+
+def test_own_costs_are_bitwise_the_per_player_einsum(cycling_game):
+    # the restricted games of the acceptance corpus's fixed points and
+    # cycles, the cycling builtin's cycle, the k = 3..5 cycles of coupled
+    # draws, pool 0 of the corpus and cycling benchmark workloads, and
+    # mixed-dimension games on seeded strategy sets of unequal sizes: one
+    # group, several, equal counts and padded ones
+    games = [(inst, finite.restrict(inst, dynamics.cycle_sets(trace))) for _, inst, trace in terminated_runs()]
+    games.append(cycling_game)
+    for seed, (k, n, draws) in enumerate(((3, 1, 60), (3, 2, 30), (4, 1, 40), (4, 2, 20), (5, 1, 30), (5, 2, 15)), 41):
+        games += list(restricted_cycle_games(seed, k, n, draws))
+    for workload in ("corpus", "cycling"):
+        for _, inst, start in load_workloads().build_jobs(workload, 0):
+            games.append((inst, finite.restrict(inst, solved_cycle(inst, start))))
+    rng = np.random.default_rng(43)
+    for k in range(2, 7):
+        for n in (1, 2, 3, 6, 10):
+            for lowest in (1, n):
+                dims = tuple(int(d) for d in rng.integers(lowest, n + 1, size=k))
+                inst = mixed_dim_game(rng, dims)
+                sizes = tuple(int(m) for m in rng.integers(1, 9, size=k))
+                games.append((inst, finite.restrict(inst, strategy_sets(rng, dims, sizes))))
+    shapes = {"several strategies": 0, "several groups": 0, "padded": 0, "k >= 3 multi-strategy": 0}
+    for inst, fg in games:
+        assert fg.own.tobytes() == per_player_own_costs(inst, fg).tobytes(), fg.sizes
+        shapes["several strategies"] += max(fg.sizes) > 1
+        shapes["several groups"] += len(inst.groups) > 1
+        shapes["padded"] += any(len({fg.sizes[i] for i in g.players}) > 1 for g in inst.groups)
+        shapes["k >= 3 multi-strategy"] += fg.k >= 3 and max(fg.sizes) > 1
+    assert min(shapes.values()) >= 50, shapes
 
 
 @pytest.fixture(scope="module")

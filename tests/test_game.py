@@ -421,14 +421,17 @@ def test_sweep_kernel_raises_proximity_violation_for_the_broken_player(monkeypat
 
 
 def test_continuous_mins_is_bitwise_the_former_expression():
-    # the linear terms formed, shifted and negated in one (m, n, 1) array
-    # give bitwise the former gather, matvec, sum and negation of 2-D arrays
+    # the negated linear terms, formed from the negated couplings and linear
+    # terms in one (m, n, 1) array, give bitwise the former gather, matvec,
+    # sum and negation of 2-D arrays
     rng = np.random.default_rng(71)
     for k, n in ((2, 1), (3, 2), (5, 5), (50, 5), (4, 20)):
         inst = instgen.gen_random(instgen.RandomSpec(k, n, seed=1))
         for g in inst.groups:
+            C = np.stack([inst.C_cat[i] for i in g.players])
+            d = np.stack([inst.players[i].d for i in g.players])
             for scale in (1e-3, 1.0, 1e9):
                 z = rng.integers(-50, 51, size=sum(inst.dims)) * scale
-                D = np.matmul(g.C, z[g.gather[:, :, 0]][:, :, None])[:, :, 0] + g.d[:, :, 0]
+                D = np.matmul(C, z[g.gather[:, :, 0]][:, :, None])[:, :, 0] + d
                 former = linalg.gesv(g.G, linalg.gesv(g.L, -D[:, :, None]))[:, :, 0]
                 assert g.continuous_mins(z).tobytes() == former.tobytes(), (k, n, scale)

@@ -467,14 +467,15 @@ def test_step_search_matches_the_counter_search_point_excess_and_budget():
         excess = _all_ddot_excess(f, x0 - u)
         want_budget, got_budget = _CountingBudget(), _CountingBudget()
         want = _reference_enumerate(f, u, x0, excess, want_budget)
-        got = iqp._enumerate(f, u, x0, excess, got_budget)
+        scratch = iqp._scratch(len(u))
+        got = iqp._enumerate(f, u, x0, excess, got_budget, scratch)
         assert got[0] == want[0] and got[1].hex() == want[1].hex(), (Q, u)
         nodes = want_budget.nodes
         assert got_budget.nodes == nodes, (Q, u)
-        assert iqp._enumerate(f, u, x0, excess, nodes) == got
+        assert iqp._enumerate(f, u, x0, excess, nodes, scratch) == got
         if nodes:
             with pytest.raises(EnumerationBudgetExceeded):
-                iqp._enumerate(f, u, x0, excess, nodes - 1)
+                iqp._enumerate(f, u, x0, excess, nodes - 1, scratch)
         most = max(most, nodes)
     assert most > 100
 
@@ -752,6 +753,54 @@ def test_a_search_centre_of_2_52_or_more_is_a_typed_error_before_any_node():
     assert np.abs(x - [2**52, 0]).max() <= 1
 
 
+def _rounded_by_the_search(centre):
+    """The point of the first leaf of a search around ``centre`` with Q = I:
+    its rounded centre at every level, as the search computes it."""
+    f = factor_of(np.eye(len(centre)))
+    assert f.reduced is None and not f.corner and not any(map(np.any, f.strict_rows))
+    keep = []
+    iqp._zigzag(f, list(centre), [0.0] * len(centre), math.inf, 10**6, iqp._scratch(len(centre)), 0.0, keep)
+    return keep[0][1]
+
+
+def test_the_search_rounds_each_centre_bitwise_as_round_does():
+    # below 2^51 in magnitude the search rounds c by adding and taking away
+    # 1.5 * 2^52, and beyond by float(round(c)): on half-integers, the signed
+    # zeros, the values next to +-2^51 and seeded reals, the first leaf of a
+    # 3-variable search with Q = I holds float(round(c)) at each level, the
+    # first level's, the one-product corner level's and a dot level's,
+    # sign of zero included
+    limit = 2.0**51
+    values = [k + 0.5 for k in range(-1000, 1000)] + [0.0, -0.0, 1e-300, -1e-300, 0.49999999999999994, -0.49999999999999994]
+    for v in (limit, -limit, 2.0 * limit, -2.0 * limit):
+        for step in (-1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5):
+            values.append(v + step)
+        values += [math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    rng = np.random.default_rng(113)
+    values += (rng.uniform(-1.0, 1.0, size=6000) * 10.0 ** rng.uniform(-3.0, 16.5, size=6000)).tolist()
+    shuffled = rng.permutation(np.array(values)).tolist()
+    rounded = 0
+    for centre in zip(values, shuffled, values[::-1]):
+        got = _rounded_by_the_search(centre)
+        assert [x.hex() for x in got] == [float(round(c)).hex() for c in centre], centre
+        rounded += 3
+    assert rounded == 3 * len(values) > 20_000
+
+
+def test_a_non_finite_centre_is_named_in_the_reduced_frame_too():
+    # the shifted rounding never sees a NaN or infinite centre: it reaches
+    # round(), which names it, through the reduced frame's start as well as
+    # in the Cholesky frame (test_a_non_finite_row_fails_the_certificate_at_any_coordinate)
+    rng = np.random.default_rng(127)
+    f = reduced(factor_of(random_quadratic(rng, 6, 1e3).Q))
+    for bad in (math.nan, math.inf, -math.inf):
+        for j in range(6):
+            U = rng.uniform(-9.0, 9.0, size=(2, 6))
+            U[1, j] = bad
+            with pytest.raises(NonFiniteCentre, match="^row 1: "), np.errstate(invalid="ignore"):
+                iqp.lattice_mins((f,) * 2, U, labels=("row 0", "row 1"))
+
+
 # The reduced frame must return the Cholesky frame's point on every search:
 # the checks below compare it with the counter form `_reference_enumerate`,
 # which reads the factor's Cholesky frame only.
@@ -814,7 +863,7 @@ def check_reduced_rows(rows, cap=None) -> tuple[int, int]:
         except EnumerationBudgetExceeded:
             skipped += 1
             continue
-        got, _ = iqp._enumerate(g, u.tolist(), x0.tolist(), excess, 10**9)
+        got, _ = iqp._enumerate(g, u.tolist(), x0.tolist(), excess, 10**9, iqp._scratch(len(u)))
         assert got == want, (Q.tolist(), u.tolist())
         if want_excess != excess:
             assert iqp._energy(f, u.tolist(), want).hex() == want_excess.hex(), (Q.tolist(), u.tolist())
@@ -856,7 +905,7 @@ def test_exact_ties_in_the_reduced_frame_break_as_in_the_cholesky_frame():
         x0 = np.rint(u)
         excess = _all_ddot_excess(f, x0 - u)
         want, _ = _reference_enumerate(f, u, x0, excess, 10**8)
-        got, _ = iqp._enumerate(g, u.tolist(), x0.tolist(), excess, 10**8)
+        got, _ = iqp._enumerate(g, u.tolist(), x0.tolist(), excess, 10**8, iqp._scratch(len(u)))
         assert got == want, (Q.tolist(), u.tolist())
         # exact objectives in integers: 2 f(x) - x'Qx is -2 x'Q u, and 2u is integral
         Qi, u2 = Q.astype(np.int64), (2.0 * u).astype(np.int64)
@@ -893,8 +942,8 @@ def test_every_workload_search_in_the_reduced_frame_is_the_reference_point(monke
     frames = {"reduced": 0, "cholesky": 0}
     search, start_ = iqp._enumerate, iqp._reduced_start
 
-    def recording(factor, us, x0, excess, node_budget):
-        found = search(factor, us, x0, excess, node_budget)
+    def recording(factor, us, x0, excess, node_budget, scratch):
+        found = search(factor, us, x0, excess, node_budget, scratch)
         calls.append((factor, us, x0, excess, found[0]))
         return found
 
@@ -914,6 +963,48 @@ def test_every_workload_search_in_the_reduced_frame_is_the_reference_point(monke
         assert x == _reference_enumerate(factor, np.array(us), np.array(x0), excess, 10**8)[0], (factor.Q, us)
     assert len(calls) == sum(frames.values()) > 100_000
     assert frames["cholesky"] < 0.05 * len(calls)
+
+
+def cholesky_search_mismatches(workload: str, pool: int) -> tuple[int, list]:
+    """(searches, mismatches) of the solves of one benchmark pool with every
+    factor in the Cholesky frame: each search `iqp.lattice_mins` starts must
+    return the point and the excess bits of `_reference_enumerate`, the
+    counter search with ``float(round(c))`` and its own x - u buffer."""
+    workloads = load_workloads()
+    calls = []
+    choose, zigzag = iqp._choose_frame, iqp._zigzag
+
+    def recording(frame, us, x0, excess, node_budget, *rest):
+        found = zigzag(frame, us, x0, excess, node_budget, *rest)
+        calls.append((frame, us, x0, excess, found))
+        return found
+
+    iqp._choose_frame, iqp._zigzag = (lambda factor: None), recording
+    try:
+        for name, inst, start in workloads.build_jobs(workload, pool):
+            assert all(f.reduced is None for f in inst.factors), name
+            cli.solve_pipeline(inst, start=start)
+    finally:
+        iqp._choose_frame, iqp._zigzag = choose, zigzag
+    mismatches = []
+    for factor, us, x0, excess, (x, got) in calls:
+        want, want_excess = _reference_enumerate(factor, np.array(us), np.array(x0), excess, 10**8)
+        if x != want or got.hex() != want_excess.hex():
+            mismatches.append((workload, pool, us))
+    return len(calls), mismatches
+
+
+def test_every_workload_search_in_the_cholesky_frame_is_the_reference_point():
+    # the factors of pools 0 and 3 of the benchmark's three workloads, all
+    # in the Cholesky frame: every search the solves make returns the
+    # reference's point and excess, bit for bit.  CI runs all 16 pools.
+    searched = 0
+    for workload in load_workloads().WORKLOADS:
+        for pool in (0, 3):
+            count, mismatches = cholesky_search_mismatches(workload, pool)
+            assert not mismatches, mismatches[:5]
+            searched += count
+    assert searched > 50_000
 
 
 @pytest.mark.parametrize("frame", ["cholesky", "reduced"])
