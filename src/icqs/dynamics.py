@@ -305,12 +305,14 @@ def _step_norm(inst: game.IcqsInstance, z: np.ndarray, prev: np.ndarray) -> floa
 def cycle_sets(trace: BrTrace) -> CycleSets:
     """Each player's distinct strategies over the cycle window: the rows of
     its slice of the window, in first-seen order, and the slice itself when
-    no row repeats.
+    no row repeats, as at a fixed point, whose window is one row.
 
     Raises NoCycle unless the trace ended in a cycle or fixed point.
     """
     start, stop = trace.cycle_window()
     window = trace.profiles[start:stop]
+    if stop - start == 1:
+        return CycleSets(strategies=tuple(window[:, a:b] for a, b in trace.slots))
     strategies = []
     for a, b in trace.slots:
         rows = window[:, a:b]

@@ -16,7 +16,9 @@ and gap bound with the postcondition's limits, and the search frame with
 the rows it takes its dots with) is a `Factor`, built once by `factorize`
 from Q and the Cholesky factor the caller holds:
 `game.IcqsInstance` factors each Q_i when it is built (Q's one validation)
-and keeps each player's `Factor`; nothing is cached between calls.
+and keeps each player's `Factor`; no data is cached between calls.  The one
+memo, `_kernels`, holds code: each dimension's compiled search and
+certificate, a pure function of n.
 `integer_min(q)`, `continuous_min(q)` and `brute_force_min(q)` take a bare
 `Quadratic` and factor its Q themselves, with `linalg.cholesky_unchecked`:
 building the `Quadratic` validated Q, so it is not scanned again.
@@ -50,13 +52,22 @@ guard 0.5 lambda_min (1 - max|w|)^2.
 Each row's result is bitwise the one a single row gives, and the one a
 search run entirely in numpy scalars gives.  numpy's stacked gesv gufunc
 calls LAPACK's gesv once per matrix, exactly as a single call does.  The
-enumeration (the Schnorr-Euchner zig-zag search; Agrell, Eriksson, Vardy &
-Zeger, IEEE Trans. Inf. Theory 48, 2002) keeps its per-node state in Python
-floats, which perform the same IEEE operations as numpy scalars, and
-rounds each centre half to even as `np.rint` does: by adding and taking
-away 1.5 * 2^52 below 2^51 in magnitude, and by `round` beyond, which
-raises on a NaN or infinite centre.  The searches of one `lattice_mins`
-call share one x - u buffer (`_scratch`).  Each dot of length >= 2 is
+enumeration is the Schnorr-Euchner zig-zag search (Agrell, Eriksson, Vardy
+& Zeger, IEEE Trans. Inf. Theory 48, 2002).  Its searches are short (a
+mean of 2.6 to 6.0 nodes at n = 2 to 4 on the benchmark's `divergence`),
+so their cost is the interpreter's per node, and the search and the
+certificate are compiled once per dimension n from a source template
+(`_kernels`, as `dataclasses` builds ``__init__``).  The search has one
+nested ``while`` loop per level and keeps each level's centre, candidate,
+step and partial energy in local Python floats, which perform the same
+IEEE operations as numpy scalars; the certificate is straight-line code.
+`_zigzag` is the same search over lists indexed by level: the one search
+above `_NESTING_LIMIT` levels, CPython's limit on nested blocks, and the
+tests' reference below it.  Each centre is rounded half to even as
+`np.rint` does: by adding and taking away 1.5 * 2^52 below 2^51 in
+magnitude, and by `round` beyond, which raises on a NaN or infinite centre.
+The searches of one `lattice_mins` call share one x - u buffer
+(`_scratch`), which only n >= 3 reads.  Each dot of length >= 2 is
 one BLAS ddot of a row of G and a vector, since no cheaper form keeps its
 bits: on OpenBLAS 0.3.31 (Haswell kernel), ddot below length 16 is a chain
 of fused multiply-adds, which a plain Python sum missed on 15-32% of
@@ -72,13 +83,13 @@ or more is not, since from length 16 the kernel blocks, so each level
 j < a takes its own call on the slice.  The search takes its node dots with
 `ndarray.dot` on views of x - u.  Squares stay `** 2`: x ** 2 != x * x for
 about 1 float in 1,300.  A dot of length one is the plain product (see
-`_zigzag`).  The rounded point's excess is summed row by
-row, in the association order of the search's own partial sums, so exact
-ties stay exact; the certificate reads that same excess, and the search
-starts from it.  The certificate's bound may differ from exact values in
-its last bits, but it passes only 0.1% below the energy of every other
-lattice point, far outside that rounding, where the search returns rint(u)
-as well.
+`_zigzag`).  The rounded point's excess is summed row by row, in the
+association order of the search's own partial sums, so exact ties stay
+exact; the certificate reads that same excess, and the search starts from
+it (`_certificate_source`).  The certificate's bound may differ from exact
+values in its last bits, but it passes only 0.1% below the energy of every
+other lattice point, far outside that rounding, where the search returns
+rint(u) as well.
 
 Each factor searches in one of two frames, chosen once by `factorize`
 (`_choose_frame`): the Cholesky frame G = L', or an LLL-reduced frame
@@ -125,9 +136,10 @@ proven radius for n >= 2.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -575,42 +587,34 @@ def _lattice_rows(
         np.vecdot(G[:, a:, a:], W[:, None, a:], out=D[:, a:])
         for j in range(a):
             np.vecdot(G[:, j, j:], W[:, j:], out=D[:, j])
+    search, certify = _kernels(n)
     Us = Xs = scratch = None
     for r, (factor, ws, ds) in enumerate(zip(factors, W.tolist(), D.tolist())):
-        # summed from the last row up, the association order of the
-        # search's partial sums, so exact ties stay exact
-        excess = 0.0
-        for t in reversed(ds):
-            excess += 0.5 * t ** 2
-        # The rounded point is certifiably the unique optimum when its excess
-        # is below cert_j (1 - |w_j|)^2, the energy every lattice point that
-        # moves coordinate j must pay, for every j; the first j that fails
-        # calls the search.  A row with |w_j| = 1/2 fails by j at the latest,
-        # and a non-finite u at once: its excess is NaN, as is each test.
-        for c, t in zip(factor.cert, ws):
-            if not excess < c * (1.0 - abs(t)) ** 2:
-                if Us is None:
-                    Us, Xs, scratch = U.tolist(), X.tolist(), _scratch(n)
-                us = Us[r]
-                # an infinite or NaN entry is left to the search's round()
-                if not max(map(abs, us)) < _CENTRE_LIMIT and all(map(math.isfinite, us)):
-                    raise CentreTooLarge(
-                        f"{_name(labels, r)}a lattice search centre has an entry of 2^52 or more in magnitude "
-                        f"(u = {us}), where the search's unit steps may round onto points already visited"
-                    )
-                # a factor without a reduced frame goes straight to the loop
-                search = _zigzag if factor.reduced is None else _enumerate
-                try:
-                    x, excess = search(factor, us, Xs[r], excess, node_budget, scratch)
-                except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
-                    raise NonFiniteCentre(f"{_name(labels, r)}a lattice search centre is not finite (u = {us})") from exc
-                except EnumerationBudgetExceeded as exc:
-                    raise EnumerationBudgetExceeded(f"{_name(labels, r)}{exc}") from None
-                X[r] = x
-                dist = math.dist(x, us)
-                break
-        else:
+        # the rounded point's excess, and whether the rounding certificate
+        # answers the row; the search answers it when not
+        excess, certified = certify(factor.cert, ws, ds)
+        if certified:
             dist = math.hypot(*ws)
+        else:
+            if Us is None:
+                Us, Xs, scratch = U.tolist(), X.tolist(), _scratch(n) if n > 2 else None
+            us = Us[r]
+            # an infinite or NaN entry is left to the search's round()
+            if not max(map(abs, us)) < _CENTRE_LIMIT and all(map(math.isfinite, us)):
+                raise CentreTooLarge(
+                    f"{_name(labels, r)}a lattice search centre has an entry of 2^52 or more in magnitude "
+                    f"(u = {us}), where the search's unit steps may round onto points already visited"
+                )
+            # a factor without a reduced frame goes straight to the loop
+            run = search if factor.reduced is None else _enumerate
+            try:
+                x, excess = run(factor, us, Xs[r], excess, node_budget, scratch)
+            except (OverflowError, ValueError) as exc:  # round() of an infinite or NaN centre
+                raise NonFiniteCentre(f"{_name(labels, r)}a lattice search centre is not finite (u = {us})") from exc
+            except EnumerationBudgetExceeded as exc:
+                raise EnumerationBudgetExceeded(f"{_name(labels, r)}{exc}") from None
+            X[r] = x
+            dist = math.dist(x, us)
         # Postcondition guard: the minimizer must respect the proximity
         # radius and objective-gap bound that are provable for its Q.  The
         # excess is the gap computed in the translated frame, which stays
@@ -641,42 +645,44 @@ def _enumerate(
     x0: Sequence[float],
     excess: float,
     node_budget: int,
-    scratch: tuple[np.ndarray, list[np.ndarray]],
+    scratch: tuple[np.ndarray, list[np.ndarray]] | None,
 ) -> tuple[list[float], float]:
     """The integer minimizer around ``us`` from the incumbent ``x0 =
     rint(u)`` and its excess energy ``excess``, in the factor's frame: the
     point of least computed energy 0.5*||G(x - u)||^2 in the Cholesky frame,
     the lexicographically smaller one on a tie, and that energy.  ``us`` and
     ``x0`` are float sequences; `lattice_mins` passes rows of ``U.tolist()``
-    and ``X.tolist()``, and calls `_zigzag` itself for a factor with no
-    reduced frame.  ``scratch`` is the buffers of `_scratch`, which both
-    frames' searches share.
+    and ``X.tolist()``, and calls the search itself for a factor with no
+    reduced frame.  ``scratch`` is the buffers of `_scratch` (None at n <=
+    2), which both frames' searches share.
 
-    A factor with a reduced frame runs the zig-zag loop in that frame
-    (`_reduced_start`), keeping every leaf within a window of the least,
-    and returns the same point (`_reduced_answer`); its excess is then the
-    Cholesky frame's when two kept points compete, else its own computed
-    energy of the point.  A row whose slack is not small beside ``excess``
-    searches in the Cholesky frame, and so does one whose reduced search
-    keeps more than `_KEPT` leaves.  EnumerationBudgetExceeded once a
+    Both frames run the n-variable search of `_kernels`.  A factor with a
+    reduced frame runs it in that frame (`_reduced_start`), keeping every
+    leaf within a window of the least, and returns the same point
+    (`_reduced_answer`); its excess is then the Cholesky frame's when two
+    kept points compete, else its own computed energy of the point.  A row
+    whose slack is not small beside ``excess`` searches in the Cholesky
+    frame, and so does one whose reduced search keeps more than `_KEPT`
+    leaves.  EnumerationBudgetExceeded once a
     search visits more than ``node_budget`` nodes of the frame it runs in.
     """
+    search = _kernels(len(us))[0]
     reduced = factor.reduced
     start = None if reduced is None else _reduced_start(reduced, us, x0, excess)
     if start is not None:
         centre, slack = start
         keep: list = []
-        _, least = _zigzag(reduced, centre, [0.0] * len(us), excess + slack, node_budget, scratch, 2.0 * slack, keep)
+        _, least = search(reduced, centre, [0.0] * len(us), excess + slack, node_budget, scratch, 2.0 * slack, keep)
         if len(keep) <= _KEPT:
             return _reduced_answer(factor, us, x0, excess, keep, least + 2.0 * slack)
-    return _zigzag(factor, us, x0, excess, node_budget, scratch)
+    return search(factor, us, x0, excess, node_budget, scratch)
 
 
 def _scratch(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The buffers of an n-variable `_zigzag`: x - u, and its tail views
-    from level j + 1 for the levels j < n - 2 that take a dot.  Each search
-    writes an entry before it reads it, so the searches of one
-    `lattice_mins` call share one set."""
+    """The buffers of an n-variable search: x - u, and its tail views from
+    level j + 1 for the levels j < n - 2 that take a dot; a search at n <= 2
+    takes no dot and reads none.  Each search writes an entry before it
+    reads it, so the searches of one `lattice_mins` call share one set."""
     xu = np.zeros(n)
     return xu, [xu[j + 1 :] for j in range(n - 2)]
 
@@ -699,7 +705,9 @@ def _zigzag(
     least found so far is appended to it as (energy, point), and the search
     stops once it holds more than `_KEPT`; `_enumerate` reads it.
     EnumerationBudgetExceeded once it visits more than ``node_budget``
-    nodes.
+    nodes.  `_kernels` runs this loop above `_NESTING_LIMIT` variables, and
+    below it the search compiled for n, which is this loop written out per
+    level (`_search_source`).
 
     Each level tries b, b + s, b - s, b + 2s, ... around its conditional
     center c (b the nearest integer, s = +-1 toward c) by one step x_j += s
@@ -784,6 +792,144 @@ def _zigzag(
     return best, best_excess
 
 
+# CPython compiles at most 20 statically nested blocks in one function, each
+# ``while`` loop one of them, so a generated search, one loop per level,
+# exists up to this dimension; `_zigzag` searches above it.
+_NESTING_LIMIT = 20
+
+
+@functools.cache
+def _kernels(n: int) -> tuple[Callable, Callable]:
+    """The n-variable search and rounding certificate of `_lattice_rows`,
+    compiled from `_search_source` and `_certificate_source` on first use;
+    above `_NESTING_LIMIT` the search is `_zigzag`.  The search takes
+    `_zigzag`'s arguments and returns its result.
+
+    The memo holds code, not data: each entry is a pure function of n, so
+    no output depends on when, or whether, it was filled.  Dimensions are
+    built one at a time because building all of them at import would make
+    every process pay for dimensions it never solves.
+    """
+    search = _zigzag if n > _NESTING_LIMIT else _compiled(_search_source(n), "search", n)
+    return search, _compiled(_certificate_source(n), "certify", n)
+
+
+def _compiled(source: str, name: str, n: int) -> Callable:
+    """The function ``name`` that ``source`` defines, compiled under a file
+    name that gives its dimension in profiles and tracebacks."""
+    namespace = {"__name__": __name__, "EnumerationBudgetExceeded": EnumerationBudgetExceeded}
+    exec(compile(source, f"<icqs.iqp {name} n={n}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _names(prefix: str, n: int) -> str:
+    """The targets ``p0, p1, ..., p{n-1},`` of an unpacking."""
+    return "".join(f"{prefix}{j}, " for j in range(n)).rstrip()
+
+
+def _certificate_source(n: int) -> str:
+    """The source of the n-variable rounding certificate ``certify(cert,
+    ws, ds)``: the rounded point's excess 0.5 ||G w||^2 from the dots ds of
+    G's rows with w = rint(u) - u, and whether it certifies rint(u).
+
+    The excess is summed from the last row up, the association order of
+    the search's partial sums, so exact ties stay exact.  It starts from
+    the last term itself, which is the bits of 0.0 plus that term: a term
+    0.5 t^2 is never -0.0.  The rounded point is certifiably the unique
+    optimum when its excess is below cert_j (1 - |w_j|)^2, the energy every
+    lattice point that moves coordinate j must pay, for every j, tested in
+    j order.  A row with |w_j| = 1/2 fails by j at the latest, and a
+    non-finite u at once: its excess is NaN, as is each test.
+    """
+    lines = [
+        "def certify(cert, ws, ds):",
+        f"    {_names('c', n)} = cert",
+        f"    {_names('w', n)} = ws",
+        f"    {_names('d', n)} = ds",
+        f"    excess = 0.5 * d{n - 1} ** 2",
+    ]
+    lines += [f"    excess += 0.5 * d{j} ** 2" for j in range(n - 2, -1, -1)]
+    for j in range(n):
+        lines += [f"    if not excess < c{j} * (1.0 - abs(w{j})) ** 2:", "        return excess, False"]
+    lines.append("    return excess, True")
+    return "\n".join(lines) + "\n"
+
+
+def _search_source(n: int) -> str:
+    """The source of the n-variable search: `_zigzag` with one nested
+    ``while`` loop per level, level j's state in locals (its centre cj,
+    candidate vj, step sj and partial energy ej) in place of lists indexed
+    by j.  Each level does `_zigzag`'s float operations in the same order:
+    the 1.5 * 2^52 rounding or ``round``, the ``corner`` product at level
+    n - 2 and the ``ndarray.dot`` on a tail of x - u below it; it counts and
+    checks each node against the budget as `_zigzag` does, and the leaf
+    keeps its order, window and ``keep`` exit.  The last level's energy is
+    its one term, the bits of `_zigzag`'s 0.0 plus that term.
+    """
+    shift, limit = repr(_ROUND_SHIFT), repr(_ROUND_LIMIT)
+    point = "[" + ", ".join(f"v{j}" for j in range(n)) + "]"
+
+    def enter(j: int, centre: str, pad: str) -> list[str]:
+        # its conditional center, the nearest integer (half to even, as
+        # np.rint) and a first step toward the side of the center
+        return [
+            f"{pad}c{j} = {centre}",
+            f"{pad}v{j} = (c{j} + {shift}) - {shift} if -{limit} < c{j} < {limit} else float(round(c{j}))",
+            f"{pad}s{j} = 1.0 if c{j} >= v{j} else -1.0",
+        ]
+
+    def level(j: int, pad: str) -> list[str]:
+        inner = pad + "    "
+        term = f"0.5 * (g{j} * (v{j} - c{j})) ** 2"
+        lines = [
+            f"{pad}while True:",
+            f"{inner}e{j} = {term if j == n - 1 else f'e{j + 1} + {term}'}",
+            f"{inner}if e{j} > bound:",
+            f"{inner}    break",
+            f"{inner}nodes += 1",
+            f"{inner}if nodes > node_budget:",
+            f'{inner}    raise EnumerationBudgetExceeded(f"enumeration exceeded {{node_budget}} nodes")',
+        ]
+        if j:
+            if j == n - 1:
+                lines.append(f"{inner}t = v{j} - u{j}")
+                if n > 2:
+                    lines.append(f"{inner}xu[{j}] = t")
+                lines += enter(j - 1, f"u{j - 1} - corner * t / g{j - 1}", inner)
+            else:
+                lines.append(f"{inner}xu[{j}] = v{j} - u{j}")
+                lines += enter(j - 1, f"u{j - 1} - float(row{j - 1}.dot(tail{j - 1})) / g{j - 1}", inner)
+            lines += level(j - 1, inner)
+        else:
+            lines += [
+                f"{inner}if e0 < best_excess or (e0 == best_excess and {point} < best):",
+                f"{inner}    best_excess = e0",
+                f"{inner}    best = {point}",
+                f"{inner}    bound = e0 + window",
+                f"{inner}if keep is not None:",
+                f"{inner}    keep.append((e0, {point}))",
+                f"{inner}    if len(keep) > {_KEPT}:",
+                f"{inner}        return best, best_excess",
+            ]
+        # the next candidate of level j: b, b + s, b - s, b + 2s, ...
+        return lines + [f"{inner}v{j} += s{j}", f"{inner}s{j} = -s{j} - 1.0 if s{j} > 0.0 else -s{j} + 1.0"]
+
+    lines = [
+        "def search(frame, us, x0, excess, node_budget, scratch, window=0.0, keep=None):",
+        f"    {_names('g', n)} = frame.gdiag",
+        f"    {_names('u', n)} = us",
+    ]
+    if n > 1:
+        lines.append("    corner = frame.corner")
+    if n > 2:
+        lines += [f"    {_names('row', n - 2)} = frame.strict_rows[:{n - 2}]", f"    xu, ({_names('tail', n - 2)}) = scratch"]
+    lines += ["    best_excess = excess", "    bound = excess + window", "    best = list(x0)", "    nodes = 0"]
+    lines += enter(n - 1, f"u{n - 1}", "    ")
+    lines += level(n - 1, "    ")
+    lines.append("    return best, best_excess")
+    return "\n".join(lines) + "\n"
+
+
 def _reduced_start(
     reduced: Reduced, us: Sequence[float], x0: Sequence[float], excess: float
 ) -> tuple[list[float], float] | None:
@@ -850,7 +996,7 @@ def _lattice_point(reduced: Reduced, x0: Sequence[float], z: Sequence[float]) ->
 
 
 def _energy(factor: Factor, us: Sequence[float], x: Sequence[float]) -> float:
-    """The energy `_zigzag` computes for the leaf ``x`` in the Cholesky
+    """The energy the search computes for the leaf ``x`` in the Cholesky
     frame around ``us``, by the same operations in the same order: it
     depends on x alone, not on the path to it."""
     n = len(us)

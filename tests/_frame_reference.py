@@ -78,8 +78,9 @@ def searches(record):
     """Within the block, ``record(factor, us, x0, excess)`` sees every search
     started through `iqp._enumerate`, and every one `iqp.lattice_mins`
     starts in the zig-zag loop itself (a factor with no reduced frame), in
-    call order; the loop's runs inside `_enumerate` are not recorded again."""
-    enumerate_, zigzag = iqp._enumerate, iqp._zigzag
+    call order; the loop's runs inside `_enumerate` are not recorded again.
+    The loop is the search `iqp._kernels` returns, which both take."""
+    enumerate_, kernels = iqp._enumerate, iqp._kernels
     inside = [0]
 
     def enumerating(factor, us, x0, excess, node_budget, *rest):
@@ -90,16 +91,21 @@ def searches(record):
         finally:
             inside[0] -= 1
 
-    def zigzagging(frame, us, x0, excess, node_budget, *rest):
-        if not inside[0]:
-            record(frame, us, x0, excess)
-        return zigzag(frame, us, x0, excess, node_budget, *rest)
+    def kernelling(n):
+        search, certify = kernels(n)
 
-    iqp._enumerate, iqp._zigzag = enumerating, zigzagging
+        def searching(frame, us, x0, excess, node_budget, *rest):
+            if not inside[0]:
+                record(frame, us, x0, excess)
+            return search(frame, us, x0, excess, node_budget, *rest)
+
+        return searching, certify
+
+    iqp._enumerate, iqp._kernels = enumerating, kernelling
     try:
         yield
     finally:
-        iqp._enumerate, iqp._zigzag = enumerate_, zigzag
+        iqp._enumerate, iqp._kernels = enumerate_, kernels
 
 
 def frames_agree(factors: Sequence[iqp.Factor], U: np.ndarray, G: np.ndarray | None = None) -> int:

@@ -424,6 +424,10 @@ def test_cycle_sets_gives_one_matrix_of_first_seen_rows_per_player():
             for S, ref, (a, b) in zip(sets.strategies, reference, slots):
                 assert S.dtype == np.int64 and S.shape == (len(ref), b - a)
                 assert np.array_equal(S, np.array(ref))
+        # a fixed point's window is one row, and each player's set is a view
+        # of that row's slice, as when the rows of a longer window are distinct
+        fixed = dynamics.cycle_sets(traces[1]).strategies
+        assert all(np.shares_memory(S, traces[1].profiles) for S in fixed)
         # in the cycle's window of at least 5 rows, players 0 and 1 repeat rows
         window = rows - 1 - start
         assert dynamics.cycle_sets(traces[0]).sizes in {(a, b, window) for a in (1, 2) for b in (1, 2, 3)}

@@ -755,12 +755,17 @@ def test_a_search_centre_of_2_52_or_more_is_a_typed_error_before_any_node():
 
 def _rounded_by_the_search(centre):
     """The point of the first leaf of a search around ``centre`` with Q = I:
-    its rounded centre at every level, as the search computes it."""
+    its rounded centre at every level, as the search computes it, the
+    generated search's and `_zigzag`'s alike."""
     f = factor_of(np.eye(len(centre)))
     assert f.reduced is None and not f.corner and not any(map(np.any, f.strict_rows))
-    keep = []
-    iqp._zigzag(f, list(centre), [0.0] * len(centre), math.inf, 10**6, iqp._scratch(len(centre)), 0.0, keep)
-    return keep[0][1]
+    leaves = []
+    for search in (iqp._kernels(len(centre))[0], iqp._zigzag):
+        keep = []
+        search(f, list(centre), [0.0] * len(centre), math.inf, 10**6, iqp._scratch(len(centre)), 0.0, keep)
+        leaves.append(keep[0][1])
+    assert [x.hex() for x in leaves[0]] == [x.hex() for x in leaves[1]], centre
+    return leaves[0]
 
 
 def test_the_search_rounds_each_centre_bitwise_as_round_does():
@@ -969,23 +974,29 @@ def cholesky_search_mismatches(workload: str, pool: int) -> tuple[int, list]:
     """(searches, mismatches) of the solves of one benchmark pool with every
     factor in the Cholesky frame: each search `iqp.lattice_mins` starts must
     return the point and the excess bits of `_reference_enumerate`, the
-    counter search with ``float(round(c))`` and its own x - u buffer."""
+    counter search with ``float(round(c))`` and its own x - u buffer.  The
+    searches are recorded at the search `iqp._kernels` returns."""
     workloads = load_workloads()
     calls = []
-    choose, zigzag = iqp._choose_frame, iqp._zigzag
+    choose, kernels = iqp._choose_frame, iqp._kernels
 
-    def recording(frame, us, x0, excess, node_budget, *rest):
-        found = zigzag(frame, us, x0, excess, node_budget, *rest)
-        calls.append((frame, us, x0, excess, found))
-        return found
+    def kernelling(n):
+        search, certify = kernels(n)
 
-    iqp._choose_frame, iqp._zigzag = (lambda factor: None), recording
+        def recording(frame, us, x0, excess, node_budget, *rest):
+            found = search(frame, us, x0, excess, node_budget, *rest)
+            calls.append((frame, us, x0, excess, found))
+            return found
+
+        return recording, certify
+
+    iqp._choose_frame, iqp._kernels = (lambda factor: None), kernelling
     try:
         for name, inst, start in workloads.build_jobs(workload, pool):
             assert all(f.reduced is None for f in inst.factors), name
             cli.solve_pipeline(inst, start=start)
     finally:
-        iqp._choose_frame, iqp._zigzag = choose, zigzag
+        iqp._choose_frame, iqp._kernels = choose, kernels
     mismatches = []
     for factor, us, x0, excess, (x, got) in calls:
         want, want_excess = _reference_enumerate(factor, np.array(us), np.array(x0), excess, 10**8)
@@ -1025,3 +1036,216 @@ def test_a_budget_stop_names_the_row_in_both_frames(frame):
         iqp.lattice_mins((f,) * 3, U, node_budget=2, labels=("player 3", "player 4", "player 5"))
     with pytest.raises(EnumerationBudgetExceeded, match=r"^enumeration exceeded 2 nodes$"):
         iqp.lattice_mins((f,), U[1:2], node_budget=2)
+
+
+# The generated kernels: one search and one certificate per dimension,
+# compiled by `iqp._kernels`.  `iqp._zigzag` and `_reference_enumerate` are
+# the references for the search, and the former per-row loops of
+# `lattice_mins` (`_former_certificate`) for the certificate.
+
+
+def _former_certificate(cert, ws, ds):
+    """The rounding certificate as two loops, kept verbatim as the
+    reference of the generated one: the excess summed from the last row
+    up, then the tests in j order."""
+    excess = 0.0
+    for t in reversed(ds):
+        excess += 0.5 * t ** 2
+    for c, t in zip(cert, ws):
+        if not excess < c * (1.0 - abs(t)) ** 2:
+            return excess, False
+    return excess, True
+
+
+def _bits(value):
+    """``value`` with every float as its hex, lists and tuples as lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _run(search, frame, us, x0, excess, budget, window, keep):
+    """What one search gives: ("ok", point, excess, kept leaves) with every
+    float as hex, or ("raised", type, message)."""
+    kept = None if keep is None else []
+    try:
+        x, found = search(frame, us, x0, excess, budget, iqp._scratch(len(us)), window, kept)
+    except (ArithmeticError, ValueError, EnumerationBudgetExceeded) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", _bits(x), found.hex(), _bits(kept))
+
+
+def _kernel_draws(seed: int, per_n: int):
+    """Seeded (Q, u) rows for every n up to the nesting limit: condition up
+    to 1e3, whole parts up to 1e12, fractions anywhere in [-1/2, 1/2] and
+    exactly 1/2, and a coordinate beyond 2^51 in every fourth row, where
+    the search rounds with round()."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, iqp._NESTING_LIMIT + 1):
+        for trial in range(per_n):
+            Q = random_quadratic(rng, n, 10.0 ** rng.uniform(0.0, 3.0)).Q
+            u = np.rint(rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(0.0, 12.0))
+            frac = rng.uniform(-0.5, 0.5, size=n)
+            u += np.where(rng.random(size=n) < 0.1, 0.5, frac)
+            if trial % 4 == 3:
+                u[rng.integers(n)] = rng.choice([-1.0, 1.0]) * (2.0**51 + 2.0 * rng.integers(1, 2**49) + 0.5)
+            yield Q, u
+
+
+def _kernel_searches(Q, u):
+    """The searches to compare on one draw: (frame, centre, incumbent,
+    excess, window, keep) in the Cholesky frame with no window, as
+    `lattice_mins` runs it, and in the LLL-reduced frame (from n = 2), as
+    `_enumerate` runs it, at a window that keeps nothing but the best, one
+    that keeps some leaves and one past which `_KEPT` leaves stop it."""
+    f = factor_of(Q)
+    x0 = np.rint(u)
+    excess = _all_ddot_excess(f, x0 - u)
+    yield f, u.tolist(), x0.tolist(), excess, 0.0, None
+    frame = iqp.reduced_frame(f) if f.n > 1 else None
+    if frame is not None:
+        centre = frame.Tinv.dot(u - x0).tolist()
+        for scale in (0.0, 0.05, 4.0):
+            slack = scale * excess
+            yield frame, centre, [0.0] * f.n, excess + slack, 2.0 * slack, []
+
+
+def test_every_dimension_up_to_the_nesting_limit_compiles_and_the_next_takes_zigzag():
+    # each n up to the limit has its own generated search and certificate,
+    # named for its dimension in profiles and tracebacks; above the limit,
+    # where CPython's 20 nested blocks run out, the search is `_zigzag`
+    for n in range(1, iqp._NESTING_LIMIT + 1):
+        search, certify = iqp._kernels(n)
+        assert search is not iqp._zigzag
+        assert search.__code__.co_filename == f"<icqs.iqp search n={n}>"
+        assert certify.__code__.co_filename == f"<icqs.iqp certify n={n}>"
+        assert iqp._search_source(n).count("while True:") == n
+        assert iqp._kernels(n) == (search, certify)
+    search, certify = iqp._kernels(iqp._NESTING_LIMIT + 1)
+    assert search is iqp._zigzag
+    assert certify.__code__.co_filename == f"<icqs.iqp certify n={iqp._NESTING_LIMIT + 1}>"
+
+
+def test_the_generated_search_is_zigzag_and_the_reference_in_both_frames():
+    # on seeded draws of every n up to the limit, in the Cholesky frame and
+    # the reduced frame at three windows: the same point, excess bits and
+    # kept leaves as `_zigzag`, and in the Cholesky frame the reference's
+    # point and excess; the same smallest node budget that does not raise,
+    # and an EnumerationBudgetExceeded one node below it
+    compared = kept = full = 0
+    for Q, u in _kernel_draws(2033, 8):
+        for frame, us, x0, excess, window, keep in _kernel_searches(Q, u):
+            search = iqp._kernels(len(us))[0]
+            budgets = _CountingBudget(), _CountingBudget()
+            got = _run(search, frame, us, x0, excess, budgets[0], window, keep)
+            want = _run(iqp._zigzag, frame, us, x0, excess, budgets[1], window, keep)
+            assert got == want, (Q.tolist(), u.tolist(), window)
+            assert got[0] == "ok", got
+            nodes = budgets[1].nodes
+            assert budgets[0].nodes == nodes > 0
+            assert _run(search, frame, us, x0, excess, nodes, window, keep) == got
+            for s in (search, iqp._zigzag):
+                stop = _run(s, frame, us, x0, excess, nodes - 1, window, keep)
+                assert stop == ("raised", EnumerationBudgetExceeded, f"enumeration exceeded {nodes - 1} nodes")
+            if keep is None:
+                point, found = _reference_enumerate(frame, u, np.rint(u), excess, 10**9)
+                assert got[1:3] == (_bits(point), found.hex()), (Q.tolist(), u.tolist())
+            else:
+                kept += len(got[3]) > 1
+                full += len(got[3]) > iqp._KEPT
+            compared += 1
+    assert compared > 600 and kept > 200 and full > 100
+
+
+def test_the_generated_search_raises_as_zigzag_on_non_finite_centres():
+    # a NaN or infinite entry at any level, with the certificate's NaN
+    # excess or an infinite one: the search reaches round() of a NaN or
+    # infinite centre and raises what `_zigzag` raises, with its message
+    rng = np.random.default_rng(2039)
+    raised = 0
+    for n in range(1, iqp._NESTING_LIMIT + 1):
+        f = factor_of(random_quadratic(rng, n, 10.0).Q)
+        for bad in (math.nan, math.inf, -math.inf):
+            for excess in (math.nan, math.inf):
+                us = rng.uniform(-9.0, 9.0, size=n).tolist()
+                us[rng.integers(n)] = bad
+                x0 = [float(round(c)) if math.isfinite(c) else 0.0 for c in us]
+                got = _run(iqp._kernels(n)[0], f, us, x0, excess, 10**6, 0.0, None)
+                assert got == _run(iqp._zigzag, f, us, x0, excess, 10**6, 0.0, None)
+                assert got[0] == "raised" and got[1] in (ValueError, OverflowError), got
+                raised += 1
+    assert raised == iqp._NESTING_LIMIT * 6
+
+
+def test_the_generated_certificate_is_the_former_loops():
+    # the excess bits and the verdict of the two former loops, for every n
+    # up to past the nesting limit (the certificate has no nesting), on
+    # rows the certificate passes and fails, fractions of exactly 1/2,
+    # signed zeros, and NaN and infinite dots and fractions, whose NaN
+    # excess fails every test
+    rng = np.random.default_rng(2053)
+    verdicts = {True: 0, False: 0}
+    for n in range(1, iqp._NESTING_LIMIT + 6):
+        certify = iqp._kernels(n)[1]
+        for trial in range(200):
+            cert = (10.0 ** rng.uniform(-2.0, 2.0, size=n)).tolist()
+            ws = rng.uniform(-0.5, 0.5, size=n)
+            ws[rng.random(size=n) < 0.05] = 0.5
+            ws[rng.random(size=n) < 0.05] = -0.0
+            ds = rng.normal(size=n) * 10.0 ** rng.uniform(-4.0, 0.5)
+            if trial % 10 == 9:
+                (ds if trial % 20 == 9 else ws)[rng.integers(n)] = rng.choice([math.nan, math.inf, -math.inf])
+            got = certify(cert, ws.tolist(), ds.tolist())
+            want = _former_certificate(cert, ws.tolist(), ds.tolist())
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (cert, ws, ds)
+            verdicts[got[1]] += 1
+    assert min(verdicts.values()) > 500
+
+
+def kernel_search_mismatches(workload: str, pool: int) -> tuple[int, list]:
+    """(searches, mismatches) of the solves of one benchmark pool, each
+    factor in the frame it chose: every search the generated kernels run is
+    replayed through `iqp._zigzag`, which must return the same point,
+    excess bits and kept leaves."""
+    workloads = load_workloads()
+    calls = []
+    kernels = iqp._kernels
+
+    def kernelling(n):
+        search, certify = kernels(n)
+
+        def recording(frame, us, x0, excess, node_budget, scratch, window=0.0, keep=None):
+            found = search(frame, us, x0, excess, node_budget, scratch, window, keep)
+            calls.append((frame, us, x0, excess, node_budget, window, keep is not None, _bits(found), _bits(keep)))
+            return found
+
+        return recording, certify
+
+    iqp._kernels = kernelling
+    try:
+        for name, inst, start in workloads.build_jobs(workload, pool):
+            cli.solve_pipeline(inst, start=start)
+    finally:
+        iqp._kernels = kernels
+    mismatches = []
+    for frame, us, x0, excess, node_budget, window, keeps, found, kept in calls:
+        keep = [] if keeps else None
+        want = iqp._zigzag(frame, us, x0, excess, node_budget, iqp._scratch(len(us)), window, keep)
+        if _bits(want) != found or _bits(keep) != kept:
+            mismatches.append((workload, pool, us))
+    return len(calls), mismatches
+
+
+def test_every_workload_search_through_the_generated_kernel_is_zigzags():
+    # pool 0 of the benchmark's three workloads, each factor in its own
+    # frame: every search is `_zigzag`'s, kept leaves included.  CI runs
+    # all 16 pools.
+    searched = 0
+    for workload in load_workloads().WORKLOADS:
+        count, mismatches = kernel_search_mismatches(workload, 0)
+        assert not mismatches, mismatches[:5]
+        assert count > 0, workload
+        searched += count
+    assert searched > 10_000
